@@ -10,7 +10,6 @@ certificate at desk scale.
 from .attack import AttackResult, AttackStep, attack_decremental, attack_incremental
 from .attribution import (
     ScoreVector,
-    binary_search_prefix,
     gradient_scores,
     greedy_stable_attribution,
     lime_lite_scores,
@@ -81,6 +80,7 @@ from .smoothing import (
     additive_leakage_demo,
     masking_equivalence_check,
     mus_evaluate,
+    mus_evaluate_many,
     rmus_estimate,
     smoothed_predict,
 )

@@ -18,7 +18,7 @@ from .core import (
     top_class_and_gap,
     validate_mask,
 )
-from .smoothing import SmoothedModel, mus_evaluate, smoothed_predict
+from .smoothing import SmoothedModel, mus_evaluate_many
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,7 @@ class AttackResult:
     trace: tuple[AttackStep, ...]
 
 
-def _margin(model: SmoothedModel, x: Sequence[float], alpha: Mask,
-            ref_class: int) -> tuple[float, bool]:
-    p = mus_evaluate(model, x, alpha)
+def _margin(p: Sequence[float], ref_class: int) -> tuple[float, bool]:
     rival = max(v for c, v in enumerate(p) if c != ref_class)
     top, _ = top_class_and_gap(p)
     return p[ref_class] - rival, top != ref_class
@@ -59,24 +57,26 @@ def _greedy(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
         )
     if mode == "inc":
         alpha = list(phi_x)
-        ref_class, _ = top_class_and_gap(mus_evaluate(model, x, phi_x))
         flip_to = 1
     else:
         alpha = [1] * n
-        ref_class, _ = top_class_and_gap(smoothed_predict(model, x))
         flip_to = 0
+    ref_class, _ = top_class_and_gap(mus_evaluate_many(model, x, [tuple(alpha)])[0])
     trace: list[AttackStep] = []
     for step in range(1, budget + 1):
         if mode == "inc":
             candidates = [i for i in range(n) if alpha[i] == 0]
         else:
             candidates = [i for i in range(n) if alpha[i] == 1 and phi_x[i] == 0]
-        scored = []
-        flips = {}
+        candidate_masks = []
         for i in candidates:
             alpha[i] = flip_to
-            margin, flipped = _margin(model, x, tuple(alpha), ref_class)
+            candidate_masks.append(tuple(alpha))
             alpha[i] = 1 - flip_to
+        scored = []
+        flips = {}
+        for i, p in zip(candidates, mus_evaluate_many(model, x, candidate_masks)):
+            margin, flipped = _margin(p, ref_class)
             scored.append((i, margin))
             flips[i] = flipped
         chosen, chosen_margin = min(scored, key=lambda pair: (pair[1], pair[0]))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import permutations as all_permutations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,13 +22,16 @@ from .core import (
     FeatureGrouping,
     Mask,
     NumericalError,
+    evaluate_rows,
     mask_apply,
+    mask_apply_rows,
     ones_mask,
     top_class_and_gap,
+    unique_masks,
 )
-from .certify import decremental_radius, radius_from_gap
+from .certify import radius_from_gap
 from .noise import LcgStream, iid_bernoulli_masks
-from .smoothing import SmoothedModel, mus_evaluate, smoothed_predict
+from .smoothing import SmoothedModel, mus_evaluate_many, smoothed_predict
 
 FD_STEP = 1e-4
 LIME_RIDGE = 1e-6
@@ -67,14 +70,11 @@ def occlusion_scores(model_or_base: SmoothedModel | ClassifierHandle,
     if isinstance(model_or_base, SmoothedModel):
         model = model_or_base
         n = model.grouping.n
-        base_probs = smoothed_predict(model, x)
+        ablations = [tuple(0 if j == i else 1 for j in range(n)) for i in range(n)]
+        base_probs, *ablated = mus_evaluate_many(model, x, [ones_mask(n)] + ablations)
         c = _predicted_class(base_probs)
-        scores = []
-        for i in range(n):
-            alpha = tuple(0 if j == i else 1 for j in range(n))
-            p = mus_evaluate(model, x, alpha)
-            scores.append(base_probs[c] - p[c])
-        return ScoreVector(scores=tuple(scores), method="occlusion")
+        scores = tuple(base_probs[c] - p[c] for p in ablated)
+        return ScoreVector(scores=scores, method="occlusion")
     if grouping is None:
         raise ConfigError("grouping is required when scoring a bare classifier")
     base = model_or_base
@@ -174,12 +174,13 @@ def lime_lite_scores(base: ClassifierHandle, x: Sequence[float],
         raise ConfigError(f"kernel width must be positive, got {kernel_width}")
     c = _predicted_class(base.evaluate(x))
     masks = iid_bernoulli_masks(0.5, n, samples, rng_state)
+    bits = np.array(masks, dtype=np.uint8).reshape(samples, n)
     design = np.ones((samples, n + 1))
-    targets = np.empty(samples)
+    design[:, 1:] = bits
+    inputs = mask_apply_rows(np.asarray(x, dtype=float), bits, grouping.index_map())
+    targets = evaluate_rows(base, inputs)[:, c]
     weights = np.empty(samples)
     for row, z in enumerate(masks):
-        design[row, 1:] = z
-        targets[row] = base.evaluate(mask_apply(x, z, grouping))[c]
         dropped = n - sum(z)
         weights[row] = math.exp(-(dropped * dropped) / (kernel_width * kernel_width))
     wx = design.T * weights
@@ -208,15 +209,6 @@ def shap_lite_scores(base: ClassifierHandle, x: Sequence[float],
     if permutations < 1:
         raise ConfigError(f"permutations must be >= 1, got {permutations}")
     c = _predicted_class(base.evaluate(x))
-    cache: dict[Mask, float] = {}
-
-    def value(alpha: Mask) -> float:
-        got = cache.get(alpha)
-        if got is None:
-            got = base.evaluate(mask_apply(x, alpha, grouping))[c]
-            cache[alpha] = got
-        return got
-
     if exhaustive:
         orders = list(all_permutations(range(n)))
     else:
@@ -228,15 +220,16 @@ def shap_lite_scores(base: ClassifierHandle, x: Sequence[float],
                 j = stream.next_below(i + 1)
                 order[i], order[j] = order[j], order[i]
             orders.append(tuple(order))
-    contrib: list[list[float]] = [[] for _ in range(n)]
-    for order in orders:
-        current = [0] * n
-        prev = value(tuple(current))
-        for i in order:
-            current[i] = 1
-            now = value(tuple(current))
-            contrib[i].append(now - prev)
-            prev = now
+    # rank[t, i] is the step at which order t adds group i; the coalition
+    # before step s holds the groups ranked below s.
+    rank = np.empty((len(orders), n), dtype=np.intp)
+    rank[np.arange(len(orders))[:, None], np.array(orders, dtype=np.intp)] = np.arange(n)
+    coalitions = (rank[:, None, :] < np.arange(n + 1)[:, None]).astype(np.uint8)
+    distinct, inverse = unique_masks(coalitions.reshape(-1, n))
+    inputs = mask_apply_rows(np.asarray(x, dtype=float), distinct, grouping.index_map())
+    values = evaluate_rows(base, inputs)[:, c][inverse].reshape(len(orders), n + 1)
+    gains = values[:, 1:] - values[:, :-1]
+    contrib = np.take_along_axis(gains, rank, axis=1).T.tolist()
     scores = tuple(math.fsum(col) / len(orders) for col in contrib)
     return ScoreVector(scores=scores, method="shap")
 
@@ -278,14 +271,14 @@ def greedy_stable_attribution(model: SmoothedModel, x: Sequence[float],
     ordering = score_ordering(scores)
     if len(ordering) != n:
         raise DimensionError(f"got {len(ordering)} scores for n={n} groups")
-    pred_class = _predicted_class(smoothed_predict(model, x))
+    prefixes = [prefix_mask(ordering, length, n) for length in range(1, n + 1)]
+    p_ones, *p_prefixes = mus_evaluate_many(model, x, [ones_mask(n)] + prefixes)
+    pred_class, gap_at_ones = top_class_and_gap(p_ones)
     # The decremental radius depends only on (model, x), so one check covers
     # every prefix.
-    _, r_dec = decremental_radius(model, x)
+    _, r_dec = radius_from_gap(gap_at_ones, model.cfg.lambda_num, model.cfg.q)
     if r_dec >= r_dec_target:
-        for length in range(1, n + 1):
-            candidate = prefix_mask(ordering, length, n)
-            p = mus_evaluate(model, x, candidate)
+        for candidate, p in zip(prefixes, p_prefixes):
             masked_class, gap = top_class_and_gap(p)
             if masked_class != pred_class:
                 continue
@@ -293,28 +286,3 @@ def greedy_stable_attribution(model: SmoothedModel, x: Sequence[float],
             if r_inc >= r_inc_target:
                 return candidate, True
     return ones_mask(n), False
-
-
-def binary_search_prefix(model: SmoothedModel, x: Sequence[float],
-                         ordering: Sequence[int],
-                         predicate: Callable[[Mask], bool]) -> tuple[int, bool]:
-    """Smallest prefix length whose mask satisfies the predicate.
-
-    Assumes the predicate is monotone in prefix length; when the bisection
-    lands on a failing length (monotonicity violated) it falls back to a
-    linear scan. Never-true predicates return (n, False).
-    """
-    n = model.grouping.n
-    lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if predicate(prefix_mask(ordering, mid, n)):
-            hi = mid
-        else:
-            lo = mid + 1
-    if predicate(prefix_mask(ordering, lo, n)):
-        return lo, True
-    for length in range(1, n + 1):
-        if predicate(prefix_mask(ordering, length, n)):
-            return length, True
-    return n, False

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterator, Literal, Sequence
 
 from .core import (
@@ -20,9 +20,12 @@ from .core import (
     top_class_and_gap,
     validate_mask,
 )
-from .smoothing import SmoothedModel, mus_evaluate, smoothed_predict
+from .smoothing import SmoothedModel, mus_evaluate, mus_evaluate_many, smoothed_predict
 
 ENUMERATION_GUARD_BITS = 20
+# Masks the brute-force oracle evaluates per batch: enough to amortise the
+# per-call cost, few enough that memory stays flat for 2^20 masks.
+ORACLE_CHUNK = 1024
 
 Mode = Literal["inc", "dec"]
 
@@ -99,9 +102,7 @@ def decremental_radius(model: SmoothedModel, x: Sequence[float]) -> tuple[float,
 def certify_example(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
                     example_id: int) -> CertRecord:
     """Bundle consistency plus both radii into one record."""
-    validate_mask(phi_x, model.grouping.n)
-    p_ones = smoothed_predict(model, x)
-    p_attr = mus_evaluate(model, x, phi_x)
+    p_ones, p_attr = mus_evaluate_many(model, x, [ones_mask(model.grouping.n), phi_x])
     pred_class, gap_at_ones = top_class_and_gap(p_ones)
     masked_class, gap_at_attr = top_class_and_gap(p_attr)
     cfg = model.cfg
@@ -159,31 +160,30 @@ def brute_force_stability_oracle(model: SmoothedModel, x: Sequence[float],
 
     inc compares every enumerated mask's class against the class at phi_x;
     dec compares against the class at all-ones. True iff nothing flips.
+    Masks are evaluated in chunks of ORACLE_CHUNK, stopping after the chunk
+    holding the first flip.
     """
     validate_mask(phi_x, model.grouping.n)
     _guard(phi_x)
     if mode == "inc":
-        ref_class, _ = top_class_and_gap(mus_evaluate(model, x, phi_x))
+        anchor = phi_x
     elif mode == "dec":
-        ref_class, _ = top_class_and_gap(smoothed_predict(model, x))
+        anchor = ones_mask(len(phi_x))
     else:
         raise ValueError(f"mode must be 'inc' or 'dec', got {mode!r}")
-    for alpha in enumerate_perturbation_masks(phi_x, radius, mode):
-        got, _ = top_class_and_gap(mus_evaluate(model, x, alpha))
-        if got != ref_class:
-            return False
+    ref_class, _ = top_class_and_gap(mus_evaluate_many(model, x, [anchor])[0])
+    masks = enumerate_perturbation_masks(phi_x, radius, mode)
+    while chunk := list(islice(masks, ORACLE_CHUNK)):
+        for p in mus_evaluate_many(model, x, chunk):
+            if top_class_and_gap(p)[0] != ref_class:
+                return False
     return True
 
 
 def full_stability_check(model: SmoothedModel, x: Sequence[float],
                          phi_x: Mask) -> bool:
-    """Exhaustively confirm that every superset of phi_x keeps its class."""
-    validate_mask(phi_x, model.grouping.n)
-    _guard(phi_x)
-    n = model.grouping.n
-    ref_class, _ = top_class_and_gap(mus_evaluate(model, x, phi_x))
-    for alpha in enumerate_perturbation_masks(phi_x, n - popcount(phi_x), "inc"):
-        got, _ = top_class_and_gap(mus_evaluate(model, x, alpha))
-        if got != ref_class:
-            return False
-    return True
+    """Exhaustively confirm that every superset of phi_x keeps its class.
+
+    This is the inc oracle at radius n, which enumerates every superset.
+    """
+    return brute_force_stability_oracle(model, x, phi_x, model.grouping.n, "inc")

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 from .attack import attack_decremental, attack_incremental
@@ -74,6 +73,10 @@ def _map_examples(fn: Callable, items: Sequence, workers: int) -> list:
         raise _UsageError(f"--workers must be >= 1, got {workers}")
     if workers == 1:
         return [fn(item) for item in items]
+    # Imported here because the pool's modules, logging among them, add
+    # about 1 MB of resident memory that serial runs never use.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
@@ -159,17 +162,14 @@ def _survival_curve(radii_ok: list[tuple[int, bool]], n: int) -> list[float]:
 
 def cmd_certify(args) -> int:
     _require_phi_source(args)
-    _, dataset, grouping, cfg, smoothed = _load_common(args)
+    _, dataset, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
 
     def one(item) -> CertRecord:
         idx, (x, _label) = item
         phi, _met = _attribution_mask(args, smoothed, x,
                                       derive_rng_state(args.seed, idx))
-        cert_model = smoothed
-        if args.mu_mode == "phi":
-            cert_model = SmoothedModel(base=smoothed.base, grouping=grouping,
-                                       cfg=cfg, atoms=smoothed.atoms, mu=phi)
+        cert_model = smoothed.with_mu(phi) if args.mu_mode == "phi" else smoothed
         return certify_example(cert_model, x, phi, example_id=idx)
 
     records = _map_examples(one, list(enumerate(dataset.examples)), args.workers)

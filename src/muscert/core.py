@@ -2,12 +2,15 @@
 masking application with feature grouping, and argmax class / confidence gap.
 
 Masks are plain tuples of 0/1 ints, input vectors and probability vectors are
-plain tuples of floats. Everything in this module is pure and immutable.
+plain tuples of floats; batches of them are numpy arrays with one row each.
+Everything in this module is pure and immutable.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
+
+import numpy as np
 
 Mask = tuple[int, ...]
 Vector = tuple[float, ...]
@@ -119,6 +122,13 @@ class FeatureGrouping:
     def to_json_dict(self) -> dict:
         return {"d": self.d, "groups": [list(g) for g in self.groups]}
 
+    def index_map(self) -> np.ndarray:
+        """Group index of each raw feature, as a length-d integer array."""
+        out = np.empty(self.d, dtype=np.intp)
+        for gi, group in enumerate(self.groups):
+            out[list(group)] = gi
+        return out
+
 
 @runtime_checkable
 class ClassifierHandle(Protocol):
@@ -126,7 +136,9 @@ class ClassifierHandle(Protocol):
 
     evaluate maps a length-d input to m class probabilities summing to one.
     gradient(x, c), when provided, returns the d partial derivatives of the
-    probability of class c at x.
+    probability of class c at x. evaluate_batch(Z), when provided, maps a
+    (k, d) float array to the (k, m) array whose row r equals evaluate(Z[r])
+    bit for bit; batch callers use it in place of one evaluate call per row.
     """
 
     d: int
@@ -148,6 +160,36 @@ def validate_logits(p: Sequence[float], m: int | None = None) -> Logits:
     return probs
 
 
+def validate_logits_batch(probs, k: int, m: int) -> np.ndarray:
+    """validate_logits for every row of a (k, m) batch, as one float array."""
+    try:
+        arr = np.asarray(probs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"batch output is not a numeric array: {exc}") from exc
+    if arr.shape != (k, m):
+        raise ContractError(f"expected a ({k}, {m}) probability batch, got shape {arr.shape}")
+    # Column by column from 0, the order in which sum() adds one row.
+    total = np.zeros(k)
+    for c in range(m):
+        total += arr[:, c]
+    ok = ((arr >= 0.0) & (arr <= 1.0)).all(axis=1) & (np.abs(total - 1.0) <= LOGITS_SUM_TOL)
+    if not ok.all():
+        validate_logits(arr[int(np.argmin(ok))].tolist(), m)
+    return arr
+
+
+def evaluate_rows(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
+    """The checked (k, m) base outputs for the rows of a (k, d) input array.
+
+    One evaluate_batch call when the handle has it; otherwise one evaluate
+    call per row, each checked by validate_logits.
+    """
+    if hasattr(base, "evaluate_batch"):
+        return validate_logits_batch(base.evaluate_batch(inputs), len(inputs), base.m)
+    rows = [validate_logits(base.evaluate(tuple(z)), base.m) for z in inputs.tolist()]
+    return np.array(rows, dtype=float).reshape(len(inputs), base.m)
+
+
 def _check_same_length(a: Sequence, b: Sequence, what: str) -> None:
     if len(a) != len(b):
         raise DimensionError(f"{what}: lengths {len(a)} and {len(b)} differ")
@@ -167,6 +209,32 @@ def mask_apply(x: Sequence[float], alpha: Mask, grouping: FeatureGrouping) -> Ve
             for idx in group:
                 out[idx] = 0.0
     return tuple(out)
+
+
+def mask_apply_rows(x: np.ndarray, masks: np.ndarray, index_map: np.ndarray) -> np.ndarray:
+    """Row r is mask_apply(x, masks[r]) for a (k, n) 0/1 mask array.
+
+    np.where keeps every kept value as it is (signed zeros too) and writes
+    +0.0 into dropped groups, as mask_apply does; x * mask would give -0.0.
+    """
+    return np.where(masks[:, index_map] != 0, x, 0.0)
+
+
+def unique_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a (k, n) 0/1 mask array, in first-seen order, and
+    each row's index among them.
+
+    Rows are keyed by their bit-packed bytes in a dict, which needs no sort.
+    """
+    packed = np.packbits(masks, axis=1)
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    slots: dict[bytes, int] = {}
+    inverse = np.array([slots.setdefault(raw[i:i + width], len(slots))
+                        for i in range(0, len(raw), width)], dtype=np.intp)
+    distinct = np.empty((len(slots), masks.shape[1]), dtype=masks.dtype)
+    distinct[inverse] = masks
+    return distinct, inverse
 
 
 def mask_leq(a: Mask, b: Mask) -> bool:

@@ -2,15 +2,19 @@
 
 Forward passes and analytic gradients are written as explicit row-major
 loops so the summation order is pinned and results are reproducible
-bit-for-bit across runs. Weights round-trip through a JSON document using
-Python's shortest round-trip float formatting.
+bit-for-bit across runs. The batch forward pass keeps that order column by
+column over a (k, d) input array, with the same math.exp, so its rows equal
+the single-input pass bit for bit. Weights round-trip through a JSON
+document using Python's shortest round-trip float formatting.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     DataError,
@@ -47,12 +51,45 @@ def _dot_rows(weights: Sequence[Sequence[float]], bias: Sequence[float],
     return out
 
 
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """_softmax applied to each row of a (k, m) array, bit for bit."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    # np.exp is not correctly rounded and differs from math.exp in the last bit.
+    exps = np.fromiter(map(math.exp, shifted.ravel().tolist()), dtype=float,
+                       count=shifted.size).reshape(shifted.shape)
+    total = np.zeros(len(exps))
+    for j in range(exps.shape[1]):
+        total += exps[:, j]
+    return exps / total[:, None]
+
+
+def _affine_cols(z: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """_dot_rows applied to each row of a (k, d) array, bit for bit.
+
+    Adding one input column at a time from 0.0 keeps _dot_rows' left-to-right
+    order; a matrix product would sum in its own order.
+    """
+    acc = np.zeros((len(z), len(weights)))
+    for k in range(z.shape[1]):
+        acc += z[:, k:k + 1] * weights[:, k]
+    return acc + bias
+
+
+def _batch_input(z, d: int) -> np.ndarray:
+    arr = np.asarray(z, dtype=float)
+    if arr.ndim != 2 or arr.shape[1] != d:
+        raise DimensionError(f"input batch shape {arr.shape} is not (k, d={d})")
+    return arr
+
+
 @dataclass(frozen=True)
 class LinearSoftmaxModel:
     """softmax(W x + b) with an m-by-d weight matrix."""
 
     weights: tuple[tuple[float, ...], ...]
     bias: tuple[float, ...]
+    _w: np.ndarray = field(init=False, repr=False, compare=False)
+    _b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.bias):
@@ -64,6 +101,8 @@ class LinearSoftmaxModel:
         widths = {len(row) for row in self.weights}
         if len(widths) != 1:
             raise DimensionError(f"ragged weight rows with widths {sorted(widths)}")
+        object.__setattr__(self, "_w", np.array(self.weights, dtype=float))
+        object.__setattr__(self, "_b", np.array(self.bias, dtype=float))
 
     @property
     def d(self) -> int:
@@ -77,6 +116,10 @@ class LinearSoftmaxModel:
         if len(x) != self.d:
             raise DimensionError(f"input length {len(x)} != d={self.d}")
         return _softmax(_dot_rows(self.weights, self.bias, x))
+
+    def evaluate_batch(self, z) -> np.ndarray:
+        """(k, m) array whose row r is evaluate(z[r]), bit for bit."""
+        return _softmax_rows(_affine_cols(_batch_input(z, self.d), self._w, self._b))
 
     def gradient(self, x: Sequence[float], c: int) -> Vector:
         """Analytic d p_c / d x = p_c * (W_c - sum_j p_j W_j)."""
@@ -100,6 +143,7 @@ class MlpModel:
     b1: tuple[float, ...]
     w2: tuple[tuple[float, ...], ...]
     b2: tuple[float, ...]
+    _layers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.w1) != len(self.b1) or len(self.w1) < 1:
@@ -112,6 +156,8 @@ class MlpModel:
             raise DimensionError(
                 f"second-layer width {len(self.w2[0])} != hidden width {len(self.w1)}"
             )
+        object.__setattr__(self, "_layers", tuple(
+            np.array(v, dtype=float) for v in (self.w1, self.b1, self.w2, self.b2)))
 
     @property
     def d(self) -> int:
@@ -135,6 +181,12 @@ class MlpModel:
             raise DimensionError(f"input length {len(x)} != d={self.d}")
         _, act = self._hidden(x)
         return _softmax(_dot_rows(self.w2, self.b2, act))
+
+    def evaluate_batch(self, z) -> np.ndarray:
+        """(k, m) array whose row r is evaluate(z[r]), bit for bit."""
+        w1, b1, w2, b2 = self._layers
+        pre = _affine_cols(_batch_input(z, self.d), w1, b1)
+        return _softmax_rows(_affine_cols(np.where(pre > 0.0, pre, 0.0), w2, b2))
 
     def gradient(self, x: Sequence[float], c: int) -> Vector:
         if not 0 <= c < self.m:
@@ -193,13 +245,12 @@ def _gauss_values(stream: LcgStream, count: int, scale: float) -> list[float]:
     return vals[:count]
 
 
-def crossentropy_loss(model: LinearSoftmaxModel, xs: Sequence[Vector],
-                      ys: Sequence[int]) -> float:
+def _mean_crossentropy(probs: np.ndarray, ys: np.ndarray) -> float:
+    """Mean of -log p_y over the rows, summed left to right."""
     total = 0.0
-    for x, y in zip(xs, ys):
-        p = model.evaluate(x)
-        total += -math.log(max(p[y], 1e-300))
-    return total / len(xs)
+    for p in probs[np.arange(len(ys)), ys].tolist():
+        total += -math.log(max(p, 1e-300))
+    return total / len(ys)
 
 
 def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
@@ -209,44 +260,51 @@ def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
 
     Deterministic given rng_state (LCG Gaussian init, scale 0.01). A step that
     would increase the loss is rejected and the learning rate halved, up to 20
-    halvings over the whole run, so the recorded loss never increases.
+    halvings over the whole run, so the recorded loss never increases. The
+    gradient sums the examples in dataset order, starting from +0.0, as a
+    loop over examples would, so the weights do not depend on numpy's
+    summation order.
     """
     if len(dataset.examples) == 0:
         raise DataError("cannot fit on an empty dataset")
-    xs = [x for x, _ in dataset.examples]
-    ys = [y for _, y in dataset.examples]
     d, m = dataset.d, dataset.m
-    model = random_linear(d, m, rng_state, scale=0.01)
-    model = LinearSoftmaxModel(model.weights, tuple(0.0 for _ in range(m)))
+    # Each example followed by 1.0, the input the bias multiplies.
+    rows = np.ones((len(dataset.examples), d + 1))
+    rows[:, :d] = [x for x, _ in dataset.examples]
+    xs = rows[:, :d]
+    ys = np.array([y for _, y in dataset.examples], dtype=np.intp)
+    init = random_linear(d, m, rng_state, scale=0.01)
+    weights = np.array(init.weights, dtype=float)
+    bias = np.zeros(m)
+    onehot = np.zeros((len(ys), m))
+    onehot[np.arange(len(ys)), ys] = 1.0
+    inv = 1.0 / len(ys)
+
+    # One class's per-example gradient terms after a row of +0.0, so that
+    # each running sum over the examples starts from +0.0 as a loop's would.
+    terms = np.zeros((len(ys) + 1, d + 1))
+    sums = np.empty_like(terms)
+    grad = np.empty((m, d + 1))
     lr = learning_rate
     halvings = 0
-    loss = crossentropy_loss(model, xs, ys)
+    probs = _softmax_rows(_affine_cols(xs, weights, bias))
+    loss = _mean_crossentropy(probs, ys)
     if loss_history is not None:
         loss_history.append(loss)
     for _ in range(epochs):
-        grad_w = [[0.0] * d for _ in range(m)]
-        grad_b = [0.0] * m
-        inv = 1.0 / len(xs)
-        for x, y in zip(xs, ys):
-            p = model.evaluate(x)
-            for j in range(m):
-                err = (p[j] - (1.0 if j == y else 0.0)) * inv
-                grad_b[j] += err
-                row = grad_w[j]
-                for k in range(d):
-                    row[k] += err * x[k]
+        err = (probs - onehot) * inv
+        for j in range(m):
+            np.multiply(err[:, j:j + 1], rows, out=terms[1:])
+            grad[j] = np.add.accumulate(terms, axis=0, out=sums)[-1]
+        grad_w, grad_b = grad[:, :d], grad[:, d]
         stepped = None
         while halvings <= 20:
-            cand = LinearSoftmaxModel(
-                weights=tuple(
-                    tuple(model.weights[j][k] - lr * grad_w[j][k] for k in range(d))
-                    for j in range(m)
-                ),
-                bias=tuple(model.bias[j] - lr * grad_b[j] for j in range(m)),
-            )
-            cand_loss = crossentropy_loss(cand, xs, ys)
+            cand_w = weights - lr * grad_w
+            cand_b = bias - lr * grad_b
+            cand_probs = _softmax_rows(_affine_cols(xs, cand_w, cand_b))
+            cand_loss = _mean_crossentropy(cand_probs, ys)
             if cand_loss <= loss:
-                stepped = (cand, cand_loss)
+                stepped = (cand_w, cand_b, cand_probs, cand_loss)
                 break
             if halvings == 20:
                 break
@@ -254,10 +312,11 @@ def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
             lr *= 0.5
         if stepped is None:
             break  # no step size left that still decreases the loss
-        model, loss = stepped
+        weights, bias, probs, loss = stepped
         if loss_history is not None:
             loss_history.append(loss)
-    return model
+    return LinearSoftmaxModel(weights=tuple(map(tuple, weights.tolist())),
+                              bias=tuple(bias.tolist()))
 
 
 def _require_matrix(doc: dict, key: str, rows: int, cols: int) -> tuple[tuple[float, ...], ...]:

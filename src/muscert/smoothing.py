@@ -3,16 +3,22 @@
 A smoothed model averages the base classifier over a small set of noise
 masks with exact per-coordinate keep rates. The average runs over atoms in
 index order with compensated summation, so two evaluations of the same
-inputs agree bit for bit. Also provides a Monte Carlo estimator for the
-iid-noise variant and two diagnostic checks (masking equivalence, and a
-demonstration that additive mask noise leaks information where
-multiplicative noise does not).
+inputs agree bit for bit. `mus_evaluate` is the definitional path, one base
+query per atom; `mus_evaluate_many` averages many masks at once and sends
+each distinct effective mask to the base classifier once, with the same
+result bits because math.fsum is correctly rounded. Also provides a Monte
+Carlo estimator for the iid-noise variant and two diagnostic checks
+(masking equivalence, and a demonstration that additive mask noise leaks
+information where multiplicative noise does not).
 """
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     ClassifierHandle,
@@ -23,11 +29,14 @@ from .core import (
     Mask,
     PreconditionError,
     Vector,
+    evaluate_rows,
     mask_and,
     mask_apply,
+    mask_apply_rows,
     mask_leq,
     mask_or,
     ones_mask,
+    unique_masks,
     validate_logits,
     validate_mask,
     zeros_mask,
@@ -50,6 +59,14 @@ class SmoothedModel:
     cfg: SmoothingConfig
     atoms: NoiseAtoms
     mu: Mask | None = None
+    # The atoms as a (q, n) 0/1 array and the grouping's index map, for
+    # mus_evaluate_many.
+    _atom_bits: np.ndarray = field(init=False, repr=False, compare=False)
+    _index_map: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_atom_bits", np.array(self.atoms.atoms, dtype=np.uint8))
+        object.__setattr__(self, "_index_map", self.grouping.index_map())
 
     @classmethod
     def build(cls, base: ClassifierHandle, grouping: FeatureGrouping,
@@ -66,6 +83,14 @@ class SmoothedModel:
             validate_mask(mu, grouping.n)
         return cls(base=base, grouping=grouping, cfg=cfg,
                    atoms=enumerate_atoms(cfg), mu=mu)
+
+    def with_mu(self, mu: Mask | None) -> "SmoothedModel":
+        """This model with noise-exempt mask mu, sharing atoms and arrays."""
+        if mu is not None:
+            mu = validate_mask(mu, self.grouping.n)
+        twin = copy.copy(self)
+        object.__setattr__(twin, "mu", mu)
+        return twin
 
     @property
     def n(self) -> int:
@@ -100,9 +125,36 @@ def mus_evaluate(model: SmoothedModel, x: Sequence[float], alpha: Mask) -> Logit
     return tuple(math.fsum(col) / q for col in columns)
 
 
+def mus_evaluate_many(model: SmoothedModel, x: Sequence[float],
+                      alphas: Sequence[Mask]) -> list[Logits]:
+    """[mus_evaluate(model, x, alpha) for alpha in alphas], bit for bit.
+
+    All len(alphas) * q effective masks are built as one array and
+    deduplicated; each distinct one is one row of a single base batch. The
+    per-class mean over an alpha's q atoms is taken with math.fsum, which is
+    correctly rounded, so repeated rows cannot change a bit of it.
+    """
+    grouping = model.grouping
+    n = grouping.n
+    if len(x) != grouping.d:
+        raise DimensionError(f"input length {len(x)} != d={grouping.d}")
+    masks = np.array([validate_mask(a, n) for a in alphas], dtype=np.uint8).reshape(-1, n)
+    if len(masks) == 0:
+        return []
+    q = model.cfg.q
+    effective = (masks[:, None, :] & model._atom_bits).reshape(-1, n)
+    if model.mu is not None:
+        effective |= np.array(model.mu, dtype=np.uint8)
+    distinct, inverse = unique_masks(effective)
+    inputs = mask_apply_rows(np.asarray(x, dtype=float), distinct, model._index_map)
+    probs = evaluate_rows(model.base, inputs)[inverse]
+    blocks = probs.reshape(len(masks), -1, probs.shape[1]).transpose(0, 2, 1).tolist()
+    return [tuple(math.fsum(col) / q for col in block) for block in blocks]
+
+
 def smoothed_predict(model: SmoothedModel, x: Sequence[float]) -> Logits:
     """Smoothed forward pass: the all-ones mask average."""
-    return mus_evaluate(model, x, ones_mask(model.grouping.n))
+    return mus_evaluate_many(model, x, [ones_mask(model.grouping.n)])[0]
 
 
 def rmus_estimate(base: ClassifierHandle, grouping: FeatureGrouping,

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from muscert.attribution import (
     LIME_RIDGE,
     ScoreVector,
-    binary_search_prefix,
     gradient_scores,
     greedy_stable_attribution,
     lime_lite_scores,
@@ -454,43 +453,6 @@ def test_greedy_rejects_negative_targets():
     with pytest.raises(ConfigError):
         greedy_stable_attribution(model, (1.0, 1.0, 1.0, 1.0),
                                   (0.1, 0.2, 0.3, 0.4), -1, 0)
-
-
-def test_binary_search_on_monotone_predicate():
-    model = _small_smoothed()
-    ordering = (0, 1, 2, 3)
-    length, met = binary_search_prefix(
-        model, (1.0, 1.0, 1.0, 1.0), ordering,
-        lambda alpha: popcount(alpha) >= 3,
-    )
-    assert (length, met) == (3, True)
-
-
-def test_binary_search_never_true_predicate():
-    model = _small_smoothed()
-    length, met = binary_search_prefix(
-        model, (1.0, 1.0, 1.0, 1.0), (0, 1, 2, 3), lambda alpha: False,
-    )
-    assert (length, met) == (4, False)
-
-
-def test_binary_search_nonmonotone_midpoint_hit():
-    model = _small_smoothed()
-    length, met = binary_search_prefix(
-        model, (1.0, 1.0, 1.0, 1.0), (0, 1, 2, 3),
-        lambda alpha: popcount(alpha) == 2,
-    )
-    assert (length, met) == (2, True)
-
-
-def test_binary_search_falls_back_on_nonmonotone_predicate():
-    # True only at length 1: the bisection walks past it and must rescan.
-    model = _small_smoothed()
-    length, met = binary_search_prefix(
-        model, (1.0, 1.0, 1.0, 1.0), (0, 1, 2, 3),
-        lambda alpha: popcount(alpha) == 1,
-    )
-    assert (length, met) == (1, True)
 
 
 # ------------------------------------------------------------- score vector

@@ -229,3 +229,27 @@ def test_indicator_certificate_full_record():
     assert record.gap_at_attr == 0.0
     assert record.gap_at_ones == 0.0
     assert record.r_inc == 0 and record.r_dec == 0
+
+
+class XorTable:
+    """One-hot lookup table on two groups: the class is b0 XOR b1."""
+
+    d = 2
+    m = 2
+
+    def evaluate(self, z):
+        odd = (z[0] != 0.0) != (z[1] != 0.0)
+        return (0.0, 1.0) if odd else (1.0, 0.0)
+
+
+@pytest.mark.xfail(strict=True, reason="radius_from_gap floors gap*q/(2*lambda_num) "
+                   "although the bound is strict, so an exact tie at an integer "
+                   "radius is over-claimed")
+def test_integer_radius_at_exact_tie_is_not_over_claimed():
+    cfg = SmoothingConfig(q=2, lambda_num=1, seed=0, n=2)
+    model = SmoothedModel.build(XorTable(), FeatureGrouping.trivial(2), cfg)
+    x, phi = (1.0, 1.0), (0, 0)
+    # The gap at all-ones is exactly 1, so r_dec = 1 is issued; removing one
+    # bit ties the smoothed classes and the tie goes to the other class.
+    record = certify_example(model, x, phi, example_id=0)
+    assert brute_force_stability_oracle(model, x, phi, record.r_dec, "dec")

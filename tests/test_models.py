@@ -18,6 +18,7 @@ from muscert.models import (
     save_model,
 )
 from muscert.noise import LcgStream, derive_rng_state
+from muscert.selfcheck import check_gradient_fd
 
 
 def test_zero_weights_give_uniform_softmax():
@@ -89,6 +90,13 @@ def test_relu_kink_uses_zero_subgradient():
     x = (1.0, 1.0)  # pre-activation exactly 0
     grad = model.gradient(x, 0)
     assert grad == (0.0, 0.0)
+
+
+def test_gradient_fd_suite_redraws_inputs_at_the_relu_kink():
+    """Trial seed 1915 draws an MLP pre-activation of -3.6e-5, inside the
+    1e-4 finite-difference step; the suite must redraw, not fail."""
+    result = check_gradient_fd(1, 1915, 8)
+    assert (result.trials, result.failures) == (1, 0)
 
 
 def test_gradient_class_bounds():
