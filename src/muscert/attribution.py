@@ -30,7 +30,7 @@ from .core import (
     unique_masks,
 )
 from .certify import radius_from_gap
-from .noise import LcgStream, iid_bernoulli_masks
+from .noise import iid_bernoulli_bits, lcg_block
 from .smoothing import SmoothedModel, mus_evaluate_many, smoothed_predict
 
 FD_STEP = 1e-4
@@ -173,16 +173,14 @@ def lime_lite_scores(base: ClassifierHandle, x: Sequence[float],
     if kernel_width <= 0:
         raise ConfigError(f"kernel width must be positive, got {kernel_width}")
     c = _predicted_class(base.evaluate(x))
-    masks = iid_bernoulli_masks(0.5, n, samples, rng_state)
-    bits = np.array(masks, dtype=np.uint8).reshape(samples, n)
+    bits = iid_bernoulli_bits(0.5, n, samples, rng_state)
     design = np.ones((samples, n + 1))
     design[:, 1:] = bits
     inputs = mask_apply_rows(np.asarray(x, dtype=float), bits, grouping.index_map())
     targets = evaluate_rows(base, inputs)[:, c]
-    weights = np.empty(samples)
-    for row, z in enumerate(masks):
-        dropped = n - sum(z)
-        weights[row] = math.exp(-(dropped * dropped) / (kernel_width * kernel_width))
+    kernel = np.array([math.exp(-(dropped * dropped) / (kernel_width * kernel_width))
+                       for dropped in range(n + 1)])
+    weights = kernel[n - bits.sum(axis=1, dtype=np.intp)]
     wx = design.T * weights
     lhs = wx @ design + LIME_RIDGE * np.eye(n + 1)
     rhs = wx @ targets
@@ -210,20 +208,13 @@ def shap_lite_scores(base: ClassifierHandle, x: Sequence[float],
         raise ConfigError(f"permutations must be >= 1, got {permutations}")
     c = _predicted_class(base.evaluate(x))
     if exhaustive:
-        orders = list(all_permutations(range(n)))
+        orders = np.array(list(all_permutations(range(n))), dtype=np.intp).reshape(-1, n)
     else:
-        stream = LcgStream(rng_state)
-        orders = []
-        for _ in range(permutations):
-            order = list(range(n))
-            for i in range(n - 1, 0, -1):
-                j = stream.next_below(i + 1)
-                order[i], order[j] = order[j], order[i]
-            orders.append(tuple(order))
+        orders = _sampled_orders(n, permutations, rng_state)
     # rank[t, i] is the step at which order t adds group i; the coalition
     # before step s holds the groups ranked below s.
     rank = np.empty((len(orders), n), dtype=np.intp)
-    rank[np.arange(len(orders))[:, None], np.array(orders, dtype=np.intp)] = np.arange(n)
+    rank[np.arange(len(orders))[:, None], orders] = np.arange(n)
     coalitions = (rank[:, None, :] < np.arange(n + 1)[:, None]).astype(np.uint8)
     distinct, inverse = unique_masks(coalitions.reshape(-1, n))
     inputs = mask_apply_rows(np.asarray(x, dtype=float), distinct, grouping.index_map())
@@ -232,6 +223,25 @@ def shap_lite_scores(base: ClassifierHandle, x: Sequence[float],
     contrib = np.take_along_axis(gains, rank, axis=1).T.tolist()
     scores = tuple(math.fsum(col) / len(orders) for col in contrib)
     return ScoreVector(scores=scores, method="shap")
+
+
+def _sampled_orders(n: int, permutations: int, rng_state: int) -> np.ndarray:
+    """intp[permutations, n]: one Fisher-Yates shuffle of range(n) per row.
+
+    Row t swaps position i = n-1, ..., 1 with j = next_below(i + 1), where
+    the draw for (t, step) is stream value t * (n - 1) + step; all rows take
+    a step's swap at once.
+    """
+    draws = (lcg_block(rng_state, permutations * (n - 1)) >> 32).astype(np.intp)
+    draws = draws.reshape(permutations, n - 1)
+    orders = np.tile(np.arange(n, dtype=np.intp), (permutations, 1))
+    rows = np.arange(permutations)
+    for step, i in enumerate(range(n - 1, 0, -1)):
+        j = draws[:, step] % (i + 1)
+        picked = orders[rows, j]
+        orders[rows, j] = orders[:, i]
+        orders[:, i] = picked
+    return orders
 
 
 def topk_binarize(scores: ScoreVector | Sequence[float], k: int) -> Mask:

@@ -23,6 +23,14 @@ from .core import (
 from .smoothing import SmoothedModel, mus_evaluate, mus_evaluate_many, smoothed_predict
 
 ENUMERATION_GUARD_BITS = 20
+# How far below its computed gap an integer radius must stay. A class mean
+# is fsum(col) / q: fsum rounds once and the division once, so each mean in
+# [0, 1] is within 2u + u^2 of its exact atom average (u = 2^-53), and the
+# gap, one more rounded subtraction, is within 5u + O(u^2). A mask r flips
+# away is compared on two means of its own (4u + O(u^2)), so a computed gap
+# above 2 * lambda * r + 9u keeps the class at every such mask even where
+# the exact margin is nil; 2^-49 = 16u covers that.
+GAP_MARGIN = 2.0 ** -49
 # Masks the brute-force oracle evaluates per batch: enough to amortise the
 # per-call cost, few enough that memory stays flat for 2^20 masks.
 ORACLE_CHUNK = 1024
@@ -70,13 +78,20 @@ class CertRecord:
 
 
 def radius_from_gap(gap: float, lambda_num: int, q: int) -> tuple[float, int]:
-    """Turn a confidence gap into (real, floored integer) certified radius.
+    """Turn a confidence gap into (real, integer) certified radius.
 
-    Computed as gap * q / (2 * lambda_num) so the division stays exact when
-    the gap is a dyadic rational.
+    The real radius is gap * q / (2 * lambda_num). The bound is strict, so
+    the integer radius is the largest r >= 0 with
+    2 * lambda_num * r < (gap - GAP_MARGIN) * q, compared exactly on the
+    integer ratios of the two floats: a gap that lands on an integer radius
+    certifies one bit less, since a flip at that distance can tie the classes.
     """
     real = gap * q / (2 * lambda_num)
-    return real, int(math.floor(real))
+    num, den = gap.as_integer_ratio()
+    margin_num, margin_den = GAP_MARGIN.as_integer_ratio()
+    # r < (num/den - margin_num/margin_den) * q / (2 * lambda_num), as integers
+    excess = (num * margin_den - margin_num * den) * q
+    return real, max(0, (excess - 1) // (2 * lambda_num * den * margin_den))
 
 
 def consistency_check(model: SmoothedModel, x: Sequence[float], phi_x: Mask) -> bool:

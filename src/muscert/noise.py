@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .core import ConfigError, Mask
 
@@ -54,6 +57,43 @@ class LcgStream:
         u2 = ((self.next_u64() >> 32) + 0.5) / _TOP32
         r = math.sqrt(-2.0 * math.log(u1))
         return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
+
+
+@lru_cache(maxsize=8)
+def _jump_coefficients(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only uint64 tables (A, C) with x_k = A[k-1] * x_0 + C[k-1] mod 2^64.
+
+    A_k = MULT^k and C_k = lcg_step(C_{k-1}), C_0 = 0, built with Python
+    integers. Returned as one tuple so that threads never see half a pair.
+    """
+    def powers():
+        a = 1
+        for _ in range(count):
+            a = (a * LCG_MULT) & _MASK64
+            yield a
+
+    def offsets():
+        c = 0
+        for _ in range(count):
+            c = lcg_step(c)
+            yield c
+
+    tables = (np.fromiter(powers(), dtype=np.uint64, count=count),
+              np.fromiter(offsets(), dtype=np.uint64, count=count))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def lcg_block(state: int, count: int) -> np.ndarray:
+    """The next count values of LcgStream(state).next_u64(), as uint64[count].
+
+    Each value jumps straight from state; the arithmetic stays on uint64
+    arrays, which wrap mod 2^64 silently (numpy scalars would warn).
+    """
+    mults, incs = _jump_coefficients(count)
+    start = np.full(1, state & _MASK64, dtype=np.uint64)
+    return mults * start + incs
 
 
 def derive_rng_state(seed: int, index: int = 0) -> int:
@@ -155,18 +195,24 @@ def enumerate_atoms(cfg: SmoothingConfig) -> NoiseAtoms:
     )
 
 
-def iid_bernoulli_masks(
-    lam: float, n: int, count: int, rng_state: int
-) -> list[Mask]:
-    """count masks with iid Bernoulli(lam) bits; one LCG step per bit."""
+def iid_bernoulli_bits(lam: float, n: int, count: int, rng_state: int) -> np.ndarray:
+    """uint8[count, n] of iid Bernoulli(lam) bits, one LCG step per bit.
+
+    Bit (r, i) is next_unit() < lam for stream value r * n + i; the top 32
+    bits over 2^32 are exact in float64, so this matches the scalar stream.
+    """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam!r}")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
-    stream = LcgStream(rng_state)
-    masks = []
-    for _ in range(count):
-        masks.append(tuple(1 if stream.next_unit() < lam else 0 for _ in range(n)))
-    return masks
+    units = (lcg_block(rng_state, count * n) >> 32) / _TOP32
+    return (units < lam).astype(np.uint8).reshape(count, n)
+
+
+def iid_bernoulli_masks(
+    lam: float, n: int, count: int, rng_state: int
+) -> list[Mask]:
+    """iid_bernoulli_bits as a list of count mask tuples."""
+    return [tuple(row) for row in iid_bernoulli_bits(lam, n, count, rng_state).tolist()]

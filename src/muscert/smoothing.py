@@ -41,7 +41,7 @@ from .core import (
     validate_mask,
     zeros_mask,
 )
-from .noise import NoiseAtoms, SmoothingConfig, enumerate_atoms, iid_bernoulli_masks
+from .noise import NoiseAtoms, SmoothingConfig, enumerate_atoms, iid_bernoulli_bits
 
 EQUIVALENCE_TOL = 1e-12
 
@@ -138,7 +138,7 @@ def mus_evaluate_many(model: SmoothedModel, x: Sequence[float],
     n = grouping.n
     if len(x) != grouping.d:
         raise DimensionError(f"input length {len(x)} != d={grouping.d}")
-    masks = np.array([validate_mask(a, n) for a in alphas], dtype=np.uint8).reshape(-1, n)
+    masks = _alpha_array(alphas, n)
     if len(masks) == 0:
         return []
     q = model.cfg.q
@@ -150,6 +150,23 @@ def mus_evaluate_many(model: SmoothedModel, x: Sequence[float],
     probs = evaluate_rows(model.base, inputs)[inverse]
     blocks = probs.reshape(len(masks), -1, probs.shape[1]).transpose(0, 2, 1).tolist()
     return [tuple(math.fsum(col) / q for col in block) for block in blocks]
+
+
+def _alpha_array(alphas: Sequence[Mask], n: int) -> np.ndarray:
+    """The alphas as a (k, n) uint8 array, checked as validate_mask checks each.
+
+    A non-empty well-formed batch is checked as one int64 array whose
+    entries lie in [0, 1]; any other batch goes through validate_mask alpha
+    by alpha, which raises its usual error.
+    """
+    try:
+        batch = np.array(alphas, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):
+        batch = None
+    if (batch is not None and batch.ndim == 2 and batch.shape[1] == n and batch.size
+            and batch.min() >= 0 and batch.max() <= 1):
+        return batch.astype(np.uint8)
+    return np.array([validate_mask(a, n) for a in alphas], dtype=np.uint8).reshape(-1, n)
 
 
 def smoothed_predict(model: SmoothedModel, x: Sequence[float]) -> Logits:
@@ -167,17 +184,13 @@ def rmus_estimate(base: ClassifierHandle, grouping: FeatureGrouping,
     """
     if len(x) != grouping.d:
         raise DimensionError(f"input length {len(x)} != d={grouping.d}")
-    validate_mask(alpha, grouping.n)
+    alpha = validate_mask(alpha, grouping.n)
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
-    draws = iid_bernoulli_masks(lam, grouping.n, samples, rng_state)
-    m = base.m
-    columns: list[list[float]] = [[] for _ in range(m)]
-    for s in draws:
-        p = base.evaluate(mask_apply(x, mask_and(alpha, s), grouping))
-        validate_logits(p, m)
-        for c in range(m):
-            columns[c].append(p[c])
+    draws = iid_bernoulli_bits(lam, grouping.n, samples, rng_state)
+    masks = draws & np.array(alpha, dtype=np.uint8)
+    inputs = mask_apply_rows(np.asarray(x, dtype=float), masks, grouping.index_map())
+    columns = evaluate_rows(base, inputs).T.tolist()
     return tuple(math.fsum(col) / samples for col in columns)
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from muscert.attribution import (
     LIME_RIDGE,
+    _sampled_orders,
     ScoreVector,
     gradient_scores,
     greedy_stable_attribution,
@@ -34,7 +35,7 @@ from muscert.core import (
     top_class_and_gap,
 )
 from muscert.models import LinearSoftmaxModel, random_linear, random_mlp
-from muscert.noise import SmoothingConfig, iid_bernoulli_masks
+from muscert.noise import LcgStream, SmoothingConfig, iid_bernoulli_masks
 from muscert.smoothing import SmoothedModel, mus_evaluate, smoothed_predict
 
 from conftest import ConstantHandle
@@ -338,6 +339,28 @@ def test_shap_sampling_is_deterministic():
     a = shap_lite_scores(model, x, grouping, permutations=16, rng_state=9)
     b = shap_lite_scores(model, x, grouping, permutations=16, rng_state=9)
     assert a == b
+
+
+def _scalar_orders(n, permutations, rng_state):
+    """The per-permutation Fisher-Yates walk shap_lite_scores used to take."""
+    stream = LcgStream(rng_state)
+    orders = []
+    for _ in range(permutations):
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = stream.next_below(i + 1)
+            order[i], order[j] = order[j], order[i]
+        orders.append(tuple(order))
+    return orders
+
+
+@pytest.mark.parametrize("n", [1, 2, 16])
+@pytest.mark.parametrize("permutations", [1, 64])
+def test_shap_orders_equal_scalar_fisher_yates(n, permutations):
+    for rng_state in (0, 9, 2**64 - 1):
+        got = _sampled_orders(n, permutations, rng_state)
+        assert [tuple(row) for row in got.tolist()] == _scalar_orders(
+            n, permutations, rng_state)
 
 
 def test_shap_rejects_nonpositive_permutations():

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from muscert.certify import (
+    GAP_MARGIN,
     brute_force_stability_oracle,
     certify_example,
     consistency_check,
@@ -51,11 +54,14 @@ def random_triple(trial, n_max=6):
 
 
 @pytest.mark.parametrize("gap,lambda_num,q,expected", [
-    (0.5, 1, 8, (2.0, 2)),
+    (0.5, 1, 8, (2.0, 1)),
     (0.2, 1, 2, (0.2, 0)),
-    (1.0, 1, 8, (4.0, 4)),
-    (1.0, 1, 2, (1.0, 1)),
+    (1.0, 1, 8, (4.0, 3)),
+    (1.0, 1, 2, (1.0, 0)),
     (0.0, 2, 4, (0.0, 0)),
+    # One ulp above an integer radius is inside the rounding margin; 2^-40 is not.
+    (0.5 + 2**-53, 1, 8, (2.0, 1)),
+    (0.5 + 2**-40, 1, 8, (2.0 + 2**-38, 2)),
 ])
 def test_radius_from_gap_arithmetic(gap, lambda_num, q, expected):
     real, integer = radius_from_gap(gap, lambda_num, q)
@@ -63,13 +69,26 @@ def test_radius_from_gap_arithmetic(gap, lambda_num, q, expected):
     assert math.isclose(real, expected[0], rel_tol=0, abs_tol=1e-15)
 
 
+def test_integer_radius_is_exact_around_every_integer_boundary():
+    """Largest r >= 0 with 2*lambda_num*r < (gap - GAP_MARGIN)*q, in rationals."""
+    for q in (2, 4, 8, 16):
+        for lambda_num in range(1, q + 1):
+            for k in range(q // lambda_num + 1):
+                edge = 2 * lambda_num * k / q
+                for gap in (edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2.0),
+                            edge + GAP_MARGIN, edge + 2 * GAP_MARGIN):
+                    bound = (Fraction(gap) - Fraction(GAP_MARGIN)) * q / (2 * lambda_num)
+                    want = max(0, math.ceil(bound) - 1)
+                    assert radius_from_gap(gap, lambda_num, q)[1] == want, (gap, lambda_num, q)
+
+
 def test_radii_match_gap_formula_on_constant_model():
     model = constant_model((0.75, 0.25), n=3, q=8, lambda_num=1)
     x = (1.0, 1.0, 1.0)
-    assert incremental_radius(model, x, (1, 0, 0)) == (2.0, 2)
-    assert decremental_radius(model, x) == (2.0, 2)
+    assert incremental_radius(model, x, (1, 0, 0)) == (2.0, 1)
+    assert decremental_radius(model, x) == (2.0, 1)
     one_hot = constant_model((1.0, 0.0), n=3, q=8, lambda_num=1)
-    assert decremental_radius(one_hot, x) == (4.0, 4)
+    assert decremental_radius(one_hot, x) == (4.0, 3)
 
 
 def test_consistency_all_ones_always_true():
@@ -242,9 +261,6 @@ class XorTable:
         return (0.0, 1.0) if odd else (1.0, 0.0)
 
 
-@pytest.mark.xfail(strict=True, reason="radius_from_gap floors gap*q/(2*lambda_num) "
-                   "although the bound is strict, so an exact tie at an integer "
-                   "radius is over-claimed")
 def test_integer_radius_at_exact_tie_is_not_over_claimed():
     cfg = SmoothingConfig(q=2, lambda_num=1, seed=0, n=2)
     model = SmoothedModel.build(XorTable(), FeatureGrouping.trivial(2), cfg)
@@ -253,3 +269,38 @@ def test_integer_radius_at_exact_tie_is_not_over_claimed():
     # bit ties the smoothed classes and the tie goes to the other class.
     record = certify_example(model, x, phi, example_id=0)
     assert brute_force_stability_oracle(model, x, phi, record.r_dec, "dec")
+
+
+class OneHotTable:
+    """One-hot lookup table: the class is table[i] for the i whose bits
+    mark the nonzero inputs, i = sum of 2^j over nonzero z[j]."""
+
+    m = 2
+
+    def __init__(self, table, d):
+        self.table = table
+        self.d = d
+
+    def evaluate(self, z):
+        index = sum(1 << j for j, v in enumerate(z) if v != 0.0)
+        return (0.0, 1.0) if self.table[index] else (1.0, 0.0)
+
+
+def test_lookup_table_radii_survive_brute_force():
+    """Every two-class one-hot table on 2-3 groups: exact ties everywhere."""
+    for n in (2, 3):
+        x = (1.0,) * n
+        phis = list(product((0, 1), repeat=n))
+        for table in product((0, 1), repeat=2 ** n):
+            handle = OneHotTable(table, n)
+            for q, lambda_num in ((2, 1), (4, 1), (4, 2), (4, 3)):
+                for seed in range(3):
+                    cfg = SmoothingConfig(q=q, lambda_num=lambda_num, seed=seed, n=n)
+                    model = SmoothedModel.build(handle, FeatureGrouping.trivial(n), cfg)
+                    for phi in phis:
+                        record = certify_example(model, x, phi, example_id=0)
+                        case = (n, table, q, lambda_num, seed, phi)
+                        assert brute_force_stability_oracle(
+                            model, x, phi, record.r_inc, "inc"), case
+                        assert brute_force_stability_oracle(
+                            model, x, phi, record.r_dec, "dec"), case

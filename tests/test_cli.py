@@ -220,6 +220,18 @@ def test_outputs_do_not_depend_on_workers(small_artifacts, tmp_path, monkeypatch
     assert outs[0] == outs[1] == outs[2]
 
 
+@pytest.mark.parametrize("scorer", ["lime", "shap"])
+def test_explain_does_not_depend_on_workers(small_artifacts, tmp_path, scorer):
+    outs = []
+    for workers in ("1", "3"):
+        out = tmp_path / f"{scorer}-{workers}.ndjson"
+        argv = ["explain", *_base_args(small_artifacts, out),
+                "--scorer", scorer, "--rinc", "1", "--rdec", "0", "--workers", workers]
+        assert main(argv) == EXIT_OK
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_repeat_runs_are_byte_identical(small_artifacts, tmp_path):
     blobs = []
     for tag in ("x", "y"):

@@ -1,6 +1,9 @@
 """Atom enumeration, exact marginals, and the pinned generator recipe."""
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +16,9 @@ from muscert.noise import (
     derive_rng_state,
     derive_seed_vector,
     enumerate_atoms,
+    iid_bernoulli_bits,
     iid_bernoulli_masks,
+    lcg_block,
     lcg_step,
     seed_vector_numerators,
 )
@@ -131,6 +136,33 @@ def test_iid_masks_validation():
     with pytest.raises(ConfigError):
         iid_bernoulli_masks(0.5, 3, -1, 0)
     assert iid_bernoulli_masks(0.5, 3, 0, 0) == []
+
+
+def _scalar_iid_masks(lam, n, count, rng_state):
+    """The per-bit stream walk iid_bernoulli_masks used to take."""
+    stream = LcgStream(rng_state)
+    return [tuple(1 if stream.next_unit() < lam else 0 for _ in range(n))
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("state", [0, 1, 2**64 - 1, -3] + [random.Random(5).getrandbits(64)
+                                                          for _ in range(3)])
+def test_lcg_block_equals_scalar_stream(state):
+    # 4097 and 5000 exceed the table length 4096 cached just before them.
+    for count in (0, 1, 4096, 4097, 5000):
+        stream = LcgStream(state)
+        block = lcg_block(state, count)
+        assert block.dtype == np.uint64
+        assert block.tolist() == [stream.next_u64() for _ in range(count)]
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.0, 0.5, random.Random(9).random()])
+def test_iid_masks_equal_scalar_stream(lam):
+    for n, count, state in ((1, 1, 0), (3, 5, 77), (16, 256, 2**64 - 1), (7, 300, 12345)):
+        assert iid_bernoulli_masks(lam, n, count, state) == _scalar_iid_masks(
+            lam, n, count, state)
+        bits = iid_bernoulli_bits(lam, n, count, state)
+        assert bits.dtype == np.uint8 and bits.shape == (count, n)
 
 
 def test_stream_next_below_respects_bound():

@@ -17,6 +17,7 @@ from muscert.core import (
     mask_apply,
     mask_leq,
     ones_mask,
+    validate_mask,
 )
 from muscert.models import random_linear
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state, enumerate_atoms
@@ -25,6 +26,7 @@ from muscert.smoothing import (
     additive_leakage_demo,
     masking_equivalence_check,
     mus_evaluate,
+    mus_evaluate_many,
     rmus_estimate,
     smoothed_predict,
 )
@@ -143,6 +145,33 @@ def test_dimension_errors():
         mus_evaluate(model, (1.0, 2.0), (1, 1, 1))
     with pytest.raises(DimensionError):
         mus_evaluate(model, (1.0, 2.0, 3.0), (1, 1))
+
+
+@pytest.mark.parametrize("alphas", [
+    [(1, 1, 1), (1, 1)],           # ragged
+    [(1, 1)],                      # wrong width
+    [(1, 1, 1), (0, 2, 1)],        # 2
+    [(1, -1, 0)],                  # -1
+    [(1, float("nan"), 0)],        # NaN
+    [(1, float("inf"), 0)],
+    [(1, 2**70, 0)],
+    (1, 1, 1),                     # one mask, not a batch
+])
+def test_mus_evaluate_many_rejects_alphas_as_validate_mask_does(alphas):
+    model = random_model(0, 3, 4, 2)
+    with pytest.raises(Exception) as want:
+        [validate_mask(a, 3) for a in alphas]
+    with pytest.raises(want.type) as got:
+        mus_evaluate_many(model, (1.0, 2.0, 3.0), alphas)
+    assert str(got.value) == str(want.value)
+
+
+def test_mus_evaluate_many_reads_alphas_as_validate_mask_does():
+    model = random_model(0, 3, 4, 2)
+    x = (1.0, 2.0, 3.0)
+    assert mus_evaluate_many(model, x, []) == []
+    assert (mus_evaluate_many(model, x, [(1.0, 0, True), (0.7, 1, 0)])
+            == [mus_evaluate(model, x, (1, 0, 1)), mus_evaluate(model, x, (0, 1, 0))])
 
 
 def test_non_simplex_base_output_aborts():
