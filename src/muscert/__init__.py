@@ -15,34 +15,21 @@ from .attribution import (
     lime_lite_scores,
     occlusion_scores,
     shap_lite_scores,
-    smoothed_gradient_scores,
     topk_binarize,
 )
 from .certify import (
     CertRecord,
     brute_force_stability_oracle,
     certify_example,
-    consistency_check,
-    decremental_radius,
     enumerate_perturbation_masks,
-    full_stability_check,
-    incremental_radius,
     radius_from_gap,
 )
 from .core import (
-    CapabilityError,
     ClassifierHandle,
     ConfigError,
-    ContractError,
     DataError,
-    DimensionError,
     FeatureGrouping,
     MuscertError,
-    NumericalError,
-    ParseError,
-    PreconditionError,
-    ResourceError,
-    SchemaError,
     VerificationError,
     l1_distance,
     mask_and,
@@ -71,7 +58,6 @@ from .noise import (
     derive_rng_state,
     derive_seed_vector,
     enumerate_atoms,
-    iid_bernoulli_masks,
 )
 from .selfcheck import SelfcheckReport, SuiteResult, run_selfcheck
 from .smoothing import (

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import (
+    ConfigError,
     Mask,
-    PreconditionError,
     popcount,
     top_class_and_gap,
     validate_mask,
@@ -52,7 +52,7 @@ def _greedy(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
     validate_mask(phi_x, n)
     free = n - popcount(phi_x)
     if budget < 0 or budget > free:
-        raise PreconditionError(
+        raise ConfigError(
             f"budget {budget} outside [0, {free}] free bits for this mask"
         )
     if mode == "inc":

@@ -15,15 +15,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    CapabilityError,
     ClassifierHandle,
     ConfigError,
-    DimensionError,
     FeatureGrouping,
     Mask,
-    NumericalError,
     evaluate_rows,
-    mask_apply,
     mask_apply_rows,
     ones_mask,
     top_class_and_gap,
@@ -31,7 +27,7 @@ from .core import (
 )
 from .certify import radius_from_gap
 from .noise import iid_bernoulli_bits, lcg_block
-from .smoothing import SmoothedModel, mus_evaluate_many, smoothed_predict
+from .smoothing import SmoothedModel, mus_evaluate_many
 
 FD_STEP = 1e-4
 LIME_RIDGE = 1e-6
@@ -48,10 +44,10 @@ class ScoreVector:
 
     def __post_init__(self) -> None:
         if len(self.scores) == 0:
-            raise DimensionError("score vector must be non-empty")
+            raise ConfigError("score vector must be non-empty")
         for i, v in enumerate(self.scores):
             if not math.isfinite(v):
-                raise NumericalError(f"score {i} is not finite: {v!r}")
+                raise ConfigError(f"score {i} is not finite: {v!r}")
 
 
 def _predicted_class(probs: Sequence[float]) -> int:
@@ -59,34 +55,19 @@ def _predicted_class(probs: Sequence[float]) -> int:
     return c
 
 
-def occlusion_scores(model_or_base: SmoothedModel | ClassifierHandle,
-                     x: Sequence[float],
-                     grouping: FeatureGrouping | None = None) -> ScoreVector:
-    """Drop in predicted-class probability when each group is ablated.
+def occlusion_scores(model: SmoothedModel, x: Sequence[float]) -> ScoreVector:
+    """Drop in smoothed predicted-class probability when each group is ablated
+    in the mask argument.
 
-    Works on either a smoothed model (group ablated in the mask argument)
-    or a bare classifier (group zeroed in the input).
+    At full keep (lambda_num = q) every atom is all-ones, so this scores the
+    base classifier with each group zeroed in the input (bit for bit at q = 2).
     """
-    if isinstance(model_or_base, SmoothedModel):
-        model = model_or_base
-        n = model.grouping.n
-        ablations = [tuple(0 if j == i else 1 for j in range(n)) for i in range(n)]
-        base_probs, *ablated = mus_evaluate_many(model, x, [ones_mask(n)] + ablations)
-        c = _predicted_class(base_probs)
-        scores = tuple(base_probs[c] - p[c] for p in ablated)
-        return ScoreVector(scores=scores, method="occlusion")
-    if grouping is None:
-        raise ConfigError("grouping is required when scoring a bare classifier")
-    base = model_or_base
-    n = grouping.n
-    base_probs = base.evaluate(x)
+    n = model.grouping.n
+    ablations = [tuple(0 if j == i else 1 for j in range(n)) for i in range(n)]
+    base_probs, *ablated = mus_evaluate_many(model, x, [ones_mask(n)] + ablations)
     c = _predicted_class(base_probs)
-    scores = []
-    for i in range(n):
-        alpha = tuple(0 if j == i else 1 for j in range(n))
-        p = base.evaluate(mask_apply(x, alpha, grouping))
-        scores.append(base_probs[c] - p[c])
-    return ScoreVector(scores=tuple(scores), method="occlusion")
+    scores = tuple(base_probs[c] - p[c] for p in ablated)
+    return ScoreVector(scores=scores, method="occlusion")
 
 
 def _finite_difference_gradient(base: ClassifierHandle, x: Sequence[float],
@@ -102,8 +83,7 @@ def _finite_difference_gradient(base: ClassifierHandle, x: Sequence[float],
 
 
 def gradient_scores(base: ClassifierHandle, x: Sequence[float],
-                    grouping: FeatureGrouping,
-                    allow_finite_differences: bool = True) -> ScoreVector:
+                    grouping: FeatureGrouping) -> ScoreVector:
     """Sum of absolute predicted-class gradient entries within each group.
 
     The class is fixed from the unmodified input before any perturbation.
@@ -111,49 +91,16 @@ def gradient_scores(base: ClassifierHandle, x: Sequence[float],
     no analytic gradient.
     """
     if len(x) != grouping.d:
-        raise DimensionError(f"input length {len(x)} != d={grouping.d}")
+        raise ConfigError(f"input length {len(x)} != d={grouping.d}")
     c = _predicted_class(base.evaluate(x))
     if hasattr(base, "gradient"):
         grad = list(base.gradient(x, c))
-    elif allow_finite_differences:
-        grad = _finite_difference_gradient(base, x, c)
     else:
-        raise CapabilityError(
-            "classifier has no gradient and finite differences are disabled"
-        )
+        grad = _finite_difference_gradient(base, x, c)
     scores = tuple(
         math.fsum(abs(grad[j]) for j in group) for group in grouping.groups
     )
     return ScoreVector(scores=scores, method="vgrad")
-
-
-def smoothed_gradient_scores(model: SmoothedModel, x: Sequence[float]) -> ScoreVector:
-    """Atom-averaged gradient saliency of the smoothed predicted class."""
-    base = model.base
-    if not hasattr(base, "gradient"):
-        raise CapabilityError("smoothed gradient scoring needs an analytic gradient")
-    grouping = model.grouping
-    c = _predicted_class(smoothed_predict(model, x))
-    q = model.cfg.q
-    columns: list[list[float]] = [[] for _ in range(grouping.d)]
-    for atom in model.atoms.atoms:
-        masked = mask_apply(x, atom, grouping)
-        g = base.gradient(masked, c)
-        for j, group_bit in enumerate(_raw_bits(atom, grouping)):
-            columns[j].append(g[j] * group_bit)
-    grad = [math.fsum(col) / q for col in columns]
-    scores = tuple(
-        math.fsum(abs(grad[j]) for j in group) for group in grouping.groups
-    )
-    return ScoreVector(scores=scores, method="vgrad-smoothed")
-
-
-def _raw_bits(alpha: Mask, grouping: FeatureGrouping) -> list[int]:
-    bits = [0] * grouping.d
-    for bit, group in zip(alpha, grouping.groups):
-        for j in group:
-            bits[j] = bit
-    return bits
 
 
 def lime_lite_scores(base: ClassifierHandle, x: Sequence[float],
@@ -187,9 +134,9 @@ def lime_lite_scores(base: ClassifierHandle, x: Sequence[float],
     try:
         beta = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"surrogate fit is singular beyond ridge rescue: {exc}") from exc
+        raise ConfigError(f"surrogate fit is singular beyond ridge rescue: {exc}") from exc
     if not np.all(np.isfinite(beta)):
-        raise NumericalError("surrogate fit produced non-finite coefficients")
+        raise ConfigError("surrogate fit produced non-finite coefficients")
     return ScoreVector(scores=tuple(float(b) for b in beta[1:]), method="lime")
 
 
@@ -280,7 +227,7 @@ def greedy_stable_attribution(model: SmoothedModel, x: Sequence[float],
     n = model.grouping.n
     ordering = score_ordering(scores)
     if len(ordering) != n:
-        raise DimensionError(f"got {len(ordering)} scores for n={n} groups")
+        raise ConfigError(f"got {len(ordering)} scores for n={n} groups")
     prefixes = [prefix_mask(ordering, length, n) for length in range(1, n + 1)]
     p_ones, *p_prefixes = mus_evaluate_many(model, x, [ones_mask(n)] + prefixes)
     pred_class, gap_at_ones = top_class_and_gap(p_ones)

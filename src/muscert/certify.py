@@ -7,20 +7,19 @@ qualifying mask, which is what the soundness test suite leans on.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterator, Literal, Sequence
 
 from .core import (
+    ConfigError,
     Mask,
-    ResourceError,
     ones_mask,
     popcount,
     top_class_and_gap,
     validate_mask,
 )
-from .smoothing import SmoothedModel, mus_evaluate, mus_evaluate_many, smoothed_predict
+from .smoothing import SmoothedModel, mus_evaluate_many
 
 ENUMERATION_GUARD_BITS = 20
 # How far below its computed gap an integer radius must stay. A class mean
@@ -94,29 +93,15 @@ def radius_from_gap(gap: float, lambda_num: int, q: int) -> tuple[float, int]:
     return real, max(0, (excess - 1) // (2 * lambda_num * den * margin_den))
 
 
-def consistency_check(model: SmoothedModel, x: Sequence[float], phi_x: Mask) -> bool:
-    """Does masking down to the attribution keep the predicted class?"""
-    full_class, _ = top_class_and_gap(smoothed_predict(model, x))
-    masked_class, _ = top_class_and_gap(mus_evaluate(model, x, phi_x))
-    return full_class == masked_class
-
-
-def incremental_radius(model: SmoothedModel, x: Sequence[float],
-                       phi_x: Mask) -> tuple[float, int]:
-    """Certified number of bits that may be ADDED to phi_x without a flip."""
-    _, gap = top_class_and_gap(mus_evaluate(model, x, phi_x))
-    return radius_from_gap(gap, model.cfg.lambda_num, model.cfg.q)
-
-
-def decremental_radius(model: SmoothedModel, x: Sequence[float]) -> tuple[float, int]:
-    """Certified number of bits that may be REMOVED from all-ones."""
-    _, gap = top_class_and_gap(smoothed_predict(model, x))
-    return radius_from_gap(gap, model.cfg.lambda_num, model.cfg.q)
-
-
 def certify_example(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
                     example_id: int) -> CertRecord:
-    """Bundle consistency plus both radii into one record."""
+    """Consistency plus both radii of one example, as one record.
+
+    The incremental radius (bits that may be added to phi_x) comes from the
+    gap at phi_x; the decremental radius (bits that may be removed from
+    all-ones) from the gap at all-ones. Consistent means both masks give the
+    same class.
+    """
     p_ones, p_attr = mus_evaluate_many(model, x, [ones_mask(model.grouping.n), phi_x])
     pred_class, gap_at_ones = top_class_and_gap(p_ones)
     masked_class, gap_at_attr = top_class_and_gap(p_attr)
@@ -163,7 +148,7 @@ def enumerate_perturbation_masks(phi_x: Mask, radius: int, mode: Mode) -> Iterat
 def _guard(phi_x: Mask) -> None:
     free_bits = len(phi_x) - popcount(phi_x)
     if free_bits > ENUMERATION_GUARD_BITS:
-        raise ResourceError(
+        raise ConfigError(
             f"{free_bits} free bits exceeds the enumeration guard of "
             f"{ENUMERATION_GUARD_BITS}"
         )
@@ -194,11 +179,3 @@ def brute_force_stability_oracle(model: SmoothedModel, x: Sequence[float],
                 return False
     return True
 
-
-def full_stability_check(model: SmoothedModel, x: Sequence[float],
-                         phi_x: Mask) -> bool:
-    """Exhaustively confirm that every superset of phi_x keeps its class.
-
-    This is the inc oracle at radius n, which enumerates every superset.
-    """
-    return brute_force_stability_oracle(model, x, phi_x, model.grouping.n, "inc")

@@ -1,15 +1,14 @@
 """Command-line front end: certify, accuracy-curve, explain, attack, selfcheck.
 
 Every command is a pure function of its flags: randomness flows from
---seed, per-example streams are derived from the example index, and
-records are buffered and written in input order, so output files are
-byte-identical regardless of --workers.
+--seed and per-example streams are derived from the example index.
+Examples are processed one after another on one thread and written in
+input order.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Callable, Iterable, Sequence
 
@@ -27,11 +26,10 @@ from .attribution import (
 from .attribution import gradient_scores as vanilla_gradient_scores
 from .certify import CertRecord, certify_example, radius_from_gap
 from .core import (
+    ConfigError,
     DataError,
     FeatureGrouping,
     Mask,
-    MuscertError,
-    ParseError,
     VerificationError,
     popcount,
     top_class_and_gap,
@@ -50,35 +48,20 @@ EXIT_DATA = 2
 EXIT_VERIFICATION = 3
 
 
-class _UsageError(MuscertError):
-    """Bad flags or flag combinations; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D102 - argparse hook
-        raise _UsageError(f"{self.prog}: {message}")
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("MUSCERT_WORKERS", "1")
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise _UsageError(f"MUSCERT_WORKERS must be an integer, got {raw!r}") from exc
+        raise ConfigError(f"{self.prog}: {message}")
 
 
 def _map_examples(fn: Callable, items: Sequence, workers: int) -> list:
-    """Apply fn over items preserving input order, optionally threaded."""
-    if workers < 1:
-        raise _UsageError(f"--workers must be >= 1, got {workers}")
-    if workers == 1:
-        return [fn(item) for item in items]
-    # Imported here because the pool's modules, logging among them, add
-    # about 1 MB of resident memory that serial runs never use.
-    from concurrent.futures import ThreadPoolExecutor
+    """Apply fn over items in input order, on this thread.
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    workers is only checked; the signature stays because bench/tracer.py
+    wraps this function.
+    """
+    if workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {workers}")
+    return [fn(item) for item in items]
 
 
 def _load_common(args) -> tuple:
@@ -117,7 +100,7 @@ def _compute_scores(scorer: str, smoothed: SmoothedModel, x, args,
         return shap_lite_scores(smoothed.base, x, smoothed.grouping,
                                 permutations=args.shap_permutations,
                                 rng_state=rng_state)
-    raise _UsageError(f"unknown scorer {scorer!r}")
+    raise ConfigError(f"unknown scorer {scorer!r}")
 
 
 def _attribution_mask(args, smoothed: SmoothedModel, x,
@@ -134,9 +117,9 @@ def _require_phi_source(args) -> None:
     has_topk = args.topk is not None
     has_targets = args.rinc is not None or args.rdec is not None
     if has_topk and has_targets:
-        raise _UsageError("pass either --topk or --rinc/--rdec, not both")
+        raise ConfigError("pass either --topk or --rinc/--rdec, not both")
     if not has_topk and not has_targets:
-        raise _UsageError("one of --topk or --rinc/--rdec is required")
+        raise ConfigError("one of --topk or --rinc/--rdec is required")
     args.rinc = args.rinc or 0
     args.rdec = args.rdec or 0
 
@@ -285,11 +268,6 @@ def cmd_attack(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    if args.q is not None or args.lambda_num is not None:
-        if args.q is None or args.lambda_num is None:
-            raise _UsageError("--q and --lambda-num must be given together")
-        # Validates the grid before any suite runs; off-grid pairs abort here.
-        SmoothingConfig(q=args.q, lambda_num=args.lambda_num, seed=args.seed, n=2)
     report = run_selfcheck(max_n=args.max_n, trials=args.trials, seed=args.seed)
     for suite in report.suites:
         line = f"{suite.name}: {suite.trials} trials, {suite.failures} failures"
@@ -308,8 +286,9 @@ def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--grouping", default=None,
                    help="feature grouping file (JSON); default one group per feature")
     p.add_argument("--out", required=True, help="output records path")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker threads (default MUSCERT_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="must be >= 1; has no other effect (examples always "
+                        "run on one thread, in input order)")
 
 
 def _add_smoothing_flags(p: argparse.ArgumentParser) -> None:
@@ -382,10 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=6, dest="max_n")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--q", type=int, default=None,
-                   help="optional: validate this atom count before running")
-    p.add_argument("--lambda-num", type=int, default=None, dest="lambda_num",
-                   help="optional: validate this keep-rate numerator")
     p.set_defaults(func=cmd_selfcheck)
     return parser
 
@@ -394,21 +369,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "workers", None) is None and hasattr(args, "workers"):
-            args.workers = _default_workers()
         return args.func(args)
-    except _UsageError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParseError, DataError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except VerificationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except MuscertError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -21,51 +21,25 @@ LOGITS_SUM_TOL = 1e-9
 
 
 class MuscertError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
 
-
-class DimensionError(MuscertError):
-    """Lengths or arities of the supplied values do not agree."""
+    Each subclass is one CLI exit code; the message says what went wrong.
+    """
 
 
 class ConfigError(MuscertError):
-    """A configuration value is outside its legal range."""
-
-
-class PreconditionError(MuscertError):
-    """A documented call precondition was violated."""
-
-
-class ResourceError(MuscertError):
-    """An enumeration guard (brute-force size limit) was exceeded."""
-
-
-class CapabilityError(MuscertError):
-    """The supplied object lacks a capability required by the operation."""
-
-
-class NumericalError(MuscertError):
-    """A numerical procedure failed beyond its built-in rescue."""
-
-
-class ContractError(MuscertError):
-    """A classifier produced output violating the probability-vector contract."""
-
-
-class ParseError(MuscertError):
-    """An input document could not be parsed."""
-
-
-class SchemaError(ParseError):
-    """An input document parsed but violated its schema."""
+    """A flag, configuration value, shape or call precondition is wrong, an
+    enumeration guard is exceeded, a numerical procedure failed, or a
+    classifier broke the probability contract (exit code 1)."""
 
 
 class DataError(MuscertError):
-    """A dataset-level problem (missing file, empty data, bad labels)."""
+    """An input file or dataset is missing, malformed or breaks its schema
+    (exit code 2)."""
 
 
 class VerificationError(MuscertError):
-    """A self-check or soundness verification failed."""
+    """A self-check or soundness verification failed (exit code 3)."""
 
 
 @dataclass(frozen=True)
@@ -79,20 +53,20 @@ class FeatureGrouping:
         seen: set[int] = set()
         for gi, group in enumerate(self.groups):
             if len(group) == 0:
-                raise SchemaError(f"group {gi} is empty")
+                raise DataError(f"group {gi} is empty")
             for idx in group:
                 if not isinstance(idx, int) or isinstance(idx, bool):
-                    raise SchemaError(f"group {gi} holds non-integer index {idx!r}")
+                    raise DataError(f"group {gi} holds non-integer index {idx!r}")
                 if idx < 0 or idx >= self.d:
-                    raise SchemaError(
+                    raise DataError(
                         f"group {gi} index {idx} outside raw range 0..{self.d - 1}"
                     )
                 if idx in seen:
-                    raise SchemaError(f"raw index {idx} appears in more than one group")
+                    raise DataError(f"raw index {idx} appears in more than one group")
                 seen.add(idx)
         if len(seen) != self.d:
             missing = sorted(set(range(self.d)) - seen)
-            raise SchemaError(f"groups do not cover raw indices {missing}")
+            raise DataError(f"groups do not cover raw indices {missing}")
 
     @property
     def n(self) -> int:
@@ -108,15 +82,15 @@ class FeatureGrouping:
     @classmethod
     def from_json_dict(cls, doc: object) -> "FeatureGrouping":
         if not isinstance(doc, dict):
-            raise SchemaError("grouping document must be an object")
+            raise DataError("grouping document must be an object")
         if "d" not in doc or "groups" not in doc:
-            raise SchemaError('grouping document requires keys "d" and "groups"')
+            raise DataError('grouping document requires keys "d" and "groups"')
         d = doc["d"]
         if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise SchemaError(f'field "d" must be a positive integer, got {d!r}')
+            raise DataError(f'field "d" must be a positive integer, got {d!r}')
         groups = doc["groups"]
         if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
-            raise SchemaError('field "groups" must be a list of index lists')
+            raise DataError('field "groups" must be a list of index lists')
         return cls(groups=tuple(tuple(g) for g in groups), d=d)
 
     def to_json_dict(self) -> dict:
@@ -148,15 +122,15 @@ class ClassifierHandle(Protocol):
 
 
 def validate_logits(p: Sequence[float], m: int | None = None) -> Logits:
-    """Check the probability-vector contract; raise ContractError otherwise."""
+    """Check the probability-vector contract; raise ConfigError otherwise."""
     probs = tuple(float(v) for v in p)
     if m is not None and len(probs) != m:
-        raise ContractError(f"expected {m} class probabilities, got {len(probs)}")
+        raise ConfigError(f"expected {m} class probabilities, got {len(probs)}")
     for v in probs:
         if not (0.0 <= v <= 1.0):
-            raise ContractError(f"probability {v!r} outside [0, 1]")
+            raise ConfigError(f"probability {v!r} outside [0, 1]")
     if abs(sum(probs) - 1.0) > LOGITS_SUM_TOL:
-        raise ContractError(f"probabilities sum to {sum(probs)!r}, not 1")
+        raise ConfigError(f"probabilities sum to {sum(probs)!r}, not 1")
     return probs
 
 
@@ -165,9 +139,9 @@ def validate_logits_batch(probs, k: int, m: int) -> np.ndarray:
     try:
         arr = np.asarray(probs, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ContractError(f"batch output is not a numeric array: {exc}") from exc
+        raise ConfigError(f"batch output is not a numeric array: {exc}") from exc
     if arr.shape != (k, m):
-        raise ContractError(f"expected a ({k}, {m}) probability batch, got shape {arr.shape}")
+        raise ConfigError(f"expected a ({k}, {m}) probability batch, got shape {arr.shape}")
     # Column by column from 0, the order in which sum() adds one row.
     total = np.zeros(k)
     for c in range(m):
@@ -192,17 +166,17 @@ def evaluate_rows(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
 
 def _check_same_length(a: Sequence, b: Sequence, what: str) -> None:
     if len(a) != len(b):
-        raise DimensionError(f"{what}: lengths {len(a)} and {len(b)} differ")
+        raise ConfigError(f"{what}: lengths {len(a)} and {len(b)} differ")
 
 
 def mask_apply(x: Sequence[float], alpha: Mask, grouping: FeatureGrouping) -> Vector:
     """Zero out every raw feature whose group bit is 0; keep the rest as-is."""
     if len(alpha) != grouping.n:
-        raise DimensionError(
+        raise ConfigError(
             f"mask length {len(alpha)} != group count {grouping.n}"
         )
     if len(x) != grouping.d:
-        raise DimensionError(f"input length {len(x)} != raw dimension {grouping.d}")
+        raise ConfigError(f"input length {len(x)} != raw dimension {grouping.d}")
     out = list(x)
     for bit, group in zip(alpha, grouping.groups):
         if not bit:
@@ -252,7 +226,7 @@ def l1_distance(a: Mask, b: Mask) -> int:
 def top_class_and_gap(p: Sequence[float]) -> tuple[int, float]:
     """Argmax class (ties broken by lowest index) and top-two probability gap."""
     if len(p) < 2:
-        raise DimensionError(f"need at least 2 classes, got {len(p)}")
+        raise ConfigError(f"need at least 2 classes, got {len(p)}")
     best = 0
     for i in range(1, len(p)):
         if p[i] > p[best]:
@@ -292,7 +266,7 @@ def validate_mask(a: Sequence[int], n: int | None = None) -> Mask:
     """Boundary check for masks coming from files or flags."""
     bits = tuple(int(v) for v in a)
     if any(v not in (0, 1) for v in bits):
-        raise SchemaError(f"mask entries must be 0 or 1, got {list(a)!r}")
+        raise DataError(f"mask entries must be 0 or 1, got {list(a)!r}")
     if n is not None and len(bits) != n:
-        raise DimensionError(f"mask length {len(bits)} != expected {n}")
+        raise ConfigError(f"mask length {len(bits)} != expected {n}")
     return bits

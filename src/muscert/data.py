@@ -4,7 +4,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import ConfigError, DataError, FeatureGrouping, ParseError, Vector
+from .core import ConfigError, DataError, FeatureGrouping, Vector
 from .noise import LcgStream
 
 
@@ -67,29 +67,29 @@ def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
             raise DataError(f"dataset file {path} has a header but no data rows")
     width = len(rows[0][1])
     if width < 2:
-        raise ParseError(f"{path} row {rows[0][0]}: need at least 2 columns, got {width}")
+        raise DataError(f"{path} row {rows[0][0]}: need at least 2 columns, got {width}")
     col = width - 1 if label_col is None else label_col
     if not 0 <= col < width:
         raise ConfigError(f"label column {col} outside 0..{width - 1}")
     examples = []
     for rownum, fields in rows:
         if len(fields) != width:
-            raise ParseError(
+            raise DataError(
                 f"{path} row {rownum}: {len(fields)} fields, expected {width}"
             )
         try:
             x = tuple(float(f) for i, f in enumerate(fields) if i != col)
         except ValueError as exc:
-            raise ParseError(f"{path} row {rownum}: non-numeric feature: {exc}") from exc
+            raise DataError(f"{path} row {rownum}: non-numeric feature: {exc}") from exc
         raw_label = fields[col].strip()
         try:
             y = int(raw_label)
         except ValueError as exc:
-            raise ParseError(
+            raise DataError(
                 f"{path} row {rownum}: label {raw_label!r} is not an integer"
             ) from exc
         if y < 0:
-            raise ParseError(f"{path} row {rownum}: negative label {y}")
+            raise DataError(f"{path} row {rownum}: negative label {y}")
         examples.append((x, y))
     return LabeledDataset.from_examples(examples)
 
@@ -136,7 +136,7 @@ def load_grouping(path: str) -> FeatureGrouping:
     except OSError as exc:
         raise DataError(f"cannot read grouping file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"grouping file {path} is not valid JSON: {exc}") from exc
+        raise DataError(f"grouping file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ParseError(f"grouping file {path} must hold a JSON object")
+        raise DataError(f"grouping file {path} must hold a JSON object")
     return FeatureGrouping.from_json_dict(doc)

@@ -17,11 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    ConfigError,
     DataError,
-    DimensionError,
     Logits,
-    ParseError,
-    SchemaError,
     Vector,
 )
 from .noise import LcgStream
@@ -78,7 +76,7 @@ def _affine_cols(z: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nda
 def _batch_input(z, d: int) -> np.ndarray:
     arr = np.asarray(z, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != d:
-        raise DimensionError(f"input batch shape {arr.shape} is not (k, d={d})")
+        raise ConfigError(f"input batch shape {arr.shape} is not (k, d={d})")
     return arr
 
 
@@ -93,14 +91,14 @@ class LinearSoftmaxModel:
 
     def __post_init__(self) -> None:
         if len(self.weights) != len(self.bias):
-            raise DimensionError(
+            raise ConfigError(
                 f"weights rows {len(self.weights)} != bias length {len(self.bias)}"
             )
         if len(self.weights) < 2:
-            raise DimensionError("need at least 2 classes")
+            raise ConfigError("need at least 2 classes")
         widths = {len(row) for row in self.weights}
         if len(widths) != 1:
-            raise DimensionError(f"ragged weight rows with widths {sorted(widths)}")
+            raise ConfigError(f"ragged weight rows with widths {sorted(widths)}")
         object.__setattr__(self, "_w", np.array(self.weights, dtype=float))
         object.__setattr__(self, "_b", np.array(self.bias, dtype=float))
 
@@ -114,7 +112,7 @@ class LinearSoftmaxModel:
 
     def evaluate(self, x: Sequence[float]) -> Logits:
         if len(x) != self.d:
-            raise DimensionError(f"input length {len(x)} != d={self.d}")
+            raise ConfigError(f"input length {len(x)} != d={self.d}")
         return _softmax(_dot_rows(self.weights, self.bias, x))
 
     def evaluate_batch(self, z) -> np.ndarray:
@@ -124,7 +122,7 @@ class LinearSoftmaxModel:
     def gradient(self, x: Sequence[float], c: int) -> Vector:
         """Analytic d p_c / d x = p_c * (W_c - sum_j p_j W_j)."""
         if not 0 <= c < self.m:
-            raise DimensionError(f"class {c} outside 0..{self.m - 1}")
+            raise ConfigError(f"class {c} outside 0..{self.m - 1}")
         p = self.evaluate(x)
         out = []
         for k in range(self.d):
@@ -147,13 +145,13 @@ class MlpModel:
 
     def __post_init__(self) -> None:
         if len(self.w1) != len(self.b1) or len(self.w1) < 1:
-            raise DimensionError("hidden layer shape mismatch")
+            raise ConfigError("hidden layer shape mismatch")
         if len(self.w2) != len(self.b2) or len(self.w2) < 2:
-            raise DimensionError("output layer shape mismatch")
+            raise ConfigError("output layer shape mismatch")
         if any(len(row) != len(self.w1[0]) for row in self.w1):
-            raise DimensionError("ragged first-layer rows")
+            raise ConfigError("ragged first-layer rows")
         if any(len(row) != len(self.w1) for row in self.w2):
-            raise DimensionError(
+            raise ConfigError(
                 f"second-layer width {len(self.w2[0])} != hidden width {len(self.w1)}"
             )
         object.__setattr__(self, "_layers", tuple(
@@ -178,7 +176,7 @@ class MlpModel:
 
     def evaluate(self, x: Sequence[float]) -> Logits:
         if len(x) != self.d:
-            raise DimensionError(f"input length {len(x)} != d={self.d}")
+            raise ConfigError(f"input length {len(x)} != d={self.d}")
         _, act = self._hidden(x)
         return _softmax(_dot_rows(self.w2, self.b2, act))
 
@@ -190,7 +188,7 @@ class MlpModel:
 
     def gradient(self, x: Sequence[float], c: int) -> Vector:
         if not 0 <= c < self.m:
-            raise DimensionError(f"class {c} outside 0..{self.m - 1}")
+            raise ConfigError(f"class {c} outside 0..{self.m - 1}")
         pre, act = self._hidden(x)
         p = self.evaluate(x)
         # d p_c / d z_j at the output logits z = W2 act + b2.
@@ -322,11 +320,11 @@ def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
 def _require_matrix(doc: dict, key: str, rows: int, cols: int) -> tuple[tuple[float, ...], ...]:
     raw = doc[key]
     if not isinstance(raw, list) or len(raw) != rows:
-        raise SchemaError(f'field "{key}" must be a {rows}x{cols} matrix')
+        raise DataError(f'field "{key}" must be a {rows}x{cols} matrix')
     out = []
     for r, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != cols:
-            raise SchemaError(
+            raise DataError(
                 f'field "{key}" row {r} has length '
                 f"{len(row) if isinstance(row, list) else 'non-list'}, expected {cols}"
             )
@@ -337,7 +335,7 @@ def _require_matrix(doc: dict, key: str, rows: int, cols: int) -> tuple[tuple[fl
 def _require_vector(doc: dict, key: str, length: int) -> tuple[float, ...]:
     raw = doc[key]
     if not isinstance(raw, list) or len(raw) != length:
-        raise SchemaError(f'field "{key}" must be a length-{length} list')
+        raise DataError(f'field "{key}" must be a length-{length} list')
     return tuple(float(v) for v in raw)
 
 
@@ -360,7 +358,7 @@ def save_model(model: LinearSoftmaxModel | MlpModel, path: str) -> None:
             "bias": [list(model.b1), list(model.b2)],
         }
     else:
-        raise SchemaError(f"cannot save model of type {type(model).__name__}")
+        raise DataError(f"cannot save model of type {type(model).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
@@ -373,18 +371,18 @@ def load_model(path: str) -> LinearSoftmaxModel | MlpModel:
     except OSError as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"model file {path} is not valid JSON: {exc}") from exc
+        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise SchemaError(f"model file {path} must hold a JSON object")
+        raise DataError(f"model file {path} must hold a JSON object")
     kind = doc.get("kind")
     if kind not in MODEL_KINDS:
-        raise ParseError(
+        raise DataError(
             f"model file {path}: unknown kind {kind!r}; supported kinds: "
             + ", ".join(MODEL_KINDS)
         )
     for key in ("d", "m"):
         if not isinstance(doc.get(key), int) or doc[key] < 1:
-            raise SchemaError(f'model file {path}: field "{key}" must be a positive int')
+            raise DataError(f'model file {path}: field "{key}" must be a positive int')
     d, m = doc["d"], doc["m"]
     if kind == "linear":
         return LinearSoftmaxModel(
@@ -392,14 +390,14 @@ def load_model(path: str) -> LinearSoftmaxModel | MlpModel:
             bias=_require_vector(doc, "bias", m),
         )
     if not isinstance(doc.get("h"), int) or doc["h"] < 1:
-        raise SchemaError(f'model file {path}: field "h" must be a positive int')
+        raise DataError(f'model file {path}: field "h" must be a positive int')
     h = doc["h"]
     raw_w = doc.get("weights")
     raw_b = doc.get("bias")
     if not isinstance(raw_w, list) or len(raw_w) != 2:
-        raise SchemaError(f'model file {path}: field "weights" must hold two layers')
+        raise DataError(f'model file {path}: field "weights" must hold two layers')
     if not isinstance(raw_b, list) or len(raw_b) != 2:
-        raise SchemaError(f'model file {path}: field "bias" must hold two layers')
+        raise DataError(f'model file {path}: field "bias" must hold two layers')
     layer = {"weights": raw_w[0], "bias": raw_b[0]}
     w1 = _require_matrix(layer, "weights", h, d)
     b1 = _require_vector(layer, "bias", h)

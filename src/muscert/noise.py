@@ -64,7 +64,8 @@ def _jump_coefficients(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only uint64 tables (A, C) with x_k = A[k-1] * x_0 + C[k-1] mod 2^64.
 
     A_k = MULT^k and C_k = lcg_step(C_{k-1}), C_0 = 0, built with Python
-    integers. Returned as one tuple so that threads never see half a pair.
+    integers. The tables are cached and shared by every caller, so they are
+    made read-only: no caller can change another's draws.
     """
     def powers():
         a = 1
@@ -97,7 +98,7 @@ def lcg_block(state: int, count: int) -> np.ndarray:
 
 
 def derive_rng_state(seed: int, index: int = 0) -> int:
-    """Distinct per-example / per-worker stream state: one LCG step of seed+index."""
+    """Distinct per-example stream state: one LCG step of seed+index."""
     return lcg_step((seed + index) & _MASK64)
 
 
@@ -210,9 +211,3 @@ def iid_bernoulli_bits(lam: float, n: int, count: int, rng_state: int) -> np.nda
     units = (lcg_block(rng_state, count * n) >> 32) / _TOP32
     return (units < lam).astype(np.uint8).reshape(count, n)
 
-
-def iid_bernoulli_masks(
-    lam: float, n: int, count: int, rng_state: int
-) -> list[Mask]:
-    """iid_bernoulli_bits as a list of count mask tuples."""
-    return [tuple(row) for row in iid_bernoulli_bits(lam, n, count, rng_state).tolist()]

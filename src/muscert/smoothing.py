@@ -23,11 +23,9 @@ import numpy as np
 from .core import (
     ClassifierHandle,
     ConfigError,
-    DimensionError,
     FeatureGrouping,
     Logits,
     Mask,
-    PreconditionError,
     Vector,
     evaluate_rows,
     mask_and,
@@ -72,7 +70,7 @@ class SmoothedModel:
     def build(cls, base: ClassifierHandle, grouping: FeatureGrouping,
               cfg: SmoothingConfig, mu: Mask | None = None) -> "SmoothedModel":
         if grouping.d != base.d:
-            raise DimensionError(
+            raise ConfigError(
                 f"grouping covers d={grouping.d} raw features, model expects {base.d}"
             )
         if cfg.n != grouping.n:
@@ -110,7 +108,7 @@ def mus_evaluate(model: SmoothedModel, x: Sequence[float], alpha: Mask) -> Logit
     """
     grouping = model.grouping
     if len(x) != grouping.d:
-        raise DimensionError(f"input length {len(x)} != d={grouping.d}")
+        raise ConfigError(f"input length {len(x)} != d={grouping.d}")
     validate_mask(alpha, grouping.n)
     mu = model.mu if model.mu is not None else zeros_mask(grouping.n)
     m = model.base.m
@@ -137,7 +135,7 @@ def mus_evaluate_many(model: SmoothedModel, x: Sequence[float],
     grouping = model.grouping
     n = grouping.n
     if len(x) != grouping.d:
-        raise DimensionError(f"input length {len(x)} != d={grouping.d}")
+        raise ConfigError(f"input length {len(x)} != d={grouping.d}")
     masks = _alpha_array(alphas, n)
     if len(masks) == 0:
         return []
@@ -183,7 +181,7 @@ def rmus_estimate(base: ClassifierHandle, grouping: FeatureGrouping,
     average against the iid-noise definition it derandomizes.
     """
     if len(x) != grouping.d:
-        raise DimensionError(f"input length {len(x)} != d={grouping.d}")
+        raise ConfigError(f"input length {len(x)} != d={grouping.d}")
     alpha = validate_mask(alpha, grouping.n)
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
@@ -202,7 +200,7 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
     when alpha keeps everything mu keeps, so that case is a precondition.
     """
     if model.mu is not None and not mask_leq(model.mu, alpha):
-        raise PreconditionError(
+        raise ConfigError(
             "equivalence requires alpha to cover the noise-exempt mask mu"
         )
     lhs = mus_evaluate(model, x, alpha)

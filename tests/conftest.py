@@ -6,8 +6,11 @@ import time
 import pytest
 
 from muscert import fit_logistic, save_csv_dataset, save_model, synth_blobs
+from muscert.certify import radius_from_gap
+from muscert.core import ones_mask, top_class_and_gap
 from muscert.data import LabeledDataset
 from muscert.noise import derive_rng_state
+from muscert.smoothing import mus_evaluate
 
 
 class IndicatorFirstFeature:
@@ -31,6 +34,18 @@ class ConstantHandle:
 
     def evaluate(self, z):
         return self.probs
+
+
+def definitional_certificate(model, x, phi):
+    """(consistent, r_inc, r_dec) recomputed on the q-query mus_evaluate path,
+    independent of the batch path that certify_example takes."""
+    pred_class, gap_at_ones = top_class_and_gap(
+        mus_evaluate(model, x, ones_mask(model.grouping.n)))
+    masked_class, gap_at_attr = top_class_and_gap(mus_evaluate(model, x, phi))
+    cfg = model.cfg
+    _, r_inc = radius_from_gap(gap_at_attr, cfg.lambda_num, cfg.q)
+    _, r_dec = radius_from_gap(gap_at_ones, cfg.lambda_num, cfg.q)
+    return pred_class == masked_class, r_inc, r_dec
 
 
 @pytest.fixture

@@ -9,8 +9,8 @@ from muscert.attack import attack_decremental, attack_incremental
 from muscert.attribution import occlusion_scores, topk_binarize
 from muscert.certify import certify_example
 from muscert.core import (
+    ConfigError,
     FeatureGrouping,
-    PreconditionError,
     mask_leq,
     popcount,
     top_class_and_gap,
@@ -54,11 +54,11 @@ def test_zero_budget_finds_nothing():
 def test_budget_above_free_bits_is_rejected():
     model, x = _instance(2)
     phi = (1, 0, 0, 1)  # two free bits
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigError, match=r"budget 3 outside \[0, 2\] free bits"):
         attack_incremental(model, x, phi, 3)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigError, match=r"budget 3 outside \[0, 2\] free bits"):
         attack_decremental(model, x, phi, 3)
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ConfigError, match=r"budget -1 outside \[0, 2\] free bits"):
         attack_incremental(model, x, phi, -1)
 
 

@@ -2,13 +2,14 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from itertools import product
 
 import numpy as np
 import pytest
 
 from muscert.certify import brute_force_stability_oracle
-from muscert.core import ContractError, FeatureGrouping, mask_and, mask_or, validate_logits
+from muscert.core import ConfigError, FeatureGrouping, mask_and, mask_or, validate_logits
 from muscert.models import MlpModel, random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state
 from muscert.smoothing import SmoothedModel, mus_evaluate, mus_evaluate_many
@@ -156,11 +157,15 @@ def test_batch_contract_violations_raise_like_validate_logits():
     }
     for name, batch in bad_rows.items():
         model = SmoothedModel.build(BatchOnly(2, 2, batch), grouping, cfg)
-        with pytest.raises(ContractError) as got:
+        with pytest.raises(ConfigError) as got:
             mus_evaluate_many(model, x, [(1, 1)])
-        with pytest.raises(ContractError) as want:
+        with pytest.raises(ConfigError) as want:
             validate_logits(batch(np.zeros((1, 2)))[0].tolist(), 2)
-        if name != "width":
+        if name == "width":
+            assert re.fullmatch(r"expected a \(\d+, 2\) probability batch, "
+                                r"got shape \(\d+, 3\)", str(got.value))
+            assert str(want.value) == "expected 2 class probabilities, got 3"
+        else:
             assert str(got.value) == str(want.value)
 
 

@@ -11,19 +11,15 @@ from muscert.certify import (
     GAP_MARGIN,
     brute_force_stability_oracle,
     certify_example,
-    consistency_check,
-    decremental_radius,
     enumerate_perturbation_masks,
-    full_stability_check,
-    incremental_radius,
     radius_from_gap,
 )
-from muscert.core import FeatureGrouping, ResourceError
+from muscert.core import ConfigError, FeatureGrouping
 from muscert.models import random_linear
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state
 from muscert.smoothing import SmoothedModel, mus_evaluate
 
-from conftest import ConstantHandle, IndicatorFirstFeature
+from conftest import ConstantHandle, IndicatorFirstFeature, definitional_certificate
 
 WORKED_CFG = SmoothingConfig(q=4, lambda_num=2, seed=4, n=2)
 
@@ -85,24 +81,26 @@ def test_integer_radius_is_exact_around_every_integer_boundary():
 def test_radii_match_gap_formula_on_constant_model():
     model = constant_model((0.75, 0.25), n=3, q=8, lambda_num=1)
     x = (1.0, 1.0, 1.0)
-    assert incremental_radius(model, x, (1, 0, 0)) == (2.0, 1)
-    assert decremental_radius(model, x) == (2.0, 1)
+    record = certify_example(model, x, (1, 0, 0), example_id=0)
+    assert (record.r_inc_real, record.r_inc) == (2.0, 1)
+    assert (record.r_dec_real, record.r_dec) == (2.0, 1)
     one_hot = constant_model((1.0, 0.0), n=3, q=8, lambda_num=1)
-    assert decremental_radius(one_hot, x) == (4.0, 3)
+    record = certify_example(one_hot, x, (1, 0, 0), example_id=0)
+    assert (record.r_dec_real, record.r_dec) == (4.0, 3)
 
 
 def test_consistency_all_ones_always_true():
     for trial in range(10):
         model, x, _phi = random_triple(trial)
         n = model.grouping.n
-        assert consistency_check(model, x, tuple([1] * n))
+        assert certify_example(model, x, tuple([1] * n), example_id=trial).consistent
 
 
 def test_consistency_worked_example():
     model = indicator_model()
     x = (1.0, 1.0)
-    assert not consistency_check(model, x, (0, 1))
-    assert consistency_check(model, x, (1, 0))
+    assert not certify_example(model, x, (0, 1), example_id=0).consistent
+    assert certify_example(model, x, (1, 0), example_id=0).consistent
 
 
 def test_certify_example_record_coherence():
@@ -110,8 +108,10 @@ def test_certify_example_record_coherence():
         model, x, phi = random_triple(trial)
         record = certify_example(model, x, phi, example_id=trial)
         assert record.consistent == (record.pred_class == record.masked_class)
-        assert record.r_inc == math.floor(record.r_inc_real)
-        assert record.r_dec == math.floor(record.r_dec_real)
+        lambda_num, q = model.cfg.lambda_num, model.cfg.q
+        for gap, r in ((record.gap_at_attr, record.r_inc), (record.gap_at_ones, record.r_dec)):
+            assert r == radius_from_gap(gap, lambda_num, q)[1]
+            assert 2 * lambda_num * r < gap * q
         assert record.r_inc >= 0 and record.r_dec >= 0
         assert record.q == model.cfg.q
         assert record.lambda_num == model.cfg.lambda_num
@@ -119,6 +119,16 @@ def test_certify_example_record_coherence():
         doc = record.to_json_dict()
         assert doc["lambda"] == record.lambda_num / record.q
         assert doc["example_id"] == trial
+
+
+def test_certify_example_matches_definitional_path():
+    """The batch path issues the certificate the q-query path gives."""
+    for trial in range(30):
+        model, x, phi = random_triple(trial)
+        for cert_model in (model, model.with_mu(phi)):
+            record = certify_example(cert_model, x, phi, example_id=trial)
+            assert ((record.consistent, record.r_inc, record.r_dec)
+                    == definitional_certificate(cert_model, x, phi)), trial
 
 
 def test_certify_example_all_ones_uses_one_gap():
@@ -164,10 +174,10 @@ def test_oracle_guard_rejects_wide_enumerations():
     model = constant_model((0.6, 0.4), n=n, q=4, lambda_num=2)
     x = tuple([1.0] * n)
     phi = tuple([0] * n)
-    with pytest.raises(ResourceError):
+    with pytest.raises(ConfigError, match="25 free bits exceeds the enumeration guard of 20"):
         brute_force_stability_oracle(model, x, phi, 1, "inc")
-    with pytest.raises(ResourceError):
-        full_stability_check(model, x, phi)
+    with pytest.raises(ConfigError, match="25 free bits exceeds the enumeration guard of 20"):
+        brute_force_stability_oracle(model, x, phi, n, "inc")
 
 
 def test_oracle_rejects_unknown_mode():
@@ -179,9 +189,10 @@ def test_oracle_rejects_unknown_mode():
 def test_full_stability_trivial_and_worked_cases():
     model = indicator_model()
     x = (1.0, 1.0)
-    assert full_stability_check(model, x, (1, 1))
-    assert full_stability_check(model, x, (1, 0))
-    assert not full_stability_check(model, x, (0, 0))
+    # The inc oracle at radius n enumerates every superset of phi.
+    assert brute_force_stability_oracle(model, x, (1, 1), 2, "inc")
+    assert brute_force_stability_oracle(model, x, (1, 0), 2, "inc")
+    assert not brute_force_stability_oracle(model, x, (0, 0), 2, "inc")
 
 
 def test_certified_radii_pass_oracle():
@@ -206,7 +217,7 @@ def test_inc_and_dec_oracles_compose_to_full_stability():
             continue
         # both oracles pass at the composition radius, so classes at phi and
         # at all-ones agree and every superset must follow
-        assert full_stability_check(model, x, phi), trial
+        assert brute_force_stability_oracle(model, x, phi, n, "inc"), trial
         checked += 1
     assert checked >= 10
 

@@ -9,7 +9,6 @@ import pytest
 
 from muscert.attack import AttackResult
 from muscert.attribution import occlusion_scores, topk_binarize
-from muscert.certify import consistency_check
 from muscert.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -17,11 +16,20 @@ from muscert.cli import (
     EXIT_VERIFICATION,
     main,
 )
-from muscert.core import FeatureGrouping, top_class_and_gap
+from muscert.core import (
+    ConfigError,
+    DataError,
+    FeatureGrouping,
+    MuscertError,
+    VerificationError,
+    top_class_and_gap,
+)
 from muscert.models import load_model
 from muscert.noise import SmoothingConfig
 from muscert.selfcheck import SelfcheckReport, SuiteResult
 from muscert.smoothing import SmoothedModel, smoothed_predict
+
+from conftest import definitional_certificate
 
 
 def _base_args(small_artifacts, out, extra=()):
@@ -104,11 +112,27 @@ def test_unwritable_out_path_is_data_error(small_artifacts, tmp_path):
     assert main(argv) == EXIT_DATA
 
 
-def test_invalid_worker_env_is_usage_error(small_artifacts, tmp_path, monkeypatch):
-    monkeypatch.setenv("MUSCERT_WORKERS", "many")
+def test_nonpositive_workers_is_usage_error(small_artifacts, tmp_path, capsys):
     argv = ["certify", *_base_args(small_artifacts, tmp_path / "o"),
-            "--topk", "2"]
+            "--topk", "2", "--workers", "0"]
     assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --workers must be >= 1, got 0\n"
+
+
+@pytest.mark.parametrize("error,code", [
+    (ConfigError("bad flag"), EXIT_USAGE),
+    (DataError("bad file"), EXIT_DATA),
+    (VerificationError("beaten certificate"), EXIT_VERIFICATION),
+    (OSError("disk gone"), EXIT_DATA),
+], ids=["ConfigError", "DataError", "VerificationError", "OSError"])
+def test_exit_code_per_error_class(monkeypatch, capsys, error, code):
+    def fail(max_n, trials, seed):
+        raise error
+
+    monkeypatch.setattr("muscert.cli.run_selfcheck", fail)
+    assert main(["selfcheck", "--trials", "1"]) == code
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert set(MuscertError.__subclasses__()) == {ConfigError, DataError, VerificationError}
 
 
 # ------------------------------------------------------------------ certify
@@ -145,16 +169,19 @@ def test_certify_curves_track_records(certified, small_artifacts):
         assert all(b <= a for a, b in zip(values, values[1:]))
     assert curves["inc"][0] == 1.0
 
-    # Rebuild the pipeline in-process and recompute the dec intercept.
+    # Rebuild the pipeline in-process and recompute both curves on the
+    # definitional q-query path.
     model = load_model(small_artifacts["model_path"])
     grouping = FeatureGrouping.trivial(6)
     cfg = SmoothingConfig(n=6, q=8, lambda_num=2, seed=0)
     smoothed = SmoothedModel.build(model, grouping, cfg)
-    consistent = 0
+    certs = []
     for x, _y in small_artifacts["test"].examples:
         phi = topk_binarize(occlusion_scores(smoothed, x), 3)
-        consistent += consistency_check(smoothed, x, phi)
-    assert curves["dec"][0] == consistent / 24
+        certs.append(definitional_certificate(smoothed, x, phi))
+    for r in range(n + 1):
+        assert curves["inc"][r] == sum(r_inc >= r for _, r_inc, _ in certs) / 24
+        assert curves["dec"][r] == sum(ok and r_dec >= r for ok, _, r_dec in certs) / 24
 
 
 def test_certify_full_keep_rate_pins_radii_to_zero(small_artifacts, tmp_path):
@@ -205,13 +232,11 @@ def test_certify_mu_mode_phi_changes_the_certificates(small_artifacts, tmp_path)
 
 # ------------------------------------------------------------- determinism
 
-def test_outputs_do_not_depend_on_workers(small_artifacts, tmp_path, monkeypatch):
+def test_outputs_do_not_depend_on_workers(small_artifacts, tmp_path):
     outs = []
     for tag, extra in (("a", ["--workers", "1"]),
                        ("b", ["--workers", "3"]),
                        ("c", [])):
-        if tag == "c":
-            monkeypatch.setenv("MUSCERT_WORKERS", "2")
         out = tmp_path / f"{tag}.ndjson"
         argv = ["certify", *_base_args(small_artifacts, out),
                 "--topk", "3", "--scorer", "lime", *extra]
@@ -332,12 +357,6 @@ def test_selfcheck_passes_and_reports_suites(capsys):
     output = capsys.readouterr().out
     assert "selfcheck: all suites passed" in output
     assert output.count("failures") >= 5
-
-
-def test_selfcheck_validates_optional_grid(capsys):
-    assert main(["selfcheck", "--trials", "1", "--q", "8",
-                 "--lambda-num", "9"]) == EXIT_USAGE
-    assert main(["selfcheck", "--trials", "1", "--q", "8"]) == EXIT_USAGE
 
 
 def test_selfcheck_failure_exits_three(monkeypatch):

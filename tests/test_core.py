@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from muscert.core import (
     ConfigError,
-    ContractError,
-    DimensionError,
+    DataError,
     FeatureGrouping,
-    SchemaError,
     l1_distance,
     mask_and,
     mask_apply,
@@ -37,7 +35,7 @@ def test_trivial_grouping():
 
 
 def test_trivial_grouping_rejects_bad_width():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="feature dimension must be >= 1, got 0"):
         FeatureGrouping.trivial(0)
 
 
@@ -58,9 +56,9 @@ def test_mask_apply_identity_on_ones():
 
 def test_mask_apply_dimension_errors():
     g = FeatureGrouping.trivial(3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match="input length 2 != raw dimension 3"):
         mask_apply((1.0, 2.0), (1, 1, 1), g)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match="mask length 2 != group count 3"):
         mask_apply((1.0, 2.0, 3.0), (1, 1), g)
 
 
@@ -71,15 +69,15 @@ def test_grouping_json_round_trip():
     assert FeatureGrouping.from_json_dict(doc) == g
 
 
-@pytest.mark.parametrize("doc", [
-    {"d": 3, "groups": [[0, 1], [1, 2]]},      # overlap
-    {"d": 3, "groups": [[0], [2]]},            # index 1 uncovered
-    {"d": 3, "groups": [[0], [1], [2], []]},   # empty group
-    {"d": 2, "groups": [[0], [1], [2]]},       # out of range
-    {"d": 2, "groups": [[0], ["x"]]},          # non-integer
-])
-def test_grouping_rejects_non_partitions(doc):
-    with pytest.raises(SchemaError):
+@pytest.mark.parametrize("doc,message", [
+    ({"d": 3, "groups": [[0, 1], [1, 2]]}, "raw index 1 appears in more than one group"),
+    ({"d": 3, "groups": [[0], [2]]}, r"groups do not cover raw indices \[1\]"),
+    ({"d": 3, "groups": [[0], [1], [2], []]}, "group 3 is empty"),
+    ({"d": 2, "groups": [[0], [1], [2]]}, r"group 2 index 2 outside raw range 0\.\.1"),
+    ({"d": 2, "groups": [[0], ["x"]]}, "group 1 holds non-integer index 'x'"),
+], ids=[f"doc{i}" for i in range(5)])
+def test_grouping_rejects_non_partitions(doc, message):
+    with pytest.raises(DataError, match=message):
         FeatureGrouping.from_json_dict(doc)
 
 
@@ -101,17 +99,17 @@ def test_top_class_prefers_lowest_index_on_tie():
 
 
 def test_top_class_needs_two_classes():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match="need at least 2 classes, got 1"):
         top_class_and_gap((1.0,))
 
 
 def test_validate_logits_contract():
     validate_logits((0.25, 0.75))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="probabilities sum to 1.2, not 1"):
         validate_logits((0.6, 0.6))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match=r"probability -0\.1 outside \[0, 1\]"):
         validate_logits((-0.1, 1.1))
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="expected 3 class probabilities, got 2"):
         validate_logits((0.5, 0.5), m=3)
 
 
@@ -121,9 +119,9 @@ def test_mask_helpers():
     assert mask_and((1, 0, 1), (1, 1, 0)) == (1, 0, 0)
     assert mask_or((1, 0, 0), (0, 0, 1)) == (1, 0, 1)
     assert popcount((1, 0, 1, 1)) == 3
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match="mask length 2 != expected 3"):
         validate_mask((1, 0), 3)
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match="mask entries must be 0 or 1"):
         validate_mask((1, 2), 2)
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from muscert.core import ConfigError, DataError, ParseError, SchemaError
+from muscert.core import ConfigError, DataError
 from muscert.data import (
     LabeledDataset,
     load_csv_dataset,
@@ -45,21 +45,21 @@ def test_blank_lines_are_ignored(tmp_path):
 
 def test_ragged_row_names_its_line(tmp_path):
     path = _write(tmp_path, "d.csv", "1.0,2.0,0\n3.0,1\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(DataError, match="row 2: 2 fields, expected 3") as err:
         load_csv_dataset(path)
     assert "row 2" in str(err.value)
 
 
 def test_non_integer_label_rejected(tmp_path):
     path = _write(tmp_path, "e.csv", "1.0,2.0,0\n3.0,4.0,1.5\n")
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(DataError, match="row 2: label '1.5' is not an integer") as err:
         load_csv_dataset(path)
     assert "row 2" in str(err.value)
 
 
 def test_negative_label_rejected(tmp_path):
     path = _write(tmp_path, "f.csv", "1.0,2.0,-1\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match="row 1: negative label -1"):
         load_csv_dataset(path)
 
 
@@ -72,12 +72,12 @@ def test_label_col_override(tmp_path):
 
 def test_label_col_out_of_range(tmp_path):
     path = _write(tmp_path, "h.csv", "1.0,0\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"label column 5 outside 0\.\.1"):
         load_csv_dataset(path, label_col=5)
 
 
 def test_missing_file_is_data_error(tmp_path):
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="cannot read dataset file"):
         load_csv_dataset(str(tmp_path / "nope.csv"))
 
 
@@ -123,20 +123,20 @@ def test_synth_blobs_center_wraps_past_d():
 
 
 def test_synth_blobs_config_errors():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="n_per_class must be >= 1, got 0"):
         synth_blobs(0, 2, 2, 1.0, 0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="need d >= 1 and m >= 2, got d=0 m=2"):
         synth_blobs(3, 0, 2, 1.0, 0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="need d >= 1 and m >= 2, got d=2 m=1"):
         synth_blobs(3, 2, 1, 1.0, 0)
 
 
 def test_dataset_validation():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="dataset has no examples"):
         LabeledDataset(examples=(), d=1, m=2)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="example 1 has 2 features, expected 1"):
         LabeledDataset(examples=(((1.0,), 0), ((1.0, 2.0), 1)), d=1, m=2)
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match=r"example 0 label 5 outside \[0, 2\)"):
         LabeledDataset(examples=(((1.0,), 5),), d=1, m=2)
 
 
@@ -155,13 +155,13 @@ def test_load_grouping_round_trip(tmp_path):
 
 
 def test_load_grouping_errors(tmp_path):
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="cannot read grouping file"):
         load_grouping(str(tmp_path / "absent.json"))
     bad = _write(tmp_path, "bad.json", "[1, 2]")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match="must hold a JSON object"):
         load_grouping(bad)
     overlapping = _write(
         tmp_path, "overlap.json", json.dumps({"d": 3, "groups": [[0, 1], [1, 2]]})
     )
-    with pytest.raises(SchemaError):
+    with pytest.raises(DataError, match="raw index 1 appears in more than one group"):
         load_grouping(overlapping)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from muscert.core import DataError, DimensionError, ParseError, SchemaError
+from muscert.core import ConfigError, DataError
 from muscert.data import LabeledDataset, synth_blobs
 from muscert.models import (
     LinearSoftmaxModel,
@@ -101,7 +101,7 @@ def test_gradient_fd_suite_redraws_inputs_at_the_relu_kink():
 
 def test_gradient_class_bounds():
     model = random_linear(3, 2, 1)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match=r"class 2 outside 0\.\.1"):
         model.gradient((1.0, 2.0, 3.0), 2)
 
 
@@ -141,7 +141,7 @@ def test_fit_rejects_empty_dataset():
         d = 1
         m = 2
 
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="cannot fit on an empty dataset"):
         fit_logistic(Hollow())
 
 
@@ -171,7 +171,7 @@ def test_load_rejects_unknown_kind(tmp_path):
     path = tmp_path / "weird.json"
     path.write_text(json.dumps({"kind": "tree", "d": 2, "m": 2,
                                 "weights": [], "bias": []}))
-    with pytest.raises(ParseError) as err:
+    with pytest.raises(DataError, match="unknown kind 'tree'") as err:
         load_model(str(path))
     assert "linear" in str(err.value) and "mlp" in str(err.value)
 
@@ -180,7 +180,7 @@ def test_load_names_bad_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"kind": "linear", "d": 2, "m": 2,
                                 "weights": [[1.0, 2.0]], "bias": [0.0, 0.0]}))
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(DataError, match='field "weights" must be a 2x2 matrix') as err:
         load_model(str(path))
     assert "weights" in str(err.value)
 
@@ -188,19 +188,19 @@ def test_load_names_bad_field(tmp_path):
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(DataError, match="is not valid JSON"):
         load_model(str(path))
 
 
 def test_load_missing_file_is_data_error(tmp_path):
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="cannot read model file"):
         load_model(str(tmp_path / "absent.json"))
 
 
 def test_constructor_shape_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match="need at least 2 classes"):
         LinearSoftmaxModel(weights=((1.0,),), bias=(0.0,))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match=r"ragged weight rows with widths \[1, 2\]"):
         LinearSoftmaxModel(weights=((1.0,), (1.0, 2.0)), bias=(0.0, 0.0))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match="output layer shape mismatch"):
         MlpModel(w1=((1.0,),), b1=(0.0,), w2=((1.0, 2.0),), b2=(0.0,))

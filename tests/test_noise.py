@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from muscert.core import ConfigError
 from muscert.noise import (
     LcgStream,
+    _jump_coefficients,
     SmoothingConfig,
     atoms_from_numerators,
     derive_rng_state,
     derive_seed_vector,
     enumerate_atoms,
     iid_bernoulli_bits,
-    iid_bernoulli_masks,
     lcg_block,
     lcg_step,
     seed_vector_numerators,
@@ -87,13 +87,13 @@ def test_shifting_seed_vector_permutes_atoms(q, data, n, seed):
 
 
 def test_smoothing_config_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="q must be an integer > 1, got 1"):
         SmoothingConfig(q=1, lambda_num=1, seed=0, n=2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="lambda_num must satisfy 1 <= lambda_num <= q=4, got 0"):
         SmoothingConfig(q=4, lambda_num=0, seed=0, n=2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="lambda_num must satisfy 1 <= lambda_num <= q=4, got 5"):
         SmoothingConfig(q=4, lambda_num=5, seed=0, n=2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="n must be an integer >= 1, got 0"):
         SmoothingConfig(q=4, lambda_num=2, seed=0, n=0)
 
 
@@ -110,36 +110,36 @@ def test_derive_rng_state_spreads_indices():
 
 
 def test_iid_masks_shape_and_determinism():
-    draws = iid_bernoulli_masks(0.5, 4, 10, rng_state=77)
-    again = iid_bernoulli_masks(0.5, 4, 10, rng_state=77)
-    assert draws == again
-    assert len(draws) == 10
-    assert all(len(s) == 4 and set(s) <= {0, 1} for s in draws)
+    draws = iid_bernoulli_bits(0.5, 4, 10, rng_state=77)
+    again = iid_bernoulli_bits(0.5, 4, 10, rng_state=77)
+    assert draws.tolist() == again.tolist()
+    assert draws.shape == (10, 4)
+    assert set(draws.ravel().tolist()) <= {0, 1}
 
 
 def test_iid_masks_degenerate_rates():
-    assert all(s == (0, 0, 0) for s in iid_bernoulli_masks(0.0, 3, 5, 1))
-    assert all(s == (1, 1, 1) for s in iid_bernoulli_masks(1.0, 3, 5, 1))
+    assert iid_bernoulli_bits(0.0, 3, 5, 1).tolist() == [[0, 0, 0]] * 5
+    assert iid_bernoulli_bits(1.0, 3, 5, 1).tolist() == [[1, 1, 1]] * 5
 
 
 def test_iid_masks_hit_rate_near_lambda():
-    draws = iid_bernoulli_masks(0.5, 8, 2000, rng_state=3)
-    ones = sum(sum(s) for s in draws)
+    draws = iid_bernoulli_bits(0.5, 8, 2000, rng_state=3)
+    ones = int(draws.sum())
     assert abs(ones / (8 * 2000) - 0.5) < 0.02
 
 
 def test_iid_masks_validation():
-    with pytest.raises(ConfigError):
-        iid_bernoulli_masks(-0.1, 3, 5, 0)
-    with pytest.raises(ConfigError):
-        iid_bernoulli_masks(1.5, 3, 5, 0)
-    with pytest.raises(ConfigError):
-        iid_bernoulli_masks(0.5, 3, -1, 0)
-    assert iid_bernoulli_masks(0.5, 3, 0, 0) == []
+    with pytest.raises(ConfigError, match=r"lambda must lie in \[0, 1\], got -0\.1"):
+        iid_bernoulli_bits(-0.1, 3, 5, 0)
+    with pytest.raises(ConfigError, match=r"lambda must lie in \[0, 1\], got 1\.5"):
+        iid_bernoulli_bits(1.5, 3, 5, 0)
+    with pytest.raises(ConfigError, match="count must be >= 0, got -1"):
+        iid_bernoulli_bits(0.5, 3, -1, 0)
+    assert iid_bernoulli_bits(0.5, 3, 0, 0).shape == (0, 3)
 
 
 def _scalar_iid_masks(lam, n, count, rng_state):
-    """The per-bit stream walk iid_bernoulli_masks used to take."""
+    """The per-bit stream walk: bit (r, i) is draw r * n + i below lam."""
     stream = LcgStream(rng_state)
     return [tuple(1 if stream.next_unit() < lam else 0 for _ in range(n))
             for _ in range(count)]
@@ -156,13 +156,23 @@ def test_lcg_block_equals_scalar_stream(state):
         assert block.tolist() == [stream.next_u64() for _ in range(count)]
 
 
+def test_cached_jump_tables_are_read_only():
+    mults, incs = _jump_coefficients(16)
+    for table in (mults, incs):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+    block = lcg_block(3, 16)
+    block[0] = 1  # each block is a fresh array
+    assert lcg_block(3, 16)[0] == LcgStream(3).next_u64()
+
+
 @pytest.mark.parametrize("lam", [0.0, 1.0, 0.5, random.Random(9).random()])
 def test_iid_masks_equal_scalar_stream(lam):
     for n, count, state in ((1, 1, 0), (3, 5, 77), (16, 256, 2**64 - 1), (7, 300, 12345)):
-        assert iid_bernoulli_masks(lam, n, count, state) == _scalar_iid_masks(
-            lam, n, count, state)
         bits = iid_bernoulli_bits(lam, n, count, state)
         assert bits.dtype == np.uint8 and bits.shape == (count, n)
+        assert [tuple(row) for row in bits.tolist()] == _scalar_iid_masks(
+            lam, n, count, state)
 
 
 def test_stream_next_below_respects_bound():

@@ -9,10 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muscert.core import (
-    ContractError,
-    DimensionError,
+    ConfigError,
     FeatureGrouping,
-    PreconditionError,
     mask_and,
     mask_apply,
     mask_leq,
@@ -141,9 +139,9 @@ def test_mus_evaluate_matches_independent_re_enumeration():
 
 def test_dimension_errors():
     model = random_model(0, 3, 4, 2)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match="input length 2 != d=3"):
         mus_evaluate(model, (1.0, 2.0), (1, 1, 1))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match="mask length 2 != expected 3"):
         mus_evaluate(model, (1.0, 2.0, 3.0), (1, 1))
 
 
@@ -179,7 +177,7 @@ def test_non_simplex_base_output_aborts():
         BrokenHandle(), FeatureGrouping.trivial(2),
         SmoothingConfig(q=4, lambda_num=2, seed=0, n=2),
     )
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError, match="probabilities sum to 1.8, not 1"):
         mus_evaluate(model, (1.0, 1.0), (1, 1))
 
 
@@ -210,7 +208,7 @@ def test_equivalence_with_mu_requires_covering_alpha():
         if mask_leq(mu, alpha):
             assert masking_equivalence_check(model, x, alpha)
         else:
-            with pytest.raises(PreconditionError):
+            with pytest.raises(ConfigError, match="equivalence requires alpha to cover"):
                 masking_equivalence_check(model, x, alpha)
 
 
@@ -272,10 +270,10 @@ def test_additive_leakage_demo_strict_inequality():
 def test_build_validates_shapes():
     base = random_linear(3, 2, 0)
     good = SmoothingConfig(q=4, lambda_num=2, seed=0, n=3)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match="grouping covers d=4 raw features, model expects 3"):
         SmoothedModel.build(base, FeatureGrouping.trivial(4), good)
     bad_mu = (1, 0)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError, match="mask length 2 != expected 3"):
         SmoothedModel.build(base, FeatureGrouping.trivial(3), good, mu=bad_mu)
 
 
