@@ -56,11 +56,9 @@ class _Parser(argparse.ArgumentParser):
 def _map_examples(fn: Callable, items: Sequence, workers: int) -> list:
     """Apply fn over items in input order, on this thread.
 
-    workers is only checked; the signature stays because bench/tracer.py
-    wraps this function.
+    workers is unused (main checks --workers); the signature stays because
+    bench/tracer.py wraps this function.
     """
-    if workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {workers}")
     return [fn(item) for item in items]
 
 
@@ -369,6 +367,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

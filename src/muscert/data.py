@@ -50,8 +50,8 @@ def _is_numeric(field: str) -> bool:
 def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
     """Parse comma-separated rows of decimals; one column holds the label.
 
-    The label column defaults to the last one. A first row with any
-    non-numeric field is treated as a header and skipped.
+    The label column defaults to the last one. A first row whose fields
+    are all non-numeric is treated as a header and skipped.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -61,7 +61,7 @@ def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
     rows = [(i + 1, ln.split(",")) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise DataError(f"dataset file {path} has no rows")
-    if any(not _is_numeric(f) for f in rows[0][1]):
+    if not any(_is_numeric(f) for f in rows[0][1]):
         rows = rows[1:]
         if not rows:
             raise DataError(f"dataset file {path} has a header but no data rows")

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .attribution import FD_STEP, gradient_scores, shap_lite_scores
 from .certify import (
     brute_force_stability_oracle,
@@ -18,8 +20,6 @@ from .certify import (
 from .core import (
     ConfigError,
     FeatureGrouping,
-    l1_distance,
-    mask_leq,
     top_class_and_gap,
 )
 from .models import MlpModel, random_linear, random_mlp
@@ -57,8 +57,10 @@ class SelfcheckReport:
         return all(s.ok for s in self.suites)
 
 
-def _all_masks(n: int) -> list[tuple[int, ...]]:
-    return [tuple((code >> i) & 1 for i in range(n)) for code in range(1 << n)]
+def _all_masks(n: int) -> np.ndarray:
+    """Every mask over n groups as a (2^n, n) 0/1 array; row `code` holds
+    bit i of code in column i."""
+    return ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.uint8)
 
 
 def _random_x(stream: LcgStream, d: int) -> tuple[float, ...]:
@@ -109,24 +111,21 @@ def check_lipschitz(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
         model, x, _ = _random_instance(trial_seed, max_n)
         n = model.grouping.n
         lam = model.cfg.lambda_num / model.cfg.q
-        masks = _all_masks(n)
-        values = mus_evaluate_many(model, x, masks)
-        bad = False
-        for a in range(len(masks)):
-            for b in range(a + 1, len(masks)):
-                bound = lam * l1_distance(masks[a], masks[b]) + LIPSCHITZ_SLACK
-                for c in range(model.m):
-                    if abs(values[a][c] - values[b][c]) > bound:
-                        bad = True
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        if bad:
+        values = np.array(mus_evaluate_many(model, x, _all_masks(n)))
+        if _breaks_lipschitz(values, lam):
             failures += 1
             first = first if first is not None else trial_seed
     return SuiteResult("lipschitz", trials, failures, first)
+
+
+def _breaks_lipschitz(values: np.ndarray, lam: float) -> bool:
+    """Some masks a, b and class c have |values[a, c] - values[b, c]| >
+    lam * |a xor b|_1 + LIPSCHITZ_SLACK, where row `code` of the (2^n, m)
+    table belongs to the mask of _all_masks(n) with that row index."""
+    codes = np.arange(len(values))
+    dist = np.bitwise_count(codes[:, None] ^ codes[None, :]).astype(float)
+    bound = lam * dist + LIPSCHITZ_SLACK
+    return bool((np.abs(values[:, None, :] - values[None, :, :]) > bound[:, :, None]).any())
 
 
 def check_masking_equivalence(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
@@ -138,16 +137,10 @@ def check_masking_equivalence(trials: int, seed: int, max_n: int = 6) -> SuiteRe
         model, x, stream = _random_instance(trial_seed, max_n)
         n = model.grouping.n
         mu = tuple(stream.next_below(2) for _ in range(n))
-        with_mu = model.with_mu(mu)
-        bad = False
-        for alpha in _all_masks(n):
-            if not masking_equivalence_check(model, x, alpha):
-                bad = True
-                break
-            if mask_leq(mu, alpha) and not masking_equivalence_check(with_mu, x, alpha):
-                bad = True
-                break
-        if bad:
+        masks = _all_masks(n)
+        covering = masks[(masks >= np.array(mu, dtype=np.uint8)).all(axis=1)]
+        if not (masking_equivalence_check(model, x, masks)
+                and masking_equivalence_check(model.with_mu(mu), x, covering)):
             failures += 1
             first = first if first is not None else trial_seed
     return SuiteResult("masking_equivalence", trials, failures, first)

@@ -31,7 +31,6 @@ from .core import (
     mask_and,
     mask_apply,
     mask_apply_rows,
-    mask_leq,
     mask_or,
     ones_mask,
     unique_masks,
@@ -139,14 +138,17 @@ def mus_evaluate_many(model: SmoothedModel, x: Sequence[float],
     masks = _alpha_array(alphas, n)
     if len(masks) == 0:
         return []
-    q = model.cfg.q
     effective = (masks[:, None, :] & model._atom_bits).reshape(-1, n)
     if model.mu is not None:
         effective |= np.array(model.mu, dtype=np.uint8)
     distinct, inverse = unique_masks(effective)
     inputs = mask_apply_rows(np.asarray(x, dtype=float), distinct, model._index_map)
-    probs = evaluate_rows(model.base, inputs)[inverse]
-    blocks = probs.reshape(len(masks), -1, probs.shape[1]).transpose(0, 2, 1).tolist()
+    return _atom_means(evaluate_rows(model.base, inputs)[inverse], model.cfg.q)
+
+
+def _atom_means(probs: np.ndarray, q: int) -> list[Logits]:
+    """Per-class math.fsum means over each consecutive block of q rows."""
+    blocks = probs.reshape(-1, q, probs.shape[1]).transpose(0, 2, 1).tolist()
     return [tuple(math.fsum(col) / q for col in block) for block in blocks]
 
 
@@ -193,20 +195,35 @@ def rmus_estimate(base: ClassifierHandle, grouping: FeatureGrouping,
 
 
 def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
-                              alpha: Mask) -> bool:
-    """True iff smoothing the mask equals smoothing the pre-masked input.
+                              alphas: Sequence[Mask]) -> bool:
+    """True iff smoothing each mask equals smoothing the pre-masked input.
 
-    With a noise-exemption mask mu set, the identity is only guaranteed
-    when alpha keeps everything mu keeps, so that case is a precondition.
+    The left side is mus_evaluate_many(model, x, alphas). The right side
+    is built without effective-mask composition: x is zeroed by each alpha,
+    every noise row (atom OR mu) zeroes those values again, all k*q rows go
+    to the base classifier as one batch, and each class is averaged over
+    its q rows with math.fsum. With a noise-exemption mask mu set, the
+    identity is only guaranteed when alpha keeps everything mu keeps, so
+    that case is a precondition for every alpha.
     """
-    if model.mu is not None and not mask_leq(model.mu, alpha):
+    grouping = model.grouping
+    masks = _alpha_array(alphas, grouping.n)
+    mu = np.array(model.mu if model.mu is not None else zeros_mask(grouping.n),
+                  dtype=np.uint8)
+    if not (masks >= mu).all():
         raise ConfigError(
             "equivalence requires alpha to cover the noise-exempt mask mu"
         )
-    lhs = mus_evaluate(model, x, alpha)
-    premasked = mask_apply(x, alpha, model.grouping)
-    rhs = mus_evaluate(model, premasked, ones_mask(model.grouping.n))
-    return all(abs(a - b) <= EQUIVALENCE_TOL for a, b in zip(lhs, rhs))
+    if len(masks) == 0:
+        return True
+    lhs = mus_evaluate_many(model, x, masks)
+    index_map = model._index_map
+    premasked = mask_apply_rows(np.asarray(x, dtype=float), masks, index_map)
+    noise_keep = (model._atom_bits | mu)[:, index_map] != 0
+    rows = np.where(noise_keep, premasked[:, None, :], 0.0).reshape(-1, grouping.d)
+    rhs = _atom_means(evaluate_rows(model.base, rows), model.cfg.q)
+    return all(abs(a - b) <= EQUIVALENCE_TOL
+               for left, right in zip(lhs, rhs) for a, b in zip(left, right))
 
 
 @dataclass(frozen=True)

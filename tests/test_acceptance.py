@@ -108,8 +108,7 @@ def test_c03_masking_equivalence_exhaustive():
         cfg = SmoothingConfig(n=n, q=q, lambda_num=lambda_num, seed=trial)
         model = SmoothedModel.build(base, FeatureGrouping.trivial(n), cfg)
         x = _random_x(stream, n)
-        for alpha in _all_masks(n):
-            assert masking_equivalence_check(model, x, alpha)
+        assert masking_equivalence_check(model, x, _all_masks(n))
 
     # Noise-exempt variant: identity holds for every alpha covering mu.
     n, q, lambda_num = 6, 8, 3
@@ -123,8 +122,7 @@ def test_c03_masking_equivalence_exhaustive():
     covering = [alpha for alpha in _all_masks(n)
                 if all(a >= b for a, b in zip(alpha, mu))]
     assert len(covering) == 16
-    for alpha in covering:
-        assert masking_equivalence_check(model, x, alpha)
+    assert masking_equivalence_check(model, x, covering)
 
 
 def test_c04_certified_radii_survive_brute_force():

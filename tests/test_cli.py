@@ -119,6 +119,14 @@ def test_nonpositive_workers_is_usage_error(small_artifacts, tmp_path, capsys):
     assert capsys.readouterr().err == "error: --workers must be >= 1, got 0\n"
 
 
+def test_workers_is_checked_before_inputs_are_read(small_artifacts, tmp_path, capsys):
+    argv = ["certify", *_base_args(small_artifacts, tmp_path / "o"),
+            "--topk", "2", "--workers", "0"]
+    argv[argv.index("--model") + 1] = str(tmp_path / "missing-model.json")
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --workers must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("error,code", [
     (ConfigError("bad flag"), EXIT_USAGE),
     (DataError("bad file"), EXIT_DATA),

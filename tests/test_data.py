@@ -38,6 +38,18 @@ def test_header_row_is_skipped(tmp_path):
     assert ds.examples[0] == ((1.0, 2.0), 0)
 
 
+def test_first_row_with_a_numeric_field_is_data(tmp_path):
+    path = _write(tmp_path, "b2.csv", "1.0,2.0,x\n3.0,4.0,1\n5.0,6.0,0\n")
+    with pytest.raises(DataError, match="row 1: label 'x' is not an integer"):
+        load_csv_dataset(path)
+
+
+def test_single_row_with_bad_label_names_the_label(tmp_path):
+    path = _write(tmp_path, "b3.csv", "1,2,x\n")
+    with pytest.raises(DataError, match="row 1: label 'x' is not an integer"):
+        load_csv_dataset(path)
+
+
 def test_blank_lines_are_ignored(tmp_path):
     path = _write(tmp_path, "c.csv", "\n1.0,2.0,0\n\n3.0,4.0,1\n\n")
     assert len(load_csv_dataset(path)) == 2

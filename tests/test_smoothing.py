@@ -183,8 +183,8 @@ def test_non_simplex_base_output_aborts():
 
 def test_equivalence_on_worked_example(indicator_handle):
     model = build_indicator_model(indicator_handle)
-    assert masking_equivalence_check(model, (1.0, 1.0), (0, 1))
-    assert masking_equivalence_check(model, (1.0, 1.0), (1, 1))
+    assert masking_equivalence_check(model, (1.0, 1.0), [(0, 1)])
+    assert masking_equivalence_check(model, (1.0, 1.0), [(1, 1)])
 
 
 @given(st.integers(0, 300))
@@ -193,8 +193,7 @@ def test_equivalence_holds_everywhere_without_mu(trial):
     n = 2 + trial % 4
     model = random_model(trial, n, 4, 1 + trial % 4)
     x = random_input(trial, n)
-    for alpha in all_masks(n):
-        assert masking_equivalence_check(model, x, alpha)
+    assert masking_equivalence_check(model, x, all_masks(n))
 
 
 def test_equivalence_with_mu_requires_covering_alpha():
@@ -206,10 +205,10 @@ def test_equivalence_with_mu_requires_covering_alpha():
     x = random_input(9, n)
     for alpha in all_masks(n):
         if mask_leq(mu, alpha):
-            assert masking_equivalence_check(model, x, alpha)
+            assert masking_equivalence_check(model, x, [alpha])
         else:
             with pytest.raises(ConfigError, match="equivalence requires alpha to cover"):
-                masking_equivalence_check(model, x, alpha)
+                masking_equivalence_check(model, x, [alpha])
 
 
 def test_rmus_degenerate_rates(indicator_handle):
@@ -288,4 +287,4 @@ def test_grouped_smoothing_masks_whole_groups(indicator_handle):
     assert kept == (0.5, 0.5)
     assert mus_evaluate(model, x, (0,)) == (0.0, 1.0)
     assert smoothed_predict(model, x) == kept
-    assert masking_equivalence_check(model, x, (0,))
+    assert masking_equivalence_check(model, x, [(0,)])
