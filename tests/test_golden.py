@@ -1,0 +1,101 @@
+"""Golden output bytes of every CLI command on the seed-11 desk fixture.
+
+Each case runs one command in-process and compares the sha256 of every file
+it writes with the digest pinned here. A change to how the commands are
+evaluated (batching, staging, summation) must leave every one of these
+bytes where it is.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from muscert.cli import EXIT_OK, main
+
+CASES = {
+    "certify-l2": ("certify", 2, ("--topk", "8")),
+    "certify-l4": ("certify", 4, ("--topk", "8")),
+    "certify-l8": ("certify", 8, ("--topk", "8")),
+    "certify-phi-l2": ("certify", 2, ("--topk", "8", "--mu-mode", "phi")),
+    "certify-greedy-l4": ("certify", 4, ("--rinc", "1", "--rdec", "0")),
+    "accuracy-l4": ("accuracy-curve", 4, ()),
+    "explain-occlusion": ("explain", 4, ("--scorer", "occlusion", "--rinc", "0", "--rdec", "0")),
+    "explain-vgrad": ("explain", 4, ("--scorer", "vgrad", "--rinc", "0", "--rdec", "0")),
+    "explain-lime": ("explain", 4, ("--scorer", "lime", "--rinc", "0", "--rdec", "0")),
+    "explain-shap": ("explain", 4, ("--scorer", "shap", "--rinc", "0", "--rdec", "0")),
+    "attack-l4": ("attack", 4, ("--topk", "8", "--budget", "4")),
+}
+
+GOLDEN = {
+    "accuracy-l4": {
+        "accuracy-l4.out":
+            "8cdae1431c1143acb5c7b3d70e2adeb543a08275cf559c316b5011c4a8cabd31",
+    },
+    "attack-l4": {
+        "attack-l4.out":
+            "5b2704f434f65ab9466399ad24a2473418ae0c4e272bb63ae068e0caabff96d4",
+    },
+    "certify-greedy-l4": {
+        "certify-greedy-l4.out":
+            "87defbe1371d46d38beb6d8e083693fe6d1fa537c246dd3b0be9d8437b5ee9b4",
+        "certify-greedy-l4.out.curves":
+            "01bef20ed334d33f575f2ee002691db7d7c3c00d80e11189c9032b44b0bef352",
+    },
+    "certify-l2": {
+        "certify-l2.out":
+            "00e66014a91522832ae68029abcfbbebe4d56c5a7df418d1a629ee13b9c6ef6d",
+        "certify-l2.out.curves":
+            "01bef20ed334d33f575f2ee002691db7d7c3c00d80e11189c9032b44b0bef352",
+    },
+    "certify-l4": {
+        "certify-l4.out":
+            "e6cde1886aad3ff3155ca83f078ee4232fbce2cf24edfcaa218ad1859c5532e2",
+        "certify-l4.out.curves":
+            "01bef20ed334d33f575f2ee002691db7d7c3c00d80e11189c9032b44b0bef352",
+    },
+    "certify-l8": {
+        "certify-l8.out":
+            "607510ed7b0b53125630f24c1b65796e581f845abc1b31712ca4696e8d74b44f",
+        "certify-l8.out.curves":
+            "01bef20ed334d33f575f2ee002691db7d7c3c00d80e11189c9032b44b0bef352",
+    },
+    "certify-phi-l2": {
+        "certify-phi-l2.out":
+            "a34f4050eec7d0758ff52252477b27b892af83a5a0e88968fd8a811d41a04359",
+        "certify-phi-l2.out.curves":
+            "9fd2b63b1b9fad74d13a0579e62d694ed5c8efff4041d6b872a8eecd5a859d25",
+    },
+    "explain-lime": {
+        "explain-lime.out":
+            "ae57d351193261f2ca5c3c52622953f775d6eff116703f1bc86ec8964b141619",
+    },
+    "explain-occlusion": {
+        "explain-occlusion.out":
+            "ac06452fe8aa78fce9794643de2973087b06e9e96870f6b3ba6dc7d51b38d69d",
+    },
+    "explain-shap": {
+        "explain-shap.out":
+            "9f577eb4922df4bf2ae884d535f3d2ba9632e5079e98d5ea85884999718fe4df",
+    },
+    "explain-vgrad": {
+        "explain-vgrad.out":
+            "0ee14061b2dc2e9ee74790be0ac6b51a9b61317adc29d1a6438c9c5718bf8386",
+    },
+}
+
+
+def _run(desk, tmp_path, label):
+    command, lambda_num, extra = CASES[label]
+    out = tmp_path / f"{label}.out"
+    argv = [command, "--model", desk["model_path"], "--data", desk["test_path"],
+            "--out", str(out), "--q", "16", "--lambda-num", str(lambda_num),
+            "--seed", "11", *extra]
+    assert main(argv) == EXIT_OK
+    written = sorted(tmp_path.glob(f"{label}.out*"))
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in written}
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_desk_outputs_keep_their_bytes(desk, tmp_path, label):
+    assert _run(desk, tmp_path, label) == GOLDEN[label]
