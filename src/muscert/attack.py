@@ -11,14 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     ConfigError,
     Mask,
-    popcount,
-    top_class_and_gap,
-    validate_mask,
+    mask_array,
+    top_classes_and_gaps,
 )
-from .smoothing import SmoothedModel, mus_evaluate_many
+from .smoothing import SmoothedModel, example_row, mus_evaluate_pairs
 
 
 @dataclass(frozen=True)
@@ -40,68 +41,89 @@ class AttackResult:
     trace: tuple[AttackStep, ...]
 
 
-def _margin(p: Sequence[float], ref_class: int) -> tuple[float, bool]:
-    rival = max(v for c, v in enumerate(p) if c != ref_class)
-    top, _ = top_class_and_gap(p)
-    return p[ref_class] - rival, top != ref_class
+def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequence[Mask],
+                 budgets: Sequence[int], modes: Sequence[str]) -> list[AttackResult]:
+    """Greedy attacks on many examples in lockstep, one per walk w: example
+    examples[w] of the (E, d) inputs xs, attribution mask phis[w], budget
+    budgets[w] and mode modes[w] ("inc" or "dec").
 
-
-def _greedy(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
-            budget: int, mode: str) -> AttackResult:
+    Each step scores the candidates of every unfinished walk in one
+    mus_evaluate_pairs pass; a walk's result equals attack_incremental or
+    attack_decremental on its own.
+    """
     n = model.grouping.n
-    validate_mask(phi_x, n)
-    free = n - popcount(phi_x)
-    if budget < 0 or budget > free:
-        raise ConfigError(
-            f"budget {budget} outside [0, {free}] free bits for this mask"
-        )
-    if mode == "inc":
-        alpha = list(phi_x)
-        flip_to = 1
-    else:
-        alpha = [1] * n
-        flip_to = 0
-    ref_class, _ = top_class_and_gap(mus_evaluate_many(model, x, [tuple(alpha)])[0])
-    trace: list[AttackStep] = []
-    for step in range(1, budget + 1):
-        if mode == "inc":
-            candidates = [i for i in range(n) if alpha[i] == 0]
-        else:
-            candidates = [i for i in range(n) if alpha[i] == 1 and phi_x[i] == 0]
-        candidate_masks = []
-        for i in candidates:
-            alpha[i] = flip_to
-            candidate_masks.append(tuple(alpha))
-            alpha[i] = 1 - flip_to
-        scored = []
-        flips = {}
-        for i, p in zip(candidates, mus_evaluate_many(model, x, candidate_masks)):
-            margin, flipped = _margin(p, ref_class)
-            scored.append((i, margin))
-            flips[i] = flipped
-        chosen, chosen_margin = min(scored, key=lambda pair: (pair[1], pair[0]))
-        alpha[chosen] = flip_to
-        flipped = flips[chosen]
-        trace.append(AttackStep(
-            candidates=tuple(scored),
-            chosen_index=chosen,
-            chosen_margin=chosen_margin,
-            flipped=flipped,
-        ))
-        if flipped:
-            return AttackResult(mode=mode, found=True, radius=step,
-                                witness=tuple(alpha), trace=tuple(trace))
-    return AttackResult(mode=mode, found=False, radius=budget, witness=None,
-                        trace=tuple(trace))
+    phis = mask_array(phis, n)
+    free = (n - phis.sum(axis=1, dtype=np.intp)).tolist()
+    for budget, free_bits in zip(budgets, free):
+        if budget < 0 or budget > free_bits:
+            raise ConfigError(
+                f"budget {budget} outside [0, {free_bits}] free bits for this mask"
+            )
+    examples = np.asarray(examples, dtype=np.intp)
+    inc = np.array([mode == "inc" for mode in modes], dtype=bool)
+    flip_to = inc.astype(np.uint8)
+    alphas = np.where(inc[:, None], phis, np.uint8(1))
+    ref_class = top_classes_and_gaps(mus_evaluate_pairs(model, xs, examples, alphas))[0]
+    traces: list[list[AttackStep]] = [[] for _ in modes]
+    results: list[AttackResult | None] = [None] * len(modes)
+    live = np.flatnonzero(np.asarray(budgets, dtype=np.intp) > 0)
+    step = 0
+    while len(live):
+        step += 1
+        # Candidate bits of every live walk: off bits (inc) or on bits
+        # outside phi (dec), walk by walk in index order.
+        state = alphas[live]
+        candidates = np.where(inc[live, None], state == 0, (state == 1) & (phis[live] == 0))
+        walk, bit = np.nonzero(candidates)
+        masks = state[walk]
+        masks[np.arange(len(walk)), bit] = flip_to[live][walk]
+        means = mus_evaluate_pairs(model, xs, examples[live][walk], masks)
+        refs = ref_class[live][walk]
+        top, _ = top_classes_and_gaps(means)
+        margins = means[np.arange(len(walk)), refs] - _rival(means, refs)
+        # The first smallest margin: ties go to the lowest bit.
+        grid = np.full((len(live), n), np.inf)
+        grid[walk, bit] = margins
+        chosen = grid.argmin(axis=1)
+        flipped = np.zeros((len(live), n), dtype=bool)
+        flipped[walk, bit] = top != refs
+        alphas[live, chosen] = flip_to[live]
+        starts = np.searchsorted(walk, np.arange(len(live) + 1)).tolist()
+        scored = list(zip(bit.tolist(), margins.tolist()))
+        still = []
+        for j, w in enumerate(live.tolist()):
+            i = int(chosen[j])
+            hit = bool(flipped[j, i])
+            traces[w].append(AttackStep(candidates=tuple(scored[starts[j]:starts[j + 1]]),
+                                        chosen_index=i, chosen_margin=float(grid[j, i]),
+                                        flipped=hit))
+            if hit:
+                results[w] = AttackResult(mode=modes[w], found=True, radius=step,
+                                          witness=tuple(alphas[w].tolist()),
+                                          trace=tuple(traces[w]))
+            elif step < budgets[w]:
+                still.append(w)
+        live = np.array(still, dtype=np.intp)
+    return [result if result is not None else
+            AttackResult(mode=mode, found=False, radius=budget, witness=None,
+                         trace=tuple(trace))
+            for result, mode, budget, trace in zip(results, modes, budgets, traces)]
+
+
+def _rival(means: np.ndarray, refs: np.ndarray) -> np.ndarray:
+    """The largest mean of a class other than refs[r], row by row."""
+    rest = means.copy()
+    rest[np.arange(len(means)), refs] = -np.inf
+    return rest.max(axis=1)
 
 
 def attack_incremental(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
                        budget: int) -> AttackResult:
     """Add off-attribution bits one at a time, chasing the smallest margin."""
-    return _greedy(model, x, phi_x, budget, "inc")
+    return attack_walks(model, example_row(model, x), [0], [phi_x], [budget], ["inc"])[0]
 
 
 def attack_decremental(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
                        budget: int) -> AttackResult:
     """Remove non-attribution bits from all-ones, chasing the smallest margin."""
-    return _greedy(model, x, phi_x, budget, "dec")
+    return attack_walks(model, example_row(model, x), [0], [phi_x], [budget], ["dec"])[0]

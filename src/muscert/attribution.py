@@ -23,11 +23,12 @@ from .core import (
     mask_apply_rows,
     ones_mask,
     top_class_and_gap,
+    top_classes_and_gaps,
     unique_masks,
 )
 from .certify import radius_from_gap
 from .noise import iid_bernoulli_bits, lcg_block
-from .smoothing import SmoothedModel, mus_evaluate_many
+from .smoothing import SmoothedModel, example_row, mus_evaluate_pairs
 
 FD_STEP = 1e-4
 LIME_RIDGE = 1e-6
@@ -62,12 +63,24 @@ def occlusion_scores(model: SmoothedModel, x: Sequence[float]) -> ScoreVector:
     At full keep (lambda_num = q) every atom is all-ones, so this scores the
     base classifier with each group zeroed in the input (bit for bit at q = 2).
     """
+    scores = occlusion_score_rows(model, example_row(model, x))[0]
+    return ScoreVector(scores=tuple(scores.tolist()), method="occlusion")
+
+
+def occlusion_score_rows(model: SmoothedModel, xs) -> np.ndarray:
+    """occlusion_scores of every row of the (E, d) inputs xs, as an (E, n)
+    array, from one mus_evaluate_pairs pass over all-ones and the n
+    single-group ablations of each example."""
     n = model.grouping.n
-    ablations = [tuple(0 if j == i else 1 for j in range(n)) for i in range(n)]
-    base_probs, *ablated = mus_evaluate_many(model, x, [ones_mask(n)] + ablations)
-    c = _predicted_class(base_probs)
-    scores = tuple(base_probs[c] - p[c] for p in ablated)
-    return ScoreVector(scores=scores, method="occlusion")
+    xs = np.asarray(xs, dtype=float)
+    masks = np.ones((n + 1, n), dtype=np.uint8)
+    masks[1:] -= np.eye(n, dtype=np.uint8)
+    means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(xs)), n + 1),
+                               np.tile(masks, (len(xs), 1)))
+    means = means.reshape(len(xs), n + 1, -1)
+    c = top_classes_and_gaps(means[:, 0])[0]
+    rows = np.arange(len(xs))
+    return means[rows, 0, c][:, None] - means[rows, 1:, c]
 
 
 def _finite_difference_gradient(base: ClassifierHandle, x: Sequence[float],
@@ -163,8 +176,9 @@ def shap_lite_scores(base: ClassifierHandle, x: Sequence[float],
     rank = np.empty((len(orders), n), dtype=np.intp)
     rank[np.arange(len(orders))[:, None], orders] = np.arange(n)
     coalitions = (rank[:, None, :] < np.arange(n + 1)[:, None]).astype(np.uint8)
-    distinct, inverse = unique_masks(coalitions.reshape(-1, n))
-    inputs = mask_apply_rows(np.asarray(x, dtype=float), distinct, grouping.index_map())
+    coalitions = coalitions.reshape(-1, n)
+    rep, inverse = unique_masks(coalitions)
+    inputs = mask_apply_rows(np.asarray(x, dtype=float), coalitions[rep], grouping.index_map())
     values = evaluate_rows(base, inputs)[:, c][inverse].reshape(len(orders), n + 1)
     gains = values[:, 1:] - values[:, :-1]
     contrib = np.take_along_axis(gains, rank, axis=1).T.tolist()
@@ -193,13 +207,11 @@ def _sampled_orders(n: int, permutations: int, rng_state: int) -> np.ndarray:
 
 def topk_binarize(scores: ScoreVector | Sequence[float], k: int) -> Mask:
     """Mask selecting the k highest scores, ties going to lower indices."""
-    vals = scores.scores if isinstance(scores, ScoreVector) else tuple(scores)
-    n = len(vals)
+    ordering = score_ordering(scores)
+    n = len(ordering)
     if not 0 <= k <= n:
         raise ConfigError(f"k must be in [0, {n}], got {k}")
-    ranked = sorted(range(n), key=lambda i: (-vals[i], i))
-    chosen = set(ranked[:k])
-    return tuple(1 if i in chosen else 0 for i in range(n))
+    return prefix_mask(ordering, k, n)
 
 
 def score_ordering(scores: ScoreVector | Sequence[float]) -> tuple[int, ...]:
@@ -222,24 +234,53 @@ def greedy_stable_attribution(model: SmoothedModel, x: Sequence[float],
     Returns (mask, met). When no prefix qualifies the all-ones mask is
     returned with met=False rather than raising.
     """
+    return greedy_stable_masks(model, example_row(model, x), [scores],
+                               r_inc_target, r_dec_target)[0]
+
+
+def greedy_stable_masks(model: SmoothedModel, xs, scores: Sequence,
+                        r_inc_target: int, r_dec_target: int) -> list[tuple[Mask, bool]]:
+    """greedy_stable_attribution for every row of the (E, d) inputs xs, with
+    scores[e] the scores of example e, from one mus_evaluate_pairs pass over
+    all-ones and the n prefixes of each example."""
     if r_inc_target < 0 or r_dec_target < 0:
         raise ConfigError("radius targets must be nonnegative")
     n = model.grouping.n
-    ordering = score_ordering(scores)
-    if len(ordering) != n:
-        raise ConfigError(f"got {len(ordering)} scores for n={n} groups")
-    prefixes = [prefix_mask(ordering, length, n) for length in range(1, n + 1)]
-    p_ones, *p_prefixes = mus_evaluate_many(model, x, [ones_mask(n)] + prefixes)
-    pred_class, gap_at_ones = top_class_and_gap(p_ones)
+    orderings = [score_ordering(row) for row in scores]
+    for ordering in orderings:
+        if len(ordering) != n:
+            raise ConfigError(f"got {len(ordering)} scores for n={n} groups")
+    # rank[e, i] is the position of group i in example e's ordering; the
+    # prefix of length L holds the groups ranked below L, and row 0 of each
+    # example is the all-ones mask (every rank is below n).
+    rank = np.empty((len(orderings), n), dtype=np.intp)
+    rank[np.arange(len(orderings))[:, None], np.array(orderings, dtype=np.intp)] = np.arange(n)
+    lengths = np.r_[n, 1:n + 1]
+    masks = (rank[:, None, :] < lengths[:, None]).astype(np.uint8)
+    means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(orderings)), n + 1),
+                               masks.reshape(-1, n))
+    classes, gaps = top_classes_and_gaps(means)
+    cfg = model.cfg
+    results = []
+    for e, (example_classes, example_gaps) in enumerate(zip(
+            classes.reshape(-1, n + 1).tolist(), gaps.reshape(-1, n + 1).tolist())):
+        results.append(_first_stable_prefix(
+            masks[e], example_classes, example_gaps, cfg, r_inc_target, r_dec_target))
+    return results
+
+
+def _first_stable_prefix(masks: np.ndarray, classes: list[int], gaps: list[float],
+                         cfg, r_inc_target: int, r_dec_target: int) -> tuple[Mask, bool]:
+    """One example's walk: row 0 is all-ones, row L the prefix of length L."""
+    n = len(classes) - 1
     # The decremental radius depends only on (model, x), so one check covers
     # every prefix.
-    _, r_dec = radius_from_gap(gap_at_ones, model.cfg.lambda_num, model.cfg.q)
+    _, r_dec = radius_from_gap(gaps[0], cfg.lambda_num, cfg.q)
     if r_dec >= r_dec_target:
-        for candidate, p in zip(prefixes, p_prefixes):
-            masked_class, gap = top_class_and_gap(p)
-            if masked_class != pred_class:
+        for length in range(1, n + 1):
+            if classes[length] != classes[0]:
                 continue
-            _, r_inc = radius_from_gap(gap, model.cfg.lambda_num, model.cfg.q)
+            _, r_inc = radius_from_gap(gaps[length], cfg.lambda_num, cfg.q)
             if r_inc >= r_inc_target:
-                return candidate, True
+                return tuple(masks[length].tolist()), True
     return ones_mask(n), False

@@ -11,15 +11,17 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Iterator, Literal, Sequence
 
+import numpy as np
+
 from .core import (
     ConfigError,
     Mask,
     ones_mask,
     popcount,
-    top_class_and_gap,
+    top_classes_and_gaps,
     validate_mask,
 )
-from .smoothing import SmoothedModel, mus_evaluate_many
+from .smoothing import SmoothedModel, example_row, mus_evaluate_pairs
 
 ENUMERATION_GUARD_BITS = 20
 # How far below its computed gap an integer radius must stay. A class mean
@@ -102,28 +104,45 @@ def certify_example(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
     all-ones) from the gap at all-ones. Consistent means both masks give the
     same class.
     """
-    p_ones, p_attr = mus_evaluate_many(model, x, [ones_mask(model.grouping.n), phi_x])
-    pred_class, gap_at_ones = top_class_and_gap(p_ones)
-    masked_class, gap_at_attr = top_class_and_gap(p_attr)
+    return certify_examples(model, example_row(model, x), [phi_x], [example_id])[0]
+
+
+def certify_examples(model: SmoothedModel, xs, phis: Sequence[Mask],
+                     example_ids: Sequence[int], mus=None) -> list[CertRecord]:
+    """certify_example for every row of the (E, d) inputs xs, with one
+    mus_evaluate_pairs pass over its all-ones and phi masks.
+
+    mus, when given, holds each example's noise-exempt mask in place of
+    model.mu.
+    """
+    ones = ones_mask(model.grouping.n)
+    alphas = [alpha for phi in phis for alpha in (ones, phi)]
+    means = mus_evaluate_pairs(model, xs, np.arange(len(alphas)) // 2, alphas, mus)
+    classes, gaps = top_classes_and_gaps(means)
     cfg = model.cfg
-    r_inc_real, r_inc = radius_from_gap(gap_at_attr, cfg.lambda_num, cfg.q)
-    r_dec_real, r_dec = radius_from_gap(gap_at_ones, cfg.lambda_num, cfg.q)
-    return CertRecord(
-        example_id=example_id,
-        pred_class=pred_class,
-        masked_class=masked_class,
-        consistent=pred_class == masked_class,
-        gap_at_attr=gap_at_attr,
-        gap_at_ones=gap_at_ones,
-        r_inc_real=r_inc_real,
-        r_dec_real=r_dec_real,
-        r_inc=r_inc,
-        r_dec=r_dec,
-        lambda_num=cfg.lambda_num,
-        q=cfg.q,
-        seed=cfg.seed,
-        mu_mode="none" if model.mu is None else "phi",
-    )
+    mu_mode = "none" if mus is None and model.mu is None else "phi"
+    records = []
+    for example_id, (pred_class, masked_class), (gap_at_ones, gap_at_attr) in zip(
+            example_ids, classes.reshape(-1, 2).tolist(), gaps.reshape(-1, 2).tolist()):
+        r_inc_real, r_inc = radius_from_gap(gap_at_attr, cfg.lambda_num, cfg.q)
+        r_dec_real, r_dec = radius_from_gap(gap_at_ones, cfg.lambda_num, cfg.q)
+        records.append(CertRecord(
+            example_id=example_id,
+            pred_class=pred_class,
+            masked_class=masked_class,
+            consistent=pred_class == masked_class,
+            gap_at_attr=gap_at_attr,
+            gap_at_ones=gap_at_ones,
+            r_inc_real=r_inc_real,
+            r_dec_real=r_dec_real,
+            r_inc=r_inc,
+            r_dec=r_dec,
+            lambda_num=cfg.lambda_num,
+            q=cfg.q,
+            seed=cfg.seed,
+            mu_mode=mu_mode,
+        ))
+    return records
 
 
 def enumerate_perturbation_masks(phi_x: Mask, radius: int, mode: Mode) -> Iterator[Mask]:
@@ -171,11 +190,17 @@ def brute_force_stability_oracle(model: SmoothedModel, x: Sequence[float],
         anchor = ones_mask(len(phi_x))
     else:
         raise ValueError(f"mode must be 'inc' or 'dec', got {mode!r}")
-    ref_class, _ = top_class_and_gap(mus_evaluate_many(model, x, [anchor])[0])
+    xs = example_row(model, x)
     masks = enumerate_perturbation_masks(phi_x, radius, mode)
-    while chunk := list(islice(masks, ORACLE_CHUNK)):
-        for p in mus_evaluate_many(model, x, chunk):
-            if top_class_and_gap(p)[0] != ref_class:
-                return False
+    # The first batch leads with the anchor, whose class is the reference.
+    chunk = [anchor] + list(islice(masks, ORACLE_CHUNK))
+    ref_class = None
+    while chunk:
+        means = mus_evaluate_pairs(model, xs, np.zeros(len(chunk), dtype=np.intp), chunk)
+        classes = top_classes_and_gaps(means)[0]
+        if ref_class is None:
+            ref_class, classes = classes[0], classes[1:]
+        if (classes != ref_class).any():
+            return False
+        chunk = list(islice(masks, ORACLE_CHUNK))
     return True
-

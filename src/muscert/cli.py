@@ -2,8 +2,8 @@
 
 Every command is a pure function of its flags: randomness flows from
 --seed and per-example streams are derived from the example index.
-Examples are processed one after another on one thread and written in
-input order.
+Commands run on one thread as stages over the whole dataset (scores, then
+masks, then certificates or attacks) and write examples in input order.
 """
 from __future__ import annotations
 
@@ -12,19 +12,21 @@ import json
 import sys
 from typing import Callable, Iterable, Sequence
 
-from .attack import attack_decremental, attack_incremental
+import numpy as np
+
+from .attack import attack_walks
 from .attribution import (
     DEFAULT_LIME_SAMPLES,
     DEFAULT_SHAP_PERMUTATIONS,
     ScoreVector,
-    greedy_stable_attribution,
+    greedy_stable_masks,
     lime_lite_scores,
-    occlusion_scores,
+    occlusion_score_rows,
     shap_lite_scores,
     topk_binarize,
 )
 from .attribution import gradient_scores as vanilla_gradient_scores
-from .certify import CertRecord, certify_example, radius_from_gap
+from .certify import certify_examples, radius_from_gap
 from .core import (
     ConfigError,
     DataError,
@@ -32,13 +34,13 @@ from .core import (
     Mask,
     VerificationError,
     popcount,
-    top_class_and_gap,
+    top_classes_and_gaps,
 )
 from .data import load_csv_dataset, load_grouping
 from .models import load_model
 from .noise import SmoothingConfig, derive_rng_state
 from .selfcheck import run_selfcheck
-from .smoothing import SmoothedModel, smoothed_predict
+from .smoothing import SmoothedModel, mus_evaluate_pairs
 
 SCORERS = ("occlusion", "vgrad", "lime", "shap")
 
@@ -80,13 +82,12 @@ def _load_common(args) -> tuple:
     cfg = SmoothingConfig(q=args.q, lambda_num=args.lambda_num, seed=args.seed,
                           n=grouping.n)
     smoothed = SmoothedModel.build(model, grouping, cfg)
-    return model, dataset, grouping, cfg, smoothed
+    xs = np.array([x for x, _label in dataset.examples], dtype=float)
+    return dataset, xs, grouping, cfg, smoothed
 
 
 def _compute_scores(scorer: str, smoothed: SmoothedModel, x, args,
                     rng_state: int) -> ScoreVector:
-    if scorer == "occlusion":
-        return occlusion_scores(smoothed, x)
     if scorer == "vgrad":
         return vanilla_gradient_scores(smoothed.base, x, smoothed.grouping)
     if scorer == "lime":
@@ -101,14 +102,31 @@ def _compute_scores(scorer: str, smoothed: SmoothedModel, x, args,
     raise ConfigError(f"unknown scorer {scorer!r}")
 
 
-def _attribution_mask(args, smoothed: SmoothedModel, x,
-                      rng_state: int) -> tuple[Mask, bool]:
-    """Build phi for one example from --topk or greedy radius targets."""
-    scores = _compute_scores(args.scorer, smoothed, x, args, rng_state)
+def _score_rows(args, smoothed: SmoothedModel, dataset, xs: np.ndarray) -> list:
+    """Scores of every example, one list per example.
+
+    Occlusion scores the whole dataset in one smoothed pass; the other
+    scorers query the base classifier example by example.
+    """
+    if args.scorer == "occlusion":
+        return occlusion_score_rows(smoothed, xs).tolist()
+
+    def one(item) -> tuple[float, ...]:
+        idx, (x, _label) = item
+        rng_state = derive_rng_state(args.seed, idx)
+        return _compute_scores(args.scorer, smoothed, x, args, rng_state).scores
+
+    return _map_examples(one, list(enumerate(dataset.examples)), args.workers)
+
+
+def _attribution_masks(args, smoothed: SmoothedModel, dataset,
+                       xs: np.ndarray) -> list[Mask]:
+    """phi for every example, from --topk or greedy radius targets."""
+    scores = _score_rows(args, smoothed, dataset, xs)
     if args.topk is not None:
-        return topk_binarize(scores, args.topk), True
-    return greedy_stable_attribution(smoothed, x, scores,
-                                     args.rinc, args.rdec)
+        return [topk_binarize(row, args.topk) for row in scores]
+    return [mask for mask, _met in
+            greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)]
 
 
 def _require_phi_source(args) -> None:
@@ -143,17 +161,11 @@ def _survival_curve(radii_ok: list[tuple[int, bool]], n: int) -> list[float]:
 
 def cmd_certify(args) -> int:
     _require_phi_source(args)
-    _, dataset, grouping, _cfg, smoothed = _load_common(args)
+    dataset, xs, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
-
-    def one(item) -> CertRecord:
-        idx, (x, _label) = item
-        phi, _met = _attribution_mask(args, smoothed, x,
-                                      derive_rng_state(args.seed, idx))
-        cert_model = smoothed.with_mu(phi) if args.mu_mode == "phi" else smoothed
-        return certify_example(cert_model, x, phi, example_id=idx)
-
-    records = _map_examples(one, list(enumerate(dataset.examples)), args.workers)
+    phis = _attribution_masks(args, smoothed, dataset, xs)
+    records = certify_examples(smoothed, xs, phis, range(len(phis)),
+                               mus=phis if args.mu_mode == "phi" else None)
     _write_lines(args.out, (_json_line(r.to_json_dict()) for r in records))
     inc_curve = _survival_curve([(r.r_inc, True) for r in records], n)
     dec_curve = _survival_curve([(r.r_dec, r.consistent) for r in records], n)
@@ -166,16 +178,14 @@ def cmd_certify(args) -> int:
 
 
 def cmd_accuracy_curve(args) -> int:
-    _, dataset, grouping, cfg, smoothed = _load_common(args)
+    dataset, xs, grouping, cfg, smoothed = _load_common(args)
     n = grouping.n
-
-    def one(item) -> tuple[int, bool]:
-        _idx, (x, label) = item
-        pred, gap = top_class_and_gap(smoothed_predict(smoothed, x))
-        _, r_dec = radius_from_gap(gap, cfg.lambda_num, cfg.q)
-        return r_dec, pred == label
-
-    radii = _map_examples(one, list(enumerate(dataset.examples)), args.workers)
+    ones = np.ones((len(xs), n), dtype=np.uint8)
+    preds, gaps = top_classes_and_gaps(
+        mus_evaluate_pairs(smoothed, xs, np.arange(len(xs)), ones))
+    radii = [(radius_from_gap(gap, cfg.lambda_num, cfg.q)[1], pred == label)
+             for pred, gap, (_x, label) in zip(preds.tolist(), gaps.tolist(),
+                                               dataset.examples)]
     curve = _survival_curve(radii, n)
     _write_lines(args.out, (f"{r} {curve[r]!r}" for r in range(n + 1)))
     print(f"accuracy curve over {len(radii)} examples -> {args.out}")
@@ -184,24 +194,17 @@ def cmd_accuracy_curve(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    _, dataset, grouping, _cfg, smoothed = _load_common(args)
+    dataset, xs, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
-
-    def one(item) -> dict:
-        idx, (x, _label) = item
-        rng = derive_rng_state(args.seed, idx)
-        scores = _compute_scores(args.scorer, smoothed, x, args, rng)
-        mask, met = greedy_stable_attribution(smoothed, x, scores,
-                                              args.rinc, args.rdec)
-        return {
-            "example_id": idx,
-            "scorer": args.scorer,
-            "mask": list(mask),
-            "k_x": popcount(mask) / n,
-            "met": met,
-        }
-
-    rows = _map_examples(one, list(enumerate(dataset.examples)), args.workers)
+    scores = _score_rows(args, smoothed, dataset, xs)
+    masks = greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)
+    rows = [{
+        "example_id": idx,
+        "scorer": args.scorer,
+        "mask": list(mask),
+        "k_x": popcount(mask) / n,
+        "met": met,
+    } for idx, (mask, met) in enumerate(masks)]
     mean_k = sum(row["k_x"] for row in rows) / len(rows)
     summary = {
         "summary": True,
@@ -219,22 +222,22 @@ def cmd_explain(args) -> int:
 
 def cmd_attack(args) -> int:
     _require_phi_source(args)
-    _, dataset, grouping, _cfg, smoothed = _load_common(args)
+    dataset, xs, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
-
-    def one(item) -> dict:
-        idx, (x, _label) = item
-        phi, _met = _attribution_mask(args, smoothed, x,
-                                      derive_rng_state(args.seed, idx))
-        record = certify_example(smoothed, x, phi, example_id=idx)
-        free = n - popcount(phi)
-        budget = free if args.budget is None else min(args.budget, free)
-        inc = attack_incremental(smoothed, x, phi, budget)
-        dec = attack_decremental(smoothed, x, phi, budget)
+    phis = _attribution_masks(args, smoothed, dataset, xs)
+    records = certify_examples(smoothed, xs, phis, range(len(phis)))
+    budgets = [n - popcount(phi) for phi in phis]
+    if args.budget is not None:
+        budgets = [min(args.budget, free) for free in budgets]
+    # The incremental walks of every example, then the decremental ones.
+    walks = attack_walks(smoothed, xs, list(range(len(phis))) * 2, phis * 2,
+                         budgets * 2, ["inc"] * len(phis) + ["dec"] * len(phis))
+    rows = []
+    for record, budget, inc, dec in zip(records, budgets, walks, walks[len(phis):]):
         inc_sound = (not inc.found) or inc.radius > record.r_inc
         dec_sound = (not dec.found) or dec.radius > record.r_dec
-        return {
-            "example_id": idx,
+        rows.append({
+            "example_id": record.example_id,
             "r_inc": record.r_inc,
             "inc_found": inc.found,
             "inc_radius": inc.radius,
@@ -243,9 +246,7 @@ def cmd_attack(args) -> int:
             "dec_radius": dec.radius,
             "budget": budget,
             "sound": inc_sound and dec_sound,
-        }
-
-    rows = _map_examples(one, list(enumerate(dataset.examples)), args.workers)
+        })
     violations = sum(1 for row in rows if not row["sound"])
     verdict = "PASS" if violations == 0 else "FAIL"
     summary = {
@@ -369,6 +370,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "workers", 1) < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        if getattr(args, "budget", None) is not None and args.budget < 0:
+            raise ConfigError(f"--budget must be >= 0, got {args.budget}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

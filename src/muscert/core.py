@@ -194,21 +194,44 @@ def mask_apply_rows(x: np.ndarray, masks: np.ndarray, index_map: np.ndarray) -> 
     return np.where(masks[:, index_map] != 0, x, 0.0)
 
 
-def unique_masks(masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a (k, n) 0/1 mask array, in first-seen order, and
-    each row's index among them.
+def unique_masks(masks: np.ndarray,
+                 keys: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a (k, n) 0/1 mask array, each row paired with its
+    key when keys (k nonnegative integers) are given, found by sorting.
 
-    Rows are keyed by their bit-packed bytes in a dict, which needs no sort.
+    Returns (rep, inverse): rep[j] is the index of a row holding distinct
+    pair j, and row r holds pair inverse[r]. The bit-packed rows are read as
+    64-bit words; each word, then the key, is folded into one dense rank, so
+    every mask width takes the same path.
     """
     packed = np.packbits(masks, axis=1)
-    width = packed.shape[1]
-    raw = packed.tobytes()
-    slots: dict[bytes, int] = {}
-    inverse = np.array([slots.setdefault(raw[i:i + width], len(slots))
-                        for i in range(0, len(raw), width)], dtype=np.intp)
-    distinct = np.empty((len(slots), masks.shape[1]), dtype=masks.dtype)
-    distinct[inverse] = masks
-    return distinct, inverse
+    words = np.zeros((len(masks), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    words = words.view(np.uint64)
+    rank, rep = _dense_rank(words[:, 0])
+    for column in words[:, 1:].T:
+        word_rank, word_rep = _dense_rank(column)
+        rank, rep = _dense_rank(rank * len(word_rep) + word_rank)
+    if keys is not None:
+        rank, rep = _dense_rank(np.asarray(keys, dtype=np.int64) * len(rep) + rank)
+    return rep, rank
+
+
+def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's index among the sorted distinct values, and the index of
+    one occurrence of each distinct value.
+
+    The folds above multiply a rank by a count of distinct values, both at
+    most len(values), or a key by such a count: far inside int64.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    rank = np.empty(len(values), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    return rank, order[new]
 
 
 def mask_leq(a: Mask, b: Mask) -> bool:
@@ -240,6 +263,24 @@ def top_class_and_gap(p: Sequence[float]) -> tuple[int, float]:
     return best, p[best] - second
 
 
+def top_classes_and_gaps(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """top_class_and_gap for every row of a (k, m) array, as two arrays.
+
+    argmax keeps the first maximum, the lowest index on ties. Where the
+    runner-up is a zero, np.max may return -0.0 where the loop returns 0.0;
+    the gap is the same unless the top value is zero too, which no row of
+    probabilities summing to one has.
+    """
+    k, m = probs.shape
+    if m < 2:
+        raise ConfigError(f"need at least 2 classes, got {m}")
+    rows = np.arange(k)
+    best = probs.argmax(axis=1)
+    rest = probs.copy()
+    rest[rows, best] = -np.inf
+    return best, probs[rows, best] - rest.max(axis=1)
+
+
 def mask_and(a: Mask, b: Mask) -> Mask:
     _check_same_length(a, b, "mask_and")
     return tuple(ai & bi for ai, bi in zip(a, b))
@@ -260,6 +301,27 @@ def zeros_mask(n: int) -> Mask:
 
 def popcount(a: Mask) -> int:
     return sum(a)
+
+
+def mask_array(masks: Sequence[Mask], n: int) -> np.ndarray:
+    """The masks as a (k, n) uint8 array, checked as validate_mask checks each.
+
+    A non-empty well-formed batch is checked as one array whose entries lie
+    in [0, 1], and returned as it is when it is such a uint8 array already;
+    any other batch goes through validate_mask mask by mask, which raises
+    its usual error.
+    """
+    if (isinstance(masks, np.ndarray) and masks.dtype == np.uint8 and masks.ndim == 2
+            and masks.shape[1] == n and masks.size and masks.max() <= 1):
+        return masks
+    try:
+        batch = np.array(masks, dtype=np.int64)
+    except (ValueError, TypeError, OverflowError):
+        batch = None
+    if (batch is not None and batch.ndim == 2 and batch.shape[1] == n and batch.size
+            and batch.min() >= 0 and batch.max() <= 1):
+        return batch.astype(np.uint8)
+    return np.array([validate_mask(a, n) for a in masks], dtype=np.uint8).reshape(-1, n)
 
 
 def validate_mask(a: Sequence[int], n: int | None = None) -> Mask:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .core import ConfigError, DataError, FeatureGrouping, Vector
@@ -51,7 +52,8 @@ def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
     """Parse comma-separated rows of decimals; one column holds the label.
 
     The label column defaults to the last one. A first row whose fields
-    are all non-numeric is treated as a header and skipped.
+    are all non-numeric is treated as a header and skipped. Features must be
+    finite: nan and inf parse as floats but cannot be masked or certified.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -81,6 +83,9 @@ def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
             x = tuple(float(f) for i, f in enumerate(fields) if i != col)
         except ValueError as exc:
             raise DataError(f"{path} row {rownum}: non-numeric feature: {exc}") from exc
+        for v in x:
+            if not math.isfinite(v):
+                raise DataError(f"{path} row {rownum}: feature {v!r} is not finite")
         raw_label = fields[col].strip()
         try:
             y = int(raw_label)

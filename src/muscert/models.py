@@ -328,7 +328,7 @@ def _require_matrix(doc: dict, key: str, rows: int, cols: int) -> tuple[tuple[fl
                 f'field "{key}" row {r} has length '
                 f"{len(row) if isinstance(row, list) else 'non-list'}, expected {cols}"
             )
-        out.append(tuple(float(v) for v in row))
+        out.append(_finite_values(row, f'field "{key}" row {r}'))
     return tuple(out)
 
 
@@ -336,7 +336,17 @@ def _require_vector(doc: dict, key: str, length: int) -> tuple[float, ...]:
     raw = doc[key]
     if not isinstance(raw, list) or len(raw) != length:
         raise DataError(f'field "{key}" must be a length-{length} list')
-    return tuple(float(v) for v in raw)
+    return _finite_values(raw, f'field "{key}"')
+
+
+def _finite_values(raw: list, where: str) -> tuple[float, ...]:
+    """The entries as floats; JSON NaN, Infinity and overflowing literals
+    parse, but a model holding them outputs no probabilities."""
+    values = tuple(float(v) for v in raw)
+    for v in values:
+        if not math.isfinite(v):
+            raise DataError(f"{where} holds non-finite weight {v!r}")
+    return values
 
 
 def save_model(model: LinearSoftmaxModel | MlpModel, path: str) -> None:

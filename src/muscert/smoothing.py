@@ -4,9 +4,10 @@ A smoothed model averages the base classifier over a small set of noise
 masks with exact per-coordinate keep rates. The average runs over atoms in
 index order with compensated summation, so two evaluations of the same
 inputs agree bit for bit. `mus_evaluate` is the definitional path, one base
-query per atom; `mus_evaluate_many` averages many masks at once and sends
-each distinct effective mask to the base classifier once, with the same
-result bits because math.fsum is correctly rounded. Also provides a Monte
+query per atom; `mus_evaluate_pairs` averages many (example, mask) pairs at
+once and sends each distinct effective mask of an example to the base
+classifier once, with the same result bits because every sum is correctly
+rounded. `mus_evaluate_many` is its one-example case. Also provides a Monte
 Carlo estimator for the iid-noise variant and two diagnostic checks
 (masking equivalence, and a demonstration that additive mask noise leaks
 information where multiplicative noise does not).
@@ -31,6 +32,7 @@ from .core import (
     mask_and,
     mask_apply,
     mask_apply_rows,
+    mask_array,
     mask_or,
     ones_mask,
     unique_masks,
@@ -41,6 +43,13 @@ from .core import (
 from .noise import NoiseAtoms, SmoothingConfig, enumerate_atoms, iid_bernoulli_bits
 
 EQUIVALENCE_TOL = 1e-12
+# Effective-mask rows per chunk of mus_evaluate_pairs: big enough that the
+# fixed cost of a chunk is spread over many pairs, small enough that the
+# chunk's arrays stay a few MB.
+DRIVER_CHUNK = 4096
+# Columns per call from which _atom_means sums with arrays: below it one
+# math.fsum per column is faster.
+VECTOR_SUM_BLOCKS = 160
 
 
 @dataclass(frozen=True)
@@ -126,47 +135,145 @@ def mus_evaluate_many(model: SmoothedModel, x: Sequence[float],
                       alphas: Sequence[Mask]) -> list[Logits]:
     """[mus_evaluate(model, x, alpha) for alpha in alphas], bit for bit.
 
-    All len(alphas) * q effective masks are built as one array and
-    deduplicated; each distinct one is one row of a single base batch. The
-    per-class mean over an alpha's q atoms is taken with math.fsum, which is
-    correctly rounded, so repeated rows cannot change a bit of it.
+    The one-example case of mus_evaluate_pairs.
     """
-    grouping = model.grouping
-    n = grouping.n
-    if len(x) != grouping.d:
-        raise ConfigError(f"input length {len(x)} != d={grouping.d}")
-    masks = _alpha_array(alphas, n)
+    xs = example_row(model, x)
+    masks = mask_array(alphas, model.grouping.n)
     if len(masks) == 0:
         return []
-    effective = (masks[:, None, :] & model._atom_bits).reshape(-1, n)
-    if model.mu is not None:
-        effective |= np.array(model.mu, dtype=np.uint8)
-    distinct, inverse = unique_masks(effective)
-    inputs = mask_apply_rows(np.asarray(x, dtype=float), distinct, model._index_map)
-    return _atom_means(evaluate_rows(model.base, inputs)[inverse], model.cfg.q)
+    means = _pair_means(model, xs, np.zeros(len(masks), dtype=np.intp), masks, None)
+    return [tuple(row) for row in means.tolist()]
 
 
-def _atom_means(probs: np.ndarray, q: int) -> list[Logits]:
-    """Per-class math.fsum means over each consecutive block of q rows."""
-    blocks = probs.reshape(-1, q, probs.shape[1]).transpose(0, 2, 1).tolist()
-    return [tuple(math.fsum(col) / q for col in block) for block in blocks]
+def example_row(model: SmoothedModel, x: Sequence[float]) -> np.ndarray:
+    """One input as the (1, d) array that mus_evaluate_pairs takes."""
+    if len(x) != model.grouping.d:
+        raise ConfigError(f"input length {len(x)} != d={model.grouping.d}")
+    return np.asarray(x, dtype=float)[None, :]
 
 
-def _alpha_array(alphas: Sequence[Mask], n: int) -> np.ndarray:
-    """The alphas as a (k, n) uint8 array, checked as validate_mask checks each.
+def mus_evaluate_pairs(model: SmoothedModel, xs, examples, alphas,
+                       mus=None) -> np.ndarray:
+    """Smoothed class means of many (example, alpha) pairs, as a (K, m) array.
 
-    A non-empty well-formed batch is checked as one int64 array whose
-    entries lie in [0, 1]; any other batch goes through validate_mask alpha
-    by alpha, which raises its usual error.
+    xs is an (E, d) input array; pair j is example examples[j] under mask
+    alphas[j]. Its noise-exempt mask is row examples[j] of the (E, n) mus
+    when given, else model.mu. Row j equals mus_evaluate(model.with_mu(mu),
+    xs[examples[j]], alphas[j]) bit for bit.
     """
-    try:
-        batch = np.array(alphas, dtype=np.int64)
-    except (ValueError, TypeError, OverflowError):
-        batch = None
-    if (batch is not None and batch.ndim == 2 and batch.shape[1] == n and batch.size
-            and batch.min() >= 0 and batch.max() <= 1):
-        return batch.astype(np.uint8)
-    return np.array([validate_mask(a, n) for a in alphas], dtype=np.uint8).reshape(-1, n)
+    grouping = model.grouping
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != grouping.d:
+        raise ConfigError(f"input batch shape {xs.shape} is not (E, d={grouping.d})")
+    alphas = mask_array(alphas, grouping.n)
+    examples = np.asarray(examples, dtype=np.intp)
+    if examples.shape != (len(alphas),) or (
+            len(examples) and not 0 <= examples.min() <= examples.max() < len(xs)):
+        raise ConfigError(f"need one example index in [0, {len(xs)}) per alpha")
+    if mus is not None:
+        mus = mask_array(mus, grouping.n)
+        if len(mus) != len(xs):
+            raise ConfigError(f"got {len(mus)} noise-exempt masks for {len(xs)} examples")
+    return _pair_means(model, xs, examples, alphas, mus)
+
+
+def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
+                alphas: np.ndarray, mus: np.ndarray | None) -> np.ndarray:
+    """mus_evaluate_pairs on checked arrays.
+
+    The pairs are taken DRIVER_CHUNK // q at a time. A chunk's effective
+    masks mu OR (alpha AND atom) are deduplicated per example, each distinct
+    one is one row of a single base batch, and each class mean over an
+    alpha's q atoms is the correctly rounded sum divided by q, so neither
+    repeated rows nor the chunking can change a bit of it.
+    """
+    n, q, m = model.grouping.n, model.cfg.q, model.base.m
+    mu_rows = examples
+    if mus is None and model.mu is not None:
+        mus = np.array([model.mu], dtype=np.uint8)
+        mu_rows = np.zeros(len(examples), dtype=np.intp)
+    out = np.empty((len(alphas), m))
+    step = max(1, DRIVER_CHUNK // q)
+    for lo in range(0, len(alphas), step):
+        chunk = slice(lo, lo + step)
+        effective = alphas[chunk, None, :] & model._atom_bits
+        if mus is not None:
+            effective |= mus[mu_rows[chunk]][:, None, :]
+        effective = effective.reshape(-1, n)
+        if len(xs) > 1:
+            row_examples = np.repeat(examples[chunk], q)
+            rep, inverse = unique_masks(effective, row_examples)
+            x_rows = xs[row_examples[rep]]
+        else:
+            rep, inverse = unique_masks(effective)
+            x_rows = xs[0]
+        inputs = mask_apply_rows(x_rows, effective[rep], model._index_map)
+        probs = evaluate_rows(model.base, inputs)[inverse]
+        out[chunk] = _atom_means(probs.reshape(-1, q, m))
+    return out
+
+
+def _atom_means(blocks: np.ndarray) -> np.ndarray:
+    """(k, m) means over axis 1 of a (k, q, m) array: each column's correctly
+    rounded sum, divided by q.
+
+    Fewer than VECTOR_SUM_BLOCKS columns are summed by math.fsum one at a
+    time; more by _exact_sums, whose fixed cost per call only pays at that
+    size. Both give the correctly rounded sum, so the path cannot move a bit.
+    """
+    k, q, m = blocks.shape
+    if k * m < VECTOR_SUM_BLOCKS:
+        columns = blocks.transpose(0, 2, 1).tolist()
+        sums = np.array([[math.fsum(col) for col in block] for block in columns])
+        return sums.reshape(k, m) / q
+    return _exact_sums(blocks) / q
+
+
+def _exact_sums(blocks: np.ndarray) -> np.ndarray:
+    """Correctly rounded (math.fsum) sums over axis 1 of a (k, q, m) array
+    of values in [0, 1].
+
+    TwoSum (Knuth) chains the columns: s + p = t + e exactly, so the exact
+    sum is S = s + E, with s the chain's last t and E the sum of its q - 1
+    errors e. c = fl(E) is summed in floating point, which by Higham,
+    "Accuracy and Stability of Numerical Algorithms", eq. (4.4), gives
+    |c - E| <= gamma(q - 2) * A with gamma(j) = j*u / (1 - j*u), u = 2^-53,
+    and A the sum of the |e|. The same chain sums A as a' in floating point,
+    so A <= a' / (1 - u)^(q - 2); together |c - E| <= 1.02 * q * u * a'
+    while q*u < 0.01, and bound = fl(2 * q * u * a') + 2^-1074 is above
+    it (the last term covers underflow). TwoSum(s, c) = (r, f) is exact
+    again, so S = r + f + (E - c). The result r is correctly rounded when
+    |f| + bound < h, h half the smaller of the gaps from r to its two
+    neighbouring floats (they differ by 2x at a power of two): then S is
+    nearer to r than to any other float. The comparison is safe in floating
+    point because rounding is monotone and h is a float. When a' is 0 every
+    e was 0, so S = s exactly. Every other column is summed by math.fsum
+    (Shewchuk's algorithm, correctly rounded too). This is the compensated
+    sum Sum2 of Ogita, Rump and Oishi, "Accurate Sum and Dot Product" (SIAM
+    J. Sci. Comput., 2005), plus a test on its result.
+    """
+    q = blocks.shape[1]
+    s = blocks[:, 0, :].copy()
+    err = np.zeros_like(s)
+    abs_err = np.zeros_like(s)
+    for j in range(1, q):
+        p = blocks[:, j, :]
+        t = s + p
+        virtual = t - s
+        e = (s - (t - virtual)) + (p - virtual)
+        err += e
+        abs_err += np.abs(e)
+        s = t
+    total = s + err
+    virtual = total - s
+    residual = (s - (total - virtual)) + (err - virtual)
+    bound = abs_err * (2 * q * 2.0 ** -53) + 2.0 ** -1074
+    half_gap = np.minimum(np.nextafter(total, np.inf) - total,
+                          total - np.nextafter(total, -np.inf)) / 2
+    unsure = (abs_err != 0) & ~(np.abs(residual) + bound < half_gap)
+    for i, c in zip(*np.nonzero(unsure)):
+        total[i, c] = math.fsum(blocks[i, :, c].tolist())
+    return total
 
 
 def smoothed_predict(model: SmoothedModel, x: Sequence[float]) -> Logits:
@@ -207,7 +314,7 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
     that case is a precondition for every alpha.
     """
     grouping = model.grouping
-    masks = _alpha_array(alphas, grouping.n)
+    masks = mask_array(alphas, grouping.n)
     mu = np.array(model.mu if model.mu is not None else zeros_mask(grouping.n),
                   dtype=np.uint8)
     if not (masks >= mu).all():
@@ -221,9 +328,9 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
     premasked = mask_apply_rows(np.asarray(x, dtype=float), masks, index_map)
     noise_keep = (model._atom_bits | mu)[:, index_map] != 0
     rows = np.where(noise_keep, premasked[:, None, :], 0.0).reshape(-1, grouping.d)
-    rhs = _atom_means(evaluate_rows(model.base, rows), model.cfg.q)
+    rhs = _atom_means(evaluate_rows(model.base, rows).reshape(len(masks), model.cfg.q, -1))
     return all(abs(a - b) <= EQUIVALENCE_TOL
-               for left, right in zip(lhs, rhs) for a, b in zip(left, right))
+               for left, right in zip(lhs, rhs.tolist()) for a, b in zip(left, right))
 
 
 @dataclass(frozen=True)

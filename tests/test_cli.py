@@ -127,6 +127,27 @@ def test_workers_is_checked_before_inputs_are_read(small_artifacts, tmp_path, ca
     assert capsys.readouterr().err == "error: --workers must be >= 1, got 0\n"
 
 
+def test_negative_budget_is_usage_error_before_inputs_are_read(small_artifacts, tmp_path,
+                                                               capsys):
+    argv = ["attack", *_base_args(small_artifacts, tmp_path / "o"),
+            "--topk", "2", "--budget", "-1"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --budget must be >= 0, got -1\n"
+    argv[argv.index("--model") + 1] = str(tmp_path / "missing-model.json")
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: --budget must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("scorer", ["occlusion", "vgrad"])
+def test_non_finite_feature_is_data_error(small_artifacts, tmp_path, capsys, scorer):
+    data = tmp_path / "nan.csv"
+    data.write_text("1,2,3,4,5,6,0\n1,nan,3,4,5,6,1\n")
+    argv = ["explain", *_base_args(small_artifacts, tmp_path / "o"), "--scorer", scorer]
+    argv[argv.index("--data") + 1] = str(data)
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {data} row 2: feature nan is not finite\n"
+
+
 @pytest.mark.parametrize("error,code", [
     (ConfigError("bad flag"), EXIT_USAGE),
     (DataError("bad file"), EXIT_DATA),
@@ -346,11 +367,11 @@ def test_attack_clips_budget_to_free_bits(small_artifacts, tmp_path):
 
 
 def test_attack_violation_exits_three(small_artifacts, tmp_path, monkeypatch, capsys):
-    def forged_attack(model, x, phi, budget):
-        return AttackResult(mode="inc", found=True, radius=0, witness=phi,
-                            trace=())
+    def forged_attack(model, xs, examples, phis, budgets, modes):
+        return [AttackResult(mode=mode, found=True, radius=0, witness=phi, trace=())
+                for phi, mode in zip(phis, modes)]
 
-    monkeypatch.setattr("muscert.cli.attack_incremental", forged_attack)
+    monkeypatch.setattr("muscert.cli.attack_walks", forged_attack)
     out = tmp_path / "forged.ndjson"
     argv = ["attack", *_base_args(small_artifacts, out),
             "--topk", "3", "--budget", "2"]

@@ -69,6 +69,15 @@ def test_non_integer_label_rejected(tmp_path):
     assert "row 2" in str(err.value)
 
 
+@pytest.mark.parametrize("field,shown", [
+    ("nan", "nan"), ("inf", "inf"), ("-Infinity", "-inf"), ("1e999", "inf"),
+])
+def test_non_finite_feature_rejected(tmp_path, field, shown):
+    path = _write(tmp_path, "n.csv", f"1.0,2.0,0\n3.0,{field},1\n")
+    with pytest.raises(DataError, match=f"row 2: feature {shown} is not finite"):
+        load_csv_dataset(path)
+
+
 def test_negative_label_rejected(tmp_path):
     path = _write(tmp_path, "f.csv", "1.0,2.0,-1\n")
     with pytest.raises(DataError, match="row 1: negative label -1"):

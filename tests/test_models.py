@@ -185,6 +185,23 @@ def test_load_names_bad_field(tmp_path):
     assert "weights" in str(err.value)
 
 
+@pytest.mark.parametrize("doc,message", [
+    ('{"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, NaN], [0.0, 1.0]],'
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds non-finite weight nan'),
+    ('{"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, 2.0], [0.0, 1.0]],'
+     ' "bias": [0.0, -Infinity]}', 'field "bias" holds non-finite weight -inf'),
+    ('{"kind": "linear", "d": 1, "m": 2, "weights": [[1e999], [0.0]],'
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds non-finite weight inf'),
+    ('{"kind": "mlp", "d": 1, "m": 2, "h": 1, "weights": [[[1.0]], [[1.0], [Infinity]]],'
+     ' "bias": [[0.0], [0.0, 0.0]]}', 'field "weights" row 1 holds non-finite weight inf'),
+], ids=["linear-nan", "linear-bias", "overflow", "mlp"])
+def test_load_rejects_non_finite_weights(tmp_path, doc, message):
+    path = tmp_path / "nan.json"
+    path.write_text(doc)
+    with pytest.raises(DataError, match=message):
+        load_model(str(path))
+
+
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
