@@ -67,6 +67,7 @@ from .smoothing import (
     masking_equivalence_check,
     mus_evaluate,
     mus_evaluate_many,
+    mus_evaluate_pairs,
     rmus_estimate,
     smoothed_predict,
 )

@@ -25,12 +25,16 @@ from .smoothing import SmoothedModel, example_row, mus_evaluate_pairs
 
 ENUMERATION_GUARD_BITS = 20
 # How far below its computed gap an integer radius must stay. A class mean
-# is fsum(col) / q: fsum rounds once and the division once, so each mean in
-# [0, 1] is within 2u + u^2 of its exact atom average (u = 2^-53), and the
-# gap, one more rounded subtraction, is within 5u + O(u^2). A mask r flips
-# away is compared on two means of its own (4u + O(u^2)), so a computed gap
-# above 2 * lambda * r + 9u keeps the class at every such mask even where
-# the exact margin is nil; 2^-49 = 16u covers that.
+# is the sum of its q atom outputs, correctly rounded, divided by q. Both
+# summation paths give that sum: math.fsum on small batches, and on large
+# ones the vectorised compensated sum whose unproven columns fall back to
+# math.fsum (smoothing._exact_sums). So the sum rounds once and the division
+# once, each mean in [0, 1] is within 2u + u^2 of its exact atom average
+# (u = 2^-53), and the gap, one more rounded subtraction, is within
+# 5u + O(u^2). A mask r flips away is compared on two means of its own
+# (4u + O(u^2)), so a computed gap above 2 * lambda * r + 9u keeps the class
+# at every such mask even where the exact margin is nil; 2^-49 = 16u covers
+# that.
 GAP_MARGIN = 2.0 ** -49
 # Masks the brute-force oracle evaluates per batch: enough to amortise the
 # per-call cost, few enough that memory stays flat for 2^20 masks.

@@ -239,12 +239,13 @@ def _exact_sums(blocks: np.ndarray) -> np.ndarray:
     "Accuracy and Stability of Numerical Algorithms", eq. (4.4), gives
     |c - E| <= gamma(q - 2) * A with gamma(j) = j*u / (1 - j*u), u = 2^-53,
     and A the sum of the |e|. The same chain sums A as a' in floating point,
-    so A <= a' / (1 - u)^(q - 2); together |c - E| <= 1.02 * q * u * a'
-    while q*u < 0.01, and bound = fl(2 * q * u * a') + 2^-1074 is above
-    it (the last term covers underflow). TwoSum(s, c) = (r, f) is exact
-    again, so S = r + f + (E - c). The result r is correctly rounded when
-    |f| + bound < h, h half the smaller of the gaps from r to its two
-    neighbouring floats (they differ by 2x at a power of two): then S is
+    so A <= a' / (1 - u)^(q - 2); together |c - E| <= 1.03 * (q - 2) * u * a'
+    while q*u < 0.01, and bound = fl(2 * q * u * a') + 2^-1074 is above it
+    (the last term covers a product that underflows). TwoSum(s, c) = (r, f)
+    is exact again, so S = r + f + (E - c). The result r is correctly
+    rounded when |f| + bound < h, h half the smaller of the gaps from r to
+    its two neighbouring floats (they differ by 2x at a power of two; the
+    gaps are exact and halving them is exact or rounds down): then S is
     nearer to r than to any other float. The comparison is safe in floating
     point because rounding is monotone and h is a float. When a' is 0 every
     e was 0, so S = s exactly. Every other column is summed by math.fsum
