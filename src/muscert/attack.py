@@ -79,8 +79,11 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
         masks[np.arange(len(walk)), bit] = flip_to[live][walk]
         means = mus_evaluate_pairs(model, xs, examples[live][walk], masks)
         refs = ref_class[live][walk]
-        top, _ = top_classes_and_gaps(means)
-        margins = means[np.arange(len(walk)), refs] - _rival(means, refs)
+        # The margin is the reference mean less the best other mean: the gap
+        # where the reference still leads, else the distance to the leader.
+        top, gap = top_classes_and_gaps(means)
+        rows = np.arange(len(walk))
+        margins = np.where(top == refs, gap, means[rows, refs] - means[rows, top])
         # The first smallest margin: ties go to the lowest bit.
         grid = np.full((len(live), n), np.inf)
         grid[walk, bit] = margins
@@ -108,13 +111,6 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
             AttackResult(mode=mode, found=False, radius=budget, witness=None,
                          trace=tuple(trace))
             for result, mode, budget, trace in zip(results, modes, budgets, traces)]
-
-
-def _rival(means: np.ndarray, refs: np.ndarray) -> np.ndarray:
-    """The largest mean of a class other than refs[r], row by row."""
-    rest = means.copy()
-    rest[np.arange(len(means)), refs] = -np.inf
-    return rest.max(axis=1)
 
 
 def attack_incremental(model: SmoothedModel, x: Sequence[float], phi_x: Mask,

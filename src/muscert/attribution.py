@@ -254,7 +254,8 @@ def greedy_stable_masks(model: SmoothedModel, xs, scores: Sequence,
     # prefix of length L holds the groups ranked below L, and row 0 of each
     # example is the all-ones mask (every rank is below n).
     rank = np.empty((len(orderings), n), dtype=np.intp)
-    rank[np.arange(len(orderings))[:, None], np.array(orderings, dtype=np.intp)] = np.arange(n)
+    order = np.array(orderings, dtype=np.intp).reshape(-1, n)
+    rank[np.arange(len(order))[:, None], order] = np.arange(n)
     lengths = np.r_[n, 1:n + 1]
     masks = (rank[:, None, :] < lengths[:, None]).astype(np.uint8)
     means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(orderings)), n + 1),

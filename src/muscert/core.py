@@ -230,7 +230,7 @@ def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     new[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
     rank = np.empty(len(values), dtype=np.intp)
-    rank[order] = np.cumsum(new) - 1
+    rank[order] = np.add.accumulate(new, dtype=np.intp) - 1
     return rank, order[new]
 
 

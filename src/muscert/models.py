@@ -342,7 +342,10 @@ def _require_vector(doc: dict, key: str, length: int) -> tuple[float, ...]:
 def _finite_values(raw: list, where: str) -> tuple[float, ...]:
     """The entries as floats; JSON NaN, Infinity and overflowing literals
     parse, but a model holding them outputs no probabilities."""
-    values = tuple(float(v) for v in raw)
+    try:
+        values = tuple(float(v) for v in raw)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{where} holds a non-numeric weight: {exc}") from exc
     for v in values:
         if not math.isfinite(v):
             raise DataError(f"{where} holds non-finite weight {v!r}")

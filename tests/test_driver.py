@@ -261,3 +261,9 @@ def test_staged_certify_greedy_and_attack_equal_one_example_calls(monkeypatch):
                          for x, phi, b in zip(rows, phis, budgets)]
     assert walks[7:] == [attack_decremental(model, x, phi, b)
                          for x, phi, b in zip(rows, phis, budgets)]
+
+    none = xs[:0]
+    assert mus_evaluate_pairs(model, none, [], []).shape == (0, model.m)
+    assert certify_examples(model, none, [], []) == []
+    assert greedy_stable_masks(model, none, [], 0, 0) == []
+    assert attack_walks(model, none, [], [], [], []) == []

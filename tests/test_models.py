@@ -194,8 +194,12 @@ def test_load_names_bad_field(tmp_path):
      ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds non-finite weight inf'),
     ('{"kind": "mlp", "d": 1, "m": 2, "h": 1, "weights": [[[1.0]], [[1.0], [Infinity]]],'
      ' "bias": [[0.0], [0.0, 0.0]]}', 'field "weights" row 1 holds non-finite weight inf'),
-], ids=["linear-nan", "linear-bias", "overflow", "mlp"])
-def test_load_rejects_non_finite_weights(tmp_path, doc, message):
+    ('{"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, "x"], [0.0, 1.0]],'
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a non-numeric weight'),
+    ('{"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, 2.0], [0.0, 1.0]],'
+     ' "bias": [0.0, [1]]}', 'field "bias" holds a non-numeric weight'),
+], ids=["linear-nan", "linear-bias", "overflow", "mlp", "string", "list"])
+def test_load_rejects_non_finite_or_non_numeric_weights(tmp_path, doc, message):
     path = tmp_path / "nan.json"
     path.write_text(doc)
     with pytest.raises(DataError, match=message):
