@@ -253,35 +253,24 @@ def greedy_stable_masks(model: SmoothedModel, xs, scores: Sequence,
     # rank[e, i] is the position of group i in example e's ordering; the
     # prefix of length L holds the groups ranked below L, and row 0 of each
     # example is the all-ones mask (every rank is below n).
-    rank = np.empty((len(orderings), n), dtype=np.intp)
     order = np.array(orderings, dtype=np.intp).reshape(-1, n)
+    rank = np.empty_like(order)
     rank[np.arange(len(order))[:, None], order] = np.arange(n)
     lengths = np.r_[n, 1:n + 1]
     masks = (rank[:, None, :] < lengths[:, None]).astype(np.uint8)
-    means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(orderings)), n + 1),
+    means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(order)), n + 1),
                                masks.reshape(-1, n))
     classes, gaps = top_classes_and_gaps(means)
-    cfg = model.cfg
+    lam, q = model.cfg.lambda_num, model.cfg.q
     results = []
-    for e, (example_classes, example_gaps) in enumerate(zip(
-            classes.reshape(-1, n + 1).tolist(), gaps.reshape(-1, n + 1).tolist())):
-        results.append(_first_stable_prefix(
-            masks[e], example_classes, example_gaps, cfg, r_inc_target, r_dec_target))
+    for e, (cls, gap) in enumerate(zip(classes.reshape(-1, n + 1).tolist(),
+                                       gaps.reshape(-1, n + 1).tolist())):
+        # Row 0 is all-ones, row L the prefix of length L. The decremental
+        # radius depends only on (model, x), so one check covers every prefix.
+        found = None
+        if radius_from_gap(gap[0], lam, q)[1] >= r_dec_target:
+            found = next((length for length in range(1, n + 1) if cls[length] == cls[0]
+                          and radius_from_gap(gap[length], lam, q)[1] >= r_inc_target), None)
+        results.append((ones_mask(n), False) if found is None
+                       else (tuple(masks[e, found].tolist()), True))
     return results
-
-
-def _first_stable_prefix(masks: np.ndarray, classes: list[int], gaps: list[float],
-                         cfg, r_inc_target: int, r_dec_target: int) -> tuple[Mask, bool]:
-    """One example's walk: row 0 is all-ones, row L the prefix of length L."""
-    n = len(classes) - 1
-    # The decremental radius depends only on (model, x), so one check covers
-    # every prefix.
-    _, r_dec = radius_from_gap(gaps[0], cfg.lambda_num, cfg.q)
-    if r_dec >= r_dec_target:
-        for length in range(1, n + 1):
-            if classes[length] != classes[0]:
-                continue
-            _, r_inc = radius_from_gap(gaps[length], cfg.lambda_num, cfg.q)
-            if r_inc >= r_inc_target:
-                return tuple(masks[length].tolist()), True
-    return ones_mask(n), False
