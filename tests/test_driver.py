@@ -239,24 +239,41 @@ def test_pair_driver_rejects_bad_pairs():
 # --------------------------------------------------------- staged commands
 
 def test_staged_certify_greedy_and_attack_equal_one_example_calls(monkeypatch):
+    """An instance where some greedy targets are met and some not, and the
+    attack walks end at different steps, found or not."""
     monkeypatch.setattr(smoothing, "DRIVER_CHUNK", 40)
-    model, xs, _, _, mus = _driver_instance(6, seed=5)
+    cfg = SmoothingConfig(q=8, lambda_num=1, seed=4, n=6)
+    model = SmoothedModel.build(random_linear(6, 3, 4, scale=2.0),
+                                FeatureGrouping.trivial(6), cfg)
+    stream = LcgStream(derive_rng_state(4, 8))
+    xs = np.array([[3.0 * (2 * stream.next_unit() - 1) for _ in range(6)] for _ in range(7)])
     rows = [tuple(x) for x in xs.tolist()]
-    stream = LcgStream(derive_rng_state(5, 9))
     phis = [tuple(stream.next_below(2) for _ in range(6)) for _ in rows]
     scores = [[stream.next_unit() for _ in range(6)] for _ in rows]
+    mus = np.array(phis[::-1], dtype=np.uint8)
 
     records = certify_examples(model, xs, phis, range(7), mus=mus)
     assert records == [certify_example(model.with_mu(tuple(mus[e].tolist())), x, phi, e)
                        for e, (x, phi) in enumerate(zip(rows, phis))]
 
-    for targets in ((0, 0), (1, 0), (0, 1)):
-        assert greedy_stable_masks(model, xs, scores, *targets) == [
-            greedy_stable_attribution(model, x, s, *targets) for x, s in zip(rows, scores)]
+    for targets in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        staged = greedy_stable_masks(model, xs, scores, *targets)
+        assert staged == [greedy_stable_attribution(model, x, s, *targets)
+                          for x, s in zip(rows, scores)]
+        assert targets == (0, 0) or {met for _, met in staged} == {True, False}
 
     budgets = [6 - sum(phi) for phi in phis]
     walks = attack_walks(model, xs, list(range(7)) * 2, phis * 2, budgets * 2,
                          ["inc"] * 7 + ["dec"] * 7)
+    assert {w.found for w in walks} == {True, False}
+    assert {w.radius for w in walks if w.found} == {1, 2}
+    # A budget of one stops every walk after its first step: a flip found
+    # there is kept, any later one is not reached.
+    capped = attack_walks(model, xs, list(range(7)) * 2, phis * 2,
+                          [min(1, b) for b in budgets] * 2, ["inc"] * 7 + ["dec"] * 7)
+    for full, cut in zip(walks, capped):
+        assert cut.trace == full.trace[:1] and len(cut.trace) == cut.radius
+        assert cut.found == (full.found and full.radius == 1)
     assert walks[:7] == [attack_incremental(model, x, phi, b)
                          for x, phi, b in zip(rows, phis, budgets)]
     assert walks[7:] == [attack_decremental(model, x, phi, b)
