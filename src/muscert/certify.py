@@ -121,7 +121,7 @@ def certify_examples(model: SmoothedModel, xs, phis: Sequence[Mask],
     """
     ones = ones_mask(model.grouping.n)
     alphas = [alpha for phi in phis for alpha in (ones, phi)]
-    means = mus_evaluate_pairs(model, xs, np.arange(len(alphas)) // 2, alphas, mus)
+    means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(phis)), 2), alphas, mus)
     classes, gaps = top_classes_and_gaps(means)
     cfg = model.cfg
     mu_mode = "none" if mus is None and model.mu is None else "phi"
