@@ -31,11 +31,6 @@ from .core import (
     FeatureGrouping,
     MuscertError,
     VerificationError,
-    l1_distance,
-    mask_and,
-    mask_apply,
-    mask_leq,
-    mask_or,
     ones_mask,
     popcount,
     top_class_and_gap,
@@ -53,23 +48,16 @@ from .models import (
 )
 from .noise import (
     LcgStream,
-    NoiseAtoms,
     SmoothingConfig,
     derive_rng_state,
-    derive_seed_vector,
     enumerate_atoms,
 )
 from .selfcheck import SelfcheckReport, SuiteResult, run_selfcheck
 from .smoothing import (
-    LeakageReport,
     SmoothedModel,
-    additive_leakage_demo,
     masking_equivalence_check,
-    mus_evaluate,
     mus_evaluate_many,
     mus_evaluate_pairs,
-    rmus_estimate,
-    smoothed_predict,
 )
 
 __version__ = "0.1.0"

@@ -370,8 +370,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "workers", 1) < 1:
             raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-        if getattr(args, "budget", None) is not None and args.budget < 0:
-            raise ConfigError(f"--budget must be >= 0, got {args.budget}")
+        for flag in ("rinc", "rdec", "budget"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise ConfigError(f"--{flag} must be >= 0, got {value}")
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
-"""Foundational types and pure helpers: masks, the subset partial order,
-masking application with feature grouping, and argmax class / confidence gap.
+"""Foundational types and pure helpers: masks, masking application with
+feature grouping, and argmax class / confidence gap.
 
-Masks are plain tuples of 0/1 ints, input vectors and probability vectors are
-plain tuples of floats; batches of them are numpy arrays with one row each.
+A single mask is a plain tuple of 0/1 ints, input vectors and probability
+vectors are plain tuples of floats; batches of them are numpy arrays with one
+row each (uint8 for masks), and all mask algebra runs on those arrays.
 Everything in this module is pure and immutable.
 """
 from __future__ import annotations
@@ -164,32 +165,12 @@ def evaluate_rows(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(len(inputs), base.m)
 
 
-def _check_same_length(a: Sequence, b: Sequence, what: str) -> None:
-    if len(a) != len(b):
-        raise ConfigError(f"{what}: lengths {len(a)} and {len(b)} differ")
-
-
-def mask_apply(x: Sequence[float], alpha: Mask, grouping: FeatureGrouping) -> Vector:
-    """Zero out every raw feature whose group bit is 0; keep the rest as-is."""
-    if len(alpha) != grouping.n:
-        raise ConfigError(
-            f"mask length {len(alpha)} != group count {grouping.n}"
-        )
-    if len(x) != grouping.d:
-        raise ConfigError(f"input length {len(x)} != raw dimension {grouping.d}")
-    out = list(x)
-    for bit, group in zip(alpha, grouping.groups):
-        if not bit:
-            for idx in group:
-                out[idx] = 0.0
-    return tuple(out)
-
-
 def mask_apply_rows(x: np.ndarray, masks: np.ndarray, index_map: np.ndarray) -> np.ndarray:
-    """Row r is mask_apply(x, masks[r]) for a (k, n) 0/1 mask array.
+    """Row r is x with every raw feature whose group bit in masks[r] is 0
+    set to +0.0, for a (k, n) 0/1 mask array.
 
     np.where keeps every kept value as it is (signed zeros too) and writes
-    +0.0 into dropped groups, as mask_apply does; x * mask would give -0.0.
+    +0.0 into dropped groups; x * mask would give -0.0.
     """
     return np.where(masks[:, index_map] != 0, x, 0.0)
 
@@ -234,18 +215,6 @@ def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, order[new]
 
 
-def mask_leq(a: Mask, b: Mask) -> bool:
-    """True iff every feature selected by a is also selected by b."""
-    _check_same_length(a, b, "mask_leq")
-    return all(not ai or bi for ai, bi in zip(a, b))
-
-
-def l1_distance(a: Mask, b: Mask) -> int:
-    """Number of positions where the two masks differ."""
-    _check_same_length(a, b, "l1_distance")
-    return sum(ai != bi for ai, bi in zip(a, b))
-
-
 def top_class_and_gap(p: Sequence[float]) -> tuple[int, float]:
     """Argmax class (ties broken by lowest index) and top-two probability gap."""
     if len(p) < 2:
@@ -281,16 +250,6 @@ def top_classes_and_gaps(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, probs[rows, best] - rest.max(axis=1)
 
 
-def mask_and(a: Mask, b: Mask) -> Mask:
-    _check_same_length(a, b, "mask_and")
-    return tuple(ai & bi for ai, bi in zip(a, b))
-
-
-def mask_or(a: Mask, b: Mask) -> Mask:
-    _check_same_length(a, b, "mask_or")
-    return tuple(ai | bi for ai, bi in zip(a, b))
-
-
 def ones_mask(n: int) -> Mask:
     return (1,) * n
 
@@ -306,29 +265,31 @@ def popcount(a: Mask) -> int:
 def mask_array(masks: Sequence[Mask], n: int) -> np.ndarray:
     """The masks as a (k, n) uint8 array, checked as validate_mask checks each.
 
-    A non-empty well-formed batch is checked as one array whose entries lie
-    in [0, 1], and returned as it is when it is such a uint8 array already;
-    any other batch goes through validate_mask mask by mask, which raises
-    its usual error.
+    A non-empty well-formed batch of numbers is checked as one array whose
+    entries are all exactly 0 or 1, and returned as it is when it is such a
+    uint8 array already; any other batch goes through validate_mask mask by
+    mask, which raises its usual error.
     """
     if (isinstance(masks, np.ndarray) and masks.dtype == np.uint8 and masks.ndim == 2
             and masks.shape[1] == n and masks.size and masks.max() <= 1):
         return masks
     try:
-        batch = np.array(masks, dtype=np.int64)
+        batch = np.asarray(masks)
     except (ValueError, TypeError, OverflowError):
         batch = None
-    if (batch is not None and batch.ndim == 2 and batch.shape[1] == n and batch.size
-            and batch.min() >= 0 and batch.max() <= 1):
+    if (batch is not None and batch.dtype.kind in "biuf" and batch.ndim == 2
+            and batch.shape[1] == n and batch.size and ((batch == 0) | (batch == 1)).all()):
         return batch.astype(np.uint8)
     return np.array([validate_mask(a, n) for a in masks], dtype=np.uint8).reshape(-1, n)
 
 
 def validate_mask(a: Sequence[int], n: int | None = None) -> Mask:
-    """Boundary check for masks coming from files or flags."""
-    bits = tuple(int(v) for v in a)
-    if any(v not in (0, 1) for v in bits):
-        raise DataError(f"mask entries must be 0 or 1, got {list(a)!r}")
+    """Boundary check for masks coming from files or flags: every entry must
+    equal 0 or 1 exactly (True and 1.0 pass, 0.5 does not)."""
+    values = list(a)
+    bits = tuple(int(v) for v in values)
+    if any(b not in (0, 1) or b != v for b, v in zip(bits, values)):
+        raise DataError(f"mask entries must be 0 or 1, got {values!r}")
     if n is not None and len(bits) != n:
         raise ConfigError(f"mask length {len(bits)} != expected {n}")
     return bits

@@ -341,7 +341,11 @@ def _require_vector(doc: dict, key: str, length: int) -> tuple[float, ...]:
 
 def _finite_values(raw: list, where: str) -> tuple[float, ...]:
     """The entries as floats; JSON NaN, Infinity and overflowing literals
-    parse, but a model holding them outputs no probabilities."""
+    parse, but a model holding them outputs no probabilities. JSON true and
+    false are not numbers, though Python would read them as 1 and 0."""
+    for v in raw:
+        if isinstance(v, bool):
+            raise DataError(f"{where} holds a non-numeric weight: {v!r}")
     try:
         values = tuple(float(v) for v in raw)
     except (TypeError, ValueError) as exc:
@@ -350,6 +354,14 @@ def _finite_values(raw: list, where: str) -> tuple[float, ...]:
         if not math.isfinite(v):
             raise DataError(f"{where} holds non-finite weight {v!r}")
     return values
+
+
+def _positive_int(doc: dict, key: str, path: str) -> int:
+    """doc[key] when it is an int >= 1; a JSON true is not one."""
+    value = doc.get(key)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise DataError(f'model file {path}: field "{key}" must be a positive int')
+    return value
 
 
 def save_model(model: LinearSoftmaxModel | MlpModel, path: str) -> None:
@@ -393,18 +405,13 @@ def load_model(path: str) -> LinearSoftmaxModel | MlpModel:
             f"model file {path}: unknown kind {kind!r}; supported kinds: "
             + ", ".join(MODEL_KINDS)
         )
-    for key in ("d", "m"):
-        if not isinstance(doc.get(key), int) or doc[key] < 1:
-            raise DataError(f'model file {path}: field "{key}" must be a positive int')
-    d, m = doc["d"], doc["m"]
+    d, m = _positive_int(doc, "d", path), _positive_int(doc, "m", path)
     if kind == "linear":
         return LinearSoftmaxModel(
             weights=_require_matrix(doc, "weights", m, d),
             bias=_require_vector(doc, "bias", m),
         )
-    if not isinstance(doc.get("h"), int) or doc["h"] < 1:
-        raise DataError(f'model file {path}: field "h" must be a positive int')
-    h = doc["h"]
+    h = _positive_int(doc, "h", path)
     raw_w = doc.get("weights")
     raw_b = doc.get("bias")
     if not isinstance(raw_w, list) or len(raw_w) != 2:

@@ -1,5 +1,5 @@
 """Derandomized mask distribution with exact Bernoulli(lambda) marginals,
-plus an iid Bernoulli mask sampler for the Monte Carlo estimator.
+plus an iid Bernoulli mask sampler for LIME's perturbations.
 
 All pseudo-randomness in the package flows through one 64-bit linear
 congruential generator (Knuth's MMIX constants) so every artifact is
@@ -30,7 +30,7 @@ class LcgStream:
     """Stateful convenience wrapper over lcg_step.
 
     The first value drawn from seed s is lcg_step(s), matching the
-    derive_seed_vector recipe (x_0 = seed, outputs start at x_1).
+    seed_vector_numerators recipe (x_0 = seed, outputs start at x_1).
     """
 
     def __init__(self, state: int) -> None:
@@ -130,21 +130,6 @@ class SmoothingConfig:
         return self.lambda_num / self.q
 
 
-@dataclass(frozen=True)
-class NoiseAtoms:
-    """The q masks of the derandomized distribution plus the seed vector used.
-
-    Each atom is weighted 1/q. For every coordinate i, exactly lambda_num of
-    the q atoms have bit i set (the exact Bernoulli marginal).
-    """
-
-    atoms: tuple[Mask, ...]
-    seed_vector: tuple[float, ...]
-    seed_numerators: tuple[int, ...]
-    q: int
-    lambda_num: int
-
-
 def seed_vector_numerators(seed: int, n: int, q: int) -> tuple[int, ...]:
     """Integer numerators m_i with v_i = m_i / q, derived from the LCG."""
     if q <= 1:
@@ -153,11 +138,6 @@ def seed_vector_numerators(seed: int, n: int, q: int) -> tuple[int, ...]:
         raise ConfigError(f"n must be >= 1, got {n}")
     stream = LcgStream(seed)
     return tuple((stream.next_u64() >> 32) % q for _ in range(n))
-
-
-def derive_seed_vector(seed: int, n: int, q: int) -> tuple[float, ...]:
-    """Seed vector v with v_i = ((x_{i+1} >> 32) mod q) / q, x_0 = seed."""
-    return tuple(num / q for num in seed_vector_numerators(seed, n, q))
 
 
 def atoms_from_numerators(
@@ -183,17 +163,18 @@ def atoms_from_numerators(
     return tuple(atoms)
 
 
-def enumerate_atoms(cfg: SmoothingConfig) -> NoiseAtoms:
-    """Build the derandomized atom list for a config; pure and deterministic."""
+def enumerate_atoms(cfg: SmoothingConfig) -> np.ndarray:
+    """The q atoms of a config as a (q, n) uint8 array, row j-1 holding atom j.
+
+    Each atom is weighted 1/q, and every column holds exactly lambda_num
+    ones (the exact Bernoulli marginal). A smoothed model shares the array
+    with its with_mu twins, so it is made read-only, as the jump tables are.
+    """
     numerators = seed_vector_numerators(cfg.seed, cfg.n, cfg.q)
-    atoms = atoms_from_numerators(numerators, cfg.q, cfg.lambda_num)
-    return NoiseAtoms(
-        atoms=atoms,
-        seed_vector=tuple(m / cfg.q for m in numerators),
-        seed_numerators=numerators,
-        q=cfg.q,
-        lambda_num=cfg.lambda_num,
-    )
+    atoms = np.array(atoms_from_numerators(numerators, cfg.q, cfg.lambda_num),
+                     dtype=np.uint8)
+    atoms.flags.writeable = False
+    return atoms
 
 
 def iid_bernoulli_bits(lam: float, n: int, count: int, rng_state: int) -> np.ndarray:

@@ -93,12 +93,9 @@ def check_lqv_marginals(trials: int, seed: int, max_n: int = 8) -> SuiteResult:
         lambda_num = 1 + stream.next_below(q)
         n = 1 + stream.next_below(max_n)
         cfg = SmoothingConfig(q=q, lambda_num=lambda_num, seed=trial_seed, n=n)
-        atoms = enumerate_atoms(cfg)
-        for i in range(n):
-            if sum(atom[i] for atom in atoms.atoms) != lambda_num:
-                failures += 1
-                first = first if first is not None else trial_seed
-                break
+        if (enumerate_atoms(cfg).sum(axis=0) != lambda_num).any():
+            failures += 1
+            first = first if first is not None else trial_seed
     return SuiteResult("lqv_marginals", trials, failures, first)
 
 

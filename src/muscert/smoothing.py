@@ -1,16 +1,15 @@
 """Exact evaluation of the mask-smoothed classifier.
 
-A smoothed model averages the base classifier over a small set of noise
-masks with exact per-coordinate keep rates. The average runs over atoms in
-index order with compensated summation, so two evaluations of the same
-inputs agree bit for bit. `mus_evaluate` is the definitional path, one base
-query per atom; `mus_evaluate_pairs` averages many (example, mask) pairs at
-once and sends each distinct effective mask of an example to the base
-classifier once, with the same result bits because every sum is correctly
-rounded. `mus_evaluate_many` is its one-example case. Also provides a Monte
-Carlo estimator for the iid-noise variant and two diagnostic checks
-(masking equivalence, and a demonstration that additive mask noise leaks
-information where multiplicative noise does not).
+A smoothed model averages the base classifier over its q noise atoms, masks
+with exact per-coordinate keep rates: under mask alpha, atom s masks the
+input by mu OR (alpha AND s). `mus_evaluate_pairs` computes that average
+for many (example, mask) pairs at once and sends each distinct effective
+mask of an example to the base classifier once; every class sum is
+correctly rounded before it is divided by q, so neither the batching nor
+the deduplication can change a bit, and two evaluations of the same inputs
+agree bit for bit. `mus_evaluate_many` is its one-example case, and
+`masking_equivalence_check` tests it against averaging the pre-masked
+input.
 """
 from __future__ import annotations
 
@@ -27,20 +26,14 @@ from .core import (
     FeatureGrouping,
     Logits,
     Mask,
-    Vector,
     evaluate_rows,
-    mask_and,
-    mask_apply,
     mask_apply_rows,
     mask_array,
-    mask_or,
-    ones_mask,
     unique_masks,
-    validate_logits,
     validate_mask,
     zeros_mask,
 )
-from .noise import NoiseAtoms, SmoothingConfig, enumerate_atoms, iid_bernoulli_bits
+from .noise import SmoothingConfig, enumerate_atoms
 
 EQUIVALENCE_TOL = 1e-12
 # Effective-mask rows per chunk of mus_evaluate_pairs: big enough that the
@@ -55,24 +48,23 @@ VECTOR_SUM_BLOCKS = 160
 
 @dataclass(frozen=True)
 class SmoothedModel:
-    """A base classifier wrapped with precomputed noise atoms.
+    """A base classifier wrapped with the noise atoms of its config.
 
-    `mu` marks feature groups exempt from noise (always kept on); when
-    absent every group is subject to masking.
+    `atoms` is the read-only (q, n) uint8 array enumerate_atoms(cfg). `mu`
+    marks feature groups exempt from noise (always kept on); when absent
+    every group is subject to masking.
     """
 
     base: ClassifierHandle
     grouping: FeatureGrouping
     cfg: SmoothingConfig
-    atoms: NoiseAtoms
     mu: Mask | None = None
-    # The atoms as a (q, n) 0/1 array and the grouping's index map, for
-    # mus_evaluate_many.
-    _atom_bits: np.ndarray = field(init=False, repr=False, compare=False)
+    atoms: np.ndarray = field(init=False, repr=False, compare=False)
+    # The grouping's index map, for mus_evaluate_pairs.
     _index_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_atom_bits", np.array(self.atoms.atoms, dtype=np.uint8))
+        object.__setattr__(self, "atoms", enumerate_atoms(self.cfg))
         object.__setattr__(self, "_index_map", self.grouping.index_map())
 
     @classmethod
@@ -88,8 +80,7 @@ class SmoothedModel:
             )
         if mu is not None:
             validate_mask(mu, grouping.n)
-        return cls(base=base, grouping=grouping, cfg=cfg,
-                   atoms=enumerate_atoms(cfg), mu=mu)
+        return cls(base=base, grouping=grouping, cfg=cfg, mu=mu)
 
     def with_mu(self, mu: Mask | None) -> "SmoothedModel":
         """This model with noise-exempt mask mu, sharing atoms and arrays."""
@@ -108,35 +99,10 @@ class SmoothedModel:
         return self.base.m
 
 
-def mus_evaluate(model: SmoothedModel, x: Sequence[float], alpha: Mask) -> Logits:
-    """Average the base output over the q noise atoms applied to alpha.
-
-    Each atom s yields an effective mask mu OR (alpha AND s); the base
-    classifier is invoked exactly q times and the per-class mean is taken
-    with math.fsum in atom-index order.
-    """
-    grouping = model.grouping
-    if len(x) != grouping.d:
-        raise ConfigError(f"input length {len(x)} != d={grouping.d}")
-    validate_mask(alpha, grouping.n)
-    mu = model.mu if model.mu is not None else zeros_mask(grouping.n)
-    m = model.base.m
-    q = model.cfg.q
-    columns: list[list[float]] = [[] for _ in range(m)]
-    for atom in model.atoms.atoms:
-        effective = mask_or(mu, mask_and(alpha, atom))
-        p = model.base.evaluate(mask_apply(x, effective, grouping))
-        validate_logits(p, m)
-        for c in range(m):
-            columns[c].append(p[c])
-    return tuple(math.fsum(col) / q for col in columns)
-
-
 def mus_evaluate_many(model: SmoothedModel, x: Sequence[float],
                       alphas: Sequence[Mask]) -> list[Logits]:
-    """[mus_evaluate(model, x, alpha) for alpha in alphas], bit for bit.
-
-    The one-example case of mus_evaluate_pairs.
+    """The smoothed class means of input x under each alpha, as tuples:
+    the one-example case of mus_evaluate_pairs.
     """
     xs = example_row(model, x)
     masks = mask_array(alphas, model.grouping.n)
@@ -159,8 +125,8 @@ def mus_evaluate_pairs(model: SmoothedModel, xs, examples, alphas,
 
     xs is an (E, d) input array; pair j is example examples[j] under mask
     alphas[j]. Its noise-exempt mask is row examples[j] of the (E, n) mus
-    when given, else model.mu. Row j equals mus_evaluate(model.with_mu(mu),
-    xs[examples[j]], alphas[j]) bit for bit.
+    when given, else model.mu. Row j is the mean over the q atoms s of the
+    base output on xs[examples[j]] masked by mu OR (alphas[j] AND s).
     """
     grouping = model.grouping
     xs = np.asarray(xs, dtype=float)
@@ -197,7 +163,7 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
     step = max(1, DRIVER_CHUNK // q)
     for lo in range(0, len(alphas), step):
         chunk = slice(lo, lo + step)
-        effective = alphas[chunk, None, :] & model._atom_bits
+        effective = alphas[chunk, None, :] & model.atoms
         if mus is not None:
             effective |= mus[mu_rows[chunk]][:, None, :]
         effective = effective.reshape(-1, n)
@@ -279,31 +245,6 @@ def _exact_sums(blocks: np.ndarray) -> np.ndarray:
     return total
 
 
-def smoothed_predict(model: SmoothedModel, x: Sequence[float]) -> Logits:
-    """Smoothed forward pass: the all-ones mask average."""
-    return mus_evaluate_many(model, x, [ones_mask(model.grouping.n)])[0]
-
-
-def rmus_estimate(base: ClassifierHandle, grouping: FeatureGrouping,
-                  x: Sequence[float], alpha: Mask, lam: float,
-                  samples: int, rng_state: int) -> Logits:
-    """Monte Carlo mean of the base output under iid Bernoulli(lam) masks.
-
-    Deterministic given rng_state; used to cross-check the exact atom
-    average against the iid-noise definition it derandomizes.
-    """
-    if len(x) != grouping.d:
-        raise ConfigError(f"input length {len(x)} != d={grouping.d}")
-    alpha = validate_mask(alpha, grouping.n)
-    if samples < 1:
-        raise ConfigError(f"samples must be >= 1, got {samples}")
-    draws = iid_bernoulli_bits(lam, grouping.n, samples, rng_state)
-    masks = draws & np.array(alpha, dtype=np.uint8)
-    inputs = mask_apply_rows(np.asarray(x, dtype=float), masks, grouping.index_map())
-    columns = evaluate_rows(base, inputs).T.tolist()
-    return tuple(math.fsum(col) / samples for col in columns)
-
-
 def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
                               alphas: Sequence[Mask]) -> bool:
     """True iff smoothing each mask equals smoothing the pre-masked input.
@@ -329,71 +270,8 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
     lhs = mus_evaluate_many(model, x, masks)
     index_map = model._index_map
     premasked = mask_apply_rows(np.asarray(x, dtype=float), masks, index_map)
-    noise_keep = (model._atom_bits | mu)[:, index_map] != 0
+    noise_keep = (model.atoms | mu)[:, index_map] != 0
     rows = np.where(noise_keep, premasked[:, None, :], 0.0).reshape(-1, grouping.d)
     rhs = _atom_means(evaluate_rows(model.base, rows).reshape(len(masks), model.cfg.q, -1))
     return all(abs(a - b) <= EQUIVALENCE_TOL
                for left, right in zip(lhs, rhs.tolist()) for a, b in zip(left, right))
-
-
-@dataclass(frozen=True)
-class LeakageReport:
-    """Four expectations comparing additive and multiplicative mask noise."""
-
-    n: int
-    additive_lhs: float
-    additive_rhs: float
-    multiplicative_lhs: float
-    multiplicative_rhs: float
-
-    @property
-    def additive_leaks(self) -> bool:
-        return self.additive_lhs > self.additive_rhs
-
-    @property
-    def multiplicative_matches(self) -> bool:
-        return abs(self.multiplicative_lhs - self.multiplicative_rhs) <= EQUIVALENCE_TOL
-
-
-def _nonzero_indicator(z: Sequence[float]) -> float:
-    return 0.0 if all(v == 0.0 for v in z) else 1.0
-
-
-def additive_leakage_demo(n: int) -> LeakageReport:
-    """Show that adding noise to the mask breaks pre-masking equivalence.
-
-    The classifier fires on any nonzero input. Two equiprobable noise
-    vectors (+1 and -1 everywhere) are either added to the mask or
-    multiplied into it; with x all-ones and alpha all-zeros the additive
-    form sees the unmasked input through the shifted mask while the
-    pre-masked side stays at zero.
-    """
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    x = tuple(1.0 for _ in range(n))
-    alpha = tuple(0.0 for _ in range(n))
-    noises = [tuple(1.0 for _ in range(n)), tuple(-1.0 for _ in range(n))]
-
-    def additive(point: Vector, mask: Vector) -> float:
-        total = 0.0
-        for s in noises:
-            shifted = tuple(a + e for a, e in zip(mask, s))
-            total += _nonzero_indicator(tuple(p * a for p, a in zip(point, shifted)))
-        return total / len(noises)
-
-    def multiplicative(point: Vector, mask: Vector) -> float:
-        total = 0.0
-        for s in noises:
-            scaled = tuple(a * e for a, e in zip(mask, s))
-            total += _nonzero_indicator(tuple(p * a for p, a in zip(point, scaled)))
-        return total / len(noises)
-
-    premasked = tuple(p * a for p, a in zip(x, alpha))
-    ones = tuple(1.0 for _ in range(n))
-    return LeakageReport(
-        n=n,
-        additive_lhs=additive(x, alpha),
-        additive_rhs=additive(premasked, ones),
-        multiplicative_lhs=multiplicative(x, alpha),
-        multiplicative_rhs=multiplicative(premasked, ones),
-    )

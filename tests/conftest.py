@@ -10,7 +10,8 @@ from muscert.certify import radius_from_gap
 from muscert.core import ones_mask, top_class_and_gap
 from muscert.data import LabeledDataset
 from muscert.noise import derive_rng_state
-from muscert.smoothing import mus_evaluate
+
+from reference import mus_evaluate
 
 
 class IndicatorFirstFeature:

@@ -1,0 +1,172 @@
+"""Definitional reference paths that the tests compare the package against.
+
+`mus_evaluate` is the smoothed classifier as defined: one base query per
+atom on tuple masks, averaged with math.fsum in atom-index order. It builds
+each effective mask with the scalar mask algebra below and never goes
+through the batch driver (`mus_evaluate_pairs`), so the two are independent
+computations of the same numbers. `rmus_estimate` is the Monte Carlo mean
+under iid Bernoulli masks that the atom average derandomizes, and
+`additive_leakage_demo` shows that additive mask noise leaks information
+where multiplicative noise does not.
+"""
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from muscert.core import (
+    ClassifierHandle,
+    ConfigError,
+    FeatureGrouping,
+    Logits,
+    Mask,
+    Vector,
+    evaluate_rows,
+    mask_apply_rows,
+    validate_logits,
+    validate_mask,
+    zeros_mask,
+)
+from muscert.noise import iid_bernoulli_bits
+from muscert.smoothing import EQUIVALENCE_TOL, SmoothedModel
+
+
+def _check_same_length(a: Sequence, b: Sequence, what: str) -> None:
+    if len(a) != len(b):
+        raise ConfigError(f"{what}: lengths {len(a)} and {len(b)} differ")
+
+
+def mask_apply(x: Sequence[float], alpha: Mask, grouping: FeatureGrouping) -> Vector:
+    """Zero out every raw feature whose group bit is 0; keep the rest as-is."""
+    if len(alpha) != grouping.n:
+        raise ConfigError(
+            f"mask length {len(alpha)} != group count {grouping.n}"
+        )
+    if len(x) != grouping.d:
+        raise ConfigError(f"input length {len(x)} != raw dimension {grouping.d}")
+    out = list(x)
+    for bit, group in zip(alpha, grouping.groups):
+        if not bit:
+            for idx in group:
+                out[idx] = 0.0
+    return tuple(out)
+
+
+def mask_and(a: Mask, b: Mask) -> Mask:
+    _check_same_length(a, b, "mask_and")
+    return tuple(ai & bi for ai, bi in zip(a, b))
+
+
+def mask_or(a: Mask, b: Mask) -> Mask:
+    _check_same_length(a, b, "mask_or")
+    return tuple(ai | bi for ai, bi in zip(a, b))
+
+
+def mus_evaluate(model: SmoothedModel, x: Sequence[float], alpha: Mask) -> Logits:
+    """Average the base output over the q noise atoms applied to alpha.
+
+    Each atom s yields an effective mask mu OR (alpha AND s); the base
+    classifier is invoked exactly q times and the per-class mean is taken
+    with math.fsum in atom-index order.
+    """
+    grouping = model.grouping
+    if len(x) != grouping.d:
+        raise ConfigError(f"input length {len(x)} != d={grouping.d}")
+    validate_mask(alpha, grouping.n)
+    mu = model.mu if model.mu is not None else zeros_mask(grouping.n)
+    m = model.base.m
+    q = model.cfg.q
+    columns: list[list[float]] = [[] for _ in range(m)]
+    for atom in model.atoms.tolist():
+        effective = mask_or(mu, mask_and(alpha, atom))
+        p = model.base.evaluate(mask_apply(x, effective, grouping))
+        validate_logits(p, m)
+        for c in range(m):
+            columns[c].append(p[c])
+    return tuple(math.fsum(col) / q for col in columns)
+
+
+def rmus_estimate(base: ClassifierHandle, grouping: FeatureGrouping,
+                  x: Sequence[float], alpha: Mask, lam: float,
+                  samples: int, rng_state: int) -> Logits:
+    """Monte Carlo mean of the base output under iid Bernoulli(lam) masks.
+
+    Deterministic given rng_state; used to cross-check the exact atom
+    average against the iid-noise definition it derandomizes.
+    """
+    if len(x) != grouping.d:
+        raise ConfigError(f"input length {len(x)} != d={grouping.d}")
+    alpha = validate_mask(alpha, grouping.n)
+    if samples < 1:
+        raise ConfigError(f"samples must be >= 1, got {samples}")
+    draws = iid_bernoulli_bits(lam, grouping.n, samples, rng_state)
+    masks = draws & np.array(alpha, dtype=np.uint8)
+    inputs = mask_apply_rows(np.asarray(x, dtype=float), masks, grouping.index_map())
+    columns = evaluate_rows(base, inputs).T.tolist()
+    return tuple(math.fsum(col) / samples for col in columns)
+
+
+@dataclass(frozen=True)
+class LeakageReport:
+    """Four expectations comparing additive and multiplicative mask noise."""
+
+    n: int
+    additive_lhs: float
+    additive_rhs: float
+    multiplicative_lhs: float
+    multiplicative_rhs: float
+
+    @property
+    def additive_leaks(self) -> bool:
+        return self.additive_lhs > self.additive_rhs
+
+    @property
+    def multiplicative_matches(self) -> bool:
+        return abs(self.multiplicative_lhs - self.multiplicative_rhs) <= EQUIVALENCE_TOL
+
+
+def _nonzero_indicator(z: Sequence[float]) -> float:
+    return 0.0 if all(v == 0.0 for v in z) else 1.0
+
+
+def additive_leakage_demo(n: int) -> LeakageReport:
+    """Show that adding noise to the mask breaks pre-masking equivalence.
+
+    The classifier fires on any nonzero input. Two equiprobable noise
+    vectors (+1 and -1 everywhere) are either added to the mask or
+    multiplied into it; with x all-ones and alpha all-zeros the additive
+    form sees the unmasked input through the shifted mask while the
+    pre-masked side stays at zero.
+    """
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    x = tuple(1.0 for _ in range(n))
+    alpha = tuple(0.0 for _ in range(n))
+    noises = [tuple(1.0 for _ in range(n)), tuple(-1.0 for _ in range(n))]
+
+    def additive(point: Vector, mask: Vector) -> float:
+        total = 0.0
+        for s in noises:
+            shifted = tuple(a + e for a, e in zip(mask, s))
+            total += _nonzero_indicator(tuple(p * a for p, a in zip(point, shifted)))
+        return total / len(noises)
+
+    def multiplicative(point: Vector, mask: Vector) -> float:
+        total = 0.0
+        for s in noises:
+            scaled = tuple(a * e for a, e in zip(mask, s))
+            total += _nonzero_indicator(tuple(p * a for p, a in zip(point, scaled)))
+        return total / len(noises)
+
+    premasked = tuple(p * a for p, a in zip(x, alpha))
+    ones = tuple(1.0 for _ in range(n))
+    return LeakageReport(
+        n=n,
+        additive_lhs=additive(x, alpha),
+        additive_rhs=additive(premasked, ones),
+        multiplicative_lhs=multiplicative(x, alpha),
+        multiplicative_rhs=multiplicative(premasked, ones),
+    )

@@ -24,16 +24,16 @@ from muscert.attribution import (
 from muscert.core import (
     ConfigError,
     FeatureGrouping,
-    mask_apply,
     ones_mask,
     popcount,
     top_class_and_gap,
 )
 from muscert.models import LinearSoftmaxModel, random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, iid_bernoulli_bits
-from muscert.smoothing import SmoothedModel, mus_evaluate, smoothed_predict
+from muscert.smoothing import SmoothedModel
 
 from conftest import ConstantHandle, definitional_certificate
+from reference import mask_apply, mus_evaluate
 
 
 class DyadicAdditiveHandle:
@@ -382,7 +382,7 @@ def test_greedy_zero_targets_returns_shortest_consistent_prefix():
     scores = occlusion_scores(model, x)
     mask, met = greedy_stable_attribution(model, x, scores, 0, 0)
     assert met
-    pred, _ = top_class_and_gap(smoothed_predict(model, x))
+    pred, _ = top_class_and_gap(mus_evaluate(model, x, ones_mask(4)))
     ordering = score_ordering(scores)
     shortest = None
     for length in range(1, 5):

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from muscert.certify import brute_force_stability_oracle
-from muscert.core import ConfigError, FeatureGrouping, mask_and, mask_or, validate_logits
+from muscert.core import ConfigError, FeatureGrouping, validate_logits
 from muscert.models import MlpModel, random_linear, random_mlp
-from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state
-from muscert.smoothing import SmoothedModel, mus_evaluate, mus_evaluate_many
+from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state, enumerate_atoms
+from muscert.smoothing import SmoothedModel, mus_evaluate_many
+
+from reference import mask_and, mask_or, mus_evaluate
 
 # sha256 of save_model(fit_logistic(...)) for the conftest fixtures, as
 # written by the per-example training loop the batch trainer replaced.
@@ -130,7 +132,7 @@ def test_row_loop_handle_sees_each_distinct_effective_mask_once():
         assert mus_evaluate_many(model, x, alphas) == want
         keep = mu or (0,) * n
         distinct = {mask_or(keep, mask_and(a, atom))
-                    for a in alphas for atom in model.atoms.atoms}
+                    for a in alphas for atom in model.atoms.tolist()}
         assert handle.calls == len(distinct) < len(alphas) * cfg.q
 
 
@@ -141,9 +143,14 @@ def test_with_mu_shares_atoms_and_matches_build():
     shielded = model.with_mu((1, 0, 1))
     assert shielded == SmoothedModel.build(model.base, grouping, cfg, mu=(1, 0, 1))
     assert shielded.atoms is model.atoms
-    assert shielded._atom_bits is model._atom_bits
+    assert model.atoms.dtype == np.uint8
+    assert model.atoms.tolist() == enumerate_atoms(cfg).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        model.atoms[0, 0] ^= 1
     assert model.mu is None
     assert shielded.with_mu(None) == model
+    direct = SmoothedModel(base=model.base, grouping=grouping, cfg=cfg, mu=(1, 0, 1))
+    assert direct.atoms.tolist() == model.atoms.tolist() and direct == shielded
 
 
 def test_batch_contract_violations_raise_like_validate_logits():

@@ -17,7 +17,7 @@ from muscert.certify import (
 from muscert.core import ConfigError, FeatureGrouping
 from muscert.models import random_linear
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state
-from muscert.smoothing import SmoothedModel, mus_evaluate
+from muscert.smoothing import SmoothedModel
 
 from conftest import ConstantHandle, IndicatorFirstFeature, definitional_certificate
 
@@ -233,7 +233,7 @@ def test_radii_antitone_in_lambda():
 def test_mu_mode_recorded_on_record():
     model, x, phi = random_triple(2)
     with_mu = SmoothedModel(base=model.base, grouping=model.grouping,
-                            cfg=model.cfg, atoms=model.atoms, mu=phi)
+                            cfg=model.cfg, mu=phi)
     record = certify_example(with_mu, x, phi, example_id=0)
     assert record.mu_mode == "phi"
 
@@ -242,7 +242,7 @@ def test_mu_phi_certificates_are_sound_too():
     for trial in range(40):
         model, x, phi = random_triple(trial)
         with_mu = SmoothedModel(base=model.base, grouping=model.grouping,
-                                cfg=model.cfg, atoms=model.atoms, mu=phi)
+                                cfg=model.cfg, mu=phi)
         record = certify_example(with_mu, x, phi, example_id=trial)
         assert brute_force_stability_oracle(with_mu, x, phi, record.r_inc, "inc")
         assert brute_force_stability_oracle(with_mu, x, phi, record.r_dec, "dec")

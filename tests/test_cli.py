@@ -22,14 +22,16 @@ from muscert.core import (
     FeatureGrouping,
     MuscertError,
     VerificationError,
+    ones_mask,
     top_class_and_gap,
 )
 from muscert.models import load_model
 from muscert.noise import SmoothingConfig
 from muscert.selfcheck import SelfcheckReport, SuiteResult
-from muscert.smoothing import SmoothedModel, smoothed_predict
+from muscert.smoothing import SmoothedModel
 
 from conftest import definitional_certificate
+from reference import mus_evaluate
 
 
 def _base_args(small_artifacts, out, extra=()):
@@ -162,6 +164,18 @@ def test_exit_code_per_error_class(monkeypatch, capsys, error, code):
     assert main(["selfcheck", "--trials", "1"]) == code
     assert capsys.readouterr().err == f"error: {error}\n"
     assert set(MuscertError.__subclasses__()) == {ConfigError, DataError, VerificationError}
+
+
+@pytest.mark.parametrize("command", ["certify", "explain", "attack"])
+@pytest.mark.parametrize("flag", ["--rinc", "--rdec"])
+def test_negative_radius_target_is_usage_error_before_inputs_are_read(
+        small_artifacts, tmp_path, capsys, command, flag):
+    argv = [command, *_base_args(small_artifacts, tmp_path / "o"), flag, "-1"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -1\n"
+    argv[argv.index("--model") + 1] = str(tmp_path / "missing-model.json")
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -1\n"
 
 
 # ------------------------------------------------------------------ certify
@@ -313,7 +327,7 @@ def test_accuracy_curve_intercept_is_clean_accuracy(small_artifacts, tmp_path):
     smoothed = SmoothedModel.build(model, FeatureGrouping.trivial(6), cfg)
     hits = 0
     for x, y in small_artifacts["test"].examples:
-        pred, _ = top_class_and_gap(smoothed_predict(smoothed, x))
+        pred, _ = top_class_and_gap(mus_evaluate(smoothed, x, ones_mask(6)))
         hits += pred == y
     assert values[0] == hits / 24
 

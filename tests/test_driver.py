@@ -18,10 +18,11 @@ from muscert.smoothing import (
     SmoothedModel,
     _atom_means,
     _exact_sums,
-    mus_evaluate,
     mus_evaluate_many,
     mus_evaluate_pairs,
 )
+
+from reference import mus_evaluate
 
 U = 2.0 ** -53
 
@@ -218,9 +219,8 @@ def test_pair_driver_equals_one_example_path(monkeypatch, chunk, batch, n):
 def test_evaluate_only_handle_sees_each_distinct_pair_once():
     model, xs, examples, alphas, _ = _driver_instance(5, batch=False, seed=2)
     mus_evaluate_pairs(model, xs, examples, alphas)
-    atoms = np.array(model.atoms.atoms, dtype=np.uint8)
     distinct = {(e, (np.array(a, dtype=np.uint8) & atom).tobytes())
-                for e, a in zip(examples, alphas) for atom in atoms}
+                for e, a in zip(examples, alphas) for atom in model.atoms}
     assert model.base.calls == len(distinct) < len(examples) * model.cfg.q
 
 

@@ -198,11 +198,30 @@ def test_load_names_bad_field(tmp_path):
      ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a non-numeric weight'),
     ('{"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, 2.0], [0.0, 1.0]],'
      ' "bias": [0.0, [1]]}', 'field "bias" holds a non-numeric weight'),
-], ids=["linear-nan", "linear-bias", "overflow", "mlp", "string", "list"])
+    ('{"kind": "linear", "d": 2, "m": 2, "weights": [[true, false], [0.0, 1.0]],'
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a non-numeric weight: True'),
+    ('{"kind": "mlp", "d": 1, "m": 2, "h": 1, "weights": [[[1.0]], [[1.0], [0.0]]],'
+     ' "bias": [[0.0], [false, 0.0]]}', 'field "bias" holds a non-numeric weight: False'),
+], ids=["linear-nan", "linear-bias", "overflow", "mlp", "string", "list", "bool-weight",
+        "bool-bias"])
 def test_load_rejects_non_finite_or_non_numeric_weights(tmp_path, doc, message):
     path = tmp_path / "nan.json"
     path.write_text(doc)
     with pytest.raises(DataError, match=message):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"kind": "linear", "d": 2, "m": True, "weights": [[1.0, 2.0]], "bias": [0.0]}, "m"),
+    ({"kind": "linear", "d": True, "m": 2, "weights": [[1.0], [2.0]], "bias": [0.0, 0.0]},
+     "d"),
+    ({"kind": "mlp", "d": 1, "m": 2, "h": True, "weights": [[[1.0]], [[1.0], [0.0]]],
+      "bias": [[0.0], [0.0, 0.0]]}, "h"),
+], ids=["m", "d", "h"])
+def test_load_rejects_boolean_sizes(tmp_path, doc, key):
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=f'field "{key}" must be a positive int'):
         load_model(str(path))
 
 

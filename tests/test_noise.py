@@ -15,7 +15,6 @@ from muscert.noise import (
     SmoothingConfig,
     atoms_from_numerators,
     derive_rng_state,
-    derive_seed_vector,
     enumerate_atoms,
     iid_bernoulli_bits,
     lcg_block,
@@ -36,30 +35,29 @@ def test_lcg_first_step_from_zero_seed():
 
 def test_seed_vector_frozen_values():
     assert tuple(seed_vector_numerators(0, 1, 4)) == (2,)
-    assert derive_seed_vector(0, 1, 4) == (0.5,)
     assert tuple(seed_vector_numerators(0, 4, 8)) == (6, 1, 2, 1)
     assert tuple(seed_vector_numerators(42, 6, 16)) == (13, 5, 5, 15, 12, 9)
     # seed 4 lands on the (0, 1/4) pair used by the worked examples
-    assert derive_seed_vector(4, 2, 4) == (0.0, 0.25)
+    assert tuple(seed_vector_numerators(4, 2, 4)) == (0, 1)
 
 
 def test_atom_enumeration_worked_example():
     cfg = SmoothingConfig(q=4, lambda_num=2, seed=4, n=2)
     atoms = enumerate_atoms(cfg)
-    assert atoms.atoms == ((1, 1), (1, 0), (0, 0), (0, 1))
-    assert atoms.seed_vector == (0.0, 0.25)
-    assert atoms.q == 4 and atoms.lambda_num == 2
+    assert atoms.dtype == np.uint8 and atoms.shape == (4, 2)
+    assert atoms.tolist() == [[1, 1], [1, 0], [0, 0], [0, 1]]
+    with pytest.raises(ValueError, match="read-only"):
+        atoms[0, 0] = 0
 
 
 def test_enumerate_atoms_is_deterministic():
     cfg = SmoothingConfig(q=8, lambda_num=3, seed=123, n=5)
-    assert enumerate_atoms(cfg) == enumerate_atoms(cfg)
+    assert enumerate_atoms(cfg).tolist() == enumerate_atoms(cfg).tolist()
 
 
 def test_full_keep_rate_gives_all_ones_atoms():
     cfg = SmoothingConfig(q=6, lambda_num=6, seed=9, n=4)
-    for atom in enumerate_atoms(cfg).atoms:
-        assert atom == (1, 1, 1, 1)
+    assert enumerate_atoms(cfg).tolist() == [[1, 1, 1, 1]] * 6
 
 
 @given(st.integers(2, 16), st.data(), st.integers(1, 9), st.integers(0, 2**62))
@@ -68,7 +66,7 @@ def test_marginals_exact_for_every_coordinate(q, data, n, seed):
     """Each coordinate sees exactly lambda_num ones across the q atoms."""
     lambda_num = data.draw(st.integers(1, q))
     cfg = SmoothingConfig(q=q, lambda_num=lambda_num, seed=seed, n=n)
-    atoms = enumerate_atoms(cfg).atoms
+    atoms = enumerate_atoms(cfg).tolist()
     assert len(atoms) == q
     for i in range(n):
         assert sum(atom[i] for atom in atoms) == lambda_num

@@ -4,27 +4,32 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from muscert import smoothing
-from muscert.core import ConfigError, FeatureGrouping, l1_distance, mask_apply, mask_leq, ones_mask
+from muscert import selfcheck, smoothing
+from muscert.core import ConfigError, FeatureGrouping, ones_mask
 from muscert.models import random_mlp
-from muscert.noise import LcgStream, derive_rng_state
+from muscert.noise import LcgStream, derive_rng_state, enumerate_atoms
 from muscert.selfcheck import LIPSCHITZ_SLACK, _all_masks, _breaks_lipschitz, _random_instance
 from muscert.smoothing import (
     EQUIVALENCE_TOL,
     SmoothedModel,
     masking_equivalence_check,
-    mus_evaluate,
     mus_evaluate_many,
 )
 
+from reference import mask_apply, mus_evaluate
+
 COVER_MESSAGE = "equivalence requires alpha to cover the noise-exempt mask mu"
+
+
+def covers(mu, alpha):
+    return all(m <= a for m, a in zip(mu, alpha))
 
 
 def reference_equivalence(model, x, alphas):
     """The per-alpha check: two definitional q-query averages per mask."""
     n = model.grouping.n
     for alpha in alphas:
-        if model.mu is not None and not mask_leq(model.mu, alpha):
+        if model.mu is not None and not covers(model.mu, alpha):
             raise ConfigError(COVER_MESSAGE)
         lhs = mus_evaluate(model, x, alpha)
         rhs = mus_evaluate(model, mask_apply(x, alpha, model.grouping), ones_mask(n))
@@ -55,7 +60,7 @@ def all_mask_tuples(n):
 def test_batched_equivalence_agrees_with_per_alpha_reference(trial_seed):
     model, x, mu = instance(trial_seed)
     masks = all_mask_tuples(model.n)
-    covering = [alpha for alpha in masks if mask_leq(mu, alpha)]
+    covering = [alpha for alpha in masks if covers(mu, alpha)]
     with_mu = model.with_mu(mu)
     assert masking_equivalence_check(model, x, masks) == reference_equivalence(model, x, masks)
     assert (masking_equivalence_check(with_mu, x, covering)
@@ -71,8 +76,8 @@ def test_one_non_covering_alpha_fails_the_batch():
     mu = (1,) + (0,) * (model.n - 1)
     with_mu = model.with_mu(mu)
     masks = all_mask_tuples(model.n)
-    covering = [alpha for alpha in masks if mask_leq(mu, alpha)]
-    uncovered = next(alpha for alpha in masks if not mask_leq(mu, alpha))
+    covering = [alpha for alpha in masks if covers(mu, alpha)]
+    uncovered = next(alpha for alpha in masks if not covers(mu, alpha))
     batch = covering[:3] + [uncovered] + covering[3:]
     with pytest.raises(ConfigError, match=COVER_MESSAGE) as batched:
         masking_equivalence_check(with_mu, x, batch)
@@ -101,7 +106,7 @@ def test_perturbed_lhs_is_compared_against_an_independent_rhs(monkeypatch, shift
 
     monkeypatch.setattr(smoothing, "mus_evaluate_many", perturbed)
     assert masking_equivalence_check(model, x, masks) is holds
-    covering = [alpha for alpha in masks if mask_leq(mu, alpha)]
+    covering = [alpha for alpha in masks if covers(mu, alpha)]
     assert masking_equivalence_check(model.with_mu(mu), x, covering) is holds
 
 
@@ -111,7 +116,7 @@ def pairwise_violations(values, n, lam):
     found = []
     for a in range(len(masks)):
         for b in range(a + 1, len(masks)):
-            bound = lam * l1_distance(masks[a], masks[b]) + LIPSCHITZ_SLACK
+            bound = lam * sum(u != v for u, v in zip(masks[a], masks[b])) + LIPSCHITZ_SLACK
             for c in range(values.shape[1]):
                 if abs(values[a][c] - values[b][c]) > bound:
                     found.append((a, b, c))
@@ -140,3 +145,25 @@ def test_vectorised_lipschitz_test_matches_pair_loop(trial_seed):
     tampered[a, c] = 0.0
     tampered[b, c] = lam + LIPSCHITZ_SLACK
     assert _breaks_lipschitz(tampered, lam) is bool(pairwise_violations(tampered, n, lam))
+
+
+@pytest.mark.parametrize("period,failures,first", [(1, 25, 40), (3, 8, 41)])
+def test_lqv_marginals_counts_trials_with_a_broken_column(monkeypatch, period, failures,
+                                                          first):
+    """The marginal suite fails exactly the trials whose atoms miss lambda_num
+    ones in one column (every seed, or every third from 41), and names the
+    first of them."""
+    def broken(cfg):
+        atoms = enumerate_atoms(cfg)
+        if cfg.seed % period != 41 % period:
+            return atoms
+        atoms = atoms.copy()
+        atoms[:, -1] = 1 - atoms[:, -1]  # q - lambda_num ones
+        if 2 * cfg.lambda_num == cfg.q:
+            atoms[0, -1] ^= 1
+        return atoms
+
+    assert selfcheck.check_lqv_marginals(25, 40, 8).ok
+    monkeypatch.setattr(selfcheck, "enumerate_atoms", broken)
+    result = selfcheck.check_lqv_marginals(25, 40, 8)
+    assert (result.trials, result.failures, result.first_failure_seed) == (25, failures, first)

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from muscert.core import (
     ConfigError,
+    DataError,
     FeatureGrouping,
-    mask_and,
-    mask_apply,
-    mask_leq,
+    mask_array,
     ones_mask,
     validate_mask,
 )
@@ -21,13 +20,12 @@ from muscert.models import random_linear
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state, enumerate_atoms
 from muscert.smoothing import (
     SmoothedModel,
-    additive_leakage_demo,
     masking_equivalence_check,
-    mus_evaluate,
     mus_evaluate_many,
-    rmus_estimate,
-    smoothed_predict,
+    mus_evaluate_pairs,
 )
+
+from reference import additive_leakage_demo, mask_and, mask_apply, mus_evaluate, rmus_estimate
 
 WORKED_CFG = SmoothingConfig(q=4, lambda_num=2, seed=4, n=2)
 
@@ -77,7 +75,7 @@ def test_worked_example_halves(indicator_handle):
     assert mus_evaluate(model, x, (1, 1)) == (0.5, 0.5)
     assert mus_evaluate(model, x, (1, 0)) == (0.5, 0.5)
     assert mus_evaluate(model, x, (0, 1)) == (0.0, 1.0)
-    assert smoothed_predict(model, x) == (0.5, 0.5)
+    assert mus_evaluate_many(model, x, [(1, 1)]) == [(0.5, 0.5)]
 
 
 def test_exactly_q_base_calls(indicator_handle):
@@ -95,7 +93,7 @@ def test_full_keep_rate_recovers_base():
         cfg = SmoothingConfig(q=8, lambda_num=8, seed=trial, n=n)
         model = SmoothedModel.build(base, FeatureGrouping.trivial(n), cfg)
         x = random_input(trial, n)
-        smoothed = smoothed_predict(model, x)
+        smoothed = mus_evaluate(model, x, ones_mask(n))
         direct = base.evaluate(x)
         assert all(abs(a - b) <= 1e-15 for a, b in zip(smoothed, direct))
 
@@ -112,12 +110,6 @@ def test_protecting_everything_ignores_alpha():
         assert all(abs(a - b) <= 1e-15 for a, b in zip(got, expected))
 
 
-def test_smoothed_predict_is_all_ones_mask():
-    model = random_model(3, 4, 8, 3)
-    x = random_input(3, 4)
-    assert smoothed_predict(model, x) == mus_evaluate(model, x, (1, 1, 1, 1))
-
-
 def test_mus_evaluate_matches_independent_re_enumeration():
     """Fraction-exact recomputation of the atom average stays within 1e-12."""
     for trial in range(5):
@@ -128,7 +120,7 @@ def test_mus_evaluate_matches_independent_re_enumeration():
         for alpha in [(1, 1, 1, 1), (1, 0, 1, 0), (0, 1, 0, 0)]:
             got = mus_evaluate(model, x, alpha)
             totals = [Fraction(0)] * model.m
-            for atom in enumerate_atoms(model.cfg).atoms:
+            for atom in enumerate_atoms(model.cfg).tolist():
                 eff = mask_and(alpha, atom)
                 p = model.base.evaluate(mask_apply(x, eff, grouping))
                 for c in range(model.m):
@@ -153,6 +145,9 @@ def test_dimension_errors():
     [(1, float("nan"), 0)],        # NaN
     [(1, float("inf"), 0)],
     [(1, 2**70, 0)],
+    [(0.5, 1, 0)],                 # not read as 0
+    [(1, 1, 1), (1, 0.9, 0)],      # nor as 1 past a good mask
+    [(1, 1 + 2**-52, 0)],
     (1, 1, 1),                     # one mask, not a batch
 ])
 def test_mus_evaluate_many_rejects_alphas_as_validate_mask_does(alphas):
@@ -168,8 +163,24 @@ def test_mus_evaluate_many_reads_alphas_as_validate_mask_does():
     model = random_model(0, 3, 4, 2)
     x = (1.0, 2.0, 3.0)
     assert mus_evaluate_many(model, x, []) == []
-    assert (mus_evaluate_many(model, x, [(1.0, 0, True), (0.7, 1, 0)])
+    assert (mus_evaluate_many(model, x, [(1.0, 0, True), (0.0, 1, 0)])
             == [mus_evaluate(model, x, (1, 0, 1)), mus_evaluate(model, x, (0, 1, 0))])
+
+
+def test_non_integer_mask_entries_are_rejected_by_every_entry_point():
+    """0.7 is not read as 0: nothing is computed for a mask never given."""
+    model = random_model(0, 3, 4, 2)
+    x = (1.0, 2.0, 3.0)
+    message = "mask entries must be 0 or 1, got [0.7, 1, 0]"
+    calls = [lambda: validate_mask((0.7, 1, 0), 3),
+             lambda: mask_array([(0.7, 1, 0)], 3),
+             lambda: mus_evaluate_pairs(model, [x], [0], [(0.7, 1, 0)]),
+             lambda: mus_evaluate_pairs(model, [x], [0], [(1, 1, 1)], mus=[(0.7, 1, 0)]),
+             lambda: model.with_mu((0.7, 1, 0))]
+    for call in calls:
+        with pytest.raises(DataError) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_non_simplex_base_output_aborts():
@@ -204,7 +215,7 @@ def test_equivalence_with_mu_requires_covering_alpha():
     model = SmoothedModel.build(base, FeatureGrouping.trivial(n), cfg, mu=mu)
     x = random_input(9, n)
     for alpha in all_masks(n):
-        if mask_leq(mu, alpha):
+        if all(m <= a for m, a in zip(mu, alpha)):
             assert masking_equivalence_check(model, x, [alpha])
         else:
             with pytest.raises(ConfigError, match="equivalence requires alpha to cover"):
@@ -286,5 +297,5 @@ def test_grouped_smoothing_masks_whole_groups(indicator_handle):
     # two of four atoms keep the group, the other two zero feature 0
     assert kept == (0.5, 0.5)
     assert mus_evaluate(model, x, (0,)) == (0.0, 1.0)
-    assert smoothed_predict(model, x) == kept
+    assert mus_evaluate_many(model, x, [(1,)]) == [kept]
     assert masking_equivalence_check(model, x, [(0,)])
