@@ -33,7 +33,6 @@ from .core import (
     VerificationError,
     ones_mask,
     popcount,
-    top_class_and_gap,
     zeros_mask,
 )
 from .data import LabeledDataset, load_csv_dataset, load_grouping, save_csv_dataset, synth_blobs

@@ -22,7 +22,6 @@ from .core import (
     evaluate_rows,
     mask_apply_rows,
     ones_mask,
-    top_class_and_gap,
     top_classes_and_gaps,
     unique_masks,
 )
@@ -52,8 +51,7 @@ class ScoreVector:
 
 
 def _predicted_class(probs: Sequence[float]) -> int:
-    c, _ = top_class_and_gap(probs)
-    return c
+    return int(top_classes_and_gaps(np.array([probs], dtype=float))[0][0])
 
 
 def occlusion_scores(model: SmoothedModel, x: Sequence[float]) -> ScoreVector:

@@ -122,47 +122,42 @@ class ClassifierHandle(Protocol):
     def evaluate(self, x: Sequence[float]) -> Sequence[float]: ...
 
 
-def validate_logits(p: Sequence[float], m: int | None = None) -> Logits:
-    """Check the probability-vector contract; raise ConfigError otherwise."""
-    probs = tuple(float(v) for v in p)
-    if m is not None and len(probs) != m:
-        raise ConfigError(f"expected {m} class probabilities, got {len(probs)}")
-    for v in probs:
-        if not (0.0 <= v <= 1.0):
-            raise ConfigError(f"probability {v!r} outside [0, 1]")
-    if abs(sum(probs) - 1.0) > LOGITS_SUM_TOL:
-        raise ConfigError(f"probabilities sum to {sum(probs)!r}, not 1")
-    return probs
-
-
 def validate_logits_batch(probs, k: int, m: int) -> np.ndarray:
-    """validate_logits for every row of a (k, m) batch, as one float array."""
+    """Check the probability contract on every row of a (k, m) batch and
+    return it as one float array. The first failing row raises ConfigError
+    naming its first entry outside [0, 1], else its sum (off 1 by more than
+    LOGITS_SUM_TOL)."""
     try:
         arr = np.asarray(probs, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"batch output is not a numeric array: {exc}") from exc
     if arr.shape != (k, m):
         raise ConfigError(f"expected a ({k}, {m}) probability batch, got shape {arr.shape}")
-    # Column by column from 0, the order in which sum() adds one row.
+    # Column by column from 0: each row is summed left to right, the same on
+    # every Python version (sum() compensates from 3.12 on).
     total = np.zeros(k)
     for c in range(m):
         total += arr[:, c]
-    ok = ((arr >= 0.0) & (arr <= 1.0)).all(axis=1) & (np.abs(total - 1.0) <= LOGITS_SUM_TOL)
+    in_range = (arr >= 0.0) & (arr <= 1.0)
+    ok = in_range.all(axis=1) & (np.abs(total - 1.0) <= LOGITS_SUM_TOL)
     if not ok.all():
-        validate_logits(arr[int(np.argmin(ok))].tolist(), m)
+        row = int(np.argmin(ok))
+        if not in_range[row].all():
+            v = float(arr[row, int(np.argmin(in_range[row]))])
+            raise ConfigError(f"probability {v!r} outside [0, 1]")
+        raise ConfigError(f"probabilities sum to {float(total[row])!r}, not 1")
     return arr
 
 
 def evaluate_rows(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
-    """The checked (k, m) base outputs for the rows of a (k, d) input array.
-
-    One evaluate_batch call when the handle has it; otherwise one evaluate
-    call per row, each checked by validate_logits.
-    """
+    """The checked (k, m) base outputs for the rows of a (k, d) input array:
+    one evaluate_batch call when the handle has it, else one evaluate call
+    per row, stacked; validate_logits_batch checks either."""
     if hasattr(base, "evaluate_batch"):
-        return validate_logits_batch(base.evaluate_batch(inputs), len(inputs), base.m)
-    rows = [validate_logits(base.evaluate(tuple(z)), base.m) for z in inputs.tolist()]
-    return np.array(rows, dtype=float).reshape(len(inputs), base.m)
+        outputs = base.evaluate_batch(inputs)
+    else:
+        outputs = [base.evaluate(tuple(z)) for z in inputs.tolist()] or np.empty((0, base.m))
+    return validate_logits_batch(outputs, len(inputs), base.m)
 
 
 def mask_apply_rows(x: np.ndarray, masks: np.ndarray, index_map: np.ndarray) -> np.ndarray:
@@ -215,39 +210,21 @@ def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank, order[new]
 
 
-def top_class_and_gap(p: Sequence[float]) -> tuple[int, float]:
-    """Argmax class (ties broken by lowest index) and top-two probability gap."""
-    if len(p) < 2:
-        raise ConfigError(f"need at least 2 classes, got {len(p)}")
-    best = 0
-    for i in range(1, len(p)):
-        if p[i] > p[best]:
-            best = i
-    second = None
-    for i, v in enumerate(p):
-        if i == best:
-            continue
-        if second is None or v > second:
-            second = v
-    return best, p[best] - second
-
-
 def top_classes_and_gaps(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """top_class_and_gap for every row of a (k, m) array, as two arrays.
+    """Argmax class (ties broken by lowest index) and top-two probability
+    gap of every row of a (k, m) array, as two arrays.
 
-    argmax keeps the first maximum, the lowest index on ties. Where the
-    runner-up is a zero, np.max may return -0.0 where the loop returns 0.0;
-    the gap is the same unless the top value is zero too, which no row of
-    probabilities summing to one has.
+    argmax keeps the first maximum, the lowest index on ties. Partitioning
+    each row at m-2 puts its two largest values last, equal on a tie. Where
+    one of them is a zero, partition may return -0.0 for it; the gap is the
+    same unless the top value is zero too, which no row of probabilities
+    summing to one has.
     """
-    k, m = probs.shape
+    m = probs.shape[1]
     if m < 2:
         raise ConfigError(f"need at least 2 classes, got {m}")
-    rows = np.arange(k)
-    best = probs.argmax(axis=1)
-    rest = probs.copy()
-    rest[rows, best] = -np.inf
-    return best, probs[rows, best] - rest.max(axis=1)
+    top_two = np.partition(probs, m - 2, axis=1)[:, -2:]
+    return probs.argmax(axis=1), top_two[:, 1] - top_two[:, 0]
 
 
 def ones_mask(n: int) -> Mask:
@@ -287,9 +264,9 @@ def validate_mask(a: Sequence[int], n: int | None = None) -> Mask:
     """Boundary check for masks coming from files or flags: every entry must
     equal 0 or 1 exactly (True and 1.0 pass, 0.5 does not)."""
     values = list(a)
-    bits = tuple(int(v) for v in values)
-    if any(b not in (0, 1) or b != v for b, v in zip(bits, values)):
+    if not all(v in (0, 1) for v in values):
         raise DataError(f"mask entries must be 0 or 1, got {values!r}")
+    bits = tuple(int(v) for v in values)
     if n is not None and len(bits) != n:
         raise ConfigError(f"mask length {len(bits)} != expected {n}")
     return bits

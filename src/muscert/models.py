@@ -340,16 +340,17 @@ def _require_vector(doc: dict, key: str, length: int) -> tuple[float, ...]:
 
 
 def _finite_values(raw: list, where: str) -> tuple[float, ...]:
-    """The entries as floats; JSON NaN, Infinity and overflowing literals
-    parse, but a model holding them outputs no probabilities. JSON true and
-    false are not numbers, though Python would read them as 1 and 0."""
+    """The entries as floats. Only JSON numbers are weights: strings are
+    not read as numbers, nor true and false as 1 and 0. JSON NaN, Infinity,
+    overflowing float literals and integers too large for a float parse,
+    but a model holding them outputs no probabilities."""
     for v in raw:
-        if isinstance(v, bool):
+        if type(v) not in (int, float):
             raise DataError(f"{where} holds a non-numeric weight: {v!r}")
     try:
         values = tuple(float(v) for v in raw)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where} holds a non-numeric weight: {exc}") from exc
+    except OverflowError as exc:
+        raise DataError(f"{where} holds a weight too large for a float") from exc
     for v in values:
         if not math.isfinite(v):
             raise DataError(f"{where} holds non-finite weight {v!r}")

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ConfigError, Mask
+from .core import ConfigError
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -29,8 +29,9 @@ def lcg_step(state: int) -> int:
 class LcgStream:
     """Stateful convenience wrapper over lcg_step.
 
-    The first value drawn from seed s is lcg_step(s), matching the
-    seed_vector_numerators recipe (x_0 = seed, outputs start at x_1).
+    The first value drawn from seed s is lcg_step(s): x_0 = seed and the
+    outputs start at x_1, as in lcg_block and the seed vector of
+    enumerate_atoms.
     """
 
     def __init__(self, state: int) -> None:
@@ -130,49 +131,24 @@ class SmoothingConfig:
         return self.lambda_num / self.q
 
 
-def seed_vector_numerators(seed: int, n: int, q: int) -> tuple[int, ...]:
-    """Integer numerators m_i with v_i = m_i / q, derived from the LCG."""
-    if q <= 1:
-        raise ConfigError(f"q must be > 1, got {q}")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    stream = LcgStream(seed)
-    return tuple((stream.next_u64() >> 32) % q for _ in range(n))
-
-
-def atoms_from_numerators(
-    v_numerators: tuple[int, ...], q: int, lambda_num: int
-) -> tuple[Mask, ...]:
-    """Enumerate the q atoms for seed vector v = v_numerators / q.
-
-    Atom j (j = 1..q, base offsets ascending) has bit i set iff
-    t_i = (v_i + j/q - 1/(2q)) mod 1 <= lambda_num/q. The comparison is done
-    on integers over a 2q denominator: the t numerators are odd while the
-    threshold numerator 2*lambda_num is even, so no t_i ever sits exactly on
-    the threshold and float rounding can never flip a bit.
-    """
-    two_q = 2 * q
-    threshold = 2 * lambda_num
-    atoms = []
-    for j in range(1, q + 1):
-        bits = tuple(
-            1 if (2 * m_i + 2 * j - 1) % two_q <= threshold else 0
-            for m_i in v_numerators
-        )
-        atoms.append(bits)
-    return tuple(atoms)
-
-
 def enumerate_atoms(cfg: SmoothingConfig) -> np.ndarray:
     """The q atoms of a config as a (q, n) uint8 array, row j-1 holding atom j.
+
+    The seed vector is v_i = m_i / q with m_i = (x_i >> 32) mod q, where
+    x_1..x_n are the first n values of LcgStream(seed). Atom j (j = 1..q)
+    has bit i set iff t_i = (v_i + j/q - 1/(2q)) mod 1 <= lambda_num/q. The
+    comparison is done on integers over a 2q denominator,
+    (2 m_i + 2j - 1) mod 2q <= 2 lambda_num: the left side is odd while the
+    threshold is even, so no t_i ever sits exactly on the threshold and
+    float rounding can never flip a bit.
 
     Each atom is weighted 1/q, and every column holds exactly lambda_num
     ones (the exact Bernoulli marginal). A smoothed model shares the array
     with its with_mu twins, so it is made read-only, as the jump tables are.
     """
-    numerators = seed_vector_numerators(cfg.seed, cfg.n, cfg.q)
-    atoms = np.array(atoms_from_numerators(numerators, cfg.q, cfg.lambda_num),
-                     dtype=np.uint8)
+    m = (lcg_block(cfg.seed, cfg.n) >> 32) % cfg.q
+    odd = np.arange(1, 2 * cfg.q, 2, dtype=np.uint64)[:, None]  # 2j - 1, j = 1..q
+    atoms = ((2 * m + odd) % (2 * cfg.q) <= 2 * cfg.lambda_num).astype(np.uint8)
     atoms.flags.writeable = False
     return atoms
 

@@ -17,11 +17,7 @@ from .certify import (
     brute_force_stability_oracle,
     certify_example,
 )
-from .core import (
-    ConfigError,
-    FeatureGrouping,
-    top_class_and_gap,
-)
+from .core import ConfigError, FeatureGrouping, top_classes_and_gaps
 from .models import MlpModel, random_linear, random_mlp
 from .noise import (
     LcgStream,
@@ -82,37 +78,35 @@ def _random_instance(trial_seed: int, max_n: int):
     return model, x, stream
 
 
+def _suite(name: str, trials: int, seed: int, fails) -> SuiteResult:
+    """Run fails(trial_seed) for trial seeds seed .. seed + trials - 1 and
+    count the trials that fail, with the first failing seed."""
+    failed = [trial_seed for trial_seed in range(seed, seed + trials) if fails(trial_seed)]
+    return SuiteResult(name, trials, len(failed), failed[0] if failed else None)
+
+
 def check_lqv_marginals(trials: int, seed: int, max_n: int = 8) -> SuiteResult:
     """Every coordinate of the atom set carries exactly lambda_num ones."""
-    failures = 0
-    first = None
-    for t in range(trials):
-        trial_seed = seed + t
+    def fails(trial_seed: int) -> bool:
         stream = LcgStream(derive_rng_state(trial_seed, 0))
         q = 2 + stream.next_below(15)
         lambda_num = 1 + stream.next_below(q)
         n = 1 + stream.next_below(max_n)
         cfg = SmoothingConfig(q=q, lambda_num=lambda_num, seed=trial_seed, n=n)
-        if (enumerate_atoms(cfg).sum(axis=0) != lambda_num).any():
-            failures += 1
-            first = first if first is not None else trial_seed
-    return SuiteResult("lqv_marginals", trials, failures, first)
+        return (enumerate_atoms(cfg).sum(axis=0) != lambda_num).any()
+
+    return _suite("lqv_marginals", trials, seed, fails)
 
 
 def check_lipschitz(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
     """Exhaustive pairwise slope bound on the smoothed output over masks."""
-    failures = 0
-    first = None
-    for t in range(trials):
-        trial_seed = seed + t
+    def fails(trial_seed: int) -> bool:
         model, x, _ = _random_instance(trial_seed, max_n)
-        n = model.grouping.n
         lam = model.cfg.lambda_num / model.cfg.q
-        values = np.array(mus_evaluate_many(model, x, _all_masks(n)))
-        if _breaks_lipschitz(values, lam):
-            failures += 1
-            first = first if first is not None else trial_seed
-    return SuiteResult("lipschitz", trials, failures, first)
+        values = np.array(mus_evaluate_many(model, x, _all_masks(model.grouping.n)))
+        return _breaks_lipschitz(values, lam)
+
+    return _suite("lipschitz", trials, seed, fails)
 
 
 def _breaks_lipschitz(values: np.ndarray, lam: float) -> bool:
@@ -127,46 +121,33 @@ def _breaks_lipschitz(values: np.ndarray, lam: float) -> bool:
 
 def check_masking_equivalence(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
     """Mask-then-average equals pre-mask-then-average, with and without mu."""
-    failures = 0
-    first = None
-    for t in range(trials):
-        trial_seed = seed + t
+    def fails(trial_seed: int) -> bool:
         model, x, stream = _random_instance(trial_seed, max_n)
         n = model.grouping.n
         mu = tuple(stream.next_below(2) for _ in range(n))
         masks = _all_masks(n)
         covering = masks[(masks >= np.array(mu, dtype=np.uint8)).all(axis=1)]
-        if not (masking_equivalence_check(model, x, masks)
-                and masking_equivalence_check(model.with_mu(mu), x, covering)):
-            failures += 1
-            first = first if first is not None else trial_seed
-    return SuiteResult("masking_equivalence", trials, failures, first)
+        return not (masking_equivalence_check(model, x, masks)
+                    and masking_equivalence_check(model.with_mu(mu), x, covering))
+
+    return _suite("masking_equivalence", trials, seed, fails)
 
 
 def check_soundness(trials: int, seed: int, max_n: int = 8) -> SuiteResult:
     """Certified radii never exceed what exhaustive enumeration allows."""
-    failures = 0
-    first = None
-    for t in range(trials):
-        trial_seed = seed + t
+    def fails(trial_seed: int) -> bool:
         model, x, stream = _random_instance(trial_seed, max_n)
-        n = model.grouping.n
-        phi = tuple(stream.next_below(2) for _ in range(n))
-        record = certify_example(model, x, phi, example_id=t)
-        ok_inc = brute_force_stability_oracle(model, x, phi, record.r_inc, "inc")
-        ok_dec = brute_force_stability_oracle(model, x, phi, record.r_dec, "dec")
-        if not (ok_inc and ok_dec):
-            failures += 1
-            first = first if first is not None else trial_seed
-    return SuiteResult("soundness", trials, failures, first)
+        phi = tuple(stream.next_below(2) for _ in range(model.grouping.n))
+        record = certify_example(model, x, phi, example_id=trial_seed - seed)
+        return not (brute_force_stability_oracle(model, x, phi, record.r_inc, "inc")
+                    and brute_force_stability_oracle(model, x, phi, record.r_dec, "dec"))
+
+    return _suite("soundness", trials, seed, fails)
 
 
 def check_shap_efficiency(trials: int, seed: int, max_n: int = 4) -> SuiteResult:
     """Exhaustive-permutation Shapley scores sum to p_c(x) - p_c(0)."""
-    failures = 0
-    first = None
-    for t in range(trials):
-        trial_seed = seed + t
+    def fails(trial_seed: int) -> bool:
         stream = LcgStream(derive_rng_state(trial_seed, 0))
         n = 2 + stream.next_below(min(max_n, 4) - 1)
         m = 2 + stream.next_below(2)
@@ -176,13 +157,11 @@ def check_shap_efficiency(trials: int, seed: int, max_n: int = 4) -> SuiteResult
         sv = shap_lite_scores(base, x, grouping, permutations=1,
                               rng_state=trial_seed, exhaustive=True)
         p_full = base.evaluate(x)
-        c, _ = top_class_and_gap(p_full)
+        c = top_classes_and_gaps(np.array([p_full]))[0][0]
         p_zero = base.evaluate(tuple(0.0 for _ in range(n)))
-        total = math.fsum(sv.scores)
-        if abs(total - (p_full[c] - p_zero[c])) > SHAP_EFFICIENCY_TOL:
-            failures += 1
-            first = first if first is not None else trial_seed
-    return SuiteResult("shap_efficiency", trials, failures, first)
+        return abs(math.fsum(sv.scores) - (p_full[c] - p_zero[c])) > SHAP_EFFICIENCY_TOL
+
+    return _suite("shap_efficiency", trials, seed, fails)
 
 
 def check_gradient_fd(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
@@ -192,10 +171,7 @@ def check_gradient_fd(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
     finite-difference step of the ReLU kink: there the central difference
     straddles the kink and measures neither one-sided slope.
     """
-    failures = 0
-    first = None
-    for t in range(trials):
-        trial_seed = seed + t
+    def fails(trial_seed: int) -> bool:
         stream = LcgStream(derive_rng_state(trial_seed, 0))
         n = 2 + stream.next_below(max(1, min(max_n, 6) - 1))
         m = 2 + stream.next_below(2)
@@ -210,10 +186,9 @@ def check_gradient_fd(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
         analytic = gradient_scores(base, x, grouping)
         numeric = gradient_scores(_NoGradient(base), x, grouping)
         err = max(abs(a - b) for a, b in zip(analytic.scores, numeric.scores))
-        if err > GRADIENT_FD_TOL:
-            failures += 1
-            first = first if first is not None else trial_seed
-    return SuiteResult("gradient_fd", trials, failures, first)
+        return err > GRADIENT_FD_TOL
+
+    return _suite("gradient_fd", trials, seed, fails)
 
 
 def _near_relu_kink(base: MlpModel, x: tuple[float, ...]) -> bool:

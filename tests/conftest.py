@@ -7,11 +7,11 @@ import pytest
 
 from muscert import fit_logistic, save_csv_dataset, save_model, synth_blobs
 from muscert.certify import radius_from_gap
-from muscert.core import ones_mask, top_class_and_gap
+from muscert.core import ones_mask
 from muscert.data import LabeledDataset
 from muscert.noise import derive_rng_state
 
-from reference import mus_evaluate
+from reference import mus_evaluate, top_class_and_gap
 
 
 class IndicatorFirstFeature:

@@ -7,7 +7,9 @@ through the batch driver (`mus_evaluate_pairs`), so the two are independent
 computations of the same numbers. `rmus_estimate` is the Monte Carlo mean
 under iid Bernoulli masks that the atom average derandomizes, and
 `additive_leakage_demo` shows that additive mask noise leaks information
-where multiplicative noise does not.
+where multiplicative noise does not. `validate_logits` and
+`top_class_and_gap` are the scalar probability contract and argmax/gap rule
+that the package applies to whole arrays.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from muscert.core import (
+    LOGITS_SUM_TOL,
     ClassifierHandle,
     ConfigError,
     FeatureGrouping,
@@ -26,12 +29,41 @@ from muscert.core import (
     Vector,
     evaluate_rows,
     mask_apply_rows,
-    validate_logits,
     validate_mask,
     zeros_mask,
 )
 from muscert.noise import iid_bernoulli_bits
 from muscert.smoothing import EQUIVALENCE_TOL, SmoothedModel
+
+
+def validate_logits(p: Sequence[float], m: int | None = None) -> Logits:
+    """Check the probability-vector contract; raise ConfigError otherwise."""
+    probs = tuple(float(v) for v in p)
+    if m is not None and len(probs) != m:
+        raise ConfigError(f"expected {m} class probabilities, got {len(probs)}")
+    for v in probs:
+        if not (0.0 <= v <= 1.0):
+            raise ConfigError(f"probability {v!r} outside [0, 1]")
+    if abs(sum(probs) - 1.0) > LOGITS_SUM_TOL:
+        raise ConfigError(f"probabilities sum to {sum(probs)!r}, not 1")
+    return probs
+
+
+def top_class_and_gap(p: Sequence[float]) -> tuple[int, float]:
+    """Argmax class (ties broken by lowest index) and top-two probability gap."""
+    if len(p) < 2:
+        raise ConfigError(f"need at least 2 classes, got {len(p)}")
+    best = 0
+    for i in range(1, len(p)):
+        if p[i] > p[best]:
+            best = i
+    second = None
+    for i, v in enumerate(p):
+        if i == best:
+            continue
+        if second is None or v > second:
+            second = v
+    return best, p[best] - second
 
 
 def _check_same_length(a: Sequence, b: Sequence, what: str) -> None:

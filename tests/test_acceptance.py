@@ -16,7 +16,7 @@ from muscert.certify import (
     certify_example,
 )
 from muscert.cli import EXIT_OK, main
-from muscert.core import FeatureGrouping, ones_mask, top_class_and_gap
+from muscert.core import FeatureGrouping, ones_mask
 from muscert.models import random_linear, random_mlp
 from muscert.noise import (
     LcgStream,
@@ -26,7 +26,14 @@ from muscert.noise import (
 )
 from muscert.smoothing import SmoothedModel, masking_equivalence_check
 
-from reference import additive_leakage_demo, mask_and, mask_apply, mus_evaluate, rmus_estimate
+from reference import (
+    additive_leakage_demo,
+    mask_and,
+    mask_apply,
+    mus_evaluate,
+    rmus_estimate,
+    top_class_and_gap,
+)
 
 Q_CHOICES = (4, 8, 16)
 

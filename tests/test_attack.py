@@ -13,13 +13,12 @@ from muscert.core import (
     FeatureGrouping,
     ones_mask,
     popcount,
-    top_class_and_gap,
 )
 from muscert.models import random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state
 from muscert.smoothing import SmoothedModel
 
-from reference import mus_evaluate
+from reference import mus_evaluate, top_class_and_gap
 
 
 def _instance(seed, n=4, q=8, lambda_num=4, mlp=False, tries=8):

@@ -26,14 +26,13 @@ from muscert.core import (
     FeatureGrouping,
     ones_mask,
     popcount,
-    top_class_and_gap,
 )
 from muscert.models import LinearSoftmaxModel, random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, iid_bernoulli_bits
 from muscert.smoothing import SmoothedModel
 
 from conftest import ConstantHandle, definitional_certificate
-from reference import mask_apply, mus_evaluate
+from reference import mask_apply, mus_evaluate, top_class_and_gap
 
 
 class DyadicAdditiveHandle:

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from muscert.certify import brute_force_stability_oracle
-from muscert.core import ConfigError, FeatureGrouping, validate_logits
+from muscert.core import ConfigError, FeatureGrouping, evaluate_rows
 from muscert.models import MlpModel, random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state, enumerate_atoms
 from muscert.smoothing import SmoothedModel, mus_evaluate_many
 
-from reference import mask_and, mask_or, mus_evaluate
+from conftest import ConstantHandle
+from reference import mask_and, mask_or, mus_evaluate, validate_logits
 
 # sha256 of save_model(fit_logistic(...)) for the conftest fixtures, as
 # written by the per-example training loop the batch trainer replaced.
@@ -174,6 +175,17 @@ def test_batch_contract_violations_raise_like_validate_logits():
             assert str(want.value) == "expected 2 class probabilities, got 3"
         else:
             assert str(got.value) == str(want.value)
+
+
+def test_contract_sums_each_row_left_to_right_with_or_without_a_batch_method():
+    """This row adds up to 1.000000001 from left to right, just past the
+    tolerance; a compensated sum (sum() from Python 3.12 on) would give
+    1.0000000009999999 and pass it."""
+    row = (0.13316528022862978, 0.6950509349425191, 0.17178378582885104)
+    for handle in (ConstantHandle(row, 2),
+                   BatchOnly(2, 3, lambda z: np.tile(row, (len(z), 1)))):
+        with pytest.raises(ConfigError, match="^probabilities sum to 1.000000001, not 1$"):
+            evaluate_rows(handle, np.zeros((4, 2)))
 
 
 def test_oracle_finds_a_flip_in_a_later_chunk():

@@ -2,11 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import muscert
 from muscert.attack import AttackResult
 from muscert.attribution import occlusion_scores, topk_binarize
 from muscert.cli import (
@@ -23,7 +26,6 @@ from muscert.core import (
     MuscertError,
     VerificationError,
     ones_mask,
-    top_class_and_gap,
 )
 from muscert.models import load_model
 from muscert.noise import SmoothingConfig
@@ -31,7 +33,7 @@ from muscert.selfcheck import SelfcheckReport, SuiteResult
 from muscert.smoothing import SmoothedModel
 
 from conftest import definitional_certificate
-from reference import mus_evaluate
+from reference import mus_evaluate, top_class_and_gap
 
 
 def _base_args(small_artifacts, out, extra=()):
@@ -89,6 +91,17 @@ def test_malformed_model_is_data_error(small_artifacts, tmp_path):
             "--out", str(tmp_path / "o"),
             "--q", "8", "--lambda-num", "2", "--topk", "2"]
     assert main(argv) == EXIT_DATA
+
+
+def test_model_weight_too_large_for_a_float_is_data_error(small_artifacts, tmp_path, capsys):
+    doc = json.loads(Path(small_artifacts["model_path"]).read_text())
+    doc["bias"][0] = 10 ** 400
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["accuracy-curve", *_base_args(small_artifacts, tmp_path / "o")]
+    argv[argv.index("--model") + 1] = str(bad)
+    assert main(argv) == EXIT_DATA
+    assert 'field "bias" holds a weight too large for a float' in capsys.readouterr().err
 
 
 def test_off_grid_keep_rate_is_usage_error(small_artifacts, tmp_path, capsys):
@@ -412,10 +425,14 @@ def test_selfcheck_failure_exits_three(monkeypatch):
 
 
 def test_module_entry_point_runs():
+    # The child imports the same package as this process, installed or not.
+    src = str(Path(muscert.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
         [sys.executable, "-m", "muscert", "selfcheck",
          "--max-n", "3", "--trials", "2"],
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "all suites passed" in proc.stdout

@@ -13,8 +13,8 @@ from muscert.core import (
     mask_apply_rows,
     ones_mask,
     popcount,
-    top_class_and_gap,
-    validate_logits,
+    top_classes_and_gaps,
+    validate_logits_batch,
     validate_mask,
     zeros_mask,
 )
@@ -87,23 +87,27 @@ def test_grouping_rejects_non_partitions(doc, message):
 
 
 def test_top_class_prefers_lowest_index_on_tie():
-    assert top_class_and_gap((0.4, 0.4, 0.2)) == (0, 0.0)
-    assert top_class_and_gap((0.2, 0.5, 0.3)) == (1, pytest.approx(0.2))
+    classes, gaps = top_classes_and_gaps(np.array([(0.4, 0.4, 0.2), (0.2, 0.5, 0.3)]))
+    assert classes.tolist() == [0, 1]
+    assert gaps.tolist() == [0.0, pytest.approx(0.2)]
 
 
 def test_top_class_needs_two_classes():
     with pytest.raises(ConfigError, match="need at least 2 classes, got 1"):
-        top_class_and_gap((1.0,))
+        top_classes_and_gaps(np.array([(1.0,)]))
 
 
 def test_validate_logits_contract():
-    validate_logits((0.25, 0.75))
-    with pytest.raises(ConfigError, match="probabilities sum to 1.2, not 1"):
-        validate_logits((0.6, 0.6))
-    with pytest.raises(ConfigError, match=r"probability -0\.1 outside \[0, 1\]"):
-        validate_logits((-0.1, 1.1))
-    with pytest.raises(ConfigError, match="expected 3 class probabilities, got 2"):
-        validate_logits((0.5, 0.5), m=3)
+    assert validate_logits_batch([(0.25, 0.75)], 1, 2).tolist() == [[0.25, 0.75]]
+    with pytest.raises(ConfigError, match="^probabilities sum to 1.2, not 1$"):
+        validate_logits_batch([(0.6, 0.6)], 1, 2)
+    with pytest.raises(ConfigError, match=r"^probability -0\.1 outside \[0, 1\]$"):
+        validate_logits_batch([(-0.1, 1.1)], 1, 2)
+    with pytest.raises(ConfigError, match=r"^probability nan outside \[0, 1\]$"):
+        validate_logits_batch([(0.5, float("nan"))], 1, 2)
+    with pytest.raises(ConfigError,
+                       match=r"expected a \(1, 3\) probability batch, got shape \(1, 2\)"):
+        validate_logits_batch([(0.5, 0.5)], 1, 3)
 
 
 def test_mask_helpers():

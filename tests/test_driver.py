@@ -11,7 +11,7 @@ from muscert import smoothing
 from muscert.attack import attack_decremental, attack_incremental, attack_walks
 from muscert.attribution import greedy_stable_attribution, greedy_stable_masks
 from muscert.certify import certify_example, certify_examples
-from muscert.core import FeatureGrouping, top_class_and_gap, top_classes_and_gaps, unique_masks
+from muscert.core import FeatureGrouping, top_classes_and_gaps, unique_masks
 from muscert.models import random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state
 from muscert.smoothing import (
@@ -22,7 +22,7 @@ from muscert.smoothing import (
     mus_evaluate_pairs,
 )
 
-from reference import mus_evaluate
+from reference import mus_evaluate, top_class_and_gap
 
 U = 2.0 ** -53
 

@@ -202,8 +202,12 @@ def test_load_names_bad_field(tmp_path):
      ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a non-numeric weight: True'),
     ('{"kind": "mlp", "d": 1, "m": 2, "h": 1, "weights": [[[1.0]], [[1.0], [0.0]]],'
      ' "bias": [[0.0], [false, 0.0]]}', 'field "bias" holds a non-numeric weight: False'),
+    ('{"kind": "linear", "d": 2, "m": 2, "weights": [["1.5", "2"], [0.0, 1.0]],'
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a non-numeric weight: \'1.5\''),
+    ('{"kind": "linear", "d": 1, "m": 2, "weights": [[1' + '0' * 400 + '], [0.0]],'
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a weight too large for a float'),
 ], ids=["linear-nan", "linear-bias", "overflow", "mlp", "string", "list", "bool-weight",
-        "bool-bias"])
+        "bool-bias", "numeric-string", "huge-int"])
 def test_load_rejects_non_finite_or_non_numeric_weights(tmp_path, doc, message):
     path = tmp_path / "nan.json"
     path.write_text(doc)

@@ -149,14 +149,23 @@ def test_dimension_errors():
     [(1, 1, 1), (1, 0.9, 0)],      # nor as 1 past a good mask
     [(1, 1 + 2**-52, 0)],
     (1, 1, 1),                     # one mask, not a batch
+    [(1, None, 0)],
 ])
 def test_mus_evaluate_many_rejects_alphas_as_validate_mask_does(alphas):
     model = random_model(0, 3, 4, 2)
+    x = (1.0, 2.0, 3.0)
     with pytest.raises(Exception) as want:
         [validate_mask(a, 3) for a in alphas]
-    with pytest.raises(want.type) as got:
-        mus_evaluate_many(model, (1.0, 2.0, 3.0), alphas)
-    assert str(got.value) == str(want.value)
+    # Only a mask that is no sequence at all escapes the package's errors;
+    # a bad entry (NaN, inf and None too) is a DataError.
+    assert want.type is (TypeError if alphas == (1, 1, 1) else
+                         ConfigError if "length" in str(want.value) else DataError)
+    for call in (lambda: mask_array(alphas, 3),
+                 lambda: mus_evaluate_many(model, x, alphas),
+                 lambda: mus_evaluate_pairs(model, [x], [0] * len(alphas), alphas)):
+        with pytest.raises(want.type) as got:
+            call()
+        assert str(got.value) == str(want.value)
 
 
 def test_mus_evaluate_many_reads_alphas_as_validate_mask_does():
