@@ -7,9 +7,8 @@ how many features may be added to, or removed from, an explanation
 before the prediction can change. Brute-force oracles re-verify every
 certificate at desk scale.
 """
-from .attack import AttackResult, AttackStep, attack_decremental, attack_incremental
+from .attack import AttackResult, attack_decremental, attack_incremental
 from .attribution import (
-    ScoreVector,
     gradient_scores,
     greedy_stable_attribution,
     lime_lite_scores,

@@ -23,22 +23,11 @@ from .smoothing import SmoothedModel, example_row, mus_evaluate_pairs
 
 
 @dataclass(frozen=True)
-class AttackStep:
-    """Candidate margins for one greedy step; chosen is the argmin index."""
-
-    candidates: tuple[tuple[int, float], ...]
-    chosen_index: int
-    chosen_margin: float
-    flipped: bool
-
-
-@dataclass(frozen=True)
 class AttackResult:
     mode: str
     found: bool
     radius: int
     witness: Mask | None
-    trace: tuple[AttackStep, ...]
 
 
 def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequence[Mask],
@@ -51,10 +40,20 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
     mus_evaluate_pairs pass; a walk's result equals attack_incremental or
     attack_decremental on its own.
     """
+    if not len(examples) == len(phis) == len(budgets) == len(modes):
+        raise ConfigError(
+            f"need one example, mask, budget and mode per walk, got {len(examples)}, "
+            f"{len(phis)}, {len(budgets)} and {len(modes)}"
+        )
+    for mode in modes:
+        if mode not in ("inc", "dec"):
+            raise ConfigError(f"mode must be 'inc' or 'dec', got {mode!r}")
     n = model.grouping.n
     phis = mask_array(phis, n)
     free = (n - phis.sum(axis=1, dtype=np.intp)).tolist()
     for budget, free_bits in zip(budgets, free):
+        if not float(budget).is_integer():
+            raise ConfigError(f"budget {budget!r} is not an integer")
         if budget < 0 or budget > free_bits:
             raise ConfigError(
                 f"budget {budget} outside [0, {free_bits}] free bits for this mask"
@@ -64,9 +63,10 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
     flip_to = inc.astype(np.uint8)
     alphas = np.where(inc[:, None], phis, np.uint8(1))
     ref_class = top_classes_and_gaps(mus_evaluate_pairs(model, xs, examples, alphas))[0]
-    traces: list[list[AttackStep]] = [[] for _ in modes]
-    results: list[AttackResult | None] = [None] * len(modes)
-    live = np.flatnonzero(np.asarray(budgets, dtype=np.intp) > 0)
+    # A walk ends at its first flip (found, radius = step) or at its budget.
+    radius = np.array(budgets, dtype=np.intp)
+    found = np.zeros(len(modes), dtype=bool)
+    live = np.flatnonzero(radius > 0)
     step = 0
     while len(live):
         step += 1
@@ -91,26 +91,13 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
         flipped = np.zeros((len(live), n), dtype=bool)
         flipped[walk, bit] = top != refs
         alphas[live, chosen] = flip_to[live]
-        starts = np.searchsorted(walk, np.arange(len(live) + 1)).tolist()
-        scored = list(zip(bit.tolist(), margins.tolist()))
-        still = []
-        for j, w in enumerate(live.tolist()):
-            i = int(chosen[j])
-            hit = bool(flipped[j, i])
-            traces[w].append(AttackStep(candidates=tuple(scored[starts[j]:starts[j + 1]]),
-                                        chosen_index=i, chosen_margin=float(grid[j, i]),
-                                        flipped=hit))
-            if hit:
-                results[w] = AttackResult(mode=modes[w], found=True, radius=step,
-                                          witness=tuple(alphas[w].tolist()),
-                                          trace=tuple(traces[w]))
-            elif step < budgets[w]:
-                still.append(w)
-        live = np.array(still, dtype=np.intp)
-    return [result if result is not None else
-            AttackResult(mode=mode, found=False, radius=budget, witness=None,
-                         trace=tuple(trace))
-            for result, mode, budget, trace in zip(results, modes, budgets, traces)]
+        hit = flipped[np.arange(len(live)), chosen]
+        found[live[hit]] = True
+        radius[live[hit]] = step
+        live = live[~hit & (step < radius[live])]
+    return [AttackResult(mode=mode, found=hit, radius=r, witness=tuple(alpha) if hit else None)
+            for mode, hit, r, alpha in zip(modes, found.tolist(), radius.tolist(),
+                                           alphas.tolist())]
 
 
 def attack_incremental(model: SmoothedModel, x: Sequence[float], phi_x: Mask,

@@ -8,7 +8,6 @@ requested certified radii hold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations as all_permutations
 from typing import Sequence
 
@@ -35,34 +34,18 @@ DEFAULT_LIME_SAMPLES = 256
 DEFAULT_SHAP_PERMUTATIONS = 64
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Per-group relevance scores plus the method that produced them."""
-
-    scores: tuple[float, ...]
-    method: str
-
-    def __post_init__(self) -> None:
-        if len(self.scores) == 0:
-            raise ConfigError("score vector must be non-empty")
-        for i, v in enumerate(self.scores):
-            if not math.isfinite(v):
-                raise ConfigError(f"score {i} is not finite: {v!r}")
-
-
 def _predicted_class(probs: Sequence[float]) -> int:
     return int(top_classes_and_gaps(np.array([probs], dtype=float))[0][0])
 
 
-def occlusion_scores(model: SmoothedModel, x: Sequence[float]) -> ScoreVector:
+def occlusion_scores(model: SmoothedModel, x: Sequence[float]) -> tuple[float, ...]:
     """Drop in smoothed predicted-class probability when each group is ablated
     in the mask argument.
 
     At full keep (lambda_num = q) every atom is all-ones, so this scores the
     base classifier with each group zeroed in the input (bit for bit at q = 2).
     """
-    scores = occlusion_score_rows(model, example_row(model, x))[0]
-    return ScoreVector(scores=tuple(scores.tolist()), method="occlusion")
+    return tuple(occlusion_score_rows(model, example_row(model, x))[0].tolist())
 
 
 def occlusion_score_rows(model: SmoothedModel, xs) -> np.ndarray:
@@ -94,7 +77,7 @@ def _finite_difference_gradient(base: ClassifierHandle, x: Sequence[float],
 
 
 def gradient_scores(base: ClassifierHandle, x: Sequence[float],
-                    grouping: FeatureGrouping) -> ScoreVector:
+                    grouping: FeatureGrouping) -> tuple[float, ...]:
     """Sum of absolute predicted-class gradient entries within each group.
 
     The class is fixed from the unmodified input before any perturbation.
@@ -108,16 +91,18 @@ def gradient_scores(base: ClassifierHandle, x: Sequence[float],
         grad = list(base.gradient(x, c))
     else:
         grad = _finite_difference_gradient(base, x, c)
-    scores = tuple(
-        math.fsum(abs(grad[j]) for j in group) for group in grouping.groups
-    )
-    return ScoreVector(scores=scores, method="vgrad")
+    if len(grad) != grouping.d:
+        raise ConfigError(f"gradient has {len(grad)} entries, expected d={grouping.d}")
+    for j, g in enumerate(grad):
+        if not math.isfinite(g):
+            raise ConfigError(f"gradient entry {j} is not finite: {g!r}")
+    return tuple(math.fsum(abs(grad[j]) for j in group) for group in grouping.groups)
 
 
 def lime_lite_scores(base: ClassifierHandle, x: Sequence[float],
                      grouping: FeatureGrouping, samples: int = DEFAULT_LIME_SAMPLES,
                      kernel_width: float | None = None,
-                     rng_state: int = 0) -> ScoreVector:
+                     rng_state: int = 0) -> tuple[float, ...]:
     """Weighted linear surrogate fitted to the class probability of masked inputs.
 
     Masks are uniform over the hypercube; weights decay with the number of
@@ -148,13 +133,13 @@ def lime_lite_scores(base: ClassifierHandle, x: Sequence[float],
         raise ConfigError(f"surrogate fit is singular beyond ridge rescue: {exc}") from exc
     if not np.all(np.isfinite(beta)):
         raise ConfigError("surrogate fit produced non-finite coefficients")
-    return ScoreVector(scores=tuple(float(b) for b in beta[1:]), method="lime")
+    return tuple(beta[1:].tolist())
 
 
 def shap_lite_scores(base: ClassifierHandle, x: Sequence[float],
                      grouping: FeatureGrouping,
                      permutations: int = DEFAULT_SHAP_PERMUTATIONS,
-                     rng_state: int = 0, exhaustive: bool = False) -> ScoreVector:
+                     rng_state: int = 0, exhaustive: bool = False) -> tuple[float, ...]:
     """Permutation-sampling Shapley estimate against a zero baseline.
 
     Each permutation adds groups one at a time and credits each group its
@@ -180,8 +165,7 @@ def shap_lite_scores(base: ClassifierHandle, x: Sequence[float],
     values = evaluate_rows(base, inputs)[:, c][inverse].reshape(len(orders), n + 1)
     gains = values[:, 1:] - values[:, :-1]
     contrib = np.take_along_axis(gains, rank, axis=1).T.tolist()
-    scores = tuple(math.fsum(col) / len(orders) for col in contrib)
-    return ScoreVector(scores=scores, method="shap")
+    return tuple(math.fsum(col) / len(orders) for col in contrib)
 
 
 def _sampled_orders(n: int, permutations: int, rng_state: int) -> np.ndarray:
@@ -203,7 +187,7 @@ def _sampled_orders(n: int, permutations: int, rng_state: int) -> np.ndarray:
     return orders
 
 
-def topk_binarize(scores: ScoreVector | Sequence[float], k: int) -> Mask:
+def topk_binarize(scores: Sequence[float], k: int) -> Mask:
     """Mask selecting the k highest scores, ties going to lower indices."""
     ordering = score_ordering(scores)
     n = len(ordering)
@@ -212,10 +196,9 @@ def topk_binarize(scores: ScoreVector | Sequence[float], k: int) -> Mask:
     return prefix_mask(ordering, k, n)
 
 
-def score_ordering(scores: ScoreVector | Sequence[float]) -> tuple[int, ...]:
+def score_ordering(scores: Sequence[float]) -> tuple[int, ...]:
     """Indices from highest to lowest score, ties by lower index first."""
-    vals = scores.scores if isinstance(scores, ScoreVector) else tuple(scores)
-    return tuple(sorted(range(len(vals)), key=lambda i: (-vals[i], i)))
+    return tuple(sorted(range(len(scores)), key=lambda i: (-scores[i], i)))
 
 
 def prefix_mask(ordering: Sequence[int], length: int, n: int) -> Mask:
@@ -224,7 +207,7 @@ def prefix_mask(ordering: Sequence[int], length: int, n: int) -> Mask:
 
 
 def greedy_stable_attribution(model: SmoothedModel, x: Sequence[float],
-                              scores: ScoreVector | Sequence[float],
+                              scores: Sequence[float],
                               r_inc_target: int,
                               r_dec_target: int) -> tuple[Mask, bool]:
     """Shortest high-score prefix that is consistent and meets both radii.

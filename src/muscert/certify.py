@@ -193,7 +193,7 @@ def brute_force_stability_oracle(model: SmoothedModel, x: Sequence[float],
     elif mode == "dec":
         anchor = ones_mask(len(phi_x))
     else:
-        raise ValueError(f"mode must be 'inc' or 'dec', got {mode!r}")
+        raise ConfigError(f"mode must be 'inc' or 'dec', got {mode!r}")
     xs = example_row(model, x)
     masks = enumerate_perturbation_masks(phi_x, radius, mode)
     # The first batch leads with the anchor, whose class is the reference.

@@ -18,7 +18,6 @@ from .attack import attack_walks
 from .attribution import (
     DEFAULT_LIME_SAMPLES,
     DEFAULT_SHAP_PERMUTATIONS,
-    ScoreVector,
     greedy_stable_masks,
     lime_lite_scores,
     occlusion_score_rows,
@@ -87,7 +86,7 @@ def _load_common(args) -> tuple:
 
 
 def _compute_scores(scorer: str, smoothed: SmoothedModel, x, args,
-                    rng_state: int) -> ScoreVector:
+                    rng_state: int) -> tuple[float, ...]:
     if scorer == "vgrad":
         return vanilla_gradient_scores(smoothed.base, x, smoothed.grouping)
     if scorer == "lime":
@@ -114,7 +113,7 @@ def _score_rows(args, smoothed: SmoothedModel, dataset, xs: np.ndarray) -> list:
     def one(item) -> tuple[float, ...]:
         idx, (x, _label) = item
         rng_state = derive_rng_state(args.seed, idx)
-        return _compute_scores(args.scorer, smoothed, x, args, rng_state).scores
+        return _compute_scores(args.scorer, smoothed, x, args, rng_state)
 
     return _map_examples(one, list(enumerate(dataset.examples)), args.workers)
 

@@ -157,6 +157,10 @@ def evaluate_rows(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
         outputs = base.evaluate_batch(inputs)
     else:
         outputs = [base.evaluate(tuple(z)) for z in inputs.tolist()] or np.empty((0, base.m))
+        for r, row in enumerate(outputs):
+            if np.shape(row) != (base.m,):
+                raise ConfigError(f"evaluate row {r}: expected {base.m} class "
+                                  f"probabilities, got shape {np.shape(row)}")
     return validate_logits_batch(outputs, len(inputs), base.m)
 
 

@@ -154,12 +154,12 @@ def check_shap_efficiency(trials: int, seed: int, max_n: int = 4) -> SuiteResult
         base = random_linear(n, m, derive_rng_state(trial_seed, 1))
         grouping = FeatureGrouping.trivial(n)
         x = _random_x(stream, n)
-        sv = shap_lite_scores(base, x, grouping, permutations=1,
-                              rng_state=trial_seed, exhaustive=True)
+        scores = shap_lite_scores(base, x, grouping, permutations=1,
+                                  rng_state=trial_seed, exhaustive=True)
         p_full = base.evaluate(x)
         c = top_classes_and_gaps(np.array([p_full]))[0][0]
         p_zero = base.evaluate(tuple(0.0 for _ in range(n)))
-        return abs(math.fsum(sv.scores) - (p_full[c] - p_zero[c])) > SHAP_EFFICIENCY_TOL
+        return abs(math.fsum(scores) - (p_full[c] - p_zero[c])) > SHAP_EFFICIENCY_TOL
 
     return _suite("shap_efficiency", trials, seed, fails)
 
@@ -185,7 +185,7 @@ def check_gradient_fd(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
             x = _random_x(stream, n)
         analytic = gradient_scores(base, x, grouping)
         numeric = gradient_scores(_NoGradient(base), x, grouping)
-        err = max(abs(a - b) for a, b in zip(analytic.scores, numeric.scores))
+        err = max(abs(a - b) for a, b in zip(analytic, numeric))
         return err > GRADIENT_FD_TOL
 
     return _suite("gradient_fd", trials, seed, fails)

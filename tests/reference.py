@@ -9,7 +9,8 @@ under iid Bernoulli masks that the atom average derandomizes, and
 `additive_leakage_demo` shows that additive mask noise leaks information
 where multiplicative noise does not. `validate_logits` and
 `top_class_and_gap` are the scalar probability contract and argmax/gap rule
-that the package applies to whole arrays.
+that the package applies to whole arrays. `greedy_walk` is the greedy
+attack one candidate mask at a time.
 """
 from __future__ import annotations
 
@@ -119,6 +120,37 @@ def mus_evaluate(model: SmoothedModel, x: Sequence[float], alpha: Mask) -> Logit
         for c in range(m):
             columns[c].append(p[c])
     return tuple(math.fsum(col) / q for col in columns)
+
+
+def greedy_walk(model: SmoothedModel, x: Sequence[float], phi: Mask, budget: int,
+                mode: str) -> tuple[bool, int, Mask | None]:
+    """(found, radius, witness) of the greedy attack as defined.
+
+    From phi (inc) or all-ones (dec), each step flips the candidate bit whose
+    mask gives the smallest reference-class margin (reference mean less the
+    best other mean), the lowest bit on ties, and the walk stops at the first
+    class change or after `budget` steps. Candidates are the free bits
+    (outside phi) not yet flipped.
+    """
+    flip_to = 1 if mode == "inc" else 0
+    alpha = list(phi) if mode == "inc" else [1] * len(phi)
+    ref, _ = top_class_and_gap(mus_evaluate(model, x, tuple(alpha)))
+    for step in range(1, budget + 1):
+        best = None
+        for i, bit in enumerate(phi):
+            if bit or alpha[i] == flip_to:
+                continue
+            trial = alpha.copy()
+            trial[i] = flip_to
+            p = mus_evaluate(model, x, tuple(trial))
+            margin = p[ref] - max(v for c, v in enumerate(p) if c != ref)
+            if best is None or margin < best[0]:
+                best = (margin, i, top_class_and_gap(p)[0] != ref)
+        _, i, flipped = best
+        alpha[i] = flip_to
+        if flipped:
+            return True, step, tuple(alpha)
+    return False, budget, None
 
 
 def rmus_estimate(base: ClassifierHandle, grouping: FeatureGrouping,

@@ -316,7 +316,7 @@ def test_c10_scorer_oracles():
         c, _ = top_class_and_gap(base.evaluate(x))
         sv = shap_lite_scores(base, x, grouping, exhaustive=True)
         total = base.evaluate(x)[c] - base.evaluate((0.0,) * n)[c]
-        assert abs(math.fsum(sv.scores) - total) <= 1e-10
+        assert abs(math.fsum(sv) - total) <= 1e-10
 
     # A surrogate fit on an exactly-linear-in-mask target returns its
     # coefficients.
@@ -324,7 +324,7 @@ def test_c10_scorer_oracles():
     grouping = FeatureGrouping.trivial(4)
     sv = lime_lite_scores(handle, (1.0, 1.0, 1.0, 1.0), grouping,
                           samples=256, kernel_width=4.0, rng_state=2)
-    for got, want in zip(sv.scores, handle.weights):
+    for got, want in zip(sv, handle.weights):
         assert abs(got - want) <= 1e-6
 
     # Analytic gradients against central finite differences.

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from muscert.attack import attack_decremental, attack_incremental
+from muscert.attack import attack_decremental, attack_incremental, attack_walks
 from muscert.attribution import occlusion_scores, topk_binarize
 from muscert.certify import certify_example
 from muscert.core import (
@@ -18,7 +18,7 @@ from muscert.models import random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state
 from muscert.smoothing import SmoothedModel
 
-from reference import mus_evaluate, top_class_and_gap
+from reference import greedy_walk, mus_evaluate, top_class_and_gap
 
 
 def _instance(seed, n=4, q=8, lambda_num=4, mlp=False, tries=8):
@@ -49,7 +49,6 @@ def test_zero_budget_finds_nothing():
         assert not result.found
         assert result.radius == 0
         assert result.witness is None
-        assert result.trace == ()
 
 
 def test_budget_above_free_bits_is_rejected():
@@ -145,14 +144,44 @@ def test_greedy_radius_bounds_exhaustive_minimum(mode):
     assert compared >= 3
 
 
-def test_trace_records_argmin_choice():
-    for seed in range(6):
-        model, x = _instance(seed)
-        phi = (0, 0, 0, 0)
-        result = attack_incremental(model, x, phi, 4)
-        for step in result.trace:
-            best = min(step.candidates, key=lambda pair: (pair[1], pair[0]))
-            assert (step.chosen_index, step.chosen_margin) == best
+@pytest.mark.parametrize("mlp", [False, True])
+def test_attacks_equal_the_reference_greedy_walk(mlp):
+    outcomes = set()
+    for seed in range(8):
+        model, x = _instance(seed, n=5, mlp=mlp)
+        for phi in ((0, 0, 0, 0, 0), topk_binarize(occlusion_scores(model, x), 2)):
+            free = 5 - popcount(phi)
+            for mode, attack in (("inc", attack_incremental), ("dec", attack_decremental)):
+                for budget in (1, free):
+                    result = attack(model, x, phi, budget)
+                    want = greedy_walk(model, x, phi, budget, mode)
+                    assert (result.found, result.radius, result.witness) == want
+                    outcomes.add((result.found, result.radius))
+    # Walks that flip at the first step, later, or never.
+    assert {found for found, _ in outcomes} == {True, False}
+    assert max(radius for found, radius in outcomes if found) > 1
+
+
+def test_attack_walks_need_one_argument_of_each_kind_per_walk():
+    model, x = _instance(4)
+    xs = [x]
+    phi = (1, 0, 0, 1)
+    with pytest.raises(ConfigError, match="^mode must be 'inc' or 'dec', got 'Inc'$"):
+        attack_walks(model, xs, [0], [phi], [1], ["Inc"])
+    with pytest.raises(ConfigError, match=r"^budget 1\.5 is not an integer$"):
+        attack_walks(model, xs, [0], [phi], [1.5], ["inc"])
+    bad = {
+        "budgets short": ([0, 0], [phi, phi], [1], ["inc", "dec"]),
+        "budgets long": ([0], [phi], [1, 1], ["inc"]),
+        "examples": ([0, 0], [phi], [1], ["inc"]),
+        "masks": ([0], [phi, phi], [1], ["inc"]),
+        "modes": ([0], [phi], [1], ["inc", "dec"]),
+    }
+    for examples, phis, budgets, modes in bad.values():
+        with pytest.raises(ConfigError, match=(
+                f"^need one example, mask, budget and mode per walk, got {len(examples)}, "
+                f"{len(phis)}, {len(budgets)} and {len(modes)}$")):
+            attack_walks(model, xs, examples, phis, budgets, modes)
 
 
 def test_attack_is_deterministic():

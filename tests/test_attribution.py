@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from muscert.attribution import (
     LIME_RIDGE,
     _sampled_orders,
-    ScoreVector,
     gradient_scores,
     greedy_stable_attribution,
     lime_lite_scores,
@@ -84,9 +83,8 @@ def test_occlusion_on_bare_classifier():
     base, grouping = _identity_pair()
     sv = occlusion_scores(_full_keep(base, grouping), (2.0, 0.0))
     e2 = math.exp(2.0)
-    assert sv.method == "occlusion"
-    assert abs(sv.scores[0] - (e2 / (e2 + 1) - 0.5)) <= 1e-15
-    assert sv.scores[1] == 0.0  # that coordinate is already zero
+    assert abs(sv[0] - (e2 / (e2 + 1) - 0.5)) <= 1e-15
+    assert sv[1] == 0.0  # that coordinate is already zero
 
 
 def test_occlusion_smoothed_at_full_keep_matches_bare():
@@ -96,17 +94,17 @@ def test_occlusion_smoothed_at_full_keep_matches_bare():
     c, _ = top_class_and_gap(base.evaluate(x))
     bare = tuple(base.evaluate(x)[c] - base.evaluate(mask_apply(x, alpha, grouping))[c]
                  for alpha in ((0, 1), (1, 0)))
-    assert occlusion_scores(_full_keep(base, grouping), x).scores == bare
+    assert occlusion_scores(_full_keep(base, grouping), x) == bare
     cfg = SmoothingConfig(n=2, q=4, lambda_num=4, seed=4)
     q4 = occlusion_scores(SmoothedModel.build(base, grouping, cfg), x)
-    for a, b in zip(q4.scores, bare):
+    for a, b in zip(q4, bare):
         assert abs(a - b) <= 1e-15
 
 
 def test_occlusion_zero_input_scores_zero():
     base, grouping = _identity_pair()
     sv = occlusion_scores(_full_keep(base, grouping), (0.0, 0.0))
-    assert sv.scores == (0.0, 0.0)
+    assert sv == (0.0, 0.0)
 
 
 def test_occlusion_recovers_additive_group_effects():
@@ -114,7 +112,7 @@ def test_occlusion_recovers_additive_group_effects():
     handle = DyadicAdditiveHandle(0.5, (0.125, 0.0625, 0.03125))
     grouping = FeatureGrouping(groups=((0, 2), (1,)), d=3)
     sv = occlusion_scores(_full_keep(handle, grouping), (1.0, 1.0, 1.0))
-    assert sv.scores == (0.125 + 0.03125, 0.0625)
+    assert sv == (0.125 + 0.03125, 0.0625)
 
 
 # ----------------------------------------------------------------- gradient
@@ -126,8 +124,31 @@ def test_gradient_scores_sum_abs_entries_per_group():
     c, _ = top_class_and_gap(model.evaluate(x))
     grad = model.gradient(x, c)
     sv = gradient_scores(model, x, grouping)
-    assert sv.method == "vgrad"
-    assert sv.scores == (abs(grad[0]) + abs(grad[2]), abs(grad[1]))
+    assert sv == (abs(grad[0]) + abs(grad[2]), abs(grad[1]))
+
+
+class FixedGradientHandle(ConstantHandle):
+    """A constant classifier whose gradient returns a fixed vector."""
+
+    def __init__(self, grad):
+        super().__init__((0.25, 0.75), d=3)
+        self.grad = grad
+
+    def gradient(self, x, c):
+        return self.grad
+
+
+def test_gradient_scores_check_a_custom_gradient():
+    grouping = FeatureGrouping.trivial(3)
+    x = (1.0, 2.0, 3.0)
+    assert gradient_scores(FixedGradientHandle((1.0, -2.0, 0.5)), x,
+                           grouping) == (1.0, 2.0, 0.5)
+    for grad in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
+        with pytest.raises(ConfigError,
+                           match=rf"^gradient has {len(grad)} entries, expected d=3$"):
+            gradient_scores(FixedGradientHandle(grad), x, grouping)
+    with pytest.raises(ConfigError, match="^gradient entry 1 is not finite: nan$"):
+        gradient_scores(FixedGradientHandle((0.0, float("nan"), 1.0)), x, grouping)
 
 
 def test_gradient_finite_difference_fallback_is_close():
@@ -136,14 +157,14 @@ def test_gradient_finite_difference_fallback_is_close():
     grouping = FeatureGrouping.trivial(3)
     analytic = gradient_scores(model, x, grouping)
     numeric = gradient_scores(GradientFreeAdapter(model), x, grouping)
-    for a, b in zip(analytic.scores, numeric.scores):
+    for a, b in zip(analytic, numeric):
         assert abs(a - b) <= 1e-6
 
 
 def test_gradient_scores_of_constant_classifier_are_zero():
     handle = ConstantHandle((0.25, 0.75), d=3)
     sv = gradient_scores(handle, (1.0, 2.0, 3.0), FeatureGrouping.trivial(3))
-    assert sv.scores == (0.0, 0.0, 0.0)
+    assert sv == (0.0, 0.0, 0.0)
 
 
 # --------------------------------------------------------------------- lime
@@ -153,10 +174,9 @@ def test_lime_ignores_inactive_groups():
     grouping = FeatureGrouping.trivial(3)
     sv = lime_lite_scores(handle, (1.0, 1.0, 1.0), grouping,
                           samples=256, kernel_width=3.0, rng_state=5)
-    assert sv.method == "lime"
-    assert abs(sv.scores[0] - 0.375) <= 1e-4
-    assert abs(sv.scores[1]) <= 1e-4
-    assert abs(sv.scores[2]) <= 1e-4
+    assert abs(sv[0] - 0.375) <= 1e-4
+    assert abs(sv[1]) <= 1e-4
+    assert abs(sv[2]) <= 1e-4
 
 
 def _exact_wls_oracle(handle, x, grouping, samples, kernel_width, rng_state):
@@ -207,7 +227,7 @@ def test_lime_matches_exact_rational_wls():
     sv = lime_lite_scores(handle, x, grouping, samples=48,
                           kernel_width=3.0, rng_state=11)
     oracle = _exact_wls_oracle(handle, x, grouping, 48, 3.0, 11)
-    for got, want in zip(sv.scores, oracle):
+    for got, want in zip(sv, oracle):
         assert abs(got - want) <= 1e-9
 
 
@@ -216,7 +236,7 @@ def test_lime_constant_classifier_has_flat_surrogate():
     handle = ConstantHandle((0.5, 0.5), d=3)
     sv = lime_lite_scores(handle, (1.0, 1.0, 1.0), FeatureGrouping.trivial(3),
                           samples=64, rng_state=0)
-    for v in sv.scores:
+    for v in sv:
         assert abs(v) <= 1e-6
 
 
@@ -242,7 +262,7 @@ def test_lime_is_deterministic_in_rng_state():
     b = lime_lite_scores(handle, x, grouping, samples=32, rng_state=7)
     c = lime_lite_scores(handle, x, grouping, samples=32, rng_state=8)
     assert a == b
-    assert a.scores != c.scores
+    assert a != c
 
 
 # --------------------------------------------------------------------- shap
@@ -258,8 +278,8 @@ def test_shap_two_group_closed_form():
     sv = shap_lite_scores(base, x, grouping, exhaustive=True)
     want0 = 0.5 * (v((1, 0)) - v((0, 0))) + 0.5 * (v((1, 1)) - v((0, 1)))
     want1 = 0.5 * (v((0, 1)) - v((0, 0))) + 0.5 * (v((1, 1)) - v((1, 0)))
-    assert abs(sv.scores[0] - want0) <= 1e-15
-    assert abs(sv.scores[1] - want1) <= 1e-15
+    assert abs(sv[0] - want0) <= 1e-15
+    assert abs(sv[1] - want1) <= 1e-15
 
 
 def test_shap_additive_game_credits_exact_weights():
@@ -269,8 +289,8 @@ def test_shap_additive_game_credits_exact_weights():
     x = (1.0, 1.0, 1.0)
     exhaustive = shap_lite_scores(handle, x, grouping, exhaustive=True)
     sampled = shap_lite_scores(handle, x, grouping, permutations=8, rng_state=3)
-    assert exhaustive.scores == weights
-    assert sampled.scores == weights
+    assert exhaustive == weights
+    assert sampled == weights
 
 
 def test_shap_efficiency_for_exhaustive_orders():
@@ -281,7 +301,7 @@ def test_shap_efficiency_for_exhaustive_orders():
     sv = shap_lite_scores(model, x, grouping, exhaustive=True)
     full = model.evaluate(x)[c]
     empty = model.evaluate((0.0, 0.0, 0.0, 0.0))[c]
-    assert abs(math.fsum(sv.scores) - (full - empty)) <= 1e-10
+    assert abs(math.fsum(sv) - (full - empty)) <= 1e-10
 
 
 def test_shap_sampling_is_deterministic():
@@ -330,7 +350,7 @@ def test_topk_prefers_lower_index_on_ties():
 
 
 def test_topk_extremes_and_range():
-    sv = ScoreVector(scores=(0.1, 0.2), method="occlusion")
+    sv = (0.1, 0.2)
     assert topk_binarize(sv, 0) == (0, 0)
     assert topk_binarize(sv, 2) == (1, 1)
     with pytest.raises(ConfigError, match=r"k must be in \[0, 2\], got 3"):
@@ -429,12 +449,3 @@ def test_greedy_rejects_negative_targets():
                                   (0.1, 0.2, 0.3, 0.4), -1, 0)
 
 
-# ------------------------------------------------------------- score vector
-
-def test_score_vector_validation():
-    with pytest.raises(ConfigError, match="score vector must be non-empty"):
-        ScoreVector(scores=(), method="occlusion")
-    with pytest.raises(ConfigError, match="score 1 is not finite: nan"):
-        ScoreVector(scores=(1.0, float("nan")), method="occlusion")
-    with pytest.raises(ConfigError, match="score 0 is not finite: inf"):
-        ScoreVector(scores=(float("inf"),), method="occlusion")

@@ -188,6 +188,26 @@ def test_contract_sums_each_row_left_to_right_with_or_without_a_batch_method():
             evaluate_rows(handle, np.zeros((4, 2)))
 
 
+def test_evaluate_rows_names_a_ragged_row():
+    """Without a batch method, a row of the wrong width is named before the
+    rows are stacked."""
+
+    class ThirdClassOnSecondCall:
+        d = 2
+        m = 2
+
+        def __init__(self):
+            self.calls = 0
+
+        def evaluate(self, z):
+            self.calls += 1
+            return (0.5, 0.5) if self.calls == 1 else (0.25, 0.25, 0.5)
+
+    with pytest.raises(ConfigError, match=r"^evaluate row 1: expected 2 class probabilities, "
+                                          r"got shape \(3,\)$"):
+        evaluate_rows(ThirdClassOnSecondCall(), np.zeros((3, 2)))
+
+
 def test_oracle_finds_a_flip_in_a_later_chunk():
     """Only the all-zero mask flips the class; at n = 11 it is the last of
     2048 enumerated masks, past the first chunk."""

@@ -182,8 +182,9 @@ def test_oracle_guard_rejects_wide_enumerations():
 
 def test_oracle_rejects_unknown_mode():
     model = indicator_model()
-    with pytest.raises(ValueError):
-        brute_force_stability_oracle(model, (1.0, 1.0), (1, 0), 0, "sideways")
+    for mode in ("sideways", "Inc"):
+        with pytest.raises(ConfigError, match=f"^mode must be 'inc' or 'dec', got '{mode}'$"):
+            brute_force_stability_oracle(model, (1.0, 1.0), (1, 0), 0, mode)
 
 
 def test_full_stability_trivial_and_worked_cases():

@@ -395,7 +395,7 @@ def test_attack_clips_budget_to_free_bits(small_artifacts, tmp_path):
 
 def test_attack_violation_exits_three(small_artifacts, tmp_path, monkeypatch, capsys):
     def forged_attack(model, xs, examples, phis, budgets, modes):
-        return [AttackResult(mode=mode, found=True, radius=0, witness=phi, trace=())
+        return [AttackResult(mode=mode, found=True, radius=0, witness=phi)
                 for phi, mode in zip(phis, modes)]
 
     monkeypatch.setattr("muscert.cli.attack_walks", forged_attack)

@@ -271,9 +271,10 @@ def test_staged_certify_greedy_and_attack_equal_one_example_calls(monkeypatch):
     # there is kept, any later one is not reached.
     capped = attack_walks(model, xs, list(range(7)) * 2, phis * 2,
                           [min(1, b) for b in budgets] * 2, ["inc"] * 7 + ["dec"] * 7)
-    for full, cut in zip(walks, capped):
-        assert cut.trace == full.trace[:1] and len(cut.trace) == cut.radius
+    for full, cut, budget in zip(walks, capped, budgets * 2):
+        assert cut.radius == min(1, budget)
         assert cut.found == (full.found and full.radius == 1)
+        assert cut.witness == (full.witness if cut.found else None)
     assert walks[:7] == [attack_incremental(model, x, phi, b)
                          for x, phi, b in zip(rows, phis, budgets)]
     assert walks[7:] == [attack_decremental(model, x, phi, b)
