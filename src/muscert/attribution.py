@@ -22,8 +22,9 @@ from .core import (
     mask_apply_rows,
     ones_mask,
     top_classes_and_gaps,
-    unique_masks,
+    validate_logits_batch,
 )
+from . import smoothing
 from .certify import radius_from_gap
 from .noise import iid_bernoulli_bits, lcg_block
 from .smoothing import SmoothedModel, example_row, mus_evaluate_pairs
@@ -32,10 +33,6 @@ FD_STEP = 1e-4
 LIME_RIDGE = 1e-6
 DEFAULT_LIME_SAMPLES = 256
 DEFAULT_SHAP_PERMUTATIONS = 64
-
-
-def _predicted_class(probs: Sequence[float]) -> int:
-    return int(top_classes_and_gaps(np.array([probs], dtype=float))[0][0])
 
 
 def occlusion_scores(model: SmoothedModel, x: Sequence[float]) -> tuple[float, ...]:
@@ -64,39 +61,66 @@ def occlusion_score_rows(model: SmoothedModel, xs) -> np.ndarray:
     return means[rows, 0, c][:, None] - means[rows, 1:, c]
 
 
-def _finite_difference_gradient(base: ClassifierHandle, x: Sequence[float],
-                                c: int) -> list[float]:
-    grad = []
-    for j in range(len(x)):
-        up = list(x)
-        down = list(x)
-        up[j] += FD_STEP
-        down[j] -= FD_STEP
-        grad.append((base.evaluate(up)[c] - base.evaluate(down)[c]) / (2 * FD_STEP))
-    return grad
-
-
 def gradient_scores(base: ClassifierHandle, x: Sequence[float],
                     grouping: FeatureGrouping) -> tuple[float, ...]:
     """Sum of absolute predicted-class gradient entries within each group.
 
     The class is fixed from the unmodified input before any perturbation.
     Falls back to central finite differences when the classifier exposes
-    no analytic gradient.
+    no analytic gradient: one evaluate_rows call over x, then x + FD_STEP e_j
+    for each j, then x - FD_STEP e_j for each j. Every output the handle
+    gives is checked against the probability contract.
     """
     if len(x) != grouping.d:
         raise ConfigError(f"input length {len(x)} != d={grouping.d}")
-    c = _predicted_class(base.evaluate(x))
     if hasattr(base, "gradient"):
-        grad = list(base.gradient(x, c))
+        c = top_classes_and_gaps(validate_logits_batch([base.evaluate(x)], 1, base.m))[0][0]
+        grad = list(base.gradient(x, int(c)))
     else:
-        grad = _finite_difference_gradient(base, x, c)
+        d = len(x)
+        point = np.asarray(x, dtype=float)
+        rows = np.tile(point, (2 * d + 1, 1))
+        # Rows 1..d step feature j up and rows d+1..2d step it down: the
+        # diagonals of the two (d, d) blocks after row 0.
+        rows[1:].reshape(2, d * d)[:, ::d + 1] = (point + FD_STEP, point - FD_STEP)
+        probs = evaluate_rows(base, rows)
+        column = probs[:, top_classes_and_gaps(probs[:1])[0][0]]
+        grad = ((column[1:d + 1] - column[d + 1:]) / (2 * FD_STEP)).tolist()
     if len(grad) != grouping.d:
         raise ConfigError(f"gradient has {len(grad)} entries, expected d={grouping.d}")
     for j, g in enumerate(grad):
         if not math.isfinite(g):
             raise ConfigError(f"gradient entry {j} is not finite: {g!r}")
     return tuple(math.fsum(abs(grad[j]) for j in group) for group in grouping.groups)
+
+
+def _check_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _score_inputs(xs, grouping: FeatureGrouping, rng_states) -> tuple[np.ndarray, list]:
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != grouping.d:
+        raise ConfigError(f"input rows of shape {xs.shape} are not (E, d={grouping.d})")
+    rng_states = list(rng_states)
+    if len(rng_states) != len(xs):
+        raise ConfigError(f"got {len(rng_states)} stream states for {len(xs)} examples")
+    return xs, rng_states
+
+
+def _example_blocks(examples: int, rows_each: int, shared: int = 0):
+    """Slices of consecutive examples whose batch, `shared` rows plus
+    rows_each per example, fits in DRIVER_CHUNK rows (one example at least)."""
+    step = max(1, (smoothing.DRIVER_CHUNK - shared) // rows_each)
+    return (slice(lo, min(lo + step, examples)) for lo in range(0, examples, step))
+
+
+def _evaluate_chunked(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
+    """evaluate_rows over the (k, d) inputs, DRIVER_CHUNK rows at a time."""
+    chunk = smoothing.DRIVER_CHUNK
+    return np.concatenate([evaluate_rows(base, inputs[lo:lo + chunk])
+                           for lo in range(0, max(len(inputs), 1), chunk)])
 
 
 def lime_lite_scores(base: ClassifierHandle, x: Sequence[float],
@@ -108,32 +132,58 @@ def lime_lite_scores(base: ClassifierHandle, x: Sequence[float],
     Masks are uniform over the hypercube; weights decay with the number of
     groups dropped. Solved on the ridge-stabilized normal equations.
     """
+    return tuple(lime_score_rows(base, [x], grouping, samples, kernel_width,
+                                 [rng_state])[0].tolist())
+
+
+def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
+                    samples: int = DEFAULT_LIME_SAMPLES,
+                    kernel_width: float | None = None, rng_states=(0,)) -> np.ndarray:
+    """lime_lite_scores of every row of the (E, d) inputs xs, example e
+    drawing its masks from stream rng_states[e], as an (E, n) array.
+
+    A block of examples is one batch, sent to the base classifier in chunks:
+    the examples themselves, whose outputs give their classes, then their
+    masked rows. Each example's surrogate is then solved on its own.
+    """
     n = grouping.n
+    _check_count("samples", samples)
     if samples < n + 1:
         raise ConfigError(f"need at least n+1={n + 1} samples, got {samples}")
     if kernel_width is None:
         kernel_width = n / 4
     if kernel_width <= 0:
         raise ConfigError(f"kernel width must be positive, got {kernel_width}")
-    c = _predicted_class(base.evaluate(x))
-    bits = iid_bernoulli_bits(0.5, n, samples, rng_state)
-    design = np.ones((samples, n + 1))
-    design[:, 1:] = bits
-    inputs = mask_apply_rows(np.asarray(x, dtype=float), bits, grouping.index_map())
-    targets = evaluate_rows(base, inputs)[:, c]
+    xs, rng_states = _score_inputs(xs, grouping, rng_states)
+    index_map = grouping.index_map()
     kernel = np.array([math.exp(-(dropped * dropped) / (kernel_width * kernel_width))
                        for dropped in range(n + 1)])
-    weights = kernel[n - bits.sum(axis=1, dtype=np.intp)]
-    wx = design.T * weights
-    lhs = wx @ design + LIME_RIDGE * np.eye(n + 1)
-    rhs = wx @ targets
-    try:
-        beta = np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ConfigError(f"surrogate fit is singular beyond ridge rescue: {exc}") from exc
-    if not np.all(np.isfinite(beta)):
-        raise ConfigError("surrogate fit produced non-finite coefficients")
-    return tuple(beta[1:].tolist())
+    out = np.empty((len(xs), n))
+    for block in _example_blocks(len(xs), 1 + samples):
+        count = block.stop - block.start
+        bits = iid_bernoulli_bits(0.5, n, samples, rng_states[block])
+        probs = _evaluate_chunked(base, np.concatenate([xs[block], mask_apply_rows(
+            np.repeat(xs[block], samples, axis=0), bits.reshape(-1, n), index_map)]))
+        classes = top_classes_and_gaps(probs[:count])[0]
+        for e, draws, sampled, c in zip(range(block.start, block.stop), bits,
+                                        probs[count:].reshape(count, samples, -1), classes):
+            design = np.ones((samples, n + 1))
+            design[:, 1:] = draws
+            weights = kernel[n - draws.sum(axis=1, dtype=np.intp)]
+            wx = design.T * weights
+            lhs = wx @ design + LIME_RIDGE * np.eye(n + 1)
+            # A column view, as one example's batch gave: matmul may take
+            # another kernel, with other bits, for a contiguous vector.
+            rhs = wx @ sampled[:, c]
+            try:
+                beta = np.linalg.solve(lhs, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise ConfigError(
+                    f"surrogate fit is singular beyond ridge rescue: {exc}") from exc
+            if not np.all(np.isfinite(beta)):
+                raise ConfigError("surrogate fit produced non-finite coefficients")
+            out[e] = beta[1:]
+    return out
 
 
 def shap_lite_scores(base: ClassifierHandle, x: Sequence[float],
@@ -146,45 +196,82 @@ def shap_lite_scores(base: ClassifierHandle, x: Sequence[float],
     marginal change in the predicted-class probability. `exhaustive`
     enumerates all n! orders instead of sampling (small n only).
     """
+    return tuple(shap_score_rows(base, [x], grouping, permutations, [rng_state],
+                                 exhaustive)[0].tolist())
+
+
+def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
+                    permutations: int = DEFAULT_SHAP_PERMUTATIONS, rng_states=(0,),
+                    exhaustive: bool = False) -> np.ndarray:
+    """shap_lite_scores of every row of the (E, d) inputs xs, example e
+    drawing its orders from stream rng_states[e], as an (E, n) array.
+
+    A block of examples is one batch, sent to the base classifier in chunks:
+    the empty coalition, which is the zero input for every example, the full
+    ones, which are the examples themselves and give their classes, then the
+    P * (n - 1) coalitions in between of each example. Each group's marginal
+    gains are then summed per example with math.fsum.
+    """
     n = grouping.n
+    _check_count("permutations", permutations)
     if permutations < 1:
         raise ConfigError(f"permutations must be >= 1, got {permutations}")
-    c = _predicted_class(base.evaluate(x))
+    xs, rng_states = _score_inputs(xs, grouping, rng_states)
+    index_map = grouping.index_map()
     if exhaustive:
-        orders = np.array(list(all_permutations(range(n))), dtype=np.intp).reshape(-1, n)
-    else:
-        orders = _sampled_orders(n, permutations, rng_state)
-    # rank[t, i] is the step at which order t adds group i; the coalition
-    # before step s holds the groups ranked below s.
-    rank = np.empty((len(orders), n), dtype=np.intp)
-    rank[np.arange(len(orders))[:, None], orders] = np.arange(n)
-    coalitions = (rank[:, None, :] < np.arange(n + 1)[:, None]).astype(np.uint8)
-    coalitions = coalitions.reshape(-1, n)
-    rep, inverse = unique_masks(coalitions)
-    inputs = mask_apply_rows(np.asarray(x, dtype=float), coalitions[rep], grouping.index_map())
-    values = evaluate_rows(base, inputs)[:, c][inverse].reshape(len(orders), n + 1)
-    gains = values[:, 1:] - values[:, :-1]
-    contrib = np.take_along_axis(gains, rank, axis=1).T.tolist()
-    return tuple(math.fsum(col) / len(orders) for col in contrib)
+        every_order = np.array(list(all_permutations(range(n))), dtype=np.intp).reshape(-1, n)
+        permutations = len(every_order)
+    middle = permutations * (n - 1)
+    zero = np.zeros((1, grouping.d))
+    out = np.empty((len(xs), n))
+    for block in _example_blocks(len(xs), 1 + middle, shared=1):
+        count = block.stop - block.start
+        if exhaustive:
+            orders = np.tile(every_order, (count, 1))
+        else:
+            orders = _sampled_orders(n, permutations, rng_states[block]).reshape(-1, n)
+        # rank[t, i] is the step at which order t adds group i; the coalition
+        # before step s holds the groups ranked below s.
+        rows = np.arange(len(orders))[:, None]
+        rank = np.empty_like(orders)
+        rank[rows, orders] = np.arange(n)
+        coalitions = (rank[:, None, :] < np.arange(1, n)[:, None]).astype(np.uint8)
+        probs = _evaluate_chunked(base, np.concatenate([zero, xs[block], mask_apply_rows(
+            np.repeat(xs[block], middle, axis=0), coalitions.reshape(-1, n), index_map)]))
+        # held[t, s] is the batch row of the coalition before step s of order t.
+        held = np.empty((len(orders), n + 1), dtype=np.intp)
+        held[:, 0] = 0
+        held[:, 1:n] = 1 + count + np.arange(middle * count).reshape(len(orders), n - 1)
+        held[:, n] = 1 + rows[:, 0] // permutations
+        classes = np.repeat(top_classes_and_gaps(probs[1:1 + count])[0], permutations)
+        values = probs[held, classes[:, None]]
+        gains = values[:, 1:] - values[:, :-1]
+        contrib = gains[rows, rank].reshape(count, permutations, n)
+        for e, columns in enumerate(contrib.transpose(0, 2, 1).tolist(), start=block.start):
+            out[e] = [math.fsum(col) / permutations for col in columns]
+    return out
 
 
-def _sampled_orders(n: int, permutations: int, rng_state: int) -> np.ndarray:
-    """intp[permutations, n]: one Fisher-Yates shuffle of range(n) per row.
+def _sampled_orders(n: int, permutations: int, rng_state) -> np.ndarray:
+    """intp[permutations, n]: one Fisher-Yates shuffle of range(n) per row;
+    for a sequence of stream states, one such block per state,
+    intp[len, permutations, n].
 
     Row t swaps position i = n-1, ..., 1 with j = next_below(i + 1), where
     the draw for (t, step) is stream value t * (n - 1) + step; all rows take
     a step's swap at once.
     """
-    draws = (lcg_block(rng_state, permutations * (n - 1)) >> 32).astype(np.intp)
-    draws = draws.reshape(permutations, n - 1)
-    orders = np.tile(np.arange(n, dtype=np.intp), (permutations, 1))
-    rows = np.arange(permutations)
+    block = lcg_block(rng_state, permutations * (n - 1))
+    shape = block.shape[:-1] + (permutations, n)
+    rows = np.arange(math.prod(shape[:-1]))
+    draws = (block >> 32).astype(np.intp).reshape(len(rows), n - 1)
+    orders = np.tile(np.arange(n, dtype=np.intp), (len(rows), 1))
     for step, i in enumerate(range(n - 1, 0, -1)):
         j = draws[:, step] % (i + 1)
         picked = orders[rows, j]
         orders[rows, j] = orders[:, i]
         orders[:, i] = picked
-    return orders
+    return orders.reshape(shape)
 
 
 def topk_binarize(scores: Sequence[float], k: int) -> Mask:

@@ -154,8 +154,11 @@ def enumerate_perturbation_masks(phi_x: Mask, radius: int, mode: Mode) -> Iterat
 
     inc: supersets of phi_x (anchor phi_x, flips turn bits on).
     dec: submasks of all-ones that still cover phi_x (anchor all-ones,
-    flips turn free bits off). Ordered by flip count, then index.
+    flips turn free bits off). Ordered by flip count, then index. Any other
+    mode raises ConfigError when the first mask is drawn.
     """
+    if mode not in ("inc", "dec"):
+        raise ConfigError(f"mode must be 'inc' or 'dec', got {mode!r}")
     n = len(phi_x)
     free = [i for i, bit in enumerate(phi_x) if bit == 0]
     anchor = list(phi_x) if mode == "inc" else list(ones_mask(n))
@@ -188,15 +191,10 @@ def brute_force_stability_oracle(model: SmoothedModel, x: Sequence[float],
     """
     validate_mask(phi_x, model.grouping.n)
     _guard(phi_x)
-    if mode == "inc":
-        anchor = phi_x
-    elif mode == "dec":
-        anchor = ones_mask(len(phi_x))
-    else:
-        raise ConfigError(f"mode must be 'inc' or 'dec', got {mode!r}")
     xs = example_row(model, x)
     masks = enumerate_perturbation_masks(phi_x, radius, mode)
     # The first batch leads with the anchor, whose class is the reference.
+    anchor = phi_x if mode == "inc" else ones_mask(len(phi_x))
     chunk = [anchor] + list(islice(masks, ORACLE_CHUNK))
     ref_class = None
     while chunk:

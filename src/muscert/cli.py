@@ -19,9 +19,9 @@ from .attribution import (
     DEFAULT_LIME_SAMPLES,
     DEFAULT_SHAP_PERMUTATIONS,
     greedy_stable_masks,
-    lime_lite_scores,
+    lime_score_rows,
     occlusion_score_rows,
-    shap_lite_scores,
+    shap_score_rows,
     topk_binarize,
 )
 from .attribution import gradient_scores as vanilla_gradient_scores
@@ -85,37 +85,25 @@ def _load_common(args) -> tuple:
     return dataset, xs, grouping, cfg, smoothed
 
 
-def _compute_scores(scorer: str, smoothed: SmoothedModel, x, args,
-                    rng_state: int) -> tuple[float, ...]:
-    if scorer == "vgrad":
-        return vanilla_gradient_scores(smoothed.base, x, smoothed.grouping)
-    if scorer == "lime":
-        return lime_lite_scores(smoothed.base, x, smoothed.grouping,
-                                samples=args.lime_samples,
-                                kernel_width=args.lime_kernel_width,
-                                rng_state=rng_state)
-    if scorer == "shap":
-        return shap_lite_scores(smoothed.base, x, smoothed.grouping,
-                                permutations=args.shap_permutations,
-                                rng_state=rng_state)
-    raise ConfigError(f"unknown scorer {scorer!r}")
-
-
 def _score_rows(args, smoothed: SmoothedModel, dataset, xs: np.ndarray) -> list:
     """Scores of every example, one list per example.
 
-    Occlusion scores the whole dataset in one smoothed pass; the other
-    scorers query the base classifier example by example.
+    Occlusion scores the whole dataset in one smoothed pass, and LIME and
+    SHAP send the masked rows of every example to the base classifier in
+    chunks, example e drawing from stream derive_rng_state(seed, e); vgrad
+    queries the base classifier example by example.
     """
+    base, grouping = smoothed.base, smoothed.grouping
     if args.scorer == "occlusion":
         return occlusion_score_rows(smoothed, xs).tolist()
-
-    def one(item) -> tuple[float, ...]:
-        idx, (x, _label) = item
-        rng_state = derive_rng_state(args.seed, idx)
-        return _compute_scores(args.scorer, smoothed, x, args, rng_state)
-
-    return _map_examples(one, list(enumerate(dataset.examples)), args.workers)
+    if args.scorer == "vgrad":
+        return _map_examples(lambda x: vanilla_gradient_scores(base, x, grouping),
+                             [x for x, _label in dataset.examples], args.workers)
+    states = [derive_rng_state(args.seed, idx) for idx in range(len(xs))]
+    if args.scorer == "lime":
+        return lime_score_rows(base, xs, grouping, args.lime_samples,
+                               args.lime_kernel_width, states).tolist()
+    return shap_score_rows(base, xs, grouping, args.shap_permutations, states).tolist()
 
 
 def _attribution_masks(args, smoothed: SmoothedModel, dataset,

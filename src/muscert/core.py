@@ -138,10 +138,13 @@ def validate_logits_batch(probs, k: int, m: int) -> np.ndarray:
     total = np.zeros(k)
     for c in range(m):
         total += arr[:, c]
-    in_range = (arr >= 0.0) & (arr <= 1.0)
-    ok = in_range.all(axis=1) & (np.abs(total - 1.0) <= LOGITS_SUM_TOL)
-    if not ok.all():
-        row = int(np.argmin(ok))
+    off = np.abs(total - 1.0)
+    # Whole-array reductions first, which NaN fails too: a reduction along
+    # each row of m values is slow. Only a failing batch looks for its row.
+    if k and not (arr.size and arr.min() >= 0.0 and arr.max() <= 1.0
+                  and off.max() <= LOGITS_SUM_TOL):
+        in_range = (arr >= 0.0) & (arr <= 1.0)
+        row = int(np.argmin(in_range.all(axis=1) & (off <= LOGITS_SUM_TOL)))
         if not in_range[row].all():
             v = float(arr[row, int(np.argmin(in_range[row]))])
             raise ConfigError(f"probability {v!r} outside [0, 1]")

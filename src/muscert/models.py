@@ -50,8 +50,15 @@ def _dot_rows(weights: Sequence[Sequence[float]], bias: Sequence[float],
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """_softmax applied to each row of a (k, m) array, bit for bit."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    """_softmax applied to each row of a (k, m) array, bit for bit.
+
+    The maximum and the sum run column by column: a reduction along each
+    row of m values is slow.
+    """
+    top = logits[:, 0].copy()
+    for j in range(1, logits.shape[1]):
+        np.maximum(top, logits[:, j], out=top)
+    shifted = logits - top[:, None]
     # np.exp is not correctly rounded and differs from math.exp in the last bit.
     exps = np.fromiter(map(math.exp, shifted.ravel().tolist()), dtype=float,
                        count=shifted.size).reshape(shifted.shape)
@@ -62,15 +69,20 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _affine_cols(z: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """_dot_rows applied to each row of a (k, d) array, bit for bit.
+    """_dot_rows applied to each row of a (k, d) array, bit for bit, as a
+    C-contiguous (k, m) array.
 
     Adding one input column at a time from 0.0 keeps _dot_rows' left-to-right
-    order; a matrix product would sum in its own order.
+    order; a matrix product would sum in its own order. The sums run on the
+    transposed (m, k) array, so every step reads one contiguous row of z.T
+    and updates contiguous rows.
     """
-    acc = np.zeros((len(z), len(weights)))
-    for k in range(z.shape[1]):
-        acc += z[:, k:k + 1] * weights[:, k]
-    return acc + bias
+    cols = np.ascontiguousarray(z.T)
+    acc = np.zeros((len(weights), len(z)))
+    for k, col in enumerate(cols):
+        acc += weights[:, k:k + 1] * col
+    acc += bias[:, None]
+    return np.ascontiguousarray(acc.T)
 
 
 def _batch_input(z, d: int) -> np.ndarray:

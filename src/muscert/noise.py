@@ -87,14 +87,19 @@ def _jump_coefficients(count: int) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def lcg_block(state: int, count: int) -> np.ndarray:
-    """The next count values of LcgStream(state).next_u64(), as uint64[count].
+def lcg_block(state, count: int) -> np.ndarray:
+    """The next count values of LcgStream(state).next_u64(), as uint64[count];
+    for a sequence of start states, one such row per state, as
+    uint64[len(state), count].
 
-    Each value jumps straight from state; the arithmetic stays on uint64
-    arrays, which wrap mod 2^64 silently (numpy scalars would warn).
+    Each value jumps straight from its start state; the arithmetic stays on
+    uint64 arrays, which wrap mod 2^64 silently (numpy scalars would warn).
     """
     mults, incs = _jump_coefficients(count)
-    start = np.full(1, state & _MASK64, dtype=np.uint64)
+    if isinstance(state, (int, np.integer)):
+        start = np.full(1, int(state) & _MASK64, dtype=np.uint64)
+    else:
+        start = np.array([int(s) & _MASK64 for s in state], dtype=np.uint64)[:, None]
     return mults * start + incs
 
 
@@ -153,8 +158,9 @@ def enumerate_atoms(cfg: SmoothingConfig) -> np.ndarray:
     return atoms
 
 
-def iid_bernoulli_bits(lam: float, n: int, count: int, rng_state: int) -> np.ndarray:
-    """uint8[count, n] of iid Bernoulli(lam) bits, one LCG step per bit.
+def iid_bernoulli_bits(lam: float, n: int, count: int, rng_state) -> np.ndarray:
+    """uint8[count, n] of iid Bernoulli(lam) bits, one LCG step per bit; for a
+    sequence of stream states, one such block per state, uint8[len, count, n].
 
     Bit (r, i) is next_unit() < lam for stream value r * n + i; the top 32
     bits over 2^32 are exact in float64, so this matches the scalar stream.
@@ -166,5 +172,5 @@ def iid_bernoulli_bits(lam: float, n: int, count: int, rng_state: int) -> np.nda
     if count < 0:
         raise ConfigError(f"count must be >= 0, got {count}")
     units = (lcg_block(rng_state, count * n) >> 32) / _TOP32
-    return (units < lam).astype(np.uint8).reshape(count, n)
+    return (units < lam).astype(np.uint8).reshape(units.shape[:-1] + (count, n))
 

@@ -202,7 +202,10 @@ def _near_relu_kink(base: MlpModel, x: tuple[float, ...]) -> bool:
 
 
 class _NoGradient:
-    """Wrapper hiding a model's analytic gradient to force finite differences."""
+    """Wrapper hiding a model's analytic gradient to force finite differences.
+
+    It keeps the model's batch pass, so the perturbed rows go in one batch.
+    """
 
     def __init__(self, base) -> None:
         self._base = base
@@ -211,6 +214,9 @@ class _NoGradient:
 
     def evaluate(self, x):
         return self._base.evaluate(x)
+
+    def evaluate_batch(self, z):
+        return self._base.evaluate_batch(z)
 
 
 def run_selfcheck(max_n: int = 6, trials: int = 20, seed: int = 0) -> SelfcheckReport:

@@ -37,6 +37,19 @@ class ConstantHandle:
         return self.probs
 
 
+class GradientFreeAdapter:
+    """Hide an analytic gradient and evaluate_batch so only evaluate() is
+    visible."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.d = inner.d
+        self.m = inner.m
+
+    def evaluate(self, x):
+        return self._inner.evaluate(x)
+
+
 def definitional_certificate(model, x, phi):
     """(consistent, r_inc, r_dec) recomputed on the q-query mus_evaluate path,
     independent of the batch path that certify_example takes."""

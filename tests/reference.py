@@ -10,12 +10,15 @@ under iid Bernoulli masks that the atom average derandomizes, and
 where multiplicative noise does not. `validate_logits` and
 `top_class_and_gap` are the scalar probability contract and argmax/gap rule
 that the package applies to whole arrays. `greedy_walk` is the greedy
-attack one candidate mask at a time.
+attack one candidate mask at a time. `lime_one_example`,
+`shap_one_example` and `finite_difference_gradient` score one example with
+its own base queries, as the scorers did before they ran as dataset stages.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations as all_permutations
 from typing import Sequence
 
 import numpy as np
@@ -30,9 +33,11 @@ from muscert.core import (
     Vector,
     evaluate_rows,
     mask_apply_rows,
+    unique_masks,
     validate_mask,
     zeros_mask,
 )
+from muscert.attribution import FD_STEP, LIME_RIDGE, _sampled_orders
 from muscert.noise import iid_bernoulli_bits
 from muscert.smoothing import EQUIVALENCE_TOL, SmoothedModel
 
@@ -234,3 +239,58 @@ def additive_leakage_demo(n: int) -> LeakageReport:
         multiplicative_lhs=multiplicative(x, alpha),
         multiplicative_rhs=multiplicative(premasked, ones),
     )
+
+
+def lime_one_example(base: ClassifierHandle, x: Sequence[float], grouping: FeatureGrouping,
+                     samples: int, kernel_width: float, rng_state: int) -> tuple[float, ...]:
+    """The LIME surrogate of one example: class from evaluate(x), the masked
+    rows in one evaluate_rows call, the normal equations solved by numpy."""
+    n = grouping.n
+    c, _ = top_class_and_gap(base.evaluate(x))
+    bits = iid_bernoulli_bits(0.5, n, samples, rng_state)
+    design = np.ones((samples, n + 1))
+    design[:, 1:] = bits
+    inputs = mask_apply_rows(np.asarray(x, dtype=float), bits, grouping.index_map())
+    targets = evaluate_rows(base, inputs)[:, c]
+    kernel = np.array([math.exp(-(dropped * dropped) / (kernel_width * kernel_width))
+                       for dropped in range(n + 1)])
+    weights = kernel[n - bits.sum(axis=1, dtype=np.intp)]
+    wx = design.T * weights
+    lhs = wx @ design + LIME_RIDGE * np.eye(n + 1)
+    return tuple(np.linalg.solve(lhs, wx @ targets)[1:].tolist())
+
+
+def shap_one_example(base: ClassifierHandle, x: Sequence[float], grouping: FeatureGrouping,
+                     permutations: int, rng_state: int,
+                     exhaustive: bool = False) -> tuple[float, ...]:
+    """The Shapley estimate of one example: class from evaluate(x), every
+    coalition of every order (empty and full included) deduplicated and sent
+    in one evaluate_rows call, each group's gains summed with math.fsum."""
+    n = grouping.n
+    c, _ = top_class_and_gap(base.evaluate(x))
+    if exhaustive:
+        orders = np.array(list(all_permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    else:
+        orders = _sampled_orders(n, permutations, rng_state)
+    rank = np.empty((len(orders), n), dtype=np.intp)
+    rank[np.arange(len(orders))[:, None], orders] = np.arange(n)
+    coalitions = (rank[:, None, :] < np.arange(n + 1)[:, None]).astype(np.uint8).reshape(-1, n)
+    rep, inverse = unique_masks(coalitions)
+    inputs = mask_apply_rows(np.asarray(x, dtype=float), coalitions[rep], grouping.index_map())
+    values = evaluate_rows(base, inputs)[:, c][inverse].reshape(len(orders), n + 1)
+    gains = values[:, 1:] - values[:, :-1]
+    contrib = np.take_along_axis(gains, rank, axis=1).T.tolist()
+    return tuple(math.fsum(col) / len(orders) for col in contrib)
+
+
+def finite_difference_gradient(base: ClassifierHandle, x: Sequence[float],
+                               c: int) -> list[float]:
+    """Central differences of p_c, two scalar evaluate calls per feature."""
+    grad = []
+    for j in range(len(x)):
+        up = list(x)
+        down = list(x)
+        up[j] += FD_STEP
+        down[j] -= FD_STEP
+        grad.append((base.evaluate(up)[c] - base.evaluate(down)[c]) / (2 * FD_STEP))
+    return grad

@@ -30,8 +30,8 @@ from muscert.models import LinearSoftmaxModel, random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, iid_bernoulli_bits
 from muscert.smoothing import SmoothedModel
 
-from conftest import ConstantHandle, definitional_certificate
-from reference import mask_apply, mus_evaluate, top_class_and_gap
+from conftest import ConstantHandle, GradientFreeAdapter, definitional_certificate
+from reference import finite_difference_gradient, mask_apply, mus_evaluate, top_class_and_gap
 
 
 class DyadicAdditiveHandle:
@@ -50,18 +50,6 @@ class DyadicAdditiveHandle:
             if v != 0.0:
                 p0 += self.weights[j]
         return (p0, 1.0 - p0)
-
-
-class GradientFreeAdapter:
-    """Hide an analytic gradient so only evaluate() is visible."""
-
-    def __init__(self, inner):
-        self._inner = inner
-        self.d = inner.d
-        self.m = inner.m
-
-    def evaluate(self, x):
-        return self._inner.evaluate(x)
 
 
 def _identity_pair():
@@ -159,6 +147,44 @@ def test_gradient_finite_difference_fallback_is_close():
     numeric = gradient_scores(GradientFreeAdapter(model), x, grouping)
     for a, b in zip(analytic, numeric):
         assert abs(a - b) <= 1e-6
+
+
+def test_gradient_finite_differences_equal_the_scalar_loop():
+    grouping = FeatureGrouping(groups=((0, 2), (1,)), d=3)
+    for model in (random_linear(3, 3, 8), random_mlp(3, 4, 2, 9)):
+        x = (0.3, -0.2, 0.9)
+        c, _ = top_class_and_gap(model.evaluate(x))
+        grad = finite_difference_gradient(model, x, c)
+        want = (math.fsum((abs(grad[0]), abs(grad[2]))), abs(grad[1]))
+        assert gradient_scores(GradientFreeAdapter(model), x, grouping) == want
+
+
+class OverfullHandle(ConstantHandle):
+    """(0.9, 0.9) everywhere, with a zero gradient."""
+
+    def __init__(self):
+        super().__init__((0.9, 0.9), d=2)
+
+    def gradient(self, x, c):
+        return (0.0, 0.0)
+
+
+class OverfullAwayFromX(ConstantHandle):
+    """On contract at x = (1.0, 2.0) only, (0.9, 0.9) at every other input."""
+
+    def __init__(self):
+        super().__init__((0.9, 0.9), d=2)
+
+    def evaluate(self, z):
+        return (0.5, 0.5) if tuple(z) == (1.0, 2.0) else self.probs
+
+
+def test_gradient_scores_check_the_probability_contract():
+    grouping = FeatureGrouping.trivial(2)
+    for handle in (OverfullHandle(), GradientFreeAdapter(OverfullHandle()),
+                   OverfullAwayFromX()):
+        with pytest.raises(ConfigError, match=r"^probabilities sum to 1\.8, not 1$"):
+            gradient_scores(handle, (1.0, 2.0), grouping)
 
 
 def test_gradient_scores_of_constant_classifier_are_zero():
@@ -333,6 +359,14 @@ def test_shap_orders_equal_scalar_fisher_yates(n, permutations):
         got = _sampled_orders(n, permutations, rng_state)
         assert [tuple(row) for row in got.tolist()] == _scalar_orders(
             n, permutations, rng_state)
+
+
+def test_shap_orders_of_many_states_hold_one_block_per_state():
+    states = [0, 9, 2**64 - 1]
+    for n in (1, 2, 16):
+        got = _sampled_orders(n, 5, states)
+        assert got.shape == (len(states), 5, n)
+        assert got.tolist() == [_sampled_orders(n, 5, s).tolist() for s in states]
 
 
 def test_shap_rejects_nonpositive_permutations():

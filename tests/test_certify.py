@@ -187,6 +187,12 @@ def test_oracle_rejects_unknown_mode():
             brute_force_stability_oracle(model, (1.0, 1.0), (1, 0), 0, mode)
 
 
+def test_enumeration_rejects_unknown_mode():
+    for mode in ("sideways", "Inc"):
+        with pytest.raises(ConfigError, match=f"^mode must be 'inc' or 'dec', got '{mode}'$"):
+            list(enumerate_perturbation_masks((1, 0, 0), 1, mode))
+
+
 def test_full_stability_trivial_and_worked_cases():
     model = indicator_model()
     x = (1.0, 1.0)

@@ -8,10 +8,13 @@ bytes where it is.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
+from muscert import random_mlp, save_model
 from muscert.cli import EXIT_OK, main
+from muscert.noise import derive_rng_state
 
 CASES = {
     "certify-l2": ("certify", 2, ("--topk", "8")),
@@ -25,7 +28,13 @@ CASES = {
     "explain-lime": ("explain", 4, ("--scorer", "lime", "--rinc", "0", "--rdec", "0")),
     "explain-shap": ("explain", 4, ("--scorer", "shap", "--rinc", "0", "--rdec", "0")),
     "attack-l4": ("attack", 4, ("--topk", "8", "--budget", "4")),
+    "explain-lime-mlp": ("explain", 4, ("--scorer", "lime", "--rinc", "0", "--rdec", "0")),
+    "explain-shap-mlp": ("explain", 4, ("--scorer", "shap", "--rinc", "0", "--rdec", "0")),
 }
+
+# The "-mlp" cases swap in a random ReLU MLP and an uneven grouping of the 16
+# features into 6 groups, so LIME and SHAP mask several raw features per bit.
+MLP_GROUPS = [[0, 5, 9], [1], [2, 3, 4, 15], [6, 12], [7, 8, 10], [11, 13, 14]]
 
 GOLDEN = {
     "accuracy-l4": {
@@ -70,6 +79,10 @@ GOLDEN = {
         "explain-lime.out":
             "ae57d351193261f2ca5c3c52622953f775d6eff116703f1bc86ec8964b141619",
     },
+    "explain-lime-mlp": {
+        "explain-lime-mlp.out":
+            "9d690677936e5f702e00bf86afcfc25e6747f58a1de3aa9d1f212db09e0c24c5",
+    },
     "explain-occlusion": {
         "explain-occlusion.out":
             "ac06452fe8aa78fce9794643de2973087b06e9e96870f6b3ba6dc7d51b38d69d",
@@ -78,6 +91,10 @@ GOLDEN = {
         "explain-shap.out":
             "9f577eb4922df4bf2ae884d535f3d2ba9632e5079e98d5ea85884999718fe4df",
     },
+    "explain-shap-mlp": {
+        "explain-shap-mlp.out":
+            "0a1597632ce72b2674ac28ce67c9187f22a476264a622f710d70141afa4aa74e",
+    },
     "explain-vgrad": {
         "explain-vgrad.out":
             "0ee14061b2dc2e9ee74790be0ac6b51a9b61317adc29d1a6438c9c5718bf8386",
@@ -85,10 +102,21 @@ GOLDEN = {
 }
 
 
-def _run(desk, tmp_path, label):
+@pytest.fixture(scope="module")
+def mlp_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("mlp")
+    model_path = root / "mlp.json"
+    grouping_path = root / "groups.json"
+    save_model(random_mlp(16, 8, 3, derive_rng_state(11, 2), scale=0.5), str(model_path))
+    grouping_path.write_text(json.dumps({"d": 16, "groups": MLP_GROUPS}))
+    return ["--model", str(model_path), "--grouping", str(grouping_path)]
+
+
+def _run(desk, mlp_inputs, tmp_path, label):
     command, lambda_num, extra = CASES[label]
     out = tmp_path / f"{label}.out"
-    argv = [command, "--model", desk["model_path"], "--data", desk["test_path"],
+    model = mlp_inputs if label.endswith("-mlp") else ["--model", desk["model_path"]]
+    argv = [command, *model, "--data", desk["test_path"],
             "--out", str(out), "--q", "16", "--lambda-num", str(lambda_num),
             "--seed", "11", *extra]
     assert main(argv) == EXIT_OK
@@ -97,5 +125,5 @@ def _run(desk, tmp_path, label):
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
-def test_desk_outputs_keep_their_bytes(desk, tmp_path, label):
-    assert _run(desk, tmp_path, label) == GOLDEN[label]
+def test_desk_outputs_keep_their_bytes(desk, mlp_inputs, tmp_path, label):
+    assert _run(desk, mlp_inputs, tmp_path, label) == GOLDEN[label]

@@ -149,6 +149,22 @@ def test_lcg_block_equals_scalar_stream(state):
         assert block.tolist() == [stream.next_u64() for _ in range(count)]
 
 
+def test_lcg_block_of_many_states_holds_one_stream_per_row():
+    states = [0, 2**64 - 1, -3, 77]
+    for count in (0, 1, 33):
+        block = lcg_block(states, count)
+        assert block.shape == (len(states), count)
+        assert block.tolist() == [lcg_block(s, count).tolist() for s in states]
+    bits = iid_bernoulli_bits(0.5, 3, 5, states)
+    assert bits.shape == (len(states), 5, 3)
+    assert bits.tolist() == [iid_bernoulli_bits(0.5, 3, 5, s).tolist() for s in states]
+    assert lcg_block([], 4).shape == (0, 4)
+    # numpy integers are stream states too.
+    assert lcg_block(np.int64(-3), 5).tolist() == lcg_block(-3, 5).tolist()
+    assert lcg_block(np.array(states[:2], dtype=np.uint64), 5).tolist() == (
+        lcg_block(states[:2], 5).tolist())
+
+
 def test_cached_jump_tables_are_read_only():
     mults, incs = _jump_coefficients(16)
     for table in (mults, incs):

@@ -1,0 +1,107 @@
+"""LIME and SHAP as dataset stages: lime_score_rows and shap_score_rows.
+
+Each stage sends the masked rows of every example to the base classifier in
+chunks of smoothing.DRIVER_CHUNK rows and then solves or sums per example.
+Batching, chunking and skipping SHAP's deduplication must not move a bit,
+so every result here is compared for equality, not within a tolerance.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from muscert import smoothing
+from muscert.attribution import (
+    lime_lite_scores,
+    lime_score_rows,
+    shap_lite_scores,
+    shap_score_rows,
+)
+from muscert.core import ConfigError, FeatureGrouping
+from muscert.models import random_linear, random_mlp
+from muscert.noise import LcgStream, derive_rng_state
+
+from conftest import ConstantHandle, GradientFreeAdapter
+from reference import lime_one_example, shap_one_example
+
+
+def _case(name):
+    """(base, grouping, xs) of one named case, with a zero row among xs."""
+    if name == "linear":
+        base, grouping = random_linear(5, 3, 41), FeatureGrouping.trivial(5)
+    elif name == "mlp-grouped":
+        base = random_mlp(7, 6, 3, 42, scale=0.7)
+        grouping = FeatureGrouping(groups=((0, 4), (1,), (2, 5, 6), (3,)), d=7)
+    elif name == "one-group":
+        base, grouping = random_mlp(3, 4, 2, 43), FeatureGrouping(groups=((0, 1, 2),), d=3)
+    else:
+        base, grouping = GradientFreeAdapter(random_linear(4, 2, 44)), FeatureGrouping.trivial(4)
+    stream = LcgStream(derive_rng_state(45, 0))
+    xs = [[2.0 * stream.next_gauss_pair()[0] for _ in range(grouping.d)] for _ in range(6)]
+    xs[3] = [0.0] * grouping.d
+    return base, grouping, np.array(xs)
+
+
+CASES = ("linear", "mlp-grouped", "one-group", "evaluate-only")
+
+
+def _states(count):
+    return [derive_rng_state(11, e) for e in range(count)]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_lime_rows_equal_one_row_calls_and_the_per_example_reference(name):
+    base, grouping, xs = _case(name)
+    rows = lime_score_rows(base, xs, grouping, 20, 1.5, _states(len(xs)))
+    for x, state, got in zip(xs.tolist(), _states(len(xs)), rows.tolist()):
+        assert tuple(got) == lime_lite_scores(base, x, grouping, 20, 1.5, state)
+        assert tuple(got) == lime_one_example(base, x, grouping, 20, 1.5, state)
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_shap_rows_equal_one_row_calls_and_the_per_example_reference(name, exhaustive):
+    base, grouping, xs = _case(name)
+    rows = shap_score_rows(base, xs, grouping, 9, _states(len(xs)), exhaustive)
+    for x, state, got in zip(xs.tolist(), _states(len(xs)), rows.tolist()):
+        assert tuple(got) == shap_lite_scores(base, x, grouping, 9, state, exhaustive)
+        assert tuple(got) == shap_one_example(base, x, grouping, 9, state, exhaustive)
+
+
+# 1 sends one row per evaluate_rows call; 7 splits every example's rows (20
+# LIME samples, at least 9 SHAP rows) across chunks and chunk boundaries.
+@pytest.mark.parametrize("chunk", [1, 7])
+@pytest.mark.parametrize("name", CASES)
+def test_no_chunk_size_moves_a_byte(monkeypatch, name, chunk):
+    base, grouping, xs = _case(name)
+    states = _states(len(xs))
+    want = (lime_score_rows(base, xs, grouping, 20, None, states),
+            shap_score_rows(base, xs, grouping, 9, states),
+            shap_score_rows(base, xs, grouping, 9, states, exhaustive=True))
+    monkeypatch.setattr(smoothing, "DRIVER_CHUNK", chunk)
+    got = (lime_score_rows(base, xs, grouping, 20, None, states),
+           shap_score_rows(base, xs, grouping, 9, states),
+           shap_score_rows(base, xs, grouping, 9, states, exhaustive=True))
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_stages_check_their_inputs():
+    base, grouping, xs = _case("linear")
+    for stage in (lime_score_rows, shap_score_rows):
+        with pytest.raises(ConfigError, match=r"^got 2 stream states for 6 examples$"):
+            stage(base, xs, grouping, 8, rng_states=[0, 1])
+        with pytest.raises(ConfigError, match=r"^input rows of shape \(6, 4\) are not"):
+            stage(base, xs[:, :4], grouping, 8, rng_states=_states(6))
+    assert lime_score_rows(base, xs[:0], grouping, rng_states=[]).shape == (0, 5)
+    assert shap_score_rows(base, xs[:0], grouping, rng_states=[]).shape == (0, 5)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "4", None])
+def test_scorer_counts_must_be_integers(bad):
+    handle = ConstantHandle((0.5, 0.5), d=2)
+    grouping = FeatureGrouping.trivial(2)
+    with pytest.raises(ConfigError, match=rf"^permutations must be an integer, got {bad!r}$"):
+        shap_lite_scores(handle, (1.0, 1.0), grouping, permutations=bad)
+    with pytest.raises(ConfigError, match=rf"^samples must be an integer, got {bad!r}$"):
+        lime_lite_scores(handle, (1.0, 1.0), grouping, samples=bad)
