@@ -209,8 +209,10 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     A block of examples is one batch, sent to the base classifier in chunks:
     the empty coalition, which is the zero input for every example, the full
     ones, which are the examples themselves and give their classes, then the
-    P * (n - 1) coalitions in between of each example. Each group's marginal
-    gains are then summed per example with math.fsum.
+    coalitions in between of each example: those of its P orders, P * (n - 1)
+    rows, or with `exhaustive` its 2^n - 2 proper nonempty subsets, which
+    hold every coalition of the n! orders once. Each group's marginal gains
+    are then summed per example with math.fsum.
     """
     n = grouping.n
     _check_count("permutations", permutations)
@@ -221,10 +223,16 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     if exhaustive:
         every_order = np.array(list(all_permutations(range(n))), dtype=np.intp).reshape(-1, n)
         permutations = len(every_order)
-    middle = permutations * (n - 1)
+        # Row c - 1 of subsets holds the groups of the bits of c, and
+        # subset_rows[t, s - 1] is the row of the first s groups of order t.
+        codes = np.arange(1, 2 ** n - 1)
+        subsets = codes[:, None] >> np.arange(n) & 1
+        subset_rows = np.add.accumulate(1 << every_order[:, :-1], axis=1) - 1
     zero = np.zeros((1, grouping.d))
     out = np.empty((len(xs), n))
-    for block in _example_blocks(len(xs), 1 + middle, shared=1):
+    # Blocks are sized by the order steps, which bound the gain arrays below
+    # as well as the batch.
+    for block in _example_blocks(len(xs), 1 + permutations * (n - 1), shared=1):
         count = block.stop - block.start
         if exhaustive:
             orders = np.tile(every_order, (count, 1))
@@ -235,14 +243,26 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
         rows = np.arange(len(orders))[:, None]
         rank = np.empty_like(orders)
         rank[rows, orders] = np.arange(n)
-        coalitions = (rank[:, None, :] < np.arange(1, n)[:, None]).astype(np.uint8)
-        probs = _evaluate_chunked(base, np.concatenate([zero, xs[block], mask_apply_rows(
-            np.repeat(xs[block], middle, axis=0), coalitions.reshape(-1, n), index_map)]))
+        # middle[t, s - 1] is the row of the coalition before step s of order
+        # t among the per_example coalition rows of its example.
+        if exhaustive:
+            per_example, middle = len(subsets), subset_rows[rows[:, 0] % permutations]
+            # Every example under every subset, broadcast.
+            masked = mask_apply_rows(xs[block][:, None, :], subsets, index_map)
+        else:
+            per_example = permutations * (n - 1)
+            middle = rows % permutations * (n - 1) + np.arange(n - 1)
+            coalitions = (rank[:, None, :] < np.arange(1, n)[:, None]).astype(np.uint8)
+            masked = mask_apply_rows(np.repeat(xs[block], per_example, axis=0),
+                                     coalitions.reshape(-1, n), index_map)
+        probs = _evaluate_chunked(base, np.concatenate(
+            [zero, xs[block], masked.reshape(-1, grouping.d)]))
         # held[t, s] is the batch row of the coalition before step s of order t.
+        example = rows // permutations
         held = np.empty((len(orders), n + 1), dtype=np.intp)
         held[:, 0] = 0
-        held[:, 1:n] = 1 + count + np.arange(middle * count).reshape(len(orders), n - 1)
-        held[:, n] = 1 + rows[:, 0] // permutations
+        held[:, 1:n] = 1 + count + example * per_example + middle
+        held[:, n] = 1 + example[:, 0]
         classes = np.repeat(top_classes_and_gaps(probs[1:1 + count])[0], permutations)
         values = probs[held, classes[:, None]]
         gains = values[:, 1:] - values[:, :-1]

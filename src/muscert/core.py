@@ -99,10 +99,11 @@ class FeatureGrouping:
 
     def index_map(self) -> np.ndarray:
         """Group index of each raw feature, as a length-d integer array."""
-        out = np.empty(self.d, dtype=np.intp)
+        out = [0] * self.d
         for gi, group in enumerate(self.groups):
-            out[list(group)] = gi
-        return out
+            for idx in group:
+                out[idx] = gi
+        return np.array(out, dtype=np.intp)
 
 
 @runtime_checkable
@@ -157,14 +158,19 @@ def evaluate_rows(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
     one evaluate_batch call when the handle has it, else one evaluate call
     per row, stacked; validate_logits_batch checks either."""
     if hasattr(base, "evaluate_batch"):
-        outputs = base.evaluate_batch(inputs)
-    else:
-        outputs = [base.evaluate(tuple(z)) for z in inputs.tolist()] or np.empty((0, base.m))
-        for r, row in enumerate(outputs):
+        return validate_logits_batch(base.evaluate_batch(inputs), len(inputs), base.m)
+    rows = [base.evaluate(tuple(z)) for z in inputs.tolist()] or np.empty((0, base.m))
+    try:
+        outputs = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        outputs = None
+    # Only rows that do not stack to (k, m) are looked at one by one.
+    if outputs is None or outputs.shape != (len(inputs), base.m):
+        for r, row in enumerate(rows):
             if np.shape(row) != (base.m,):
                 raise ConfigError(f"evaluate row {r}: expected {base.m} class "
                                   f"probabilities, got shape {np.shape(row)}")
-    return validate_logits_batch(outputs, len(inputs), base.m)
+    return validate_logits_batch(rows if outputs is None else outputs, len(inputs), base.m)
 
 
 def mask_apply_rows(x: np.ndarray, masks: np.ndarray, index_map: np.ndarray) -> np.ndarray:
@@ -175,46 +181,6 @@ def mask_apply_rows(x: np.ndarray, masks: np.ndarray, index_map: np.ndarray) -> 
     +0.0 into dropped groups; x * mask would give -0.0.
     """
     return np.where(masks[:, index_map] != 0, x, 0.0)
-
-
-def unique_masks(masks: np.ndarray,
-                 keys: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a (k, n) 0/1 mask array, each row paired with its
-    key when keys (k nonnegative integers) are given, found by sorting.
-
-    Returns (rep, inverse): rep[j] is the index of a row holding distinct
-    pair j, and row r holds pair inverse[r]. The bit-packed rows are read as
-    64-bit words; each word, then the key, is folded into one dense rank, so
-    every mask width takes the same path.
-    """
-    packed = np.packbits(masks, axis=1)
-    words = np.zeros((len(masks), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    words = words.view(np.uint64)
-    rank, rep = _dense_rank(words[:, 0])
-    for column in words[:, 1:].T:
-        word_rank, word_rep = _dense_rank(column)
-        rank, rep = _dense_rank(rank * len(word_rep) + word_rank)
-    if keys is not None:
-        rank, rep = _dense_rank(np.asarray(keys, dtype=np.int64) * len(rep) + rank)
-    return rep, rank
-
-
-def _dense_rank(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each value's index among the sorted distinct values, and the index of
-    one occurrence of each distinct value.
-
-    The folds above multiply a rank by a count of distinct values, both at
-    most len(values), or a key by such a count: far inside int64.
-    """
-    order = np.argsort(values)
-    ordered = values[order]
-    new = np.empty(len(values), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    rank = np.empty(len(values), dtype=np.intp)
-    rank[order] = np.add.accumulate(new, dtype=np.intp) - 1
-    return rank, order[new]
 
 
 def top_classes_and_gaps(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

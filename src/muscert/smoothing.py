@@ -3,9 +3,10 @@
 A smoothed model averages the base classifier over its q noise atoms, masks
 with exact per-coordinate keep rates: under mask alpha, atom s masks the
 input by mu OR (alpha AND s). `mus_evaluate_pairs` computes that average
-for many (example, mask) pairs at once and sends each distinct effective
-mask of an example to the base classifier once; every class sum is
-correctly rounded before it is divided by q, so neither the batching nor
+for many (example, mask) pairs at once. It packs the masks into 64-bit
+words, finds each example's distinct effective masks by sorting those
+words, and sends each of them to the base classifier once; every class sum
+is correctly rounded before it is divided by q, so neither the batching nor
 the deduplication can change a bit, and two evaluations of the same inputs
 agree bit for bit. `mus_evaluate_many` is its one-example case, and
 `masking_equivalence_check` tests it against averaging the pre-masked
@@ -14,6 +15,7 @@ input.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,7 +31,6 @@ from .core import (
     evaluate_rows,
     mask_apply_rows,
     mask_array,
-    unique_masks,
     validate_mask,
     zeros_mask,
 )
@@ -51,8 +52,8 @@ class SmoothedModel:
     """A base classifier wrapped with the noise atoms of its config.
 
     `atoms` is the read-only (q, n) uint8 array enumerate_atoms(cfg). `mu`
-    marks feature groups exempt from noise (always kept on); when absent
-    every group is subject to masking.
+    marks feature groups exempt from noise (always kept on), checked as
+    validate_mask checks it; when absent every group is subject to masking.
     """
 
     base: ClassifierHandle
@@ -60,12 +61,21 @@ class SmoothedModel:
     cfg: SmoothingConfig
     mu: Mask | None = None
     atoms: np.ndarray = field(init=False, repr=False, compare=False)
-    # The grouping's index map, for mus_evaluate_pairs.
+    # For mus_evaluate_pairs: the grouping's index map, and the atoms and mu
+    # packed by _bit_weights, as (q, 1, W) and (1, W) words (None when mu is).
     _index_map: np.ndarray = field(init=False, repr=False, compare=False)
+    _atom_words: np.ndarray = field(init=False, repr=False, compare=False)
+    _mu_words: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "atoms", enumerate_atoms(self.cfg))
+        n = self.grouping.n
+        if self.mu is not None:
+            object.__setattr__(self, "mu", validate_mask(self.mu, n))
+        atoms = enumerate_atoms(self.cfg)
+        object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_index_map", self.grouping.index_map())
+        object.__setattr__(self, "_atom_words", (atoms @ _bit_weights(n))[:, None, :])
+        object.__setattr__(self, "_mu_words", _mu_words(self.mu, n))
 
     @classmethod
     def build(cls, base: ClassifierHandle, grouping: FeatureGrouping,
@@ -78,8 +88,6 @@ class SmoothedModel:
             raise ConfigError(
                 f"smoothing config is over n={cfg.n} groups, grouping has {grouping.n}"
             )
-        if mu is not None:
-            validate_mask(mu, grouping.n)
         return cls(base=base, grouping=grouping, cfg=cfg, mu=mu)
 
     def with_mu(self, mu: Mask | None) -> "SmoothedModel":
@@ -88,6 +96,7 @@ class SmoothedModel:
             mu = validate_mask(mu, self.grouping.n)
         twin = copy.copy(self)
         object.__setattr__(twin, "mu", mu)
+        object.__setattr__(twin, "_mu_words", _mu_words(mu, self.grouping.n))
         return twin
 
     @property
@@ -97,6 +106,10 @@ class SmoothedModel:
     @property
     def m(self) -> int:
         return self.base.m
+
+
+def _mu_words(mu: Mask | None, n: int) -> np.ndarray | None:
+    return None if mu is None else np.array([mu], dtype=np.uint8) @ _bit_weights(n)
 
 
 def mus_evaluate_many(model: SmoothedModel, x: Sequence[float],
@@ -149,36 +162,87 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
     """mus_evaluate_pairs on checked arrays.
 
     The pairs are taken DRIVER_CHUNK // q at a time. A chunk's effective
-    masks mu OR (alpha AND atom) are deduplicated per example, each distinct
-    one is one row of a single base batch, and each class mean over an
-    alpha's q atoms is the correctly rounded sum divided by q, so neither
-    repeated rows nor the chunking can change a bit of it.
+    masks mu OR (alpha AND atom) are built as packed words, one broadcast
+    over its atoms and pairs, in atom-major order. One sort of the words,
+    with the example index above the mask bits when the two fit in 63 bits,
+    finds each example's distinct effective masks; only those are unpacked
+    into mask rows and sent to the base classifier, as one batch. Each
+    class mean over an alpha's q atoms is the correctly rounded sum divided
+    by q, so neither repeated rows nor the chunking can change a bit of it.
     """
     n, q, m = model.grouping.n, model.cfg.q, model.base.m
-    mu_rows = examples
-    if mus is None and model.mu is not None:
-        mus = np.array([model.mu], dtype=np.uint8)
-        mu_rows = np.zeros(len(examples), dtype=np.intp)
+    weights = _bit_weights(n)
+    words = alphas @ weights
+    # The words OR-ed into each pair's effective masks: one row per pair, or
+    # one row for all of them (the model's mu, or the only pair's).
+    exempt = model._mu_words if mus is None else (mus @ weights)[examples]
+    # With more than one example the keys carry the example index: above the
+    # mask bits when both fit in 63 bits, else as a column of its own.
+    index_column = len(xs) > 1
+    if index_column and words.shape[1] == 1 and n + (len(xs) - 1).bit_length() <= 63:
+        tag = examples.astype(np.uint64)[:, None] << np.uint64(n)
+        exempt = tag if exempt is None else exempt | tag
+        index_column = False
     out = np.empty((len(alphas), m))
     step = max(1, DRIVER_CHUNK // q)
     for lo in range(0, len(alphas), step):
         chunk = slice(lo, lo + step)
-        effective = alphas[chunk, None, :] & model.atoms
-        if mus is not None:
-            effective |= mus[mu_rows[chunk]][:, None, :]
-        effective = effective.reshape(-1, n)
-        # A single example needs no key, which saves one sort.
-        if len(xs) > 1:
-            row_examples = np.repeat(examples[chunk], q)
-            rep, inverse = unique_masks(effective, row_examples)
-            x_rows = xs[row_examples[rep]]
-        else:
-            rep, inverse = unique_masks(effective)
-            x_rows = xs[0]
-        inputs = mask_apply_rows(x_rows, effective[rep], model._index_map)
-        probs = evaluate_rows(model.base, inputs)[inverse]
-        out[chunk] = _atom_means(probs.reshape(-1, q, m))
+        pairs = examples[chunk]
+        effective = model._atom_words & words[chunk]
+        if exempt is not None:
+            effective |= exempt if len(exempt) == 1 else exempt[chunk]
+        # Row j * len(pairs) + i is atom j on pair i.
+        effective = effective.reshape(-1, words.shape[1])
+        keys = [*effective.T, np.tile(pairs, q)] if index_column else effective.T
+        rep, inverse = _distinct(keys)
+        inputs = mask_apply_rows(xs[pairs[rep % len(pairs)]] if len(xs) > 1 else xs[0],
+                                 _unpack_words(effective[rep], n), model._index_map)
+        probs = evaluate_rows(model.base, inputs)[inverse].reshape(q, len(pairs), m)
+        # The (pairs, q, m) view reads one contiguous (pairs, m) block per atom.
+        out[chunk] = _atom_means(probs.transpose(1, 0, 2))
     return out
+
+
+@functools.cache
+def _bit_weights(n: int) -> np.ndarray:
+    """The read-only (n, W) uint64 matrix, W = ceil(n / 64), whose integer
+    product with a (k, n) 0/1 mask array packs each row into W words: bit i
+    of word w is group 64 w + i. A column's weights are distinct powers of
+    two, so no sum carries. Cached: one small matrix per group count.
+    """
+    bits = np.uint64(1) << np.arange(64, dtype=np.uint64)
+    weights = np.zeros((n, -(-n // 64)), dtype=np.uint64)
+    for w in range(weights.shape[1]):
+        weights[64 * w:64 * (w + 1), w] = bits[:n - 64 * w]
+    weights.flags.writeable = False
+    return weights
+
+
+def _unpack_words(words: np.ndarray, n: int) -> np.ndarray:
+    """The (k, n) 0/1 uint8 mask rows of (k, W) packed words; bits from n
+    up, such as an example index, are dropped."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                         count=n, bitorder="little")
+
+
+def _distinct(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of the equal-length integer columns keys (a list, or a
+    2-D array's rows), found by one sort: argsort on a single column, else
+    lexsort.
+
+    Returns (rep, inverse): rep[j] is the index of a row holding distinct
+    tuple j, and row r holds tuple inverse[r].
+    """
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    ordered = [key[order] for key in keys]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[0][1:], ordered[0][:-1], out=new[1:])
+    for column in ordered[1:]:
+        new[1:] |= column[1:] != column[:-1]
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.add.accumulate(new, dtype=np.intp) - 1
+    return order[new], inverse
 
 
 def _atom_means(blocks: np.ndarray) -> np.ndarray:

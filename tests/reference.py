@@ -33,7 +33,6 @@ from muscert.core import (
     Vector,
     evaluate_rows,
     mask_apply_rows,
-    unique_masks,
     validate_mask,
     zeros_mask,
 )
@@ -275,8 +274,10 @@ def shap_one_example(base: ClassifierHandle, x: Sequence[float], grouping: Featu
     rank = np.empty((len(orders), n), dtype=np.intp)
     rank[np.arange(len(orders))[:, None], orders] = np.arange(n)
     coalitions = (rank[:, None, :] < np.arange(n + 1)[:, None]).astype(np.uint8).reshape(-1, n)
-    rep, inverse = unique_masks(coalitions)
-    inputs = mask_apply_rows(np.asarray(x, dtype=float), coalitions[rep], grouping.index_map())
+    slot: dict[bytes, int] = {}
+    inverse = [slot.setdefault(row.tobytes(), len(slot)) for row in coalitions]
+    distinct = np.frombuffer(b"".join(slot), dtype=np.uint8).reshape(-1, n)
+    inputs = mask_apply_rows(np.asarray(x, dtype=float), distinct, grouping.index_map())
     values = evaluate_rows(base, inputs)[:, c][inverse].reshape(len(orders), n + 1)
     gains = values[:, 1:] - values[:, :-1]
     contrib = np.take_along_axis(gains, rank, axis=1).T.tolist()

@@ -189,23 +189,24 @@ def test_contract_sums_each_row_left_to_right_with_or_without_a_batch_method():
 
 
 def test_evaluate_rows_names_a_ragged_row():
-    """Without a batch method, a row of the wrong width is named before the
-    rows are stacked."""
+    """Without a batch method, the first row of the wrong width is named,
+    whether the rows stack (all too wide) or not (ragged)."""
 
-    class ThirdClassOnSecondCall:
+    class ThirdClassFromCall:
         d = 2
         m = 2
 
-        def __init__(self):
-            self.calls = 0
+        def __init__(self, first_wide):
+            self.first_wide, self.calls = first_wide, 0
 
         def evaluate(self, z):
             self.calls += 1
-            return (0.5, 0.5) if self.calls == 1 else (0.25, 0.25, 0.5)
+            return (0.5, 0.5) if self.calls < self.first_wide else (0.25, 0.25, 0.5)
 
-    with pytest.raises(ConfigError, match=r"^evaluate row 1: expected 2 class probabilities, "
-                                          r"got shape \(3,\)$"):
-        evaluate_rows(ThirdClassOnSecondCall(), np.zeros((3, 2)))
+    for first_wide in (2, 1):
+        with pytest.raises(ConfigError, match=rf"^evaluate row {first_wide - 1}: expected 2 "
+                                              r"class probabilities, got shape \(3,\)$"):
+            evaluate_rows(ThirdClassFromCall(first_wide), np.zeros((3, 2)))
 
 
 def test_oracle_finds_a_flip_in_a_later_chunk():

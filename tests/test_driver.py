@@ -1,5 +1,5 @@
-"""Dataset driver: exact block sums, array argmax, sort-based dedup, and the
-staged pair evaluation against the one-example path."""
+"""Dataset driver: exact block sums, array argmax, dedup on packed mask
+words, and the staged pair evaluation against the one-example path."""
 from __future__ import annotations
 
 import math
@@ -11,7 +11,7 @@ from muscert import smoothing
 from muscert.attack import attack_decremental, attack_incremental, attack_walks
 from muscert.attribution import greedy_stable_attribution, greedy_stable_masks
 from muscert.certify import certify_example, certify_examples
-from muscert.core import FeatureGrouping, top_classes_and_gaps, unique_masks
+from muscert.core import FeatureGrouping, top_classes_and_gaps
 from muscert.models import random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state
 from muscert.smoothing import (
@@ -160,13 +160,24 @@ def test_unique_masks_pairs_rows_with_keys_at_any_width(n):
     picks = [stream.next_below(6) for _ in range(60)]
     masks = base[picks]
     keys = np.array([stream.next_below(3) for _ in picks])
-    for row_keys in (None, keys):
-        rep, inverse = unique_masks(masks, row_keys)
+    words = masks @ smoothing._bit_weights(n)
+    assert words.shape == (len(masks), -(-n // 64))
+    assert all(int(words[r, i // 64]) >> (i % 64) & 1 == masks[r, i]
+               for r in range(len(masks)) for i in range(n))
+    assert (smoothing._unpack_words(words, n) == masks).all()
+    columns = {"masks": words.T, "keys": [*words.T, keys]}
+    if n <= 61:
+        # The driver's single key: the example index above the mask bits.
+        tagged = keys.astype(np.uint64) << np.uint64(n) | words[:, 0]
+        assert (smoothing._unpack_words(tagged[:, None], n) == masks).all()
+        columns["tagged"] = [tagged]
+    for name, cols in columns.items():
+        rep, inverse = smoothing._distinct(cols)
         assert (masks[rep][inverse] == masks).all()
-        pairs = {(0 if row_keys is None else int(row_keys[r]), masks[r].tobytes())
+        pairs = {(0 if name == "masks" else int(keys[r]), masks[r].tobytes())
                  for r in range(len(masks))}
         assert len(rep) == len(pairs)
-        if row_keys is not None:
+        if name != "masks":
             assert (keys[rep][inverse] == keys).all()
 
 
@@ -198,28 +209,62 @@ def _driver_instance(n, batch=True, seed=3):
     return model, xs, examples, alphas, mus
 
 
+def _sort_keys(monkeypatch):
+    """The number of key columns of each smoothing._distinct call."""
+    widths = []
+    real = smoothing._distinct
+
+    def spy(keys):
+        widths.append(len(keys))
+        return real(keys)
+
+    monkeypatch.setattr(smoothing, "_distinct", spy)
+    return widths
+
+
+# The seven examples of _driver_instance take 3 bits above the n mask bits:
+# up to n = 60 the driver sorts one key per row, above it (63 included) it
+# sorts the mask words and the example index.
+WIDTHS = [5, 47, 63, 64, 70]
+
+
+def _key_columns(n):
+    return 1 if n + 3 <= 63 else -(-n // 64) + 1
+
+
 @pytest.mark.parametrize("chunk", [24, 4096], ids=["3-pair-chunks", "one-chunk"])
 @pytest.mark.parametrize("batch", [True, False], ids=["evaluate_batch", "evaluate-only"])
-@pytest.mark.parametrize("n", [5, 70])
+@pytest.mark.parametrize("n", WIDTHS)
 def test_pair_driver_equals_one_example_path(monkeypatch, chunk, batch, n):
     monkeypatch.setattr(smoothing, "DRIVER_CHUNK", chunk)
+    widths = _sort_keys(monkeypatch)
     model, xs, examples, alphas, mus = _driver_instance(n, batch, seed=n)
     for with_mu in (False, True):
+        widths.clear()
         got = mus_evaluate_pairs(model, xs, examples, alphas, mus if with_mu else None)
+        assert set(widths) == {_key_columns(n)}
         for row, e, alpha in zip(got.tolist(), examples, alphas):
             one = model.with_mu(tuple(mus[e].tolist())) if with_mu else model
             assert tuple(row) == mus_evaluate_many(one, tuple(xs[e].tolist()), [alpha])[0]
     # The model's own mu applies when no per-example mu is given.
     shielded = model.with_mu(tuple(mus[0].tolist()))
+    widths.clear()
     got = mus_evaluate_pairs(shielded, xs, examples, alphas)
+    assert set(widths) == {_key_columns(n)}
     assert [tuple(row) for row in got.tolist()] == [
         mus_evaluate(shielded, tuple(xs[e].tolist()), a) for e, a in zip(examples, alphas)]
 
 
-def test_evaluate_only_handle_sees_each_distinct_pair_once():
-    model, xs, examples, alphas, _ = _driver_instance(5, batch=False, seed=2)
-    mus_evaluate_pairs(model, xs, examples, alphas)
-    distinct = {(e, (np.array(a, dtype=np.uint8) & atom).tobytes())
+@pytest.mark.parametrize("with_mu", [False, True], ids=["no-mu", "mu"])
+@pytest.mark.parametrize("n", WIDTHS)
+def test_evaluate_only_handle_sees_each_distinct_pair_once(n, with_mu):
+    model, xs, examples, alphas, mus = _driver_instance(n, batch=False, seed=n + 1)
+    if not with_mu:
+        mus[:] = 0
+    # Every pair twice, so that wide masks repeat too.
+    examples, alphas = examples * 2, alphas * 2
+    mus_evaluate_pairs(model, xs, examples, alphas, mus if with_mu else None)
+    distinct = {(e, (mus[e] | (np.array(a, dtype=np.uint8) & atom)).tobytes())
                 for e, a in zip(examples, alphas) for atom in model.atoms}
     assert model.base.calls == len(distinct) < len(examples) * model.cfg.q
 

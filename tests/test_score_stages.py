@@ -68,6 +68,35 @@ def test_shap_rows_equal_one_row_calls_and_the_per_example_reference(name, exhau
         assert tuple(got) == shap_one_example(base, x, grouping, 9, state, exhaustive)
 
 
+class RowCounter:
+    """A model's evaluate_batch, counting the rows it is sent."""
+
+    def __init__(self, inner):
+        self.inner, self.d, self.m = inner, inner.d, inner.m
+        self.rows = 0
+
+    def evaluate(self, x):
+        return self.inner.evaluate(x)
+
+    def evaluate_batch(self, z):
+        self.rows += len(z)
+        return self.inner.evaluate_batch(z)
+
+
+def test_exhaustive_shap_sends_each_coalition_once():
+    n = 7
+    base = RowCounter(random_mlp(n, 5, 3, 46))
+    grouping = FeatureGrouping.trivial(n)
+    stream = LcgStream(derive_rng_state(46, 0))
+    xs = np.array([[2.0 * stream.next_gauss_pair()[0] for _ in range(n)] for _ in range(3)])
+    rows = shap_score_rows(base, xs, grouping, rng_states=_states(3), exhaustive=True)
+    # A block of one example sends the zero row, the example and its 2^n - 2
+    # proper nonempty subsets, where its 5040 orders hold 30240 coalitions.
+    assert base.rows == 3 * 2 ** n
+    for x, got in zip(xs.tolist(), rows.tolist()):
+        assert tuple(got) == shap_one_example(base.inner, x, grouping, 1, 0, exhaustive=True)
+
+
 # 1 sends one row per evaluate_rows call; 7 splits every example's rows (20
 # LIME samples, at least 9 SHAP rows) across chunks and chunk boundaries.
 @pytest.mark.parametrize("chunk", [1, 7])

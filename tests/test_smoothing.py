@@ -185,7 +185,8 @@ def test_non_integer_mask_entries_are_rejected_by_every_entry_point():
              lambda: mask_array([(0.7, 1, 0)], 3),
              lambda: mus_evaluate_pairs(model, [x], [0], [(0.7, 1, 0)]),
              lambda: mus_evaluate_pairs(model, [x], [0], [(1, 1, 1)], mus=[(0.7, 1, 0)]),
-             lambda: model.with_mu((0.7, 1, 0))]
+             lambda: model.with_mu((0.7, 1, 0)),
+             lambda: SmoothedModel(model.base, model.grouping, model.cfg, mu=(0.7, 1, 0))]
     for call in calls:
         with pytest.raises(DataError) as err:
             call()
