@@ -22,7 +22,6 @@ from .core import (
     mask_apply_rows,
     ones_mask,
     top_classes_and_gaps,
-    validate_logits_batch,
 )
 from . import smoothing
 from .certify import radius_from_gap
@@ -63,35 +62,62 @@ def occlusion_score_rows(model: SmoothedModel, xs) -> np.ndarray:
 
 def gradient_scores(base: ClassifierHandle, x: Sequence[float],
                     grouping: FeatureGrouping) -> tuple[float, ...]:
-    """Sum of absolute predicted-class gradient entries within each group.
+    """Sum of absolute predicted-class gradient entries within each group:
+    the one-row call of gradient_score_rows."""
+    return tuple(gradient_score_rows(base, [x], grouping)[0].tolist())
 
-    The class is fixed from the unmodified input before any perturbation.
-    Falls back to central finite differences when the classifier exposes
-    no analytic gradient: one evaluate_rows call over x, then x + FD_STEP e_j
-    for each j, then x - FD_STEP e_j for each j. Every output the handle
-    gives is checked against the probability contract.
-    """
-    if len(x) != grouping.d:
-        raise ConfigError(f"input length {len(x)} != d={grouping.d}")
-    if hasattr(base, "gradient"):
-        c = top_classes_and_gaps(validate_logits_batch([base.evaluate(x)], 1, base.m))[0][0]
-        grad = list(base.gradient(x, int(c)))
+
+def gradient_score_rows(base: ClassifierHandle, xs,
+                        grouping: FeatureGrouping) -> np.ndarray:
+    """gradient_scores of every row of the (E, d) inputs xs, as an (E, n)
+    array; each group sums with math.fsum. The classes come from one chunked
+    evaluate_rows call over xs, or in finite_difference_rows for a handle
+    with no gradient. Every handle output is checked against the contract."""
+    xs = _input_rows(xs, grouping)
+    if hasattr(base, "gradient_batch") or hasattr(base, "gradient"):
+        grads = _gradient_rows(base, xs, top_classes_and_gaps(_evaluate_chunked(base, xs))[0])
     else:
-        d = len(x)
-        point = np.asarray(x, dtype=float)
-        rows = np.tile(point, (2 * d + 1, 1))
-        # Rows 1..d step feature j up and rows d+1..2d step it down: the
-        # diagonals of the two (d, d) blocks after row 0.
-        rows[1:].reshape(2, d * d)[:, ::d + 1] = (point + FD_STEP, point - FD_STEP)
-        probs = evaluate_rows(base, rows)
-        column = probs[:, top_classes_and_gaps(probs[:1])[0][0]]
-        grad = ((column[1:d + 1] - column[d + 1:]) / (2 * FD_STEP)).tolist()
-    if len(grad) != grouping.d:
-        raise ConfigError(f"gradient has {len(grad)} entries, expected d={grouping.d}")
-    for j, g in enumerate(grad):
-        if not math.isfinite(g):
-            raise ConfigError(f"gradient entry {j} is not finite: {g!r}")
-    return tuple(math.fsum(abs(grad[j]) for j in group) for group in grouping.groups)
+        grads = finite_difference_rows(base, xs)
+    cols = np.abs(grads).T.tolist()
+    return np.array([list(map(math.fsum, zip(*[cols[j] for j in group])))
+                     for group in grouping.groups]).T
+
+
+def finite_difference_rows(base: ClassifierHandle, xs: np.ndarray) -> np.ndarray:
+    """Central finite differences of the class at each row x of the (E, d)
+    array xs, as an (E, d) array. Each example sends x, which fixes its
+    class, then x + FD_STEP e_j and then x - FD_STEP e_j for each j; a block
+    of examples goes to the base classifier in chunks."""
+    d = xs.shape[1]
+    grads = np.empty(xs.shape)
+    steps = np.eye(d, dtype=bool)
+    for block in _example_blocks(len(xs), 2 * d + 1):
+        points = xs[block][:, None, :]
+        # np.where keeps the signed zeros of x.
+        rows = np.concatenate([points, np.where(steps, points + FD_STEP, points),
+                               np.where(steps, points - FD_STEP, points)], axis=1)
+        probs = _evaluate_chunked(base, rows.reshape(-1, d)).reshape(len(rows), 2 * d + 1, -1)
+        column = probs[np.arange(len(rows)), :, top_classes_and_gaps(probs[:, 0])[0]]
+        grads[block] = (column[:, 1:d + 1] - column[:, d + 1:]) / (2 * FD_STEP)
+    return grads
+
+
+def _gradient_rows(base: ClassifierHandle, xs: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The (k, d) gradients of class classes[r] at row r of xs, each of d
+    finite entries: one gradient_batch call, else one gradient call per row."""
+    if hasattr(base, "gradient_batch"):
+        rows = base.gradient_batch(xs, classes)
+    else:
+        rows = [base.gradient(tuple(x), c) for x, c in zip(xs.tolist(), classes.tolist())]
+    d = xs.shape[1]
+    for row in rows:
+        if len(row) != d:
+            raise ConfigError(f"gradient has {len(row)} entries, expected d={d}")
+    grads = np.array(rows, dtype=float).reshape(len(xs), d)
+    if not np.isfinite(grads).all():
+        r, j = np.argwhere(~np.isfinite(grads))[0]
+        raise ConfigError(f"gradient entry {j} is not finite: {float(grads[r, j])!r}")
+    return grads
 
 
 def _check_count(name: str, value) -> None:
@@ -99,10 +125,15 @@ def _check_count(name: str, value) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _score_inputs(xs, grouping: FeatureGrouping, rng_states) -> tuple[np.ndarray, list]:
+def _input_rows(xs, grouping: FeatureGrouping) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != grouping.d:
         raise ConfigError(f"input rows of shape {xs.shape} are not (E, d={grouping.d})")
+    return xs
+
+
+def _score_inputs(xs, grouping: FeatureGrouping, rng_states) -> tuple[np.ndarray, list]:
+    xs = _input_rows(xs, grouping)
     rng_states = list(rng_states)
     if len(rng_states) != len(xs):
         raise ConfigError(f"got {len(rng_states)} stream states for {len(xs)} examples")

@@ -18,13 +18,13 @@ from .attack import attack_walks
 from .attribution import (
     DEFAULT_LIME_SAMPLES,
     DEFAULT_SHAP_PERMUTATIONS,
+    gradient_score_rows,
     greedy_stable_masks,
     lime_score_rows,
     occlusion_score_rows,
     shap_score_rows,
     topk_binarize,
 )
-from .attribution import gradient_scores as vanilla_gradient_scores
 from .certify import certify_examples, radius_from_gap
 from .core import (
     ConfigError,
@@ -57,8 +57,9 @@ class _Parser(argparse.ArgumentParser):
 def _map_examples(fn: Callable, items: Sequence, workers: int) -> list:
     """Apply fn over items in input order, on this thread.
 
-    workers is unused (main checks --workers); the signature stays because
-    bench/tracer.py wraps this function.
+    No command calls it, and workers is unused (main checks --workers). It
+    stays only because bench/tracer.py wraps it, until the bench stops
+    doing so.
     """
     return [fn(item) for item in items]
 
@@ -85,20 +86,19 @@ def _load_common(args) -> tuple:
     return dataset, xs, grouping, cfg, smoothed
 
 
-def _score_rows(args, smoothed: SmoothedModel, dataset, xs: np.ndarray) -> list:
+def _score_rows(args, smoothed: SmoothedModel, xs: np.ndarray) -> list:
     """Scores of every example, one list per example.
 
-    Occlusion scores the whole dataset in one smoothed pass, and LIME and
-    SHAP send the masked rows of every example to the base classifier in
-    chunks, example e drawing from stream derive_rng_state(seed, e); vgrad
-    queries the base classifier example by example.
+    Occlusion scores the whole dataset in one smoothed pass, vgrad in one
+    stage over the base classifier, and LIME and SHAP send the masked rows
+    of every example to the base classifier in chunks, example e drawing
+    from stream derive_rng_state(seed, e).
     """
     base, grouping = smoothed.base, smoothed.grouping
     if args.scorer == "occlusion":
         return occlusion_score_rows(smoothed, xs).tolist()
     if args.scorer == "vgrad":
-        return _map_examples(lambda x: vanilla_gradient_scores(base, x, grouping),
-                             [x for x, _label in dataset.examples], args.workers)
+        return gradient_score_rows(base, xs, grouping).tolist()
     states = [derive_rng_state(args.seed, idx) for idx in range(len(xs))]
     if args.scorer == "lime":
         return lime_score_rows(base, xs, grouping, args.lime_samples,
@@ -106,10 +106,9 @@ def _score_rows(args, smoothed: SmoothedModel, dataset, xs: np.ndarray) -> list:
     return shap_score_rows(base, xs, grouping, args.shap_permutations, states).tolist()
 
 
-def _attribution_masks(args, smoothed: SmoothedModel, dataset,
-                       xs: np.ndarray) -> list[Mask]:
+def _attribution_masks(args, smoothed: SmoothedModel, xs: np.ndarray) -> list[Mask]:
     """phi for every example, from --topk or greedy radius targets."""
-    scores = _score_rows(args, smoothed, dataset, xs)
+    scores = _score_rows(args, smoothed, xs)
     if args.topk is not None:
         return [topk_binarize(row, args.topk) for row in scores]
     return [mask for mask, _met in
@@ -148,9 +147,9 @@ def _survival_curve(radii_ok: list[tuple[int, bool]], n: int) -> list[float]:
 
 def cmd_certify(args) -> int:
     _require_phi_source(args)
-    dataset, xs, grouping, _cfg, smoothed = _load_common(args)
+    _dataset, xs, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
-    phis = _attribution_masks(args, smoothed, dataset, xs)
+    phis = _attribution_masks(args, smoothed, xs)
     records = certify_examples(smoothed, xs, phis, range(len(phis)),
                                mus=phis if args.mu_mode == "phi" else None)
     _write_lines(args.out, (_json_line(r.to_json_dict()) for r in records))
@@ -181,9 +180,9 @@ def cmd_accuracy_curve(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    dataset, xs, grouping, _cfg, smoothed = _load_common(args)
+    _dataset, xs, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
-    scores = _score_rows(args, smoothed, dataset, xs)
+    scores = _score_rows(args, smoothed, xs)
     masks = greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)
     rows = [{
         "example_id": idx,
@@ -209,9 +208,9 @@ def cmd_explain(args) -> int:
 
 def cmd_attack(args) -> int:
     _require_phi_source(args)
-    dataset, xs, grouping, _cfg, smoothed = _load_common(args)
+    _dataset, xs, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
-    phis = _attribution_masks(args, smoothed, dataset, xs)
+    phis = _attribution_masks(args, smoothed, xs)
     records = certify_examples(smoothed, xs, phis, range(len(phis)))
     budgets = [n - popcount(phi) for phi in phis]
     if args.budget is not None:

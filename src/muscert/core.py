@@ -114,7 +114,9 @@ class ClassifierHandle(Protocol):
     gradient(x, c), when provided, returns the d partial derivatives of the
     probability of class c at x. evaluate_batch(Z), when provided, maps a
     (k, d) float array to the (k, m) array whose row r equals evaluate(Z[r])
-    bit for bit; batch callers use it in place of one evaluate call per row.
+    bit for bit, and gradient_batch(Z, classes) to the (k, d) array whose
+    row r equals gradient(Z[r], classes[r]) bit for bit; batch callers use
+    them in place of one call per row.
     """
 
     d: int

@@ -123,11 +123,7 @@ def synth_blobs(n_per_class: int, d: int, m: int, separation: float,
     for c in range(m):
         center = [separation if j == c % d else 0.0 for j in range(d)]
         for _ in range(n_per_class):
-            coords = []
-            while len(coords) < d:
-                a, b = stream.next_gauss_pair()
-                coords.append(a)
-                coords.append(b)
+            coords = stream.next_gauss_values(d)
             x = tuple(center[j] + coords[j] for j in range(d))
             examples.append((x, c))
     return LabeledDataset(examples=tuple(examples), d=d, m=m)

@@ -1,11 +1,11 @@
 """Built-in desk-scale classifiers: linear softmax and a two-layer ReLU MLP.
 
-Forward passes and analytic gradients are written as explicit row-major
-loops so the summation order is pinned and results are reproducible
-bit-for-bit across runs. The batch forward pass keeps that order column by
-column over a (k, d) input array, with the same math.exp, so its rows equal
-the single-input pass bit for bit. Weights round-trip through a JSON
-document using Python's shortest round-trip float formatting.
+Each model has one forward kernel (evaluate_batch) and one gradient kernel
+(gradient_batch) over a (k, d) input array; evaluate and gradient are their
+one-row calls. Every sum runs in a pinned order, column by column, so a row
+gets the same bits in any batch and on every run, and math.exp rounds the
+same everywhere. Weights round-trip through a JSON document using Python's
+shortest round-trip float formatting.
 """
 from __future__ import annotations
 
@@ -27,33 +27,10 @@ from .noise import LcgStream
 MODEL_KINDS = ("linear", "mlp")
 
 
-def _softmax(logits: list[float]) -> Logits:
-    """Numerically stable softmax with max subtraction; fixed-order sums."""
-    top = max(logits)
-    exps = [math.exp(v - top) for v in logits]
-    total = 0.0
-    for e in exps:
-        total += e
-    return tuple(e / total for e in exps)
-
-
-def _dot_rows(weights: Sequence[Sequence[float]], bias: Sequence[float],
-              x: Sequence[float]) -> list[float]:
-    """Row-major matrix-vector product plus bias, accumulated left to right."""
-    out = []
-    for row, b in zip(weights, bias):
-        acc = 0.0
-        for w, v in zip(row, x):
-            acc += w * v
-        out.append(acc + b)
-    return out
-
-
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """_softmax applied to each row of a (k, m) array, bit for bit.
-
-    The maximum and the sum run column by column: a reduction along each
-    row of m values is slow.
+    """Softmax of each row of a (k, m) array, after subtracting the row
+    maximum. The maximum and the sum run column by column, so each row sums
+    left to right: a reduction along each row of m values is slow.
     """
     top = logits[:, 0].copy()
     for j in range(1, logits.shape[1]):
@@ -69,13 +46,11 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def _affine_cols(z: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """_dot_rows applied to each row of a (k, d) array, bit for bit, as a
-    C-contiguous (k, m) array.
-
-    Adding one input column at a time from 0.0 keeps _dot_rows' left-to-right
-    order; a matrix product would sum in its own order. The sums run on the
-    transposed (m, k) array, so every step reads one contiguous row of z.T
-    and updates contiguous rows.
+    """W z + b for each row z of a (k, d) array, as a C-contiguous (k, m)
+    array: each entry sums the d products left to right from 0.0, then adds
+    the bias. Adding one input column at a time keeps that order, where a
+    matrix product would not. The sums run on the transposed (m, k) array,
+    so every step reads one contiguous row of z.T and updates contiguous rows.
     """
     cols = np.ascontiguousarray(z.T)
     acc = np.zeros((len(weights), len(z)))
@@ -90,6 +65,24 @@ def _batch_input(z, d: int) -> np.ndarray:
     if arr.ndim != 2 or arr.shape[1] != d:
         raise ConfigError(f"input batch shape {arr.shape} is not (k, d={d})")
     return arr
+
+
+def _batch_classes(classes, k: int, m: int) -> np.ndarray:
+    """One class per input row, each in 0..m-1, as an intp array."""
+    arr = np.asarray(classes, dtype=np.intp)
+    if arr.shape != (k,):
+        raise ConfigError(f"got classes of shape {arr.shape} for {k} input rows")
+    outside = (arr < 0) | (arr >= m)
+    if outside.any():
+        raise ConfigError(f"class {int(arr[outside][0])} outside 0..{m - 1}")
+    return arr
+
+
+def _one_row(x: Sequence[float], d: int) -> list:
+    """[x], the batch of one input, for evaluate and gradient."""
+    if len(x) != d:
+        raise ConfigError(f"input length {len(x)} != d={d}")
+    return [x]
 
 
 @dataclass(frozen=True)
@@ -123,26 +116,25 @@ class LinearSoftmaxModel:
         return len(self.weights)
 
     def evaluate(self, x: Sequence[float]) -> Logits:
-        if len(x) != self.d:
-            raise ConfigError(f"input length {len(x)} != d={self.d}")
-        return _softmax(_dot_rows(self.weights, self.bias, x))
-
-    def evaluate_batch(self, z) -> np.ndarray:
-        """(k, m) array whose row r is evaluate(z[r]), bit for bit."""
-        return _softmax_rows(_affine_cols(_batch_input(z, self.d), self._w, self._b))
+        return tuple(self.evaluate_batch(_one_row(x, self.d))[0].tolist())
 
     def gradient(self, x: Sequence[float], c: int) -> Vector:
-        """Analytic d p_c / d x = p_c * (W_c - sum_j p_j W_j)."""
-        if not 0 <= c < self.m:
-            raise ConfigError(f"class {c} outside 0..{self.m - 1}")
-        p = self.evaluate(x)
-        out = []
-        for k in range(self.d):
-            mix = 0.0
-            for j in range(self.m):
-                mix += p[j] * self.weights[j][k]
-            out.append(p[c] * (self.weights[c][k] - mix))
-        return tuple(out)
+        return tuple(self.gradient_batch(_one_row(x, self.d), [c])[0].tolist())
+
+    def evaluate_batch(self, z) -> np.ndarray:
+        """(k, m) array of the class probabilities of each row of z."""
+        return _softmax_rows(_affine_cols(_batch_input(z, self.d), self._w, self._b))
+
+    def gradient_batch(self, z, classes) -> np.ndarray:
+        """(k, d) array whose row r is d p_c / d z[r] = p_c * (W_c - sum_j
+        p_j W_j) at c = classes[r], the sum over j in class order from 0.0."""
+        z = _batch_input(z, self.d)
+        classes = _batch_classes(classes, len(z), self.m)
+        p = self.evaluate_batch(z)
+        mix = np.zeros(z.shape)
+        for j in range(self.m):
+            mix += p[:, j:j + 1] * self._w[j]
+        return p[np.arange(len(z)), classes][:, None] * (self._w[classes] - mix)
 
 
 @dataclass(frozen=True)
@@ -181,52 +173,51 @@ class MlpModel:
     def m(self) -> int:
         return len(self.w2)
 
-    def _hidden(self, x: Sequence[float]) -> tuple[list[float], list[float]]:
-        pre = _dot_rows(self.w1, self.b1, x)
-        act = [v if v > 0.0 else 0.0 for v in pre]
-        return pre, act
-
     def evaluate(self, x: Sequence[float]) -> Logits:
-        if len(x) != self.d:
-            raise ConfigError(f"input length {len(x)} != d={self.d}")
-        _, act = self._hidden(x)
-        return _softmax(_dot_rows(self.w2, self.b2, act))
-
-    def evaluate_batch(self, z) -> np.ndarray:
-        """(k, m) array whose row r is evaluate(z[r]), bit for bit."""
-        w1, b1, w2, b2 = self._layers
-        pre = _affine_cols(_batch_input(z, self.d), w1, b1)
-        return _softmax_rows(_affine_cols(np.where(pre > 0.0, pre, 0.0), w2, b2))
+        return tuple(self.evaluate_batch(_one_row(x, self.d))[0].tolist())
 
     def gradient(self, x: Sequence[float], c: int) -> Vector:
-        if not 0 <= c < self.m:
-            raise ConfigError(f"class {c} outside 0..{self.m - 1}")
-        pre, act = self._hidden(x)
-        p = self.evaluate(x)
-        # d p_c / d z_j at the output logits z = W2 act + b2.
-        dz = [p[c] * ((1.0 if j == c else 0.0) - p[j]) for j in range(self.m)]
-        # Back through the output layer into the hidden activations.
-        dact = []
+        return tuple(self.gradient_batch(_one_row(x, self.d), [c])[0].tolist())
+
+    def _forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (k, h) hidden pre-activations and (k, m) class probabilities
+        of the rows of z."""
+        w1, b1, w2, b2 = self._layers
+        pre = _affine_cols(z, w1, b1)
+        return pre, _softmax_rows(_affine_cols(np.where(pre > 0.0, pre, 0.0), w2, b2))
+
+    def evaluate_batch(self, z) -> np.ndarray:
+        """(k, m) array of the class probabilities of each row of z."""
+        return self._forward(_batch_input(z, self.d))[1]
+
+    def gradient_batch(self, z, classes) -> np.ndarray:
+        """(k, d) array whose row r is d p_c / d z[r] at c = classes[r]: back
+        through W2, summed over the classes in order from 0.0, then through
+        W1, summed over the units with a positive pre-activation in order."""
+        z = _batch_input(z, self.d)
+        classes = _batch_classes(classes, len(z), self.m)
+        w1, _, w2, _ = self._layers
+        pre, p = self._forward(z)
+        rows = np.arange(len(z))
+        onehot = np.zeros_like(p)
+        onehot[rows, classes] = 1.0
+        # d p_c / d o_j at the output logits o.
+        dz = p[rows, classes][:, None] * (onehot - p)
+        dact = np.zeros(pre.shape)
+        for j in range(self.m):
+            dact += dz[:, j:j + 1] * w2[j]
+        out = np.zeros(z.shape)
+        live = pre > 0.0
         for t in range(self.h):
-            acc = 0.0
-            for j in range(self.m):
-                acc += dz[j] * self.w2[j][t]
-            dact.append(acc)
-        # Through ReLU (strictly positive preactivations only) into the input.
-        out = []
-        for k in range(self.d):
-            acc = 0.0
-            for t in range(self.h):
-                if pre[t] > 0.0:
-                    acc += dact[t] * self.w1[t][k]
-            out.append(acc)
-        return tuple(out)
+            # Unit t passes the gradient only where its pre-activation is positive.
+            np.add(out, dact[:, t:t + 1] * w1[t], out=out, where=live[:, t:t + 1])
+        return out
 
 
 def random_linear(d: int, m: int, rng_state: int, scale: float = 1.0) -> LinearSoftmaxModel:
     """Gaussian-initialized linear model; deterministic given rng_state."""
     stream = LcgStream(rng_state)
-    vals = _gauss_values(stream, m * d + m, scale)
+    vals = [v * scale for v in stream.next_gauss_values(m * d + m)]
     weights = tuple(tuple(vals[r * d: (r + 1) * d]) for r in range(m))
     bias = tuple(vals[m * d:])
     return LinearSoftmaxModel(weights=weights, bias=bias)
@@ -234,7 +225,7 @@ def random_linear(d: int, m: int, rng_state: int, scale: float = 1.0) -> LinearS
 
 def random_mlp(d: int, h: int, m: int, rng_state: int, scale: float = 1.0) -> MlpModel:
     stream = LcgStream(rng_state)
-    vals = _gauss_values(stream, h * d + h + m * h + m, scale)
+    vals = [v * scale for v in stream.next_gauss_values(h * d + h + m * h + m)]
     pos = 0
     w1 = tuple(tuple(vals[pos + r * d: pos + (r + 1) * d]) for r in range(h))
     pos += h * d
@@ -244,15 +235,6 @@ def random_mlp(d: int, h: int, m: int, rng_state: int, scale: float = 1.0) -> Ml
     pos += m * h
     b2 = tuple(vals[pos: pos + m])
     return MlpModel(w1=w1, b1=b1, w2=w2, b2=b2)
-
-
-def _gauss_values(stream: LcgStream, count: int, scale: float) -> list[float]:
-    vals: list[float] = []
-    while len(vals) < count:
-        a, b = stream.next_gauss_pair()
-        vals.append(a * scale)
-        vals.append(b * scale)
-    return vals[:count]
 
 
 def _mean_crossentropy(probs: np.ndarray, ys: np.ndarray) -> float:
@@ -330,7 +312,7 @@ def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
 
 
 def _require_matrix(doc: dict, key: str, rows: int, cols: int) -> tuple[tuple[float, ...], ...]:
-    raw = doc[key]
+    raw = doc.get(key)
     if not isinstance(raw, list) or len(raw) != rows:
         raise DataError(f'field "{key}" must be a {rows}x{cols} matrix')
     out = []
@@ -345,7 +327,7 @@ def _require_matrix(doc: dict, key: str, rows: int, cols: int) -> tuple[tuple[fl
 
 
 def _require_vector(doc: dict, key: str, length: int) -> tuple[float, ...]:
-    raw = doc[key]
+    raw = doc.get(key)
     if not isinstance(raw, list) or len(raw) != length:
         raise DataError(f'field "{key}" must be a length-{length} list')
     return _finite_values(raw, f'field "{key}"')
@@ -425,16 +407,11 @@ def load_model(path: str) -> LinearSoftmaxModel | MlpModel:
             bias=_require_vector(doc, "bias", m),
         )
     h = _positive_int(doc, "h", path)
-    raw_w = doc.get("weights")
-    raw_b = doc.get("bias")
-    if not isinstance(raw_w, list) or len(raw_w) != 2:
-        raise DataError(f'model file {path}: field "weights" must hold two layers')
-    if not isinstance(raw_b, list) or len(raw_b) != 2:
-        raise DataError(f'model file {path}: field "bias" must hold two layers')
-    layer = {"weights": raw_w[0], "bias": raw_b[0]}
-    w1 = _require_matrix(layer, "weights", h, d)
-    b1 = _require_vector(layer, "bias", h)
-    layer = {"weights": raw_w[1], "bias": raw_b[1]}
-    w2 = _require_matrix(layer, "weights", m, h)
-    b2 = _require_vector(layer, "bias", m)
-    return MlpModel(w1=w1, b1=b1, w2=w2, b2=b2)
+    for key in ("weights", "bias"):
+        if not isinstance(doc.get(key), list) or len(doc[key]) != 2:
+            raise DataError(f'model file {path}: field "{key}" must hold two layers')
+    first, second = ({"weights": w, "bias": b} for w, b in zip(doc["weights"], doc["bias"]))
+    return MlpModel(w1=_require_matrix(first, "weights", h, d),
+                    b1=_require_vector(first, "bias", h),
+                    w2=_require_matrix(second, "weights", m, h),
+                    b2=_require_vector(second, "bias", m))

@@ -59,6 +59,14 @@ class LcgStream:
         r = math.sqrt(-2.0 * math.log(u1))
         return r * math.cos(2.0 * math.pi * u2), r * math.sin(2.0 * math.pi * u2)
 
+    def next_gauss_values(self, count: int) -> list[float]:
+        """count standard-normal values of successive next_gauss_pair draws;
+        an odd count drops the second value of the last draw."""
+        vals: list[float] = []
+        while len(vals) < count:
+            vals.extend(self.next_gauss_pair())
+        return vals[:count]
+
 
 @lru_cache(maxsize=8)
 def _jump_coefficients(count: int) -> tuple[np.ndarray, np.ndarray]:

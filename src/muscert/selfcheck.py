@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import FD_STEP, gradient_scores, shap_lite_scores
+from .attribution import FD_STEP, finite_difference_rows, gradient_scores, shap_lite_scores
 from .certify import (
     brute_force_stability_oracle,
     certify_example,
 )
-from .core import ConfigError, FeatureGrouping, top_classes_and_gaps
+from .core import ConfigError, FeatureGrouping, evaluate_rows, top_classes_and_gaps
 from .models import MlpModel, random_linear, random_mlp
 from .noise import (
     LcgStream,
@@ -64,7 +64,8 @@ def _random_x(stream: LcgStream, d: int) -> tuple[float, ...]:
 
 
 def _random_instance(trial_seed: int, max_n: int):
-    """A small random smoothed model with an input, trivially grouped."""
+    """A small random smoothed model (trivially grouped), an input, and the
+    state of their stream after the input, for the suites' further draws."""
     stream = LcgStream(derive_rng_state(trial_seed, 0))
     n = 2 + stream.next_below(max(1, min(max_n, 6) - 1))
     q = (4, 8)[stream.next_below(2)]
@@ -75,7 +76,7 @@ def _random_instance(trial_seed: int, max_n: int):
     cfg = SmoothingConfig(q=q, lambda_num=lambda_num, seed=trial_seed, n=n)
     model = SmoothedModel.build(base, grouping, cfg)
     x = _random_x(stream, n)
-    return model, x, stream
+    return model, x, stream.state
 
 
 def _suite(name: str, trials: int, seed: int, fails) -> SuiteResult:
@@ -98,10 +99,10 @@ def check_lqv_marginals(trials: int, seed: int, max_n: int = 8) -> SuiteResult:
     return _suite("lqv_marginals", trials, seed, fails)
 
 
-def check_lipschitz(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
+def check_lipschitz(trials: int, seed: int, instances: list) -> SuiteResult:
     """Exhaustive pairwise slope bound on the smoothed output over masks."""
     def fails(trial_seed: int) -> bool:
-        model, x, _ = _random_instance(trial_seed, max_n)
+        model, x, _ = instances[trial_seed - seed]
         lam = model.cfg.lambda_num / model.cfg.q
         values = np.array(mus_evaluate_many(model, x, _all_masks(model.grouping.n)))
         return _breaks_lipschitz(values, lam)
@@ -119,10 +120,11 @@ def _breaks_lipschitz(values: np.ndarray, lam: float) -> bool:
     return bool((np.abs(values[:, None, :] - values[None, :, :]) > bound[:, :, None]).any())
 
 
-def check_masking_equivalence(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
+def check_masking_equivalence(trials: int, seed: int, instances: list) -> SuiteResult:
     """Mask-then-average equals pre-mask-then-average, with and without mu."""
     def fails(trial_seed: int) -> bool:
-        model, x, stream = _random_instance(trial_seed, max_n)
+        model, x, state = instances[trial_seed - seed]
+        stream = LcgStream(state)
         n = model.grouping.n
         mu = tuple(stream.next_below(2) for _ in range(n))
         masks = _all_masks(n)
@@ -133,10 +135,11 @@ def check_masking_equivalence(trials: int, seed: int, max_n: int = 6) -> SuiteRe
     return _suite("masking_equivalence", trials, seed, fails)
 
 
-def check_soundness(trials: int, seed: int, max_n: int = 8) -> SuiteResult:
+def check_soundness(trials: int, seed: int, instances: list) -> SuiteResult:
     """Certified radii never exceed what exhaustive enumeration allows."""
     def fails(trial_seed: int) -> bool:
-        model, x, stream = _random_instance(trial_seed, max_n)
+        model, x, state = instances[trial_seed - seed]
+        stream = LcgStream(state)
         phi = tuple(stream.next_below(2) for _ in range(model.grouping.n))
         record = certify_example(model, x, phi, example_id=trial_seed - seed)
         return not (brute_force_stability_oracle(model, x, phi, record.r_inc, "inc")
@@ -156,10 +159,10 @@ def check_shap_efficiency(trials: int, seed: int, max_n: int = 4) -> SuiteResult
         x = _random_x(stream, n)
         scores = shap_lite_scores(base, x, grouping, permutations=1,
                                   rng_state=trial_seed, exhaustive=True)
-        p_full = base.evaluate(x)
-        c = top_classes_and_gaps(np.array([p_full]))[0][0]
-        p_zero = base.evaluate(tuple(0.0 for _ in range(n)))
-        return abs(math.fsum(scores) - (p_full[c] - p_zero[c])) > SHAP_EFFICIENCY_TOL
+        # p(x) in row 0 and p(0) in row 1.
+        probs = evaluate_rows(base, np.array([x, (0.0,) * n]))
+        c = top_classes_and_gaps(probs[:1])[0][0]
+        return abs(math.fsum(scores) - (probs[0, c] - probs[1, c])) > SHAP_EFFICIENCY_TOL
 
     return _suite("shap_efficiency", trials, seed, fails)
 
@@ -179,14 +182,13 @@ def check_gradient_fd(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
             base = random_linear(n, m, derive_rng_state(trial_seed, 1))
         else:
             base = random_mlp(n, 4, m, derive_rng_state(trial_seed, 1))
-        grouping = FeatureGrouping.trivial(n)
         x = _random_x(stream, n)
         while isinstance(base, MlpModel) and _near_relu_kink(base, x):
             x = _random_x(stream, n)
-        analytic = gradient_scores(base, x, grouping)
-        numeric = gradient_scores(_NoGradient(base), x, grouping)
-        err = max(abs(a - b) for a, b in zip(analytic, numeric))
-        return err > GRADIENT_FD_TOL
+        # With one feature per group the scores are the absolute gradient.
+        analytic = gradient_scores(base, x, FeatureGrouping.trivial(n))
+        numeric = np.abs(finite_difference_rows(base, np.array([x]))[0]).tolist()
+        return max(abs(a - b) for a, b in zip(analytic, numeric)) > GRADIENT_FD_TOL
 
     return _suite("gradient_fd", trials, seed, fails)
 
@@ -201,24 +203,6 @@ def _near_relu_kink(base: MlpModel, x: tuple[float, ...]) -> bool:
     return False
 
 
-class _NoGradient:
-    """Wrapper hiding a model's analytic gradient to force finite differences.
-
-    It keeps the model's batch pass, so the perturbed rows go in one batch.
-    """
-
-    def __init__(self, base) -> None:
-        self._base = base
-        self.d = base.d
-        self.m = base.m
-
-    def evaluate(self, x):
-        return self._base.evaluate(x)
-
-    def evaluate_batch(self, z):
-        return self._base.evaluate_batch(z)
-
-
 def run_selfcheck(max_n: int = 6, trials: int = 20, seed: int = 0) -> SelfcheckReport:
     if max_n > 10:
         raise ConfigError(f"max_n is capped at 10, got {max_n}")
@@ -226,11 +210,13 @@ def run_selfcheck(max_n: int = 6, trials: int = 20, seed: int = 0) -> SelfcheckR
         raise ConfigError(f"max_n must be >= 2, got {max_n}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    # Built once for the three suites that share them, for this call only.
+    instances = [_random_instance(t, max_n) for t in range(seed, seed + trials)]
     suites = (
         check_lqv_marginals(trials, seed, max_n),
-        check_lipschitz(trials, seed, max_n),
-        check_masking_equivalence(trials, seed, max_n),
-        check_soundness(trials, seed, max_n),
+        check_lipschitz(trials, seed, instances),
+        check_masking_equivalence(trials, seed, instances),
+        check_soundness(trials, seed, instances),
         check_shap_efficiency(trials, seed, min(max_n, 4)),
         check_gradient_fd(trials, seed, max_n),
     )

@@ -11,7 +11,7 @@ from muscert.core import ones_mask
 from muscert.data import LabeledDataset
 from muscert.noise import derive_rng_state
 
-from reference import mus_evaluate, top_class_and_gap
+from reference import mus_evaluate, scalar_probs, top_class_and_gap
 
 
 class IndicatorFirstFeature:
@@ -39,7 +39,7 @@ class ConstantHandle:
 
 class GradientFreeAdapter:
     """Hide an analytic gradient and evaluate_batch so only evaluate() is
-    visible."""
+    visible; on a built-in model it runs reference.scalar_probs."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -47,7 +47,7 @@ class GradientFreeAdapter:
         self.m = inner.m
 
     def evaluate(self, x):
-        return self._inner.evaluate(x)
+        return scalar_probs(self._inner, x)
 
 
 def definitional_certificate(model, x, phi):

@@ -13,6 +13,10 @@ that the package applies to whole arrays. `greedy_walk` is the greedy
 attack one candidate mask at a time. `lime_one_example`,
 `shap_one_example` and `finite_difference_gradient` score one example with
 its own base queries, as the scorers did before they ran as dataset stages.
+`scalar_probs` and `scalar_gradient` are the built-in models' forward pass
+and analytic gradient as explicit loops, one input at a time; every
+definitional path here queries a built-in model through them, so none of
+them runs the array kernels it is compared against.
 """
 from __future__ import annotations
 
@@ -37,8 +41,87 @@ from muscert.core import (
     zeros_mask,
 )
 from muscert.attribution import FD_STEP, LIME_RIDGE, _sampled_orders
+from muscert.models import LinearSoftmaxModel, MlpModel
 from muscert.noise import iid_bernoulli_bits
 from muscert.smoothing import EQUIVALENCE_TOL, SmoothedModel
+
+
+def _softmax(logits: list[float]) -> Logits:
+    """Numerically stable softmax with max subtraction; fixed-order sums."""
+    top = max(logits)
+    exps = [math.exp(v - top) for v in logits]
+    total = 0.0
+    for e in exps:
+        total += e
+    return tuple(e / total for e in exps)
+
+
+def _dot_rows(weights: Sequence[Sequence[float]], bias: Sequence[float],
+              x: Sequence[float]) -> list[float]:
+    """Row-major matrix-vector product plus bias, accumulated left to right."""
+    out = []
+    for row, b in zip(weights, bias):
+        acc = 0.0
+        for w, v in zip(row, x):
+            acc += w * v
+        out.append(acc + b)
+    return out
+
+
+def _hidden(model: MlpModel, x: Sequence[float]) -> tuple[list[float], list[float]]:
+    pre = _dot_rows(model.w1, model.b1, x)
+    act = [v if v > 0.0 else 0.0 for v in pre]
+    return pre, act
+
+
+def scalar_probs(base: ClassifierHandle, x: Sequence[float]) -> Logits:
+    """The class probabilities at x: a built-in model's forward pass as
+    loops, base.evaluate(x) for any other handle."""
+    if not isinstance(base, (LinearSoftmaxModel, MlpModel)):
+        return base.evaluate(x)
+    if len(x) != base.d:
+        raise ConfigError(f"input length {len(x)} != d={base.d}")
+    if isinstance(base, LinearSoftmaxModel):
+        return _softmax(_dot_rows(base.weights, base.bias, x))
+    return _softmax(_dot_rows(base.w2, base.b2, _hidden(base, x)[1]))
+
+
+def scalar_gradient(base: ClassifierHandle, x: Sequence[float], c: int) -> Vector:
+    """d p_c / d x: a built-in model's analytic gradient as loops,
+    base.gradient(x, c) for any other handle."""
+    if not isinstance(base, (LinearSoftmaxModel, MlpModel)):
+        return base.gradient(x, c)
+    if not 0 <= c < base.m:
+        raise ConfigError(f"class {c} outside 0..{base.m - 1}")
+    p = scalar_probs(base, x)
+    if isinstance(base, LinearSoftmaxModel):
+        # p_c * (W_c - sum_j p_j W_j).
+        out = []
+        for k in range(base.d):
+            mix = 0.0
+            for j in range(base.m):
+                mix += p[j] * base.weights[j][k]
+            out.append(p[c] * (base.weights[c][k] - mix))
+        return tuple(out)
+    pre, _ = _hidden(base, x)
+    # d p_c / d z_j at the output logits z = W2 act + b2.
+    dz = [p[c] * ((1.0 if j == c else 0.0) - p[j]) for j in range(base.m)]
+    # Back through the output layer into the hidden activations.
+    dact = []
+    for t in range(base.h):
+        acc = 0.0
+        for j in range(base.m):
+            acc += dz[j] * base.w2[j][t]
+        dact.append(acc)
+    # Through ReLU (strictly positive preactivations only) into the input.
+    out = []
+    for k in range(base.d):
+        acc = 0.0
+        for t in range(base.h):
+            if pre[t] > 0.0:
+                acc += dact[t] * base.w1[t][k]
+        out.append(acc)
+    return tuple(out)
 
 
 def validate_logits(p: Sequence[float], m: int | None = None) -> Logits:
@@ -119,7 +202,7 @@ def mus_evaluate(model: SmoothedModel, x: Sequence[float], alpha: Mask) -> Logit
     columns: list[list[float]] = [[] for _ in range(m)]
     for atom in model.atoms.tolist():
         effective = mask_or(mu, mask_and(alpha, atom))
-        p = model.base.evaluate(mask_apply(x, effective, grouping))
+        p = scalar_probs(model.base, mask_apply(x, effective, grouping))
         validate_logits(p, m)
         for c in range(m):
             columns[c].append(p[c])
@@ -242,10 +325,10 @@ def additive_leakage_demo(n: int) -> LeakageReport:
 
 def lime_one_example(base: ClassifierHandle, x: Sequence[float], grouping: FeatureGrouping,
                      samples: int, kernel_width: float, rng_state: int) -> tuple[float, ...]:
-    """The LIME surrogate of one example: class from evaluate(x), the masked
+    """The LIME surrogate of one example: class from scalar_probs(x), the masked
     rows in one evaluate_rows call, the normal equations solved by numpy."""
     n = grouping.n
-    c, _ = top_class_and_gap(base.evaluate(x))
+    c, _ = top_class_and_gap(scalar_probs(base, x))
     bits = iid_bernoulli_bits(0.5, n, samples, rng_state)
     design = np.ones((samples, n + 1))
     design[:, 1:] = bits
@@ -262,11 +345,11 @@ def lime_one_example(base: ClassifierHandle, x: Sequence[float], grouping: Featu
 def shap_one_example(base: ClassifierHandle, x: Sequence[float], grouping: FeatureGrouping,
                      permutations: int, rng_state: int,
                      exhaustive: bool = False) -> tuple[float, ...]:
-    """The Shapley estimate of one example: class from evaluate(x), every
+    """The Shapley estimate of one example: class from scalar_probs(x), every
     coalition of every order (empty and full included) deduplicated and sent
     in one evaluate_rows call, each group's gains summed with math.fsum."""
     n = grouping.n
-    c, _ = top_class_and_gap(base.evaluate(x))
+    c, _ = top_class_and_gap(scalar_probs(base, x))
     if exhaustive:
         orders = np.array(list(all_permutations(range(n))), dtype=np.intp).reshape(-1, n)
     else:
@@ -286,12 +369,12 @@ def shap_one_example(base: ClassifierHandle, x: Sequence[float], grouping: Featu
 
 def finite_difference_gradient(base: ClassifierHandle, x: Sequence[float],
                                c: int) -> list[float]:
-    """Central differences of p_c, two scalar evaluate calls per feature."""
+    """Central differences of p_c, two scalar_probs calls per feature."""
     grad = []
     for j in range(len(x)):
         up = list(x)
         down = list(x)
         up[j] += FD_STEP
         down[j] -= FD_STEP
-        grad.append((base.evaluate(up)[c] - base.evaluate(down)[c]) / (2 * FD_STEP))
+        grad.append((scalar_probs(base, up)[c] - scalar_probs(base, down)[c]) / (2 * FD_STEP))
     return grad

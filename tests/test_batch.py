@@ -15,7 +15,7 @@ from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state, enumerat
 from muscert.smoothing import SmoothedModel, mus_evaluate_many
 
 from conftest import ConstantHandle
-from reference import mask_and, mask_or, mus_evaluate, validate_logits
+from reference import mask_and, mask_or, mus_evaluate, scalar_probs, validate_logits
 
 # sha256 of save_model(fit_logistic(...)) for the conftest fixtures, as
 # written by the per-example training loop the batch trainer replaced.
@@ -34,7 +34,7 @@ class RowLoopHandle:
 
     def evaluate(self, x):
         self.calls += 1
-        return self.inner.evaluate(x)
+        return scalar_probs(self.inner, x)
 
 
 class BatchOnly:
@@ -58,10 +58,12 @@ def _mask(stream, n):
 
 
 def _assert_rows_equal(model, inputs):
+    """evaluate_batch against the scalar loops of tests/reference.py, and
+    evaluate, its one-row call, against both."""
     batch = model.evaluate_batch(inputs)
     assert batch.shape == (len(inputs), model.m)
     for z, row in zip(inputs.tolist(), batch.tolist()):
-        assert tuple(row) == model.evaluate(tuple(z))
+        assert tuple(row) == scalar_probs(model, tuple(z)) == model.evaluate(tuple(z))
 
 
 @pytest.mark.parametrize("builder", [

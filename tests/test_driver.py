@@ -22,7 +22,7 @@ from muscert.smoothing import (
     mus_evaluate_pairs,
 )
 
-from reference import mus_evaluate, top_class_and_gap
+from reference import mus_evaluate, scalar_probs, top_class_and_gap
 
 U = 2.0 ** -53
 
@@ -192,7 +192,7 @@ class EvaluateOnly:
 
     def evaluate(self, x):
         self.calls += 1
-        return self.inner.evaluate(x)
+        return scalar_probs(self.inner, x)
 
 
 def _driver_instance(n, batch=True, seed=3):

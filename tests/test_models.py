@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from muscert.core import ConfigError, DataError
@@ -19,6 +20,8 @@ from muscert.models import (
 )
 from muscert.noise import LcgStream, derive_rng_state
 from muscert.selfcheck import check_gradient_fd
+
+from reference import scalar_gradient
 
 
 def test_zero_weights_give_uniform_softmax():
@@ -105,6 +108,77 @@ def test_gradient_class_bounds():
         model.gradient((1.0, 2.0, 3.0), 2)
 
 
+def _dyadic_mlp(stream, d, h, m):
+    """An MLP whose weights are small multiples of 1/4, so that inputs on a
+    grid of halves put many hidden pre-activations at exactly 0.0."""
+    def grid(rows, cols):
+        return tuple(tuple((stream.next_below(9) - 4) / 4 for _ in range(cols))
+                     for _ in range(rows))
+    return MlpModel(w1=grid(h, d), b1=grid(1, h)[0], w2=grid(m, h), b2=grid(1, m)[0])
+
+
+def _gradient_cases():
+    """(model, inputs) pairs: random linear and MLP models with d from 2 to
+    16 on inputs mixing +0.0, -0.0 and random values, with large-weight
+    linear models whose probabilities underflow to 0.0 (which gives -0.0
+    gradient entries), and dyadic MLPs on a grid of halves where hidden
+    pre-activations are exactly 0.0."""
+    for trial in range(24):
+        stream = LcgStream(derive_rng_state(trial, 30))
+        d, m = 2 + trial % 15, 2 + trial % 3
+        h = 1 + stream.next_below(8)
+        models = (random_linear(d, m, derive_rng_state(trial, 31), scale=2.0),
+                  random_linear(d, m, derive_rng_state(trial, 33), scale=400.0),
+                  random_mlp(d, h, m, derive_rng_state(trial, 32), scale=2.0),
+                  _dyadic_mlp(stream, d, h, m))
+        signed_zeros = [[(0.0, -0.0)[stream.next_below(2)] if stream.next_below(3) == 0
+                         else 4.0 * stream.next_unit() - 2.0 for _ in range(d)]
+                        for _ in range(6)]
+        halves = [[(stream.next_below(9) - 4) / 2 for _ in range(d)] for _ in range(6)]
+        for model in models:
+            yield model, np.array(signed_zeros + halves + [[-0.0] * d, [0.0] * d])
+
+
+def test_gradient_batch_equals_the_scalar_loops_bit_for_bit():
+    kinks = negative_zeros = 0
+    for model, inputs in _gradient_cases():
+        if isinstance(model, MlpModel):
+            # Exact: the dyadic sums need few bits, and elsewhere 0.0 is rare.
+            pre = inputs @ np.array(model.w1).T + np.array(model.b1)
+            kinks += int((pre == 0.0).sum())
+        for c in range(model.m):
+            batch = model.gradient_batch(inputs, np.full(len(inputs), c))
+            assert batch.shape == inputs.shape
+            negative_zeros += int(((batch == 0.0) & np.signbit(batch)).sum())
+            for z, row in zip(inputs.tolist(), batch):
+                want = np.array(scalar_gradient(model, tuple(z), c))
+                # Bytes, not ==, so that -0.0 and +0.0 differ.
+                assert row.tobytes() == want.tobytes()
+                assert np.array(model.gradient(tuple(z), c)).tobytes() == want.tobytes()
+    # The cases reach what they are there for.
+    assert kinks >= 20 and negative_zeros >= 20
+
+
+def test_gradient_batch_takes_one_class_per_row():
+    model = random_mlp(3, 4, 3, 5)
+    inputs = np.array([[0.5, -1.0, 2.0], [1.5, 0.0, -0.5], [-2.0, 1.0, 0.25]])
+    batch = model.gradient_batch(inputs, [2, 0, 1])
+    for z, c, row in zip(inputs.tolist(), (2, 0, 1), batch.tolist()):
+        assert tuple(row) == scalar_gradient(model, tuple(z), c)
+
+
+@pytest.mark.parametrize("model", [random_linear(3, 2, 1), random_mlp(3, 4, 2, 1)])
+def test_gradient_batch_checks_its_classes(model):
+    inputs = np.zeros((2, 3))
+    for classes in ([0, 2], [-1, 0]):
+        with pytest.raises(ConfigError, match=rf"^class {max(classes, key=abs)} outside 0\.\.1$"):
+            model.gradient_batch(inputs, classes)
+    with pytest.raises(ConfigError, match=r"^got classes of shape \(3,\) for 2 input rows$"):
+        model.gradient_batch(inputs, [0, 1, 0])
+    with pytest.raises(ConfigError, match=r"^class 2 outside 0\.\.1$"):
+        model.gradient((1.0, 2.0, 3.0), 2)
+
+
 def test_fit_reaches_separable_accuracy():
     dataset = synth_blobs(30, 2, 2, 6.0, derive_rng_state(3, 0))
     model = fit_logistic(dataset, epochs=500, learning_rate=0.1, rng_state=0)
@@ -183,6 +257,24 @@ def test_load_names_bad_field(tmp_path):
     with pytest.raises(DataError, match='field "weights" must be a 2x2 matrix') as err:
         load_model(str(path))
     assert "weights" in str(err.value)
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"kind": "linear", "d": 2, "m": 2, "bias": [0.0, 0.0]},
+     'field "weights" must be a 2x2 matrix'),
+    ({"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, 2.0], [0.0, 1.0]]},
+     'field "bias" must be a length-2 list'),
+    ({"kind": "mlp", "d": 1, "m": 2, "h": 1, "bias": [[0.0], [0.0, 0.0]]},
+     'field "weights" must hold two layers'),
+    ({"kind": "mlp", "d": 1, "m": 2, "h": 1, "weights": [[[1.0]], [[1.0], [0.0]]],
+      "bias": [[0.0]]}, 'field "bias" must hold two layers'),
+], ids=["linear-weights", "linear-bias", "mlp-weights", "mlp-bias"])
+def test_load_names_a_missing_field(tmp_path, doc, message):
+    """A missing field is a DataError naming it, not a bare KeyError."""
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match=message):
+        load_model(str(path))
 
 
 @pytest.mark.parametrize("doc,message", [

@@ -1,17 +1,22 @@
-"""LIME and SHAP as dataset stages: lime_score_rows and shap_score_rows.
+"""vgrad, LIME and SHAP as dataset stages: gradient_score_rows,
+lime_score_rows and shap_score_rows.
 
-Each stage sends the masked rows of every example to the base classifier in
+Each stage sends the rows of every example to the base classifier in
 chunks of smoothing.DRIVER_CHUNK rows and then solves or sums per example.
 Batching, chunking and skipping SHAP's deduplication must not move a bit,
 so every result here is compared for equality, not within a tolerance.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from muscert import smoothing
 from muscert.attribution import (
+    gradient_score_rows,
+    gradient_scores,
     lime_lite_scores,
     lime_score_rows,
     shap_lite_scores,
@@ -22,7 +27,47 @@ from muscert.models import random_linear, random_mlp
 from muscert.noise import LcgStream, derive_rng_state
 
 from conftest import ConstantHandle, GradientFreeAdapter
-from reference import lime_one_example, shap_one_example
+from reference import (
+    finite_difference_gradient,
+    lime_one_example,
+    scalar_gradient,
+    scalar_probs,
+    shap_one_example,
+    top_class_and_gap,
+)
+
+
+class GradientOnly:
+    """A built-in model's scalar loops as evaluate and gradient, with no
+    evaluate_batch or gradient_batch."""
+
+    def __init__(self, inner):
+        self.inner, self.d, self.m = inner, inner.d, inner.m
+
+    def evaluate(self, x):
+        return scalar_probs(self.inner, x)
+
+    def gradient(self, x, c):
+        return scalar_gradient(self.inner, x, c)
+
+
+class GradientBatchOnly:
+    """A built-in model's evaluate_batch and gradient_batch, and no
+    gradient, counting the gradient_batch calls."""
+
+    def __init__(self, inner):
+        self.inner, self.d, self.m = inner, inner.d, inner.m
+        self.calls = 0
+
+    def evaluate(self, x):
+        return scalar_probs(self.inner, x)
+
+    def evaluate_batch(self, z):
+        return self.inner.evaluate_batch(z)
+
+    def gradient_batch(self, z, classes):
+        self.calls += 1
+        return self.inner.gradient_batch(z, classes)
 
 
 def _case(name):
@@ -34,6 +79,11 @@ def _case(name):
         grouping = FeatureGrouping(groups=((0, 4), (1,), (2, 5, 6), (3,)), d=7)
     elif name == "one-group":
         base, grouping = random_mlp(3, 4, 2, 43), FeatureGrouping(groups=((0, 1, 2),), d=3)
+    elif name == "gradient-only":
+        base = GradientOnly(random_mlp(5, 6, 3, 47))
+        grouping = FeatureGrouping(groups=((0, 3), (1, 2, 4)), d=5)
+    elif name == "gradient-batch-only":
+        base, grouping = GradientBatchOnly(random_linear(4, 3, 48)), FeatureGrouping.trivial(4)
     else:
         base, grouping = GradientFreeAdapter(random_linear(4, 2, 44)), FeatureGrouping.trivial(4)
     stream = LcgStream(derive_rng_state(45, 0))
@@ -43,6 +93,7 @@ def _case(name):
 
 
 CASES = ("linear", "mlp-grouped", "one-group", "evaluate-only")
+GRADIENT_CASES = CASES + ("gradient-only", "gradient-batch-only")
 
 
 def _states(count):
@@ -66,6 +117,59 @@ def test_shap_rows_equal_one_row_calls_and_the_per_example_reference(name, exhau
     for x, state, got in zip(xs.tolist(), _states(len(xs)), rows.tolist()):
         assert tuple(got) == shap_lite_scores(base, x, grouping, 9, state, exhaustive)
         assert tuple(got) == shap_one_example(base, x, grouping, 9, state, exhaustive)
+
+
+def _reference_gradient_scores(base, x, grouping):
+    """vgrad of one example on the scalar paths: the class from
+    scalar_probs, then scalar_gradient, or finite_difference_gradient for
+    a handle with no gradient, and math.fsum of the absolute entries of
+    each group."""
+    c, _ = top_class_and_gap(scalar_probs(base, x))
+    if hasattr(base, "gradient") or hasattr(base, "gradient_batch"):
+        grad = scalar_gradient(getattr(base, "inner", base), x, c)
+    else:
+        grad = finite_difference_gradient(base, x, c)
+    return tuple(math.fsum(abs(grad[j]) for j in group) for group in grouping.groups)
+
+
+# 1 sends one row per evaluate_rows call, 7 splits each finite-difference
+# example (9 rows at d = 4) across chunks, 20 puts two examples in a block.
+@pytest.mark.parametrize("chunk", [None, 1, 7, 20])
+@pytest.mark.parametrize("name", GRADIENT_CASES)
+def test_gradient_rows_equal_one_row_calls_and_the_scalar_reference(monkeypatch, name, chunk):
+    base, grouping, xs = _case(name)
+    if chunk is not None:
+        monkeypatch.setattr(smoothing, "DRIVER_CHUNK", chunk)
+    rows = gradient_score_rows(base, xs, grouping)
+    assert rows.shape == (len(xs), grouping.n)
+    for x, got in zip(xs.tolist(), rows.tolist()):
+        assert tuple(got) == gradient_scores(base, x, grouping)
+        assert tuple(got) == _reference_gradient_scores(base, x, grouping)
+
+
+def test_gradient_batch_is_one_call_for_the_dataset():
+    base, grouping, xs = _case("gradient-batch-only")
+    gradient_score_rows(base, xs, grouping)
+    assert base.calls == 1
+
+
+class WrongWidthGradients(GradientBatchOnly):
+    def gradient_batch(self, z, classes):
+        return np.zeros((len(z), self.d + 1))
+
+
+@pytest.mark.parametrize("name", GRADIENT_CASES)
+def test_gradient_stage_checks_its_inputs(name):
+    base, grouping, xs = _case(name)
+    with pytest.raises(ConfigError, match=r"^input rows of shape \(6, 2\) are not"):
+        gradient_score_rows(base, xs[:, :2], grouping)
+    assert gradient_score_rows(base, xs[:0], grouping).shape == (0, grouping.n)
+
+
+def test_gradient_batch_width_is_checked():
+    handle = WrongWidthGradients(random_linear(4, 3, 48))
+    with pytest.raises(ConfigError, match=r"^gradient has 5 entries, expected d=4$"):
+        gradient_score_rows(handle, np.ones((3, 4)), FeatureGrouping.trivial(4))
 
 
 class RowCounter:
@@ -106,11 +210,13 @@ def test_no_chunk_size_moves_a_byte(monkeypatch, name, chunk):
     states = _states(len(xs))
     want = (lime_score_rows(base, xs, grouping, 20, None, states),
             shap_score_rows(base, xs, grouping, 9, states),
-            shap_score_rows(base, xs, grouping, 9, states, exhaustive=True))
+            shap_score_rows(base, xs, grouping, 9, states, exhaustive=True),
+            gradient_score_rows(base, xs, grouping))
     monkeypatch.setattr(smoothing, "DRIVER_CHUNK", chunk)
     got = (lime_score_rows(base, xs, grouping, 20, None, states),
            shap_score_rows(base, xs, grouping, 9, states),
-           shap_score_rows(base, xs, grouping, 9, states, exhaustive=True))
+           shap_score_rows(base, xs, grouping, 9, states, exhaustive=True),
+           gradient_score_rows(base, xs, grouping))
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
 

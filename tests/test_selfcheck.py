@@ -41,7 +41,8 @@ def reference_equivalence(model, x, alphas):
 def instance(trial_seed):
     """A selfcheck instance, regrouped onto an MLP over 2n raw features on
     odd seeds, with a random mu."""
-    model, x, stream = _random_instance(trial_seed, 6)
+    model, x, state = _random_instance(trial_seed, 6)
+    stream = LcgStream(state)
     n = model.n
     if trial_seed % 2:
         grouping = FeatureGrouping(groups=tuple((2 * i, 2 * i + 1) for i in range(n)), d=2 * n)
@@ -167,3 +168,30 @@ def test_lqv_marginals_counts_trials_with_a_broken_column(monkeypatch, period, f
     monkeypatch.setattr(selfcheck, "enumerate_atoms", broken)
     result = selfcheck.check_lqv_marginals(25, 40, 8)
     assert (result.trials, result.failures, result.first_failure_seed) == (25, failures, first)
+
+
+def test_run_selfcheck_builds_each_instance_once_per_call(monkeypatch):
+    built = []
+    real = selfcheck._random_instance
+
+    def counting(trial_seed, max_n):
+        built.append(trial_seed)
+        return real(trial_seed, max_n)
+
+    monkeypatch.setattr(selfcheck, "_random_instance", counting)
+    for _ in range(2):
+        assert selfcheck.run_selfcheck(max_n=4, trials=5, seed=20).ok
+    # Once per trial for the three suites that share them, and again by the
+    # second call: nothing is kept between calls.
+    assert built == list(range(20, 25)) * 2
+
+
+def test_random_instance_state_follows_x():
+    """The stream state after n, q, lambda_num, m and the n inputs: where
+    the masking_equivalence suite draws mu and the soundness suite phi."""
+    for trial_seed in range(30):
+        model, _, state = _random_instance(trial_seed, 6)
+        stream = LcgStream(derive_rng_state(trial_seed, 0))
+        for _ in range(4 + model.n):
+            stream.next_u64()
+        assert state == stream.state

@@ -25,7 +25,14 @@ from muscert.smoothing import (
     mus_evaluate_pairs,
 )
 
-from reference import additive_leakage_demo, mask_and, mask_apply, mus_evaluate, rmus_estimate
+from reference import (
+    additive_leakage_demo,
+    mask_and,
+    mask_apply,
+    mus_evaluate,
+    rmus_estimate,
+    scalar_probs,
+)
 
 WORKED_CFG = SmoothingConfig(q=4, lambda_num=2, seed=4, n=2)
 
@@ -39,7 +46,7 @@ class CountingHandle:
 
     def evaluate(self, x):
         self.calls += 1
-        return self.inner.evaluate(x)
+        return scalar_probs(self.inner, x)
 
 
 class BrokenHandle:
