@@ -7,13 +7,13 @@ how many features may be added to, or removed from, an explanation
 before the prediction can change. Brute-force oracles re-verify every
 certificate at desk scale.
 """
-from .attack import AttackResult, attack_decremental, attack_incremental
+from .attack import AttackResult, attack_walks
 from .attribution import (
-    gradient_scores,
-    greedy_stable_attribution,
-    lime_lite_scores,
+    gradient_score_rows,
+    greedy_stable_masks,
+    lime_score_rows,
     occlusion_scores,
-    shap_lite_scores,
+    shap_score_rows,
     topk_binarize,
 )
 from .certify import (
@@ -54,7 +54,6 @@ from .selfcheck import SelfcheckReport, SuiteResult, run_selfcheck
 from .smoothing import (
     SmoothedModel,
     masking_equivalence_check,
-    mus_evaluate_many,
     mus_evaluate_pairs,
 )
 

@@ -19,7 +19,7 @@ from .core import (
     mask_array,
     top_classes_and_gaps,
 )
-from .smoothing import SmoothedModel, example_row, mus_evaluate_pairs
+from .smoothing import SmoothedModel, mus_evaluate_pairs
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,7 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
     budgets[w] and mode modes[w] ("inc" or "dec").
 
     Each step scores the candidates of every unfinished walk in one
-    mus_evaluate_pairs pass; a walk's result equals attack_incremental or
-    attack_decremental on its own.
+    mus_evaluate_pairs pass; no walk's result depends on the others.
     """
     if not len(examples) == len(phis) == len(budgets) == len(modes):
         raise ConfigError(
@@ -98,15 +97,3 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
     return [AttackResult(mode=mode, found=hit, radius=r, witness=tuple(alpha) if hit else None)
             for mode, hit, r, alpha in zip(modes, found.tolist(), radius.tolist(),
                                            alphas.tolist())]
-
-
-def attack_incremental(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
-                       budget: int) -> AttackResult:
-    """Add off-attribution bits one at a time, chasing the smallest margin."""
-    return attack_walks(model, example_row(model, x), [0], [phi_x], [budget], ["inc"])[0]
-
-
-def attack_decremental(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
-                       budget: int) -> AttackResult:
-    """Remove non-attribution bits from all-ones, chasing the smallest margin."""
-    return attack_walks(model, example_row(model, x), [0], [phi_x], [budget], ["dec"])[0]

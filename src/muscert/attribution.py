@@ -60,17 +60,11 @@ def occlusion_score_rows(model: SmoothedModel, xs) -> np.ndarray:
     return means[rows, 0, c][:, None] - means[rows, 1:, c]
 
 
-def gradient_scores(base: ClassifierHandle, x: Sequence[float],
-                    grouping: FeatureGrouping) -> tuple[float, ...]:
-    """Sum of absolute predicted-class gradient entries within each group:
-    the one-row call of gradient_score_rows."""
-    return tuple(gradient_score_rows(base, [x], grouping)[0].tolist())
-
-
 def gradient_score_rows(base: ClassifierHandle, xs,
                         grouping: FeatureGrouping) -> np.ndarray:
-    """gradient_scores of every row of the (E, d) inputs xs, as an (E, n)
-    array; each group sums with math.fsum. The classes come from one chunked
+    """Vanilla gradient scores of every row of the (E, d) inputs xs, as an
+    (E, n) array: the absolute predicted-class gradient entries of each
+    group, summed with math.fsum. The classes come from one chunked
     evaluate_rows call over xs, or in finite_difference_rows for a handle
     with no gradient. Every handle output is checked against the contract."""
     xs = _input_rows(xs, grouping)
@@ -154,24 +148,15 @@ def _evaluate_chunked(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
                            for lo in range(0, max(len(inputs), 1), chunk)])
 
 
-def lime_lite_scores(base: ClassifierHandle, x: Sequence[float],
-                     grouping: FeatureGrouping, samples: int = DEFAULT_LIME_SAMPLES,
-                     kernel_width: float | None = None,
-                     rng_state: int = 0) -> tuple[float, ...]:
-    """Weighted linear surrogate fitted to the class probability of masked inputs.
-
-    Masks are uniform over the hypercube; weights decay with the number of
-    groups dropped. Solved on the ridge-stabilized normal equations.
-    """
-    return tuple(lime_score_rows(base, [x], grouping, samples, kernel_width,
-                                 [rng_state])[0].tolist())
-
-
 def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
                     samples: int = DEFAULT_LIME_SAMPLES,
                     kernel_width: float | None = None, rng_states=(0,)) -> np.ndarray:
-    """lime_lite_scores of every row of the (E, d) inputs xs, example e
-    drawing its masks from stream rng_states[e], as an (E, n) array.
+    """Weighted linear surrogates fitted to the class probability of masked
+    inputs, one per row of the (E, d) inputs xs, as an (E, n) array.
+
+    Example e draws its masks uniformly over the hypercube from stream
+    rng_states[e]; weights decay with the number of groups dropped. Each
+    surrogate is solved on the ridge-stabilized normal equations.
 
     A block of examples is one batch, sent to the base classifier in chunks:
     the examples themselves, whose outputs give their classes, then their
@@ -183,7 +168,7 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
         raise ConfigError(f"need at least n+1={n + 1} samples, got {samples}")
     if kernel_width is None:
         kernel_width = n / 4
-    if kernel_width <= 0:
+    if not kernel_width > 0:
         raise ConfigError(f"kernel width must be positive, got {kernel_width}")
     xs, rng_states = _score_inputs(xs, grouping, rng_states)
     index_map = grouping.index_map()
@@ -217,25 +202,16 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     return out
 
 
-def shap_lite_scores(base: ClassifierHandle, x: Sequence[float],
-                     grouping: FeatureGrouping,
-                     permutations: int = DEFAULT_SHAP_PERMUTATIONS,
-                     rng_state: int = 0, exhaustive: bool = False) -> tuple[float, ...]:
-    """Permutation-sampling Shapley estimate against a zero baseline.
-
-    Each permutation adds groups one at a time and credits each group its
-    marginal change in the predicted-class probability. `exhaustive`
-    enumerates all n! orders instead of sampling (small n only).
-    """
-    return tuple(shap_score_rows(base, [x], grouping, permutations, [rng_state],
-                                 exhaustive)[0].tolist())
-
-
 def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
                     permutations: int = DEFAULT_SHAP_PERMUTATIONS, rng_states=(0,),
                     exhaustive: bool = False) -> np.ndarray:
-    """shap_lite_scores of every row of the (E, d) inputs xs, example e
-    drawing its orders from stream rng_states[e], as an (E, n) array.
+    """Permutation-sampling Shapley estimates against a zero baseline, one
+    per row of the (E, d) inputs xs, as an (E, n) array.
+
+    Each order adds groups one at a time and credits each group its marginal
+    change in the predicted-class probability. Example e draws its orders
+    from stream rng_states[e]; `exhaustive` enumerates all n! orders instead
+    (small n only).
 
     A block of examples is one batch, sent to the base classifier in chunks:
     the empty coalition, which is the zero input for every example, the full
@@ -344,26 +320,17 @@ def prefix_mask(ordering: Sequence[int], length: int, n: int) -> Mask:
     return tuple(1 if i in chosen else 0 for i in range(n))
 
 
-def greedy_stable_attribution(model: SmoothedModel, x: Sequence[float],
-                              scores: Sequence[float],
-                              r_inc_target: int,
-                              r_dec_target: int) -> tuple[Mask, bool]:
-    """Shortest high-score prefix that is consistent and meets both radii.
-
-    Returns (mask, met). When no prefix qualifies the all-ones mask is
-    returned with met=False rather than raising.
-    """
-    return greedy_stable_masks(model, example_row(model, x), [scores],
-                               r_inc_target, r_dec_target)[0]
-
-
 def greedy_stable_masks(model: SmoothedModel, xs, scores: Sequence,
                         r_inc_target: int, r_dec_target: int) -> list[tuple[Mask, bool]]:
-    """greedy_stable_attribution for every row of the (E, d) inputs xs, with
-    scores[e] the scores of example e, from one mus_evaluate_pairs pass over
-    all-ones and the n prefixes of each example."""
+    """For every row of the (E, d) inputs xs, the shortest prefix of its
+    score ordering (scores[e] for example e) that is consistent and meets
+    both radius targets, as (mask, True), or (all-ones, False) when no
+    prefix qualifies; from one mus_evaluate_pairs pass over all-ones and the
+    n prefixes of each example."""
     if r_inc_target < 0 or r_dec_target < 0:
         raise ConfigError("radius targets must be nonnegative")
+    if len(scores) != len(xs):
+        raise ConfigError(f"got {len(scores)} score rows for {len(xs)} examples")
     n = model.grouping.n
     orderings = [score_ordering(row) for row in scores]
     for ordering in orderings:

@@ -101,24 +101,25 @@ def radius_from_gap(gap: float, lambda_num: int, q: int) -> tuple[float, int]:
 
 def certify_example(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
                     example_id: int) -> CertRecord:
-    """Consistency plus both radii of one example, as one record.
-
-    The incremental radius (bits that may be added to phi_x) comes from the
-    gap at phi_x; the decremental radius (bits that may be removed from
-    all-ones) from the gap at all-ones. Consistent means both masks give the
-    same class.
-    """
+    """certify_examples of one example."""
     return certify_examples(model, example_row(model, x), [phi_x], [example_id])[0]
 
 
 def certify_examples(model: SmoothedModel, xs, phis: Sequence[Mask],
                      example_ids: Sequence[int], mus=None) -> list[CertRecord]:
-    """certify_example for every row of the (E, d) inputs xs, with one
-    mus_evaluate_pairs pass over its all-ones and phi masks.
+    """Consistency plus both radii of every row of the (E, d) inputs xs, one
+    record each, from one mus_evaluate_pairs pass over its all-ones and phi
+    masks.
 
-    mus, when given, holds each example's noise-exempt mask in place of
-    model.mu.
+    The incremental radius (bits that may be added to phis[e]) comes from
+    the gap at phis[e]; the decremental radius (bits that may be removed
+    from all-ones) from the gap at all-ones. Consistent means both masks
+    give the same class. mus, when given, holds each example's noise-exempt
+    mask in place of model.mu.
     """
+    if not len(xs) == len(phis) == len(example_ids):
+        raise ConfigError(f"need one mask and one id per example, got {len(xs)} "
+                          f"examples, {len(phis)} masks and {len(example_ids)} ids")
     ones = ones_mask(model.grouping.n)
     alphas = [alpha for phi in phis for alpha in (ones, phi)]
     means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(phis)), 2), alphas, mus)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attribution import FD_STEP, finite_difference_rows, gradient_scores, shap_lite_scores
+from .attribution import FD_STEP, finite_difference_rows, gradient_score_rows, shap_score_rows
 from .certify import (
     brute_force_stability_oracle,
     certify_example,
@@ -25,7 +25,7 @@ from .noise import (
     derive_rng_state,
     enumerate_atoms,
 )
-from .smoothing import SmoothedModel, masking_equivalence_check, mus_evaluate_many
+from .smoothing import SmoothedModel, example_row, masking_equivalence_check, mus_evaluate_pairs
 
 LIPSCHITZ_SLACK = 1e-9
 SHAP_EFFICIENCY_TOL = 1e-10
@@ -79,11 +79,14 @@ def _random_instance(trial_seed: int, max_n: int):
     return model, x, stream.state
 
 
-def _suite(name: str, trials: int, seed: int, fails) -> SuiteResult:
-    """Run fails(trial_seed) for trial seeds seed .. seed + trials - 1 and
-    count the trials that fail, with the first failing seed."""
-    failed = [trial_seed for trial_seed in range(seed, seed + trials) if fails(trial_seed)]
+def _suite(name: str, trials: int, failed: list[int]) -> SuiteResult:
+    """The result of `trials` trials, of which the seeds in `failed` failed."""
     return SuiteResult(name, trials, len(failed), failed[0] if failed else None)
+
+
+def _failing(trials: int, seed: int, fails) -> list[int]:
+    """The trial seeds among seed .. seed + trials - 1 for which fails holds."""
+    return [trial_seed for trial_seed in range(seed, seed + trials) if fails(trial_seed)]
 
 
 def check_lqv_marginals(trials: int, seed: int, max_n: int = 8) -> SuiteResult:
@@ -96,18 +99,16 @@ def check_lqv_marginals(trials: int, seed: int, max_n: int = 8) -> SuiteResult:
         cfg = SmoothingConfig(q=q, lambda_num=lambda_num, seed=trial_seed, n=n)
         return (enumerate_atoms(cfg).sum(axis=0) != lambda_num).any()
 
-    return _suite("lqv_marginals", trials, seed, fails)
+    return _suite("lqv_marginals", trials, _failing(trials, seed, fails))
 
 
-def check_lipschitz(trials: int, seed: int, instances: list) -> SuiteResult:
-    """Exhaustive pairwise slope bound on the smoothed output over masks."""
-    def fails(trial_seed: int) -> bool:
-        model, x, _ = instances[trial_seed - seed]
-        lam = model.cfg.lambda_num / model.cfg.q
-        values = np.array(mus_evaluate_many(model, x, _all_masks(model.grouping.n)))
-        return _breaks_lipschitz(values, lam)
-
-    return _suite("lipschitz", trials, seed, fails)
+def check_lipschitz(model: SmoothedModel, x, _state: int) -> bool:
+    """Exhaustive pairwise slope bound on the smoothed output over masks,
+    on one instance of _random_instance."""
+    masks = _all_masks(model.grouping.n)
+    values = mus_evaluate_pairs(model, example_row(model, x), np.zeros(len(masks), np.intp),
+                                masks)
+    return not _breaks_lipschitz(values, model.cfg.lambda_num / model.cfg.q)
 
 
 def _breaks_lipschitz(values: np.ndarray, lam: float) -> bool:
@@ -120,32 +121,26 @@ def _breaks_lipschitz(values: np.ndarray, lam: float) -> bool:
     return bool((np.abs(values[:, None, :] - values[None, :, :]) > bound[:, :, None]).any())
 
 
-def check_masking_equivalence(trials: int, seed: int, instances: list) -> SuiteResult:
-    """Mask-then-average equals pre-mask-then-average, with and without mu."""
-    def fails(trial_seed: int) -> bool:
-        model, x, state = instances[trial_seed - seed]
-        stream = LcgStream(state)
-        n = model.grouping.n
-        mu = tuple(stream.next_below(2) for _ in range(n))
-        masks = _all_masks(n)
-        covering = masks[(masks >= np.array(mu, dtype=np.uint8)).all(axis=1)]
-        return not (masking_equivalence_check(model, x, masks)
-                    and masking_equivalence_check(model.with_mu(mu), x, covering))
-
-    return _suite("masking_equivalence", trials, seed, fails)
+def check_masking_equivalence(model: SmoothedModel, x, state: int) -> bool:
+    """Mask-then-average equals pre-mask-then-average, with and without a mu
+    drawn from state, on one instance of _random_instance."""
+    stream = LcgStream(state)
+    n = model.grouping.n
+    mu = tuple(stream.next_below(2) for _ in range(n))
+    masks = _all_masks(n)
+    covering = masks[(masks >= np.array(mu, dtype=np.uint8)).all(axis=1)]
+    return (masking_equivalence_check(model, x, masks)
+            and masking_equivalence_check(model.with_mu(mu), x, covering))
 
 
-def check_soundness(trials: int, seed: int, instances: list) -> SuiteResult:
-    """Certified radii never exceed what exhaustive enumeration allows."""
-    def fails(trial_seed: int) -> bool:
-        model, x, state = instances[trial_seed - seed]
-        stream = LcgStream(state)
-        phi = tuple(stream.next_below(2) for _ in range(model.grouping.n))
-        record = certify_example(model, x, phi, example_id=trial_seed - seed)
-        return not (brute_force_stability_oracle(model, x, phi, record.r_inc, "inc")
-                    and brute_force_stability_oracle(model, x, phi, record.r_dec, "dec"))
-
-    return _suite("soundness", trials, seed, fails)
+def check_soundness(model: SmoothedModel, x, state: int) -> bool:
+    """Certified radii at a phi drawn from state never exceed what exhaustive
+    enumeration allows, on one instance of _random_instance."""
+    stream = LcgStream(state)
+    phi = tuple(stream.next_below(2) for _ in range(model.grouping.n))
+    record = certify_example(model, x, phi, example_id=0)
+    return (brute_force_stability_oracle(model, x, phi, record.r_inc, "inc")
+            and brute_force_stability_oracle(model, x, phi, record.r_dec, "dec"))
 
 
 def check_shap_efficiency(trials: int, seed: int, max_n: int = 4) -> SuiteResult:
@@ -157,14 +152,13 @@ def check_shap_efficiency(trials: int, seed: int, max_n: int = 4) -> SuiteResult
         base = random_linear(n, m, derive_rng_state(trial_seed, 1))
         grouping = FeatureGrouping.trivial(n)
         x = _random_x(stream, n)
-        scores = shap_lite_scores(base, x, grouping, permutations=1,
-                                  rng_state=trial_seed, exhaustive=True)
+        scores = shap_score_rows(base, [x], grouping, 1, [trial_seed], exhaustive=True)[0]
         # p(x) in row 0 and p(0) in row 1.
         probs = evaluate_rows(base, np.array([x, (0.0,) * n]))
         c = top_classes_and_gaps(probs[:1])[0][0]
         return abs(math.fsum(scores) - (probs[0, c] - probs[1, c])) > SHAP_EFFICIENCY_TOL
 
-    return _suite("shap_efficiency", trials, seed, fails)
+    return _suite("shap_efficiency", trials, _failing(trials, seed, fails))
 
 
 def check_gradient_fd(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
@@ -186,11 +180,11 @@ def check_gradient_fd(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
         while isinstance(base, MlpModel) and _near_relu_kink(base, x):
             x = _random_x(stream, n)
         # With one feature per group the scores are the absolute gradient.
-        analytic = gradient_scores(base, x, FeatureGrouping.trivial(n))
-        numeric = np.abs(finite_difference_rows(base, np.array([x]))[0]).tolist()
-        return max(abs(a - b) for a, b in zip(analytic, numeric)) > GRADIENT_FD_TOL
+        analytic = gradient_score_rows(base, [x], FeatureGrouping.trivial(n))
+        numeric = np.abs(finite_difference_rows(base, np.array([x])))
+        return np.abs(analytic - numeric).max() > GRADIENT_FD_TOL
 
-    return _suite("gradient_fd", trials, seed, fails)
+    return _suite("gradient_fd", trials, _failing(trials, seed, fails))
 
 
 def _near_relu_kink(base: MlpModel, x: tuple[float, ...]) -> bool:
@@ -210,13 +204,20 @@ def run_selfcheck(max_n: int = 6, trials: int = 20, seed: int = 0) -> SelfcheckR
         raise ConfigError(f"max_n must be >= 2, got {max_n}")
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
-    # Built once for the three suites that share them, for this call only.
-    instances = [_random_instance(t, max_n) for t in range(seed, seed + trials)]
+    lqv_marginals = check_lqv_marginals(trials, seed, max_n)
+    # Three suites share each trial's instance, built once and dropped after
+    # its trial, so memory stays flat in the trial count.
+    shared = {"lipschitz": check_lipschitz, "masking_equivalence": check_masking_equivalence,
+              "soundness": check_soundness}
+    failed = {name: [] for name in shared}
+    for trial_seed in range(seed, seed + trials):
+        instance = _random_instance(trial_seed, max_n)
+        for name, check in shared.items():
+            if not check(*instance):
+                failed[name].append(trial_seed)
     suites = (
-        check_lqv_marginals(trials, seed, max_n),
-        check_lipschitz(trials, seed, instances),
-        check_masking_equivalence(trials, seed, instances),
-        check_soundness(trials, seed, instances),
+        lqv_marginals,
+        *(_suite(name, trials, failed[name]) for name in shared),
         check_shap_efficiency(trials, seed, min(max_n, 4)),
         check_gradient_fd(trials, seed, max_n),
     )

@@ -8,9 +8,8 @@ words, finds each example's distinct effective masks by sorting those
 words, and sends each of them to the base classifier once; every class sum
 is correctly rounded before it is divided by q, so neither the batching nor
 the deduplication can change a bit, and two evaluations of the same inputs
-agree bit for bit. `mus_evaluate_many` is its one-example case, and
-`masking_equivalence_check` tests it against averaging the pre-masked
-input.
+agree bit for bit. `masking_equivalence_check` tests it against averaging
+the pre-masked input.
 """
 from __future__ import annotations
 
@@ -26,7 +25,6 @@ from .core import (
     ClassifierHandle,
     ConfigError,
     FeatureGrouping,
-    Logits,
     Mask,
     evaluate_rows,
     mask_apply_rows,
@@ -110,19 +108,6 @@ class SmoothedModel:
 
 def _mu_words(mu: Mask | None, n: int) -> np.ndarray | None:
     return None if mu is None else np.array([mu], dtype=np.uint8) @ _bit_weights(n)
-
-
-def mus_evaluate_many(model: SmoothedModel, x: Sequence[float],
-                      alphas: Sequence[Mask]) -> list[Logits]:
-    """The smoothed class means of input x under each alpha, as tuples:
-    the one-example case of mus_evaluate_pairs.
-    """
-    xs = example_row(model, x)
-    masks = mask_array(alphas, model.grouping.n)
-    if len(masks) == 0:
-        return []
-    means = _pair_means(model, xs, np.zeros(len(masks), dtype=np.intp), masks, None)
-    return [tuple(row) for row in means.tolist()]
 
 
 def example_row(model: SmoothedModel, x: Sequence[float]) -> np.ndarray:
@@ -313,7 +298,7 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
                               alphas: Sequence[Mask]) -> bool:
     """True iff smoothing each mask equals smoothing the pre-masked input.
 
-    The left side is mus_evaluate_many(model, x, alphas). The right side
+    The left side is mus_evaluate_pairs on x under alphas. The right side
     is built without effective-mask composition: x is zeroed by each alpha,
     every noise row (atom OR mu) zeroes those values again, all k*q rows go
     to the base classifier as one batch, and each class is averaged over
@@ -331,11 +316,11 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
         )
     if len(masks) == 0:
         return True
-    lhs = mus_evaluate_many(model, x, masks)
+    # x and the masks are checked here, so mus_evaluate_pairs' checks are skipped.
+    lhs = _pair_means(model, example_row(model, x), np.zeros(len(masks), np.intp), masks, None)
     index_map = model._index_map
     premasked = mask_apply_rows(np.asarray(x, dtype=float), masks, index_map)
     noise_keep = (model.atoms | mu)[:, index_map] != 0
     rows = np.where(noise_keep, premasked[:, None, :], 0.0).reshape(-1, grouping.d)
     rhs = _atom_means(evaluate_rows(model.base, rows).reshape(len(masks), model.cfg.q, -1))
-    return all(abs(a - b) <= EQUIVALENCE_TOL
-               for left, right in zip(lhs, rhs.tolist()) for a, b in zip(left, right))
+    return bool((np.abs(lhs - rhs) <= EQUIVALENCE_TOL).all())

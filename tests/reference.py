@@ -10,7 +10,8 @@ under iid Bernoulli masks that the atom average derandomizes, and
 where multiplicative noise does not. `validate_logits` and
 `top_class_and_gap` are the scalar probability contract and argmax/gap rule
 that the package applies to whole arrays. `greedy_walk` is the greedy
-attack one candidate mask at a time. `lime_one_example`,
+attack one candidate mask at a time, and `greedy_prefix` the stable-prefix
+search one prefix at a time. `lime_one_example`,
 `shap_one_example` and `finite_difference_gradient` score one example with
 its own base queries, as the scorers did before they ran as dataset stages.
 `scalar_probs` and `scalar_gradient` are the built-in models' forward pass
@@ -41,6 +42,7 @@ from muscert.core import (
     zeros_mask,
 )
 from muscert.attribution import FD_STEP, LIME_RIDGE, _sampled_orders
+from muscert.certify import radius_from_gap
 from muscert.models import LinearSoftmaxModel, MlpModel
 from muscert.noise import iid_bernoulli_bits
 from muscert.smoothing import EQUIVALENCE_TOL, SmoothedModel
@@ -238,6 +240,25 @@ def greedy_walk(model: SmoothedModel, x: Sequence[float], phi: Mask, budget: int
         if flipped:
             return True, step, tuple(alpha)
     return False, budget, None
+
+
+def greedy_prefix(model: SmoothedModel, x: Sequence[float], scores: Sequence[float],
+                  r_inc_target: int, r_dec_target: int) -> tuple[Mask, bool]:
+    """(mask, met) of the stable-prefix search as defined: the shortest
+    prefix of the groups by descending score (lower index first on ties)
+    that keeps the all-ones class with an incremental radius of at least
+    r_inc_target, where the all-ones gap certifies a decremental radius of
+    at least r_dec_target; (all-ones, False) when no prefix qualifies."""
+    n, lam, q = model.grouping.n, model.cfg.lambda_num, model.cfg.q
+    pred, gap_at_ones = top_class_and_gap(mus_evaluate(model, x, (1,) * n))
+    if radius_from_gap(gap_at_ones, lam, q)[1] >= r_dec_target:
+        ordering = sorted(range(n), key=lambda i: (-scores[i], i))
+        for length in range(1, n + 1):
+            mask = tuple(1 if i in ordering[:length] else 0 for i in range(n))
+            c, gap = top_class_and_gap(mus_evaluate(model, x, mask))
+            if c == pred and radius_from_gap(gap, lam, q)[1] >= r_inc_target:
+                return mask, True
+    return (1,) * n, False
 
 
 def rmus_estimate(base: ClassifierHandle, grouping: FeatureGrouping,

@@ -10,7 +10,7 @@ import math
 import time
 from fractions import Fraction
 
-from muscert.attribution import lime_lite_scores, shap_lite_scores
+from muscert.attribution import lime_score_rows, shap_score_rows
 from muscert.certify import (
     brute_force_stability_oracle,
     certify_example,
@@ -314,7 +314,7 @@ def test_c10_scorer_oracles():
         stream = LcgStream(derive_rng_state(917, trial))
         x = _random_x(stream, n)
         c, _ = top_class_and_gap(base.evaluate(x))
-        sv = shap_lite_scores(base, x, grouping, exhaustive=True)
+        sv = shap_score_rows(base, [x], grouping, exhaustive=True)[0]
         total = base.evaluate(x)[c] - base.evaluate((0.0,) * n)[c]
         assert abs(math.fsum(sv) - total) <= 1e-10
 
@@ -322,8 +322,8 @@ def test_c10_scorer_oracles():
     # coefficients.
     handle = _AffineInMask(0.5, (0.125, 0.0625, 0.03125, 0.015625))
     grouping = FeatureGrouping.trivial(4)
-    sv = lime_lite_scores(handle, (1.0, 1.0, 1.0, 1.0), grouping,
-                          samples=256, kernel_width=4.0, rng_state=2)
+    sv = lime_score_rows(handle, [(1.0, 1.0, 1.0, 1.0)], grouping,
+                         samples=256, kernel_width=4.0, rng_states=[2])[0]
     for got, want in zip(sv, handle.weights):
         assert abs(got - want) <= 1e-6
 

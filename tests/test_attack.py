@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from muscert.attack import attack_decremental, attack_incremental, attack_walks
+from muscert.attack import attack_walks
 from muscert.attribution import occlusion_scores, topk_binarize
 from muscert.certify import certify_example
 from muscert.core import (
@@ -41,11 +41,15 @@ def _instance(seed, n=4, q=8, lambda_num=4, mlp=False, tries=8):
     return model, best
 
 
+def _walk(model, x, phi, budget, mode):
+    """The one walk of attack_walks on the single example x."""
+    return attack_walks(model, [x], [0], [phi], [budget], [mode])[0]
+
+
 def test_zero_budget_finds_nothing():
     model, x = _instance(1)
     phi = (1, 0, 0, 1)
-    for result in (attack_incremental(model, x, phi, 0),
-                   attack_decremental(model, x, phi, 0)):
+    for result in (_walk(model, x, phi, 0, "inc"), _walk(model, x, phi, 0, "dec")):
         assert not result.found
         assert result.radius == 0
         assert result.witness is None
@@ -55,11 +59,11 @@ def test_budget_above_free_bits_is_rejected():
     model, x = _instance(2)
     phi = (1, 0, 0, 1)  # two free bits
     with pytest.raises(ConfigError, match=r"budget 3 outside \[0, 2\] free bits"):
-        attack_incremental(model, x, phi, 3)
+        _walk(model, x, phi, 3, "inc")
     with pytest.raises(ConfigError, match=r"budget 3 outside \[0, 2\] free bits"):
-        attack_decremental(model, x, phi, 3)
+        _walk(model, x, phi, 3, "dec")
     with pytest.raises(ConfigError, match=r"budget -1 outside \[0, 2\] free bits"):
-        attack_incremental(model, x, phi, -1)
+        _walk(model, x, phi, -1, "inc")
 
 
 def test_witnesses_respect_mode_geometry():
@@ -68,8 +72,8 @@ def test_witnesses_respect_mode_geometry():
         model, x = _instance(seed)
         phi = topk_binarize(occlusion_scores(model, x), 2)
         free = 4 - popcount(phi)
-        inc = attack_incremental(model, x, phi, free)
-        dec = attack_decremental(model, x, phi, free)
+        inc = _walk(model, x, phi, free, "inc")
+        dec = _walk(model, x, phi, free, "dec")
         if inc.found:
             found_any = True
             assert all(p <= w for p, w in zip(phi, inc.witness))
@@ -94,8 +98,8 @@ def test_found_witnesses_exceed_certified_radii():
         phi = topk_binarize(occlusion_scores(model, x), 2)
         record = certify_example(model, x, phi, example_id=seed)
         free = 4 - popcount(phi)
-        inc = attack_incremental(model, x, phi, free)
-        dec = attack_decremental(model, x, phi, free)
+        inc = _walk(model, x, phi, free, "inc")
+        dec = _walk(model, x, phi, free, "dec")
         if inc.found:
             assert inc.radius > record.r_inc
         if dec.found:
@@ -132,8 +136,7 @@ def test_greedy_radius_bounds_exhaustive_minimum(mode):
         model, x = _instance(seed, n=5, mlp=(seed % 2 == 0))
         phi = topk_binarize(occlusion_scores(model, x), 2)
         truth = _exhaustive_min_flip(model, x, phi, mode)
-        attack = attack_incremental if mode == "inc" else attack_decremental
-        result = attack(model, x, phi, 5 - popcount(phi))
+        result = _walk(model, x, phi, 5 - popcount(phi), mode)
         if truth is None:
             # No flipping mask exists anywhere, so the greedy cannot find one.
             assert not result.found
@@ -151,9 +154,9 @@ def test_attacks_equal_the_reference_greedy_walk(mlp):
         model, x = _instance(seed, n=5, mlp=mlp)
         for phi in ((0, 0, 0, 0, 0), topk_binarize(occlusion_scores(model, x), 2)):
             free = 5 - popcount(phi)
-            for mode, attack in (("inc", attack_incremental), ("dec", attack_decremental)):
+            for mode in ("inc", "dec"):
                 for budget in (1, free):
-                    result = attack(model, x, phi, budget)
+                    result = _walk(model, x, phi, budget, mode)
                     want = greedy_walk(model, x, phi, budget, mode)
                     assert (result.found, result.radius, result.witness) == want
                     outcomes.add((result.found, result.radius))
@@ -187,15 +190,15 @@ def test_attack_walks_need_one_argument_of_each_kind_per_walk():
 def test_attack_is_deterministic():
     model, x = _instance(9)
     phi = (1, 0, 0, 0)
-    a = attack_incremental(model, x, phi, 3)
-    b = attack_incremental(model, x, phi, 3)
+    a = _walk(model, x, phi, 3, "inc")
+    b = _walk(model, x, phi, 3, "inc")
     assert a == b
 
 
 def test_full_budget_greedy_flip_always_terminates_state():
     """With the whole cube reachable the result is found or a full mask."""
     model, x = _instance(3)
-    result = attack_incremental(model, x, (0, 0, 0, 0), 4)
+    result = _walk(model, x, (0, 0, 0, 0), 4, "inc")
     if not result.found:
         assert result.radius == 4
         assert result.witness is None

@@ -11,13 +11,13 @@ from hypothesis import strategies as st
 from muscert.attribution import (
     LIME_RIDGE,
     _sampled_orders,
-    gradient_scores,
-    greedy_stable_attribution,
-    lime_lite_scores,
+    gradient_score_rows,
+    greedy_stable_masks,
+    lime_score_rows,
     occlusion_scores,
     prefix_mask,
     score_ordering,
-    shap_lite_scores,
+    shap_score_rows,
     topk_binarize,
 )
 from muscert.core import (
@@ -111,8 +111,8 @@ def test_gradient_scores_sum_abs_entries_per_group():
     x = (0.4, -0.8, 1.2)
     c, _ = top_class_and_gap(model.evaluate(x))
     grad = model.gradient(x, c)
-    sv = gradient_scores(model, x, grouping)
-    assert sv == (abs(grad[0]) + abs(grad[2]), abs(grad[1]))
+    sv = gradient_score_rows(model, [x], grouping)[0].tolist()
+    assert sv == [abs(grad[0]) + abs(grad[2]), abs(grad[1])]
 
 
 class FixedGradientHandle(ConstantHandle):
@@ -129,24 +129,23 @@ class FixedGradientHandle(ConstantHandle):
 def test_gradient_scores_check_a_custom_gradient():
     grouping = FeatureGrouping.trivial(3)
     x = (1.0, 2.0, 3.0)
-    assert gradient_scores(FixedGradientHandle((1.0, -2.0, 0.5)), x,
-                           grouping) == (1.0, 2.0, 0.5)
+    assert gradient_score_rows(FixedGradientHandle((1.0, -2.0, 0.5)), [x],
+                               grouping)[0].tolist() == [1.0, 2.0, 0.5]
     for grad in ((1.0, 2.0), (1.0, 2.0, 3.0, 4.0)):
         with pytest.raises(ConfigError,
                            match=rf"^gradient has {len(grad)} entries, expected d=3$"):
-            gradient_scores(FixedGradientHandle(grad), x, grouping)
+            gradient_score_rows(FixedGradientHandle(grad), [x], grouping)
     with pytest.raises(ConfigError, match="^gradient entry 1 is not finite: nan$"):
-        gradient_scores(FixedGradientHandle((0.0, float("nan"), 1.0)), x, grouping)
+        gradient_score_rows(FixedGradientHandle((0.0, float("nan"), 1.0)), [x], grouping)
 
 
 def test_gradient_finite_difference_fallback_is_close():
     model = random_mlp(3, 4, 2, 5)
     x = (0.3, -0.2, 0.9)
     grouping = FeatureGrouping.trivial(3)
-    analytic = gradient_scores(model, x, grouping)
-    numeric = gradient_scores(GradientFreeAdapter(model), x, grouping)
-    for a, b in zip(analytic, numeric):
-        assert abs(a - b) <= 1e-6
+    analytic = gradient_score_rows(model, [x], grouping)
+    numeric = gradient_score_rows(GradientFreeAdapter(model), [x], grouping)
+    assert abs(analytic - numeric).max() <= 1e-6
 
 
 def test_gradient_finite_differences_equal_the_scalar_loop():
@@ -155,8 +154,8 @@ def test_gradient_finite_differences_equal_the_scalar_loop():
         x = (0.3, -0.2, 0.9)
         c, _ = top_class_and_gap(model.evaluate(x))
         grad = finite_difference_gradient(model, x, c)
-        want = (math.fsum((abs(grad[0]), abs(grad[2]))), abs(grad[1]))
-        assert gradient_scores(GradientFreeAdapter(model), x, grouping) == want
+        want = [math.fsum((abs(grad[0]), abs(grad[2]))), abs(grad[1])]
+        assert gradient_score_rows(GradientFreeAdapter(model), [x], grouping)[0].tolist() == want
 
 
 class OverfullHandle(ConstantHandle):
@@ -184,13 +183,13 @@ def test_gradient_scores_check_the_probability_contract():
     for handle in (OverfullHandle(), GradientFreeAdapter(OverfullHandle()),
                    OverfullAwayFromX()):
         with pytest.raises(ConfigError, match=r"^probabilities sum to 1\.8, not 1$"):
-            gradient_scores(handle, (1.0, 2.0), grouping)
+            gradient_score_rows(handle, [(1.0, 2.0)], grouping)
 
 
 def test_gradient_scores_of_constant_classifier_are_zero():
     handle = ConstantHandle((0.25, 0.75), d=3)
-    sv = gradient_scores(handle, (1.0, 2.0, 3.0), FeatureGrouping.trivial(3))
-    assert sv == (0.0, 0.0, 0.0)
+    sv = gradient_score_rows(handle, [(1.0, 2.0, 3.0)], FeatureGrouping.trivial(3))
+    assert sv.tolist() == [[0.0, 0.0, 0.0]]
 
 
 # --------------------------------------------------------------------- lime
@@ -198,8 +197,8 @@ def test_gradient_scores_of_constant_classifier_are_zero():
 def test_lime_ignores_inactive_groups():
     handle = DyadicAdditiveHandle(0.3125, (0.375, 0.0, 0.0))
     grouping = FeatureGrouping.trivial(3)
-    sv = lime_lite_scores(handle, (1.0, 1.0, 1.0), grouping,
-                          samples=256, kernel_width=3.0, rng_state=5)
+    sv = lime_score_rows(handle, [(1.0, 1.0, 1.0)], grouping,
+                         samples=256, kernel_width=3.0, rng_states=[5])[0]
     assert abs(sv[0] - 0.375) <= 1e-4
     assert abs(sv[1]) <= 1e-4
     assert abs(sv[2]) <= 1e-4
@@ -250,8 +249,8 @@ def test_lime_matches_exact_rational_wls():
     handle = random_linear(3, 2, 21)
     grouping = FeatureGrouping.trivial(3)
     x = (0.8, -1.1, 0.4)
-    sv = lime_lite_scores(handle, x, grouping, samples=48,
-                          kernel_width=3.0, rng_state=11)
+    sv = lime_score_rows(handle, [x], grouping, samples=48,
+                         kernel_width=3.0, rng_states=[11])[0]
     oracle = _exact_wls_oracle(handle, x, grouping, 48, 3.0, 11)
     for got, want in zip(sv, oracle):
         assert abs(got - want) <= 1e-9
@@ -260,35 +259,36 @@ def test_lime_matches_exact_rational_wls():
 def test_lime_constant_classifier_has_flat_surrogate():
     # The ridge term leaves a sub-1e-6 shadow on a perfectly flat target.
     handle = ConstantHandle((0.5, 0.5), d=3)
-    sv = lime_lite_scores(handle, (1.0, 1.0, 1.0), FeatureGrouping.trivial(3),
-                          samples=64, rng_state=0)
-    for v in sv:
-        assert abs(v) <= 1e-6
+    sv = lime_score_rows(handle, [(1.0, 1.0, 1.0)], FeatureGrouping.trivial(3),
+                         samples=64, rng_states=[0])
+    assert abs(sv).max() <= 1e-6
 
 
 def test_lime_sample_floor():
     handle = ConstantHandle((0.5, 0.5), d=3)
     with pytest.raises(ConfigError, match=r"need at least n\+1=4 samples, got 3"):
-        lime_lite_scores(handle, (1.0, 1.0, 1.0), FeatureGrouping.trivial(3),
-                         samples=3)
+        lime_score_rows(handle, [(1.0, 1.0, 1.0)], FeatureGrouping.trivial(3),
+                        samples=3)
 
 
 def test_lime_kernel_width_must_be_positive():
     handle = ConstantHandle((0.5, 0.5), d=2)
-    with pytest.raises(ConfigError, match="kernel width must be positive, got 0.0"):
-        lime_lite_scores(handle, (1.0, 1.0), FeatureGrouping.trivial(2),
-                         samples=16, kernel_width=0.0)
+    # NaN fails the positivity test too, rather than the surrogate fit.
+    for width in (0.0, -1.5, float("nan")):
+        with pytest.raises(ConfigError, match=f"^kernel width must be positive, got {width}$"):
+            lime_score_rows(handle, [(1.0, 1.0)], FeatureGrouping.trivial(2),
+                            samples=16, kernel_width=width)
 
 
 def test_lime_is_deterministic_in_rng_state():
     handle = random_linear(3, 2, 2)
     grouping = FeatureGrouping.trivial(3)
     x = (1.0, 2.0, 3.0)
-    a = lime_lite_scores(handle, x, grouping, samples=32, rng_state=7)
-    b = lime_lite_scores(handle, x, grouping, samples=32, rng_state=7)
-    c = lime_lite_scores(handle, x, grouping, samples=32, rng_state=8)
-    assert a == b
-    assert a != c
+    a = lime_score_rows(handle, [x], grouping, samples=32, rng_states=[7])
+    b = lime_score_rows(handle, [x], grouping, samples=32, rng_states=[7])
+    c = lime_score_rows(handle, [x], grouping, samples=32, rng_states=[8])
+    assert a.tobytes() == b.tobytes()
+    assert a.tolist() != c.tolist()
 
 
 # --------------------------------------------------------------------- shap
@@ -301,7 +301,7 @@ def test_shap_two_group_closed_form():
     def v(alpha):
         return base.evaluate(mask_apply(x, alpha, grouping))[c]
 
-    sv = shap_lite_scores(base, x, grouping, exhaustive=True)
+    sv = shap_score_rows(base, [x], grouping, exhaustive=True)[0]
     want0 = 0.5 * (v((1, 0)) - v((0, 0))) + 0.5 * (v((1, 1)) - v((0, 1)))
     want1 = 0.5 * (v((0, 1)) - v((0, 0))) + 0.5 * (v((1, 1)) - v((1, 0)))
     assert abs(sv[0] - want0) <= 1e-15
@@ -313,10 +313,10 @@ def test_shap_additive_game_credits_exact_weights():
     handle = DyadicAdditiveHandle(0.5, weights)
     grouping = FeatureGrouping.trivial(3)
     x = (1.0, 1.0, 1.0)
-    exhaustive = shap_lite_scores(handle, x, grouping, exhaustive=True)
-    sampled = shap_lite_scores(handle, x, grouping, permutations=8, rng_state=3)
-    assert exhaustive == weights
-    assert sampled == weights
+    exhaustive = shap_score_rows(handle, [x], grouping, exhaustive=True)
+    sampled = shap_score_rows(handle, [x], grouping, permutations=8, rng_states=[3])
+    assert exhaustive.tolist() == [list(weights)]
+    assert sampled.tolist() == [list(weights)]
 
 
 def test_shap_efficiency_for_exhaustive_orders():
@@ -324,7 +324,7 @@ def test_shap_efficiency_for_exhaustive_orders():
     grouping = FeatureGrouping.trivial(4)
     x = (0.9, -0.4, 1.3, 0.2)
     c, _ = top_class_and_gap(model.evaluate(x))
-    sv = shap_lite_scores(model, x, grouping, exhaustive=True)
+    sv = shap_score_rows(model, [x], grouping, exhaustive=True)[0]
     full = model.evaluate(x)[c]
     empty = model.evaluate((0.0, 0.0, 0.0, 0.0))[c]
     assert abs(math.fsum(sv) - (full - empty)) <= 1e-10
@@ -334,13 +334,13 @@ def test_shap_sampling_is_deterministic():
     model = random_linear(3, 2, 14)
     grouping = FeatureGrouping.trivial(3)
     x = (1.0, -1.0, 0.5)
-    a = shap_lite_scores(model, x, grouping, permutations=16, rng_state=9)
-    b = shap_lite_scores(model, x, grouping, permutations=16, rng_state=9)
-    assert a == b
+    a = shap_score_rows(model, [x], grouping, permutations=16, rng_states=[9])
+    b = shap_score_rows(model, [x], grouping, permutations=16, rng_states=[9])
+    assert a.tobytes() == b.tobytes()
 
 
 def _scalar_orders(n, permutations, rng_state):
-    """The per-permutation Fisher-Yates walk shap_lite_scores used to take."""
+    """The per-permutation Fisher-Yates walk of one stream, one swap at a time."""
     stream = LcgStream(rng_state)
     orders = []
     for _ in range(permutations):
@@ -372,8 +372,8 @@ def test_shap_orders_of_many_states_hold_one_block_per_state():
 def test_shap_rejects_nonpositive_permutations():
     handle = ConstantHandle((0.5, 0.5), d=2)
     with pytest.raises(ConfigError, match="permutations must be >= 1, got 0"):
-        shap_lite_scores(handle, (1.0, 1.0), FeatureGrouping.trivial(2),
-                         permutations=0)
+        shap_score_rows(handle, [(1.0, 1.0)], FeatureGrouping.trivial(2),
+                        permutations=0)
 
 
 # ---------------------------------------------------- selection and prefixes
@@ -433,7 +433,7 @@ def test_greedy_zero_targets_returns_shortest_consistent_prefix():
     model = _small_smoothed()
     x = (1.2, -0.6, 0.9, 0.3)
     scores = occlusion_scores(model, x)
-    mask, met = greedy_stable_attribution(model, x, scores, 0, 0)
+    [(mask, met)] = greedy_stable_masks(model, [x], [scores], 0, 0)
     assert met
     pred, _ = top_class_and_gap(mus_evaluate(model, x, ones_mask(4)))
     ordering = score_ordering(scores)
@@ -451,7 +451,7 @@ def test_greedy_unreachable_targets_reports_not_met():
     model = _small_smoothed()
     x = (1.2, -0.6, 0.9, 0.3)
     scores = occlusion_scores(model, x)
-    mask, met = greedy_stable_attribution(model, x, scores, 0, 99)
+    [(mask, met)] = greedy_stable_masks(model, [x], [scores], 0, 99)
     assert mask == ones_mask(4)
     assert not met
 
@@ -466,7 +466,7 @@ def test_greedy_met_masks_pass_independent_recheck():
         model = SmoothedModel.build(base, grouping, cfg)
         x = (0.8, -0.5, 1.1, -0.2)
         scores = occlusion_scores(model, x)
-        mask, met = greedy_stable_attribution(model, x, scores, 1, 1)
+        [(mask, met)] = greedy_stable_masks(model, [x], [scores], 1, 1)
         if not met:
             continue
         checked += 1
@@ -479,7 +479,6 @@ def test_greedy_met_masks_pass_independent_recheck():
 def test_greedy_rejects_negative_targets():
     model = _small_smoothed()
     with pytest.raises(ConfigError, match="radius targets must be nonnegative"):
-        greedy_stable_attribution(model, (1.0, 1.0, 1.0, 1.0),
-                                  (0.1, 0.2, 0.3, 0.4), -1, 0)
+        greedy_stable_masks(model, [(1.0, 1.0, 1.0, 1.0)], [(0.1, 0.2, 0.3, 0.4)], -1, 0)
 
 

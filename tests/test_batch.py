@@ -12,7 +12,7 @@ from muscert.certify import brute_force_stability_oracle
 from muscert.core import ConfigError, FeatureGrouping, evaluate_rows
 from muscert.models import MlpModel, random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state, enumerate_atoms
-from muscert.smoothing import SmoothedModel, mus_evaluate_many
+from muscert.smoothing import SmoothedModel, mus_evaluate_pairs
 
 from conftest import ConstantHandle
 from reference import mask_and, mask_or, mus_evaluate, scalar_probs, validate_logits
@@ -85,7 +85,13 @@ def test_evaluate_batch_at_exact_zero_preactivation():
     _assert_rows_equal(model, inputs)
 
 
-def test_mus_evaluate_many_matches_mus_evaluate():
+def _one_example(model, x, alphas):
+    """mus_evaluate_pairs of x under each alpha, as tuples."""
+    means = mus_evaluate_pairs(model, [x], [0] * len(alphas), alphas)
+    return [tuple(row) for row in means.tolist()]
+
+
+def test_one_example_pairs_match_mus_evaluate():
     for trial in range(12):
         stream = LcgStream(derive_rng_state(trial, 2))
         n = 2 + stream.next_below(8)
@@ -97,20 +103,20 @@ def test_mus_evaluate_many_matches_mus_evaluate():
         x = tuple(_inputs(stream, 1, n)[0].tolist())
         alphas = [_mask(stream, n) for _ in range(9)]
         for smoothed in (model, model.with_mu(_mask(stream, n))):
-            assert (mus_evaluate_many(smoothed, x, alphas)
+            assert (_one_example(smoothed, x, alphas)
                     == [mus_evaluate(smoothed, x, a) for a in alphas])
 
 
-def test_mus_evaluate_many_with_grouped_features():
+def test_one_example_pairs_with_grouped_features():
     grouping = FeatureGrouping(groups=((0, 4), (1,), (2, 3, 5), (6,)), d=7)
     cfg = SmoothingConfig(q=8, lambda_num=3, seed=5, n=4)
     model = SmoothedModel.build(random_mlp(7, 6, 3, 9), grouping, cfg, mu=(0, 1, 0, 0))
     x = (0.5, -1.25, 0.0, -0.0, 2.0, -3.0, 1.0)
     alphas = [tuple(bits) for bits in product((0, 1), repeat=4)]
-    assert mus_evaluate_many(model, x, alphas) == [mus_evaluate(model, x, a) for a in alphas]
+    assert _one_example(model, x, alphas) == [mus_evaluate(model, x, a) for a in alphas]
 
 
-def test_mus_evaluate_many_beyond_packed_keys():
+def test_one_example_pairs_beyond_packed_keys():
     """n = 70 groups is past the 62-bit packed key."""
     n = 70
     cfg = SmoothingConfig(q=8, lambda_num=5, seed=3, n=n)
@@ -118,7 +124,7 @@ def test_mus_evaluate_many_beyond_packed_keys():
     stream = LcgStream(derive_rng_state(70, 0))
     x = tuple(_inputs(stream, 1, n)[0].tolist())
     alphas = [_mask(stream, n) for _ in range(6)] + [(1,) * n, (1,) * n]
-    assert mus_evaluate_many(model, x, alphas) == [mus_evaluate(model, x, a) for a in alphas]
+    assert _one_example(model, x, alphas) == [mus_evaluate(model, x, a) for a in alphas]
 
 
 def test_row_loop_handle_sees_each_distinct_effective_mask_once():
@@ -132,7 +138,7 @@ def test_row_loop_handle_sees_each_distinct_effective_mask_once():
         model = SmoothedModel.build(handle, FeatureGrouping.trivial(n), cfg, mu=mu)
         want = [mus_evaluate(model, x, a) for a in alphas]
         handle.calls = 0
-        assert mus_evaluate_many(model, x, alphas) == want
+        assert _one_example(model, x, alphas) == want
         keep = mu or (0,) * n
         distinct = {mask_or(keep, mask_and(a, atom))
                     for a in alphas for atom in model.atoms.tolist()}
@@ -168,7 +174,7 @@ def test_batch_contract_violations_raise_like_validate_logits():
     for name, batch in bad_rows.items():
         model = SmoothedModel.build(BatchOnly(2, 2, batch), grouping, cfg)
         with pytest.raises(ConfigError) as got:
-            mus_evaluate_many(model, x, [(1, 1)])
+            mus_evaluate_pairs(model, [x], [0], [(1, 1)])
         with pytest.raises(ConfigError) as want:
             validate_logits(batch(np.zeros((1, 2)))[0].tolist(), 2)
         if name == "width":

@@ -1,4 +1,5 @@
-"""The package surface that the benchmark under bench/ relies on.
+"""The package surface: its top-level names, and what the benchmark under
+bench/ relies on.
 
 bench/tracer.py wraps every public package function, the classifier methods
 and the CLI's per-example map for a traced run; bench/workloads.py calls
@@ -13,6 +14,7 @@ import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -45,17 +47,39 @@ def _dotted(node: ast.AST) -> list[str] | None:
     return [node.id] + parts[::-1] if isinstance(node, ast.Name) else None
 
 
+# The dataset stages are the API; only the one-example calls that the
+# benchmark and the README quickstart use sit beside them.
+PUBLIC_NAMES = {
+    "AttackResult", "CertRecord", "ClassifierHandle", "ConfigError", "DataError",
+    "FeatureGrouping", "LabeledDataset", "LcgStream", "LinearSoftmaxModel", "MlpModel",
+    "MuscertError", "SelfcheckReport", "SmoothedModel", "SmoothingConfig", "SuiteResult",
+    "VerificationError", "attack_walks", "brute_force_stability_oracle", "certify_example",
+    "derive_rng_state", "enumerate_atoms", "enumerate_perturbation_masks", "fit_logistic",
+    "gradient_score_rows", "greedy_stable_masks", "lime_score_rows", "load_csv_dataset",
+    "load_grouping", "load_model", "masking_equivalence_check", "mus_evaluate_pairs",
+    "occlusion_scores", "ones_mask", "popcount", "radius_from_gap", "random_linear",
+    "random_mlp", "run_selfcheck", "save_csv_dataset", "save_model", "shap_score_rows",
+    "synth_blobs", "topk_binarize", "zeros_mask",
+}
+
+
+def test_public_top_level_names_are_pinned():
+    names = {name for name, obj in vars(muscert).items()
+             if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert names == PUBLIC_NAMES
+
+
 def test_tracer_install_patches_and_uninstall_restores():
     tracer_module = _load_bench("tracer")
     owners = [importlib.import_module(f"muscert.{layer}") for layer in tracer_module.LAYERS]
     owners.append(muscert)
     owners += [getattr(muscert.models, cls) for cls, _ in tracer_module.MODEL_METHODS]
     before = [dict(vars(owner)) for owner in owners]
-    originals = (muscert.attack_incremental, cli._map_examples, muscert.MlpModel.evaluate)
+    originals = (muscert.certify_example, cli._map_examples, muscert.MlpModel.evaluate)
     tracer = tracer_module.Tracer()
     tracer.install(commands=True)
     try:
-        patched = (muscert.attack_incremental, cli._map_examples, muscert.MlpModel.evaluate)
+        patched = (muscert.certify_example, cli._map_examples, muscert.MlpModel.evaluate)
         assert all(now is not was for now, was in zip(patched, originals))
     finally:
         tracer.uninstall()

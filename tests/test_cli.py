@@ -127,6 +127,15 @@ def test_unwritable_out_path_is_data_error(small_artifacts, tmp_path):
     assert main(argv) == EXIT_DATA
 
 
+@pytest.mark.parametrize("width", ["0", "nan"])
+def test_nonpositive_lime_kernel_width_is_usage_error(small_artifacts, tmp_path, capsys, width):
+    argv = ["explain", *_base_args(small_artifacts, tmp_path / "o"),
+            "--scorer", "lime", "--lime-kernel-width", width, "--rinc", "0", "--rdec", "0"]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: kernel width must be positive, got {float(width)}\n")
+
+
 def test_nonpositive_workers_is_usage_error(small_artifacts, tmp_path, capsys):
     argv = ["certify", *_base_args(small_artifacts, tmp_path / "o"),
             "--topk", "2", "--workers", "0"]

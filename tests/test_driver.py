@@ -1,5 +1,5 @@
 """Dataset driver: exact block sums, array argmax, dedup on packed mask
-words, and the staged pair evaluation against the one-example path."""
+words, and the staged pair evaluation against the definitional paths."""
 from __future__ import annotations
 
 import math
@@ -8,21 +8,20 @@ import numpy as np
 import pytest
 
 from muscert import smoothing
-from muscert.attack import attack_decremental, attack_incremental, attack_walks
-from muscert.attribution import greedy_stable_attribution, greedy_stable_masks
+from muscert.attack import attack_walks
+from muscert.attribution import greedy_stable_masks
 from muscert.certify import certify_example, certify_examples
-from muscert.core import FeatureGrouping, top_classes_and_gaps
+from muscert.core import ConfigError, FeatureGrouping, top_classes_and_gaps
 from muscert.models import random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state
 from muscert.smoothing import (
     SmoothedModel,
     _atom_means,
     _exact_sums,
-    mus_evaluate_many,
     mus_evaluate_pairs,
 )
 
-from reference import mus_evaluate, scalar_probs, top_class_and_gap
+from reference import greedy_prefix, greedy_walk, mus_evaluate, scalar_probs, top_class_and_gap
 
 U = 2.0 ** -53
 
@@ -245,7 +244,7 @@ def test_pair_driver_equals_one_example_path(monkeypatch, chunk, batch, n):
         assert set(widths) == {_key_columns(n)}
         for row, e, alpha in zip(got.tolist(), examples, alphas):
             one = model.with_mu(tuple(mus[e].tolist())) if with_mu else model
-            assert tuple(row) == mus_evaluate_many(one, tuple(xs[e].tolist()), [alpha])[0]
+            assert tuple(row) == mus_evaluate(one, tuple(xs[e].tolist()), alpha)
     # The model's own mu applies when no per-example mu is given.
     shielded = model.with_mu(tuple(mus[0].tolist()))
     widths.clear()
@@ -303,8 +302,7 @@ def test_staged_certify_greedy_and_attack_equal_one_example_calls(monkeypatch):
 
     for targets in ((0, 0), (1, 0), (0, 1), (1, 1)):
         staged = greedy_stable_masks(model, xs, scores, *targets)
-        assert staged == [greedy_stable_attribution(model, x, s, *targets)
-                          for x, s in zip(rows, scores)]
+        assert staged == [greedy_prefix(model, x, s, *targets) for x, s in zip(rows, scores)]
         assert targets == (0, 0) or {met for _, met in staged} == {True, False}
 
     budgets = [6 - sum(phi) for phi in phis]
@@ -320,13 +318,29 @@ def test_staged_certify_greedy_and_attack_equal_one_example_calls(monkeypatch):
         assert cut.radius == min(1, budget)
         assert cut.found == (full.found and full.radius == 1)
         assert cut.witness == (full.witness if cut.found else None)
-    assert walks[:7] == [attack_incremental(model, x, phi, b)
-                         for x, phi, b in zip(rows, phis, budgets)]
-    assert walks[7:] == [attack_decremental(model, x, phi, b)
-                         for x, phi, b in zip(rows, phis, budgets)]
+    assert [(w.found, w.radius, w.witness) for w in walks] == [
+        greedy_walk(model, x, phi, b, mode) for mode in ("inc", "dec")
+        for x, phi, b in zip(rows, phis, budgets)]
 
     none = xs[:0]
     assert mus_evaluate_pairs(model, none, [], []).shape == (0, model.m)
     assert certify_examples(model, none, [], []) == []
     assert greedy_stable_masks(model, none, [], 0, 0) == []
     assert attack_walks(model, none, [], [], [], []) == []
+
+
+def test_stages_need_one_mask_id_and_score_row_per_example():
+    """Inputs of mismatched lengths raise rather than dropping examples."""
+    cfg = SmoothingConfig(q=4, lambda_num=2, seed=1, n=3)
+    model = SmoothedModel.build(random_linear(3, 2, 5), FeatureGrouping.trivial(3), cfg)
+    xs = np.array([[1.0, -0.5, 0.25], [0.0, 2.0, -1.0], [0.5, 0.5, 0.5]])
+    phis = [(1, 0, 0), (0, 1, 1), (1, 1, 0)]
+    for phi_count, id_count in ((2, 1), (1, 3), (3, 2), (4, 3)):
+        with pytest.raises(ConfigError, match=(
+                f"^need one mask and one id per example, got 3 examples, "
+                f"{phi_count} masks and {id_count} ids$")):
+            certify_examples(model, xs, (phis * 2)[:phi_count], range(id_count))
+    scores = [(0.3, 0.2, 0.1)] * 4
+    for rows in (1, 2, 4):
+        with pytest.raises(ConfigError, match=f"^got {rows} score rows for 3 examples$"):
+            greedy_stable_masks(model, xs, scores[:rows], 0, 0)

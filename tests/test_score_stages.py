@@ -14,14 +14,7 @@ import numpy as np
 import pytest
 
 from muscert import smoothing
-from muscert.attribution import (
-    gradient_score_rows,
-    gradient_scores,
-    lime_lite_scores,
-    lime_score_rows,
-    shap_lite_scores,
-    shap_score_rows,
-)
+from muscert.attribution import gradient_score_rows, lime_score_rows, shap_score_rows
 from muscert.core import ConfigError, FeatureGrouping
 from muscert.models import random_linear, random_mlp
 from muscert.noise import LcgStream, derive_rng_state
@@ -105,7 +98,7 @@ def test_lime_rows_equal_one_row_calls_and_the_per_example_reference(name):
     base, grouping, xs = _case(name)
     rows = lime_score_rows(base, xs, grouping, 20, 1.5, _states(len(xs)))
     for x, state, got in zip(xs.tolist(), _states(len(xs)), rows.tolist()):
-        assert tuple(got) == lime_lite_scores(base, x, grouping, 20, 1.5, state)
+        assert got == lime_score_rows(base, [x], grouping, 20, 1.5, [state])[0].tolist()
         assert tuple(got) == lime_one_example(base, x, grouping, 20, 1.5, state)
 
 
@@ -115,7 +108,7 @@ def test_shap_rows_equal_one_row_calls_and_the_per_example_reference(name, exhau
     base, grouping, xs = _case(name)
     rows = shap_score_rows(base, xs, grouping, 9, _states(len(xs)), exhaustive)
     for x, state, got in zip(xs.tolist(), _states(len(xs)), rows.tolist()):
-        assert tuple(got) == shap_lite_scores(base, x, grouping, 9, state, exhaustive)
+        assert got == shap_score_rows(base, [x], grouping, 9, [state], exhaustive)[0].tolist()
         assert tuple(got) == shap_one_example(base, x, grouping, 9, state, exhaustive)
 
 
@@ -143,7 +136,7 @@ def test_gradient_rows_equal_one_row_calls_and_the_scalar_reference(monkeypatch,
     rows = gradient_score_rows(base, xs, grouping)
     assert rows.shape == (len(xs), grouping.n)
     for x, got in zip(xs.tolist(), rows.tolist()):
-        assert tuple(got) == gradient_scores(base, x, grouping)
+        assert got == gradient_score_rows(base, [x], grouping)[0].tolist()
         assert tuple(got) == _reference_gradient_scores(base, x, grouping)
 
 
@@ -237,6 +230,6 @@ def test_scorer_counts_must_be_integers(bad):
     handle = ConstantHandle((0.5, 0.5), d=2)
     grouping = FeatureGrouping.trivial(2)
     with pytest.raises(ConfigError, match=rf"^permutations must be an integer, got {bad!r}$"):
-        shap_lite_scores(handle, (1.0, 1.0), grouping, permutations=bad)
+        shap_score_rows(handle, [(1.0, 1.0)], grouping, permutations=bad)
     with pytest.raises(ConfigError, match=rf"^samples must be an integer, got {bad!r}$"):
-        lime_lite_scores(handle, (1.0, 1.0), grouping, samples=bad)
+        lime_score_rows(handle, [(1.0, 1.0)], grouping, samples=bad)

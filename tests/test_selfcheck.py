@@ -1,6 +1,8 @@
 """Selfcheck's batched suites against their per-mask definitions."""
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from muscert.smoothing import (
     EQUIVALENCE_TOL,
     SmoothedModel,
     masking_equivalence_check,
-    mus_evaluate_many,
+    mus_evaluate_pairs,
 )
 
 from reference import mask_apply, mus_evaluate
@@ -97,15 +99,15 @@ def test_empty_batch_holds():
 def test_perturbed_lhs_is_compared_against_an_independent_rhs(monkeypatch, shift, holds):
     model, x, mu = instance(5)
     masks = all_mask_tuples(model.n)
-    real = mus_evaluate_many
+    real = smoothing._pair_means
 
-    def perturbed(mdl, point, alphas):
+    def perturbed(mdl, xs, examples, alphas, mus):
         """Shift class 0 of the last alpha (the all-ones mask) by shift."""
-        out = real(mdl, point, alphas)
-        out[-1] = (out[-1][0] + shift,) + out[-1][1:]
+        out = real(mdl, xs, examples, alphas, mus)
+        out[-1, 0] += shift
         return out
 
-    monkeypatch.setattr(smoothing, "mus_evaluate_many", perturbed)
+    monkeypatch.setattr(smoothing, "_pair_means", perturbed)
     assert masking_equivalence_check(model, x, masks) is holds
     covering = [alpha for alpha in masks if covers(mu, alpha)]
     assert masking_equivalence_check(model.with_mu(mu), x, covering) is holds
@@ -129,7 +131,7 @@ def test_vectorised_lipschitz_test_matches_pair_loop(trial_seed):
     model, x, _ = _random_instance(trial_seed, 6)
     n, m = model.n, model.m
     lam = model.cfg.lambda_num / model.cfg.q
-    values = np.array(mus_evaluate_many(model, x, _all_masks(n)))
+    values = mus_evaluate_pairs(model, [x], [0] * (1 << n), _all_masks(n))
     assert _breaks_lipschitz(values, lam) is bool(pairwise_violations(values, n, lam)) is False
 
     # Two neighbouring masks 1.5 * lam apart on one class break exactly one
@@ -184,6 +186,48 @@ def test_run_selfcheck_builds_each_instance_once_per_call(monkeypatch):
     # Once per trial for the three suites that share them, and again by the
     # second call: nothing is kept between calls.
     assert built == list(range(20, 25)) * 2
+
+
+def test_run_selfcheck_holds_one_instance_at_a_time(monkeypatch):
+    """When trial t + 1 builds its instance, every instance before trial t's
+    has been dropped, so memory does not grow with the trial count."""
+    models, alive = [], []
+    real = selfcheck._random_instance
+
+    def spy(trial_seed, max_n):
+        alive.append(sum(ref() is not None for ref in models))
+        instance = real(trial_seed, max_n)
+        models.append(weakref.ref(instance[0]))
+        return instance
+
+    monkeypatch.setattr(selfcheck, "_random_instance", spy)
+    assert selfcheck.run_selfcheck(max_n=4, trials=6, seed=20).ok
+    assert alive == [0] + [1] * 5
+
+
+def test_shared_suites_count_failures_and_name_the_first(monkeypatch):
+    """The three suites on the shared instances fail exactly the trials whose
+    check is broken (trial seeds 0 mod 3, 1 mod 4 and 2 mod 5 from 30), and
+    each names the first of them."""
+    real_pairs = selfcheck.mus_evaluate_pairs
+
+    def jumped(model, *args):
+        out = real_pairs(model, *args)
+        if model.cfg.seed % 3 == 0:
+            out[0] += 10.0  # no slope bound of at most n * lambda allows this
+        return out
+
+    monkeypatch.setattr(selfcheck, "mus_evaluate_pairs", jumped)
+    monkeypatch.setattr(selfcheck, "masking_equivalence_check",
+                        lambda model, x, alphas: model.cfg.seed % 4 != 1)
+    monkeypatch.setattr(selfcheck, "brute_force_stability_oracle",
+                        lambda model, x, phi, radius, mode: mode == "inc"
+                        or model.cfg.seed % 5 != 2)
+    report = selfcheck.run_selfcheck(max_n=4, trials=20, seed=30)
+    assert [(s.name, s.trials, s.failures, s.first_failure_seed) for s in report.suites] == [
+        ("lqv_marginals", 20, 0, None), ("lipschitz", 20, 7, 30),
+        ("masking_equivalence", 20, 5, 33), ("soundness", 20, 4, 32),
+        ("shap_efficiency", 20, 0, None), ("gradient_fd", 20, 0, None)]
 
 
 def test_random_instance_state_follows_x():

@@ -21,7 +21,6 @@ from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state, enumerat
 from muscert.smoothing import (
     SmoothedModel,
     masking_equivalence_check,
-    mus_evaluate_many,
     mus_evaluate_pairs,
 )
 
@@ -82,7 +81,7 @@ def test_worked_example_halves(indicator_handle):
     assert mus_evaluate(model, x, (1, 1)) == (0.5, 0.5)
     assert mus_evaluate(model, x, (1, 0)) == (0.5, 0.5)
     assert mus_evaluate(model, x, (0, 1)) == (0.0, 1.0)
-    assert mus_evaluate_many(model, x, [(1, 1)]) == [(0.5, 0.5)]
+    assert mus_evaluate_pairs(model, [x], [0], [(1, 1)]).tolist() == [[0.5, 0.5]]
 
 
 def test_exactly_q_base_calls(indicator_handle):
@@ -158,7 +157,7 @@ def test_dimension_errors():
     (1, 1, 1),                     # one mask, not a batch
     [(1, None, 0)],
 ])
-def test_mus_evaluate_many_rejects_alphas_as_validate_mask_does(alphas):
+def test_mus_evaluate_pairs_rejects_alphas_as_validate_mask_does(alphas):
     model = random_model(0, 3, 4, 2)
     x = (1.0, 2.0, 3.0)
     with pytest.raises(Exception) as want:
@@ -168,19 +167,18 @@ def test_mus_evaluate_many_rejects_alphas_as_validate_mask_does(alphas):
     assert want.type is (TypeError if alphas == (1, 1, 1) else
                          ConfigError if "length" in str(want.value) else DataError)
     for call in (lambda: mask_array(alphas, 3),
-                 lambda: mus_evaluate_many(model, x, alphas),
                  lambda: mus_evaluate_pairs(model, [x], [0] * len(alphas), alphas)):
         with pytest.raises(want.type) as got:
             call()
         assert str(got.value) == str(want.value)
 
 
-def test_mus_evaluate_many_reads_alphas_as_validate_mask_does():
+def test_mus_evaluate_pairs_reads_alphas_as_validate_mask_does():
     model = random_model(0, 3, 4, 2)
     x = (1.0, 2.0, 3.0)
-    assert mus_evaluate_many(model, x, []) == []
-    assert (mus_evaluate_many(model, x, [(1.0, 0, True), (0.0, 1, 0)])
-            == [mus_evaluate(model, x, (1, 0, 1)), mus_evaluate(model, x, (0, 1, 0))])
+    assert mus_evaluate_pairs(model, [x], [], []).shape == (0, model.m)
+    assert (mus_evaluate_pairs(model, [x], [0, 0], [(1.0, 0, True), (0.0, 1, 0)]).tolist()
+            == [list(mus_evaluate(model, x, (1, 0, 1))), list(mus_evaluate(model, x, (0, 1, 0)))])
 
 
 def test_non_integer_mask_entries_are_rejected_by_every_entry_point():
@@ -314,5 +312,5 @@ def test_grouped_smoothing_masks_whole_groups(indicator_handle):
     # two of four atoms keep the group, the other two zero feature 0
     assert kept == (0.5, 0.5)
     assert mus_evaluate(model, x, (0,)) == (0.0, 1.0)
-    assert mus_evaluate_many(model, x, [(1,)]) == [kept]
+    assert mus_evaluate_pairs(model, [x], [0], [(1,)]).tolist() == [list(kept)]
     assert masking_equivalence_check(model, x, [(0,)])
