@@ -20,7 +20,6 @@ from .core import (
     Mask,
     evaluate_rows,
     mask_apply_rows,
-    ones_mask,
     top_classes_and_gaps,
 )
 from . import smoothing
@@ -303,60 +302,67 @@ def _sampled_orders(n: int, permutations: int, rng_state) -> np.ndarray:
 
 def topk_binarize(scores: Sequence[float], k: int) -> Mask:
     """Mask selecting the k highest scores, ties going to lower indices."""
-    ordering = score_ordering(scores)
-    n = len(ordering)
+    return tuple(topk_mask_rows([scores], k, len(scores))[0].tolist())
+
+
+def topk_mask_rows(scores, k: int, n: int) -> np.ndarray:
+    """topk_binarize of every row of the (E, n) scores, as a uint8 array."""
     if not 0 <= k <= n:
         raise ConfigError(f"k must be in [0, {n}], got {k}")
-    return prefix_mask(ordering, k, n)
+    return (score_ranks(scores, n) < k).astype(np.uint8)
 
 
-def score_ordering(scores: Sequence[float]) -> tuple[int, ...]:
-    """Indices from highest to lowest score, ties by lower index first."""
-    return tuple(sorted(range(len(scores)), key=lambda i: (-scores[i], i)))
-
-
-def prefix_mask(ordering: Sequence[int], length: int, n: int) -> Mask:
-    chosen = set(ordering[:length])
-    return tuple(1 if i in chosen else 0 for i in range(n))
+def score_ranks(scores, n: int) -> np.ndarray:
+    """rank[e, i], the place of group i in example e's order by descending
+    score, ties to the lower index, from one stable argsort of the (E, n)
+    scores. A score that is not finite has no place and raises ConfigError."""
+    for row in scores:
+        if len(row) != n:
+            raise ConfigError(f"got {len(row)} scores for n={n} groups")
+    scores = np.array(scores, dtype=float).reshape(-1, n)
+    if not np.isfinite(scores).all():
+        e, i = np.argwhere(~np.isfinite(scores))[0]
+        raise ConfigError(f"example {e} group {i}: score {float(scores[e, i])!r} is not finite")
+    rank = np.empty(scores.shape, dtype=np.intp)
+    rank[np.arange(len(rank))[:, None], np.argsort(-scores, axis=1, kind="stable")] = np.arange(n)
+    return rank
 
 
 def greedy_stable_masks(model: SmoothedModel, xs, scores: Sequence,
                         r_inc_target: int, r_dec_target: int) -> list[tuple[Mask, bool]]:
     """For every row of the (E, d) inputs xs, the shortest prefix of its
-    score ordering (scores[e] for example e) that is consistent and meets
-    both radius targets, as (mask, True), or (all-ones, False) when no
-    prefix qualifies; from one mus_evaluate_pairs pass over all-ones and the
-    n prefixes of each example."""
+    score order (scores[e] for example e, as in score_ranks) that is
+    consistent and meets both radius targets, as (mask, True), or
+    (all-ones, False) when no prefix qualifies.
+
+    The examples walk their prefixes in lockstep rounds, one
+    mus_evaluate_pairs call each, and stop once decided: round 0 sends
+    all-ones (prefix n) and prefix 1 of every example, round k the prefixes
+    up to 2^k below n, so at most ceil(log2 n) + 1 calls."""
     if r_inc_target < 0 or r_dec_target < 0:
         raise ConfigError("radius targets must be nonnegative")
     if len(scores) != len(xs):
         raise ConfigError(f"got {len(scores)} score rows for {len(xs)} examples")
-    n = model.grouping.n
-    orderings = [score_ordering(row) for row in scores]
-    for ordering in orderings:
-        if len(ordering) != n:
-            raise ConfigError(f"got {len(ordering)} scores for n={n} groups")
-    # rank[e, i] is the position of group i in example e's ordering; the
-    # prefix of length L holds the groups ranked below L, and row 0 of each
-    # example is the all-ones mask (every rank is below n).
-    order = np.array(orderings, dtype=np.intp).reshape(-1, n)
-    rank = np.empty_like(order)
-    rank[np.arange(len(order))[:, None], order] = np.arange(n)
-    lengths = np.r_[n, 1:n + 1]
-    masks = (rank[:, None, :] < lengths[:, None]).astype(np.uint8)
-    means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(order)), n + 1),
-                               masks.reshape(-1, n))
-    classes, gaps = top_classes_and_gaps(means)
-    lam, q = model.cfg.lambda_num, model.cfg.q
-    results = []
-    for e, (cls, gap) in enumerate(zip(classes.reshape(-1, n + 1).tolist(),
-                                       gaps.reshape(-1, n + 1).tolist())):
-        # Row 0 is all-ones, row L the prefix of length L. The decremental
-        # radius depends only on (model, x), so one check covers every prefix.
-        found = None
-        if radius_from_gap(gap[0], lam, q)[1] >= r_dec_target:
-            found = next((length for length in range(1, n + 1) if cls[length] == cls[0]
-                          and radius_from_gap(gap[length], lam, q)[1] >= r_inc_target), None)
-        results.append((ones_mask(n), False) if found is None
-                       else (tuple(masks[e, found].tolist()), True))
-    return results
+    n, lam, q = model.grouping.n, model.cfg.lambda_num, model.cfg.q
+    rank = score_ranks(scores, n)
+    # met[e, L]: prefix L of example e qualifies, for the L sent so far.
+    met = np.zeros((len(rank), n + 1), dtype=bool)
+    pending, lengths, hi = np.arange(len(rank)), np.array([n, 1]), 1
+    while len(pending):
+        if len(lengths):
+            masks = (rank[pending, None] < lengths[:, None]).astype(np.uint8).reshape(-1, n)
+            means = mus_evaluate_pairs(model, xs, np.repeat(pending, len(lengths)), masks)
+            classes, gaps = (a.reshape(len(pending), -1) for a in top_classes_and_gaps(means))
+            radii = np.array([radius_from_gap(gap, lam, q)[1] for gap in gaps.ravel().tolist()],
+                             dtype=np.int64).reshape(gaps.shape)
+            if hi == 1:
+                # The decremental radius depends on (model, x) alone: all-ones decides it.
+                ones_class, dec_met = classes[:, 0], radii[:, 0] >= r_dec_target
+            met[pending[:, None], lengths] = ((classes == ones_class[pending, None])
+                                              & (radii >= r_inc_target) & dec_met[pending, None])
+        pending = pending[~met[pending, :hi + 1].any(axis=1) & dec_met[pending] & (hi < n)]
+        lengths, hi = np.arange(hi + 1, min(2 * hi, n - 1) + 1), min(2 * hi, n)
+    # The shortest qualifying prefix, or 0 for none, which keeps all-ones.
+    found = met.argmax(axis=1)
+    masks = (rank < np.where(found, found, n)[:, None]).astype(np.uint8).tolist()
+    return [(tuple(mask), bool(length)) for mask, length in zip(masks, found.tolist())]

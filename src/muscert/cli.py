@@ -23,7 +23,7 @@ from .attribution import (
     lime_score_rows,
     occlusion_score_rows,
     shap_score_rows,
-    topk_binarize,
+    topk_mask_rows,
 )
 from .certify import certify_examples, radius_from_gap
 from .core import (
@@ -86,8 +86,8 @@ def _load_common(args) -> tuple:
     return dataset, xs, grouping, cfg, smoothed
 
 
-def _score_rows(args, smoothed: SmoothedModel, xs: np.ndarray) -> list:
-    """Scores of every example, one list per example.
+def _score_rows(args, smoothed: SmoothedModel, xs: np.ndarray) -> np.ndarray:
+    """Scores of every example, as an (E, n) array.
 
     Occlusion scores the whole dataset in one smoothed pass, vgrad in one
     stage over the base classifier, and LIME and SHAP send the masked rows
@@ -96,21 +96,21 @@ def _score_rows(args, smoothed: SmoothedModel, xs: np.ndarray) -> list:
     """
     base, grouping = smoothed.base, smoothed.grouping
     if args.scorer == "occlusion":
-        return occlusion_score_rows(smoothed, xs).tolist()
+        return occlusion_score_rows(smoothed, xs)
     if args.scorer == "vgrad":
-        return gradient_score_rows(base, xs, grouping).tolist()
+        return gradient_score_rows(base, xs, grouping)
     states = [derive_rng_state(args.seed, idx) for idx in range(len(xs))]
     if args.scorer == "lime":
         return lime_score_rows(base, xs, grouping, args.lime_samples,
-                               args.lime_kernel_width, states).tolist()
-    return shap_score_rows(base, xs, grouping, args.shap_permutations, states).tolist()
+                               args.lime_kernel_width, states)
+    return shap_score_rows(base, xs, grouping, args.shap_permutations, states)
 
 
 def _attribution_masks(args, smoothed: SmoothedModel, xs: np.ndarray) -> list[Mask]:
     """phi for every example, from --topk or greedy radius targets."""
     scores = _score_rows(args, smoothed, xs)
     if args.topk is not None:
-        return [topk_binarize(row, args.topk) for row in scores]
+        return list(map(tuple, topk_mask_rows(scores, args.topk, smoothed.grouping.n).tolist()))
     return [mask for mask, _met in
             greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)]
 

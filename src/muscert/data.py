@@ -5,6 +5,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import ConfigError, DataError, FeatureGrouping, Vector
 from .noise import LcgStream
 
@@ -28,16 +30,6 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.examples)
-
-    @classmethod
-    def from_examples(cls, examples) -> "LabeledDataset":
-        rows = tuple((tuple(float(v) for v in x), int(y)) for x, y in examples)
-        if not rows:
-            raise DataError("dataset has no examples")
-        labels = [y for _, y in rows]
-        if min(labels) < 0:
-            raise DataError(f"negative label {min(labels)}")
-        return cls(examples=rows, d=len(rows[0][0]), m=max(2, max(labels) + 1))
 
 
 def _is_numeric(field: str) -> bool:
@@ -73,12 +65,26 @@ def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
     col = width - 1 if label_col is None else label_col
     if not 0 <= col < width:
         raise ConfigError(f"label column {col} outside 0..{width - 1}")
-    examples = []
+    try:
+        if any(len(fields) != width for _, fields in rows):
+            raise ValueError("ragged rows")
+        table = np.array(list(map(float, [f for _, fields in rows for f in fields])))
+        features = np.delete(table.reshape(len(rows), width), col, axis=1)
+        labels = [int(fields[col]) for _, fields in rows]
+        if not np.isfinite(features).all() or min(labels) < 0:
+            raise ValueError("bad values")
+    except ValueError:
+        _raise_row_error(path, rows, width, col)
+        raise
+    return LabeledDataset(examples=tuple(zip(map(tuple, features.tolist()), labels)),
+                          d=width - 1, m=max(2, max(labels) + 1))
+
+
+def _raise_row_error(path: str, rows, width: int, col: int) -> None:
+    """Raise the DataError of the first bad row, as a row-by-row parse finds it."""
     for rownum, fields in rows:
         if len(fields) != width:
-            raise DataError(
-                f"{path} row {rownum}: {len(fields)} fields, expected {width}"
-            )
+            raise DataError(f"{path} row {rownum}: {len(fields)} fields, expected {width}")
         try:
             x = tuple(float(f) for i, f in enumerate(fields) if i != col)
         except ValueError as exc:
@@ -95,8 +101,6 @@ def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
             ) from exc
         if y < 0:
             raise DataError(f"{path} row {rownum}: negative label {y}")
-        examples.append((x, y))
-    return LabeledDataset.from_examples(examples)
 
 
 def save_csv_dataset(dataset: LabeledDataset, path: str) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,10 +16,10 @@ from muscert.attribution import (
     greedy_stable_masks,
     lime_score_rows,
     occlusion_scores,
-    prefix_mask,
-    score_ordering,
+    score_ranks,
     shap_score_rows,
     topk_binarize,
+    topk_mask_rows,
 )
 from muscert.core import (
     ConfigError,
@@ -393,6 +394,20 @@ def test_topk_extremes_and_range():
         topk_binarize(sv, -1)
 
 
+@pytest.mark.parametrize("scores,group,shown", [
+    ((1.0, math.nan, 2.0), 1, "nan"), ((math.nan, 1.0, 2.0), 0, "nan"),
+    ((1.0, 2.0, -math.inf), 2, "-inf"),
+])
+def test_topk_rejects_non_finite_scores(scores, group, shown):
+    """A NaN has no place in the order: it used to take the place its index
+    gave it, so (1, nan, 2) kept group 0 over the higher finite score."""
+    error = rf"group {group}: score {shown} is not finite$"
+    with pytest.raises(ConfigError, match="^example 0 " + error):
+        topk_binarize(scores, 1)
+    with pytest.raises(ConfigError, match="^example 1 " + error):
+        topk_mask_rows([(0.0, 0.0, 0.0), scores], 1, 3)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     vals=st.lists(st.floats(-5, 5, allow_nan=False), min_size=1, max_size=8),
@@ -408,16 +423,19 @@ def test_topk_mask_properties(vals, data):
         assert min(chosen) >= max(dropped)
 
 
-def test_score_ordering_and_prefix_mask():
-    ordering = score_ordering((0.1, 0.3, 0.2))
-    assert ordering == (1, 2, 0)
-    assert prefix_mask(ordering, 0, 3) == (0, 0, 0)
-    assert prefix_mask(ordering, 2, 3) == (0, 1, 1)
-    assert prefix_mask(ordering, 3, 3) == (1, 1, 1)
+def test_score_ranks_and_topk_masks():
+    assert score_ranks([(0.1, 0.3, 0.2)], 3).tolist() == [[2, 0, 1]]
+    assert topk_binarize((0.1, 0.3, 0.2), 0) == (0, 0, 0)
+    assert topk_binarize((0.1, 0.3, 0.2), 2) == (0, 1, 1)
+    assert topk_binarize((0.1, 0.3, 0.2), 3) == (1, 1, 1)
+    rows = [(0.1, 0.3, 0.2), (1.0, 1.0, 2.0), (0.0, -0.0, 0.0)]
+    assert topk_mask_rows(rows, 2, 3).tolist() == [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
+    assert score_ranks([], 3).shape == (0, 3)
 
 
-def test_score_ordering_breaks_ties_low():
-    assert score_ordering((1.0, 1.0, 2.0)) == (2, 0, 1)
+def test_score_ranks_break_ties_low():
+    assert score_ranks([(1.0, 1.0, 2.0)], 3).tolist() == [[1, 2, 0]]
+    assert score_ranks(np.zeros((2, 4)), 4).tolist() == [[0, 1, 2, 3]] * 2
 
 
 # ------------------------------------------------------------ greedy search
@@ -436,10 +454,9 @@ def test_greedy_zero_targets_returns_shortest_consistent_prefix():
     [(mask, met)] = greedy_stable_masks(model, [x], [scores], 0, 0)
     assert met
     pred, _ = top_class_and_gap(mus_evaluate(model, x, ones_mask(4)))
-    ordering = score_ordering(scores)
     shortest = None
     for length in range(1, 5):
-        candidate = prefix_mask(ordering, length, 4)
+        candidate = topk_binarize(scores, length)
         got, _ = top_class_and_gap(mus_evaluate(model, x, candidate))
         if got == pred:
             shortest = candidate

@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
+from muscert.cli import EXIT_DATA, main
 from muscert.core import ConfigError, DataError
 from muscert.data import (
     LabeledDataset,
@@ -84,6 +86,27 @@ def test_negative_label_rejected(tmp_path):
         load_csv_dataset(path)
 
 
+@pytest.mark.parametrize("last_row,error", [
+    ("3.0,nan,1", "feature nan is not finite"),
+    ("3.0,1", "2 fields, expected 3"),
+    ("3.0,abc,1", "non-numeric feature: could not convert string to float: 'abc'"),
+    ("3.0,4.0,1.5", "label '1.5' is not an integer"),
+    ("3.0,4.0,-2", "negative label -2"),
+])
+def test_bad_last_row_gives_its_row_error(small_artifacts, tmp_path, capsys, last_row, error):
+    """Rows are parsed as one batch; a bad row, here the last of many good
+    ones, still gets the message and exit code of a row-by-row parse."""
+    lines = [f"{i}.5,-{i}.25,{i % 3}" for i in range(40)] + [last_row]
+    path = _write(tmp_path, "last.csv", "f0,f1,label\n" + "\n".join(lines) + "\n")
+    message = f"{path} row 42: {error}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        load_csv_dataset(path)
+    code = main(["accuracy-curve", "--model", small_artifacts["model_path"], "--data", path,
+                 "--out", str(tmp_path / "curve.txt"), "--q", "8", "--lambda-num", "2"])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_label_col_override(tmp_path):
     path = _write(tmp_path, "g.csv", "1,5.0,6.0\n0,7.0,8.0\n")
     ds = load_csv_dataset(path, label_col=0)
@@ -161,8 +184,8 @@ def test_dataset_validation():
         LabeledDataset(examples=(((1.0,), 5),), d=1, m=2)
 
 
-def test_from_examples_widens_m_to_two():
-    ds = LabeledDataset.from_examples([((1.0,), 0), ((2.0,), 0)])
+def test_single_class_file_widens_m_to_two(tmp_path):
+    ds = load_csv_dataset(_write(tmp_path, "one.csv", "1.0,0\n2.0,0\n"))
     assert ds.m == 2
 
 

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from muscert import smoothing
+from muscert import attribution, smoothing
 from muscert.attack import attack_walks
-from muscert.attribution import greedy_stable_masks
+from muscert.attribution import gradient_score_rows, greedy_stable_masks
 from muscert.certify import certify_example, certify_examples
 from muscert.core import ConfigError, FeatureGrouping, top_classes_and_gaps
 from muscert.models import random_linear, random_mlp
@@ -344,3 +344,89 @@ def test_stages_need_one_mask_id_and_score_row_per_example():
     for rows in (1, 2, 4):
         with pytest.raises(ConfigError, match=f"^got {rows} score rows for 3 examples$"):
             greedy_stable_masks(model, xs, scores[:rows], 0, 0)
+    with pytest.raises(ConfigError, match=r"^example 1 group 2: score inf is not finite$"):
+        greedy_stable_masks(model, xs, [(0.3, 0.2, 0.1), (0.0, 1.0, math.inf), (1, 2, 3)], 0, 0)
+
+
+# ------------------------------------------------------ greedy prefix walk
+
+def _spy_pairs(monkeypatch):
+    """The pair count of every mus_evaluate_pairs call the greedy stage makes."""
+    sizes = []
+
+    def spy(model, xs, examples, alphas, mus=None):
+        sizes.append(len(examples))
+        return mus_evaluate_pairs(model, xs, examples, alphas, mus)
+
+    monkeypatch.setattr(attribution, "mus_evaluate_pairs", spy)
+    return sizes
+
+
+def _walk_instance(model, seed, rows, tie_levels):
+    """Inputs in [-3, 3) and scores drawn from tie_levels values, so that
+    most score rows hold ties."""
+    stream = LcgStream(derive_rng_state(seed, 3))
+    d, n = model.grouping.d, model.grouping.n
+    xs = np.array([[3.0 * (2 * stream.next_unit() - 1) for _ in range(d)] for _ in range(rows)])
+    scores = [[float(stream.next_below(tie_levels)) for _ in range(n)] for _ in range(rows)]
+    return xs, scores
+
+
+def _walk_round(length):
+    """The lockstep round that decides on a prefix of this length."""
+    return math.ceil(math.log2(length))
+
+
+GROUPED = FeatureGrouping(groups=tuple((2 * g, 2 * g + 1) for g in range(5)) + ((10, 11, 12),),
+                          d=13)
+
+
+@pytest.mark.parametrize("case", ["linear-n16", "grouped-mlp-mu"])
+def test_lockstep_greedy_walk_equals_reference_prefix_search(monkeypatch, case):
+    """Batches whose examples are decided in every round of the walk, up to
+    the full prefix n, against the one-example definitional search."""
+    if case == "linear-n16":
+        seed, lambdas, grouping = 3, (1, 4, 8), FeatureGrouping.trivial(16)
+        base = random_linear(16, 3, seed, scale=2.0)
+    else:
+        seed, lambdas, grouping = 7, (4,), GROUPED
+        base = random_mlp(13, 8, 3, seed, scale=1.5)
+    n = grouping.n
+    sizes = _spy_pairs(monkeypatch)
+    lengths = set()
+    for lambda_num in lambdas:
+        cfg = SmoothingConfig(q=16, lambda_num=lambda_num, seed=seed, n=n)
+        model = SmoothedModel.build(base, grouping, cfg)
+        if case == "grouped-mlp-mu":
+            model = model.with_mu((0, 0, 1, 0, 0, 0))
+        xs, scores = _walk_instance(model, seed, 12 if n == 16 else 9, 4 if n == 16 else 3)
+        assert any(len(set(row)) < n for row in scores)
+        for targets in ((0, 0), (1, 0), (2, 1), (0, 99)):
+            sizes.clear()
+            staged = greedy_stable_masks(model, xs, scores, *targets)
+            assert staged == [greedy_prefix(model, x, s, *targets)
+                              for x, s in zip(xs.tolist(), scores)]
+            assert len(sizes) <= _walk_round(n) + 1 and sizes[0] == 2 * len(xs)
+            lengths |= {sum(mask) if met else 0 for mask, met in staged}
+    assert 0 in lengths and n in lengths
+    assert {_walk_round(length) for length in lengths - {0}} == set(range(_walk_round(n) + 1))
+
+    sizes.clear()
+    assert greedy_stable_masks(model, xs[:0], [], 0, 0) == []
+    assert sizes == []
+
+
+def test_greedy_on_the_desk_sends_at_most_three_pairs_per_example(desk, monkeypatch):
+    """vgrad scores at lambda 4/16: most examples are decided on prefix 1,
+    where the one-pass search smoothed all n + 1 masks of every example."""
+    base = desk["model"]
+    grouping = FeatureGrouping.trivial(16)
+    cfg = SmoothingConfig(q=16, lambda_num=4, seed=11, n=16)
+    model = SmoothedModel.build(base, grouping, cfg)
+    xs = np.array([x for x, _ in desk["test"].examples])
+    scores = gradient_score_rows(base, xs, grouping)
+    sizes = _spy_pairs(monkeypatch)
+    staged = greedy_stable_masks(model, xs, scores, 0, 0)
+    assert len(sizes) <= math.ceil(math.log2(16)) + 1
+    assert sum(sizes) <= 3 * len(xs)
+    assert all(met for _, met in staged)
