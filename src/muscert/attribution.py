@@ -63,12 +63,12 @@ def gradient_score_rows(base: ClassifierHandle, xs,
                         grouping: FeatureGrouping) -> np.ndarray:
     """Vanilla gradient scores of every row of the (E, d) inputs xs, as an
     (E, n) array: the absolute predicted-class gradient entries of each
-    group, summed with math.fsum. The classes come from one chunked
-    evaluate_rows call over xs, or in finite_difference_rows for a handle
-    with no gradient. Every handle output is checked against the contract."""
+    group, summed with math.fsum. The classes come from one evaluate_rows
+    call over xs, or in finite_difference_rows for a handle with no
+    gradient. Every handle output is checked against the contract."""
     xs = _input_rows(xs, grouping)
     if hasattr(base, "gradient_batch") or hasattr(base, "gradient"):
-        grads = _gradient_rows(base, xs, top_classes_and_gaps(_evaluate_chunked(base, xs))[0])
+        grads = _gradient_rows(base, xs, top_classes_and_gaps(evaluate_rows(base, xs))[0])
     else:
         grads = finite_difference_rows(base, xs)
     cols = np.abs(grads).T.tolist()
@@ -80,7 +80,7 @@ def finite_difference_rows(base: ClassifierHandle, xs: np.ndarray) -> np.ndarray
     """Central finite differences of the class at each row x of the (E, d)
     array xs, as an (E, d) array. Each example sends x, which fixes its
     class, then x + FD_STEP e_j and then x - FD_STEP e_j for each j; a block
-    of examples goes to the base classifier in chunks."""
+    of examples is one evaluate_rows call."""
     d = xs.shape[1]
     grads = np.empty(xs.shape)
     steps = np.eye(d, dtype=bool)
@@ -89,7 +89,7 @@ def finite_difference_rows(base: ClassifierHandle, xs: np.ndarray) -> np.ndarray
         # np.where keeps the signed zeros of x.
         rows = np.concatenate([points, np.where(steps, points + FD_STEP, points),
                                np.where(steps, points - FD_STEP, points)], axis=1)
-        probs = _evaluate_chunked(base, rows.reshape(-1, d)).reshape(len(rows), 2 * d + 1, -1)
+        probs = evaluate_rows(base, rows.reshape(-1, d)).reshape(len(rows), 2 * d + 1, -1)
         column = probs[np.arange(len(rows)), :, top_classes_and_gaps(probs[:, 0])[0]]
         grads[block] = (column[:, 1:d + 1] - column[:, d + 1:]) / (2 * FD_STEP)
     return grads
@@ -133,18 +133,11 @@ def _score_inputs(xs, grouping: FeatureGrouping, rng_states) -> tuple[np.ndarray
     return xs, rng_states
 
 
-def _example_blocks(examples: int, rows_each: int, shared: int = 0):
-    """Slices of consecutive examples whose batch, `shared` rows plus
-    rows_each per example, fits in DRIVER_CHUNK rows (one example at least)."""
-    step = max(1, (smoothing.DRIVER_CHUNK - shared) // rows_each)
+def _example_blocks(examples: int, rows_each: int):
+    """Slices of consecutive examples whose batch, rows_each rows per
+    example, fits in DRIVER_CHUNK rows (one example at least)."""
+    step = max(1, smoothing.DRIVER_CHUNK // rows_each)
     return (slice(lo, min(lo + step, examples)) for lo in range(0, examples, step))
-
-
-def _evaluate_chunked(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
-    """evaluate_rows over the (k, d) inputs, DRIVER_CHUNK rows at a time."""
-    chunk = smoothing.DRIVER_CHUNK
-    return np.concatenate([evaluate_rows(base, inputs[lo:lo + chunk])
-                           for lo in range(0, max(len(inputs), 1), chunk)])
 
 
 def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
@@ -157,9 +150,9 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     rng_states[e]; weights decay with the number of groups dropped. Each
     surrogate is solved on the ridge-stabilized normal equations.
 
-    A block of examples is one batch, sent to the base classifier in chunks:
-    the examples themselves, whose outputs give their classes, then their
-    masked rows. Each example's surrogate is then solved on its own.
+    A block of examples is one evaluate_rows call: the examples themselves,
+    whose outputs give their classes, then their masked rows. Each
+    example's surrogate is then solved on its own.
     """
     n = grouping.n
     _check_count("samples", samples)
@@ -177,7 +170,7 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     for block in _example_blocks(len(xs), 1 + samples):
         count = block.stop - block.start
         bits = iid_bernoulli_bits(0.5, n, samples, rng_states[block])
-        probs = _evaluate_chunked(base, np.concatenate([xs[block], mask_apply_rows(
+        probs = evaluate_rows(base, np.concatenate([xs[block], mask_apply_rows(
             np.repeat(xs[block], samples, axis=0), bits.reshape(-1, n), index_map)]))
         classes = top_classes_and_gaps(probs[:count])[0]
         for e, draws, sampled, c in zip(range(block.start, block.stop), bits,
@@ -212,13 +205,13 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     from stream rng_states[e]; `exhaustive` enumerates all n! orders instead
     (small n only).
 
-    A block of examples is one batch, sent to the base classifier in chunks:
-    the empty coalition, which is the zero input for every example, the full
-    ones, which are the examples themselves and give their classes, then the
-    coalitions in between of each example: those of its P orders, P * (n - 1)
-    rows, or with `exhaustive` its 2^n - 2 proper nonempty subsets, which
-    hold every coalition of the n! orders once. Each group's marginal gains
-    are then summed per example with math.fsum.
+    A block of examples is one evaluate_rows call: the empty coalition,
+    which is the zero input for every example, the full ones, which are the
+    examples themselves and give their classes, then the coalitions in
+    between of each example: those of its P orders, P * (n - 1) rows, or
+    with `exhaustive` its 2^n - 2 proper nonempty subsets, which hold every
+    coalition of the n! orders once. Each group's marginal gains are then
+    summed per example with math.fsum.
     """
     n = grouping.n
     _check_count("permutations", permutations)
@@ -237,8 +230,8 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     zero = np.zeros((1, grouping.d))
     out = np.empty((len(xs), n))
     # Blocks are sized by the order steps, which bound the gain arrays below
-    # as well as the batch.
-    for block in _example_blocks(len(xs), 1 + permutations * (n - 1), shared=1):
+    # as well as the batch; each example's count holds the block's zero row.
+    for block in _example_blocks(len(xs), 2 + permutations * (n - 1)):
         count = block.stop - block.start
         if exhaustive:
             orders = np.tile(every_order, (count, 1))
@@ -261,7 +254,7 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
             coalitions = (rank[:, None, :] < np.arange(1, n)[:, None]).astype(np.uint8)
             masked = mask_apply_rows(np.repeat(xs[block], per_example, axis=0),
                                      coalitions.reshape(-1, n), index_map)
-        probs = _evaluate_chunked(base, np.concatenate(
+        probs = evaluate_rows(base, np.concatenate(
             [zero, xs[block], masked.reshape(-1, grouping.d)]))
         # held[t, s] is the batch row of the coalition before step s of order t.
         example = rows // permutations
@@ -329,11 +322,12 @@ def score_ranks(scores, n: int) -> np.ndarray:
 
 
 def greedy_stable_masks(model: SmoothedModel, xs, scores: Sequence,
-                        r_inc_target: int, r_dec_target: int) -> list[tuple[Mask, bool]]:
+                        r_inc_target: int, r_dec_target: int) -> tuple[np.ndarray, np.ndarray]:
     """For every row of the (E, d) inputs xs, the shortest prefix of its
     score order (scores[e] for example e, as in score_ranks) that is
-    consistent and meets both radius targets, as (mask, True), or
-    (all-ones, False) when no prefix qualifies.
+    consistent and meets both radius targets, or all-ones when no prefix
+    qualifies: the (E, n) uint8 masks and the (E,) bool array of which
+    examples met their targets.
 
     The examples walk their prefixes in lockstep rounds, one
     mus_evaluate_pairs call each, and stop once decided: round 0 sends
@@ -364,5 +358,4 @@ def greedy_stable_masks(model: SmoothedModel, xs, scores: Sequence,
         lengths, hi = np.arange(hi + 1, min(2 * hi, n - 1) + 1), min(2 * hi, n)
     # The shortest qualifying prefix, or 0 for none, which keeps all-ones.
     found = met.argmax(axis=1)
-    masks = (rank < np.where(found, found, n)[:, None]).astype(np.uint8).tolist()
-    return [(tuple(mask), bool(length)) for mask, length in zip(masks, found.tolist())]
+    return (rank < np.where(found, found, n)[:, None]).astype(np.uint8), found > 0

@@ -8,14 +8,16 @@ qualifying mask, which is what the soundness test suite leans on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
+from . import smoothing
 from .core import (
     ConfigError,
     Mask,
+    mask_array,
     ones_mask,
     popcount,
     top_classes_and_gaps,
@@ -36,9 +38,6 @@ ENUMERATION_GUARD_BITS = 20
 # at every such mask even where the exact margin is nil; 2^-49 = 16u covers
 # that.
 GAP_MARGIN = 2.0 ** -49
-# Masks the brute-force oracle evaluates per batch: enough to amortise the
-# per-call cost, few enough that memory stays flat for 2^20 masks.
-ORACLE_CHUNK = 1024
 
 Mode = Literal["inc", "dec"]
 
@@ -105,11 +104,12 @@ def certify_example(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
     return certify_examples(model, example_row(model, x), [phi_x], [example_id])[0]
 
 
-def certify_examples(model: SmoothedModel, xs, phis: Sequence[Mask],
-                     example_ids: Sequence[int], mus=None) -> list[CertRecord]:
+def certify_examples(model: SmoothedModel, xs, phis, example_ids: Sequence[int],
+                     mus=None) -> list[CertRecord]:
     """Consistency plus both radii of every row of the (E, d) inputs xs, one
     record each, from one mus_evaluate_pairs pass over its all-ones and phi
-    masks.
+    masks; phis (and mus) hold one mask per example, as an (E, n) array or
+    any batch that mask_array takes.
 
     The incremental radius (bits that may be added to phis[e]) comes from
     the gap at phis[e]; the decremental radius (bits that may be removed
@@ -120,8 +120,8 @@ def certify_examples(model: SmoothedModel, xs, phis: Sequence[Mask],
     if not len(xs) == len(phis) == len(example_ids):
         raise ConfigError(f"need one mask and one id per example, got {len(xs)} "
                           f"examples, {len(phis)} masks and {len(example_ids)} ids")
-    ones = ones_mask(model.grouping.n)
-    alphas = [alpha for phi in phis for alpha in (ones, phi)]
+    phis = mask_array(phis, model.grouping.n)
+    alphas = np.stack([np.ones_like(phis), phis], axis=1).reshape(-1, phis.shape[1])
     means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(phis)), 2), alphas, mus)
     classes, gaps = top_classes_and_gaps(means)
     cfg = model.cfg
@@ -187,23 +187,23 @@ def brute_force_stability_oracle(model: SmoothedModel, x: Sequence[float],
 
     inc compares every enumerated mask's class against the class at phi_x;
     dec compares against the class at all-ones. True iff nothing flips.
-    Masks are evaluated in chunks of ORACLE_CHUNK, stopping after the chunk
-    holding the first flip.
+    Each mus_evaluate_pairs call takes a uint8 array of DRIVER_CHUNK // q
+    masks, the anchor first, whose class is the reference; the oracle stops
+    after the chunk holding the first flip.
     """
-    validate_mask(phi_x, model.grouping.n)
+    n = model.grouping.n
+    phi_x = validate_mask(phi_x, n)
     _guard(phi_x)
     xs = example_row(model, x)
     masks = enumerate_perturbation_masks(phi_x, radius, mode)
-    # The first batch leads with the anchor, whose class is the reference.
-    anchor = phi_x if mode == "inc" else ones_mask(len(phi_x))
-    chunk = [anchor] + list(islice(masks, ORACLE_CHUNK))
+    step = max(1, smoothing.DRIVER_CHUNK // model.cfg.q)
     ref_class = None
-    while chunk:
+    while len(chunk := np.fromiter(chain.from_iterable(islice(masks, step)),
+                                   dtype=np.uint8).reshape(-1, n)):
         means = mus_evaluate_pairs(model, xs, np.zeros(len(chunk), dtype=np.intp), chunk)
         classes = top_classes_and_gaps(means)[0]
         if ref_class is None:
-            ref_class, classes = classes[0], classes[1:]
+            ref_class = classes[0]
         if (classes != ref_class).any():
             return False
-        chunk = list(islice(masks, ORACLE_CHUNK))
     return True

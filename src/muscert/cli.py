@@ -30,9 +30,7 @@ from .core import (
     ConfigError,
     DataError,
     FeatureGrouping,
-    Mask,
     VerificationError,
-    popcount,
     top_classes_and_gaps,
 )
 from .data import load_csv_dataset, load_grouping
@@ -106,13 +104,12 @@ def _score_rows(args, smoothed: SmoothedModel, xs: np.ndarray) -> np.ndarray:
     return shap_score_rows(base, xs, grouping, args.shap_permutations, states)
 
 
-def _attribution_masks(args, smoothed: SmoothedModel, xs: np.ndarray) -> list[Mask]:
-    """phi for every example, from --topk or greedy radius targets."""
+def _attribution_masks(args, smoothed: SmoothedModel, xs: np.ndarray) -> np.ndarray:
+    """phi of every example as an (E, n) uint8 array, from --topk or greedy targets."""
     scores = _score_rows(args, smoothed, xs)
     if args.topk is not None:
-        return list(map(tuple, topk_mask_rows(scores, args.topk, smoothed.grouping.n).tolist()))
-    return [mask for mask, _met in
-            greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)]
+        return topk_mask_rows(scores, args.topk, smoothed.grouping.n)
+    return greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)[0]
 
 
 def _require_phi_source(args) -> None:
@@ -183,21 +180,22 @@ def cmd_explain(args) -> int:
     _dataset, xs, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
     scores = _score_rows(args, smoothed, xs)
-    masks = greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)
+    masks, met = greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)
     rows = [{
         "example_id": idx,
         "scorer": args.scorer,
-        "mask": list(mask),
-        "k_x": popcount(mask) / n,
-        "met": met,
-    } for idx, (mask, met) in enumerate(masks)]
+        "mask": mask,
+        "k_x": k_x,
+        "met": hit,
+    } for idx, (mask, k_x, hit) in enumerate(zip(
+        masks.tolist(), (masks.sum(axis=1) / n).tolist(), met.tolist()))]
     mean_k = sum(row["k_x"] for row in rows) / len(rows)
     summary = {
         "summary": True,
         "scorer": args.scorer,
         "examples": len(rows),
         "mean_k_x": mean_k,
-        "not_met": sum(1 for row in rows if not row["met"]),
+        "not_met": int((~met).sum()),
     }
     lines = [_json_line(row) for row in rows] + [_json_line(summary)]
     _write_lines(args.out, lines)
@@ -212,14 +210,14 @@ def cmd_attack(args) -> int:
     n = grouping.n
     phis = _attribution_masks(args, smoothed, xs)
     records = certify_examples(smoothed, xs, phis, range(len(phis)))
-    budgets = [n - popcount(phi) for phi in phis]
+    budgets = n - phis.sum(axis=1, dtype=np.intp)
     if args.budget is not None:
-        budgets = [min(args.budget, free) for free in budgets]
+        budgets = np.minimum(budgets, args.budget)
     # The incremental walks of every example, then the decremental ones.
-    walks = attack_walks(smoothed, xs, list(range(len(phis))) * 2, phis * 2,
-                         budgets * 2, ["inc"] * len(phis) + ["dec"] * len(phis))
+    walks = attack_walks(smoothed, xs, np.tile(np.arange(len(phis)), 2), np.tile(phis, (2, 1)),
+                         np.tile(budgets, 2), ["inc"] * len(phis) + ["dec"] * len(phis))
     rows = []
-    for record, budget, inc, dec in zip(records, budgets, walks, walks[len(phis):]):
+    for record, budget, inc, dec in zip(records, budgets.tolist(), walks, walks[len(phis):]):
         inc_sound = (not inc.found) or inc.radius > record.r_inc
         dec_sound = (not dec.found) or dec.radius > record.r_dec
         rows.append({

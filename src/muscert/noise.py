@@ -72,27 +72,16 @@ class LcgStream:
 def _jump_coefficients(count: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only uint64 tables (A, C) with x_k = A[k-1] * x_0 + C[k-1] mod 2^64.
 
-    A_k = MULT^k and C_k = lcg_step(C_{k-1}), C_0 = 0, built with Python
-    integers. The tables are cached and shared by every caller, so they are
-    made read-only: no caller can change another's draws.
+    A_k = MULT^k and C_k = INC * (1 + MULT + ... + MULT^(k-1)), the running
+    product and sum of uint64 arrays, which wrap mod 2^64 exactly. The
+    tables are cached and shared by every caller, so they are made
+    read-only: no caller can change another's draws.
     """
-    def powers():
-        a = 1
-        for _ in range(count):
-            a = (a * LCG_MULT) & _MASK64
-            yield a
-
-    def offsets():
-        c = 0
-        for _ in range(count):
-            c = lcg_step(c)
-            yield c
-
-    tables = (np.fromiter(powers(), dtype=np.uint64, count=count),
-              np.fromiter(offsets(), dtype=np.uint64, count=count))
-    for table in tables:
+    mults = np.cumprod(np.full(count, LCG_MULT, dtype=np.uint64))
+    incs = np.cumsum(np.concatenate([np.ones(1, np.uint64), mults])[:count]) * np.uint64(LCG_INC)
+    for table in (mults, incs):
         table.flags.writeable = False
-    return tables
+    return mults, incs
 
 
 def lcg_block(state, count: int) -> np.ndarray:

@@ -66,7 +66,11 @@ class SmoothedModel:
     _mu_words: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.grouping.n
+        n, d = self.grouping.n, self.grouping.d
+        if d != self.base.d:
+            raise ConfigError(f"grouping covers d={d} raw features, model expects {self.base.d}")
+        if self.cfg.n != n:
+            raise ConfigError(f"smoothing config is over n={self.cfg.n} groups, grouping has {n}")
         if self.mu is not None:
             object.__setattr__(self, "mu", validate_mask(self.mu, n))
         atoms = enumerate_atoms(self.cfg)
@@ -78,14 +82,7 @@ class SmoothedModel:
     @classmethod
     def build(cls, base: ClassifierHandle, grouping: FeatureGrouping,
               cfg: SmoothingConfig, mu: Mask | None = None) -> "SmoothedModel":
-        if grouping.d != base.d:
-            raise ConfigError(
-                f"grouping covers d={grouping.d} raw features, model expects {base.d}"
-            )
-        if cfg.n != grouping.n:
-            raise ConfigError(
-                f"smoothing config is over n={cfg.n} groups, grouping has {grouping.n}"
-            )
+        """The constructor, under the name the quickstart and the bench use."""
         return cls(base=base, grouping=grouping, cfg=cfg, mu=mu)
 
     def with_mu(self, mu: Mask | None) -> "SmoothedModel":

@@ -451,8 +451,9 @@ def test_greedy_zero_targets_returns_shortest_consistent_prefix():
     model = _small_smoothed()
     x = (1.2, -0.6, 0.9, 0.3)
     scores = occlusion_scores(model, x)
-    [(mask, met)] = greedy_stable_masks(model, [x], [scores], 0, 0)
+    masks, [met] = greedy_stable_masks(model, [x], [scores], 0, 0)
     assert met
+    [mask] = map(tuple, masks.tolist())
     pred, _ = top_class_and_gap(mus_evaluate(model, x, ones_mask(4)))
     shortest = None
     for length in range(1, 5):
@@ -468,9 +469,9 @@ def test_greedy_unreachable_targets_reports_not_met():
     model = _small_smoothed()
     x = (1.2, -0.6, 0.9, 0.3)
     scores = occlusion_scores(model, x)
-    [(mask, met)] = greedy_stable_masks(model, [x], [scores], 0, 99)
-    assert mask == ones_mask(4)
-    assert not met
+    masks, met = greedy_stable_masks(model, [x], [scores], 0, 99)
+    assert masks.dtype == np.uint8 and masks.tolist() == [list(ones_mask(4))]
+    assert met.tolist() == [False]
 
 
 def test_greedy_met_masks_pass_independent_recheck():
@@ -483,9 +484,10 @@ def test_greedy_met_masks_pass_independent_recheck():
         model = SmoothedModel.build(base, grouping, cfg)
         x = (0.8, -0.5, 1.1, -0.2)
         scores = occlusion_scores(model, x)
-        [(mask, met)] = greedy_stable_masks(model, [x], [scores], 1, 1)
+        masks, [met] = greedy_stable_masks(model, [x], [scores], 1, 1)
         if not met:
             continue
+        [mask] = map(tuple, masks.tolist())
         checked += 1
         consistent, r_inc, r_dec = definitional_certificate(model, x, mask)
         assert consistent

@@ -8,6 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from muscert import certify, smoothing
 from muscert.certify import brute_force_stability_oracle
 from muscert.core import ConfigError, FeatureGrouping, evaluate_rows
 from muscert.models import MlpModel, random_linear, random_mlp
@@ -217,9 +218,11 @@ def test_evaluate_rows_names_a_ragged_row():
             evaluate_rows(ThirdClassFromCall(first_wide), np.zeros((3, 2)))
 
 
-def test_oracle_finds_a_flip_in_a_later_chunk():
+@pytest.mark.parametrize("q", [4, 16])
+def test_oracle_finds_a_flip_in_a_later_chunk(monkeypatch, q):
     """Only the all-zero mask flips the class; at n = 11 it is the last of
-    2048 enumerated masks, past the first chunk."""
+    2048 enumerated masks, in the last chunk of DRIVER_CHUNK // q masks
+    (1024 at q = 4, 256 at q = 16)."""
 
     class FiresOnEmptyInput:
         d = 11
@@ -229,11 +232,21 @@ def test_oracle_finds_a_flip_in_a_later_chunk():
             return (0.0, 1.0) if all(v == 0.0 for v in z) else (1.0, 0.0)
 
     n = 11
-    cfg = SmoothingConfig(q=4, lambda_num=3, seed=0, n=n)
+    cfg = SmoothingConfig(q=q, lambda_num=q - 1, seed=0, n=n)
     model = SmoothedModel.build(FiresOnEmptyInput(), FeatureGrouping.trivial(n), cfg)
     x, phi = (1.0,) * n, (0,) * n
+    chunks = []
+
+    def spy(model, xs, examples, alphas, mus=None):
+        chunks.append(len(alphas))
+        return mus_evaluate_pairs(model, xs, examples, alphas, mus)
+
+    monkeypatch.setattr(certify, "mus_evaluate_pairs", spy)
     assert brute_force_stability_oracle(model, x, phi, n - 1, "dec")
+    chunks.clear()
     assert not brute_force_stability_oracle(model, x, phi, n, "dec")
+    step = smoothing.DRIVER_CHUNK // q
+    assert chunks == [step] * (2048 // step)
 
 
 def test_trained_models_keep_their_bytes(desk, small_artifacts):

@@ -282,6 +282,14 @@ def test_pair_driver_rejects_bad_pairs():
 
 # --------------------------------------------------------- staged commands
 
+def _mask_met_pairs(staged):
+    """greedy_stable_masks' (masks, met) arrays as one (mask, met) pair per
+    example, as greedy_prefix gives them."""
+    masks, met = staged
+    assert masks.dtype == np.uint8 and met.dtype == bool and len(masks) == len(met)
+    return list(zip(map(tuple, masks.tolist()), met.tolist()))
+
+
 def test_staged_certify_greedy_and_attack_equal_one_example_calls(monkeypatch):
     """An instance where some greedy targets are met and some not, and the
     attack walks end at different steps, found or not."""
@@ -301,7 +309,7 @@ def test_staged_certify_greedy_and_attack_equal_one_example_calls(monkeypatch):
                        for e, (x, phi) in enumerate(zip(rows, phis))]
 
     for targets in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        staged = greedy_stable_masks(model, xs, scores, *targets)
+        staged = _mask_met_pairs(greedy_stable_masks(model, xs, scores, *targets))
         assert staged == [greedy_prefix(model, x, s, *targets) for x, s in zip(rows, scores)]
         assert targets == (0, 0) or {met for _, met in staged} == {True, False}
 
@@ -325,8 +333,27 @@ def test_staged_certify_greedy_and_attack_equal_one_example_calls(monkeypatch):
     none = xs[:0]
     assert mus_evaluate_pairs(model, none, [], []).shape == (0, model.m)
     assert certify_examples(model, none, [], []) == []
-    assert greedy_stable_masks(model, none, [], 0, 0) == []
+    masks, met = greedy_stable_masks(model, none, [], 0, 0)
+    assert masks.shape == (0, 6) and met.shape == (0,)
     assert attack_walks(model, none, [], [], [], []) == []
+
+
+def test_certify_examples_takes_any_batch_of_masks():
+    """phis and mus as a uint8 array, a list of tuples or an int64 array
+    give the same records."""
+    cfg = SmoothingConfig(q=8, lambda_num=2, seed=5, n=5)
+    model = SmoothedModel.build(random_linear(5, 3, 6, scale=2.0), FeatureGrouping.trivial(5), cfg)
+    stream = LcgStream(derive_rng_state(5, 2))
+    xs = np.array([[2 * stream.next_unit() - 1 for _ in range(5)] for _ in range(6)])
+    phis = np.array([[stream.next_below(2) for _ in range(5)] for _ in xs], dtype=np.uint8)
+    mus = phis[::-1] & phis
+    want = [certify_examples(model, xs, phis, range(6)),
+            certify_examples(model, xs, phis, range(6), mus=mus)]
+    # mus exempt some groups of phi from noise, which moves their gaps.
+    assert [r.gap_at_attr for r in want[0]] != [r.gap_at_attr for r in want[1]]
+    for form in (lambda a: list(map(tuple, a.tolist())), lambda a: a.astype(np.int64)):
+        assert certify_examples(model, xs, form(phis), range(6)) == want[0]
+        assert certify_examples(model, xs, form(phis), range(6), mus=form(mus)) == want[1]
 
 
 def test_stages_need_one_mask_id_and_score_row_per_example():
@@ -403,7 +430,7 @@ def test_lockstep_greedy_walk_equals_reference_prefix_search(monkeypatch, case):
         assert any(len(set(row)) < n for row in scores)
         for targets in ((0, 0), (1, 0), (2, 1), (0, 99)):
             sizes.clear()
-            staged = greedy_stable_masks(model, xs, scores, *targets)
+            staged = _mask_met_pairs(greedy_stable_masks(model, xs, scores, *targets))
             assert staged == [greedy_prefix(model, x, s, *targets)
                               for x, s in zip(xs.tolist(), scores)]
             assert len(sizes) <= _walk_round(n) + 1 and sizes[0] == 2 * len(xs)
@@ -412,7 +439,8 @@ def test_lockstep_greedy_walk_equals_reference_prefix_search(monkeypatch, case):
     assert {_walk_round(length) for length in lengths - {0}} == set(range(_walk_round(n) + 1))
 
     sizes.clear()
-    assert greedy_stable_masks(model, xs[:0], [], 0, 0) == []
+    masks, met = greedy_stable_masks(model, xs[:0], [], 0, 0)
+    assert masks.shape == (0, n) and met.shape == (0,)
     assert sizes == []
 
 
@@ -426,7 +454,7 @@ def test_greedy_on_the_desk_sends_at_most_three_pairs_per_example(desk, monkeypa
     xs = np.array([x for x, _ in desk["test"].examples])
     scores = gradient_score_rows(base, xs, grouping)
     sizes = _spy_pairs(monkeypatch)
-    staged = greedy_stable_masks(model, xs, scores, 0, 0)
+    _masks, met = greedy_stable_masks(model, xs, scores, 0, 0)
     assert len(sizes) <= math.ceil(math.log2(16)) + 1
     assert sum(sizes) <= 3 * len(xs)
-    assert all(met for _, met in staged)
+    assert met.all()

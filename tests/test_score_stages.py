@@ -1,10 +1,11 @@
 """vgrad, LIME and SHAP as dataset stages: gradient_score_rows,
 lime_score_rows and shap_score_rows.
 
-Each stage sends the rows of every example to the base classifier in
-chunks of smoothing.DRIVER_CHUNK rows and then solves or sums per example.
-Batching, chunking and skipping SHAP's deduplication must not move a bit,
-so every result here is compared for equality, not within a tolerance.
+Each stage sends the rows of a block of examples, up to
+smoothing.DRIVER_CHUNK rows and at least one example, to the base
+classifier in one call and then solves or sums per example. Batching,
+blocking and skipping SHAP's deduplication must not move a bit, so every
+result here is compared for equality, not within a tolerance.
 """
 from __future__ import annotations
 
@@ -125,8 +126,8 @@ def _reference_gradient_scores(base, x, grouping):
     return tuple(math.fsum(abs(grad[j]) for j in group) for group in grouping.groups)
 
 
-# 1 sends one row per evaluate_rows call, 7 splits each finite-difference
-# example (9 rows at d = 4) across chunks, 20 puts two examples in a block.
+# A block is one evaluate_rows call and holds at least one example: 1 and 7
+# send one finite-difference example (9 rows at d = 4) per call, 20 two.
 @pytest.mark.parametrize("chunk", [None, 1, 7, 20])
 @pytest.mark.parametrize("name", GRADIENT_CASES)
 def test_gradient_rows_equal_one_row_calls_and_the_scalar_reference(monkeypatch, name, chunk):
@@ -194,8 +195,10 @@ def test_exhaustive_shap_sends_each_coalition_once():
         assert tuple(got) == shap_one_example(base.inner, x, grouping, 1, 0, exhaustive=True)
 
 
-# 1 sends one row per evaluate_rows call; 7 splits every example's rows (20
-# LIME samples, at least 9 SHAP rows) across chunks and chunk boundaries.
+# A block is one evaluate_rows call and holds at least one example: 1 sends
+# one example per call, 7 one LIME example (21 rows), one finite-difference
+# example (9 rows) or one SHAP example over n >= 2 groups per call, and
+# three SHAP examples over one group (2 rows each).
 @pytest.mark.parametrize("chunk", [1, 7])
 @pytest.mark.parametrize("name", CASES)
 def test_no_chunk_size_moves_a_byte(monkeypatch, name, chunk):

@@ -302,6 +302,21 @@ def test_build_validates_shapes():
         SmoothedModel.build(base, FeatureGrouping.trivial(3), good, mu=bad_mu)
 
 
+@pytest.mark.parametrize("construct", [
+    SmoothedModel.build,
+    lambda base, grouping, cfg: SmoothedModel(base=base, grouping=grouping, cfg=cfg),
+], ids=["build", "constructor"])
+def test_both_constructors_check_d_and_n(construct):
+    """A directly built model runs build's checks too, instead of failing in
+    numpy or at its first evaluation."""
+    base = random_linear(3, 2, 1)
+    cfg = SmoothingConfig(q=4, lambda_num=1, seed=0, n=5)
+    with pytest.raises(ConfigError, match="^smoothing config is over n=5 groups, grouping has 3$"):
+        construct(base, FeatureGrouping.trivial(3), cfg)
+    with pytest.raises(ConfigError, match="^grouping covers d=5 raw features, model expects 3$"):
+        construct(base, FeatureGrouping.trivial(5), cfg)
+
+
 def test_grouped_smoothing_masks_whole_groups(indicator_handle):
     """With both raw features in one group, one mask bit controls them both."""
     grouping = FeatureGrouping(groups=((0, 1),), d=2)
