@@ -3,7 +3,8 @@
 The certificate arithmetic turns a smoothed-confidence gap into an integer
 number of mask bits that may be flipped without changing the predicted
 class. The brute-force oracle re-verifies that claim by enumerating every
-qualifying mask, which is what the soundness test suite leans on.
+qualifying mask; the tests and the bench lean on it, and selfcheck reads the
+same masks from its exhaustive table.
 """
 from __future__ import annotations
 

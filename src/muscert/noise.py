@@ -115,16 +115,17 @@ class SmoothingConfig:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or self.q <= 1:
+        if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q <= 1:
             raise ConfigError(f"q must be an integer > 1, got {self.q!r}")
-        if not isinstance(self.lambda_num, int) or not 1 <= self.lambda_num <= self.q:
+        if (not isinstance(self.lambda_num, int) or isinstance(self.lambda_num, bool)
+                or not 1 <= self.lambda_num <= self.q):
             raise ConfigError(
                 f"lambda_num must satisfy 1 <= lambda_num <= q={self.q}, "
                 f"got {self.lambda_num!r}"
             )
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         object.__setattr__(self, "seed", self.seed & _MASK64)
 

@@ -2,8 +2,10 @@
 
 Each suite generates small random instances, computes ground truth by
 exhaustive enumeration or an independent formula, and counts violations.
-These are the same checks the test suite runs at larger trial counts; the
-command-line entry point exists so a deployed build can re-verify itself.
+Three suites share each trial's instance and read one exhaustive table of
+its smoothed means. These are the same checks the test suite runs at larger
+trial counts; the command-line entry point exists so a deployed build can
+re-verify itself.
 """
 from __future__ import annotations
 
@@ -13,19 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import FD_STEP, finite_difference_rows, gradient_score_rows, shap_score_rows
-from .certify import (
-    brute_force_stability_oracle,
-    certify_example,
-)
+from .certify import certify_example
 from .core import ConfigError, FeatureGrouping, evaluate_rows, top_classes_and_gaps
 from .models import MlpModel, random_linear, random_mlp
-from .noise import (
-    LcgStream,
-    SmoothingConfig,
-    derive_rng_state,
-    enumerate_atoms,
-)
-from .smoothing import SmoothedModel, example_row, masking_equivalence_check, mus_evaluate_pairs
+from .noise import LcgStream, SmoothingConfig, derive_rng_state, enumerate_atoms
+from .smoothing import (EQUIVALENCE_TOL, SmoothedModel, _premasked_means, example_row,
+                        masking_equivalence_check, mus_evaluate_pairs)
 
 LIPSCHITZ_SLACK = 1e-9
 SHAP_EFFICIENCY_TOL = 1e-10
@@ -64,7 +59,8 @@ def _random_x(stream: LcgStream, d: int) -> tuple[float, ...]:
 
 
 def _random_instance(trial_seed: int, max_n: int):
-    """A small random smoothed model (trivially grouped), an input, and the
+    """A small random smoothed model (trivially grouped), an input, its
+    (2^n, m) table of smoothed means under the rows of _all_masks(n), and the
     state of their stream after the input, for the suites' further draws."""
     stream = LcgStream(derive_rng_state(trial_seed, 0))
     n = 2 + stream.next_below(max(1, min(max_n, 6) - 1))
@@ -76,7 +72,9 @@ def _random_instance(trial_seed: int, max_n: int):
     cfg = SmoothingConfig(q=q, lambda_num=lambda_num, seed=trial_seed, n=n)
     model = SmoothedModel.build(base, grouping, cfg)
     x = _random_x(stream, n)
-    return model, x, stream.state
+    masks = _all_masks(n)
+    table = mus_evaluate_pairs(model, example_row(model, x), np.zeros(len(masks), np.intp), masks)
+    return model, x, table, stream.state
 
 
 def _suite(name: str, trials: int, failed: list[int]) -> SuiteResult:
@@ -102,45 +100,43 @@ def check_lqv_marginals(trials: int, seed: int, max_n: int = 8) -> SuiteResult:
     return _suite("lqv_marginals", trials, _failing(trials, seed, fails))
 
 
-def check_lipschitz(model: SmoothedModel, x, _state: int) -> bool:
-    """Exhaustive pairwise slope bound on the smoothed output over masks,
-    on one instance of _random_instance."""
-    masks = _all_masks(model.grouping.n)
-    values = mus_evaluate_pairs(model, example_row(model, x), np.zeros(len(masks), np.intp),
-                                masks)
-    return not _breaks_lipschitz(values, model.cfg.lambda_num / model.cfg.q)
-
-
-def _breaks_lipschitz(values: np.ndarray, lam: float) -> bool:
-    """Some masks a, b and class c have |values[a, c] - values[b, c]| >
-    lam * |a xor b|_1 + LIPSCHITZ_SLACK, where row `code` of the (2^n, m)
-    table belongs to the mask of _all_masks(n) with that row index."""
-    codes = np.arange(len(values))
+def check_lipschitz(model: SmoothedModel, _x, table: np.ndarray, _state: int) -> bool:
+    """Exhaustive pairwise slope bound on one instance of _random_instance:
+    no masks a, b and class c have |table[a, c] - table[b, c]| >
+    lam * |a xor b|_1 + LIPSCHITZ_SLACK, with masks read as bit codes."""
+    codes = np.arange(len(table))
     dist = np.bitwise_count(codes[:, None] ^ codes[None, :]).astype(float)
-    bound = lam * dist + LIPSCHITZ_SLACK
-    return bool((np.abs(values[:, None, :] - values[None, :, :]) > bound[:, :, None]).any())
+    bound = model.cfg.lam * dist + LIPSCHITZ_SLACK
+    return not (np.abs(table[:, None, :] - table[None, :, :]) > bound[:, :, None]).any()
 
 
-def check_masking_equivalence(model: SmoothedModel, x, state: int) -> bool:
+def check_masking_equivalence(model: SmoothedModel, x, table: np.ndarray, state: int) -> bool:
     """Mask-then-average equals pre-mask-then-average, with and without a mu
-    drawn from state, on one instance of _random_instance."""
+    drawn from state, on one instance of _random_instance; without mu the
+    table is the mask-then-average side."""
     stream = LcgStream(state)
     n = model.grouping.n
     mu = tuple(stream.next_below(2) for _ in range(n))
     masks = _all_masks(n)
     covering = masks[(masks >= np.array(mu, dtype=np.uint8)).all(axis=1)]
-    return (masking_equivalence_check(model, x, masks)
-            and masking_equivalence_check(model.with_mu(mu), x, covering))
+    return bool((np.abs(table - _premasked_means(model, x, masks)) <= EQUIVALENCE_TOL).all()
+                and masking_equivalence_check(model.with_mu(mu), x, covering))
 
 
-def check_soundness(model: SmoothedModel, x, state: int) -> bool:
-    """Certified radii at a phi drawn from state never exceed what exhaustive
-    enumeration allows, on one instance of _random_instance."""
+def check_soundness(model: SmoothedModel, x, table: np.ndarray, state: int) -> bool:
+    """Certified radii at a phi drawn from state never exceed what the table
+    allows, on one instance of _random_instance: every mask covering phi
+    within r_inc flips of phi has phi's class, and every one within r_dec
+    flips of all-ones has the class of all-ones."""
     stream = LcgStream(state)
     phi = tuple(stream.next_below(2) for _ in range(model.grouping.n))
     record = certify_example(model, x, phi, example_id=0)
-    return (brute_force_stability_oracle(model, x, phi, record.r_inc, "inc")
-            and brute_force_stability_oracle(model, x, phi, record.r_dec, "dec"))
+    codes, classes = np.arange(len(table)), top_classes_and_gaps(table)[0]
+    phi_code = sum(bit << i for i, bit in enumerate(phi))
+    covering = codes & phi_code == phi_code
+    balls = ((phi_code, record.r_inc), (len(table) - 1, record.r_dec))
+    return all((classes[covering & (np.bitwise_count(codes ^ anchor) <= radius)]
+                == classes[anchor]).all() for anchor, radius in balls)
 
 
 def check_shap_efficiency(trials: int, seed: int, max_n: int = 4) -> SuiteResult:

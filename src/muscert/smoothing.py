@@ -295,13 +295,10 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
                               alphas: Sequence[Mask]) -> bool:
     """True iff smoothing each mask equals smoothing the pre-masked input.
 
-    The left side is mus_evaluate_pairs on x under alphas. The right side
-    is built without effective-mask composition: x is zeroed by each alpha,
-    every noise row (atom OR mu) zeroes those values again, all k*q rows go
-    to the base classifier as one batch, and each class is averaged over
-    its q rows with math.fsum. With a noise-exemption mask mu set, the
-    identity is only guaranteed when alpha keeps everything mu keeps, so
-    that case is a precondition for every alpha.
+    The left side is mus_evaluate_pairs on x under alphas, the right side
+    _premasked_means. With a noise-exemption mask mu set, the identity is
+    only guaranteed when alpha keeps everything mu keeps, so that case is a
+    precondition for every alpha.
     """
     grouping = model.grouping
     masks = mask_array(alphas, grouping.n)
@@ -315,9 +312,16 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
         return True
     # x and the masks are checked here, so mus_evaluate_pairs' checks are skipped.
     lhs = _pair_means(model, example_row(model, x), np.zeros(len(masks), np.intp), masks, None)
+    return bool((np.abs(lhs - _premasked_means(model, x, masks)) <= EQUIVALENCE_TOL).all())
+
+
+def _premasked_means(model: SmoothedModel, x: Sequence[float], masks: np.ndarray) -> np.ndarray:
+    """The (k, m) smoothed means of x zeroed by each of the (k, n) masks, with
+    no effective-mask composition: each noise row (atom OR mu) zeroes the
+    pre-masked input again, and the k*q rows go to the base model at once."""
     index_map = model._index_map
     premasked = mask_apply_rows(np.asarray(x, dtype=float), masks, index_map)
-    noise_keep = (model.atoms | mu)[:, index_map] != 0
-    rows = np.where(noise_keep, premasked[:, None, :], 0.0).reshape(-1, grouping.d)
-    rhs = _atom_means(evaluate_rows(model.base, rows).reshape(len(masks), model.cfg.q, -1))
-    return bool((np.abs(lhs - rhs) <= EQUIVALENCE_TOL).all())
+    noise = model.atoms if model.mu is None else model.atoms | np.array(model.mu, np.uint8)
+    rows = np.where(noise[:, index_map] != 0, premasked[:, None, :], 0.0)
+    return _atom_means(evaluate_rows(model.base, rows.reshape(-1, model.grouping.d))
+                       .reshape(len(masks), model.cfg.q, -1))

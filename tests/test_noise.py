@@ -90,6 +90,20 @@ def test_smoothing_config_validation():
         SmoothingConfig(q=4, lambda_num=2, seed=0, n=0)
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("q", True, "q must be an integer > 1, got True"),
+    ("lambda_num", True, "lambda_num must satisfy 1 <= lambda_num <= q=4, got True"),
+    ("n", True, "n must be an integer >= 1, got True"),
+    ("seed", False, "seed must be an integer, got False"),
+])
+def test_smoothing_config_rejects_booleans(field, value, message):
+    """A bool is not a count or a seed, though it is an int equal to 1 or 0:
+    accepted, lambda_num=True would be written to certificates as true."""
+    fields = {"q": 4, "lambda_num": 2, "seed": 0, "n": 2, field: value}
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        SmoothingConfig(**fields)
+
+
 def test_lam_property():
     cfg = SmoothingConfig(q=16, lambda_num=4, seed=0, n=3)
     assert cfg.lam == 0.25

@@ -1,16 +1,18 @@
 """Selfcheck's batched suites against their per-mask definitions."""
 from __future__ import annotations
 
+import dataclasses
 import weakref
 
 import numpy as np
 import pytest
 
 from muscert import selfcheck, smoothing
-from muscert.core import ConfigError, FeatureGrouping, ones_mask
+from muscert.certify import brute_force_stability_oracle
+from muscert.core import ConfigError, FeatureGrouping, ones_mask, top_classes_and_gaps
 from muscert.models import random_mlp
 from muscert.noise import LcgStream, derive_rng_state, enumerate_atoms
-from muscert.selfcheck import LIPSCHITZ_SLACK, _all_masks, _breaks_lipschitz, _random_instance
+from muscert.selfcheck import LIPSCHITZ_SLACK, _all_masks, _random_instance, check_lipschitz
 from muscert.smoothing import (
     EQUIVALENCE_TOL,
     SmoothedModel,
@@ -43,7 +45,7 @@ def reference_equivalence(model, x, alphas):
 def instance(trial_seed):
     """A selfcheck instance, regrouped onto an MLP over 2n raw features on
     odd seeds, with a random mu."""
-    model, x, state = _random_instance(trial_seed, 6)
+    model, x, _, state = _random_instance(trial_seed, 6)
     stream = LcgStream(state)
     n = model.n
     if trial_seed % 2:
@@ -128,11 +130,12 @@ def pairwise_violations(values, n, lam):
 
 @pytest.mark.parametrize("trial_seed", range(50))
 def test_vectorised_lipschitz_test_matches_pair_loop(trial_seed):
-    model, x, _ = _random_instance(trial_seed, 6)
+    model, x, table, state = _random_instance(trial_seed, 6)
     n, m = model.n, model.m
     lam = model.cfg.lambda_num / model.cfg.q
-    values = mus_evaluate_pairs(model, [x], [0] * (1 << n), _all_masks(n))
-    assert _breaks_lipschitz(values, lam) is bool(pairwise_violations(values, n, lam)) is False
+    assert np.array_equal(table, mus_evaluate_pairs(model, [x], [0] * (1 << n), _all_masks(n)))
+    assert check_lipschitz(model, x, table, state) is True
+    assert pairwise_violations(table, n, lam) == []
 
     # Two neighbouring masks 1.5 * lam apart on one class break exactly one
     # (pair, class); every other pair differs by at most 0.75 * lam.
@@ -144,10 +147,11 @@ def test_vectorised_lipschitz_test_matches_pair_loop(trial_seed):
     tampered[a, c] = 0.75 * lam
     tampered[b, c] = -0.75 * lam
     assert pairwise_violations(tampered, n, lam) == [(min(a, b), max(a, b), c)]
-    assert _breaks_lipschitz(tampered, lam)
+    assert check_lipschitz(model, x, tampered, state) is False
     tampered[a, c] = 0.0
     tampered[b, c] = lam + LIPSCHITZ_SLACK
-    assert _breaks_lipschitz(tampered, lam) is bool(pairwise_violations(tampered, n, lam))
+    holds = not pairwise_violations(tampered, n, lam)
+    assert check_lipschitz(model, x, tampered, state) is holds
 
 
 @pytest.mark.parametrize("period,failures,first", [(1, 25, 40), (3, 8, 41)])
@@ -205,36 +209,103 @@ def test_run_selfcheck_holds_one_instance_at_a_time(monkeypatch):
     assert alive == [0] + [1] * 5
 
 
+def drawn_phi(model, state):
+    """The phi the soundness suite draws from an instance's stream state."""
+    stream = LcgStream(state)
+    return tuple(stream.next_below(2) for _ in range(model.n))
+
+
+def covering_classes(trial_seed, max_n):
+    """The classes of the trial's table at the masks covering its phi."""
+    model, _, table, state = _random_instance(trial_seed, max_n)
+    code = sum(bit << i for i, bit in enumerate(drawn_phi(model, state)))
+    return top_classes_and_gaps(table)[0][np.arange(len(table)) & code == code].tolist()
+
+
 def test_shared_suites_count_failures_and_name_the_first(monkeypatch):
     """The three suites on the shared instances fail exactly the trials whose
-    check is broken (trial seeds 0 mod 3, 1 mod 4 and 2 mod 5 from 30), and
-    each names the first of them."""
+    check is broken, and each names the first of them. A table jumped on
+    trial seeds 2 mod 3 from 30 breaks the slope bound, and masking
+    equivalence too, since the table is compared with the pre-masked means;
+    the mu half of masking equivalence fails on seeds 2 mod 4. A certificate
+    claiming radius n on seeds 3 mod 5 fails soundness where the masks
+    covering phi do not all share a class."""
     real_pairs = selfcheck.mus_evaluate_pairs
+    real_certify = selfcheck.certify_example
 
     def jumped(model, *args):
         out = real_pairs(model, *args)
-        if model.cfg.seed % 3 == 0:
+        if model.cfg.seed % 3 == 2:
             out[0] += 10.0  # no slope bound of at most n * lambda allows this
         return out
 
+    def over_claiming(model, x, phi, example_id):
+        record = real_certify(model, x, phi, example_id)
+        if model.cfg.seed % 5 != 3:
+            return record
+        return dataclasses.replace(record, r_inc=model.n, r_dec=model.n)
+
+    over_claimed = [seed for seed in range(30, 50) if seed % 5 == 3]
+    assert [seed for seed in over_claimed if len(set(covering_classes(seed, 4))) > 1] == [33, 38]
     monkeypatch.setattr(selfcheck, "mus_evaluate_pairs", jumped)
     monkeypatch.setattr(selfcheck, "masking_equivalence_check",
-                        lambda model, x, alphas: model.cfg.seed % 4 != 1)
-    monkeypatch.setattr(selfcheck, "brute_force_stability_oracle",
-                        lambda model, x, phi, radius, mode: mode == "inc"
-                        or model.cfg.seed % 5 != 2)
+                        lambda model, x, alphas: model.cfg.seed % 4 != 2)
+    monkeypatch.setattr(selfcheck, "certify_example", over_claiming)
     report = selfcheck.run_selfcheck(max_n=4, trials=20, seed=30)
     assert [(s.name, s.trials, s.failures, s.first_failure_seed) for s in report.suites] == [
-        ("lqv_marginals", 20, 0, None), ("lipschitz", 20, 7, 30),
-        ("masking_equivalence", 20, 5, 33), ("soundness", 20, 4, 32),
+        ("lqv_marginals", 20, 0, None), ("lipschitz", 20, 6, 32),
+        ("masking_equivalence", 20, 10, 30), ("soundness", 20, 2, 33),
         ("shap_efficiency", 20, 0, None), ("gradient_fd", 20, 0, None)]
+
+
+def test_table_soundness_matches_the_oracle(monkeypatch):
+    """On 300 instances, the soundness suite's verdict on each table ball
+    (one radius shifted by 0, 1 or 2 past the certificate's, the other 0)
+    equals brute_force_stability_oracle's at that radius, and enough of the
+    verdicts are rejections that the balls are not vacuous."""
+    real_certify = selfcheck.certify_example
+    radii = {}
+
+    def claiming(*args, **kwargs):
+        return dataclasses.replace(real_certify(*args, **kwargs), **radii)
+
+    monkeypatch.setattr(selfcheck, "certify_example", claiming)
+    rejections = 0
+    for trial_seed in range(300):
+        instance = _random_instance(trial_seed, 6)
+        model, x, _, state = instance
+        phi = drawn_phi(model, state)
+        record = real_certify(model, x, phi, 0)
+        for shift in range(3):
+            for mode, radius in (("inc", record.r_inc), ("dec", record.r_dec)):
+                radii.update(r_inc=0, r_dec=0)
+                radii[f"r_{mode}"] = radius + shift
+                oracle = brute_force_stability_oracle(model, x, phi, radius + shift, mode)
+                assert selfcheck.check_soundness(*instance) is oracle, (trial_seed, mode, shift)
+                rejections += not oracle
+    assert rejections >= 100
+
+
+def test_selfcheck_smooths_three_batches_per_trial(monkeypatch):
+    """A pass calls the driver's kernel 3 times per trial: the table, the mu
+    half of masking equivalence and the certificate."""
+    calls = []
+    real = smoothing._pair_means
+
+    def counting(*args):
+        calls.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(smoothing, "_pair_means", counting)
+    assert selfcheck.run_selfcheck(max_n=8, trials=300, seed=3300).ok
+    assert len(calls) == 900
 
 
 def test_random_instance_state_follows_x():
     """The stream state after n, q, lambda_num, m and the n inputs: where
     the masking_equivalence suite draws mu and the soundness suite phi."""
     for trial_seed in range(30):
-        model, _, state = _random_instance(trial_seed, 6)
+        model, _, _, state = _random_instance(trial_seed, 6)
         stream = LcgStream(derive_rng_state(trial_seed, 0))
         for _ in range(4 + model.n):
             stream.next_u64()
