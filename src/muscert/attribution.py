@@ -246,16 +246,14 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
         # t among the per_example coalition rows of its example.
         if exhaustive:
             per_example, middle = len(subsets), subset_rows[rows[:, 0] % permutations]
-            # Every example under every subset, broadcast.
-            masked = mask_apply_rows(xs[block][:, None, :], subsets, index_map)
+            coalitions = np.tile(subsets, (count, 1))
         else:
             per_example = permutations * (n - 1)
             middle = rows % permutations * (n - 1) + np.arange(n - 1)
-            coalitions = (rank[:, None, :] < np.arange(1, n)[:, None]).astype(np.uint8)
-            masked = mask_apply_rows(np.repeat(xs[block], per_example, axis=0),
-                                     coalitions.reshape(-1, n), index_map)
-        probs = evaluate_rows(base, np.concatenate(
-            [zero, xs[block], masked.reshape(-1, grouping.d)]))
+            coalitions = (rank[:, None, :] < np.arange(1, n)[:, None]).reshape(-1, n)
+        masked = mask_apply_rows(np.repeat(xs[block], per_example, axis=0),
+                                 coalitions, index_map)
+        probs = evaluate_rows(base, np.concatenate([zero, xs[block], masked]))
         # held[t, s] is the batch row of the coalition before step s of order t.
         example = rows // permutations
         held = np.empty((len(orders), n + 1), dtype=np.intp)

@@ -175,14 +175,23 @@ def evaluate_rows(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
     return validate_logits_batch(rows if outputs is None else outputs, len(inputs), base.m)
 
 
+def _zero_unless(keep: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """np.where(keep, values, 0.0) for a bool or 0/1 keep, as a new float64
+    array: an AND of the float64 bits with 0 or all ones, so kept values keep
+    their bits (-0.0, NaN payloads, infinities) and dropped ones become +0.0."""
+    bits = keep.astype(np.int64)
+    np.negative(bits, out=bits)
+    bits &= values.view(np.int64)
+    return bits.view(np.float64)
+
+
 def mask_apply_rows(x: np.ndarray, masks: np.ndarray, index_map: np.ndarray) -> np.ndarray:
     """Row r is x with every raw feature whose group bit in masks[r] is 0
-    set to +0.0, for a (k, n) 0/1 mask array.
-
-    np.where keeps every kept value as it is (signed zeros too) and writes
-    +0.0 into dropped groups; x * mask would give -0.0.
-    """
-    return np.where(masks[:, index_map] != 0, x, 0.0)
+    set to +0.0, for a (k, n) 0/1 mask array and x of shape (d,) or (k, d):
+    _zero_unless's bit-and, np.where's bits in a fraction of its time, on the
+    (d, k) input columns the built-in models compute on, then transposed."""
+    columns = np.asarray(x, dtype=np.float64).reshape(-1, len(index_map)).T
+    return _zero_unless(masks.T.take(index_map, axis=0), columns).T
 
 
 def top_classes_and_gaps(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,10 @@
 
 Each model has one forward kernel (evaluate_batch) and one gradient kernel
 (gradient_batch) over a (k, d) input array; evaluate and gradient are their
-one-row calls. Every sum runs in a pinned order, column by column, so a row
-gets the same bits in any batch and on every run, and math.exp rounds the
-same everywhere. Weights round-trip through a JSON document using Python's
+one-row calls. Layers run on contiguous (units, k) rows, one column per
+input, and every sum in a pinned order, a row at a time, so an input gets
+the same bits in any batch and on every run; math.exp rounds the same
+everywhere. Weights round-trip through a JSON document using Python's
 shortest round-trip float formatting.
 """
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .core import (
     DataError,
     Logits,
     Vector,
+    _zero_unless,
 )
 from .noise import LcgStream
 
@@ -28,36 +30,35 @@ MODEL_KINDS = ("linear", "mlp")
 
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax of each row of a (k, m) array, after subtracting the row
-    maximum. The maximum and the sum run column by column, so each row sums
-    left to right: a reduction along each row of m values is slow.
-    """
-    top = logits[:, 0].copy()
-    for j in range(1, logits.shape[1]):
-        np.maximum(top, logits[:, j], out=top)
-    shifted = logits - top[:, None]
+    """Softmax of each column of an (m, k) array of logits, overwritten, as
+    the C-contiguous (k, m) probabilities. The column maximum is subtracted
+    first; the sum adds the rows in class order, so each input sums left to
+    right; the division writes the transposed result, the one transpose."""
+    logits -= np.maximum.reduce(logits, axis=0)
     # np.exp is not correctly rounded and differs from math.exp in the last bit.
-    exps = np.fromiter(map(math.exp, shifted.ravel().tolist()), dtype=float,
-                       count=shifted.size).reshape(shifted.shape)
-    total = np.zeros(len(exps))
-    for j in range(exps.shape[1]):
-        total += exps[:, j]
-    return exps / total[:, None]
+    exps = np.fromiter(map(math.exp, logits.ravel().tolist()), dtype=float,
+                       count=logits.size).reshape(logits.shape)
+    total = np.zeros(logits.shape[1])
+    for row in exps:
+        total += row
+    probs = np.empty(logits.shape[::-1])
+    np.divide(exps, total, out=probs.T)
+    return probs
 
 
-def _affine_cols(z: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """W z + b for each row z of a (k, d) array, as a C-contiguous (k, m)
-    array: each entry sums the d products left to right from 0.0, then adds
-    the bias. Adding one input column at a time keeps that order, where a
-    matrix product would not. The sums run on the transposed (m, k) array,
-    so every step reads one contiguous row of z.T and updates contiguous rows.
+def _affine_cols(cols: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """W z + b for each column z of a C-contiguous (d, k) array cols, as the
+    (m, k) array of logits with one column per input: each entry sums the d
+    products left to right from 0.0, then adds the bias. Adding one input
+    row of cols at a time keeps that order, where a matrix product would
+    not, and every step reads and writes contiguous rows.
     """
-    cols = np.ascontiguousarray(z.T)
-    acc = np.zeros((len(weights), len(z)))
-    for k, col in enumerate(cols):
-        acc += weights[:, k:k + 1] * col
+    acc = np.zeros((len(weights), cols.shape[1]))
+    term = np.empty_like(acc)
+    for j, col in enumerate(cols):
+        acc += np.multiply(weights[:, j:j + 1], col, out=term)
     acc += bias[:, None]
-    return np.ascontiguousarray(acc.T)
+    return acc
 
 
 def _batch_input(z, d: int) -> np.ndarray:
@@ -123,7 +124,8 @@ class LinearSoftmaxModel:
 
     def evaluate_batch(self, z) -> np.ndarray:
         """(k, m) array of the class probabilities of each row of z."""
-        return _softmax_rows(_affine_cols(_batch_input(z, self.d), self._w, self._b))
+        cols = np.ascontiguousarray(_batch_input(z, self.d).T)
+        return _softmax_rows(_affine_cols(cols, self._w, self._b))
 
     def gradient_batch(self, z, classes) -> np.ndarray:
         """(k, d) array whose row r is d p_c / d z[r] = p_c * (W_c - sum_j
@@ -180,11 +182,11 @@ class MlpModel:
         return tuple(self.gradient_batch(_one_row(x, self.d), [c])[0].tolist())
 
     def _forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (k, h) hidden pre-activations and (k, m) class probabilities
-        of the rows of z."""
+        """The (h, k) hidden pre-activations, one column per row of z, and
+        the (k, m) class probabilities of the rows of z."""
         w1, b1, w2, b2 = self._layers
-        pre = _affine_cols(z, w1, b1)
-        return pre, _softmax_rows(_affine_cols(np.where(pre > 0.0, pre, 0.0), w2, b2))
+        pre = _affine_cols(np.ascontiguousarray(z.T), w1, b1)
+        return pre, _softmax_rows(_affine_cols(_zero_unless(pre > 0.0, pre), w2, b2))
 
     def evaluate_batch(self, z) -> np.ndarray:
         """(k, m) array of the class probabilities of each row of z."""
@@ -203,11 +205,11 @@ class MlpModel:
         onehot[rows, classes] = 1.0
         # d p_c / d o_j at the output logits o.
         dz = p[rows, classes][:, None] * (onehot - p)
-        dact = np.zeros(pre.shape)
+        dact = np.zeros((len(z), self.h))
         for j in range(self.m):
             dact += dz[:, j:j + 1] * w2[j]
         out = np.zeros(z.shape)
-        live = pre > 0.0
+        live = pre.T > 0.0
         for t in range(self.h):
             # Unit t passes the gradient only where its pre-activation is positive.
             np.add(out, dact[:, t:t + 1] * w1[t], out=out, where=live[:, t:t + 1])
@@ -263,7 +265,7 @@ def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
     # Each example followed by 1.0, the input the bias multiplies.
     rows = np.ones((len(dataset.examples), d + 1))
     rows[:, :d] = [x for x, _ in dataset.examples]
-    xs = rows[:, :d]
+    cols = np.ascontiguousarray(rows[:, :d].T)
     ys = np.array([y for _, y in dataset.examples], dtype=np.intp)
     init = random_linear(d, m, rng_state, scale=0.01)
     weights = np.array(init.weights, dtype=float)
@@ -279,7 +281,7 @@ def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
     grad = np.empty((m, d + 1))
     lr = learning_rate
     halvings = 0
-    probs = _softmax_rows(_affine_cols(xs, weights, bias))
+    probs = _softmax_rows(_affine_cols(cols, weights, bias))
     loss = _mean_crossentropy(probs, ys)
     if loss_history is not None:
         loss_history.append(loss)
@@ -293,7 +295,7 @@ def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
         while halvings <= 20:
             cand_w = weights - lr * grad_w
             cand_b = bias - lr * grad_b
-            cand_probs = _softmax_rows(_affine_cols(xs, cand_w, cand_b))
+            cand_probs = _softmax_rows(_affine_cols(cols, cand_w, cand_b))
             cand_loss = _mean_crossentropy(cand_probs, ys)
             if cand_loss <= loss:
                 stepped = (cand_w, cand_b, cand_probs, cand_loss)

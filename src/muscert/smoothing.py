@@ -318,9 +318,10 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
 def _premasked_means(model: SmoothedModel, x: Sequence[float], masks: np.ndarray) -> np.ndarray:
     """The (k, m) smoothed means of x zeroed by each of the (k, n) masks, with
     no effective-mask composition: each noise row (atom OR mu) zeroes the
-    pre-masked input again, and the k*q rows go to the base model at once."""
+    pre-masked input again, and the k*q rows go to the base model at once.
+    It zeroes by np.where, not mask_apply_rows, so the sides share no masking."""
     index_map = model._index_map
-    premasked = mask_apply_rows(np.asarray(x, dtype=float), masks, index_map)
+    premasked = np.where(masks[:, index_map] != 0, np.asarray(x, dtype=float), 0.0)
     noise = model.atoms if model.mu is None else model.atoms | np.array(model.mu, np.uint8)
     rows = np.where(noise[:, index_map] != 0, premasked[:, None, :], 0.0)
     return _atom_means(evaluate_rows(model.base, rows.reshape(-1, model.grouping.d))

@@ -14,10 +14,12 @@ attack one candidate mask at a time, and `greedy_prefix` the stable-prefix
 search one prefix at a time. `lime_one_example`,
 `shap_one_example` and `finite_difference_gradient` score one example with
 its own base queries, as the scorers did before they ran as dataset stages.
-`scalar_probs` and `scalar_gradient` are the built-in models' forward pass
-and analytic gradient as explicit loops, one input at a time; every
-definitional path here queries a built-in model through them, so none of
-them runs the array kernels it is compared against.
+`scalar_logits`, `scalar_probs` (`scalar_rows` for a batch) and
+`scalar_gradient` are the built-in models' forward pass and analytic
+gradient as explicit loops, one input at a time; every definitional path
+here queries a built-in model through them, so none of them runs the array
+kernels it is compared against. `where_masked_rows` masks batches of rows
+with np.where, so these paths do not run the package's masking either.
 """
 from __future__ import annotations
 
@@ -36,8 +38,6 @@ from muscert.core import (
     Logits,
     Mask,
     Vector,
-    evaluate_rows,
-    mask_apply_rows,
     validate_mask,
     zeros_mask,
 )
@@ -76,16 +76,26 @@ def _hidden(model: MlpModel, x: Sequence[float]) -> tuple[list[float], list[floa
     return pre, act
 
 
+def scalar_logits(base: LinearSoftmaxModel | MlpModel, x: Sequence[float]) -> list[float]:
+    """A built-in model's output logits at x, before the softmax, as loops."""
+    if len(x) != base.d:
+        raise ConfigError(f"input length {len(x)} != d={base.d}")
+    if isinstance(base, LinearSoftmaxModel):
+        return _dot_rows(base.weights, base.bias, x)
+    return _dot_rows(base.w2, base.b2, _hidden(base, x)[1])
+
+
 def scalar_probs(base: ClassifierHandle, x: Sequence[float]) -> Logits:
     """The class probabilities at x: a built-in model's forward pass as
     loops, base.evaluate(x) for any other handle."""
     if not isinstance(base, (LinearSoftmaxModel, MlpModel)):
         return base.evaluate(x)
-    if len(x) != base.d:
-        raise ConfigError(f"input length {len(x)} != d={base.d}")
-    if isinstance(base, LinearSoftmaxModel):
-        return _softmax(_dot_rows(base.weights, base.bias, x))
-    return _softmax(_dot_rows(base.w2, base.b2, _hidden(base, x)[1]))
+    return _softmax(scalar_logits(base, x))
+
+
+def scalar_rows(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
+    """The (k, m) array of scalar_probs at each row of a (k, d) array."""
+    return np.array([scalar_probs(base, z) for z in inputs.tolist()]).reshape(-1, base.m)
 
 
 def scalar_gradient(base: ClassifierHandle, x: Sequence[float], c: int) -> Vector:
@@ -261,6 +271,13 @@ def greedy_prefix(model: SmoothedModel, x: Sequence[float], scores: Sequence[flo
     return (1,) * n, False
 
 
+def where_masked_rows(x: np.ndarray, masks: np.ndarray, index_map: np.ndarray) -> np.ndarray:
+    """Row r is x with every raw feature whose group bit in masks[r] is 0 set
+    to +0.0, by np.where, which keeps every kept value's bits: the same rows
+    as the package's mask_apply_rows, which selects by a bit-and instead."""
+    return np.where(masks[:, index_map] != 0, x, 0.0)
+
+
 def rmus_estimate(base: ClassifierHandle, grouping: FeatureGrouping,
                   x: Sequence[float], alpha: Mask, lam: float,
                   samples: int, rng_state: int) -> Logits:
@@ -276,8 +293,8 @@ def rmus_estimate(base: ClassifierHandle, grouping: FeatureGrouping,
         raise ConfigError(f"samples must be >= 1, got {samples}")
     draws = iid_bernoulli_bits(lam, grouping.n, samples, rng_state)
     masks = draws & np.array(alpha, dtype=np.uint8)
-    inputs = mask_apply_rows(np.asarray(x, dtype=float), masks, grouping.index_map())
-    columns = evaluate_rows(base, inputs).T.tolist()
+    inputs = where_masked_rows(np.asarray(x, dtype=float), masks, grouping.index_map())
+    columns = scalar_rows(base, inputs).T.tolist()
     return tuple(math.fsum(col) / samples for col in columns)
 
 
@@ -347,14 +364,14 @@ def additive_leakage_demo(n: int) -> LeakageReport:
 def lime_one_example(base: ClassifierHandle, x: Sequence[float], grouping: FeatureGrouping,
                      samples: int, kernel_width: float, rng_state: int) -> tuple[float, ...]:
     """The LIME surrogate of one example: class from scalar_probs(x), the masked
-    rows in one evaluate_rows call, the normal equations solved by numpy."""
+    rows through scalar_rows, the normal equations solved by numpy."""
     n = grouping.n
     c, _ = top_class_and_gap(scalar_probs(base, x))
     bits = iid_bernoulli_bits(0.5, n, samples, rng_state)
     design = np.ones((samples, n + 1))
     design[:, 1:] = bits
-    inputs = mask_apply_rows(np.asarray(x, dtype=float), bits, grouping.index_map())
-    targets = evaluate_rows(base, inputs)[:, c]
+    inputs = where_masked_rows(np.asarray(x, dtype=float), bits, grouping.index_map())
+    targets = scalar_rows(base, inputs)[:, c]
     kernel = np.array([math.exp(-(dropped * dropped) / (kernel_width * kernel_width))
                        for dropped in range(n + 1)])
     weights = kernel[n - bits.sum(axis=1, dtype=np.intp)]
@@ -368,7 +385,7 @@ def shap_one_example(base: ClassifierHandle, x: Sequence[float], grouping: Featu
                      exhaustive: bool = False) -> tuple[float, ...]:
     """The Shapley estimate of one example: class from scalar_probs(x), every
     coalition of every order (empty and full included) deduplicated and sent
-    in one evaluate_rows call, each group's gains summed with math.fsum."""
+    through scalar_rows, each group's gains summed with math.fsum."""
     n = grouping.n
     c, _ = top_class_and_gap(scalar_probs(base, x))
     if exhaustive:
@@ -381,8 +398,8 @@ def shap_one_example(base: ClassifierHandle, x: Sequence[float], grouping: Featu
     slot: dict[bytes, int] = {}
     inverse = [slot.setdefault(row.tobytes(), len(slot)) for row in coalitions]
     distinct = np.frombuffer(b"".join(slot), dtype=np.uint8).reshape(-1, n)
-    inputs = mask_apply_rows(np.asarray(x, dtype=float), distinct, grouping.index_map())
-    values = evaluate_rows(base, inputs)[:, c][inverse].reshape(len(orders), n + 1)
+    inputs = where_masked_rows(np.asarray(x, dtype=float), distinct, grouping.index_map())
+    values = scalar_rows(base, inputs)[:, c][inverse].reshape(len(orders), n + 1)
     gains = values[:, 1:] - values[:, :-1]
     contrib = np.take_along_axis(gains, rank, axis=1).T.tolist()
     return tuple(math.fsum(col) / len(orders) for col in contrib)

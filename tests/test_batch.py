@@ -10,7 +10,7 @@ import pytest
 
 from muscert import certify, smoothing
 from muscert.certify import brute_force_stability_oracle
-from muscert.core import ConfigError, FeatureGrouping, evaluate_rows
+from muscert.core import ConfigError, FeatureGrouping, _zero_unless, evaluate_rows
 from muscert.models import MlpModel, random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state, enumerate_atoms
 from muscert.smoothing import SmoothedModel, mus_evaluate_pairs
@@ -81,9 +81,15 @@ def test_evaluate_batch_at_exact_zero_preactivation():
     model = MlpModel(w1=((1.0, -1.0), (0.5, 0.25)), b1=(0.0, -0.75),
                      w2=((2.0, -1.0), (-2.0, 1.0)), b2=(0.125, 0.0))
     # Both hidden pre-activations are exactly 0 on the first row, the first
-    # one on the second row too.
-    inputs = np.array([[1.0, 1.0], [-2.0, -2.0], [3.0, -1.5], [-0.0, 0.0]])
+    # one on the second row too; both are NaN on the last row, whose ReLU
+    # outputs are +0.0 as for a negative pre-activation.
+    inputs = np.array([[1.0, 1.0], [-2.0, -2.0], [3.0, -1.5], [-0.0, 0.0], [np.nan, 1.0]])
     _assert_rows_equal(model, inputs)
+    # The sums start from +0.0, so no pre-activation is -0.0; the ReLU's
+    # select maps -0.0 and NaN to +0.0 all the same.
+    pre = np.array([[-0.0, np.nan, 0.0], [2.5, -1.0, np.inf]])
+    relu = _zero_unless(pre > 0.0, pre)
+    assert relu.tobytes() == np.array([[0.0, 0.0, 0.0], [2.5, 0.0, np.inf]]).tobytes()
 
 
 def _one_example(model, x, alphas):

@@ -19,7 +19,7 @@ from muscert.core import (
     zeros_mask,
 )
 
-from reference import mask_and, mask_apply, mask_or
+from reference import mask_and, mask_apply, mask_or, where_masked_rows
 
 masks = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.tuples(*[st.integers(0, 1)] * n)
@@ -57,6 +57,31 @@ def test_mask_apply_identity_on_ones():
     x = (0.5, -1.25, 3.0, 0.0)
     assert mask_apply(x, (1, 1, 1, 1), g) == x
     assert _apply_rows(x, (1, 1, 1, 1), g) == x
+
+
+def test_mask_apply_rows_matches_np_where_bit_for_bit():
+    # -0.0, a quiet NaN with a payload, a negative signalling NaN, both
+    # infinities and two subnormals, then ordinary values.
+    specials = np.array([0x8000000000000000, 0x7FF8000000001234, 0xFFF4000000000001,
+                         0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000001,
+                         0x800FFFFFFFFFFFFF], dtype=np.uint64).view(np.float64)
+    pool = np.concatenate([specials, [1.5, -3.25, 0.0, 7e300]])
+    g = FeatureGrouping(groups=((0, 4), (1,), (2, 3, 5), (6, 7, 8)), d=9)
+    index_map = g.index_map()
+    every = np.array([[c >> i & 1 for i in range(g.n)] for c in range(2 ** g.n)], np.uint8)
+    rows = np.array([np.roll(pool, r)[:g.d] for r in range(len(every))])
+    for masks in (every, every.astype(bool), every.astype(np.int64), every[:0]):
+        for x in (rows[0], rows[:len(masks)]):
+            got = mask_apply_rows(x, masks, index_map)
+            want = where_masked_rows(x, masks, index_map)
+            assert got.dtype == np.float64 and got.shape == (len(masks), g.d)
+            assert got.T.flags.c_contiguous  # the models' input columns
+            assert got.tobytes() == want.tobytes()
+    # Every special value is kept somewhere and dropped somewhere.
+    kept = every.astype(bool)[:, index_map]
+    for bits in specials.view(np.uint64):
+        holds = rows.view(np.uint64) == bits
+        assert kept[holds].any() and not kept[holds].all()
 
 
 def test_mask_apply_dimension_errors():

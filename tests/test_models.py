@@ -1,8 +1,10 @@
 """Built-in classifiers: forward exactness, gradients, trainer, weights IO."""
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from muscert.models import (
 from muscert.noise import LcgStream, derive_rng_state
 from muscert.selfcheck import check_gradient_fd
 
-from reference import scalar_gradient
+from reference import scalar_gradient, scalar_logits, scalar_probs
 
 
 def test_zero_weights_give_uniform_softmax():
@@ -53,6 +55,47 @@ def test_softmax_is_stable_for_large_logits():
     p = model.evaluate((10.0,))
     assert 0.0 <= p[1] < 1e-200
     assert p[0] == pytest.approx(1.0)
+
+
+def _tied_model(kind, m):
+    """A model whose last class copies class 0 when m >= 3, so that those
+    two tie at every input where they hold the maximum, and whose logits at
+    the zero input are all 0.0."""
+    if kind == "linear":
+        weights = list(random_linear(3, m, derive_rng_state(m, 0), scale=3.0).weights)
+        weights[-1] = weights[0] if m >= 3 else weights[-1]
+        return LinearSoftmaxModel(weights=tuple(weights), bias=(0.0,) * m)
+    base = random_mlp(3, 4, m, derive_rng_state(m, 0), scale=3.0)
+    # Positive output weights, so that class 0 often holds the maximum.
+    w2 = list(base.w2)
+    w2[0] = tuple(map(abs, w2[0]))
+    w2[-1] = w2[0] if m >= 3 else w2[-1]
+    return MlpModel(w1=base.w1, b1=tuple(min(b, 0.0) for b in base.b1),
+                    w2=tuple(w2), b2=(0.0,) * m)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_softmax_matches_scalar_loops_bit_for_bit(kind, m):
+    model = _tied_model(kind, m)
+    stream = LcgStream(derive_rng_state(m, 1))
+    # Every fourth row is zero; the others are scaled by 1 to 4096, so the
+    # logit gaps run from small to far past exp's underflow.
+    inputs = np.zeros((4097, 3))
+    for r in range(len(inputs)):
+        if r % 4 != 3:
+            scale = 2.0 ** (12.0 * stream.next_unit())
+            inputs[r] = [scale * (2.0 * stream.next_unit() - 1.0) for _ in range(3)]
+    logits = [scalar_logits(model, z) for z in inputs.tolist()]
+    at_top = [row.count(max(row)) for row in logits]
+    exps = [math.exp(v - max(row)) for row in logits for v in row]
+    assert m * len(inputs) > sum(at_top) > len(inputs)
+    assert m in at_top and (m == 2 or any(1 < c < m for c in at_top))
+    assert 0.0 in exps and any(0.0 < e < sys.float_info.min for e in exps)
+    for k in (0, 1, len(inputs)):
+        want = np.array([scalar_probs(model, z) for z in inputs[:k].tolist()]).reshape(k, m)
+        got = model.evaluate_batch(inputs[:k])
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
 
 def _fd_gradient(model, x, c, h=1e-6):
@@ -207,6 +250,9 @@ def test_fit_loss_history_never_increases():
     assert len(history) >= 2
     for earlier, later in zip(history, history[1:]):
         assert later <= earlier + 1e-15
+    # Pinned bytes: a change to the trainer's arithmetic shows here.
+    assert hashlib.sha256(np.array(history).tobytes()).hexdigest() == (
+        "c6fc17b4cfccabc494bb8c10ada270551945c6e6bab6340fd5fc650fc05d7db2")
 
 
 def test_fit_rejects_empty_dataset():
