@@ -190,7 +190,10 @@ def brute_force_stability_oracle(model: SmoothedModel, x: Sequence[float],
     dec compares against the class at all-ones. True iff nothing flips.
     Each mus_evaluate_pairs call takes a uint8 array of DRIVER_CHUNK // q
     masks, the anchor first, whose class is the reference; the oracle stops
-    after the chunk holding the first flip.
+    after the chunk holding the first flip. The chunks stay at
+    DRIVER_CHUNK // q masks (at most DRIVER_CHUNK effective rows), not the
+    driver's window of DRIVER_CHUNK pairs, so that little is smoothed past
+    the first flip.
     """
     n = model.grouping.n
     phi_x = validate_mask(phi_x, n)

@@ -3,13 +3,16 @@
 A smoothed model averages the base classifier over its q noise atoms, masks
 with exact per-coordinate keep rates: under mask alpha, atom s masks the
 input by mu OR (alpha AND s). `mus_evaluate_pairs` computes that average
-for many (example, mask) pairs at once. It packs the masks into 64-bit
-words, finds each example's distinct effective masks by sorting those
-words, and sends each of them to the base classifier once; every class sum
-is correctly rounded before it is divided by q, so neither the batching nor
-the deduplication can change a bit, and two evaluations of the same inputs
-agree bit for bit. `masking_equivalence_check` tests it against averaging
-the pre-masked input.
+for many (example, mask) pairs at once, in windows of DRIVER_CHUNK pairs
+(fewer above q = 16, so that a window holds at most 16 * DRIVER_CHUNK
+effective masks). It packs a window's effective masks into 64-bit words,
+finds each example's distinct ones by sorting those words, and sends each
+of them to the base classifier once, in forward calls of at most
+DRIVER_CHUNK rows; every class sum is correctly rounded before it is
+divided by q, so neither the batching nor the deduplication can change a
+bit, and two evaluations of the same inputs agree bit for bit.
+`masking_equivalence_check` tests it against averaging the pre-masked
+input.
 """
 from __future__ import annotations
 
@@ -35,9 +38,12 @@ from .core import (
 from .noise import SmoothingConfig, enumerate_atoms
 
 EQUIVALENCE_TOL = 1e-12
-# Effective-mask rows per chunk of mus_evaluate_pairs: big enough that the
-# fixed cost of a chunk is spread over many pairs, small enough that the
-# chunk's arrays stay a few MB.
+# The one batch bound of mus_evaluate_pairs: the pairs per window (deduped
+# together) and the distinct rows per forward call. A window also holds at
+# most 16 * DRIVER_CHUNK effective rows, so above q = 16 it shrinks to
+# 16 * DRIVER_CHUNK // q pairs, one at least. Big enough that the fixed
+# cost of a window and of a call is spread over many rows, small enough
+# that a window's arrays stay a few MB whatever the q.
 DRIVER_CHUNK = 4096
 # Columns per call from which _atom_means sums with arrays: below it one
 # math.fsum per column is faster (the two cross between 96 and 192 columns
@@ -143,14 +149,17 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
                 alphas: np.ndarray, mus: np.ndarray | None) -> np.ndarray:
     """mus_evaluate_pairs on checked arrays.
 
-    The pairs are taken DRIVER_CHUNK // q at a time. A chunk's effective
-    masks mu OR (alpha AND atom) are built as packed words, one broadcast
-    over its atoms and pairs, in atom-major order. One sort of the words,
-    with the example index above the mask bits when the two fit in 63 bits,
-    finds each example's distinct effective masks; only those are unpacked
-    into mask rows and sent to the base classifier, as one batch. Each
-    class mean over an alpha's q atoms is the correctly rounded sum divided
-    by q, so neither repeated rows nor the chunking can change a bit of it.
+    The pairs are taken DRIVER_CHUNK at a time, a window, or fewer when
+    q > 16, so that a window holds at most 16 * DRIVER_CHUNK effective
+    masks. A window's effective masks mu OR (alpha AND atom) are built as
+    packed words, one broadcast over its atoms and pairs, in atom-major
+    order. One sort of the words, with the example index above the mask
+    bits when the two fit in 63 bits, finds each example's distinct
+    effective masks in the window; only those are unpacked into mask rows
+    and sent to the base classifier, DRIVER_CHUNK rows per call at most.
+    Each class mean over an alpha's q atoms is the correctly rounded sum
+    divided by q, and a row's output does not depend on its batch, so
+    neither repeated rows nor the windows can change a bit of it.
     """
     n, q, m = model.grouping.n, model.cfg.q, model.base.m
     weights = _bit_weights(n)
@@ -166,22 +175,25 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
         exempt = tag if exempt is None else exempt | tag
         index_column = False
     out = np.empty((len(alphas), m))
-    step = max(1, DRIVER_CHUNK // q)
+    step = max(1, min(DRIVER_CHUNK, 16 * DRIVER_CHUNK // q))
     for lo in range(0, len(alphas), step):
-        chunk = slice(lo, lo + step)
-        pairs = examples[chunk]
-        effective = model._atom_words & words[chunk]
+        window = slice(lo, lo + step)
+        pairs = examples[window]
+        effective = model._atom_words & words[window]
         if exempt is not None:
-            effective |= exempt if len(exempt) == 1 else exempt[chunk]
+            effective |= exempt if len(exempt) == 1 else exempt[window]
         # Row j * len(pairs) + i is atom j on pair i.
         effective = effective.reshape(-1, words.shape[1])
         keys = [*effective.T, np.tile(pairs, q)] if index_column else effective.T
         rep, inverse = _distinct(keys)
-        inputs = mask_apply_rows(xs[pairs[rep % len(pairs)]] if len(xs) > 1 else xs[0],
-                                 _unpack_words(effective[rep], n), model._index_map)
-        probs = evaluate_rows(model.base, inputs)[inverse].reshape(q, len(pairs), m)
+        probs = np.empty((len(rep), m))
+        for start in range(0, len(rep), DRIVER_CHUNK):
+            rows = rep[start:start + DRIVER_CHUNK]
+            inputs = mask_apply_rows(xs[pairs[rows % len(pairs)]] if len(xs) > 1 else xs[0],
+                                     _unpack_words(effective[rows], n), model._index_map)
+            probs[start:start + len(rows)] = evaluate_rows(model.base, inputs)
         # The (pairs, q, m) view reads one contiguous (pairs, m) block per atom.
-        out[chunk] = _atom_means(probs.transpose(1, 0, 2))
+        out[window] = _atom_means(probs[inverse].reshape(q, len(pairs), m).transpose(1, 0, 2))
     return out
 
 

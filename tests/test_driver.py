@@ -231,7 +231,7 @@ def _key_columns(n):
     return 1 if n + 3 <= 63 else -(-n // 64) + 1
 
 
-@pytest.mark.parametrize("chunk", [24, 4096], ids=["3-pair-chunks", "one-chunk"])
+@pytest.mark.parametrize("chunk", [24, 4096], ids=["24-pair-windows", "one-window"])
 @pytest.mark.parametrize("batch", [True, False], ids=["evaluate_batch", "evaluate-only"])
 @pytest.mark.parametrize("n", WIDTHS)
 def test_pair_driver_equals_one_example_path(monkeypatch, chunk, batch, n):
@@ -266,6 +266,95 @@ def test_evaluate_only_handle_sees_each_distinct_pair_once(n, with_mu):
     distinct = {(e, (mus[e] | (np.array(a, dtype=np.uint8) & atom)).tobytes())
                 for e, a in zip(examples, alphas) for atom in model.atoms}
     assert model.base.calls == len(distinct) < len(examples) * model.cfg.q
+
+
+class BatchSpy:
+    """A classifier with evaluate_batch, recording the rows of each call."""
+
+    def __init__(self, inner):
+        self.inner, self.d, self.m = inner, inner.d, inner.m
+        self.batches = []
+
+    def evaluate(self, x):
+        return self.inner.evaluate(x)
+
+    def evaluate_batch(self, z):
+        self.batches.append(len(z))
+        return self.inner.evaluate_batch(z)
+
+
+def _distinct_rows(model, examples, alphas, mus):
+    """The distinct (example, effective mask) rows of these pairs."""
+    return len({(e, (mus[e] | (np.array(a, dtype=np.uint8) & atom)).tobytes())
+                for e, a in zip(examples, alphas) for atom in model.atoms})
+
+
+@pytest.mark.parametrize("with_mu", [False, True], ids=["no-mu", "mu"])
+@pytest.mark.parametrize("n", [5, 70])
+def test_window_rows_go_in_forward_calls_of_at_most_driver_chunk(monkeypatch, n, with_mu):
+    """40 pairs in windows of 16: a window's distinct rows go to the base in
+    ceil(distinct / 16) calls, the last one short, and some window needs
+    more than one call."""
+    chunk = 16
+    monkeypatch.setattr(smoothing, "DRIVER_CHUNK", chunk)
+    model, xs, examples, alphas, mus = _driver_instance(n, seed=n)
+    if not with_mu:
+        mus[:] = 0
+    spy = BatchSpy(model.base)
+    model = SmoothedModel.build(spy, model.grouping, model.cfg)
+    got = mus_evaluate_pairs(model, xs, examples, alphas, mus if with_mu else None)
+    windows = [_distinct_rows(model, examples[lo:lo + chunk], alphas[lo:lo + chunk], mus)
+               for lo in range(0, len(examples), chunk)]
+    assert len(windows) == 3 and max(windows) > chunk
+    calls = [[chunk] * (rows // chunk) + [rows % chunk] * (rows % chunk > 0) for rows in windows]
+    assert spy.batches == sum(calls, [])
+    for row, e, alpha in zip(got.tolist(), examples, alphas):
+        one = model.with_mu(tuple(mus[e].tolist())) if with_mu else model
+        assert tuple(row) == mus_evaluate(one, tuple(xs[e].tolist()), alpha)
+
+
+@pytest.mark.parametrize("q", [24, 64, 200])
+def test_window_holds_at_most_16_driver_chunks_of_effective_rows_above_q_16(monkeypatch, q):
+    """With DRIVER_CHUNK = 8 a window holds min(8, 128 // q) pairs, and at
+    least one: at q = 24 and 64 no sort sees more than 16 * 8 effective
+    rows, at q = 200 one pair's 200. No forward call exceeds 8 rows."""
+    chunk = 8
+    monkeypatch.setattr(smoothing, "DRIVER_CHUNK", chunk)
+    rows = []
+    real = smoothing._distinct
+
+    def spy_distinct(keys):
+        rows.append(len(keys[0]))
+        return real(keys)
+
+    monkeypatch.setattr(smoothing, "_distinct", spy_distinct)
+    model, xs, examples, alphas, mus = _driver_instance(5, seed=5)
+    spy = BatchSpy(model.base)
+    model = SmoothedModel.build(spy, model.grouping, SmoothingConfig(q=q, lambda_num=3, seed=5, n=5))
+    got = mus_evaluate_pairs(model, xs, examples, alphas, mus)
+    step = max(1, 16 * chunk // q)
+    assert rows == [q * len(examples[lo:lo + step]) for lo in range(0, len(examples), step)]
+    assert max(rows) <= max(16 * chunk, q) and max(spy.batches) <= chunk
+    for row, e, alpha in zip(got.tolist(), examples, alphas):
+        one = model.with_mu(tuple(mus[e].tolist()))
+        assert tuple(row) == mus_evaluate(one, tuple(xs[e].tolist()), alpha)
+
+
+@pytest.mark.parametrize("n", [5, 70])
+def test_window_dedups_repeats_more_than_driver_chunk_over_q_pairs_apart(monkeypatch, n):
+    """20 pairs, then the same 20 again, in one window of 64 pairs: the
+    copies of a pair sit 20 pairs apart, more than 64 // q = 8, yet the
+    evaluate-only handle sees each distinct row once."""
+    monkeypatch.setattr(smoothing, "DRIVER_CHUNK", 64)
+    model, xs, examples, alphas, mus = _driver_instance(n, batch=False, seed=n + 2)
+    mus[:] = 0
+    examples, alphas = examples[:20] * 2, alphas[:20] * 2
+    mus_evaluate_pairs(model, xs, examples, alphas)
+    step = 64 // model.cfg.q
+    # In chunks of 64 // q pairs the copies fall apart and go out twice.
+    chunked = sum(_distinct_rows(model, examples[lo:lo + step], alphas[lo:lo + step], mus)
+                  for lo in range(0, len(examples), step))
+    assert model.base.calls == _distinct_rows(model, examples, alphas, mus) < chunked
 
 
 def test_pair_driver_rejects_bad_pairs():
