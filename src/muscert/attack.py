@@ -4,7 +4,9 @@ Starting from the attribution mask (incremental) or the full mask
 (decremental), each step flips the single bit that most reduces the
 predicted-class margin, stopping at the first class flip or at the
 budget. A found witness gives an upper bound on the true empirical
-stability radius, to be compared against the certified one.
+stability radius, to be compared against the certified one. The steps of
+one attack_walks call share a memo of base outputs, so a masked input that
+an earlier step sent to the base classifier is not sent again.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from .core import (
     mask_array,
     top_classes_and_gaps,
 )
-from .smoothing import SmoothedModel, mus_evaluate_pairs
+from .smoothing import SmoothedModel, _BaseMemo, _checked_examples, _pair_means
 
 
 @dataclass(frozen=True)
@@ -36,8 +38,12 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
     examples[w] of the (E, d) inputs xs, attribution mask phis[w], budget
     budgets[w] and mode modes[w] ("inc" or "dec").
 
-    Each step scores the candidates of every unfinished walk in one
-    mus_evaluate_pairs pass; no walk's result depends on the others.
+    A reference pass smooths each walk's start mask, and each step then
+    scores the candidates of every unfinished walk in one more pass of the
+    mus_evaluate_pairs driver. The passes share one memo of base outputs,
+    dropped on return, so each distinct masked input of an example goes to
+    the base classifier once per call, however many steps reach it. No
+    walk's result depends on the others.
     """
     if not len(examples) == len(phis) == len(budgets) == len(modes):
         raise ConfigError(
@@ -57,11 +63,12 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
             raise ConfigError(
                 f"budget {budget} outside [0, {free_bits}] free bits for this mask"
             )
-    examples = np.asarray(examples, dtype=np.intp)
+    xs, examples = _checked_examples(model, xs, examples, len(modes))
+    memo = _BaseMemo()
     inc = np.array([mode == "inc" for mode in modes], dtype=bool)
     flip_to = inc.astype(np.uint8)
     alphas = np.where(inc[:, None], phis, np.uint8(1))
-    ref_class = top_classes_and_gaps(mus_evaluate_pairs(model, xs, examples, alphas))[0]
+    ref_class = top_classes_and_gaps(_pair_means(model, xs, examples, alphas, None, memo))[0]
     # A walk ends at its first flip (found, radius = step) or at its budget.
     radius = np.array(budgets, dtype=np.intp)
     found = np.zeros(len(modes), dtype=bool)
@@ -76,7 +83,7 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
         walk, bit = np.nonzero(candidates)
         masks = state[walk]
         masks[np.arange(len(walk)), bit] = flip_to[live][walk]
-        means = mus_evaluate_pairs(model, xs, examples[live][walk], masks)
+        means = _pair_means(model, xs, examples[live][walk], masks, None, memo)
         refs = ref_class[live][walk]
         # The margin is the reference mean less the best other mean: the gap
         # where the reference still leads, else the distance to the leader.

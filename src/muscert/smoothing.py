@@ -8,9 +8,14 @@ for many (example, mask) pairs at once, in windows of DRIVER_CHUNK pairs
 effective masks). It packs a window's effective masks into 64-bit words,
 finds each example's distinct ones by sorting those words, and sends each
 of them to the base classifier once, in forward calls of at most
-DRIVER_CHUNK rows; every class sum is correctly rounded before it is
-divided by q, so neither the batching nor the deduplication can change a
-bit, and two evaluations of the same inputs agree bit for bit.
+DRIVER_CHUNK rows. Its driver, _pair_means, also takes a memo of the base
+outputs computed so far, for a caller that evaluates the same inputs many
+times (attack_walks, once per greedy step): a masked input already sent is
+read back rather than sent again, and the memo grows with the distinct
+rows of the calls that share it. Every class sum is correctly rounded
+before it is divided by q, so neither the batching, the deduplication nor
+the memo can change a bit, and two evaluations of the same inputs agree
+bit for bit.
 `masking_equivalence_check` tests it against averaging the pre-masked
 input.
 """
@@ -129,24 +134,49 @@ def mus_evaluate_pairs(model: SmoothedModel, xs, examples, alphas,
     when given, else model.mu. Row j is the mean over the q atoms s of the
     base output on xs[examples[j]] masked by mu OR (alphas[j] AND s).
     """
-    grouping = model.grouping
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != grouping.d:
-        raise ConfigError(f"input batch shape {xs.shape} is not (E, d={grouping.d})")
-    alphas = mask_array(alphas, grouping.n)
-    examples = np.asarray(examples, dtype=np.intp)
-    if examples.shape != (len(alphas),) or (
-            len(examples) and not 0 <= examples.min() <= examples.max() < len(xs)):
-        raise ConfigError(f"need one example index in [0, {len(xs)}) per alpha")
+    alphas = mask_array(alphas, model.grouping.n)
+    xs, examples = _checked_examples(model, xs, examples, len(alphas))
     if mus is not None:
-        mus = mask_array(mus, grouping.n)
+        mus = mask_array(mus, model.grouping.n)
         if len(mus) != len(xs):
             raise ConfigError(f"got {len(mus)} noise-exempt masks for {len(xs)} examples")
     return _pair_means(model, xs, examples, alphas, mus)
 
 
+def _checked_examples(model: SmoothedModel, xs, examples,
+                      count: int) -> tuple[np.ndarray, np.ndarray]:
+    """xs as an (E, d) float array and examples as count intp indices into
+    it; an index of any other type (a float or a bool) is an error, not
+    truncated."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != model.grouping.d:
+        raise ConfigError(f"input batch shape {xs.shape} is not (E, d={model.grouping.d})")
+    examples = np.asarray(examples)
+    if examples.size and examples.dtype.kind not in "iu":
+        values = examples.ravel().tolist()
+        bad = values[0] if examples.dtype.kind != "f" else next(
+            (v for v in values if not v.is_integer()), values[0])
+        raise ConfigError(f"example index {bad!r} is not an integer")
+    examples = examples.astype(np.intp, copy=False)
+    if examples.shape != (count,) or (
+            count and not 0 <= examples.min() <= examples.max() < len(xs)):
+        raise ConfigError(f"need one example index in [0, {len(xs)}) per alpha")
+    return xs, examples
+
+
+@dataclass
+class _BaseMemo:
+    """Base outputs that _pair_means has computed on one input array xs:
+    distinct key columns, laid out as a window's sort keys, and their
+    (K, m) rows of probabilities. Empty until its first window."""
+
+    keys: list[np.ndarray] | None = None
+    probs: np.ndarray | None = None
+
+
 def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
-                alphas: np.ndarray, mus: np.ndarray | None) -> np.ndarray:
+                alphas: np.ndarray, mus: np.ndarray | None,
+                memo: _BaseMemo | None = None) -> np.ndarray:
     """mus_evaluate_pairs on checked arrays.
 
     The pairs are taken DRIVER_CHUNK at a time, a window, or fewer when
@@ -157,9 +187,17 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
     bits when the two fit in 63 bits, finds each example's distinct
     effective masks in the window; only those are unpacked into mask rows
     and sent to the base classifier, DRIVER_CHUNK rows per call at most.
+
+    A memo carries the base outputs from one call to the next on the same
+    xs and base: each window's sort then runs over the memo's keys followed
+    by the window's, a distinct row found in the memo is read from it, and
+    only the others go to the base and join the memo. So the memo grows
+    with the distinct rows of all the calls that share it, not with the
+    window. Without one, nothing is kept between windows.
+
     Each class mean over an alpha's q atoms is the correctly rounded sum
     divided by q, and a row's output does not depend on its batch, so
-    neither repeated rows nor the windows can change a bit of it.
+    neither repeated rows, the windows nor the memo can change a bit of it.
     """
     n, q, m = model.grouping.n, model.cfg.q, model.base.m
     weights = _bit_weights(n)
@@ -185,16 +223,50 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
         # Row j * len(pairs) + i is atom j on pair i.
         effective = effective.reshape(-1, words.shape[1])
         keys = [*effective.T, np.tile(pairs, q)] if index_column else effective.T
-        rep, inverse = _distinct(keys)
-        probs = np.empty((len(rep), m))
-        for start in range(0, len(rep), DRIVER_CHUNK):
-            rows = rep[start:start + DRIVER_CHUNK]
-            inputs = mask_apply_rows(xs[pairs[rows % len(pairs)]] if len(xs) > 1 else xs[0],
-                                     _unpack_words(effective[rows], n), model._index_map)
-            probs[start:start + len(rows)] = evaluate_rows(model.base, inputs)
+        if memo is None:
+            rep, inverse = _distinct(keys)
+            probs = _base_rows(model, xs, pairs, effective, rep)
+        else:
+            probs, inverse = _memo_rows(model, xs, pairs, effective, keys, memo)
         # The (pairs, q, m) view reads one contiguous (pairs, m) block per atom.
         out[window] = _atom_means(probs[inverse].reshape(q, len(pairs), m).transpose(1, 0, 2))
     return out
+
+
+def _base_rows(model: SmoothedModel, xs: np.ndarray, pairs: np.ndarray,
+               effective: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (len(rows), m) base outputs of the window's effective-mask rows
+    `rows` (row r is an atom on pair r % len(pairs)), DRIVER_CHUNK rows per
+    forward call at most."""
+    probs = np.empty((len(rows), model.base.m))
+    for start in range(0, len(rows), DRIVER_CHUNK):
+        chunk = rows[start:start + DRIVER_CHUNK]
+        inputs = mask_apply_rows(xs[pairs[chunk % len(pairs)]] if len(xs) > 1 else xs[0],
+                                 _unpack_words(effective[chunk], model.grouping.n),
+                                 model._index_map)
+        probs[start:start + len(chunk)] = evaluate_rows(model.base, inputs)
+    return probs
+
+
+def _memo_rows(model: SmoothedModel, xs: np.ndarray, pairs: np.ndarray,
+               effective: np.ndarray, keys, memo: _BaseMemo) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, inverse) of a window as _distinct and _base_rows give them,
+    with every row already in the memo read from it; the window's other
+    distinct rows are computed and appended to the memo."""
+    if memo.keys is None:
+        memo.keys, memo.probs = [key[:0] for key in keys], np.empty((0, model.base.m))
+    known = len(memo.probs)
+    rep, inverse = _distinct([np.concatenate(both) for both in zip(memo.keys, keys)])
+    # Memo keys are distinct, so a group holds at most one memo row; the
+    # other groups hold window rows only and take the next memo slots.
+    slot = np.full(len(rep), -1)
+    slot[inverse[:known]] = np.arange(known)
+    fresh = np.flatnonzero(slot < 0)
+    rows = rep[fresh] - known
+    slot[fresh] = np.arange(known, known + len(rows))
+    memo.probs = np.concatenate((memo.probs, _base_rows(model, xs, pairs, effective, rows)))
+    memo.keys = [np.concatenate((old, key[rows])) for old, key in zip(memo.keys, keys)]
+    return memo.probs, slot[inverse[known:]]
 
 
 @functools.cache

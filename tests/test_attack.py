@@ -173,6 +173,10 @@ def test_attack_walks_need_one_argument_of_each_kind_per_walk():
         attack_walks(model, xs, [0], [phi], [1], ["Inc"])
     with pytest.raises(ConfigError, match=r"^budget 1\.5 is not an integer$"):
         attack_walks(model, xs, [0], [phi], [1.5], ["inc"])
+    # Example indices that are not integers raise instead of being truncated.
+    for index, bad in ((0.6, r"0\.6"), (0.0, r"0\.0"), (False, "False")):
+        with pytest.raises(ConfigError, match=f"^example index {bad} is not an integer$"):
+            attack_walks(model, xs, [index], [phi], [1], ["inc"])
     bad = {
         "budgets short": ([0, 0], [phi, phi], [1], ["inc", "dec"]),
         "budgets long": ([0], [phi], [1, 1], ["inc"]),

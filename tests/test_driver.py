@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from muscert import attribution, smoothing
+from muscert import attack, attribution, smoothing
 from muscert.attack import attack_walks
 from muscert.attribution import gradient_score_rows, greedy_stable_masks
 from muscert.certify import certify_example, certify_examples
@@ -357,10 +357,108 @@ def test_window_dedups_repeats_more_than_driver_chunk_over_q_pairs_apart(monkeyp
     assert model.base.calls == _distinct_rows(model, examples, alphas, mus) < chunked
 
 
+class RowSpy:
+    """A classifier with evaluate_batch, recording the bytes of every row
+    it receives."""
+
+    def __init__(self, inner):
+        self.inner, self.d, self.m = inner, inner.d, inner.m
+        self.rows = []
+
+    def evaluate(self, x):
+        return self.inner.evaluate(x)
+
+    def evaluate_batch(self, z):
+        self.rows += [row.tobytes() for row in np.asarray(z)]
+        return self.inner.evaluate_batch(z)
+
+
+def _attack_instance(n, with_mu, seed, examples=5):
+    """A RowSpy-wrapped linear model and inputs with no zero entry, so that a
+    nonzero masked row names its example and mask; masks with about half
+    their bits on, and budgets of at most 3 free bits."""
+    cfg = SmoothingConfig(q=8, lambda_num=3, seed=seed, n=n)
+    model = SmoothedModel.build(RowSpy(random_linear(n, 3, seed, scale=2.0)),
+                                FeatureGrouping.trivial(n), cfg)
+    stream = LcgStream(derive_rng_state(seed, 9))
+    if with_mu:
+        model = model.with_mu(tuple(int(stream.next_below(4) == 0) for _ in range(n)))
+    xs = np.array([[(1 + stream.next_unit()) * (-1) ** stream.next_below(2) for _ in range(n)]
+                   for _ in range(examples)])
+    phis = [tuple(stream.next_below(2) for _ in range(n)) for _ in range(examples)]
+    budgets = [min(3, n - sum(phi)) for phi in phis]
+    return model, xs, phis, budgets
+
+
+def _effective_rows(model, examples, alphas):
+    """The distinct (example, effective mask) rows of these pairs under the
+    model's mu."""
+    mu = np.array(model.mu or (0,) * model.n, dtype=np.uint8)
+    return {(int(e), (mu | (np.array(a, dtype=np.uint8) & atom)).tobytes())
+            for e, a in zip(examples, alphas) for atom in model.atoms}
+
+
+@pytest.mark.parametrize("with_mu", [False, True], ids=["no-mu", "mu"])
+@pytest.mark.parametrize("n", [5, 70])
+def test_attack_walks_send_each_masked_input_of_an_example_once(monkeypatch, n, with_mu):
+    """One attack_walks call over several examples and steps, in windows of
+    16 pairs: its driver passes share one memo, so the base sees each
+    (example, masked input) once, fewer rows than the passes' distinct rows
+    add up to, and every walk equals the reference walk bit for bit."""
+    monkeypatch.setattr(smoothing, "DRIVER_CHUNK", 16)
+    passes = []
+    real = attack._pair_means
+
+    def spy(model, xs, examples, alphas, mus, memo=None):
+        passes.append(_effective_rows(model, examples, alphas))
+        return real(model, xs, examples, alphas, mus, memo)
+
+    monkeypatch.setattr(attack, "_pair_means", spy)
+    model, xs, phis, budgets = _attack_instance(n, with_mu, seed=n + 3)
+    count = len(xs)
+    walks = attack_walks(model, xs, list(range(count)) * 2, phis * 2, budgets * 2,
+                         ["inc"] * count + ["dec"] * count)
+    assert len(passes) >= 3
+    sent = model.base.rows
+    want = [np.where(np.frombuffer(mask, dtype=np.uint8) != 0, xs[e], 0.0).tobytes()
+            for e, mask in set().union(*passes)]
+    assert sorted(sent) == sorted(want)
+    assert len(sent) < sum(map(len, passes))
+    rows = [tuple(x) for x in xs.tolist()]
+    assert [(w.found, w.radius, w.witness) for w in walks] == [
+        greedy_walk(model, x, phi, b, mode) for mode in ("inc", "dec")
+        for x, phi, b in zip(rows, phis, budgets)]
+
+
+@pytest.mark.parametrize("n", [5, 70])
+def test_attack_walks_results_do_not_depend_on_other_examples(n):
+    """Walks over all examples in one call equal walks on each example
+    alone. Examples 0 and 1 have identical inputs and masks; 2 and 3 have
+    different inputs under the same mask, so their effective masks collide
+    and only the example index keeps their base outputs apart."""
+    model, xs, phis, budgets = _attack_instance(n, False, seed=n + 2, examples=6)
+    xs[1], phis[1], budgets[1] = xs[0], phis[0], budgets[0]
+    phis[3], budgets[3] = phis[2], budgets[2]
+    count = len(xs)
+    examples, modes = list(range(count)) * 2, ["inc"] * count + ["dec"] * count
+    walks = attack_walks(model, xs, examples, phis * 2, budgets * 2, modes)
+    alone = [attack_walks(model, xs[e:e + 1], [0], [phis[e]], [budgets[e]], [mode])[0]
+             for e, mode in zip(examples, modes)]
+    assert walks == alone
+    assert walks[0] == walks[1] and walks[count] == walks[count + 1]
+    assert (walks[2], walks[count + 2]) != (walks[3], walks[count + 3])
+
+
 def test_pair_driver_rejects_bad_pairs():
     model, xs, examples, alphas, mus = _driver_instance(5)
     with pytest.raises(smoothing.ConfigError, match=r"need one example index in \[0, 7\)"):
         mus_evaluate_pairs(model, xs, [7] * len(alphas), alphas)
+    # Indices that are not integers raise instead of being truncated.
+    for indices, bad in (([0.7, 1.2], r"0\.7"), ([0, 1.5], r"1\.5"), ([1.0, 2.0], r"1\.0"),
+                         (np.array([1.0, 2.0]), r"1\.0"), ([True, False], "True")):
+        with pytest.raises(smoothing.ConfigError,
+                           match=f"^example index {bad} is not an integer$"):
+            mus_evaluate_pairs(model, xs, indices, alphas[:2])
     with pytest.raises(smoothing.ConfigError, match="need one example index"):
         mus_evaluate_pairs(model, xs, examples[:-1], alphas)
     with pytest.raises(smoothing.ConfigError, match="got 6 noise-exempt masks for 7"):
