@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     ConfigError,
     Mask,
+    _int_args,
     mask_array,
     top_classes_and_gaps,
 )
@@ -56,9 +57,8 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
     n = model.grouping.n
     phis = mask_array(phis, n)
     free = (n - phis.sum(axis=1, dtype=np.intp)).tolist()
-    for budget, free_bits in zip(budgets, free):
-        if not float(budget).is_integer():
-            raise ConfigError(f"budget {budget!r} is not an integer")
+    budgets = _int_args("budget", budgets)
+    for budget, free_bits in zip(budgets.tolist(), free):
         if budget < 0 or budget > free_bits:
             raise ConfigError(
                 f"budget {budget} outside [0, {free_bits}] free bits for this mask"

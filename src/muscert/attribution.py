@@ -18,6 +18,8 @@ from .core import (
     ConfigError,
     FeatureGrouping,
     Mask,
+    _float_rows,
+    _int_arg,
     evaluate_rows,
     mask_apply_rows,
     top_classes_and_gaps,
@@ -25,7 +27,7 @@ from .core import (
 from . import smoothing
 from .certify import radius_from_gap
 from .noise import iid_bernoulli_bits, lcg_block
-from .smoothing import SmoothedModel, example_row, mus_evaluate_pairs
+from .smoothing import SmoothedModel, mus_evaluate_pairs
 
 FD_STEP = 1e-4
 LIME_RIDGE = 1e-6
@@ -40,7 +42,7 @@ def occlusion_scores(model: SmoothedModel, x: Sequence[float]) -> tuple[float, .
     At full keep (lambda_num = q) every atom is all-ones, so this scores the
     base classifier with each group zeroed in the input (bit for bit at q = 2).
     """
-    return tuple(occlusion_score_rows(model, example_row(model, x))[0].tolist())
+    return tuple(occlusion_score_rows(model, [x])[0].tolist())
 
 
 def occlusion_score_rows(model: SmoothedModel, xs) -> np.ndarray:
@@ -48,7 +50,7 @@ def occlusion_score_rows(model: SmoothedModel, xs) -> np.ndarray:
     array, from one mus_evaluate_pairs pass over all-ones and the n
     single-group ablations of each example."""
     n = model.grouping.n
-    xs = np.asarray(xs, dtype=float)
+    xs = _float_rows(xs, model.grouping.d)
     masks = np.ones((n + 1, n), dtype=np.uint8)
     masks[1:] -= np.eye(n, dtype=np.uint8)
     means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(xs)), n + 1),
@@ -66,7 +68,7 @@ def gradient_score_rows(base: ClassifierHandle, xs,
     group, summed with math.fsum. The classes come from one evaluate_rows
     call over xs, or in finite_difference_rows for a handle with no
     gradient. Every handle output is checked against the contract."""
-    xs = _input_rows(xs, grouping)
+    xs = _float_rows(xs, grouping.d)
     if hasattr(base, "gradient_batch") or hasattr(base, "gradient"):
         grads = _gradient_rows(base, xs, top_classes_and_gaps(evaluate_rows(base, xs))[0])
     else:
@@ -113,20 +115,8 @@ def _gradient_rows(base: ClassifierHandle, xs: np.ndarray, classes: np.ndarray) 
     return grads
 
 
-def _check_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _input_rows(xs, grouping: FeatureGrouping) -> np.ndarray:
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != grouping.d:
-        raise ConfigError(f"input rows of shape {xs.shape} are not (E, d={grouping.d})")
-    return xs
-
-
 def _score_inputs(xs, grouping: FeatureGrouping, rng_states) -> tuple[np.ndarray, list]:
-    xs = _input_rows(xs, grouping)
+    xs = _float_rows(xs, grouping.d)
     rng_states = list(rng_states)
     if len(rng_states) != len(xs):
         raise ConfigError(f"got {len(rng_states)} stream states for {len(xs)} examples")
@@ -155,9 +145,7 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     example's surrogate is then solved on its own.
     """
     n = grouping.n
-    _check_count("samples", samples)
-    if samples < n + 1:
-        raise ConfigError(f"need at least n+1={n + 1} samples, got {samples}")
+    samples = _int_arg("samples", samples, n + 1)
     if kernel_width is None:
         kernel_width = n / 4
     if not kernel_width > 0:
@@ -214,9 +202,7 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     summed per example with math.fsum.
     """
     n = grouping.n
-    _check_count("permutations", permutations)
-    if permutations < 1:
-        raise ConfigError(f"permutations must be >= 1, got {permutations}")
+    permutations = _int_arg("permutations", permutations, 1)
     xs, rng_states = _score_inputs(xs, grouping, rng_states)
     index_map = grouping.index_map()
     if exhaustive:
@@ -298,8 +284,7 @@ def topk_binarize(scores: Sequence[float], k: int) -> Mask:
 
 def topk_mask_rows(scores, k: int, n: int) -> np.ndarray:
     """topk_binarize of every row of the (E, n) scores, as a uint8 array."""
-    if not 0 <= k <= n:
-        raise ConfigError(f"k must be in [0, {n}], got {k}")
+    k = _int_arg("k", k, 0, n)
     return (score_ranks(scores, n) < k).astype(np.uint8)
 
 
@@ -331,8 +316,8 @@ def greedy_stable_masks(model: SmoothedModel, xs, scores: Sequence,
     mus_evaluate_pairs call each, and stop once decided: round 0 sends
     all-ones (prefix n) and prefix 1 of every example, round k the prefixes
     up to 2^k below n, so at most ceil(log2 n) + 1 calls."""
-    if r_inc_target < 0 or r_dec_target < 0:
-        raise ConfigError("radius targets must be nonnegative")
+    r_inc_target = _int_arg("r_inc_target", r_inc_target, 0)
+    r_dec_target = _int_arg("r_dec_target", r_dec_target, 0)
     if len(scores) != len(xs):
         raise ConfigError(f"got {len(scores)} score rows for {len(xs)} examples")
     n, lam, q = model.grouping.n, model.cfg.lambda_num, model.cfg.q

@@ -18,13 +18,15 @@ from . import smoothing
 from .core import (
     ConfigError,
     Mask,
+    _float_rows,
+    _int_arg,
     mask_array,
     ones_mask,
     popcount,
     top_classes_and_gaps,
     validate_mask,
 )
-from .smoothing import SmoothedModel, example_row, mus_evaluate_pairs
+from .smoothing import SmoothedModel, mus_evaluate_pairs
 
 ENUMERATION_GUARD_BITS = 20
 # How far below its computed gap an integer radius must stay. A class mean
@@ -102,7 +104,7 @@ def radius_from_gap(gap: float, lambda_num: int, q: int) -> tuple[float, int]:
 def certify_example(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
                     example_id: int) -> CertRecord:
     """certify_examples of one example."""
-    return certify_examples(model, example_row(model, x), [phi_x], [example_id])[0]
+    return certify_examples(model, [x], [phi_x], [example_id])[0]
 
 
 def certify_examples(model: SmoothedModel, xs, phis, example_ids: Sequence[int],
@@ -116,8 +118,9 @@ def certify_examples(model: SmoothedModel, xs, phis, example_ids: Sequence[int],
     the gap at phis[e]; the decremental radius (bits that may be removed
     from all-ones) from the gap at all-ones. Consistent means both masks
     give the same class. mus, when given, holds each example's noise-exempt
-    mask in place of model.mu.
+    mask in place of model.mu. The ids are stored as Python ints.
     """
+    example_ids = [_int_arg("example id", v) for v in example_ids]
     if not len(xs) == len(phis) == len(example_ids):
         raise ConfigError(f"need one mask and one id per example, got {len(xs)} "
                           f"examples, {len(phis)} masks and {len(example_ids)} ids")
@@ -157,10 +160,12 @@ def enumerate_perturbation_masks(phi_x: Mask, radius: int, mode: Mode) -> Iterat
     inc: supersets of phi_x (anchor phi_x, flips turn bits on).
     dec: submasks of all-ones that still cover phi_x (anchor all-ones,
     flips turn free bits off). Ordered by flip count, then index. Any other
-    mode raises ConfigError when the first mask is drawn.
+    mode, or a radius that is not an integer >= 0, raises ConfigError when
+    the first mask is drawn.
     """
     if mode not in ("inc", "dec"):
         raise ConfigError(f"mode must be 'inc' or 'dec', got {mode!r}")
+    radius = _int_arg("radius", radius, 0)
     n = len(phi_x)
     free = [i for i, bit in enumerate(phi_x) if bit == 0]
     anchor = list(phi_x) if mode == "inc" else list(ones_mask(n))
@@ -198,7 +203,7 @@ def brute_force_stability_oracle(model: SmoothedModel, x: Sequence[float],
     n = model.grouping.n
     phi_x = validate_mask(phi_x, n)
     _guard(phi_x)
-    xs = example_row(model, x)
+    xs = _float_rows([x], model.grouping.d)
     masks = enumerate_perturbation_masks(phi_x, radius, mode)
     step = max(1, smoothing.DRIVER_CHUNK // model.cfg.q)
     ref_class = None

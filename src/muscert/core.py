@@ -76,8 +76,7 @@ class FeatureGrouping:
     @classmethod
     def trivial(cls, d: int) -> "FeatureGrouping":
         """Each raw feature is its own group (the default)."""
-        if d < 1:
-            raise ConfigError(f"feature dimension must be >= 1, got {d}")
+        d = _int_arg("feature dimension", d, 1)
         return cls(groups=tuple((i,) for i in range(d)), d=d)
 
     @classmethod
@@ -123,6 +122,46 @@ class ClassifierHandle(Protocol):
     m: int
 
     def evaluate(self, x: Sequence[float]) -> Sequence[float]: ...
+
+
+def _int_arg(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
+    """The integer rule: value as a Python int when it is a Python or numpy
+    integer in [lo, hi] (either bound optional). A bool is not an integer,
+    nor is any float, even 2.0; either raises ConfigError naming `name`."""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        value = int(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise ConfigError(f"{name} must be >= {lo}, got {value}" if hi is None
+                          else f"{name} must be in [{lo}, {hi}], got {value}")
+    return value
+
+
+def _int_args(name: str, values) -> np.ndarray:
+    """The integer rule on a batch: values as an intp array. An integer
+    array passes as it is; any other batch is checked entry by entry, and
+    its first entry that _int_arg refuses, or that no intp holds, raises."""
+    if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+        batch, intp = np.asarray(values, dtype=object), np.iinfo(np.intp)
+        values = np.array([_int_arg(name, v, int(intp.min), int(intp.max))
+                           for v in batch.ravel().tolist()], dtype=np.intp).reshape(batch.shape)
+    return values.astype(np.intp, copy=False)
+
+
+def _float_rows(xs, d: int) -> np.ndarray:
+    """The input-row rule: xs as a (k, d) float array. Rows that are
+    ragged, hold anything but numbers (bools count as 0 and 1) or are not
+    d wide raise ConfigError. A one-row call passes [x]."""
+    try:
+        rows = np.asarray(xs)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"input rows do not form a (k, d={d}) array") from exc
+    if rows.dtype.kind not in "biuf":
+        raise ConfigError(f"input rows must hold numbers, got dtype {rows.dtype}")
+    if rows.ndim != 2 or rows.shape[1] != d:
+        raise ConfigError(f"input rows of shape {rows.shape} are not (k, d={d})")
+    return rows.astype(float, copy=False)
 
 
 def validate_logits_batch(probs, k: int, m: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DataError, FeatureGrouping, Vector
+from .core import ConfigError, DataError, FeatureGrouping, Vector, _int_arg
 from .noise import LcgStream
 
 
@@ -118,11 +118,9 @@ def synth_blobs(n_per_class: int, d: int, m: int, separation: float,
     Examples come out class-major; draws consume one shared stream so the
     dataset is a pure function of rng_state.
     """
-    if d < 1 or m < 2:
-        raise ConfigError(f"need d >= 1 and m >= 2, got d={d} m={m}")
-    if n_per_class < 1:
-        raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
-    stream = LcgStream(rng_state)
+    d, m = _int_arg("d", d, 1), _int_arg("m", m, 2)
+    n_per_class = _int_arg("n_per_class", n_per_class, 1)
+    stream = LcgStream(_int_arg("rng_state", rng_state))
     examples = []
     for c in range(m):
         center = [separation if j == c % d else 0.0 for j in range(d)]

@@ -22,6 +22,8 @@ from .core import (
     DataError,
     Logits,
     Vector,
+    _float_rows,
+    _int_args,
     _zero_unless,
 )
 from .noise import LcgStream
@@ -61,29 +63,15 @@ def _affine_cols(cols: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.
     return acc
 
 
-def _batch_input(z, d: int) -> np.ndarray:
-    arr = np.asarray(z, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != d:
-        raise ConfigError(f"input batch shape {arr.shape} is not (k, d={d})")
-    return arr
-
-
 def _batch_classes(classes, k: int, m: int) -> np.ndarray:
-    """One class per input row, each in 0..m-1, as an intp array."""
-    arr = np.asarray(classes, dtype=np.intp)
+    """One class per input row, each an integer in 0..m-1, as an intp array."""
+    arr = _int_args("class", classes)
     if arr.shape != (k,):
         raise ConfigError(f"got classes of shape {arr.shape} for {k} input rows")
     outside = (arr < 0) | (arr >= m)
     if outside.any():
         raise ConfigError(f"class {int(arr[outside][0])} outside 0..{m - 1}")
     return arr
-
-
-def _one_row(x: Sequence[float], d: int) -> list:
-    """[x], the batch of one input, for evaluate and gradient."""
-    if len(x) != d:
-        raise ConfigError(f"input length {len(x)} != d={d}")
-    return [x]
 
 
 @dataclass(frozen=True)
@@ -117,20 +105,20 @@ class LinearSoftmaxModel:
         return len(self.weights)
 
     def evaluate(self, x: Sequence[float]) -> Logits:
-        return tuple(self.evaluate_batch(_one_row(x, self.d))[0].tolist())
+        return tuple(self.evaluate_batch([x])[0].tolist())
 
     def gradient(self, x: Sequence[float], c: int) -> Vector:
-        return tuple(self.gradient_batch(_one_row(x, self.d), [c])[0].tolist())
+        return tuple(self.gradient_batch([x], [c])[0].tolist())
 
     def evaluate_batch(self, z) -> np.ndarray:
         """(k, m) array of the class probabilities of each row of z."""
-        cols = np.ascontiguousarray(_batch_input(z, self.d).T)
+        cols = np.ascontiguousarray(_float_rows(z, self.d).T)
         return _softmax_rows(_affine_cols(cols, self._w, self._b))
 
     def gradient_batch(self, z, classes) -> np.ndarray:
         """(k, d) array whose row r is d p_c / d z[r] = p_c * (W_c - sum_j
         p_j W_j) at c = classes[r], the sum over j in class order from 0.0."""
-        z = _batch_input(z, self.d)
+        z = _float_rows(z, self.d)
         classes = _batch_classes(classes, len(z), self.m)
         p = self.evaluate_batch(z)
         mix = np.zeros(z.shape)
@@ -176,10 +164,10 @@ class MlpModel:
         return len(self.w2)
 
     def evaluate(self, x: Sequence[float]) -> Logits:
-        return tuple(self.evaluate_batch(_one_row(x, self.d))[0].tolist())
+        return tuple(self.evaluate_batch([x])[0].tolist())
 
     def gradient(self, x: Sequence[float], c: int) -> Vector:
-        return tuple(self.gradient_batch(_one_row(x, self.d), [c])[0].tolist())
+        return tuple(self.gradient_batch([x], [c])[0].tolist())
 
     def _forward(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (h, k) hidden pre-activations, one column per row of z, and
@@ -190,13 +178,13 @@ class MlpModel:
 
     def evaluate_batch(self, z) -> np.ndarray:
         """(k, m) array of the class probabilities of each row of z."""
-        return self._forward(_batch_input(z, self.d))[1]
+        return self._forward(_float_rows(z, self.d))[1]
 
     def gradient_batch(self, z, classes) -> np.ndarray:
         """(k, d) array whose row r is d p_c / d z[r] at c = classes[r]: back
         through W2, summed over the classes in order from 0.0, then through
         W1, summed over the units with a positive pre-activation in order."""
-        z = _batch_input(z, self.d)
+        z = _float_rows(z, self.d)
         classes = _batch_classes(classes, len(z), self.m)
         w1, _, w2, _ = self._layers
         pre, p = self._forward(z)

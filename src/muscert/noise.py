@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, _int_arg
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -115,19 +115,11 @@ class SmoothingConfig:
     n: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.q, int) or isinstance(self.q, bool) or self.q <= 1:
-            raise ConfigError(f"q must be an integer > 1, got {self.q!r}")
-        if (not isinstance(self.lambda_num, int) or isinstance(self.lambda_num, bool)
-                or not 1 <= self.lambda_num <= self.q):
-            raise ConfigError(
-                f"lambda_num must satisfy 1 <= lambda_num <= q={self.q}, "
-                f"got {self.lambda_num!r}"
-            )
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ConfigError(f"n must be an integer >= 1, got {self.n!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", self.seed & _MASK64)
+        q = _int_arg("q", self.q, 2)
+        fields = {"q": q, "lambda_num": _int_arg("lambda_num", self.lambda_num, 1, q),
+                  "n": _int_arg("n", self.n, 1), "seed": _int_arg("seed", self.seed) & _MASK64}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def lam(self) -> float:
@@ -165,10 +157,7 @@ def iid_bernoulli_bits(lam: float, n: int, count: int, rng_state) -> np.ndarray:
     """
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"lambda must lie in [0, 1], got {lam!r}")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    if count < 0:
-        raise ConfigError(f"count must be >= 0, got {count}")
+    n, count = _int_arg("n", n, 1), _int_arg("count", count, 0)
     units = (lcg_block(rng_state, count * n) >> 32) / _TOP32
     return (units < lam).astype(np.uint8).reshape(units.shape[:-1] + (count, n))
 

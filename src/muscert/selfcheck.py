@@ -16,10 +16,10 @@ import numpy as np
 
 from .attribution import FD_STEP, finite_difference_rows, gradient_score_rows, shap_score_rows
 from .certify import certify_example
-from .core import ConfigError, FeatureGrouping, evaluate_rows, top_classes_and_gaps
+from .core import FeatureGrouping, _int_arg, evaluate_rows, top_classes_and_gaps
 from .models import MlpModel, random_linear, random_mlp
 from .noise import LcgStream, SmoothingConfig, derive_rng_state, enumerate_atoms
-from .smoothing import (EQUIVALENCE_TOL, SmoothedModel, _premasked_means, example_row,
+from .smoothing import (EQUIVALENCE_TOL, SmoothedModel, _premasked_means,
                         masking_equivalence_check, mus_evaluate_pairs)
 
 LIPSCHITZ_SLACK = 1e-9
@@ -73,7 +73,7 @@ def _random_instance(trial_seed: int, max_n: int):
     model = SmoothedModel.build(base, grouping, cfg)
     x = _random_x(stream, n)
     masks = _all_masks(n)
-    table = mus_evaluate_pairs(model, example_row(model, x), np.zeros(len(masks), np.intp), masks)
+    table = mus_evaluate_pairs(model, [x], np.zeros(len(masks), np.intp), masks)
     return model, x, table, stream.state
 
 
@@ -194,12 +194,8 @@ def _near_relu_kink(base: MlpModel, x: tuple[float, ...]) -> bool:
 
 
 def run_selfcheck(max_n: int = 6, trials: int = 20, seed: int = 0) -> SelfcheckReport:
-    if max_n > 10:
-        raise ConfigError(f"max_n is capped at 10, got {max_n}")
-    if max_n < 2:
-        raise ConfigError(f"max_n must be >= 2, got {max_n}")
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+    max_n, trials = _int_arg("max_n", max_n, 2, 10), _int_arg("trials", trials, 1)
+    seed = _int_arg("seed", seed)
     lqv_marginals = check_lqv_marginals(trials, seed, max_n)
     # Three suites share each trial's instance, built once and dropped after
     # its trial, so memory stays flat in the trial count.

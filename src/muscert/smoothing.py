@@ -34,6 +34,8 @@ from .core import (
     ConfigError,
     FeatureGrouping,
     Mask,
+    _float_rows,
+    _int_args,
     evaluate_rows,
     mask_apply_rows,
     mask_array,
@@ -118,13 +120,6 @@ def _mu_words(mu: Mask | None, n: int) -> np.ndarray | None:
     return None if mu is None else np.array([mu], dtype=np.uint8) @ _bit_weights(n)
 
 
-def example_row(model: SmoothedModel, x: Sequence[float]) -> np.ndarray:
-    """One input as the (1, d) array that mus_evaluate_pairs takes."""
-    if len(x) != model.grouping.d:
-        raise ConfigError(f"input length {len(x)} != d={model.grouping.d}")
-    return np.asarray(x, dtype=float)[None, :]
-
-
 def mus_evaluate_pairs(model: SmoothedModel, xs, examples, alphas,
                        mus=None) -> np.ndarray:
     """Smoothed class means of many (example, alpha) pairs, as a (K, m) array.
@@ -145,19 +140,10 @@ def mus_evaluate_pairs(model: SmoothedModel, xs, examples, alphas,
 
 def _checked_examples(model: SmoothedModel, xs, examples,
                       count: int) -> tuple[np.ndarray, np.ndarray]:
-    """xs as an (E, d) float array and examples as count intp indices into
-    it; an index of any other type (a float or a bool) is an error, not
-    truncated."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != model.grouping.d:
-        raise ConfigError(f"input batch shape {xs.shape} is not (E, d={model.grouping.d})")
-    examples = np.asarray(examples)
-    if examples.size and examples.dtype.kind not in "iu":
-        values = examples.ravel().tolist()
-        bad = values[0] if examples.dtype.kind != "f" else next(
-            (v for v in values if not v.is_integer()), values[0])
-        raise ConfigError(f"example index {bad!r} is not an integer")
-    examples = examples.astype(np.intp, copy=False)
+    """xs as an (E, d) float array by the input-row rule, and examples as
+    count intp indices into it by the integer rule."""
+    xs = _float_rows(xs, model.grouping.d)
+    examples = _int_args("example index", examples)
     if examples.shape != (count,) or (
             count and not 0 <= examples.min() <= examples.max() < len(xs)):
         raise ConfigError(f"need one example index in [0, {len(xs)}) per alpha")
@@ -395,8 +381,9 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
     if len(masks) == 0:
         return True
     # x and the masks are checked here, so mus_evaluate_pairs' checks are skipped.
-    lhs = _pair_means(model, example_row(model, x), np.zeros(len(masks), np.intp), masks, None)
-    return bool((np.abs(lhs - _premasked_means(model, x, masks)) <= EQUIVALENCE_TOL).all())
+    xs = _float_rows([x], grouping.d)
+    lhs = _pair_means(model, xs, np.zeros(len(masks), np.intp), masks, None)
+    return bool((np.abs(lhs - _premasked_means(model, xs[0], masks)) <= EQUIVALENCE_TOL).all())
 
 
 def _premasked_means(model: SmoothedModel, x: Sequence[float], masks: np.ndarray) -> np.ndarray:

@@ -1,0 +1,167 @@
+"""The two argument rules of core, table-driven over every argument they guard.
+
+The integer rule: a count, size, radius, budget, seed or id is a Python or
+numpy integer; a bool is not one, nor is any float, even 2.0. The input-row
+rule: inputs are a (k, d) array of numbers; a row of strings or a ragged
+batch raises ConfigError rather than a bare ValueError.
+"""
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from muscert.attack import attack_walks
+from muscert.attribution import (
+    gradient_score_rows,
+    greedy_stable_masks,
+    lime_score_rows,
+    occlusion_score_rows,
+    occlusion_scores,
+    shap_score_rows,
+    topk_binarize,
+    topk_mask_rows,
+)
+from muscert.certify import (
+    brute_force_stability_oracle,
+    certify_example,
+    certify_examples,
+    enumerate_perturbation_masks,
+)
+from muscert.core import ConfigError, FeatureGrouping
+from muscert.data import synth_blobs
+from muscert.models import random_linear, random_mlp
+from muscert.noise import SmoothingConfig, iid_bernoulli_bits
+from muscert.selfcheck import run_selfcheck
+from muscert.smoothing import SmoothedModel, mus_evaluate_pairs
+
+N = 3
+GROUPING = FeatureGrouping.trivial(N)
+BASE = random_linear(N, 2, 5)
+MLP = random_mlp(N, 4, 2, 6)
+MODEL = SmoothedModel.build(BASE, GROUPING, SmoothingConfig(q=4, lambda_num=2, seed=1, n=N))
+XS = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.5]])
+PHI = (1, 0, 0)
+SCORES = [(0.3, 0.1, 0.2)]
+
+
+def _config(**fields):
+    return SmoothingConfig(**{"q": 8, "lambda_num": 2, "seed": 3, "n": N, **fields})
+
+
+# (name in the message, call with the argument set to v, a valid Python int).
+INTEGER_ARGUMENTS = {
+    "SmoothingConfig q": ("q", lambda v: _config(q=v), 8),
+    "SmoothingConfig lambda_num": ("lambda_num", lambda v: _config(lambda_num=v), 2),
+    "SmoothingConfig seed": ("seed", lambda v: _config(seed=v), 3),
+    "SmoothingConfig n": ("n", lambda v: _config(n=v), 3),
+    "iid_bernoulli_bits n": ("n", lambda v: iid_bernoulli_bits(0.5, v, 4, 7), 3),
+    "iid_bernoulli_bits count": ("count", lambda v: iid_bernoulli_bits(0.5, 3, v, 7), 4),
+    "synth_blobs n_per_class": ("n_per_class", lambda v: synth_blobs(v, 2, 2, 1.0, 5), 2),
+    "synth_blobs d": ("d", lambda v: synth_blobs(2, v, 2, 1.0, 5), 2),
+    "synth_blobs m": ("m", lambda v: synth_blobs(2, 2, v, 1.0, 5), 2),
+    "synth_blobs rng_state": ("rng_state", lambda v: synth_blobs(2, 2, 2, 1.0, v), 5),
+    "FeatureGrouping.trivial": ("feature dimension", FeatureGrouping.trivial, 3),
+    "run_selfcheck max_n": ("max_n", lambda v: run_selfcheck(max_n=v, trials=1), 2),
+    "run_selfcheck trials": ("trials", lambda v: run_selfcheck(max_n=2, trials=v), 1),
+    "run_selfcheck seed": ("seed", lambda v: run_selfcheck(max_n=2, trials=1, seed=v), 3),
+    "lime samples": ("samples", lambda v: lime_score_rows(BASE, XS, GROUPING, v,
+                                                          rng_states=[1, 2]), 8),
+    "shap permutations": ("permutations", lambda v: shap_score_rows(BASE, XS, GROUPING, v,
+                                                                    rng_states=[1, 2]), 3),
+    "topk_mask_rows k": ("k", lambda v: topk_mask_rows(SCORES, v, N), 2),
+    "topk_binarize k": ("k", lambda v: topk_binarize(SCORES[0], v), 2),
+    "greedy r_inc_target": ("r_inc_target",
+                            lambda v: greedy_stable_masks(MODEL, XS[:1], SCORES, v, 0), 1),
+    "greedy r_dec_target": ("r_dec_target",
+                            lambda v: greedy_stable_masks(MODEL, XS[:1], SCORES, 0, v), 1),
+    "enumerate radius": ("radius", lambda v: list(enumerate_perturbation_masks(PHI, v, "inc")), 1),
+    "oracle radius": ("radius", lambda v: brute_force_stability_oracle(MODEL, XS[0], PHI, v,
+                                                                       "dec"), 2),
+    "certify example id": ("example id",
+                           lambda v: certify_examples(MODEL, XS[:1], [PHI], [v]), 4),
+    "pairs example index": ("example index",
+                            lambda v: mus_evaluate_pairs(MODEL, XS, [v], [PHI]), 1),
+    "attack example index": ("example index",
+                             lambda v: attack_walks(MODEL, XS, [v], [PHI], [1], ["inc"]), 1),
+    "attack budget": ("budget", lambda v: attack_walks(MODEL, XS, [0], [PHI], [v], ["dec"]), 2),
+    "gradient class": ("class", lambda v: MLP.gradient(XS[0], v), 1),
+    "gradient_batch class": ("class", lambda v: MLP.gradient_batch(XS[:1], [v]), 1),
+}
+
+
+def _output_bytes(out) -> bytes:
+    """Arrays by their bytes, sequences item by item, anything else by its
+    repr, which shows a numpy scalar kept in place of an int."""
+    if isinstance(out, np.ndarray):
+        return out.tobytes()
+    if isinstance(out, (list, tuple)):
+        return b"|".join(map(_output_bytes, out))
+    return repr(out).encode()
+
+
+@pytest.mark.parametrize("case", INTEGER_ARGUMENTS)
+def test_integer_rule(case):
+    name, call, good = INTEGER_ARGUMENTS[case]
+    for bad in (2.5, 2.0, True, "3"):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer, got {bad!r}$"):
+            call(bad)
+    want = _output_bytes(call(good))
+    for value in (np.int64(good), np.uint8(good)):
+        assert _output_bytes(call(value)) == want
+
+
+@pytest.mark.parametrize("case", ["pairs example index", "attack example index",
+                                  "attack budget", "gradient_batch class"])
+def test_integer_rule_on_a_batch_refuses_what_no_intp_holds(case):
+    name, call, _good = INTEGER_ARGUMENTS[case]
+    intp = np.iinfo(np.intp)
+    for huge in (2 ** 70, int(intp.max) + 1, int(intp.min) - 1):
+        with pytest.raises(ConfigError, match=(
+                rf"^{name} must be in \[{intp.min}, {intp.max}\], got {huge}$")):
+            call(huge)
+
+
+def test_integer_rule_stores_python_ints():
+    cfg = _config(q=np.int64(8), lambda_num=np.uint8(2), seed=np.int64(3), n=np.uint8(N))
+    assert all(type(getattr(cfg, f)) is int for f in ("q", "lambda_num", "seed", "n"))
+    assert cfg == _config()
+    assert type(certify_examples(MODEL, XS[:1], [PHI], [np.uint8(4)])[0].example_id) is int
+    assert type(synth_blobs(2, np.int64(2), np.uint8(2), 1.0, 5).m) is int
+
+
+STRINGS = [("a", "b", "c")]
+RAGGED = [(1.0, 2.0, 3.0), (1.0, 2.0)]
+ONE_RAGGED = (1.0, (2.0, 3.0), 4.0)
+
+# Each stage called on a batch of input rows, or on one input for the one-row calls.
+ROW_STAGES = {
+    "mus_evaluate_pairs": (lambda xs: mus_evaluate_pairs(MODEL, xs, [0], [PHI]), False),
+    "occlusion_score_rows": (lambda xs: occlusion_score_rows(MODEL, xs), False),
+    "gradient_score_rows": (lambda xs: gradient_score_rows(BASE, xs, GROUPING), False),
+    "lime_score_rows": (lambda xs: lime_score_rows(BASE, xs, GROUPING, 8,
+                                                   rng_states=[0] * len(xs)), False),
+    "shap_score_rows": (lambda xs: shap_score_rows(BASE, xs, GROUPING, 2,
+                                                   rng_states=[0] * len(xs)), False),
+    "attack_walks": (lambda xs: attack_walks(MODEL, xs, [0], [PHI], [1], ["inc"]), False),
+    "linear evaluate_batch": (BASE.evaluate_batch, False),
+    "mlp evaluate_batch": (MLP.evaluate_batch, False),
+    "occlusion_scores": (lambda x: occlusion_scores(MODEL, x), True),
+    "certify_example": (lambda x: certify_example(MODEL, x, PHI, 0), True),
+    "linear evaluate": (BASE.evaluate, True),
+    "mlp evaluate": (MLP.evaluate, True),
+}
+
+
+@pytest.mark.parametrize("stage", ROW_STAGES)
+def test_input_row_rule(stage):
+    call, one_row = ROW_STAGES[stage]
+    with pytest.raises(ConfigError, match=r"^input rows must hold numbers, got dtype <U1$"):
+        call(STRINGS[0] if one_row else STRINGS)
+    with pytest.raises(ConfigError, match=r"^input rows do not form a \(k, d=3\) array$"):
+        call(ONE_RAGGED if one_row else RAGGED)
+    with pytest.raises(ConfigError, match=r"^input rows of shape \(1, 2\) are not \(k, d=3\)$"):
+        call((1.0, 2.0) if one_row else [(1.0, 2.0)])
+    # Numeric strings are not numbers either, and good rows pass.
+    with pytest.raises(ConfigError, match=r"^input rows must hold numbers, got dtype <U3$"):
+        call(("1.5",) * N if one_row else [("1.5",) * N])
+    call(tuple(XS[0].tolist()) if one_row else XS[:1].tolist())

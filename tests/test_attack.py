@@ -171,11 +171,11 @@ def test_attack_walks_need_one_argument_of_each_kind_per_walk():
     phi = (1, 0, 0, 1)
     with pytest.raises(ConfigError, match="^mode must be 'inc' or 'dec', got 'Inc'$"):
         attack_walks(model, xs, [0], [phi], [1], ["Inc"])
-    with pytest.raises(ConfigError, match=r"^budget 1\.5 is not an integer$"):
+    with pytest.raises(ConfigError, match=r"^budget must be an integer, got 1\.5$"):
         attack_walks(model, xs, [0], [phi], [1.5], ["inc"])
     # Example indices that are not integers raise instead of being truncated.
     for index, bad in ((0.6, r"0\.6"), (0.0, r"0\.0"), (False, "False")):
-        with pytest.raises(ConfigError, match=f"^example index {bad} is not an integer$"):
+        with pytest.raises(ConfigError, match=f"^example index must be an integer, got {bad}$"):
             attack_walks(model, xs, [index], [phi], [1], ["inc"])
     bad = {
         "budgets short": ([0, 0], [phi, phi], [1], ["inc", "dec"]),

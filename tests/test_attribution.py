@@ -267,7 +267,7 @@ def test_lime_constant_classifier_has_flat_surrogate():
 
 def test_lime_sample_floor():
     handle = ConstantHandle((0.5, 0.5), d=3)
-    with pytest.raises(ConfigError, match=r"need at least n\+1=4 samples, got 3"):
+    with pytest.raises(ConfigError, match=r"^samples must be >= 4, got 3$"):
         lime_score_rows(handle, [(1.0, 1.0, 1.0)], FeatureGrouping.trivial(3),
                         samples=3)
 
@@ -392,6 +392,12 @@ def test_topk_extremes_and_range():
         topk_binarize(sv, 3)
     with pytest.raises(ConfigError, match=r"k must be in \[0, 2\], got -1"):
         topk_binarize(sv, -1)
+    # 2.5 once kept 3 groups and True kept 1.
+    for k in (2.5, True, 1.0):
+        with pytest.raises(ConfigError, match=f"^k must be an integer, got {k!r}$"):
+            topk_mask_rows([(0.1, 0.2, 0.3)], k, 3)
+        with pytest.raises(ConfigError, match=f"^k must be an integer, got {k!r}$"):
+            topk_binarize(sv, k)
 
 
 @pytest.mark.parametrize("scores,group,shown", [
@@ -497,7 +503,15 @@ def test_greedy_met_masks_pass_independent_recheck():
 
 def test_greedy_rejects_negative_targets():
     model = _small_smoothed()
-    with pytest.raises(ConfigError, match="radius targets must be nonnegative"):
+    with pytest.raises(ConfigError, match="^r_inc_target must be >= 0, got -1$"):
         greedy_stable_masks(model, [(1.0, 1.0, 1.0, 1.0)], [(0.1, 0.2, 0.3, 0.4)], -1, 0)
+    with pytest.raises(ConfigError, match="^r_dec_target must be >= 0, got -2$"):
+        greedy_stable_masks(model, [(1.0, 1.0, 1.0, 1.0)], [(0.1, 0.2, 0.3, 0.4)], 0, -2)
+    # A target of 0.5 once acted as a target of 1.
+    for targets, shown in (((0.5, 0), "r_inc_target must be an integer, got 0.5"),
+                           ((0, 0.5), "r_dec_target must be an integer, got 0.5"),
+                           ((True, 0), "r_inc_target must be an integer, got True")):
+        with pytest.raises(ConfigError, match=f"^{shown}$"):
+            greedy_stable_masks(model, [(1.0, 1.0, 1.0, 1.0)], [(0.1, 0.2, 0.3, 0.4)], *targets)
 
 

@@ -1,16 +1,20 @@
 """Radius arithmetic, consistency, and brute-force oracle agreement."""
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 
+from muscert import smoothing
 from muscert.certify import (
     GAP_MARGIN,
     brute_force_stability_oracle,
     certify_example,
+    certify_examples,
     enumerate_perturbation_masks,
     radius_from_gap,
 )
@@ -167,6 +171,39 @@ def test_enumeration_order_dec_example():
 def test_oracle_radius_zero_is_vacuous():
     model = indicator_model()
     assert brute_force_stability_oracle(model, (1.0, 1.0), (0, 1), 0, "inc")
+
+
+def test_oracle_rejects_a_radius_that_is_not_a_count(monkeypatch):
+    """A negative radius once enumerated nothing, so the oracle passed
+    without smoothing a single mask; 1.5 raised a bare TypeError."""
+    model = indicator_model()
+    sent = []
+    monkeypatch.setattr("muscert.certify.mus_evaluate_pairs",
+                        lambda *args: sent.append(args) or smoothing.mus_evaluate_pairs(*args))
+    for radius, shown in ((-1, "must be >= 0, got -1"), (1.5, "must be an integer, got 1.5"),
+                          (True, "must be an integer, got True")):
+        for mode in ("inc", "dec"):
+            with pytest.raises(ConfigError, match=f"^radius {shown}$"):
+                brute_force_stability_oracle(model, (1.0, 1.0), (1, 0), radius, mode)
+            with pytest.raises(ConfigError, match=f"^radius {shown}$"):
+                list(enumerate_perturbation_masks((1, 0), radius, mode))
+    assert sent == []
+    assert brute_force_stability_oracle(model, (1.0, 1.0), (1, 0), np.int64(1), "inc")
+    assert len(sent) == 1
+
+
+def test_certificate_ids_are_python_ints():
+    model, x, phi = random_triple(3)
+    xs, phis = [x] * 4, [phi] * 4
+    want = [json.dumps(r.to_json_dict()) for r in certify_examples(model, xs, phis, range(4))]
+    for ids in (np.arange(4), np.arange(4, dtype=np.uint8), [np.int64(e) for e in range(4)]):
+        records = certify_examples(model, xs, phis, ids)
+        assert all(type(r.example_id) is int for r in records)
+        assert [json.dumps(r.to_json_dict()) for r in records] == want
+    for ids, shown in (([0, True], "True"), ([0, 2.5], "2.5"), ([2.0, 1], "2.0"),
+                       ([0, "1"], "'1'")):
+        with pytest.raises(ConfigError, match=f"^example id must be an integer, got {shown}$"):
+            certify_examples(model, xs[:2], phis[:2], ids)
 
 
 def test_oracle_guard_rejects_wide_enumerations():

@@ -169,9 +169,9 @@ def test_synth_blobs_center_wraps_past_d():
 def test_synth_blobs_config_errors():
     with pytest.raises(ConfigError, match="n_per_class must be >= 1, got 0"):
         synth_blobs(0, 2, 2, 1.0, 0)
-    with pytest.raises(ConfigError, match="need d >= 1 and m >= 2, got d=0 m=2"):
+    with pytest.raises(ConfigError, match="^d must be >= 1, got 0$"):
         synth_blobs(3, 0, 2, 1.0, 0)
-    with pytest.raises(ConfigError, match="need d >= 1 and m >= 2, got d=2 m=1"):
+    with pytest.raises(ConfigError, match="^m must be >= 2, got 1$"):
         synth_blobs(3, 2, 1, 1.0, 0)
 
 

@@ -457,13 +457,14 @@ def test_pair_driver_rejects_bad_pairs():
     for indices, bad in (([0.7, 1.2], r"0\.7"), ([0, 1.5], r"1\.5"), ([1.0, 2.0], r"1\.0"),
                          (np.array([1.0, 2.0]), r"1\.0"), ([True, False], "True")):
         with pytest.raises(smoothing.ConfigError,
-                           match=f"^example index {bad} is not an integer$"):
+                           match=f"^example index must be an integer, got {bad}$"):
             mus_evaluate_pairs(model, xs, indices, alphas[:2])
     with pytest.raises(smoothing.ConfigError, match="need one example index"):
         mus_evaluate_pairs(model, xs, examples[:-1], alphas)
     with pytest.raises(smoothing.ConfigError, match="got 6 noise-exempt masks for 7"):
         mus_evaluate_pairs(model, xs, examples, alphas, mus[:6])
-    with pytest.raises(smoothing.ConfigError, match=r"input batch shape \(7, 4\)"):
+    with pytest.raises(smoothing.ConfigError,
+                       match=r"^input rows of shape \(7, 4\) are not \(k, d=5\)$"):
         mus_evaluate_pairs(model, xs[:, :4], examples, alphas)
 
 
