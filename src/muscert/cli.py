@@ -212,7 +212,7 @@ def cmd_attack(args) -> int:
     records = certify_examples(smoothed, xs, phis, range(len(phis)))
     budgets = n - phis.sum(axis=1, dtype=np.intp)
     if args.budget is not None:
-        budgets = np.minimum(budgets, args.budget)
+        budgets = np.minimum(budgets, min(args.budget, n))  # an int past 2^63 fits no intp
     # The incremental walks of every example, then the decremental ones.
     walks = attack_walks(smoothed, xs, np.tile(np.arange(len(phis)), 2), np.tile(phis, (2, 1)),
                          np.tile(budgets, 2), ["inc"] * len(phis) + ["dec"] * len(phis))

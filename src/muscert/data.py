@@ -5,8 +5,6 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import ConfigError, DataError, FeatureGrouping, Vector, _int_arg
 from .noise import LcgStream
 
@@ -40,18 +38,36 @@ def _is_numeric(field: str) -> bool:
     return True
 
 
+def _read_text(path: str, what: str) -> str:
+    """The text of an input file, decoded as UTF-8 with universal newlines.
+    A file that cannot be opened or decoded raises DataError naming `what`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def _read_json_object(path: str, what: str) -> dict:
+    """The JSON object an input file holds; anything else raises DataError."""
+    try:
+        doc = json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{what} file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{what} file {path} must hold a JSON object")
+    return doc
+
+
 def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
     """Parse comma-separated rows of decimals; one column holds the label.
 
     The label column defaults to the last one. A first row whose fields
     are all non-numeric is treated as a header and skipped. Features must be
     finite: nan and inf parse as floats but cannot be masked or certified.
+    The first bad row raises its DataError.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
-        raise DataError(f"cannot read dataset file {path}: {exc}") from exc
+    lines = _read_text(path, "dataset").split("\n")
     rows = [(i + 1, ln.split(",")) for i, ln in enumerate(lines) if ln.strip()]
     if not rows:
         raise DataError(f"dataset file {path} has no rows")
@@ -65,42 +81,28 @@ def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
     col = width - 1 if label_col is None else label_col
     if not 0 <= col < width:
         raise ConfigError(f"label column {col} outside 0..{width - 1}")
-    try:
-        if any(len(fields) != width for _, fields in rows):
-            raise ValueError("ragged rows")
-        table = np.array(list(map(float, [f for _, fields in rows for f in fields])))
-        features = np.delete(table.reshape(len(rows), width), col, axis=1)
-        labels = [int(fields[col]) for _, fields in rows]
-        if not np.isfinite(features).all() or min(labels) < 0:
-            raise ValueError("bad values")
-    except ValueError:
-        _raise_row_error(path, rows, width, col)
-        raise
-    return LabeledDataset(examples=tuple(zip(map(tuple, features.tolist()), labels)),
-                          d=width - 1, m=max(2, max(labels) + 1))
-
-
-def _raise_row_error(path: str, rows, width: int, col: int) -> None:
-    """Raise the DataError of the first bad row, as a row-by-row parse finds it."""
+    examples = []
     for rownum, fields in rows:
         if len(fields) != width:
             raise DataError(f"{path} row {rownum}: {len(fields)} fields, expected {width}")
         try:
-            x = tuple(float(f) for i, f in enumerate(fields) if i != col)
+            x = tuple(map(float, fields[:col] + fields[col + 1:]))
         except ValueError as exc:
             raise DataError(f"{path} row {rownum}: non-numeric feature: {exc}") from exc
-        for v in x:
-            if not math.isfinite(v):
-                raise DataError(f"{path} row {rownum}: feature {v!r} is not finite")
-        raw_label = fields[col].strip()
+        if not all(map(math.isfinite, x)):
+            bad = next(v for v in x if not math.isfinite(v))
+            raise DataError(f"{path} row {rownum}: feature {bad!r} is not finite")
         try:
-            y = int(raw_label)
+            y = int(fields[col])
         except ValueError as exc:
             raise DataError(
-                f"{path} row {rownum}: label {raw_label!r} is not an integer"
+                f"{path} row {rownum}: label {fields[col].strip()!r} is not an integer"
             ) from exc
         if y < 0:
             raise DataError(f"{path} row {rownum}: negative label {y}")
+        examples.append((x, y))
+    return LabeledDataset(examples=tuple(examples), d=width - 1,
+                          m=max(2, max(y for _, y in examples) + 1))
 
 
 def save_csv_dataset(dataset: LabeledDataset, path: str) -> None:
@@ -133,13 +135,4 @@ def synth_blobs(n_per_class: int, d: int, m: int, separation: float,
 
 def load_grouping(path: str) -> FeatureGrouping:
     """Read a grouping document: {"d": int, "groups": [[indices], ...]}."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read grouping file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"grouping file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"grouping file {path} must hold a JSON object")
-    return FeatureGrouping.from_json_dict(doc)
+    return FeatureGrouping.from_json_dict(_read_json_object(path, "grouping"))

@@ -23,9 +23,11 @@ from .core import (
     Logits,
     Vector,
     _float_rows,
+    _int_arg,
     _int_args,
     _zero_unless,
 )
+from .data import _read_json_object
 from .noise import LcgStream
 
 MODEL_KINDS = ("linear", "mlp")
@@ -206,7 +208,8 @@ class MlpModel:
 
 def random_linear(d: int, m: int, rng_state: int, scale: float = 1.0) -> LinearSoftmaxModel:
     """Gaussian-initialized linear model; deterministic given rng_state."""
-    stream = LcgStream(rng_state)
+    d, m = _int_arg("d", d, 1), _int_arg("m", m, 2)
+    stream = LcgStream(_int_arg("rng_state", rng_state))
     vals = [v * scale for v in stream.next_gauss_values(m * d + m)]
     weights = tuple(tuple(vals[r * d: (r + 1) * d]) for r in range(m))
     bias = tuple(vals[m * d:])
@@ -214,7 +217,8 @@ def random_linear(d: int, m: int, rng_state: int, scale: float = 1.0) -> LinearS
 
 
 def random_mlp(d: int, h: int, m: int, rng_state: int, scale: float = 1.0) -> MlpModel:
-    stream = LcgStream(rng_state)
+    d, h, m = _int_arg("d", d, 1), _int_arg("h", h, 1), _int_arg("m", m, 2)
+    stream = LcgStream(_int_arg("rng_state", rng_state))
     vals = [v * scale for v in stream.next_gauss_values(h * d + h + m * h + m)]
     pos = 0
     w1 = tuple(tuple(vals[pos + r * d: pos + (r + 1) * d]) for r in range(h))
@@ -375,15 +379,7 @@ def save_model(model: LinearSoftmaxModel | MlpModel, path: str) -> None:
 
 
 def load_model(path: str) -> LinearSoftmaxModel | MlpModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"model file {path} must hold a JSON object")
+    doc = _read_json_object(path, "model")
     kind = doc.get("kind")
     if kind not in MODEL_KINDS:
         raise DataError(

@@ -84,6 +84,13 @@ INTEGER_ARGUMENTS = {
     "attack example index": ("example index",
                              lambda v: attack_walks(MODEL, XS, [v], [PHI], [1], ["inc"]), 1),
     "attack budget": ("budget", lambda v: attack_walks(MODEL, XS, [0], [PHI], [v], ["dec"]), 2),
+    "random_linear d": ("d", lambda v: random_linear(v, 2, 5), 3),
+    "random_linear m": ("m", lambda v: random_linear(3, v, 5), 2),
+    "random_linear rng_state": ("rng_state", lambda v: random_linear(3, 2, v), 5),
+    "random_mlp d": ("d", lambda v: random_mlp(v, 4, 2, 6), 3),
+    "random_mlp h": ("h", lambda v: random_mlp(3, v, 2, 6), 4),
+    "random_mlp m": ("m", lambda v: random_mlp(3, 4, v, 6), 2),
+    "random_mlp rng_state": ("rng_state", lambda v: random_mlp(3, 4, 2, v), 6),
     "gradient class": ("class", lambda v: MLP.gradient(XS[0], v), 1),
     "gradient_batch class": ("class", lambda v: MLP.gradient_batch(XS[:1], [v]), 1),
 }
@@ -119,6 +126,20 @@ def test_integer_rule_on_a_batch_refuses_what_no_intp_holds(case):
         with pytest.raises(ConfigError, match=(
                 rf"^{name} must be in \[{intp.min}, {intp.max}\], got {huge}$")):
             call(huge)
+
+
+# The floor of each random model size: one below it raises.
+SIZE_FLOORS = {"random_linear d": 1, "random_linear m": 2, "random_mlp d": 1,
+               "random_mlp h": 1, "random_mlp m": 2}
+
+
+@pytest.mark.parametrize("case", SIZE_FLOORS)
+def test_random_model_sizes_have_floors(case):
+    name, call, _good = INTEGER_ARGUMENTS[case]
+    floor = SIZE_FLOORS[case]
+    with pytest.raises(ConfigError, match=f"^{name} must be >= {floor}, got {floor - 1}$"):
+        call(floor - 1)
+    call(floor)
 
 
 def test_integer_rule_stores_python_ints():

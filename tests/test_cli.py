@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, file formats, determinism."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import muscert
 from muscert.attack import AttackResult
@@ -17,6 +21,7 @@ from muscert.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFICATION,
+    SCORERS,
     main,
 )
 from muscert.core import (
@@ -198,6 +203,56 @@ def test_negative_radius_target_is_usage_error_before_inputs_are_read(
     argv[argv.index("--model") + 1] = str(tmp_path / "missing-model.json")
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err == f"error: {flag} must be >= 0, got -1\n"
+
+
+# ------------------------------------------------------------ integer flags
+
+# Boundary values for every integer flag. The sizes that allocate or loop by
+# their value (--q, --lime-samples, --shap-permutations, --trials) take only
+# small ones.
+INT_VALUES = ["0", "-1", "1", str(2 ** 31), str(2 ** 63), str(2 ** 64), "x"]
+SIZE_VALUES = ["-1", "0", "1", "2", "4", "x"]
+SIZE_FLAGS = ("--q", "--lime-samples", "--shap-permutations", "--trials")
+SMOOTHING_FLAGS = ("--q", "--lambda-num", "--seed", "--workers")
+SCORER_FLAGS = ("--lime-samples", "--shap-permutations")
+COMMAND_FLAGS = {
+    "certify": SMOOTHING_FLAGS + SCORER_FLAGS + ("--topk", "--rinc", "--rdec"),
+    "accuracy-curve": SMOOTHING_FLAGS,
+    "explain": SMOOTHING_FLAGS + SCORER_FLAGS + ("--rinc", "--rdec"),
+    "attack": SMOOTHING_FLAGS + SCORER_FLAGS + ("--topk", "--rinc", "--rdec", "--budget"),
+    "selfcheck": ("--max-n", "--trials", "--seed"),
+}
+
+
+@st.composite
+def _integer_flag_argv(draw, small_artifacts):
+    """A command line whose integer flags take boundary values. The fixed
+    flags come first, so a drawn flag overrides them."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), unique=True, max_size=4))
+    argv = [command]
+    if command != "selfcheck":
+        argv += _base_args(small_artifacts, small_artifacts["dir"] / "flags.out")
+    if command in ("certify", "explain", "attack"):
+        argv += ["--scorer", draw(st.sampled_from(SCORERS))]
+    if command in ("certify", "attack") and not {"--topk", "--rinc", "--rdec"} & set(flags):
+        argv += ["--topk", "2"]
+    for flag in flags:
+        argv += [flag, draw(st.sampled_from(SIZE_VALUES if flag in SIZE_FLAGS else INT_VALUES))]
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_integer_flags_exit_with_a_documented_code(small_artifacts, data):
+    argv = data.draw(_integer_flag_argv(small_artifacts))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_VERIFICATION), argv
+    lines = err.getvalue().splitlines(keepends=True)
+    assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")
+                           and lines[0].endswith("\n")), (argv, lines)
 
 
 # ------------------------------------------------------------------ certify
@@ -392,10 +447,11 @@ def test_attack_passes_on_sound_certificates(small_artifacts, tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_attack_clips_budget_to_free_bits(small_artifacts, tmp_path):
+@pytest.mark.parametrize("budget", [99, 2 ** 63, 10 ** 30])
+def test_attack_clips_budget_to_free_bits(small_artifacts, tmp_path, budget):
     out = tmp_path / "clip.ndjson"
     argv = ["attack", *_base_args(small_artifacts, out),
-            "--topk", "5", "--budget", "99"]
+            "--topk", "5", "--budget", str(budget)]
     assert main(argv) == EXIT_OK
     rows = _read_records(out)
     rows.pop()

@@ -15,7 +15,7 @@ from muscert.data import (
     save_csv_dataset,
     synth_blobs,
 )
-from muscert.models import fit_logistic
+from muscert.models import fit_logistic, load_model
 from muscert.noise import derive_rng_state
 
 
@@ -94,8 +94,8 @@ def test_negative_label_rejected(tmp_path):
     ("3.0,4.0,-2", "negative label -2"),
 ])
 def test_bad_last_row_gives_its_row_error(small_artifacts, tmp_path, capsys, last_row, error):
-    """Rows are parsed as one batch; a bad row, here the last of many good
-    ones, still gets the message and exit code of a row-by-row parse."""
+    """A bad row, here the last of many good ones, gets its own message and
+    exit code, as the first bad row of the file."""
     lines = [f"{i}.5,-{i}.25,{i % 3}" for i in range(40)] + [last_row]
     path = _write(tmp_path, "last.csv", "f0,f1,label\n" + "\n".join(lines) + "\n")
     message = f"{path} row 42: {error}"
@@ -123,6 +123,18 @@ def test_label_col_out_of_range(tmp_path):
 def test_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError, match="cannot read dataset file"):
         load_csv_dataset(str(tmp_path / "nope.csv"))
+
+
+def test_crlf_rows_load_as_their_lf_twin(tmp_path):
+    text = "f0,f1,label\n1.5,-2.0,0\n\n3.0,4.25,2\n"
+    lf = load_csv_dataset(_write(tmp_path, "lf.csv", text))
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    assert load_csv_dataset(str(crlf)) == lf
+    bad = tmp_path / "bad_crlf.csv"
+    bad.write_bytes(b"1.0,2.0,0\r\n3.0,1\r\n")
+    with pytest.raises(DataError, match=f"^{re.escape(str(bad))} row 2: 2 fields, expected 3$"):
+        load_csv_dataset(str(bad))
 
 
 def test_round_trip_preserves_floats_exactly(tmp_path):
@@ -209,3 +221,43 @@ def test_load_grouping_errors(tmp_path):
     )
     with pytest.raises(DataError, match="raw index 1 appears in more than one group"):
         load_grouping(overlapping)
+
+
+# Each JSON input file: its loader and the name its errors give it.
+JSON_LOADERS = {"model": load_model, "grouping": load_grouping}
+
+
+@pytest.mark.parametrize("what", JSON_LOADERS)
+@pytest.mark.parametrize("content,error", [
+    (None, "cannot read {what} file {path}: "),
+    ("{not json", "{what} file {path} is not valid JSON: "),
+    ("[1, 2]", "{what} file {path} must hold a JSON object"),
+])
+def test_json_reader_errors(tmp_path, what, content, error):
+    path = str(tmp_path / f"{what}.json")
+    if content is not None:
+        _write(tmp_path, f"{what}.json", content)
+    with pytest.raises(DataError) as err:
+        JSON_LOADERS[what](path)
+    assert str(err.value).startswith(error.format(what=what, path=path))
+
+
+@pytest.mark.parametrize("what,flag", [
+    ("dataset", "--data"), ("model", "--model"), ("grouping", "--grouping"),
+])
+def test_undecodable_file_is_data_error(small_artifacts, tmp_path, capsys, what, flag):
+    """A file that is not UTF-8 raises DataError naming its kind, and the CLI
+    prints one error line and exits 2."""
+    bad = tmp_path / f"{what}.bin"
+    bad.write_bytes(b"\xff\xfe1\x00,\x002\x00\n\x00")
+    message = (f"cannot read {what} file {bad}: 'utf-8' codec can't decode byte 0xff "
+               "in position 0: invalid start byte")
+    loader = {"dataset": load_csv_dataset, **JSON_LOADERS}[what]
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        loader(str(bad))
+    # The last --model or --data given wins.
+    code = main(["certify", "--model", small_artifacts["model_path"],
+                 "--data", small_artifacts["data_path"], flag, str(bad),
+                 "--out", str(tmp_path / "o"), "--q", "8", "--lambda-num", "2", "--topk", "2"])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
