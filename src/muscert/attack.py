@@ -46,6 +46,8 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
     the base classifier once per call, however many steps reach it. No
     walk's result depends on the others.
     """
+    n = model.grouping.n
+    phis = mask_array(phis, n)
     if not len(examples) == len(phis) == len(budgets) == len(modes):
         raise ConfigError(
             f"need one example, mask, budget and mode per walk, got {len(examples)}, "
@@ -54,8 +56,6 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
     for mode in modes:
         if mode not in ("inc", "dec"):
             raise ConfigError(f"mode must be 'inc' or 'dec', got {mode!r}")
-    n = model.grouping.n
-    phis = mask_array(phis, n)
     free = (n - phis.sum(axis=1, dtype=np.intp)).tolist()
     budgets = _int_args("budget", budgets)
     for budget, free_bits in zip(budgets.tolist(), free):

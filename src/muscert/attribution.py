@@ -148,8 +148,9 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     samples = _int_arg("samples", samples, n + 1)
     if kernel_width is None:
         kernel_width = n / 4
-    if not kernel_width > 0:
-        raise ConfigError(f"kernel width must be positive, got {kernel_width}")
+    if not (kernel_width > 0 and kernel_width * kernel_width > 0):
+        raise ConfigError(f"kernel width must be positive with a nonzero square, "
+                          f"got {kernel_width}")
     xs, rng_states = _score_inputs(xs, grouping, rng_states)
     index_map = grouping.index_map()
     kernel = np.array([math.exp(-(dropped * dropped) / (kernel_width * kernel_width))

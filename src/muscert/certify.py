@@ -22,9 +22,7 @@ from .core import (
     _int_arg,
     mask_array,
     ones_mask,
-    popcount,
     top_classes_and_gaps,
-    validate_mask,
 )
 from .smoothing import SmoothedModel, mus_evaluate_pairs
 
@@ -120,11 +118,11 @@ def certify_examples(model: SmoothedModel, xs, phis, example_ids: Sequence[int],
     give the same class. mus, when given, holds each example's noise-exempt
     mask in place of model.mu. The ids are stored as Python ints.
     """
+    phis = mask_array(phis, model.grouping.n)
     example_ids = [_int_arg("example id", v) for v in example_ids]
     if not len(xs) == len(phis) == len(example_ids):
         raise ConfigError(f"need one mask and one id per example, got {len(xs)} "
                           f"examples, {len(phis)} masks and {len(example_ids)} ids")
-    phis = mask_array(phis, model.grouping.n)
     alphas = np.stack([np.ones_like(phis), phis], axis=1).reshape(-1, phis.shape[1])
     means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(phis)), 2), alphas, mus)
     classes, gaps = top_classes_and_gaps(means)
@@ -160,15 +158,17 @@ def enumerate_perturbation_masks(phi_x: Mask, radius: int, mode: Mode) -> Iterat
     inc: supersets of phi_x (anchor phi_x, flips turn bits on).
     dec: submasks of all-ones that still cover phi_x (anchor all-ones,
     flips turn free bits off). Ordered by flip count, then index. Any other
-    mode, or a radius that is not an integer >= 0, raises ConfigError when
-    the first mask is drawn.
+    mode, a radius that is not an integer >= 0, or a phi_x that the mask
+    rule refuses at its own length raises ConfigError when the first mask
+    is drawn.
     """
     if mode not in ("inc", "dec"):
         raise ConfigError(f"mode must be 'inc' or 'dec', got {mode!r}")
     radius = _int_arg("radius", radius, 0)
-    n = len(phi_x)
+    n = len(phi_x) if hasattr(phi_x, "__len__") else 0
+    phi_x = mask_array([phi_x], n)[0].tolist()
     free = [i for i, bit in enumerate(phi_x) if bit == 0]
-    anchor = list(phi_x) if mode == "inc" else list(ones_mask(n))
+    anchor = phi_x if mode == "inc" else list(ones_mask(n))
     flip_to = 1 if mode == "inc" else 0
     for size in range(min(radius, len(free)) + 1):
         for chosen in combinations(free, size):
@@ -176,15 +176,6 @@ def enumerate_perturbation_masks(phi_x: Mask, radius: int, mode: Mode) -> Iterat
             for i in chosen:
                 out[i] = flip_to
             yield tuple(out)
-
-
-def _guard(phi_x: Mask) -> None:
-    free_bits = len(phi_x) - popcount(phi_x)
-    if free_bits > ENUMERATION_GUARD_BITS:
-        raise ConfigError(
-            f"{free_bits} free bits exceeds the enumeration guard of "
-            f"{ENUMERATION_GUARD_BITS}"
-        )
 
 
 def brute_force_stability_oracle(model: SmoothedModel, x: Sequence[float],
@@ -201,8 +192,10 @@ def brute_force_stability_oracle(model: SmoothedModel, x: Sequence[float],
     the first flip.
     """
     n = model.grouping.n
-    phi_x = validate_mask(phi_x, n)
-    _guard(phi_x)
+    phi_x = tuple(mask_array([phi_x], n)[0].tolist())
+    if (free_bits := phi_x.count(0)) > ENUMERATION_GUARD_BITS:
+        raise ConfigError(f"{free_bits} free bits exceeds the enumeration guard of "
+                          f"{ENUMERATION_GUARD_BITS}")
     xs = _float_rows([x], model.grouping.d)
     masks = enumerate_perturbation_masks(phi_x, radius, mode)
     step = max(1, smoothing.DRIVER_CHUNK // model.cfg.q)

@@ -262,34 +262,33 @@ def popcount(a: Mask) -> int:
     return sum(a)
 
 
-def mask_array(masks: Sequence[Mask], n: int) -> np.ndarray:
-    """The masks as a (k, n) uint8 array, checked as validate_mask checks each.
-
-    A non-empty well-formed batch of numbers is checked as one array whose
-    entries are all exactly 0 or 1, and returned as it is when it is such a
-    uint8 array already; any other batch goes through validate_mask mask by
-    mask, which raises its usual error.
+def mask_array(masks, n: int) -> np.ndarray:
+    """The mask rule: masks as a (k, n) uint8 array. They must be a batch of
+    numbers that all equal 0 or 1 exactly (True and 1.0 pass; 0.5, NaN and
+    2**70 do not), else ConfigError names the first mask that is not n of
+    them. A uint8 array passes with one max() check and comes back as it is;
+    an empty batch comes back as (0, n). A one-mask call passes [a].
     """
     if (isinstance(masks, np.ndarray) and masks.dtype == np.uint8 and masks.ndim == 2
-            and masks.shape[1] == n and masks.size and masks.max() <= 1):
+            and masks.shape[1] == n and (not masks.size or masks.max() <= 1)):
         return masks
+    if (batch := _zero_one_rows(masks, n)) is not None:
+        return batch
+    try:
+        bad = next((a for a in masks if _zero_one_rows([a], n) is None), masks)
+    except TypeError:
+        bad = masks
+    raise ConfigError(f"a mask must be {n} entries of 0 or 1, got {bad!r}")
+
+
+def _zero_one_rows(masks, n: int) -> np.ndarray | None:
+    """masks as a (k, n) uint8 array if they are a batch of 0s and 1s."""
     try:
         batch = np.asarray(masks)
-    except (ValueError, TypeError, OverflowError):
-        batch = None
-    if (batch is not None and batch.dtype.kind in "biuf" and batch.ndim == 2
-            and batch.shape[1] == n and batch.size and ((batch == 0) | (batch == 1)).all()):
-        return batch.astype(np.uint8)
-    return np.array([validate_mask(a, n) for a in masks], dtype=np.uint8).reshape(-1, n)
-
-
-def validate_mask(a: Sequence[int], n: int | None = None) -> Mask:
-    """Boundary check for masks coming from files or flags: every entry must
-    equal 0 or 1 exactly (True and 1.0 pass, 0.5 does not)."""
-    values = list(a)
-    if not all(v in (0, 1) for v in values):
-        raise DataError(f"mask entries must be 0 or 1, got {values!r}")
-    bits = tuple(int(v) for v in values)
-    if n is not None and len(bits) != n:
-        raise ConfigError(f"mask length {len(bits)} != expected {n}")
-    return bits
+    except (TypeError, ValueError):
+        return None
+    if batch.shape[:1] == (0,) or (batch.dtype.kind in "biuf" and batch.ndim == 2
+                                   and batch.shape[1] == n
+                                   and ((batch == 0) | (batch == 1)).all()):
+        return batch.astype(np.uint8).reshape(len(batch), n)
+    return None

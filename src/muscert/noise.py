@@ -19,6 +19,9 @@ LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
 _MASK64 = (1 << 64) - 1
 _TOP32 = float(1 << 32)
+# The largest q: the atoms of one pair then fill a default driver window
+# (16 * smoothing.DRIVER_CHUNK rows), and 2q still fits a uint64.
+MAX_Q = 2 ** 16
 
 
 def lcg_step(state: int) -> int:
@@ -107,7 +110,7 @@ def derive_rng_state(seed: int, index: int = 0) -> int:
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Quantization q, keep-probability lambda_num/q, seed, and group count n."""
+    """Quantization q (at most MAX_Q), keep-probability lambda_num/q, seed, group count n."""
 
     q: int
     lambda_num: int
@@ -115,7 +118,7 @@ class SmoothingConfig:
     n: int
 
     def __post_init__(self) -> None:
-        q = _int_arg("q", self.q, 2)
+        q = _int_arg("q", self.q, 2, MAX_Q)
         fields = {"q": q, "lambda_num": _int_arg("lambda_num", self.lambda_num, 1, q),
                   "n": _int_arg("n", self.n, 1), "seed": _int_arg("seed", self.seed) & _MASK64}
         for name, value in fields.items():

@@ -39,8 +39,6 @@ from .core import (
     evaluate_rows,
     mask_apply_rows,
     mask_array,
-    validate_mask,
-    zeros_mask,
 )
 from .noise import SmoothingConfig, enumerate_atoms
 
@@ -63,8 +61,8 @@ class SmoothedModel:
     """A base classifier wrapped with the noise atoms of its config.
 
     `atoms` is the read-only (q, n) uint8 array enumerate_atoms(cfg). `mu`
-    marks feature groups exempt from noise (always kept on), checked as
-    validate_mask checks it; when absent every group is subject to masking.
+    marks feature groups exempt from noise (always kept on), checked by the
+    mask rule (core.mask_array); when absent every group is subject to masking.
     """
 
     base: ClassifierHandle
@@ -85,7 +83,7 @@ class SmoothedModel:
         if self.cfg.n != n:
             raise ConfigError(f"smoothing config is over n={self.cfg.n} groups, grouping has {n}")
         if self.mu is not None:
-            object.__setattr__(self, "mu", validate_mask(self.mu, n))
+            object.__setattr__(self, "mu", tuple(mask_array([self.mu], n)[0].tolist()))
         atoms = enumerate_atoms(self.cfg)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_index_map", self.grouping.index_map())
@@ -101,7 +99,7 @@ class SmoothedModel:
     def with_mu(self, mu: Mask | None) -> "SmoothedModel":
         """This model with noise-exempt mask mu, sharing atoms and arrays."""
         if mu is not None:
-            mu = validate_mask(mu, self.grouping.n)
+            mu = tuple(mask_array([mu], self.grouping.n)[0].tolist())
         twin = copy.copy(self)
         object.__setattr__(twin, "mu", mu)
         object.__setattr__(twin, "_mu_words", _mu_words(mu, self.grouping.n))
@@ -372,16 +370,12 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
     """
     grouping = model.grouping
     masks = mask_array(alphas, grouping.n)
-    mu = np.array(model.mu if model.mu is not None else zeros_mask(grouping.n),
-                  dtype=np.uint8)
-    if not (masks >= mu).all():
-        raise ConfigError(
-            "equivalence requires alpha to cover the noise-exempt mask mu"
-        )
-    if len(masks) == 0:
-        return True
+    if model.mu is not None and not (masks >= model.mu).all():
+        raise ConfigError("equivalence requires alpha to cover the noise-exempt mask mu")
     # x and the masks are checked here, so mus_evaluate_pairs' checks are skipped.
     xs = _float_rows([x], grouping.d)
+    if len(masks) == 0:
+        return True
     lhs = _pair_means(model, xs, np.zeros(len(masks), np.intp), masks, None)
     return bool((np.abs(lhs - _premasked_means(model, xs[0], masks)) <= EQUIVALENCE_TOL).all())
 

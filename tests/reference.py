@@ -38,7 +38,7 @@ from muscert.core import (
     Logits,
     Mask,
     Vector,
-    validate_mask,
+    mask_array,
     zeros_mask,
 )
 from muscert.attribution import FD_STEP, LIME_RIDGE, _sampled_orders
@@ -207,7 +207,7 @@ def mus_evaluate(model: SmoothedModel, x: Sequence[float], alpha: Mask) -> Logit
     grouping = model.grouping
     if len(x) != grouping.d:
         raise ConfigError(f"input length {len(x)} != d={grouping.d}")
-    validate_mask(alpha, grouping.n)
+    mask_array([alpha], grouping.n)
     mu = model.mu if model.mu is not None else zeros_mask(grouping.n)
     m = model.base.m
     q = model.cfg.q
@@ -288,7 +288,7 @@ def rmus_estimate(base: ClassifierHandle, grouping: FeatureGrouping,
     """
     if len(x) != grouping.d:
         raise ConfigError(f"input length {len(x)} != d={grouping.d}")
-    alpha = validate_mask(alpha, grouping.n)
+    alpha = tuple(mask_array([alpha], grouping.n)[0].tolist())
     if samples < 1:
         raise ConfigError(f"samples must be >= 1, got {samples}")
     draws = iid_bernoulli_bits(lam, grouping.n, samples, rng_state)

@@ -1,9 +1,11 @@
-"""The two argument rules of core, table-driven over every argument they guard.
+"""The three argument rules of core, table-driven over every argument they guard.
 
 The integer rule: a count, size, radius, budget, seed or id is a Python or
 numpy integer; a bool is not one, nor is any float, even 2.0. The input-row
 rule: inputs are a (k, d) array of numbers; a row of strings or a ragged
-batch raises ConfigError rather than a bare ValueError.
+batch raises ConfigError rather than a bare ValueError. The mask rule: masks
+are a (k, n) batch of numbers that all equal 0 or 1; anything else raises
+ConfigError naming the first bad mask.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ from muscert.data import synth_blobs
 from muscert.models import random_linear, random_mlp
 from muscert.noise import SmoothingConfig, iid_bernoulli_bits
 from muscert.selfcheck import run_selfcheck
-from muscert.smoothing import SmoothedModel, mus_evaluate_pairs
+from muscert.smoothing import SmoothedModel, masking_equivalence_check, mus_evaluate_pairs
 
 N = 3
 GROUPING = FeatureGrouping.trivial(N)
@@ -168,6 +170,8 @@ ROW_STAGES = {
     "mlp evaluate_batch": (MLP.evaluate_batch, False),
     "occlusion_scores": (lambda x: occlusion_scores(MODEL, x), True),
     "certify_example": (lambda x: certify_example(MODEL, x, PHI, 0), True),
+    "masking_equivalence_check, no masks": (
+        lambda x: masking_equivalence_check(MODEL, x, []), True),
     "linear evaluate": (BASE.evaluate, True),
     "mlp evaluate": (MLP.evaluate, True),
 }
@@ -186,3 +190,68 @@ def test_input_row_rule(stage):
     with pytest.raises(ConfigError, match=r"^input rows must hold numbers, got dtype <U3$"):
         call(("1.5",) * N if one_row else [("1.5",) * N])
     call(tuple(XS[0].tolist()) if one_row else XS[:1].tolist())
+
+
+GOOD_MASK = (1, 0, 1)
+
+# Each entry point of the mask rule called with the masks argument set to v,
+# and whether v is one mask (True) or a batch of them (False).
+MASK_ARGUMENTS = {
+    "mus_evaluate_pairs alphas": (lambda v: mus_evaluate_pairs(MODEL, XS, [0], v), False),
+    "mus_evaluate_pairs mus": (lambda v: mus_evaluate_pairs(MODEL, XS[:1], [0], [GOOD_MASK],
+                                                            mus=v), False),
+    "certify_examples phis": (lambda v: certify_examples(MODEL, XS[:1], v, [0]), False),
+    "certify_examples mus": (lambda v: certify_examples(MODEL, XS[:1], [GOOD_MASK], [0],
+                                                        mus=v), False),
+    "certify_example": (lambda v: certify_example(MODEL, XS[0], v, 0), True),
+    "attack_walks phis": (lambda v: attack_walks(MODEL, XS, [0], v, [1], ["inc"]), False),
+    "SmoothedModel mu": (lambda v: SmoothedModel(BASE, GROUPING, MODEL.cfg, mu=v), True),
+    "SmoothedModel.build mu": (lambda v: SmoothedModel.build(BASE, GROUPING, MODEL.cfg, v), True),
+    "with_mu": (MODEL.with_mu, True),
+    "oracle phi": (lambda v: brute_force_stability_oracle(MODEL, XS[0], v, 1, "inc"), True),
+    "enumerate phi": (lambda v: list(enumerate_perturbation_masks(v, 1, "inc")), True),
+    "masking_equivalence_check": (lambda v: masking_equivalence_check(MODEL, XS[0], v), False),
+}
+
+# (one mask, a batch, the mask the rule names): the same fault given to a
+# one-mask and to a batch entry point. The last row is a batch where one
+# mask is due, and one mask where a batch is.
+BAD_MASKS = {
+    "2": ((1, 2, 0), [(1, 2, 0)], (1, 2, 0)),
+    "0.5": ((1, 0.5, 0), [(1, 0.5, 0)], (1, 0.5, 0)),
+    "NaN": ((1, float("nan"), 0), [(1, float("nan"), 0)], (1, float("nan"), 0)),
+    "None": ((1, None, 0), [(1, None, 0)], (1, None, 0)),
+    "string": ("101", ["101"], "101"),
+    "wrong width": ((1, 1), [(1, 1)], (1, 1)),
+    "ragged": ((1, (0, 1), 0), [(1, 1, 1), (1, 1)], (1, 1)),
+    "batch or flat": ([GOOD_MASK], GOOD_MASK, 1),
+}
+
+
+@pytest.mark.parametrize("case", MASK_ARGUMENTS)
+@pytest.mark.parametrize("fault", BAD_MASKS)
+def test_mask_rule(case, fault):
+    call, one_mask = MASK_ARGUMENTS[case]
+    one, batch, named = BAD_MASKS[fault]
+    bad, named = (one, one) if one_mask else (batch, named)
+    # enumerate_perturbation_masks takes a mask of any width, its own length.
+    if case == "enumerate phi" and fault == "wrong width":
+        assert call(bad) == [(1, 1)]
+        return
+    n = len(bad) if case == "enumerate phi" else N
+    with pytest.raises(ConfigError) as err:
+        call(bad)
+    assert str(err.value) == f"a mask must be {n} entries of 0 or 1, got {named!r}"
+
+
+GOOD_FORMS = (GOOD_MASK, list(GOOD_MASK), np.array(GOOD_MASK, dtype=np.int64),
+              (True, False, True), np.array(GOOD_MASK, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("case", MASK_ARGUMENTS)
+def test_mask_rule_reads_every_form_of_a_good_mask_alike(case):
+    call, one_mask = MASK_ARGUMENTS[case]
+    outputs = {_output_bytes(call(form if one_mask else
+                                  form[None] if isinstance(form, np.ndarray) else [form]))
+               for form in GOOD_FORMS}
+    assert len(outputs) == 1

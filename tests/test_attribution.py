@@ -274,9 +274,11 @@ def test_lime_sample_floor():
 
 def test_lime_kernel_width_must_be_positive():
     handle = ConstantHandle((0.5, 0.5), d=2)
-    # NaN fails the positivity test too, rather than the surrogate fit.
-    for width in (0.0, -1.5, float("nan")):
-        with pytest.raises(ConfigError, match=f"^kernel width must be positive, got {width}$"):
+    # NaN fails the positivity test too, rather than the surrogate fit, and
+    # a width whose square underflows to 0.0 fails rather than divide by it.
+    for width in (0.0, -1.5, float("nan"), 1e-170):
+        with pytest.raises(ConfigError, match=(
+                f"^kernel width must be positive with a nonzero square, got {width}$")):
             lime_score_rows(handle, [(1.0, 1.0)], FeatureGrouping.trivial(2),
                             samples=16, kernel_width=width)
 

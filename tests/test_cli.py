@@ -132,13 +132,21 @@ def test_unwritable_out_path_is_data_error(small_artifacts, tmp_path):
     assert main(argv) == EXIT_DATA
 
 
-@pytest.mark.parametrize("width", ["0", "nan"])
+@pytest.mark.parametrize("width", ["0", "nan", "1e-170"])
 def test_nonpositive_lime_kernel_width_is_usage_error(small_artifacts, tmp_path, capsys, width):
+    """So is a positive width whose square underflows to 0.0."""
     argv = ["explain", *_base_args(small_artifacts, tmp_path / "o"),
             "--scorer", "lime", "--lime-kernel-width", width, "--rinc", "0", "--rdec", "0"]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err == (
-        f"error: kernel width must be positive, got {float(width)}\n")
+        f"error: kernel width must be positive with a nonzero square, got {float(width)}\n")
+
+
+@pytest.mark.parametrize("q", [2 ** 40, 2 ** 63])
+def test_q_above_its_cap_is_usage_error(small_artifacts, tmp_path, capsys, q):
+    argv = ["certify", *_base_args(small_artifacts, tmp_path / "o"), "--topk", "2", "--q", str(q)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: q must be in [2, 65536], got {q}\n"
 
 
 def test_nonpositive_workers_is_usage_error(small_artifacts, tmp_path, capsys):
@@ -209,9 +217,11 @@ def test_negative_radius_target_is_usage_error_before_inputs_are_read(
 
 # Boundary values for every integer flag. The sizes that allocate or loop by
 # their value (--q, --lime-samples, --shap-permutations, --trials) take only
-# small ones.
+# small ones, and --q also values above its cap of 2^16, which are refused
+# before any array is built.
 INT_VALUES = ["0", "-1", "1", str(2 ** 31), str(2 ** 63), str(2 ** 64), "x"]
 SIZE_VALUES = ["-1", "0", "1", "2", "4", "x"]
+Q_VALUES = SIZE_VALUES + [str(2 ** 16 + 1), str(2 ** 31), str(2 ** 63), str(2 ** 64)]
 SIZE_FLAGS = ("--q", "--lime-samples", "--shap-permutations", "--trials")
 SMOOTHING_FLAGS = ("--q", "--lambda-num", "--seed", "--workers")
 SCORER_FLAGS = ("--lime-samples", "--shap-permutations")
@@ -238,7 +248,8 @@ def _integer_flag_argv(draw, small_artifacts):
     if command in ("certify", "attack") and not {"--topk", "--rinc", "--rdec"} & set(flags):
         argv += ["--topk", "2"]
     for flag in flags:
-        argv += [flag, draw(st.sampled_from(SIZE_VALUES if flag in SIZE_FLAGS else INT_VALUES))]
+        values = Q_VALUES if flag == "--q" else SIZE_VALUES if flag in SIZE_FLAGS else INT_VALUES
+        argv += [flag, draw(st.sampled_from(values))]
     return argv
 
 

@@ -11,11 +11,11 @@ from muscert.core import (
     DataError,
     FeatureGrouping,
     mask_apply_rows,
+    mask_array,
     ones_mask,
     popcount,
     top_classes_and_gaps,
     validate_logits_batch,
-    validate_mask,
     zeros_mask,
 )
 
@@ -139,11 +139,11 @@ def test_mask_helpers():
     assert ones_mask(3) == (1, 1, 1)
     assert zeros_mask(2) == (0, 0)
     assert popcount((1, 0, 1, 1)) == 3
-    with pytest.raises(ConfigError, match="mask length 2 != expected 3"):
-        validate_mask((1, 0), 3)
-    with pytest.raises(DataError, match="mask entries must be 0 or 1"):
-        validate_mask((1, 2), 2)
-    assert validate_mask((1.0, 0, True)) == (1, 0, 1)
+    with pytest.raises(ConfigError, match=r"^a mask must be 3 entries of 0 or 1, got \(1, 0\)$"):
+        mask_array([(1, 0)], 3)
+    with pytest.raises(ConfigError, match=r"^a mask must be 2 entries of 0 or 1, got \(1, 2\)$"):
+        mask_array([(1, 2)], 2)
+    assert mask_array([(1.0, 0, True)], 3).tolist() == [[1, 0, 1]]
 
 
 @given(masks)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from muscert.core import ConfigError
 from muscert.noise import (
+    MAX_Q,
     LcgStream,
     _jump_coefficients,
     SmoothingConfig,
@@ -80,8 +81,13 @@ def test_marginals_exact_for_every_coordinate(q, data, n, seed):
 
 
 def test_smoothing_config_validation():
-    with pytest.raises(ConfigError, match="^q must be >= 2, got 1$"):
-        SmoothingConfig(q=1, lambda_num=1, seed=0, n=2)
+    # q is capped at MAX_Q = 2^16 before any array is built; MAX_Q itself works.
+    assert MAX_Q == 2 ** 16
+    for q in (1, MAX_Q + 1, 2 ** 40, 2 ** 63, 2 ** 64):
+        with pytest.raises(ConfigError, match=rf"^q must be in \[2, 65536\], got {q}$"):
+            SmoothingConfig(q=q, lambda_num=1, seed=0, n=2)
+    atoms = enumerate_atoms(SmoothingConfig(q=MAX_Q, lambda_num=2, seed=0, n=2))
+    assert atoms.shape == (MAX_Q, 2) and atoms.sum(axis=0).tolist() == [2, 2]
     with pytest.raises(ConfigError, match=r"^lambda_num must be in \[1, 4\], got 0$"):
         SmoothingConfig(q=4, lambda_num=0, seed=0, n=2)
     with pytest.raises(ConfigError, match=r"^lambda_num must be in \[1, 4\], got 5$"):

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from muscert.core import (
     ConfigError,
-    DataError,
     FeatureGrouping,
     mask_array,
     ones_mask,
-    validate_mask,
 )
 from muscert.models import random_linear
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state, enumerate_atoms
@@ -139,38 +137,42 @@ def test_dimension_errors():
     model = random_model(0, 3, 4, 2)
     with pytest.raises(ConfigError, match="input length 2 != d=3"):
         mus_evaluate(model, (1.0, 2.0), (1, 1, 1))
-    with pytest.raises(ConfigError, match="mask length 2 != expected 3"):
+    with pytest.raises(ConfigError, match=r"^a mask must be 3 entries of 0 or 1, got \(1, 1\)$"):
         mus_evaluate(model, (1.0, 2.0, 3.0), (1, 1))
 
 
-@pytest.mark.parametrize("alphas", [
-    [(1, 1, 1), (1, 1)],           # ragged
-    [(1, 1)],                      # wrong width
-    [(1, 1, 1), (0, 2, 1)],        # 2
-    [(1, -1, 0)],                  # -1
-    [(1, float("nan"), 0)],        # NaN
-    [(1, float("inf"), 0)],
-    [(1, 2**70, 0)],
-    [(0.5, 1, 0)],                 # not read as 0
-    [(1, 1, 1), (1, 0.9, 0)],      # nor as 1 past a good mask
-    [(1, 1 + 2**-52, 0)],
-    (1, 1, 1),                     # one mask, not a batch
-    [(1, None, 0)],
-])
-def test_mus_evaluate_pairs_rejects_alphas_as_validate_mask_does(alphas):
+# Batches of alphas, each with the mask that the rule names in its error.
+BAD_ALPHAS = [
+    ([(1, 1, 1), (1, 1)], (1, 1)),                  # ragged
+    ([(1, 1)], (1, 1)),                             # wrong width
+    ([(1, 1, 1), (0, 2, 1)], (0, 2, 1)),            # 2
+    ([(1, -1, 0)], (1, -1, 0)),                     # -1
+    ([(1, float("nan"), 0)], (1, float("nan"), 0)),
+    ([(1, float("inf"), 0)], (1, float("inf"), 0)),
+    ([(1, 2**70, 0)], (1, 2**70, 0)),
+    ([(0.5, 1, 0)], (0.5, 1, 0)),                   # not read as 0
+    ([(1, 1, 1), (1, 0.9, 0)], (1, 0.9, 0)),        # nor as 1 past a good mask
+    ([(1, 1 + 2**-52, 0)], (1, 1 + 2**-52, 0)),
+    ((1, 1, 1), 1),                                 # one mask, not a batch
+    ([(1, None, 0)], (1, None, 0)),
+]
+
+
+@pytest.mark.parametrize("alphas,bad", [
+    pytest.param(alphas, bad, id=f"alphas{i}") for i, (alphas, bad) in enumerate(BAD_ALPHAS)])
+def test_mus_evaluate_pairs_rejects_alphas_as_validate_mask_does(alphas, bad):
+    """The mask rule refuses each of these batches as ConfigError naming its
+    first bad mask, in mask_array and mus_evaluate_pairs alike: ragged or
+    narrow batches, entries that are not exactly 0 or 1, and a mask that is
+    no sequence."""
     model = random_model(0, 3, 4, 2)
     x = (1.0, 2.0, 3.0)
-    with pytest.raises(Exception) as want:
-        [validate_mask(a, 3) for a in alphas]
-    # Only a mask that is no sequence at all escapes the package's errors;
-    # a bad entry (NaN, inf and None too) is a DataError.
-    assert want.type is (TypeError if alphas == (1, 1, 1) else
-                         ConfigError if "length" in str(want.value) else DataError)
+    message = f"a mask must be 3 entries of 0 or 1, got {bad!r}"
     for call in (lambda: mask_array(alphas, 3),
                  lambda: mus_evaluate_pairs(model, [x], [0] * len(alphas), alphas)):
-        with pytest.raises(want.type) as got:
+        with pytest.raises(ConfigError) as err:
             call()
-        assert str(got.value) == str(want.value)
+        assert str(err.value) == message
 
 
 def test_mus_evaluate_pairs_reads_alphas_as_validate_mask_does():
@@ -179,23 +181,6 @@ def test_mus_evaluate_pairs_reads_alphas_as_validate_mask_does():
     assert mus_evaluate_pairs(model, [x], [], []).shape == (0, model.m)
     assert (mus_evaluate_pairs(model, [x], [0, 0], [(1.0, 0, True), (0.0, 1, 0)]).tolist()
             == [list(mus_evaluate(model, x, (1, 0, 1))), list(mus_evaluate(model, x, (0, 1, 0)))])
-
-
-def test_non_integer_mask_entries_are_rejected_by_every_entry_point():
-    """0.7 is not read as 0: nothing is computed for a mask never given."""
-    model = random_model(0, 3, 4, 2)
-    x = (1.0, 2.0, 3.0)
-    message = "mask entries must be 0 or 1, got [0.7, 1, 0]"
-    calls = [lambda: validate_mask((0.7, 1, 0), 3),
-             lambda: mask_array([(0.7, 1, 0)], 3),
-             lambda: mus_evaluate_pairs(model, [x], [0], [(0.7, 1, 0)]),
-             lambda: mus_evaluate_pairs(model, [x], [0], [(1, 1, 1)], mus=[(0.7, 1, 0)]),
-             lambda: model.with_mu((0.7, 1, 0)),
-             lambda: SmoothedModel(model.base, model.grouping, model.cfg, mu=(0.7, 1, 0))]
-    for call in calls:
-        with pytest.raises(DataError) as err:
-            call()
-        assert str(err.value) == message
 
 
 def test_non_simplex_base_output_aborts():
@@ -298,7 +283,7 @@ def test_build_validates_shapes():
     with pytest.raises(ConfigError, match="grouping covers d=4 raw features, model expects 3"):
         SmoothedModel.build(base, FeatureGrouping.trivial(4), good)
     bad_mu = (1, 0)
-    with pytest.raises(ConfigError, match="mask length 2 != expected 3"):
+    with pytest.raises(ConfigError, match=r"^a mask must be 3 entries of 0 or 1, got \(1, 0\)$"):
         SmoothedModel.build(base, FeatureGrouping.trivial(3), good, mu=bad_mu)
 
 
