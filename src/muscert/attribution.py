@@ -20,6 +20,7 @@ from .core import (
     Mask,
     _float_rows,
     _int_arg,
+    _is_real,
     evaluate_rows,
     mask_apply_rows,
     top_classes_and_gaps,
@@ -148,6 +149,8 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     samples = _int_arg("samples", samples, n + 1)
     if kernel_width is None:
         kernel_width = n / 4
+    if not _is_real(kernel_width):
+        raise ConfigError(f"kernel width must be a number, got {kernel_width!r}")
     if not (kernel_width > 0 and kernel_width * kernel_width > 0):
         raise ConfigError(f"kernel width must be positive with a nonzero square, "
                           f"got {kernel_width}")

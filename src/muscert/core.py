@@ -51,6 +51,8 @@ class FeatureGrouping:
     d: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
+            raise DataError(f'field "d" must be a positive integer, got {self.d!r}')
         seen: set[int] = set()
         for gi, group in enumerate(self.groups):
             if len(group) == 0:
@@ -66,8 +68,9 @@ class FeatureGrouping:
                     raise DataError(f"raw index {idx} appears in more than one group")
                 seen.add(idx)
         if len(seen) != self.d:
-            missing = sorted(set(range(self.d)) - seen)
-            raise DataError(f"groups do not cover raw indices {missing}")
+            first = next(i for i in range(self.d) if i not in seen)
+            raise DataError(f"groups do not cover raw index {first} "
+                            f"({self.d - len(seen)} of {self.d} indices missing)")
 
     @property
     def n(self) -> int:
@@ -85,13 +88,10 @@ class FeatureGrouping:
             raise DataError("grouping document must be an object")
         if "d" not in doc or "groups" not in doc:
             raise DataError('grouping document requires keys "d" and "groups"')
-        d = doc["d"]
-        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
-            raise DataError(f'field "d" must be a positive integer, got {d!r}')
         groups = doc["groups"]
         if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
             raise DataError('field "groups" must be a list of index lists')
-        return cls(groups=tuple(tuple(g) for g in groups), d=d)
+        return cls(groups=tuple(tuple(g) for g in groups), d=doc["d"])
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "groups": [list(g) for g in self.groups]}
@@ -147,6 +147,13 @@ def _int_args(name: str, values) -> np.ndarray:
         values = np.array([_int_arg(name, v, int(intp.min), int(intp.max))
                            for v in batch.ravel().tolist()], dtype=np.intp).reshape(batch.shape)
     return values.astype(np.intp, copy=False)
+
+
+def _is_real(value) -> bool:
+    """Whether value is a real number: a Python or numpy int or float,
+    never a bool (nor a string)."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 def _float_rows(xs, d: int) -> np.ndarray:

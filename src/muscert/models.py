@@ -5,8 +5,10 @@ Each model has one forward kernel (evaluate_batch) and one gradient kernel
 one-row calls. Layers run on contiguous (units, k) rows, one column per
 input, and every sum in a pinned order, a row at a time, so an input gets
 the same bits in any batch and on every run; math.exp rounds the same
-everywhere. Weights round-trip through a JSON document using Python's
-shortest round-trip float formatting.
+everywhere. The constructors hold the one model rule: every weight is a
+finite real number, stored as a Python float, in rectangular layers of at
+least 1 input, 1 hidden unit and 2 classes. Weights round-trip through a
+JSON document using Python's shortest round-trip float formatting.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .core import (
     _float_rows,
     _int_arg,
     _int_args,
+    _is_real,
     _zero_unless,
 )
 from .data import _read_json_object
@@ -76,6 +79,48 @@ def _batch_classes(classes, k: int, m: int) -> np.ndarray:
     return arr
 
 
+def _weight_row(values, where: str, width: int | None) -> tuple[float, ...]:
+    """The model rule on one row of weights, as Python floats: `width` of
+    them (at least 1 when None), each a finite Python or numpy int or float,
+    never a bool or a string. ConfigError names the row by `where`."""
+    try:
+        row = tuple(values)
+    except TypeError:
+        raise ConfigError(f"{where} must be a list of weights, got {values!r}") from None
+    if (len(row) != width) if width else not row:
+        raise ConfigError(f"{where} holds {len(row)} weights, expected {width or 'at least 1'}")
+    # A row of Python floats needs no look at each weight, nor a conversion.
+    if set(map(type, row)) != {float}:
+        for v in row:
+            if not _is_real(v):
+                raise ConfigError(f"{where} holds a non-numeric weight: {v!r}")
+        try:
+            row = tuple(map(float, row))
+        except OverflowError:
+            raise ConfigError(f"{where} holds a weight too large for a float") from None
+    if not all(map(math.isfinite, row)):
+        bad = next(v for v in row if not math.isfinite(v))
+        raise ConfigError(f"{where} holds non-finite weight {bad!r}")
+    return row
+
+
+def _layer(w_name: str, b_name: str, weights, bias, min_rows: int, width: int | None = None):
+    """The model rule on one layer: at least min_rows rows of weights, all
+    `width` wide (as wide as the first row when None), and one bias per
+    row, as tuples of Python floats named by their fields in ConfigError."""
+    try:
+        rows = tuple(weights)
+    except TypeError:
+        raise ConfigError(f'field "{w_name}" must be a list of rows, got {weights!r}') from None
+    if len(rows) < min_rows:
+        raise ConfigError(f'field "{w_name}" must hold at least {min_rows} rows, got {len(rows)}')
+    out = []
+    for r, row in enumerate(rows):
+        out.append(_weight_row(row, f'field "{w_name}" row {r}', width))
+        width = len(out[0])
+    return tuple(out), _weight_row(bias, f'field "{b_name}"', len(out))
+
+
 @dataclass(frozen=True)
 class LinearSoftmaxModel:
     """softmax(W x + b) with an m-by-d weight matrix."""
@@ -86,17 +131,11 @@ class LinearSoftmaxModel:
     _b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.weights) != len(self.bias):
-            raise ConfigError(
-                f"weights rows {len(self.weights)} != bias length {len(self.bias)}"
-            )
-        if len(self.weights) < 2:
-            raise ConfigError("need at least 2 classes")
-        widths = {len(row) for row in self.weights}
-        if len(widths) != 1:
-            raise ConfigError(f"ragged weight rows with widths {sorted(widths)}")
-        object.__setattr__(self, "_w", np.array(self.weights, dtype=float))
-        object.__setattr__(self, "_b", np.array(self.bias, dtype=float))
+        weights, bias = _layer("weights", "bias", self.weights, self.bias, 2)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "bias", bias)
+        object.__setattr__(self, "_w", np.array(weights, dtype=float))
+        object.__setattr__(self, "_b", np.array(bias, dtype=float))
 
     @property
     def d(self) -> int:
@@ -140,18 +179,11 @@ class MlpModel:
     _layers: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.w1) != len(self.b1) or len(self.w1) < 1:
-            raise ConfigError("hidden layer shape mismatch")
-        if len(self.w2) != len(self.b2) or len(self.w2) < 2:
-            raise ConfigError("output layer shape mismatch")
-        if any(len(row) != len(self.w1[0]) for row in self.w1):
-            raise ConfigError("ragged first-layer rows")
-        if any(len(row) != len(self.w1) for row in self.w2):
-            raise ConfigError(
-                f"second-layer width {len(self.w2[0])} != hidden width {len(self.w1)}"
-            )
-        object.__setattr__(self, "_layers", tuple(
-            np.array(v, dtype=float) for v in (self.w1, self.b1, self.w2, self.b2)))
+        w1, b1 = _layer("w1", "b1", self.w1, self.b1, 1)
+        layers = (w1, b1, *_layer("w2", "b2", self.w2, self.b2, 2, len(w1)))
+        for name, value in zip(("w1", "b1", "w2", "b2"), layers):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_layers", tuple(np.array(v, dtype=float) for v in layers))
 
     @property
     def d(self) -> int:
@@ -305,54 +337,6 @@ def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
                               bias=tuple(bias.tolist()))
 
 
-def _require_matrix(doc: dict, key: str, rows: int, cols: int) -> tuple[tuple[float, ...], ...]:
-    raw = doc.get(key)
-    if not isinstance(raw, list) or len(raw) != rows:
-        raise DataError(f'field "{key}" must be a {rows}x{cols} matrix')
-    out = []
-    for r, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != cols:
-            raise DataError(
-                f'field "{key}" row {r} has length '
-                f"{len(row) if isinstance(row, list) else 'non-list'}, expected {cols}"
-            )
-        out.append(_finite_values(row, f'field "{key}" row {r}'))
-    return tuple(out)
-
-
-def _require_vector(doc: dict, key: str, length: int) -> tuple[float, ...]:
-    raw = doc.get(key)
-    if not isinstance(raw, list) or len(raw) != length:
-        raise DataError(f'field "{key}" must be a length-{length} list')
-    return _finite_values(raw, f'field "{key}"')
-
-
-def _finite_values(raw: list, where: str) -> tuple[float, ...]:
-    """The entries as floats. Only JSON numbers are weights: strings are
-    not read as numbers, nor true and false as 1 and 0. JSON NaN, Infinity,
-    overflowing float literals and integers too large for a float parse,
-    but a model holding them outputs no probabilities."""
-    for v in raw:
-        if type(v) not in (int, float):
-            raise DataError(f"{where} holds a non-numeric weight: {v!r}")
-    try:
-        values = tuple(float(v) for v in raw)
-    except OverflowError as exc:
-        raise DataError(f"{where} holds a weight too large for a float") from exc
-    for v in values:
-        if not math.isfinite(v):
-            raise DataError(f"{where} holds non-finite weight {v!r}")
-    return values
-
-
-def _positive_int(doc: dict, key: str, path: str) -> int:
-    """doc[key] when it is an int >= 1; a JSON true is not one."""
-    value = doc.get(key)
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise DataError(f'model file {path}: field "{key}" must be a positive int')
-    return value
-
-
 def save_model(model: LinearSoftmaxModel | MlpModel, path: str) -> None:
     if isinstance(model, LinearSoftmaxModel):
         doc = {
@@ -379,25 +363,28 @@ def save_model(model: LinearSoftmaxModel | MlpModel, path: str) -> None:
 
 
 def load_model(path: str) -> LinearSoftmaxModel | MlpModel:
+    """The model a JSON file holds. Only its kind and the MLP's two layers
+    are read here; the model classes check the weights, and whatever they
+    refuse is a DataError naming the file, as is a "d", "m" or "h" that is
+    not the integer the weights give."""
     doc = _read_json_object(path, "model")
     kind = doc.get("kind")
     if kind not in MODEL_KINDS:
-        raise DataError(
-            f"model file {path}: unknown kind {kind!r}; supported kinds: "
-            + ", ".join(MODEL_KINDS)
-        )
-    d, m = _positive_int(doc, "d", path), _positive_int(doc, "m", path)
-    if kind == "linear":
-        return LinearSoftmaxModel(
-            weights=_require_matrix(doc, "weights", m, d),
-            bias=_require_vector(doc, "bias", m),
-        )
-    h = _positive_int(doc, "h", path)
-    for key in ("weights", "bias"):
-        if not isinstance(doc.get(key), list) or len(doc[key]) != 2:
-            raise DataError(f'model file {path}: field "{key}" must hold two layers')
-    first, second = ({"weights": w, "bias": b} for w, b in zip(doc["weights"], doc["bias"]))
-    return MlpModel(w1=_require_matrix(first, "weights", h, d),
-                    b1=_require_vector(first, "bias", h),
-                    w2=_require_matrix(second, "weights", m, h),
-                    b2=_require_vector(second, "bias", m))
+        raise DataError(f"model file {path}: unknown kind {kind!r}; supported kinds: "
+                        + ", ".join(MODEL_KINDS))
+    weights, bias = doc.get("weights"), doc.get("bias")
+    if kind == "mlp":
+        for key, layers in (("weights", weights), ("bias", bias)):
+            if not isinstance(layers, list) or len(layers) != 2:
+                raise DataError(f'model file {path}: field "{key}" must hold two layers')
+    try:
+        model = (LinearSoftmaxModel(weights, bias) if kind == "linear"
+                 else MlpModel(weights[0], bias[0], weights[1], bias[1]))
+    except ConfigError as exc:
+        raise DataError(f"model file {path}: {exc}") from exc
+    for key in ("d", "m", "h") if kind == "mlp" else ("d", "m"):
+        value, size = doc.get(key), getattr(model, key)
+        if type(value) is not int or value != size:
+            raise DataError(f'model file {path}: field "{key}" must be {size}, '
+                            f"the size the weights give, got {value!r}")
+    return model

@@ -1,11 +1,13 @@
-"""The three argument rules of core, table-driven over every argument they guard.
+"""The argument rules of core, table-driven over every argument they guard.
 
 The integer rule: a count, size, radius, budget, seed or id is a Python or
-numpy integer; a bool is not one, nor is any float, even 2.0. The input-row
-rule: inputs are a (k, d) array of numbers; a row of strings or a ragged
-batch raises ConfigError rather than a bare ValueError. The mask rule: masks
-are a (k, n) batch of numbers that all equal 0 or 1; anything else raises
-ConfigError naming the first bad mask.
+numpy integer; a bool is not one, nor is any float, even 2.0. The real-number
+rule: a kernel width is a Python or numpy int or float, as a model weight is
+(tests/test_models.py); a bool, a string or a list raises ConfigError rather
+than a bare TypeError. The input-row rule: inputs are a (k, d) array of
+numbers; a row of strings or a ragged batch raises ConfigError rather than a
+bare ValueError. The mask rule: masks are a (k, n) batch of numbers that all
+equal 0 or 1; anything else raises ConfigError naming the first bad mask.
 """
 from __future__ import annotations
 
@@ -150,6 +152,26 @@ def test_integer_rule_stores_python_ints():
     assert cfg == _config()
     assert type(certify_examples(MODEL, XS[:1], [PHI], [np.uint8(4)])[0].example_id) is int
     assert type(synth_blobs(2, np.int64(2), np.uint8(2), 1.0, 5).m) is int
+
+
+# Each real-number argument: (call with the argument set to v, the message
+# that refuses a v that is not a number).
+REAL_ARGUMENTS = {
+    "lime kernel_width": (lambda v: lime_score_rows(BASE, XS, GROUPING, 8, v, rng_states=[1, 2]),
+                          "kernel width must be a number, got {!r}"),
+}
+
+
+@pytest.mark.parametrize("case", REAL_ARGUMENTS)
+def test_real_number_rule(case):
+    call, message = REAL_ARGUMENTS[case]
+    for bad in ("1", "2.0", True, np.bool_(False), [2.0]):
+        with pytest.raises(ConfigError) as err:
+            call(bad)
+        assert str(err.value) == message.format(bad)
+    want = _output_bytes(call(2.0))
+    for good in (2, np.int64(2), np.uint8(2), np.float64(2.0), np.float32(2.0)):
+        assert _output_bytes(call(good)) == want
 
 
 STRINGS = [("a", "b", "c")]

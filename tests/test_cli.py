@@ -106,7 +106,26 @@ def test_model_weight_too_large_for_a_float_is_data_error(small_artifacts, tmp_p
     argv = ["accuracy-curve", *_base_args(small_artifacts, tmp_path / "o")]
     argv[argv.index("--model") + 1] = str(bad)
     assert main(argv) == EXIT_DATA
-    assert 'field "bias" holds a weight too large for a float' in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f'error: model file {bad}: field "bias" holds a weight too large for a float\n')
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_one_class_model_file_is_data_error(tmp_path, small_artifacts, capsys, kind):
+    """A model file the model classes refuse, here one with m = 1, exits 2
+    with one error line, as a file that breaks the schema does."""
+    doc = ({"kind": "linear", "d": 6, "m": 1, "weights": [[1.0] * 6], "bias": [0.0]}
+           if kind == "linear" else
+           {"kind": "mlp", "d": 6, "m": 1, "h": 1, "weights": [[[1.0] * 6], [[1.0]]],
+            "bias": [[0.0], [0.0]]})
+    bad = tmp_path / "one-class.json"
+    bad.write_text(json.dumps(doc))
+    argv = ["accuracy-curve", *_base_args(small_artifacts, tmp_path / "o")]
+    argv[argv.index("--model") + 1] = str(bad)
+    assert main(argv) == EXIT_DATA
+    field = "weights" if kind == "linear" else "w2"
+    assert capsys.readouterr().err == (
+        f'error: model file {bad}: field "{field}" must hold at least 2 rows, got 1\n')
 
 
 def test_off_grid_keep_rate_is_usage_error(small_artifacts, tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Mask algebra, grouping validation, and argmax/gap semantics."""
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -101,7 +103,8 @@ def test_grouping_json_round_trip():
 
 @pytest.mark.parametrize("doc,message", [
     ({"d": 3, "groups": [[0, 1], [1, 2]]}, "raw index 1 appears in more than one group"),
-    ({"d": 3, "groups": [[0], [2]]}, r"groups do not cover raw indices \[1\]"),
+    ({"d": 3, "groups": [[0], [2]]},
+     r"^groups do not cover raw index 1 \(1 of 3 indices missing\)$"),
     ({"d": 3, "groups": [[0], [1], [2], []]}, "group 3 is empty"),
     ({"d": 2, "groups": [[0], [1], [2]]}, r"group 2 index 2 outside raw range 0\.\.1"),
     ({"d": 2, "groups": [[0], ["x"]]}, "group 1 holds non-integer index 'x'"),
@@ -109,6 +112,25 @@ def test_grouping_json_round_trip():
 def test_grouping_rejects_non_partitions(doc, message):
     with pytest.raises(DataError, match=message):
         FeatureGrouping.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("d", [1.0, True, 0, -2, "3", None])
+def test_grouping_checks_its_own_d(d):
+    """Built directly or from a document, a grouping refuses a d that is not
+    an integer >= 1, before index_map could fail on it."""
+    for build in (lambda: FeatureGrouping(groups=((0,),), d=d),
+                  lambda: FeatureGrouping.from_json_dict({"d": d, "groups": [[0]]})):
+        with pytest.raises(DataError, match=rf'^field "d" must be a positive integer, got '
+                                            rf"{re.escape(repr(d))}$"):
+            build()
+
+
+def test_grouping_names_only_the_first_index_it_misses():
+    """The message stays short however large the declared d."""
+    with pytest.raises(DataError) as err:
+        FeatureGrouping.from_json_dict({"d": 10 ** 6, "groups": [[0], [2]]})
+    assert str(err.value) == "groups do not cover raw index 1 (999998 of 1000000 indices missing)"
+    assert len(str(err.value)) < 200
 
 
 def test_top_class_prefers_lowest_index_on_tie():

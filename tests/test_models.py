@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -287,6 +288,80 @@ def test_mlp_round_trip_is_bit_exact(tmp_path):
     assert loaded.evaluate(x) == model.evaluate(x)
 
 
+def _weights_of(model):
+    return ((model.weights, (model.bias,)) if isinstance(model, LinearSoftmaxModel)
+            else (model.w1, (model.b1,), model.w2, (model.b2,)))
+
+
+ACCEPTED_MODELS = {
+    "random_linear": lambda: random_linear(5, 3, 7, scale=3.0),
+    "random_mlp": lambda: random_mlp(4, 6, 3, 8),
+    "fit_logistic": lambda: fit_logistic(synth_blobs(10, 3, 3, 2.0, 4), epochs=20),
+    "int weights": lambda: LinearSoftmaxModel(weights=((1, -2), (0, 3), (2**60, 0)),
+                                              bias=(0, -1, 1)),
+    "numpy floats": lambda: MlpModel(
+        w1=np.array([[0.5, -1.25], [1e-300, 3.0]], dtype=np.float32),
+        b1=(np.float64(0.1), np.int64(-2)),
+        w2=np.array([[1.0, -1.0], [0.2, 0.3], [-7.5, 1e300]]),
+        b2=[np.float16(0.5), np.uint8(1), np.float64(-0.0)]),
+}
+
+
+@pytest.mark.parametrize("build", ACCEPTED_MODELS.values(), ids=ACCEPTED_MODELS)
+def test_every_accepted_model_round_trips(tmp_path, build):
+    """The constructors store every weight as a Python float in tuples, so
+    what save_model writes load_model reads back equal, to the bit."""
+    model = build()
+    for matrix in _weights_of(model):
+        assert type(matrix) is tuple and all(type(row) is tuple for row in matrix)
+        assert all(type(v) is float for row in matrix for v in row)
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    loaded = load_model(str(path))
+    assert loaded == model and type(loaded) is type(model)
+    inputs = np.array([[0.5 * j - r for j in range(model.d)] for r in range(4)])
+    assert loaded.evaluate_batch(inputs).tobytes() == model.evaluate_batch(inputs).tobytes()
+    assert np.array(loaded.evaluate(inputs[1])).tobytes() == \
+        np.array(model.evaluate(inputs[1])).tobytes()
+
+
+def _with_weight(kind, field, value):
+    """A two-class model of d = 2 (and h = 2) whose first entry of `field` is value."""
+    fields = ({"weights": [[1.0, 2.0], [0.5, 0.0]], "bias": [0.0, 1.0]} if kind == "linear"
+              else {"w1": [[1.0, 2.0], [0.5, 0.0]], "b1": [0.0, 1.0],
+                    "w2": [[1.0, -1.0], [0.5, 0.0]], "b2": [0.0, 1.0]})
+    first = fields[field][0]
+    if isinstance(first, list):
+        first[0] = value
+    else:
+        fields[field][0] = value
+    cls = LinearSoftmaxModel if kind == "linear" else MlpModel
+    return cls(**fields)
+
+
+@pytest.mark.parametrize("kind,field", [("linear", "weights"), ("linear", "bias"),
+                                        ("mlp", "w1"), ("mlp", "b1"), ("mlp", "w2"),
+                                        ("mlp", "b2")])
+def test_constructors_refuse_what_is_not_a_finite_real_weight(kind, field):
+    where = f'field "{field}"' + (" row 0" if field in ("weights", "w1", "w2") else "")
+    cases = [(v, f"a non-numeric weight: {v!r}")
+             for v in ("1.5", "x", True, np.bool_(False), None, [1.0])]
+    cases += [(float("nan"), "non-finite weight nan"), (-math.inf, "non-finite weight -inf"),
+              (np.float32("inf"), "non-finite weight inf"),
+              (10 ** 400, "a weight too large for a float")]
+    for value, message in cases:
+        with pytest.raises(ConfigError) as err:
+            _with_weight(kind, field, value)
+        assert str(err.value) == f"{where} holds {message}"
+    _with_weight(kind, field, np.float32(1.5))
+
+
+def _refused(path, message):
+    """load_model's DataError on the file at path, exactly the file's name then message."""
+    with pytest.raises(DataError, match="^" + re.escape(f"model file {path}: {message}") + "$"):
+        load_model(str(path))
+
+
 def test_load_rejects_unknown_kind(tmp_path):
     path = tmp_path / "weird.json"
     path.write_text(json.dumps({"kind": "tree", "d": 2, "m": 2,
@@ -300,16 +375,14 @@ def test_load_names_bad_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"kind": "linear", "d": 2, "m": 2,
                                 "weights": [[1.0, 2.0]], "bias": [0.0, 0.0]}))
-    with pytest.raises(DataError, match='field "weights" must be a 2x2 matrix') as err:
-        load_model(str(path))
-    assert "weights" in str(err.value)
+    _refused(path, 'field "weights" must hold at least 2 rows, got 1')
 
 
 @pytest.mark.parametrize("doc,message", [
     ({"kind": "linear", "d": 2, "m": 2, "bias": [0.0, 0.0]},
-     'field "weights" must be a 2x2 matrix'),
+     'field "weights" must be a list of rows, got None'),
     ({"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, 2.0], [0.0, 1.0]]},
-     'field "bias" must be a length-2 list'),
+     'field "bias" must be a list of weights, got None'),
     ({"kind": "mlp", "d": 1, "m": 2, "h": 1, "bias": [[0.0], [0.0, 0.0]]},
      'field "weights" must hold two layers'),
     ({"kind": "mlp", "d": 1, "m": 2, "h": 1, "weights": [[[1.0]], [[1.0], [0.0]]],
@@ -319,8 +392,7 @@ def test_load_names_a_missing_field(tmp_path, doc, message):
     """A missing field is a DataError naming it, not a bare KeyError."""
     path = tmp_path / "missing.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match=message):
-        load_model(str(path))
+    _refused(path, message)
 
 
 @pytest.mark.parametrize("doc,message", [
@@ -331,15 +403,15 @@ def test_load_names_a_missing_field(tmp_path, doc, message):
     ('{"kind": "linear", "d": 1, "m": 2, "weights": [[1e999], [0.0]],'
      ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds non-finite weight inf'),
     ('{"kind": "mlp", "d": 1, "m": 2, "h": 1, "weights": [[[1.0]], [[1.0], [Infinity]]],'
-     ' "bias": [[0.0], [0.0, 0.0]]}', 'field "weights" row 1 holds non-finite weight inf'),
+     ' "bias": [[0.0], [0.0, 0.0]]}', 'field "w2" row 1 holds non-finite weight inf'),
     ('{"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, "x"], [0.0, 1.0]],'
-     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a non-numeric weight'),
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a non-numeric weight: \'x\''),
     ('{"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, 2.0], [0.0, 1.0]],'
-     ' "bias": [0.0, [1]]}', 'field "bias" holds a non-numeric weight'),
+     ' "bias": [0.0, [1]]}', 'field "bias" holds a non-numeric weight: [1]'),
     ('{"kind": "linear", "d": 2, "m": 2, "weights": [[true, false], [0.0, 1.0]],'
      ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a non-numeric weight: True'),
     ('{"kind": "mlp", "d": 1, "m": 2, "h": 1, "weights": [[[1.0]], [[1.0], [0.0]]],'
-     ' "bias": [[0.0], [false, 0.0]]}', 'field "bias" holds a non-numeric weight: False'),
+     ' "bias": [[0.0], [false, 0.0]]}', 'field "b2" holds a non-numeric weight: False'),
     ('{"kind": "linear", "d": 2, "m": 2, "weights": [["1.5", "2"], [0.0, 1.0]],'
      ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a non-numeric weight: \'1.5\''),
     ('{"kind": "linear", "d": 1, "m": 2, "weights": [[1' + '0' * 400 + '], [0.0]],'
@@ -349,12 +421,12 @@ def test_load_names_a_missing_field(tmp_path, doc, message):
 def test_load_rejects_non_finite_or_non_numeric_weights(tmp_path, doc, message):
     path = tmp_path / "nan.json"
     path.write_text(doc)
-    with pytest.raises(DataError, match=message):
-        load_model(str(path))
+    _refused(path, message)
 
 
 @pytest.mark.parametrize("doc,key", [
-    ({"kind": "linear", "d": 2, "m": True, "weights": [[1.0, 2.0]], "bias": [0.0]}, "m"),
+    ({"kind": "linear", "d": 2, "m": True, "weights": [[1.0, 2.0], [0.0, 1.0]],
+      "bias": [0.0, 0.0]}, "m"),
     ({"kind": "linear", "d": True, "m": 2, "weights": [[1.0], [2.0]], "bias": [0.0, 0.0]},
      "d"),
     ({"kind": "mlp", "d": 1, "m": 2, "h": True, "weights": [[[1.0]], [[1.0], [0.0]]],
@@ -363,8 +435,26 @@ def test_load_rejects_non_finite_or_non_numeric_weights(tmp_path, doc, message):
 def test_load_rejects_boolean_sizes(tmp_path, doc, key):
     path = tmp_path / "bool.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(DataError, match=f'field "{key}" must be a positive int'):
-        load_model(str(path))
+    size = {"m": 2, "d": 1, "h": 1}[key]
+    _refused(path, f'field "{key}" must be {size}, the size the weights give, got True')
+
+
+@pytest.mark.parametrize("key,value", [("d", 3), ("d", 2.0), ("d", None), ("m", 3),
+                                       ("m", "2"), ("h", 1), ("h", None)])
+def test_load_requires_the_sizes_the_weights_give(tmp_path, key, value):
+    doc = {"kind": "mlp", "d": 2, "m": 2, "h": 3,
+           "weights": [[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0]]],
+           "bias": [[0.0, 0.0, 0.5], [0.0, 0.0]]}
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps(doc))
+    assert load_model(str(path)).h == 3
+    if value is None:
+        del doc[key]
+    else:
+        doc[key] = value
+    path.write_text(json.dumps(doc))
+    size = {"d": 2, "m": 2, "h": 3}[key]
+    _refused(path, f'field "{key}" must be {size}, the size the weights give, got {value!r}')
 
 
 def test_load_rejects_malformed_json(tmp_path):
@@ -380,9 +470,27 @@ def test_load_missing_file_is_data_error(tmp_path):
 
 
 def test_constructor_shape_validation():
-    with pytest.raises(ConfigError, match="need at least 2 classes"):
-        LinearSoftmaxModel(weights=((1.0,),), bias=(0.0,))
-    with pytest.raises(ConfigError, match=r"ragged weight rows with widths \[1, 2\]"):
-        LinearSoftmaxModel(weights=((1.0,), (1.0, 2.0)), bias=(0.0, 0.0))
-    with pytest.raises(ConfigError, match="output layer shape mismatch"):
-        MlpModel(w1=((1.0,),), b1=(0.0,), w2=((1.0, 2.0),), b2=(0.0,))
+    for build, message in (
+        (lambda: LinearSoftmaxModel(weights=((1.0,),), bias=(0.0,)),
+         'field "weights" must hold at least 2 rows, got 1'),
+        (lambda: LinearSoftmaxModel(weights=((1.0,), (1.0, 2.0)), bias=(0.0, 0.0)),
+         'field "weights" row 1 holds 2 weights, expected 1'),
+        (lambda: LinearSoftmaxModel(weights=((), ()), bias=(0.0, 0.0)),
+         'field "weights" row 0 holds 0 weights, expected at least 1'),
+        (lambda: LinearSoftmaxModel(weights=((1.0,), (2.0,)), bias=(0.0, 0.0, 1.0)),
+         'field "bias" holds 3 weights, expected 2'),
+        (lambda: LinearSoftmaxModel(weights=(1.0, 2.0), bias=(0.0, 0.0)),
+         'field "weights" row 0 must be a list of weights, got 1.0'),
+        (lambda: MlpModel(w1=((1.0,),), b1=(0.0,), w2=((1.0, 2.0),), b2=(0.0,)),
+         'field "w2" must hold at least 2 rows, got 1'),
+        (lambda: MlpModel(w1=(), b1=(), w2=((), ()), b2=(0.0, 0.0)),
+         'field "w1" must hold at least 1 rows, got 0'),
+        (lambda: MlpModel(w1=((1.0,),), b1=(0.0,), w2=((1.0, 2.0), (1.0, 2.0)),
+                          b2=(0.0, 0.0)),
+         'field "w2" row 0 holds 2 weights, expected 1'),
+        (lambda: MlpModel(w1=((1.0,),), b1=(0.0, 1.0), w2=((1.0,), (2.0,)), b2=(0.0, 0.0)),
+         'field "b1" holds 2 weights, expected 1'),
+    ):
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert str(err.value) == message
