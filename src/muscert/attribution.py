@@ -147,10 +147,13 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     """
     n = grouping.n
     samples = _int_arg("samples", samples, n + 1)
-    if kernel_width is None:
-        kernel_width = n / 4
+    kernel_width = n / 4 if kernel_width is None else kernel_width
     if not _is_real(kernel_width):
         raise ConfigError(f"kernel width must be a number, got {kernel_width!r}")
+    try:
+        kernel_width = float(kernel_width)
+    except OverflowError:
+        raise ConfigError("kernel width is too large for a float") from None
     if not (kernel_width > 0 and kernel_width * kernel_width > 0):
         raise ConfigError(f"kernel width must be positive with a nonzero square, "
                           f"got {kernel_width}")

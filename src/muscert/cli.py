@@ -30,6 +30,7 @@ from .core import (
     ConfigError,
     DataError,
     FeatureGrouping,
+    MuscertError,
     VerificationError,
     top_classes_and_gaps,
 )
@@ -66,17 +67,11 @@ def _load_common(args) -> tuple:
     model = load_model(args.model)
     dataset = load_csv_dataset(args.data)
     if dataset.d != model.d:
-        raise DataError(
-            f"dataset has d={dataset.d} features but model expects d={model.d}"
-        )
-    if args.grouping is not None:
-        grouping = load_grouping(args.grouping)
-        if grouping.d != model.d:
-            raise DataError(
-                f"grouping covers d={grouping.d} but model expects d={model.d}"
-            )
-    else:
+        raise DataError(f"dataset has d={dataset.d} features but model expects d={model.d}")
+    if args.grouping is None:
         grouping = FeatureGrouping.trivial(model.d)
+    elif (grouping := load_grouping(args.grouping)).d != model.d:
+        raise DataError(f"grouping covers d={grouping.d} but model expects d={model.d}")
     cfg = SmoothingConfig(q=args.q, lambda_num=args.lambda_num, seed=args.seed,
                           n=grouping.n)
     smoothed = SmoothedModel.build(model, grouping, cfg)
@@ -359,18 +354,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             if value is not None and value < 0:
                 raise ConfigError(f"--{flag} must be >= 0, got {value}")
         return args.func(args)
-    except ConfigError as exc:
+    except (MuscertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return (EXIT_USAGE if isinstance(exc, ConfigError) else
+                EXIT_VERIFICATION if isinstance(exc, VerificationError) else EXIT_DATA)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ Everything in this module is pure and immutable.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -45,32 +45,42 @@ class VerificationError(MuscertError):
 
 @dataclass(frozen=True)
 class FeatureGrouping:
-    """Partition of raw feature indices 0..d-1 into n jointly-masked groups."""
+    """Partition of raw feature indices 0..d-1 into n jointly-masked groups.
+
+    The one grouping rule: d >= 1 and each index pass the integer rule, and
+    the groups, a batch of nonempty batches, hold each of 0..d-1 once; else
+    ConfigError. Kept as Python ints in tuples, beside the index map."""
 
     groups: tuple[tuple[int, ...], ...]
     d: int
+    _index_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
-            raise DataError(f'field "d" must be a positive integer, got {self.d!r}')
-        seen: set[int] = set()
-        for gi, group in enumerate(self.groups):
-            if len(group) == 0:
-                raise DataError(f"group {gi} is empty")
+        d = _int_arg('field "d"', self.d, 1)
+        try:
+            groups = tuple(map(tuple, self.groups))
+        except TypeError:
+            raise ConfigError('field "groups" must be a list of index lists') from None
+        owner: dict[int, int] = {}  # index -> group; grows with the indices listed, not d
+        converted = False
+        for gi, group in enumerate(groups):
+            if not group:
+                raise ConfigError(f"group {gi} is empty")
             for idx in group:
-                if not isinstance(idx, int) or isinstance(idx, bool):
-                    raise DataError(f"group {gi} holds non-integer index {idx!r}")
-                if idx < 0 or idx >= self.d:
-                    raise DataError(
-                        f"group {gi} index {idx} outside raw range 0..{self.d - 1}"
-                    )
-                if idx in seen:
-                    raise DataError(f"raw index {idx} appears in more than one group")
-                seen.add(idx)
-        if len(seen) != self.d:
-            first = next(i for i in range(self.d) if i not in seen)
-            raise DataError(f"groups do not cover raw index {first} "
-                            f"({self.d - len(seen)} of {self.d} indices missing)")
+                if type(idx) is not int or not 0 <= idx < d:
+                    idx, converted = _int_arg(f"group {gi} index", idx, 0, d - 1), True
+                if idx in owner:
+                    raise ConfigError(f"raw index {idx} appears in more than one group")
+                owner[idx] = gi
+        if len(owner) != d:
+            first = next(i for i in range(d) if i not in owner)
+            raise ConfigError(f"groups do not cover raw index {first} "
+                              f"({d - len(owner)} of {d} indices missing)")
+        groups = tuple(tuple(map(int, group)) for group in groups) if converted else groups
+        index_map = np.fromiter(map(owner.__getitem__, range(d)), np.intp, d)
+        index_map.setflags(write=False)
+        for name, value in (("groups", groups), ("d", d), ("_index_map", index_map)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -84,25 +94,20 @@ class FeatureGrouping:
 
     @classmethod
     def from_json_dict(cls, doc: object) -> "FeatureGrouping":
-        if not isinstance(doc, dict):
-            raise DataError("grouping document must be an object")
-        if "d" not in doc or "groups" not in doc:
-            raise DataError('grouping document requires keys "d" and "groups"')
-        groups = doc["groups"]
-        if not isinstance(groups, list) or not all(isinstance(g, list) for g in groups):
-            raise DataError('field "groups" must be a list of index lists')
-        return cls(groups=tuple(tuple(g) for g in groups), d=doc["d"])
+        """The grouping a document holds; whatever the rule refuses is a DataError."""
+        if not (isinstance(doc, dict) and "d" in doc and "groups" in doc):
+            raise DataError('grouping document must be an object with keys "d" and "groups"')
+        try:
+            return cls(groups=doc["groups"], d=doc["d"])
+        except ConfigError as exc:
+            raise DataError(str(exc)) from exc
 
     def to_json_dict(self) -> dict:
         return {"d": self.d, "groups": [list(g) for g in self.groups]}
 
     def index_map(self) -> np.ndarray:
-        """Group index of each raw feature, as a length-d integer array."""
-        out = [0] * self.d
-        for gi, group in enumerate(self.groups):
-            for idx in group:
-                out[idx] = gi
-        return np.array(out, dtype=np.intp)
+        """Group index of each raw feature, as a read-only length-d intp array."""
+        return self._index_map
 
 
 @runtime_checkable

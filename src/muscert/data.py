@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from .core import ConfigError, DataError, FeatureGrouping, Vector, _int_arg
@@ -23,6 +24,8 @@ class LabeledDataset:
         for i, (x, y) in enumerate(self.examples):
             if len(x) != self.d:
                 raise DataError(f"example {i} has {len(x)} features, expected {self.d}")
+            if isinstance(y, bool) or not isinstance(y, numbers.Integral):
+                raise DataError(f"example {i} label {y!r} is not an integer")
             if not 0 <= y < self.m:
                 raise DataError(f"example {i} label {y} outside [0, {self.m})")
 
@@ -134,5 +137,10 @@ def synth_blobs(n_per_class: int, d: int, m: int, separation: float,
 
 
 def load_grouping(path: str) -> FeatureGrouping:
-    """Read a grouping document: {"d": int, "groups": [[indices], ...]}."""
-    return FeatureGrouping.from_json_dict(_read_json_object(path, "grouping"))
+    """Read a grouping document: {"d": int, "groups": [[indices], ...]}.
+    Whatever the grouping rule refuses is a DataError naming the file."""
+    doc = _read_json_object(path, "grouping")
+    try:
+        return FeatureGrouping.from_json_dict(doc)
+    except DataError as exc:
+        raise DataError(f"grouping file {path}: {exc}") from exc

@@ -68,9 +68,8 @@ def _random_instance(trial_seed: int, max_n: int):
     lambda_num = 1 + stream.next_below(q)
     m = 2 + stream.next_below(2)
     base = random_linear(n, m, derive_rng_state(trial_seed, 1))
-    grouping = FeatureGrouping.trivial(n)
     cfg = SmoothingConfig(q=q, lambda_num=lambda_num, seed=trial_seed, n=n)
-    model = SmoothedModel.build(base, grouping, cfg)
+    model = SmoothedModel.build(base, FeatureGrouping.trivial(n), cfg)
     x = _random_x(stream, n)
     masks = _all_masks(n)
     table = mus_evaluate_pairs(model, [x], np.zeros(len(masks), np.intp), masks)

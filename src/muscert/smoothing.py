@@ -70,9 +70,8 @@ class SmoothedModel:
     cfg: SmoothingConfig
     mu: Mask | None = None
     atoms: np.ndarray = field(init=False, repr=False, compare=False)
-    # For mus_evaluate_pairs: the grouping's index map, and the atoms and mu
-    # packed by _bit_weights, as (q, 1, W) and (1, W) words (None when mu is).
-    _index_map: np.ndarray = field(init=False, repr=False, compare=False)
+    # For mus_evaluate_pairs: the atoms and mu packed by _bit_weights, as
+    # (q, 1, W) and (1, W) words (None when mu is).
     _atom_words: np.ndarray = field(init=False, repr=False, compare=False)
     _mu_words: np.ndarray | None = field(init=False, repr=False, compare=False)
 
@@ -82,13 +81,10 @@ class SmoothedModel:
             raise ConfigError(f"grouping covers d={d} raw features, model expects {self.base.d}")
         if self.cfg.n != n:
             raise ConfigError(f"smoothing config is over n={self.cfg.n} groups, grouping has {n}")
-        if self.mu is not None:
-            object.__setattr__(self, "mu", tuple(mask_array([self.mu], n)[0].tolist()))
         atoms = enumerate_atoms(self.cfg)
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_index_map", self.grouping.index_map())
         object.__setattr__(self, "_atom_words", (atoms @ _bit_weights(n))[:, None, :])
-        object.__setattr__(self, "_mu_words", _mu_words(self.mu, n))
+        _set_mu(self, self.mu)
 
     @classmethod
     def build(cls, base: ClassifierHandle, grouping: FeatureGrouping,
@@ -98,11 +94,8 @@ class SmoothedModel:
 
     def with_mu(self, mu: Mask | None) -> "SmoothedModel":
         """This model with noise-exempt mask mu, sharing atoms and arrays."""
-        if mu is not None:
-            mu = tuple(mask_array([mu], self.grouping.n)[0].tolist())
         twin = copy.copy(self)
-        object.__setattr__(twin, "mu", mu)
-        object.__setattr__(twin, "_mu_words", _mu_words(mu, self.grouping.n))
+        _set_mu(twin, mu)
         return twin
 
     @property
@@ -114,8 +107,12 @@ class SmoothedModel:
         return self.base.m
 
 
-def _mu_words(mu: Mask | None, n: int) -> np.ndarray | None:
-    return None if mu is None else np.array([mu], dtype=np.uint8) @ _bit_weights(n)
+def _set_mu(model: SmoothedModel, mu) -> None:
+    """Set model.mu, checked by the mask rule, and its packed words."""
+    mu = None if mu is None else tuple(mask_array([mu], model.n)[0].tolist())
+    object.__setattr__(model, "mu", mu)
+    object.__setattr__(model, "_mu_words", None if mu is None else
+                       np.array([mu], dtype=np.uint8) @ _bit_weights(model.n))
 
 
 def mus_evaluate_pairs(model: SmoothedModel, xs, examples, alphas,
@@ -227,7 +224,7 @@ def _base_rows(model: SmoothedModel, xs: np.ndarray, pairs: np.ndarray,
         chunk = rows[start:start + DRIVER_CHUNK]
         inputs = mask_apply_rows(xs[pairs[chunk % len(pairs)]] if len(xs) > 1 else xs[0],
                                  _unpack_words(effective[chunk], model.grouping.n),
-                                 model._index_map)
+                                 model.grouping.index_map())
         probs[start:start + len(chunk)] = evaluate_rows(model.base, inputs)
     return probs
 
@@ -385,7 +382,7 @@ def _premasked_means(model: SmoothedModel, x: Sequence[float], masks: np.ndarray
     no effective-mask composition: each noise row (atom OR mu) zeroes the
     pre-masked input again, and the k*q rows go to the base model at once.
     It zeroes by np.where, not mask_apply_rows, so the sides share no masking."""
-    index_map = model._index_map
+    index_map = model.grouping.index_map()
     premasked = np.where(masks[:, index_map] != 0, np.asarray(x, dtype=float), 0.0)
     noise = model.atoms if model.mu is None else model.atoms | np.array(model.mu, np.uint8)
     rows = np.where(noise[:, index_map] != 0, premasked[:, None, :], 0.0)

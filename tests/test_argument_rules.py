@@ -155,23 +155,29 @@ def test_integer_rule_stores_python_ints():
 
 
 # Each real-number argument: (call with the argument set to v, the message
-# that refuses a v that is not a number).
+# that refuses a v that is not a number, the message that refuses an integer
+# too large for a float).
 REAL_ARGUMENTS = {
     "lime kernel_width": (lambda v: lime_score_rows(BASE, XS, GROUPING, 8, v, rng_states=[1, 2]),
-                          "kernel width must be a number, got {!r}"),
+                          "kernel width must be a number, got {!r}",
+                          "kernel width is too large for a float"),
 }
 
 
 @pytest.mark.parametrize("case", REAL_ARGUMENTS)
 def test_real_number_rule(case):
-    call, message = REAL_ARGUMENTS[case]
+    call, message, too_large = REAL_ARGUMENTS[case]
     for bad in ("1", "2.0", True, np.bool_(False), [2.0]):
         with pytest.raises(ConfigError) as err:
             call(bad)
         assert str(err.value) == message.format(bad)
+    with pytest.raises(ConfigError, match=f"^{too_large}$"):
+        call(10 ** 400)
     want = _output_bytes(call(2.0))
     for good in (2, np.int64(2), np.uint8(2), np.float64(2.0), np.float32(2.0)):
         assert _output_bytes(call(good)) == want
+    # A value is read as the Python float it equals, whatever its type.
+    assert _output_bytes(call(np.float32(1.1))) == _output_bytes(call(float(np.float32(1.1))))
 
 
 STRINGS = [("a", "b", "c")]

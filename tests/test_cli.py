@@ -355,6 +355,73 @@ def test_certify_with_grouping_file(small_artifacts, tmp_path):
     assert sorted(curves["inc"]) == [0, 1, 2, 3]  # n = 3 groups
 
 
+def test_grouping_file_the_rule_refuses_is_data_error_naming_it(small_artifacts, tmp_path,
+                                                                 capsys):
+    gpath = tmp_path / "groups.json"
+    gpath.write_text(json.dumps({"d": 6, "groups": [[0, 1], [1, 2], [3, 4, 5]]}))
+    argv = ["accuracy-curve", *_base_args(small_artifacts, tmp_path / "o"),
+            "--grouping", str(gpath)]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: grouping file {gpath}: raw index 1 appears in more than one group\n")
+
+
+# What a grouping document over the d = 6 features of the small fixture can
+# hold in place of an index, of a group, or of its list of groups.
+NOT_INDICES = [6, -1, 2 ** 70, True, False, 1.0, 2.5, "0", None, [0], {"i": 0}]
+NOT_GROUPS = [5, "0", None, 1.5, {"0": 0}]
+NOT_GROUP_LISTS = [None, 3, "[[0]]", {"0": [0]}]
+
+
+@st.composite
+def _grouping_document(draw):
+    """A partition of 0..5 into groups, with faults put into it: a repeated,
+    foreign or missing index, an empty group, then maybe a group or a list
+    of groups that is no list."""
+    order = draw(st.permutations(range(6)))
+    cuts = sorted(draw(st.sets(st.integers(1, 5), max_size=5)))
+    groups = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, 6])]
+    for fault in draw(st.lists(st.sampled_from(["repeat", "foreign", "missing", "empty"]),
+                               max_size=3)):
+        at = draw(st.integers(0, len(groups) - 1))
+        if fault == "repeat":
+            groups[at].append(draw(st.integers(0, 5)))
+        elif fault == "foreign":
+            groups[at].append(draw(st.sampled_from(NOT_INDICES)))
+        elif fault == "missing":
+            groups[at] = groups[at][:-1]
+        else:
+            groups.insert(at, [])
+    if draw(st.integers(0, 4)) == 0:
+        groups[draw(st.integers(0, len(groups) - 1))] = draw(st.sampled_from(NOT_GROUPS))
+    if draw(st.integers(0, 9)) == 0:
+        groups = draw(st.sampled_from(NOT_GROUP_LISTS))
+    d = 6
+    if draw(st.integers(0, 4)) == 0:
+        d = draw(st.sampled_from([5, 7, 0, -1, True, 6.0, "6", None, 2 ** 70]))
+    return {"d": d, "groups": groups}
+
+
+@given(doc=_grouping_document())
+@settings(max_examples=100, deadline=None)
+def test_grouping_documents_exit_with_a_documented_code(small_artifacts, doc):
+    """Whatever a grouping document holds, the CLI exits 0, or 2 with one
+    error line."""
+    gpath = small_artifacts["dir"] / "drawn-groups.json"
+    gpath.write_text(json.dumps(doc))
+    argv = ["accuracy-curve", *_base_args(small_artifacts, small_artifacts["dir"] / "g.out"),
+            "--grouping", str(gpath)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines(keepends=True)
+    if code == EXIT_OK:
+        assert lines == [], doc
+    else:
+        assert code == EXIT_DATA, (doc, lines)
+        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n")
+
+
 def test_certify_greedy_targets_mode(small_artifacts, tmp_path):
     out = tmp_path / "greedy.ndjson"
     argv = ["certify", *_base_args(small_artifacts, out), "--rinc", "0",

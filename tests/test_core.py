@@ -1,6 +1,7 @@
 """Mask algebra, grouping validation, and argmax/gap semantics."""
 from __future__ import annotations
 
+import json
 import re
 
 import numpy as np
@@ -106,10 +107,14 @@ def test_grouping_json_round_trip():
     ({"d": 3, "groups": [[0], [2]]},
      r"^groups do not cover raw index 1 \(1 of 3 indices missing\)$"),
     ({"d": 3, "groups": [[0], [1], [2], []]}, "group 3 is empty"),
-    ({"d": 2, "groups": [[0], [1], [2]]}, r"group 2 index 2 outside raw range 0\.\.1"),
-    ({"d": 2, "groups": [[0], ["x"]]}, "group 1 holds non-integer index 'x'"),
+    ({"d": 2, "groups": [[0], [1], [2]]}, r"^group 2 index must be in \[0, 1\], got 2$"),
+    ({"d": 2, "groups": [[0], ["x"]]}, "^group 1 index must be an integer, got 'x'$"),
 ], ids=[f"doc{i}" for i in range(5)])
 def test_grouping_rejects_non_partitions(doc, message):
+    """The grouping rule refuses a grouping built in code with ConfigError,
+    and the same grouping read from a document with DataError."""
+    with pytest.raises(ConfigError, match=message):
+        FeatureGrouping(groups=doc["groups"], d=doc["d"])
     with pytest.raises(DataError, match=message):
         FeatureGrouping.from_json_dict(doc)
 
@@ -117,12 +122,60 @@ def test_grouping_rejects_non_partitions(doc, message):
 @pytest.mark.parametrize("d", [1.0, True, 0, -2, "3", None])
 def test_grouping_checks_its_own_d(d):
     """Built directly or from a document, a grouping refuses a d that is not
-    an integer >= 1, before index_map could fail on it."""
-    for build in (lambda: FeatureGrouping(groups=((0,),), d=d),
-                  lambda: FeatureGrouping.from_json_dict({"d": d, "groups": [[0]]})):
-        with pytest.raises(DataError, match=rf'^field "d" must be a positive integer, got '
-                                            rf"{re.escape(repr(d))}$"):
+    an integer >= 1 by the integer rule, before index_map could fail on it."""
+    message = (f'field "d" must be >= 1, got {d}' if type(d) is int
+               else f'field "d" must be an integer, got {d!r}')
+    for build, error in ((lambda: FeatureGrouping(groups=((0,),), d=d), ConfigError),
+                         (lambda: FeatureGrouping.from_json_dict({"d": d, "groups": [[0]]}),
+                          DataError)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build()
+
+
+@pytest.mark.parametrize("groups", [None, (0, 1), ((0,), 5), 3, [[0]] * 10 ** 5 + [5]])
+def test_grouping_refuses_groups_that_are_not_a_batch_of_batches(groups):
+    """The message stays short however many groups there are."""
+    with pytest.raises(ConfigError, match='^field "groups" must be a list of index lists$'):
+        FeatureGrouping(groups=groups, d=2)
+
+
+# The same grouping in forms the rule takes: tuples, lists, numpy integers
+# and arrays.
+GROUPING_FORMS = [
+    ((0, 2), (1,)),
+    [[0, 2], [1]],
+    ((np.int64(0), np.uint8(2)), (np.int32(1),)),
+    (np.array([0, 2]), np.array([1], dtype=np.uint8)),
+]
+
+
+@pytest.mark.parametrize("form", range(len(GROUPING_FORMS)))
+def test_grouping_stores_python_int_tuples(form):
+    tuple_twin = FeatureGrouping(groups=((0, 2), (1,)), d=3)
+    g = FeatureGrouping(groups=GROUPING_FORMS[form], d=np.int64(3))
+    assert g == tuple_twin and hash(g) == hash(tuple_twin)
+    assert type(g.d) is int and type(g.groups) is tuple
+    assert all(type(group) is tuple and all(type(i) is int for i in group)
+               for group in g.groups)
+    assert json.dumps(g.to_json_dict()) == '{"d": 3, "groups": [[0, 2], [1]]}'
+
+
+def test_grouping_built_from_lists_cannot_be_changed_after_the_check():
+    groups = [[0], [1]]
+    g = FeatureGrouping(groups, 2)
+    groups[0].append(1)
+    assert g.groups == ((0,), (1,))
+    assert g.index_map().tolist() == [0, 1]
+
+
+def test_index_map_is_one_read_only_array():
+    g = FeatureGrouping(groups=((3, 0), (1,), (2, 4)), d=5)
+    index_map = g.index_map()
+    assert index_map is g.index_map()
+    assert index_map.dtype == np.intp and index_map.tolist() == [0, 1, 2, 0, 2]
+    assert not index_map.flags.writeable
+    with pytest.raises(ValueError):
+        index_map[0] = 1
 
 
 def test_grouping_names_only_the_first_index_it_misses():

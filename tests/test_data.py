@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 import re
 
+import numpy as np
 import pytest
 
 from muscert.cli import EXIT_DATA, main
@@ -196,6 +197,18 @@ def test_dataset_validation():
         LabeledDataset(examples=(((1.0,), 5),), d=1, m=2)
 
 
+@pytest.mark.parametrize("label", [0.5, 1.9, 1.0, True, np.bool_(False), "1", None])
+def test_dataset_labels_must_be_integers(label):
+    with pytest.raises(DataError, match=f"^example 1 label {re.escape(repr(label))} "
+                                        "is not an integer$"):
+        LabeledDataset(examples=(((1.0,), 0), ((2.0,), label)), d=1, m=2)
+
+
+def test_dataset_takes_numpy_integer_labels():
+    ds = LabeledDataset(examples=(((1.0,), np.int64(0)), ((2.0,), np.uint8(1))), d=1, m=2)
+    assert [y for _, y in ds.examples] == [0, 1]
+
+
 def test_single_class_file_widens_m_to_two(tmp_path):
     ds = load_csv_dataset(_write(tmp_path, "one.csv", "1.0,0\n2.0,0\n"))
     assert ds.m == 2
@@ -219,7 +232,8 @@ def test_load_grouping_errors(tmp_path):
     overlapping = _write(
         tmp_path, "overlap.json", json.dumps({"d": 3, "groups": [[0, 1], [1, 2]]})
     )
-    with pytest.raises(DataError, match="raw index 1 appears in more than one group"):
+    with pytest.raises(DataError, match=f"^grouping file {re.escape(overlapping)}: "
+                                        "raw index 1 appears in more than one group$"):
         load_grouping(overlapping)
 
 
