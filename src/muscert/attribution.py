@@ -20,7 +20,7 @@ from .core import (
     Mask,
     _float_rows,
     _int_arg,
-    _is_real,
+    _real_arg,
     evaluate_rows,
     mask_apply_rows,
     top_classes_and_gaps,
@@ -34,6 +34,10 @@ FD_STEP = 1e-4
 LIME_RIDGE = 1e-6
 DEFAULT_LIME_SAMPLES = 256
 DEFAULT_SHAP_PERMUTATIONS = 64
+# The most rows one example's LIME or SHAP batch may hold, a default driver
+# window; so samples + 1 and permutations * (n - 1) + 2 (the example and
+# the zero row) may not exceed it, checked before any array is built.
+MAX_EXAMPLE_ROWS = 16 * smoothing.DRIVER_CHUNK
 
 
 def occlusion_scores(model: SmoothedModel, x: Sequence[float]) -> tuple[float, ...]:
@@ -146,14 +150,8 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     example's surrogate is then solved on its own.
     """
     n = grouping.n
-    samples = _int_arg("samples", samples, n + 1)
-    kernel_width = n / 4 if kernel_width is None else kernel_width
-    if not _is_real(kernel_width):
-        raise ConfigError(f"kernel width must be a number, got {kernel_width!r}")
-    try:
-        kernel_width = float(kernel_width)
-    except OverflowError:
-        raise ConfigError("kernel width is too large for a float") from None
+    samples = _int_arg("samples", samples, n + 1, MAX_EXAMPLE_ROWS - 1)
+    kernel_width = _real_arg("kernel width", n / 4 if kernel_width is None else kernel_width)
     if not (kernel_width > 0 and kernel_width * kernel_width > 0):
         raise ConfigError(f"kernel width must be positive with a nonzero square, "
                           f"got {kernel_width}")
@@ -209,7 +207,8 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     summed per example with math.fsum.
     """
     n = grouping.n
-    permutations = _int_arg("permutations", permutations, 1)
+    permutations = _int_arg("permutations", permutations, 1,
+                            (MAX_EXAMPLE_ROWS - 2) // max(1, n - 1))
     xs, rng_states = _score_inputs(xs, grouping, rng_states)
     index_map = grouping.index_map()
     if exhaustive:

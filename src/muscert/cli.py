@@ -32,6 +32,7 @@ from .core import (
     FeatureGrouping,
     MuscertError,
     VerificationError,
+    _int_arg,
     top_classes_and_gaps,
 )
 from .data import load_csv_dataset, load_grouping
@@ -347,12 +348,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "workers", 1) < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        _int_arg("--workers", getattr(args, "workers", 1), 1)
         for flag in ("rinc", "rdec", "budget"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 0:
-                raise ConfigError(f"--{flag} must be >= 0, got {value}")
+            if (value := getattr(args, flag, None)) is not None:
+                _int_arg(f"--{flag}", value, 0)
         return args.func(args)
     except (MuscertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,6 +8,7 @@ Everything in this module is pure and immutable.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence, runtime_checkable
 
@@ -129,17 +130,24 @@ class ClassifierHandle(Protocol):
     def evaluate(self, x: Sequence[float]) -> Sequence[float]: ...
 
 
+def _shown(value) -> str:
+    """repr(value) for a rule's message, cut to 80 characters ending in
+    "..." when longer, so that no message grows with the value it names."""
+    text = repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def _int_arg(name: str, value, lo: int | None = None, hi: int | None = None) -> int:
     """The integer rule: value as a Python int when it is a Python or numpy
     integer in [lo, hi] (either bound optional). A bool is not an integer,
     nor is any float, even 2.0; either raises ConfigError naming `name`."""
     if type(value) is not int:
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+            raise ConfigError(f"{name} must be an integer, got {_shown(value)}")
         value = int(value)
     if (lo is not None and value < lo) or (hi is not None and value > hi):
-        raise ConfigError(f"{name} must be >= {lo}, got {value}" if hi is None
-                          else f"{name} must be in [{lo}, {hi}], got {value}")
+        raise ConfigError(f"{name} must be >= {lo}, got {_shown(value)}" if hi is None
+                          else f"{name} must be in [{lo}, {hi}], got {_shown(value)}")
     return value
 
 
@@ -154,11 +162,38 @@ def _int_args(name: str, values) -> np.ndarray:
     return values.astype(np.intp, copy=False)
 
 
-def _is_real(value) -> bool:
-    """Whether value is a real number: a Python or numpy int or float,
-    never a bool (nor a string)."""
-    return (isinstance(value, (int, float, np.integer, np.floating))
-            and not isinstance(value, bool))
+def _real_arg(name: str, value, lo: float | None = None, hi: float | None = None) -> float:
+    """The real-number rule: value as a finite Python float when it is a
+    Python or numpy int or float in [lo, hi] (either bound optional); else,
+    a bool, string, list, NaN, +-inf or too large an int, ConfigError."""
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+            raise ConfigError(f"{name} must be a number, got {_shown(value)}")
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        raise ConfigError(f"{name} must be >= {lo}, got {value!r}" if hi is None
+                          else f"{name} must be in [{lo}, {hi}], got {value!r}")
+    return value
+
+
+def _real_row(name: str, values, width: int | None = None) -> tuple[float, ...]:
+    """The real-number rule on a row: values as a tuple of `width` (when
+    None, at least 1) Python floats, entry j checked as "{name} entry {j}"."""
+    try:
+        row = tuple(values)
+    except TypeError:
+        raise ConfigError(f"{name} must be a list of numbers, got {_shown(values)}") from None
+    if (len(row) != width) if width else not row:
+        raise ConfigError(f"{name} holds {len(row)} numbers, expected {width or 'at least 1'}")
+    # A row of finite Python floats needs no look at each entry, nor a conversion.
+    if set(map(type, row)) != {float} or not all(map(math.isfinite, row)):
+        row = tuple(_real_arg(f"{name} entry {j}", v) for j, v in enumerate(row))
+    return row
 
 
 def _float_rows(xs, d: int) -> np.ndarray:
@@ -290,7 +325,7 @@ def mask_array(masks, n: int) -> np.ndarray:
         bad = next((a for a in masks if _zero_one_rows([a], n) is None), masks)
     except TypeError:
         bad = masks
-    raise ConfigError(f"a mask must be {n} entries of 0 or 1, got {bad!r}")
+    raise ConfigError(f"a mask must be {n} entries of 0 or 1, got {_shown(bad)}")
 
 
 def _zero_one_rows(masks, n: int) -> np.ndarray | None:

@@ -2,32 +2,36 @@
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 
-from .core import ConfigError, DataError, FeatureGrouping, Vector, _int_arg
+from .core import ConfigError, DataError, FeatureGrouping, Vector, _int_arg, _real_arg, _real_row
 from .noise import LcgStream
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Fixed-width feature vectors with integer class labels."""
+    """Fixed-width feature vectors with integer class labels.
+
+    The one dataset rule: d >= 1, m >= 2 and at least one example, each d
+    numbers by the real-number rule and a label in [0, m) by the integer
+    rule; else ConfigError. Kept as Python floats and ints in tuples."""
 
     examples: tuple[tuple[Vector, int], ...]
     d: int
     m: int
 
     def __post_init__(self) -> None:
-        if len(self.examples) == 0:
-            raise DataError("dataset has no examples")
-        for i, (x, y) in enumerate(self.examples):
-            if len(x) != self.d:
-                raise DataError(f"example {i} has {len(x)} features, expected {self.d}")
-            if isinstance(y, bool) or not isinstance(y, numbers.Integral):
-                raise DataError(f"example {i} label {y!r} is not an integer")
-            if not 0 <= y < self.m:
-                raise DataError(f"example {i} label {y} outside [0, {self.m})")
+        d, m = _int_arg('field "d"', self.d, 1), _int_arg('field "m"', self.m, 2)
+        try:  # the two rules raise nothing but ConfigError
+            examples = tuple((_real_row(f"example {i}", x, d),
+                              _int_arg(f"example {i} label", y, 0, m - 1))
+                             for i, (x, y) in enumerate(self.examples))
+        except (TypeError, ValueError):
+            raise ConfigError('field "examples" must hold (features, label) pairs') from None
+        if not examples:
+            raise ConfigError("dataset has no examples")
+        for name, value in (("examples", examples), ("d", d), ("m", m)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return len(self.examples)
@@ -55,7 +59,7 @@ def _read_json_object(path: str, what: str) -> dict:
     """The JSON object an input file holds; anything else raises DataError."""
     try:
         doc = json.loads(_read_text(path, what))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an int past Python's digit limit
         raise DataError(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{what} file {path} must hold a JSON object")
@@ -66,9 +70,9 @@ def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
     """Parse comma-separated rows of decimals; one column holds the label.
 
     The label column defaults to the last one. A first row whose fields
-    are all non-numeric is treated as a header and skipped. Features must be
-    finite: nan and inf parse as floats but cannot be masked or certified.
-    The first bad row raises its DataError.
+    are all non-numeric is treated as a header and skipped. The first row
+    that does not parse raises its DataError; what the dataset rule refuses,
+    with m = max(2, top label + 1), is a DataError naming the file.
     """
     lines = _read_text(path, "dataset").split("\n")
     rows = [(i + 1, ln.split(",")) for i, ln in enumerate(lines) if ln.strip()]
@@ -92,20 +96,18 @@ def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
             x = tuple(map(float, fields[:col] + fields[col + 1:]))
         except ValueError as exc:
             raise DataError(f"{path} row {rownum}: non-numeric feature: {exc}") from exc
-        if not all(map(math.isfinite, x)):
-            bad = next(v for v in x if not math.isfinite(v))
-            raise DataError(f"{path} row {rownum}: feature {bad!r} is not finite")
         try:
             y = int(fields[col])
         except ValueError as exc:
             raise DataError(
                 f"{path} row {rownum}: label {fields[col].strip()!r} is not an integer"
             ) from exc
-        if y < 0:
-            raise DataError(f"{path} row {rownum}: negative label {y}")
         examples.append((x, y))
-    return LabeledDataset(examples=tuple(examples), d=width - 1,
-                          m=max(2, max(y for _, y in examples) + 1))
+    try:
+        return LabeledDataset(examples=tuple(examples), d=width - 1,
+                              m=max(2, max(y for _, y in examples) + 1))
+    except ConfigError as exc:
+        raise DataError(f"dataset file {path}: {exc}") from exc
 
 
 def save_csv_dataset(dataset: LabeledDataset, path: str) -> None:
@@ -125,7 +127,8 @@ def synth_blobs(n_per_class: int, d: int, m: int, separation: float,
     """
     d, m = _int_arg("d", d, 1), _int_arg("m", m, 2)
     n_per_class = _int_arg("n_per_class", n_per_class, 1)
-    stream = LcgStream(_int_arg("rng_state", rng_state))
+    separation = _real_arg("separation", separation)
+    stream = LcgStream(rng_state)
     examples = []
     for c in range(m):
         center = [separation if j == c % d else 0.0 for j in range(d)]

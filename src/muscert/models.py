@@ -27,10 +27,11 @@ from .core import (
     _float_rows,
     _int_arg,
     _int_args,
-    _is_real,
+    _real_arg,
+    _real_row,
     _zero_unless,
 )
-from .data import _read_json_object
+from .data import LabeledDataset, _read_json_object
 from .noise import LcgStream
 
 MODEL_KINDS = ("linear", "mlp")
@@ -79,31 +80,6 @@ def _batch_classes(classes, k: int, m: int) -> np.ndarray:
     return arr
 
 
-def _weight_row(values, where: str, width: int | None) -> tuple[float, ...]:
-    """The model rule on one row of weights, as Python floats: `width` of
-    them (at least 1 when None), each a finite Python or numpy int or float,
-    never a bool or a string. ConfigError names the row by `where`."""
-    try:
-        row = tuple(values)
-    except TypeError:
-        raise ConfigError(f"{where} must be a list of weights, got {values!r}") from None
-    if (len(row) != width) if width else not row:
-        raise ConfigError(f"{where} holds {len(row)} weights, expected {width or 'at least 1'}")
-    # A row of Python floats needs no look at each weight, nor a conversion.
-    if set(map(type, row)) != {float}:
-        for v in row:
-            if not _is_real(v):
-                raise ConfigError(f"{where} holds a non-numeric weight: {v!r}")
-        try:
-            row = tuple(map(float, row))
-        except OverflowError:
-            raise ConfigError(f"{where} holds a weight too large for a float") from None
-    if not all(map(math.isfinite, row)):
-        bad = next(v for v in row if not math.isfinite(v))
-        raise ConfigError(f"{where} holds non-finite weight {bad!r}")
-    return row
-
-
 def _layer(w_name: str, b_name: str, weights, bias, min_rows: int, width: int | None = None):
     """The model rule on one layer: at least min_rows rows of weights, all
     `width` wide (as wide as the first row when None), and one bias per
@@ -116,9 +92,9 @@ def _layer(w_name: str, b_name: str, weights, bias, min_rows: int, width: int | 
         raise ConfigError(f'field "{w_name}" must hold at least {min_rows} rows, got {len(rows)}')
     out = []
     for r, row in enumerate(rows):
-        out.append(_weight_row(row, f'field "{w_name}" row {r}', width))
+        out.append(_real_row(f'field "{w_name}" row {r}', row, width))
         width = len(out[0])
-    return tuple(out), _weight_row(bias, f'field "{b_name}"', len(out))
+    return tuple(out), _real_row(f'field "{b_name}"', bias, len(out))
 
 
 @dataclass(frozen=True)
@@ -240,8 +216,8 @@ class MlpModel:
 
 def random_linear(d: int, m: int, rng_state: int, scale: float = 1.0) -> LinearSoftmaxModel:
     """Gaussian-initialized linear model; deterministic given rng_state."""
-    d, m = _int_arg("d", d, 1), _int_arg("m", m, 2)
-    stream = LcgStream(_int_arg("rng_state", rng_state))
+    d, m, scale = _int_arg("d", d, 1), _int_arg("m", m, 2), _real_arg("scale", scale)
+    stream = LcgStream(rng_state)
     vals = [v * scale for v in stream.next_gauss_values(m * d + m)]
     weights = tuple(tuple(vals[r * d: (r + 1) * d]) for r in range(m))
     bias = tuple(vals[m * d:])
@@ -250,7 +226,7 @@ def random_linear(d: int, m: int, rng_state: int, scale: float = 1.0) -> LinearS
 
 def random_mlp(d: int, h: int, m: int, rng_state: int, scale: float = 1.0) -> MlpModel:
     d, h, m = _int_arg("d", d, 1), _int_arg("h", h, 1), _int_arg("m", m, 2)
-    stream = LcgStream(_int_arg("rng_state", rng_state))
+    scale, stream = _real_arg("scale", scale), LcgStream(rng_state)
     vals = [v * scale for v in stream.next_gauss_values(h * d + h + m * h + m)]
     pos = 0
     w1 = tuple(tuple(vals[pos + r * d: pos + (r + 1) * d]) for r in range(h))
@@ -271,7 +247,7 @@ def _mean_crossentropy(probs: np.ndarray, ys: np.ndarray) -> float:
     return total / len(ys)
 
 
-def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
+def fit_logistic(dataset: LabeledDataset, epochs: int = 500, learning_rate: float = 0.1,
                  rng_state: int = 0,
                  loss_history: list[float] | None = None) -> LinearSoftmaxModel:
     """Full-batch gradient descent on cross-entropy.
@@ -283,8 +259,9 @@ def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
     loop over examples would, so the weights do not depend on numpy's
     summation order.
     """
-    if len(dataset.examples) == 0:
-        raise DataError("cannot fit on an empty dataset")
+    if not isinstance(dataset, LabeledDataset):
+        dataset = LabeledDataset(dataset.examples, dataset.d, dataset.m)
+    epochs, lr = _int_arg("epochs", epochs, 0), _real_arg("learning_rate", learning_rate)
     d, m = dataset.d, dataset.m
     # Each example followed by 1.0, the input the bias multiplies.
     rows = np.ones((len(dataset.examples), d + 1))
@@ -303,7 +280,6 @@ def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
     terms = np.zeros((len(ys) + 1, d + 1))
     sums = np.empty_like(terms)
     grad = np.empty((m, d + 1))
-    lr = learning_rate
     halvings = 0
     probs = _softmax_rows(_affine_cols(cols, weights, bias))
     loss = _mean_crossentropy(probs, ys)
@@ -338,23 +314,13 @@ def fit_logistic(dataset, epochs: int = 500, learning_rate: float = 0.1,
 
 
 def save_model(model: LinearSoftmaxModel | MlpModel, path: str) -> None:
+    # The model rule keeps tuples of Python floats, which json writes as arrays.
     if isinstance(model, LinearSoftmaxModel):
-        doc = {
-            "kind": "linear",
-            "d": model.d,
-            "m": model.m,
-            "weights": [list(row) for row in model.weights],
-            "bias": list(model.bias),
-        }
+        doc = {"kind": "linear", "d": model.d, "m": model.m,
+               "weights": model.weights, "bias": model.bias}
     elif isinstance(model, MlpModel):
-        doc = {
-            "kind": "mlp",
-            "d": model.d,
-            "m": model.m,
-            "h": model.h,
-            "weights": [[list(r) for r in model.w1], [list(r) for r in model.w2]],
-            "bias": [list(model.b1), list(model.b2)],
-        }
+        doc = {"kind": "mlp", "d": model.d, "m": model.m, "h": model.h,
+               "weights": [model.w1, model.w2], "bias": [model.b1, model.b2]}
     else:
         raise DataError(f"cannot save model of type {type(model).__name__}")
     with open(path, "w", encoding="utf-8") as fh:

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import ConfigError, _int_arg
+from .core import _int_arg, _real_arg
 
 LCG_MULT = 6364136223846793005
 LCG_INC = 1442695040888963407
@@ -38,7 +38,7 @@ class LcgStream:
     """
 
     def __init__(self, state: int) -> None:
-        self.state = state & _MASK64
+        self.state = _int_arg("stream state", state) & _MASK64
 
     def next_u64(self) -> int:
         self.state = lcg_step(self.state)
@@ -95,17 +95,16 @@ def lcg_block(state, count: int) -> np.ndarray:
     Each value jumps straight from its start state; the arithmetic stays on
     uint64 arrays, which wrap mod 2^64 silently (numpy scalars would warn).
     """
+    one = np.ndim(state) == 0
+    start = np.array([_int_arg("stream state", s) & _MASK64 for s in ([state] if one else state)],
+                     dtype=np.uint64)
     mults, incs = _jump_coefficients(count)
-    if isinstance(state, (int, np.integer)):
-        start = np.full(1, int(state) & _MASK64, dtype=np.uint64)
-    else:
-        start = np.array([int(s) & _MASK64 for s in state], dtype=np.uint64)[:, None]
-    return mults * start + incs
+    return mults * (start if one else start[:, None]) + incs
 
 
 def derive_rng_state(seed: int, index: int = 0) -> int:
     """Distinct per-example stream state: one LCG step of seed+index."""
-    return lcg_step((seed + index) & _MASK64)
+    return lcg_step((_int_arg("seed", seed) + _int_arg("index", index)) & _MASK64)
 
 
 @dataclass(frozen=True)
@@ -158,8 +157,7 @@ def iid_bernoulli_bits(lam: float, n: int, count: int, rng_state) -> np.ndarray:
     Bit (r, i) is next_unit() < lam for stream value r * n + i; the top 32
     bits over 2^32 are exact in float64, so this matches the scalar stream.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"lambda must lie in [0, 1], got {lam!r}")
+    lam = _real_arg("lambda", lam, 0, 1)
     n, count = _int_arg("n", n, 1), _int_arg("count", count, 0)
     units = (lcg_block(rng_state, count * n) >> 32) / _TOP32
     return (units < lam).astype(np.uint8).reshape(units.shape[:-1] + (count, n))

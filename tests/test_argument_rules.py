@@ -1,13 +1,16 @@
 """The argument rules of core, table-driven over every argument they guard.
 
-The integer rule: a count, size, radius, budget, seed or id is a Python or
-numpy integer; a bool is not one, nor is any float, even 2.0. The real-number
-rule: a kernel width is a Python or numpy int or float, as a model weight is
-(tests/test_models.py); a bool, a string or a list raises ConfigError rather
-than a bare TypeError. The input-row rule: inputs are a (k, d) array of
+The integer rule: a count, size, radius, budget, seed, stream state or id is
+a Python or numpy integer; a bool is not one, nor is any float, even 2.0.
+The real-number rule: a kernel width, keep rate, scale, separation, learning
+rate, model weight or dataset feature is a finite Python or numpy int or
+float, read as the Python float it equals; a bool, a string, a list, NaN,
++-inf or an int too large for a float raises ConfigError rather than a bare
+TypeError or a NaN result. The input-row rule: inputs are a (k, d) array of
 numbers; a row of strings or a ragged batch raises ConfigError rather than a
 bare ValueError. The mask rule: masks are a (k, n) batch of numbers that all
 equal 0 or 1; anything else raises ConfigError naming the first bad mask.
+Every rule shows at most 80 characters of the value it refuses.
 """
 from __future__ import annotations
 
@@ -31,10 +34,16 @@ from muscert.certify import (
     certify_examples,
     enumerate_perturbation_masks,
 )
-from muscert.core import ConfigError, FeatureGrouping
-from muscert.data import synth_blobs
-from muscert.models import random_linear, random_mlp
-from muscert.noise import SmoothingConfig, iid_bernoulli_bits
+from muscert.core import ConfigError, FeatureGrouping, MuscertError, mask_array
+from muscert.data import LabeledDataset, synth_blobs
+from muscert.models import LinearSoftmaxModel, fit_logistic, random_linear, random_mlp
+from muscert.noise import (
+    LcgStream,
+    SmoothingConfig,
+    derive_rng_state,
+    iid_bernoulli_bits,
+    lcg_block,
+)
 from muscert.selfcheck import run_selfcheck
 from muscert.smoothing import SmoothedModel, masking_equivalence_check, mus_evaluate_pairs
 
@@ -46,6 +55,7 @@ MODEL = SmoothedModel.build(BASE, GROUPING, SmoothingConfig(q=4, lambda_num=2, s
 XS = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, -0.5]])
 PHI = (1, 0, 0)
 SCORES = [(0.3, 0.1, 0.2)]
+DATASET = synth_blobs(3, N, 2, 2.0, 5)
 
 
 def _config(**fields):
@@ -63,7 +73,7 @@ INTEGER_ARGUMENTS = {
     "synth_blobs n_per_class": ("n_per_class", lambda v: synth_blobs(v, 2, 2, 1.0, 5), 2),
     "synth_blobs d": ("d", lambda v: synth_blobs(2, v, 2, 1.0, 5), 2),
     "synth_blobs m": ("m", lambda v: synth_blobs(2, 2, v, 1.0, 5), 2),
-    "synth_blobs rng_state": ("rng_state", lambda v: synth_blobs(2, 2, 2, 1.0, v), 5),
+    "synth_blobs rng_state": ("stream state", lambda v: synth_blobs(2, 2, 2, 1.0, v), 5),
     "FeatureGrouping.trivial": ("feature dimension", FeatureGrouping.trivial, 3),
     "run_selfcheck max_n": ("max_n", lambda v: run_selfcheck(max_n=v, trials=1), 2),
     "run_selfcheck trials": ("trials", lambda v: run_selfcheck(max_n=2, trials=v), 1),
@@ -90,13 +100,23 @@ INTEGER_ARGUMENTS = {
     "attack budget": ("budget", lambda v: attack_walks(MODEL, XS, [0], [PHI], [v], ["dec"]), 2),
     "random_linear d": ("d", lambda v: random_linear(v, 2, 5), 3),
     "random_linear m": ("m", lambda v: random_linear(3, v, 5), 2),
-    "random_linear rng_state": ("rng_state", lambda v: random_linear(3, 2, v), 5),
+    "random_linear rng_state": ("stream state", lambda v: random_linear(3, 2, v), 5),
     "random_mlp d": ("d", lambda v: random_mlp(v, 4, 2, 6), 3),
     "random_mlp h": ("h", lambda v: random_mlp(3, v, 2, 6), 4),
     "random_mlp m": ("m", lambda v: random_mlp(3, 4, v, 6), 2),
-    "random_mlp rng_state": ("rng_state", lambda v: random_mlp(3, 4, 2, v), 6),
+    "random_mlp rng_state": ("stream state", lambda v: random_mlp(3, 4, 2, v), 6),
     "gradient class": ("class", lambda v: MLP.gradient(XS[0], v), 1),
     "gradient_batch class": ("class", lambda v: MLP.gradient_batch(XS[:1], [v]), 1),
+    "fit_logistic epochs": ("epochs", lambda v: fit_logistic(DATASET, epochs=v), 2),
+    "LcgStream state": ("stream state", lambda v: LcgStream(v).next_u64(), 5),
+    "lcg_block state": ("stream state", lambda v: lcg_block(v, 3), 5),
+    "lcg_block states": ("stream state", lambda v: lcg_block([1, v], 3), 5),
+    "derive_rng_state seed": ("seed", lambda v: derive_rng_state(v, 1), 5),
+    "derive_rng_state index": ("index", lambda v: derive_rng_state(5, v), 1),
+    "lime stream state": ("stream state", lambda v: lime_score_rows(BASE, XS, GROUPING, 8,
+                                                                    rng_states=[1, v]), 2),
+    "shap stream state": ("stream state", lambda v: shap_score_rows(BASE, XS, GROUPING, 3,
+                                                                    rng_states=[1, v]), 2),
 }
 
 
@@ -146,6 +166,26 @@ def test_random_model_sizes_have_floors(case):
     call(floor)
 
 
+# Each entry point of a 64-bit stream state, called with the state set to v.
+STREAM_STATES = {case: INTEGER_ARGUMENTS[case][1]
+                 for case in ("LcgStream state", "lcg_block state", "lcg_block states",
+                              "derive_rng_state seed", "lime stream state", "shap stream state")}
+
+
+@pytest.mark.parametrize("case", STREAM_STATES)
+def test_stream_states_are_64_bit_integers(case):
+    """None is refused too; every state derive_rng_state gives, up to
+    2^64 - 1, is taken, and a state is read mod 2^64, as the LCG steps it."""
+    call = STREAM_STATES[case]
+    with pytest.raises(ConfigError, match="^(stream state|seed) must be an integer, got None$"):
+        call(None)
+    top = 2 ** 64 - 1
+    assert _output_bytes(call(top)) == _output_bytes(call(np.uint64(top))) == \
+        _output_bytes(call(-1))
+    assert _output_bytes(call(derive_rng_state(11, 2))) == \
+        _output_bytes(call(derive_rng_state(11, 2) + 2 ** 64))
+
+
 def test_integer_rule_stores_python_ints():
     cfg = _config(q=np.int64(8), lambda_num=np.uint8(2), seed=np.int64(3), n=np.uint8(N))
     assert all(type(getattr(cfg, f)) is int for f in ("q", "lambda_num", "seed", "n"))
@@ -154,30 +194,62 @@ def test_integer_rule_stores_python_ints():
     assert type(synth_blobs(2, np.int64(2), np.uint8(2), 1.0, 5).m) is int
 
 
-# Each real-number argument: (call with the argument set to v, the message
-# that refuses a v that is not a number, the message that refuses an integer
-# too large for a float).
+# Each real-number argument: (name in the message, call with the argument
+# set to v, a valid integer g; g + 0.1 is valid too).
 REAL_ARGUMENTS = {
-    "lime kernel_width": (lambda v: lime_score_rows(BASE, XS, GROUPING, 8, v, rng_states=[1, 2]),
-                          "kernel width must be a number, got {!r}",
-                          "kernel width is too large for a float"),
+    "lime kernel_width": ("kernel width", lambda v: lime_score_rows(
+        BASE, XS, GROUPING, 8, v, rng_states=[1, 2]), 2),
+    "iid_bernoulli_bits lam": ("lambda", lambda v: iid_bernoulli_bits(v, 3, 40, 7), 0),
+    "random_linear scale": ("scale", lambda v: random_linear(3, 2, 5, scale=v), 2),
+    "random_mlp scale": ("scale", lambda v: random_mlp(3, 4, 2, 6, scale=v), 2),
+    "synth_blobs separation": ("separation", lambda v: synth_blobs(2, 2, 2, v, 5), 2),
+    "fit_logistic learning_rate": ("learning_rate", lambda v: fit_logistic(
+        DATASET, epochs=3, learning_rate=v), 2),
+    "model weight": ('field "weights" row 1 entry 0', lambda v: LinearSoftmaxModel(
+        weights=((1.0, 0.5), (v, -1.0)), bias=(0.0, 0.25)), 2),
+    "dataset feature": ("example 1 entry 0", lambda v: LabeledDataset(
+        examples=(((1.0, 0.5), 0), ((v, -1.0), 1)), d=2, m=2), 2),
 }
 
 
 @pytest.mark.parametrize("case", REAL_ARGUMENTS)
 def test_real_number_rule(case):
-    call, message, too_large = REAL_ARGUMENTS[case]
+    name, call, good = REAL_ARGUMENTS[case]
     for bad in ("1", "2.0", True, np.bool_(False), [2.0]):
         with pytest.raises(ConfigError) as err:
             call(bad)
-        assert str(err.value) == message.format(bad)
-    with pytest.raises(ConfigError, match=f"^{too_large}$"):
+        assert str(err.value) == f"{name} must be a number, got {bad!r}"
+    with pytest.raises(ConfigError) as err:
         call(10 ** 400)
-    want = _output_bytes(call(2.0))
-    for good in (2, np.int64(2), np.uint8(2), np.float64(2.0), np.float32(2.0)):
-        assert _output_bytes(call(good)) == want
+    assert str(err.value) == f"{name} is too large for a float"
+    for bad in (float("nan"), float("inf"), -np.inf, np.float32("nan"), np.float16("-inf")):
+        with pytest.raises(ConfigError) as err:
+            call(bad)
+        assert str(err.value) == f"{name} must be finite, got {float(bad)!r}"
     # A value is read as the Python float it equals, whatever its type.
-    assert _output_bytes(call(np.float32(1.1))) == _output_bytes(call(float(np.float32(1.1))))
+    want = _output_bytes(call(float(good)))
+    for value in (good, np.int64(good), np.uint8(good), np.float64(good), np.float32(good)):
+        assert _output_bytes(call(value)) == want
+    frac = np.float32(good + 0.1)
+    assert _output_bytes(call(frac)) == _output_bytes(call(float(frac)))
+
+
+# One value far too long to show, refused by each rule that names a value.
+LONG_VALUES = {
+    "integer rule": lambda: FeatureGrouping.from_json_dict({"d": 1, "groups": [[[0] * 100000]]}),
+    "real-number rule": lambda: LinearSoftmaxModel(weights=(("x" * 100000, 1.0), (0.0, 1.0)),
+                                                   bias=(0.0, 0.0)),
+    "real-number row": lambda: LinearSoftmaxModel(weights=((1.0,), (0.0,)), bias=10 ** 150),
+    "mask rule": lambda: mask_array([[0.5] * 100000], 3),
+}
+
+
+@pytest.mark.parametrize("case", LONG_VALUES)
+def test_rule_messages_show_a_bounded_value(case):
+    with pytest.raises(MuscertError) as err:
+        LONG_VALUES[case]()
+    message = str(err.value)
+    assert len(message) < 200 and message.endswith("..."), message
 
 
 STRINGS = [("a", "b", "c")]

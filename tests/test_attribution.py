@@ -267,20 +267,23 @@ def test_lime_constant_classifier_has_flat_surrogate():
 
 def test_lime_sample_floor():
     handle = ConstantHandle((0.5, 0.5), d=3)
-    with pytest.raises(ConfigError, match=r"^samples must be >= 4, got 3$"):
+    with pytest.raises(ConfigError, match=r"^samples must be in \[4, 65535\], got 3$"):
         lime_score_rows(handle, [(1.0, 1.0, 1.0)], FeatureGrouping.trivial(3),
                         samples=3)
 
 
 def test_lime_kernel_width_must_be_positive():
     handle = ConstantHandle((0.5, 0.5), d=2)
-    # NaN fails the positivity test too, rather than the surrogate fit, and
-    # a width whose square underflows to 0.0 fails rather than divide by it.
-    for width in (0.0, -1.5, float("nan"), 1e-170):
+    # A width whose square underflows to 0.0 fails rather than divide by it;
+    # NaN fails the real-number rule, rather than the surrogate fit.
+    for width in (0.0, -1.5, 1e-170):
         with pytest.raises(ConfigError, match=(
                 f"^kernel width must be positive with a nonzero square, got {width}$")):
             lime_score_rows(handle, [(1.0, 1.0)], FeatureGrouping.trivial(2),
                             samples=16, kernel_width=width)
+    with pytest.raises(ConfigError, match="^kernel width must be finite, got nan$"):
+        lime_score_rows(handle, [(1.0, 1.0)], FeatureGrouping.trivial(2),
+                        samples=16, kernel_width=float("nan"))
 
 
 def test_lime_is_deterministic_in_rng_state():
@@ -374,7 +377,7 @@ def test_shap_orders_of_many_states_hold_one_block_per_state():
 
 def test_shap_rejects_nonpositive_permutations():
     handle = ConstantHandle((0.5, 0.5), d=2)
-    with pytest.raises(ConfigError, match="permutations must be >= 1, got 0"):
+    with pytest.raises(ConfigError, match=r"^permutations must be in \[1, 65534\], got 0$"):
         shap_score_rows(handle, [(1.0, 1.0)], FeatureGrouping.trivial(2),
                         permutations=0)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import muscert
 from muscert.attack import AttackResult
-from muscert.attribution import occlusion_scores, topk_binarize
+from muscert.attribution import MAX_EXAMPLE_ROWS, occlusion_scores, topk_binarize
 from muscert.cli import (
     EXIT_DATA,
     EXIT_OK,
@@ -107,7 +107,7 @@ def test_model_weight_too_large_for_a_float_is_data_error(small_artifacts, tmp_p
     argv[argv.index("--model") + 1] = str(bad)
     assert main(argv) == EXIT_DATA
     assert capsys.readouterr().err == (
-        f'error: model file {bad}: field "bias" holds a weight too large for a float\n')
+        f'error: model file {bad}: field "bias" entry 0 is too large for a float\n')
 
 
 @pytest.mark.parametrize("kind", ["linear", "mlp"])
@@ -153,11 +153,12 @@ def test_unwritable_out_path_is_data_error(small_artifacts, tmp_path):
 
 @pytest.mark.parametrize("width", ["0", "nan", "1e-170"])
 def test_nonpositive_lime_kernel_width_is_usage_error(small_artifacts, tmp_path, capsys, width):
-    """So is a positive width whose square underflows to 0.0."""
+    """So is a positive width whose square underflows to 0.0, and NaN."""
     argv = ["explain", *_base_args(small_artifacts, tmp_path / "o"),
             "--scorer", "lime", "--lime-kernel-width", width, "--rinc", "0", "--rdec", "0"]
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err == (
+        "error: kernel width must be finite, got nan\n" if width == "nan" else
         f"error: kernel width must be positive with a nonzero square, got {float(width)}\n")
 
 
@@ -201,7 +202,8 @@ def test_non_finite_feature_is_data_error(small_artifacts, tmp_path, capsys, sco
     argv = ["explain", *_base_args(small_artifacts, tmp_path / "o"), "--scorer", scorer]
     argv[argv.index("--data") + 1] = str(data)
     assert main(argv) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {data} row 2: feature nan is not finite\n"
+    assert capsys.readouterr().err == (
+        f"error: dataset file {data}: example 1 entry 1 must be finite, got nan\n")
 
 
 @pytest.mark.parametrize("error,code", [
@@ -236,11 +238,15 @@ def test_negative_radius_target_is_usage_error_before_inputs_are_read(
 
 # Boundary values for every integer flag. The sizes that allocate or loop by
 # their value (--q, --lime-samples, --shap-permutations, --trials) take only
-# small ones, and --q also values above its cap of 2^16, which are refused
-# before any array is built.
+# small ones, and --q, --lime-samples and --shap-permutations also values
+# above their caps (at n = 6 for SHAP), which are refused before any array
+# is built.
 INT_VALUES = ["0", "-1", "1", str(2 ** 31), str(2 ** 63), str(2 ** 64), "x"]
 SIZE_VALUES = ["-1", "0", "1", "2", "4", "x"]
-Q_VALUES = SIZE_VALUES + [str(2 ** 16 + 1), str(2 ** 31), str(2 ** 63), str(2 ** 64)]
+ABOVE_CAPS = {"--q": 2 ** 16 + 1, "--lime-samples": MAX_EXAMPLE_ROWS,
+              "--shap-permutations": (MAX_EXAMPLE_ROWS - 2) // 5 + 1}
+CAPPED_VALUES = {flag: SIZE_VALUES + [str(v) for v in (above, 2 ** 31, 2 ** 63, 2 ** 64)]
+                 for flag, above in ABOVE_CAPS.items()}
 SIZE_FLAGS = ("--q", "--lime-samples", "--shap-permutations", "--trials")
 SMOOTHING_FLAGS = ("--q", "--lambda-num", "--seed", "--workers")
 SCORER_FLAGS = ("--lime-samples", "--shap-permutations")
@@ -267,7 +273,7 @@ def _integer_flag_argv(draw, small_artifacts):
     if command in ("certify", "attack") and not {"--topk", "--rinc", "--rdec"} & set(flags):
         argv += ["--topk", "2"]
     for flag in flags:
-        values = Q_VALUES if flag == "--q" else SIZE_VALUES if flag in SIZE_FLAGS else INT_VALUES
+        values = CAPPED_VALUES.get(flag, SIZE_VALUES if flag in SIZE_FLAGS else INT_VALUES)
         argv += [flag, draw(st.sampled_from(values))]
     return argv
 
@@ -283,6 +289,19 @@ def test_integer_flags_exit_with_a_documented_code(small_artifacts, data):
     lines = err.getvalue().splitlines(keepends=True)
     assert lines == [] or (len(lines) == 1 and lines[0].startswith("error: ")
                            and lines[0].endswith("\n")), (argv, lines)
+
+
+@pytest.mark.parametrize("scorer,flag,name,lo", [("lime", "--lime-samples", "samples", 7),
+                                                 ("shap", "--shap-permutations", "permutations", 1)])
+@pytest.mark.parametrize("above", [0, 2 ** 31])
+def test_scorer_sizes_above_their_cap_are_usage_errors(small_artifacts, tmp_path, capsys,
+                                                       scorer, flag, name, lo, above):
+    value = ABOVE_CAPS[flag] + above
+    argv = ["explain", *_base_args(small_artifacts, tmp_path / "o"), "--scorer", scorer,
+            flag, str(value)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: {name} must be in [{lo}, {ABOVE_CAPS[flag] - 1}], got {value}\n")
 
 
 # ------------------------------------------------------------------ certify

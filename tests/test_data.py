@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muscert.cli import EXIT_DATA, main
 from muscert.core import ConfigError, DataError
@@ -77,29 +79,35 @@ def test_non_integer_label_rejected(tmp_path):
 ])
 def test_non_finite_feature_rejected(tmp_path, field, shown):
     path = _write(tmp_path, "n.csv", f"1.0,2.0,0\n3.0,{field},1\n")
-    with pytest.raises(DataError, match=f"row 2: feature {shown} is not finite"):
+    message = f"dataset file {path}: example 1 entry 1 must be finite, got {shown}"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_csv_dataset(path)
 
 
 def test_negative_label_rejected(tmp_path):
     path = _write(tmp_path, "f.csv", "1.0,2.0,-1\n")
-    with pytest.raises(DataError, match="row 1: negative label -1"):
+    message = f"dataset file {path}: example 0 label must be in [0, 1], got -1"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_csv_dataset(path)
 
 
+# A row that does not parse is named by its file row; one that the dataset
+# rule refuses, by its example index (the header is not an example).
 @pytest.mark.parametrize("last_row,error", [
-    ("3.0,nan,1", "feature nan is not finite"),
+    pytest.param("3.0,nan,1", "dataset file {path}: example 40 entry 1 must be finite, got nan",
+                 id="3.0,nan,1-feature nan is not finite"),
     ("3.0,1", "2 fields, expected 3"),
     ("3.0,abc,1", "non-numeric feature: could not convert string to float: 'abc'"),
     ("3.0,4.0,1.5", "label '1.5' is not an integer"),
-    ("3.0,4.0,-2", "negative label -2"),
+    pytest.param("3.0,4.0,-2", "dataset file {path}: example 40 label must be in [0, 2], got -2",
+                 id="3.0,4.0,-2-negative label -2"),
 ])
 def test_bad_last_row_gives_its_row_error(small_artifacts, tmp_path, capsys, last_row, error):
     """A bad row, here the last of many good ones, gets its own message and
     exit code, as the first bad row of the file."""
     lines = [f"{i}.5,-{i}.25,{i % 3}" for i in range(40)] + [last_row]
     path = _write(tmp_path, "last.csv", "f0,f1,label\n" + "\n".join(lines) + "\n")
-    message = f"{path} row 42: {error}"
+    message = error.format(path=path) if "{path}" in error else f"{path} row 42: {error}"
     with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
         load_csv_dataset(path)
     code = main(["accuracy-curve", "--model", small_artifacts["model_path"], "--data", path,
@@ -189,24 +197,101 @@ def test_synth_blobs_config_errors():
 
 
 def test_dataset_validation():
-    with pytest.raises(DataError, match="dataset has no examples"):
+    with pytest.raises(ConfigError, match="^dataset has no examples$"):
         LabeledDataset(examples=(), d=1, m=2)
-    with pytest.raises(DataError, match="example 1 has 2 features, expected 1"):
+    with pytest.raises(ConfigError, match="^example 1 holds 2 numbers, expected 1$"):
         LabeledDataset(examples=(((1.0,), 0), ((1.0, 2.0), 1)), d=1, m=2)
-    with pytest.raises(DataError, match=r"example 0 label 5 outside \[0, 2\)"):
+    with pytest.raises(ConfigError, match=r"^example 0 label must be in \[0, 1\], got 5$"):
         LabeledDataset(examples=(((1.0,), 5),), d=1, m=2)
 
 
 @pytest.mark.parametrize("label", [0.5, 1.9, 1.0, True, np.bool_(False), "1", None])
 def test_dataset_labels_must_be_integers(label):
-    with pytest.raises(DataError, match=f"^example 1 label {re.escape(repr(label))} "
-                                        "is not an integer$"):
+    with pytest.raises(ConfigError, match=f"^example 1 label must be an integer, "
+                                          f"got {re.escape(repr(label))}$"):
         LabeledDataset(examples=(((1.0,), 0), ((2.0,), label)), d=1, m=2)
 
 
 def test_dataset_takes_numpy_integer_labels():
     ds = LabeledDataset(examples=(((1.0,), np.int64(0)), ((2.0,), np.uint8(1))), d=1, m=2)
     assert [y for _, y in ds.examples] == [0, 1]
+
+
+@pytest.mark.parametrize("examples,message", [
+    ((("a", "b"), 0), "example 0 entry 0 must be a number, got 'a'"),
+    (((1.0, float("nan")), 1), "example 0 entry 1 must be finite, got nan"),
+    (((1.0, True), 1), "example 0 entry 1 must be a number, got True"),
+    ((None, 1), "example 0 must be a list of numbers, got None"),
+    (((1.0, 2.0),), 'field "examples" must hold (features, label) pairs'),
+    (None, 'field "examples" must hold (features, label) pairs'),
+], ids=["strings", "nan", "bool", "no-row", "no-label", "no-examples"])
+def test_dataset_rule_refuses_what_is_not_a_real_row(examples, message):
+    with pytest.raises(ConfigError) as err:
+        LabeledDataset(examples=None if examples is None else (examples,), d=2, m=2)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("d,m,message", [
+    (2, 1, 'field "m" must be >= 2, got 1'),
+    (2, True, 'field "m" must be an integer, got True'),
+    (2, 2.0, 'field "m" must be an integer, got 2.0'),
+    (0, 2, 'field "d" must be >= 1, got 0'),
+    ("2", 2, "field \"d\" must be an integer, got '2'"),
+])
+def test_dataset_rule_checks_its_sizes(d, m, message):
+    with pytest.raises(ConfigError) as err:
+        LabeledDataset(examples=(((1.0, 2.0), 0),), d=d, m=m)
+    assert str(err.value) == message
+
+
+def test_fit_logistic_refuses_a_dataset_the_rule_refuses():
+    """A NaN feature once gave the initial weights and a loss of nan."""
+    class Duck:
+        examples, d, m = (((1.0, float("nan")), 0), ((0.0, 1.0), 1)), 2, 2
+
+    with pytest.raises(ConfigError, match="^example 0 entry 1 must be finite, got nan$"):
+        fit_logistic(Duck())
+
+
+def test_dataset_stores_python_floats_and_ints(tmp_path):
+    """Numpy features and labels are stored as the Python numbers they
+    equal, so the dataset equals its Python twin and its CSV reads back."""
+    rows = np.array([[1.5, -0.0], [2.0, 1e-320]])
+    ds = LabeledDataset(examples=((rows[0], np.int64(0)), (rows[1].astype(np.float32), 2)),
+                        d=np.uint8(2), m=np.int64(3))
+    twin = LabeledDataset(examples=(((1.5, -0.0), 0), ((2.0, 0.0), 2)), d=2, m=3)
+    assert ds == twin and hash(ds.examples) == hash(twin.examples)
+    assert all(type(v) is float for x, _ in ds.examples for v in x)
+    assert {type(y) for _, y in ds.examples} | {type(ds.d), type(ds.m)} == {int}
+    path = str(tmp_path / "numpy.csv")
+    save_csv_dataset(ds, path)
+    assert load_csv_dataset(path) == ds
+
+
+_FEATURE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(np.float32),
+    st.integers(-2 ** 60, 2 ** 60), st.integers(-100, 100).map(np.int64))
+
+
+@st.composite
+def _datasets(draw):
+    """A dataset the rule accepts whose m is the one its labels give, the
+    m a CSV file, which holds no m, is read back with."""
+    d = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_FEATURE, min_size=d, max_size=d), min_size=1, max_size=6))
+    labels = draw(st.lists(st.integers(0, 4).map(draw(st.sampled_from([int, np.int64]))),
+                           min_size=len(rows), max_size=len(rows)))
+    return LabeledDataset(examples=tuple(zip(rows, labels)), d=d, m=max(2, max(labels) + 1))
+
+
+@given(dataset=_datasets())
+@settings(max_examples=100, deadline=None)
+def test_every_accepted_dataset_round_trips_through_csv(tmp_path_factory, dataset):
+    path = str(tmp_path_factory.mktemp("round") / "d.csv")
+    save_csv_dataset(dataset, path)
+    assert load_csv_dataset(path) == dataset
 
 
 def test_single_class_file_widens_m_to_two(tmp_path):
@@ -254,6 +339,16 @@ def test_json_reader_errors(tmp_path, what, content, error):
     with pytest.raises(DataError) as err:
         JSON_LOADERS[what](path)
     assert str(err.value).startswith(error.format(what=what, path=path))
+
+
+@pytest.mark.parametrize("what", JSON_LOADERS)
+def test_json_int_past_the_digit_limit_is_data_error(tmp_path, what):
+    """Python refuses to parse an int of more than 4300 digits; the reader
+    names the file rather than let the ValueError escape."""
+    path = _write(tmp_path, f"{what}.json", '{"d": ' + "1" * 5000 + "}")
+    with pytest.raises(DataError) as err:
+        JSON_LOADERS[what](path)
+    assert str(err.value).startswith(f"{what} file {path} is not valid JSON: Exceeds the limit")
 
 
 @pytest.mark.parametrize("what,flag", [

@@ -262,7 +262,7 @@ def test_fit_rejects_empty_dataset():
         d = 1
         m = 2
 
-    with pytest.raises(DataError, match="cannot fit on an empty dataset"):
+    with pytest.raises(ConfigError, match="^dataset has no examples$"):
         fit_logistic(Hollow())
 
 
@@ -344,15 +344,15 @@ def _with_weight(kind, field, value):
                                         ("mlp", "b2")])
 def test_constructors_refuse_what_is_not_a_finite_real_weight(kind, field):
     where = f'field "{field}"' + (" row 0" if field in ("weights", "w1", "w2") else "")
-    cases = [(v, f"a non-numeric weight: {v!r}")
+    cases = [(v, f"must be a number, got {v!r}")
              for v in ("1.5", "x", True, np.bool_(False), None, [1.0])]
-    cases += [(float("nan"), "non-finite weight nan"), (-math.inf, "non-finite weight -inf"),
-              (np.float32("inf"), "non-finite weight inf"),
-              (10 ** 400, "a weight too large for a float")]
+    cases += [(float("nan"), "must be finite, got nan"), (-math.inf, "must be finite, got -inf"),
+              (np.float32("inf"), "must be finite, got inf"),
+              (10 ** 400, "is too large for a float")]
     for value, message in cases:
         with pytest.raises(ConfigError) as err:
             _with_weight(kind, field, value)
-        assert str(err.value) == f"{where} holds {message}"
+        assert str(err.value) == f"{where} entry 0 {message}"
     _with_weight(kind, field, np.float32(1.5))
 
 
@@ -382,7 +382,7 @@ def test_load_names_bad_field(tmp_path):
     ({"kind": "linear", "d": 2, "m": 2, "bias": [0.0, 0.0]},
      'field "weights" must be a list of rows, got None'),
     ({"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, 2.0], [0.0, 1.0]]},
-     'field "bias" must be a list of weights, got None'),
+     'field "bias" must be a list of numbers, got None'),
     ({"kind": "mlp", "d": 1, "m": 2, "h": 1, "bias": [[0.0], [0.0, 0.0]]},
      'field "weights" must hold two layers'),
     ({"kind": "mlp", "d": 1, "m": 2, "h": 1, "weights": [[[1.0]], [[1.0], [0.0]]],
@@ -397,25 +397,25 @@ def test_load_names_a_missing_field(tmp_path, doc, message):
 
 @pytest.mark.parametrize("doc,message", [
     ('{"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, NaN], [0.0, 1.0]],'
-     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds non-finite weight nan'),
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 entry 1 must be finite, got nan'),
     ('{"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, 2.0], [0.0, 1.0]],'
-     ' "bias": [0.0, -Infinity]}', 'field "bias" holds non-finite weight -inf'),
+     ' "bias": [0.0, -Infinity]}', 'field "bias" entry 1 must be finite, got -inf'),
     ('{"kind": "linear", "d": 1, "m": 2, "weights": [[1e999], [0.0]],'
-     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds non-finite weight inf'),
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 entry 0 must be finite, got inf'),
     ('{"kind": "mlp", "d": 1, "m": 2, "h": 1, "weights": [[[1.0]], [[1.0], [Infinity]]],'
-     ' "bias": [[0.0], [0.0, 0.0]]}', 'field "w2" row 1 holds non-finite weight inf'),
+     ' "bias": [[0.0], [0.0, 0.0]]}', 'field "w2" row 1 entry 0 must be finite, got inf'),
     ('{"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, "x"], [0.0, 1.0]],'
-     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a non-numeric weight: \'x\''),
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 entry 1 must be a number, got \'x\''),
     ('{"kind": "linear", "d": 2, "m": 2, "weights": [[1.0, 2.0], [0.0, 1.0]],'
-     ' "bias": [0.0, [1]]}', 'field "bias" holds a non-numeric weight: [1]'),
+     ' "bias": [0.0, [1]]}', 'field "bias" entry 1 must be a number, got [1]'),
     ('{"kind": "linear", "d": 2, "m": 2, "weights": [[true, false], [0.0, 1.0]],'
-     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a non-numeric weight: True'),
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 entry 0 must be a number, got True'),
     ('{"kind": "mlp", "d": 1, "m": 2, "h": 1, "weights": [[[1.0]], [[1.0], [0.0]]],'
-     ' "bias": [[0.0], [false, 0.0]]}', 'field "b2" holds a non-numeric weight: False'),
+     ' "bias": [[0.0], [false, 0.0]]}', 'field "b2" entry 0 must be a number, got False'),
     ('{"kind": "linear", "d": 2, "m": 2, "weights": [["1.5", "2"], [0.0, 1.0]],'
-     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a non-numeric weight: \'1.5\''),
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 entry 0 must be a number, got \'1.5\''),
     ('{"kind": "linear", "d": 1, "m": 2, "weights": [[1' + '0' * 400 + '], [0.0]],'
-     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 holds a weight too large for a float'),
+     ' "bias": [0.0, 0.0]}', 'field "weights" row 0 entry 0 is too large for a float'),
 ], ids=["linear-nan", "linear-bias", "overflow", "mlp", "string", "list", "bool-weight",
         "bool-bias", "numeric-string", "huge-int"])
 def test_load_rejects_non_finite_or_non_numeric_weights(tmp_path, doc, message):
@@ -474,22 +474,22 @@ def test_constructor_shape_validation():
         (lambda: LinearSoftmaxModel(weights=((1.0,),), bias=(0.0,)),
          'field "weights" must hold at least 2 rows, got 1'),
         (lambda: LinearSoftmaxModel(weights=((1.0,), (1.0, 2.0)), bias=(0.0, 0.0)),
-         'field "weights" row 1 holds 2 weights, expected 1'),
+         'field "weights" row 1 holds 2 numbers, expected 1'),
         (lambda: LinearSoftmaxModel(weights=((), ()), bias=(0.0, 0.0)),
-         'field "weights" row 0 holds 0 weights, expected at least 1'),
+         'field "weights" row 0 holds 0 numbers, expected at least 1'),
         (lambda: LinearSoftmaxModel(weights=((1.0,), (2.0,)), bias=(0.0, 0.0, 1.0)),
-         'field "bias" holds 3 weights, expected 2'),
+         'field "bias" holds 3 numbers, expected 2'),
         (lambda: LinearSoftmaxModel(weights=(1.0, 2.0), bias=(0.0, 0.0)),
-         'field "weights" row 0 must be a list of weights, got 1.0'),
+         'field "weights" row 0 must be a list of numbers, got 1.0'),
         (lambda: MlpModel(w1=((1.0,),), b1=(0.0,), w2=((1.0, 2.0),), b2=(0.0,)),
          'field "w2" must hold at least 2 rows, got 1'),
         (lambda: MlpModel(w1=(), b1=(), w2=((), ()), b2=(0.0, 0.0)),
          'field "w1" must hold at least 1 rows, got 0'),
         (lambda: MlpModel(w1=((1.0,),), b1=(0.0,), w2=((1.0, 2.0), (1.0, 2.0)),
                           b2=(0.0, 0.0)),
-         'field "w2" row 0 holds 2 weights, expected 1'),
+         'field "w2" row 0 holds 2 numbers, expected 1'),
         (lambda: MlpModel(w1=((1.0,),), b1=(0.0, 1.0), w2=((1.0,), (2.0,)), b2=(0.0, 0.0)),
-         'field "b1" holds 2 weights, expected 1'),
+         'field "b1" holds 2 numbers, expected 1'),
     ):
         with pytest.raises(ConfigError) as err:
             build()

@@ -142,9 +142,9 @@ def test_iid_masks_hit_rate_near_lambda():
 
 
 def test_iid_masks_validation():
-    with pytest.raises(ConfigError, match=r"lambda must lie in \[0, 1\], got -0\.1"):
+    with pytest.raises(ConfigError, match=r"^lambda must be in \[0, 1\], got -0\.1$"):
         iid_bernoulli_bits(-0.1, 3, 5, 0)
-    with pytest.raises(ConfigError, match=r"lambda must lie in \[0, 1\], got 1\.5"):
+    with pytest.raises(ConfigError, match=r"^lambda must be in \[0, 1\], got 1\.5$"):
         iid_bernoulli_bits(1.5, 3, 5, 0)
     with pytest.raises(ConfigError, match="count must be >= 0, got -1"):
         iid_bernoulli_bits(0.5, 3, -1, 0)
