@@ -31,8 +31,6 @@ from .core import (
     MuscertError,
     VerificationError,
     ones_mask,
-    popcount,
-    zeros_mask,
 )
 from .data import LabeledDataset, load_csv_dataset, load_grouping, save_csv_dataset, synth_blobs
 from .models import (

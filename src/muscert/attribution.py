@@ -8,7 +8,6 @@ requested certified radii hold.
 from __future__ import annotations
 
 import math
-from itertools import permutations as all_permutations
 from typing import Sequence
 
 import numpy as np
@@ -188,70 +187,48 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
 
 
 def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
-                    permutations: int = DEFAULT_SHAP_PERMUTATIONS, rng_states=(0,),
-                    exhaustive: bool = False) -> np.ndarray:
+                    permutations: int = DEFAULT_SHAP_PERMUTATIONS,
+                    rng_states=(0,)) -> np.ndarray:
     """Permutation-sampling Shapley estimates against a zero baseline, one
     per row of the (E, d) inputs xs, as an (E, n) array.
 
     Each order adds groups one at a time and credits each group its marginal
     change in the predicted-class probability. Example e draws its orders
-    from stream rng_states[e]; `exhaustive` enumerates all n! orders instead
-    (small n only).
+    from stream rng_states[e].
 
     A block of examples is one evaluate_rows call: the empty coalition,
     which is the zero input for every example, the full ones, which are the
     examples themselves and give their classes, then the coalitions in
-    between of each example: those of its P orders, P * (n - 1) rows, or
-    with `exhaustive` its 2^n - 2 proper nonempty subsets, which hold every
-    coalition of the n! orders once. Each group's marginal gains are then
-    summed per example with math.fsum.
+    between of each example: those of its P orders, P * (n - 1) rows. Each
+    group's marginal gains are then summed per example with math.fsum.
     """
     n = grouping.n
     permutations = _int_arg("permutations", permutations, 1,
                             (MAX_EXAMPLE_ROWS - 2) // max(1, n - 1))
     xs, rng_states = _score_inputs(xs, grouping, rng_states)
     index_map = grouping.index_map()
-    if exhaustive:
-        every_order = np.array(list(all_permutations(range(n))), dtype=np.intp).reshape(-1, n)
-        permutations = len(every_order)
-        # Row c - 1 of subsets holds the groups of the bits of c, and
-        # subset_rows[t, s - 1] is the row of the first s groups of order t.
-        codes = np.arange(1, 2 ** n - 1)
-        subsets = codes[:, None] >> np.arange(n) & 1
-        subset_rows = np.add.accumulate(1 << every_order[:, :-1], axis=1) - 1
     zero = np.zeros((1, grouping.d))
     out = np.empty((len(xs), n))
     # Blocks are sized by the order steps, which bound the gain arrays below
     # as well as the batch; each example's count holds the block's zero row.
     for block in _example_blocks(len(xs), 2 + permutations * (n - 1)):
         count = block.stop - block.start
-        if exhaustive:
-            orders = np.tile(every_order, (count, 1))
-        else:
-            orders = _sampled_orders(n, permutations, rng_states[block]).reshape(-1, n)
+        orders = _sampled_orders(n, permutations, rng_states[block]).reshape(-1, n)
         # rank[t, i] is the step at which order t adds group i; the coalition
         # before step s holds the groups ranked below s.
         rows = np.arange(len(orders))[:, None]
         rank = np.empty_like(orders)
         rank[rows, orders] = np.arange(n)
-        # middle[t, s - 1] is the row of the coalition before step s of order
-        # t among the per_example coalition rows of its example.
-        if exhaustive:
-            per_example, middle = len(subsets), subset_rows[rows[:, 0] % permutations]
-            coalitions = np.tile(subsets, (count, 1))
-        else:
-            per_example = permutations * (n - 1)
-            middle = rows % permutations * (n - 1) + np.arange(n - 1)
-            coalitions = (rank[:, None, :] < np.arange(1, n)[:, None]).reshape(-1, n)
-        masked = mask_apply_rows(np.repeat(xs[block], per_example, axis=0),
+        coalitions = (rank[:, None, :] < np.arange(1, n)[:, None]).reshape(-1, n)
+        masked = mask_apply_rows(np.repeat(xs[block], permutations * (n - 1), axis=0),
                                  coalitions, index_map)
         probs = evaluate_rows(base, np.concatenate([zero, xs[block], masked]))
-        # held[t, s] is the batch row of the coalition before step s of order t.
-        example = rows // permutations
+        # held[t, s] is the batch row of the coalition before step s of order
+        # t: the zero row, then masked row t * (n - 1) + s - 1, then its example.
         held = np.empty((len(orders), n + 1), dtype=np.intp)
         held[:, 0] = 0
-        held[:, 1:n] = 1 + count + example * per_example + middle
-        held[:, n] = 1 + example[:, 0]
+        held[:, 1:n] = 1 + count + rows * (n - 1) + np.arange(n - 1)
+        held[:, n] = 1 + rows[:, 0] // permutations
         classes = np.repeat(top_classes_and_gaps(probs[1:1 + count])[0], permutations)
         values = probs[held, classes[:, None]]
         gains = values[:, 1:] - values[:, :-1]

@@ -132,8 +132,14 @@ class ClassifierHandle(Protocol):
 
 def _shown(value) -> str:
     """repr(value) for a rule's message, cut to 80 characters ending in
-    "..." when longer, so that no message grows with the value it names."""
-    text = repr(value)
+    "..." when longer, so that no message grows with the value it names. An
+    int past Python's digit limit, which repr refuses, shows its bit length."""
+    try:
+        text = repr(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<{'negative ' * (value < 0)}int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} holding an int too long to show>"
     return text if len(text) <= 80 else text[:77] + "..."
 
 
@@ -299,14 +305,6 @@ def top_classes_and_gaps(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def ones_mask(n: int) -> Mask:
     return (1,) * n
-
-
-def zeros_mask(n: int) -> Mask:
-    return (0,) * n
-
-
-def popcount(a: Mask) -> int:
-    return sum(a)
 
 
 def mask_array(masks, n: int) -> np.ndarray:

@@ -4,7 +4,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import ConfigError, DataError, FeatureGrouping, Vector, _int_arg, _real_arg, _real_row
+from .core import (ConfigError, DataError, FeatureGrouping, Vector, _int_arg, _real_arg, _real_row,
+                   _shown)
 from .noise import LcgStream
 
 
@@ -66,12 +67,12 @@ def _read_json_object(path: str, what: str) -> dict:
     return doc
 
 
-def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
-    """Parse comma-separated rows of decimals; one column holds the label.
+def load_csv_dataset(path: str) -> LabeledDataset:
+    """Parse comma-separated rows of decimals; the last column holds the label.
 
-    The label column defaults to the last one. A first row whose fields
-    are all non-numeric is treated as a header and skipped. The first row
-    that does not parse raises its DataError; what the dataset rule refuses,
+    A first row whose fields are all non-numeric is treated as a header and
+    skipped. The first row that does not parse raises its DataError, which
+    shows at most 80 characters of the field; what the dataset rule refuses,
     with m = max(2, top label + 1), is a DataError naming the file.
     """
     lines = _read_text(path, "dataset").split("\n")
@@ -85,23 +86,21 @@ def load_csv_dataset(path: str, label_col: int | None = None) -> LabeledDataset:
     width = len(rows[0][1])
     if width < 2:
         raise DataError(f"{path} row {rows[0][0]}: need at least 2 columns, got {width}")
-    col = width - 1 if label_col is None else label_col
-    if not 0 <= col < width:
-        raise ConfigError(f"label column {col} outside 0..{width - 1}")
     examples = []
     for rownum, fields in rows:
         if len(fields) != width:
             raise DataError(f"{path} row {rownum}: {len(fields)} fields, expected {width}")
         try:
-            x = tuple(map(float, fields[:col] + fields[col + 1:]))
+            x = tuple(map(float, fields[:-1]))
         except ValueError as exc:
-            raise DataError(f"{path} row {rownum}: non-numeric feature: {exc}") from exc
+            bad = next(f for f in fields[:-1] if not _is_numeric(f))
+            raise DataError(f"{path} row {rownum}: non-numeric feature: could not convert "
+                            f"string to float: {_shown(bad)}") from exc
         try:
-            y = int(fields[col])
+            y = int(fields[-1])
         except ValueError as exc:
-            raise DataError(
-                f"{path} row {rownum}: label {fields[col].strip()!r} is not an integer"
-            ) from exc
+            raise DataError(f"{path} row {rownum}: label {_shown(fields[-1].strip())} "
+                            "is not an integer") from exc
         examples.append((x, y))
     try:
         return LabeledDataset(examples=tuple(examples), d=width - 1,

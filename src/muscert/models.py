@@ -4,11 +4,14 @@ Each model has one forward kernel (evaluate_batch) and one gradient kernel
 (gradient_batch) over a (k, d) input array; evaluate and gradient are their
 one-row calls. Layers run on contiguous (units, k) rows, one column per
 input, and every sum in a pinned order, a row at a time, so an input gets
-the same bits in any batch and on every run; math.exp rounds the same
-everywhere. The constructors hold the one model rule: every weight is a
-finite real number, stored as a Python float, in rectangular layers of at
-least 1 input, 1 hidden unit and 2 classes. Weights round-trip through a
-JSON document using Python's shortest round-trip float formatting.
+the same bits in any batch and on every run on one host. math.exp calls
+the C library's exp, which is not correctly rounded (glibc's included);
+another C library may round some inputs the other way, so outputs on
+another host may differ in the last bit. The constructors hold the one
+model rule: every weight is a finite real number, stored as a Python
+float, in rectangular layers of at least 1 input, 1 hidden unit and 2
+classes. Weights round-trip through a JSON document using Python's
+shortest round-trip float formatting.
 """
 from __future__ import annotations
 

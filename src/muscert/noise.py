@@ -2,8 +2,10 @@
 plus an iid Bernoulli mask sampler for LIME's perturbations.
 
 All pseudo-randomness in the package flows through one 64-bit linear
-congruential generator (Knuth's MMIX constants) so every artifact is
-bit-reproducible from a seed, across runs and across implementations.
+congruential generator (Knuth's MMIX constants), so every draw is
+bit-reproducible from a seed, across runs and across implementations. A
+value that then passes through math.exp, log, cos or sin, such as a Gaussian
+draw, is only as reproducible as the C library's rounding of that function.
 """
 from __future__ import annotations
 

@@ -1,11 +1,13 @@
 """Built-in verification suites that re-derive every guarantee by brute force.
 
-Each suite generates small random instances, computes ground truth by
-exhaustive enumeration or an independent formula, and counts violations.
-Three suites share each trial's instance and read one exhaustive table of
-its smoothed means. These are the same checks the test suite runs at larger
-trial counts; the command-line entry point exists so a deployed build can
-re-verify itself.
+Each trial builds one small random instance: a smoothed linear model over
+trivially grouped features, an input, the exhaustive table of its smoothed
+means and a stream state for further draws. Each of the six suites is a
+predicate on that instance, checked against ground truth from exhaustive
+enumeration or an independent formula. Every suite runs over a block of
+trials' instances, which are then dropped. The tests check the same
+properties on more instances and model kinds; the command-line entry point
+exists so a deployed build can re-verify itself.
 """
 from __future__ import annotations
 
@@ -25,6 +27,9 @@ from .smoothing import (EQUIVALENCE_TOL, SmoothedModel, _premasked_means,
 LIPSCHITZ_SLACK = 1e-9
 SHAP_EFFICIENCY_TOL = 1e-10
 GRADIENT_FD_TOL = 1e-5
+# The trials whose instances every suite checks before they are dropped:
+# memory is bounded by a block, and each suite's code runs a block at a time.
+_BLOCK_TRIALS = 64
 
 
 @dataclass(frozen=True)
@@ -76,27 +81,16 @@ def _random_instance(trial_seed: int, max_n: int):
     return model, x, table, stream.state
 
 
-def _suite(name: str, trials: int, failed: list[int]) -> SuiteResult:
-    """The result of `trials` trials, of which the seeds in `failed` failed."""
-    return SuiteResult(name, trials, len(failed), failed[0] if failed else None)
-
-
-def _failing(trials: int, seed: int, fails) -> list[int]:
-    """The trial seeds among seed .. seed + trials - 1 for which fails holds."""
-    return [trial_seed for trial_seed in range(seed, seed + trials) if fails(trial_seed)]
-
-
-def check_lqv_marginals(trials: int, seed: int, max_n: int = 8) -> SuiteResult:
-    """Every coordinate of the atom set carries exactly lambda_num ones."""
-    def fails(trial_seed: int) -> bool:
-        stream = LcgStream(derive_rng_state(trial_seed, 0))
-        q = 2 + stream.next_below(15)
-        lambda_num = 1 + stream.next_below(q)
-        n = 1 + stream.next_below(max_n)
-        cfg = SmoothingConfig(q=q, lambda_num=lambda_num, seed=trial_seed, n=n)
-        return (enumerate_atoms(cfg).sum(axis=0) != lambda_num).any()
-
-    return _suite("lqv_marginals", trials, _failing(trials, seed, fails))
+def check_lqv_marginals(model: SmoothedModel, _x, _table, state: int) -> bool:
+    """Every coordinate of the atom set carries exactly lambda_num ones, at
+    q in 2..16 and lambda_num drawn from state, over the instance's n groups.
+    Column i depends only on the i-th draw of the seed, so a wider n would
+    only add columns of the same kind."""
+    stream = LcgStream(state)
+    q = 2 + stream.next_below(15)
+    lambda_num = 1 + stream.next_below(q)
+    cfg = SmoothingConfig(q=q, lambda_num=lambda_num, seed=model.cfg.seed, n=model.n)
+    return bool((enumerate_atoms(cfg).sum(axis=0) == lambda_num).all())
 
 
 def check_lipschitz(model: SmoothedModel, _x, table: np.ndarray, _state: int) -> bool:
@@ -138,78 +132,59 @@ def check_soundness(model: SmoothedModel, x, table: np.ndarray, state: int) -> b
                 == classes[anchor]).all() for anchor, radius in balls)
 
 
-def check_shap_efficiency(trials: int, seed: int, max_n: int = 4) -> SuiteResult:
-    """Exhaustive-permutation Shapley scores sum to p_c(x) - p_c(0)."""
-    def fails(trial_seed: int) -> bool:
-        stream = LcgStream(derive_rng_state(trial_seed, 0))
-        n = 2 + stream.next_below(min(max_n, 4) - 1)
-        m = 2 + stream.next_below(2)
-        base = random_linear(n, m, derive_rng_state(trial_seed, 1))
-        grouping = FeatureGrouping.trivial(n)
-        x = _random_x(stream, n)
-        scores = shap_score_rows(base, [x], grouping, 1, [trial_seed], exhaustive=True)[0]
-        # p(x) in row 0 and p(0) in row 1.
-        probs = evaluate_rows(base, np.array([x, (0.0,) * n]))
-        c = top_classes_and_gaps(probs[:1])[0][0]
-        return abs(math.fsum(scores) - (probs[0, c] - probs[1, c])) > SHAP_EFFICIENCY_TOL
-
-    return _suite("shap_efficiency", trials, _failing(trials, seed, fails))
+def check_shap_efficiency(model: SmoothedModel, x, _table, state: int) -> bool:
+    """The sampled Shapley scores of the instance's base, one order drawn
+    from state, sum to p_c(x) - p_c(0). The gains of every order telescope,
+    so efficiency holds for each sampled order as for all n! of them."""
+    base, n = model.base, model.grouping.n
+    scores = shap_score_rows(base, [x], model.grouping, 1, [state])[0]
+    # p(x) in row 0 and p(0) in row 1.
+    probs = evaluate_rows(base, np.array([x, (0.0,) * n]))
+    c = top_classes_and_gaps(probs[:1])[0][0]
+    return abs(math.fsum(scores) - (probs[0, c] - probs[1, c])) <= SHAP_EFFICIENCY_TOL
 
 
-def check_gradient_fd(trials: int, seed: int, max_n: int = 6) -> SuiteResult:
-    """Analytic gradients agree with central finite differences.
+def check_gradient_fd(model: SmoothedModel, x, _table, state: int) -> bool:
+    """Analytic gradients of the instance's base, or on half the states of
+    an MLP, agree with central finite differences.
 
-    An MLP input is redrawn while a hidden pre-activation lies within one
-    finite-difference step of the ReLU kink: there the central difference
-    straddles the kink and measures neither one-sided slope.
+    An MLP input is redrawn from state's stream while a hidden pre-activation
+    lies within one finite-difference step of the ReLU kink: there the
+    central difference straddles the kink and measures neither one-sided
+    slope.
     """
-    def fails(trial_seed: int) -> bool:
-        stream = LcgStream(derive_rng_state(trial_seed, 0))
-        n = 2 + stream.next_below(max(1, min(max_n, 6) - 1))
-        m = 2 + stream.next_below(2)
-        if stream.next_below(2) == 0:
-            base = random_linear(n, m, derive_rng_state(trial_seed, 1))
-        else:
-            base = random_mlp(n, 4, m, derive_rng_state(trial_seed, 1))
-        x = _random_x(stream, n)
-        while isinstance(base, MlpModel) and _near_relu_kink(base, x):
+    stream, base, n = LcgStream(state), model.base, model.grouping.n
+    if stream.next_below(2):
+        base = random_mlp(n, 4, model.m, derive_rng_state(model.cfg.seed, 2))
+        while _near_relu_kink(base, x):
             x = _random_x(stream, n)
-        # With one feature per group the scores are the absolute gradient.
-        analytic = gradient_score_rows(base, [x], FeatureGrouping.trivial(n))
-        numeric = np.abs(finite_difference_rows(base, np.array([x])))
-        return np.abs(analytic - numeric).max() > GRADIENT_FD_TOL
-
-    return _suite("gradient_fd", trials, _failing(trials, seed, fails))
+    # With one feature per group the scores are the absolute gradient.
+    analytic = gradient_score_rows(base, [x], model.grouping)
+    numeric = np.abs(finite_difference_rows(base, np.array([x])))
+    return np.abs(analytic - numeric).max() <= GRADIENT_FD_TOL
 
 
 def _near_relu_kink(base: MlpModel, x: tuple[float, ...]) -> bool:
     """Some |pre_t| <= FD_STEP * sum_k |w1[t][k]|: a one-coordinate step of
     FD_STEP can carry hidden unit t across zero."""
-    for row, bias in zip(base.w1, base.b1):
-        pre = math.fsum([bias] + [w * v for w, v in zip(row, x)])
-        if abs(pre) <= FD_STEP * math.fsum(abs(w) for w in row):
-            return True
-    return False
+    return any(abs(math.fsum([bias] + [w * v for w, v in zip(row, x)]))
+               <= FD_STEP * math.fsum(map(abs, row)) for row, bias in zip(base.w1, base.b1))
 
 
 def run_selfcheck(max_n: int = 6, trials: int = 20, seed: int = 0) -> SelfcheckReport:
     max_n, trials = _int_arg("max_n", max_n, 2, 10), _int_arg("trials", trials, 1)
     seed = _int_arg("seed", seed)
-    lqv_marginals = check_lqv_marginals(trials, seed, max_n)
-    # Three suites share each trial's instance, built once and dropped after
-    # its trial, so memory stays flat in the trial count.
-    shared = {"lipschitz": check_lipschitz, "masking_equivalence": check_masking_equivalence,
-              "soundness": check_soundness}
-    failed = {name: [] for name in shared}
-    for trial_seed in range(seed, seed + trials):
-        instance = _random_instance(trial_seed, max_n)
-        for name, check in shared.items():
-            if not check(*instance):
-                failed[name].append(trial_seed)
-    suites = (
-        lqv_marginals,
-        *(_suite(name, trials, failed[name]) for name in shared),
-        check_shap_efficiency(trials, seed, min(max_n, 4)),
-        check_gradient_fd(trials, seed, max_n),
-    )
-    return SelfcheckReport(suites=suites)
+    # Looked up on each call, so that a wrapper on a check_* function sees it.
+    suites = {"lqv_marginals": check_lqv_marginals, "lipschitz": check_lipschitz,
+              "masking_equivalence": check_masking_equivalence, "soundness": check_soundness,
+              "shap_efficiency": check_shap_efficiency, "gradient_fd": check_gradient_fd}
+    failed = {name: [] for name in suites}
+    for lo in range(seed, seed + trials, _BLOCK_TRIALS):
+        seeds = range(lo, min(lo + _BLOCK_TRIALS, seed + trials))
+        instances = [_random_instance(trial_seed, max_n) for trial_seed in seeds]
+        for name, check in suites.items():
+            failed[name] += [s for s, instance in zip(seeds, instances) if not check(*instance)]
+        del instances  # before the next block is built
+    return SelfcheckReport(suites=tuple(
+        SuiteResult(name, trials, len(seeds), seeds[0] if seeds else None)
+        for name, seeds in failed.items()))

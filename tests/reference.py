@@ -39,7 +39,6 @@ from muscert.core import (
     Mask,
     Vector,
     mask_array,
-    zeros_mask,
 )
 from muscert.attribution import FD_STEP, LIME_RIDGE, _sampled_orders
 from muscert.certify import radius_from_gap
@@ -208,7 +207,7 @@ def mus_evaluate(model: SmoothedModel, x: Sequence[float], alpha: Mask) -> Logit
     if len(x) != grouping.d:
         raise ConfigError(f"input length {len(x)} != d={grouping.d}")
     mask_array([alpha], grouping.n)
-    mu = model.mu if model.mu is not None else zeros_mask(grouping.n)
+    mu = model.mu if model.mu is not None else (0,) * grouping.n
     m = model.base.m
     q = model.cfg.q
     columns: list[list[float]] = [[] for _ in range(m)]

@@ -252,6 +252,27 @@ def test_rule_messages_show_a_bounded_value(case):
     assert len(message) < 200 and message.endswith("..."), message
 
 
+# An int too long for repr, refused by a rule that names it: shown by its bit
+# length, so the rule raises its ConfigError and not repr's bare ValueError.
+DIGIT_LIMIT_VALUES = {
+    "integer rule": (lambda: _config(q=10 ** 5000),
+                     "q must be in [2, 65536], got <int of 16610 bits>"),
+    "integer rule, negative": (lambda: _config(n=-10 ** 5000),
+                               "n must be >= 1, got <negative int of 16610 bits>"),
+    "mask rule": (lambda: mask_array([[10 ** 5000, 0]], 2),
+                  "a mask must be 2 entries of 0 or 1, "
+                  "got <list holding an int too long to show>"),
+}
+
+
+@pytest.mark.parametrize("case", DIGIT_LIMIT_VALUES)
+def test_rule_messages_show_an_int_past_the_digit_limit(case):
+    call, message = DIGIT_LIMIT_VALUES[case]
+    with pytest.raises(ConfigError) as err:
+        call()
+    assert str(err.value) == message and len(message) < 200
+
+
 STRINGS = [("a", "b", "c")]
 RAGGED = [(1.0, 2.0, 3.0), (1.0, 2.0)]
 ONE_RAGGED = (1.0, (2.0, 3.0), 4.0)

@@ -25,14 +25,19 @@ from muscert.core import (
     ConfigError,
     FeatureGrouping,
     ones_mask,
-    popcount,
 )
 from muscert.models import LinearSoftmaxModel, random_linear, random_mlp
 from muscert.noise import LcgStream, SmoothingConfig, iid_bernoulli_bits
 from muscert.smoothing import SmoothedModel
 
 from conftest import ConstantHandle, GradientFreeAdapter, definitional_certificate
-from reference import finite_difference_gradient, mask_apply, mus_evaluate, top_class_and_gap
+from reference import (
+    finite_difference_gradient,
+    mask_apply,
+    mus_evaluate,
+    shap_one_example,
+    top_class_and_gap,
+)
 
 
 class DyadicAdditiveHandle:
@@ -300,6 +305,8 @@ def test_lime_is_deterministic_in_rng_state():
 # --------------------------------------------------------------------- shap
 
 def test_shap_two_group_closed_form():
+    """Over two groups each order credits one of two closed forms, so the
+    estimate weighs them by how often each order was drawn."""
     base, grouping = _identity_pair()
     x = (1.5, -0.5)
     c, _ = top_class_and_gap(base.evaluate(x))
@@ -307,9 +314,11 @@ def test_shap_two_group_closed_form():
     def v(alpha):
         return base.evaluate(mask_apply(x, alpha, grouping))[c]
 
-    sv = shap_score_rows(base, [x], grouping, exhaustive=True)[0]
-    want0 = 0.5 * (v((1, 0)) - v((0, 0))) + 0.5 * (v((1, 1)) - v((0, 1)))
-    want1 = 0.5 * (v((0, 1)) - v((0, 0))) + 0.5 * (v((1, 1)) - v((1, 0)))
+    first = float((_sampled_orders(2, 16, 5)[:, 0] == 0).mean())  # group 0 added first
+    assert 0 < first < 1
+    sv = shap_score_rows(base, [x], grouping, 16, [5])[0]
+    want0 = first * (v((1, 0)) - v((0, 0))) + (1 - first) * (v((1, 1)) - v((0, 1)))
+    want1 = (1 - first) * (v((0, 1)) - v((0, 0))) + first * (v((1, 1)) - v((1, 0)))
     assert abs(sv[0] - want0) <= 1e-15
     assert abs(sv[1] - want1) <= 1e-15
 
@@ -319,21 +328,35 @@ def test_shap_additive_game_credits_exact_weights():
     handle = DyadicAdditiveHandle(0.5, weights)
     grouping = FeatureGrouping.trivial(3)
     x = (1.0, 1.0, 1.0)
-    exhaustive = shap_score_rows(handle, [x], grouping, exhaustive=True)
-    sampled = shap_score_rows(handle, [x], grouping, permutations=8, rng_states=[3])
-    assert exhaustive.tolist() == [list(weights)]
-    assert sampled.tolist() == [list(weights)]
+    for permutations, state in ((1, 4), (8, 3)):
+        sampled = shap_score_rows(handle, [x], grouping, permutations, [state])
+        assert sampled.tolist() == [list(weights)]
 
 
-def test_shap_efficiency_for_exhaustive_orders():
+def test_shap_efficiency_for_sampled_orders():
+    """The gains of every order telescope, so any sample of orders sums to
+    p_c(x) - p_c(0), as all n! of them do."""
     model = random_linear(4, 3, 61)
     grouping = FeatureGrouping.trivial(4)
     x = (0.9, -0.4, 1.3, 0.2)
     c, _ = top_class_and_gap(model.evaluate(x))
-    sv = shap_score_rows(model, [x], grouping, exhaustive=True)[0]
     full = model.evaluate(x)[c]
     empty = model.evaluate((0.0, 0.0, 0.0, 0.0))[c]
-    assert abs(math.fsum(sv) - (full - empty)) <= 1e-10
+    for permutations, state in ((1, 0), (7, 1), (64, 2)):
+        sv = shap_score_rows(model, [x], grouping, permutations, [state])[0]
+        assert abs(math.fsum(sv) - (full - empty)) <= 1e-10
+
+
+@pytest.mark.parametrize("n,state", [(2, 0), (3, 72)])
+def test_shap_over_every_order_once_is_the_exact_shapley_value(n, state):
+    """A stream state whose n! sampled orders are all distinct gives the
+    exact Shapley value, the reference's sum over every order."""
+    orders = _sampled_orders(n, math.factorial(n), state)
+    assert len(set(map(tuple, orders.tolist()))) == math.factorial(n)
+    base, grouping = random_mlp(n, 5, 3, 62), FeatureGrouping.trivial(n)
+    x = (1.25, -0.75, 0.5)[:n]
+    exact = shap_one_example(base, x, grouping, 1, 0, exhaustive=True)
+    assert shap_score_rows(base, [x], grouping, len(orders), [state])[0].tolist() == list(exact)
 
 
 def test_shap_sampling_is_deterministic():
@@ -427,7 +450,7 @@ def test_topk_rejects_non_finite_scores(scores, group, shown):
 def test_topk_mask_properties(vals, data):
     k = data.draw(st.integers(0, len(vals)))
     mask = topk_binarize(vals, k)
-    assert popcount(mask) == k
+    assert sum(mask) == k
     chosen = [vals[i] for i in range(len(vals)) if mask[i]]
     dropped = [vals[i] for i in range(len(vals)) if not mask[i]]
     if chosen and dropped:

@@ -57,9 +57,9 @@ PUBLIC_NAMES = {
     "derive_rng_state", "enumerate_atoms", "enumerate_perturbation_masks", "fit_logistic",
     "gradient_score_rows", "greedy_stable_masks", "lime_score_rows", "load_csv_dataset",
     "load_grouping", "load_model", "masking_equivalence_check", "mus_evaluate_pairs",
-    "occlusion_scores", "ones_mask", "popcount", "radius_from_gap", "random_linear",
+    "occlusion_scores", "ones_mask", "radius_from_gap", "random_linear",
     "random_mlp", "run_selfcheck", "save_csv_dataset", "save_model", "shap_score_rows",
-    "synth_blobs", "topk_binarize", "zeros_mask",
+    "synth_blobs", "topk_binarize",
 }
 
 
@@ -131,3 +131,21 @@ def test_workload_flags_parse():
             assert [a for a in inv.argv if a.startswith("--") and a not in options] == []
             seen.add(inv.argv[0])
     assert seen == {"certify", "accuracy-curve", "explain", "attack", "selfcheck"}
+
+
+def test_selfcheck_prints_the_lines_the_bench_parses(capsys):
+    """The suites, in order, are the bench's SELFCHECK_SUITES, and the
+    bench's own selfcheck invocation prints one line per suite and the pass
+    line, which its check reads as a pass with no failing unit."""
+    workloads = _load_bench("workloads")
+    report = muscert.run_selfcheck(max_n=2, trials=1)
+    assert tuple(suite.name for suite in report.suites) == workloads.SELFCHECK_SUITES
+    ctx = workloads.Context(seed=11, workdir=Path("desk"))
+    [inv] = workloads.selfcheck_small(ctx)
+    assert cli.main(list(inv.argv)) == 0
+    stdout = capsys.readouterr().out
+    trials = workloads.SELFCHECK_TRIALS
+    assert stdout == "".join(f"{suite}: {trials} trials, 0 failures\n"
+                             for suite in workloads.SELFCHECK_SUITES) + (
+        "selfcheck: all suites passed\n")
+    assert inv.units == trials and inv.check(inv, ctx, stdout) == {}

@@ -16,10 +16,8 @@ from muscert.core import (
     mask_apply_rows,
     mask_array,
     ones_mask,
-    popcount,
     top_classes_and_gaps,
     validate_logits_batch,
-    zeros_mask,
 )
 
 from reference import mask_and, mask_apply, mask_or, where_masked_rows
@@ -212,8 +210,6 @@ def test_validate_logits_contract():
 
 def test_mask_helpers():
     assert ones_mask(3) == (1, 1, 1)
-    assert zeros_mask(2) == (0, 0)
-    assert popcount((1, 0, 1, 1)) == 3
     with pytest.raises(ConfigError, match=r"^a mask must be 3 entries of 0 or 1, got \(1, 0\)$"):
         mask_array([(1, 0)], 3)
     with pytest.raises(ConfigError, match=r"^a mask must be 2 entries of 0 or 1, got \(1, 2\)$"):

@@ -116,17 +116,21 @@ def test_bad_last_row_gives_its_row_error(small_artifacts, tmp_path, capsys, las
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_label_col_override(tmp_path):
-    path = _write(tmp_path, "g.csv", "1,5.0,6.0\n0,7.0,8.0\n")
-    ds = load_csv_dataset(path, label_col=0)
-    assert ds.examples[0] == ((5.0, 6.0), 1)
-    assert ds.examples[1] == ((7.0, 8.0), 0)
+LONG_FIELD_SHOWN = "'" + "x" * 76 + "..."
 
 
-def test_label_col_out_of_range(tmp_path):
-    path = _write(tmp_path, "h.csv", "1.0,0\n")
-    with pytest.raises(ConfigError, match=r"label column 5 outside 0\.\.1"):
-        load_csv_dataset(path, label_col=5)
+@pytest.mark.parametrize("row,error", [
+    ("1.0,{long},0", f"non-numeric feature: could not convert string to float: {LONG_FIELD_SHOWN}"),
+    ("1.0,2.0,{long}", f"label {LONG_FIELD_SHOWN} is not an integer"),
+])
+def test_parse_errors_show_a_bounded_field(tmp_path, row, error):
+    """A 100,000-character field is shown cut to 80 characters, so the
+    message past the file name stays under 200."""
+    path = _write(tmp_path, "long.csv", row.format(long="x" * 100000) + "\n")
+    with pytest.raises(DataError) as err:
+        load_csv_dataset(path)
+    assert str(err.value) == f"{path} row 1: {error}"
+    assert len(str(err.value)) - len(path) < 200
 
 
 def test_missing_file_is_data_error(tmp_path):

@@ -10,6 +10,8 @@ import sys
 import numpy as np
 import pytest
 
+from muscert import selfcheck
+from muscert.attribution import finite_difference_rows, gradient_score_rows
 from muscert.core import ConfigError, DataError
 from muscert.data import LabeledDataset, synth_blobs
 from muscert.models import (
@@ -22,7 +24,7 @@ from muscert.models import (
     save_model,
 )
 from muscert.noise import LcgStream, derive_rng_state
-from muscert.selfcheck import check_gradient_fd
+from muscert.selfcheck import GRADIENT_FD_TOL, _near_relu_kink, _random_instance
 
 from reference import scalar_gradient, scalar_logits, scalar_probs
 
@@ -139,11 +141,19 @@ def test_relu_kink_uses_zero_subgradient():
     assert grad == (0.0, 0.0)
 
 
-def test_gradient_fd_suite_redraws_inputs_at_the_relu_kink():
-    """Trial seed 1915 draws an MLP pre-activation of -3.6e-5, inside the
-    1e-4 finite-difference step; the suite must redraw, not fail."""
-    result = check_gradient_fd(1, 1915, 8)
-    assert (result.trials, result.failures) == (1, 0)
+def test_gradient_fd_suite_redraws_inputs_at_the_relu_kink(monkeypatch):
+    """Trial seed 4556 puts the instance's input at an MLP pre-activation of
+    5.1e-5, inside the 1e-4 finite-difference step, where central
+    differences miss the gradient by 2.5e-3; the suite must redraw, not fail."""
+    model, x, table, state = _random_instance(4556, 8)
+    built = []
+    monkeypatch.setattr(selfcheck, "random_mlp",
+                        lambda *args: built.append(random_mlp(*args)) or built[-1])
+    assert selfcheck.check_gradient_fd(model, x, table, state)
+    [mlp] = built
+    assert _near_relu_kink(mlp, x)
+    numeric = np.abs(finite_difference_rows(mlp, np.array([x])))
+    assert np.abs(gradient_score_rows(mlp, [x], model.grouping) - numeric).max() > GRADIENT_FD_TOL
 
 
 def test_gradient_class_bounds():

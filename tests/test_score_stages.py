@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from muscert import smoothing
-from muscert.attribution import gradient_score_rows, lime_score_rows, shap_score_rows
+from muscert.attribution import (DEFAULT_SHAP_PERMUTATIONS, gradient_score_rows,
+                                 lime_score_rows, shap_score_rows)
 from muscert.core import ConfigError, FeatureGrouping
 from muscert.models import random_linear, random_mlp
 from muscert.noise import LcgStream, derive_rng_state
@@ -104,13 +105,15 @@ def test_lime_rows_equal_one_row_calls_and_the_per_example_reference(name):
 
 
 @pytest.mark.parametrize("name", CASES)
-@pytest.mark.parametrize("exhaustive", [False, True])
-def test_shap_rows_equal_one_row_calls_and_the_per_example_reference(name, exhaustive):
+@pytest.mark.parametrize("default_orders", [False, True])
+def test_shap_rows_equal_one_row_calls_and_the_per_example_reference(name, default_orders):
+    """At 9 orders per example, or at the explain command's default."""
     base, grouping, xs = _case(name)
-    rows = shap_score_rows(base, xs, grouping, 9, _states(len(xs)), exhaustive)
+    orders = DEFAULT_SHAP_PERMUTATIONS if default_orders else 9
+    rows = shap_score_rows(base, xs, grouping, orders, _states(len(xs)))
     for x, state, got in zip(xs.tolist(), _states(len(xs)), rows.tolist()):
-        assert got == shap_score_rows(base, [x], grouping, 9, [state], exhaustive)[0].tolist()
-        assert tuple(got) == shap_one_example(base, x, grouping, 9, state, exhaustive)
+        assert got == shap_score_rows(base, [x], grouping, orders, [state])[0].tolist()
+        assert tuple(got) == shap_one_example(base, x, grouping, orders, state)
 
 
 def _reference_gradient_scores(base, x, grouping):
@@ -181,18 +184,18 @@ class RowCounter:
         return self.inner.evaluate_batch(z)
 
 
-def test_exhaustive_shap_sends_each_coalition_once():
+def test_shap_sends_each_order_step_once():
     n = 7
     base = RowCounter(random_mlp(n, 5, 3, 46))
     grouping = FeatureGrouping.trivial(n)
     stream = LcgStream(derive_rng_state(46, 0))
     xs = np.array([[2.0 * stream.next_gauss_pair()[0] for _ in range(n)] for _ in range(3)])
-    rows = shap_score_rows(base, xs, grouping, rng_states=_states(3), exhaustive=True)
-    # A block of one example sends the zero row, the example and its 2^n - 2
-    # proper nonempty subsets, where its 5040 orders hold 30240 coalitions.
-    assert base.rows == 3 * 2 ** n
-    for x, got in zip(xs.tolist(), rows.tolist()):
-        assert tuple(got) == shap_one_example(base.inner, x, grouping, 1, 0, exhaustive=True)
+    rows = shap_score_rows(base, xs, grouping, 5, _states(3))
+    # One block sends the zero row, the 3 examples and the n - 1 coalitions
+    # between empty and full of each of their 5 orders, repeats included.
+    assert base.rows == 1 + 3 + 3 * 5 * (n - 1)
+    for x, state, got in zip(xs.tolist(), _states(3), rows.tolist()):
+        assert tuple(got) == shap_one_example(base.inner, x, grouping, 5, state)
 
 
 # A block is one evaluate_rows call and holds at least one example: 1 sends
@@ -206,12 +209,10 @@ def test_no_chunk_size_moves_a_byte(monkeypatch, name, chunk):
     states = _states(len(xs))
     want = (lime_score_rows(base, xs, grouping, 20, None, states),
             shap_score_rows(base, xs, grouping, 9, states),
-            shap_score_rows(base, xs, grouping, 9, states, exhaustive=True),
             gradient_score_rows(base, xs, grouping))
     monkeypatch.setattr(smoothing, "DRIVER_CHUNK", chunk)
     got = (lime_score_rows(base, xs, grouping, 20, None, states),
            shap_score_rows(base, xs, grouping, 9, states),
-           shap_score_rows(base, xs, grouping, 9, states, exhaustive=True),
            gradient_score_rows(base, xs, grouping))
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()

@@ -170,9 +170,12 @@ def test_lqv_marginals_counts_trials_with_a_broken_column(monkeypatch, period, f
             atoms[0, -1] ^= 1
         return atoms
 
-    assert selfcheck.check_lqv_marginals(25, 40, 8).ok
+    def lqv_marginals():
+        return selfcheck.run_selfcheck(max_n=8, trials=25, seed=40).suites[0]
+
+    assert lqv_marginals().ok
     monkeypatch.setattr(selfcheck, "enumerate_atoms", broken)
-    result = selfcheck.check_lqv_marginals(25, 40, 8)
+    result = lqv_marginals()
     assert (result.trials, result.failures, result.first_failure_seed) == (25, failures, first)
 
 
@@ -187,14 +190,16 @@ def test_run_selfcheck_builds_each_instance_once_per_call(monkeypatch):
     monkeypatch.setattr(selfcheck, "_random_instance", counting)
     for _ in range(2):
         assert selfcheck.run_selfcheck(max_n=4, trials=5, seed=20).ok
-    # Once per trial for the three suites that share them, and again by the
-    # second call: nothing is kept between calls.
+    # Once per trial for all six suites, and again by the second call:
+    # nothing is kept between calls.
     assert built == list(range(20, 25)) * 2
 
 
-def test_run_selfcheck_holds_one_instance_at_a_time(monkeypatch):
-    """When trial t + 1 builds its instance, every instance before trial t's
-    has been dropped, so memory does not grow with the trial count."""
+def test_run_selfcheck_holds_one_block_at_a_time(monkeypatch):
+    """When a trial builds its instance, only the instances of the trials
+    before it in its block are alive, so memory grows with the block and
+    not with the trial count."""
+    monkeypatch.setattr(selfcheck, "_BLOCK_TRIALS", 3)
     models, alive = [], []
     real = selfcheck._random_instance
 
@@ -205,8 +210,8 @@ def test_run_selfcheck_holds_one_instance_at_a_time(monkeypatch):
         return instance
 
     monkeypatch.setattr(selfcheck, "_random_instance", spy)
-    assert selfcheck.run_selfcheck(max_n=4, trials=6, seed=20).ok
-    assert alive == [0] + [1] * 5
+    assert selfcheck.run_selfcheck(max_n=4, trials=8, seed=20).ok
+    assert alive == [0, 1, 2, 0, 1, 2, 0, 1]
 
 
 def drawn_phi(model, state):
@@ -256,6 +261,38 @@ def test_shared_suites_count_failures_and_name_the_first(monkeypatch):
         ("lqv_marginals", 20, 0, None), ("lipschitz", 20, 6, 32),
         ("masking_equivalence", 20, 10, 30), ("soundness", 20, 2, 33),
         ("shap_efficiency", 20, 0, None), ("gradient_fd", 20, 0, None)]
+
+
+def test_scorer_and_atom_suites_count_failures_and_name_the_first(monkeypatch):
+    """The other three suites, run over the same instances, fail exactly the
+    trials whose target is broken, and the three above pass: atoms with a
+    wrong column on trial seeds 0 mod 7 from 30, SHAP scores doubled on
+    seeds 4 mod 5 and finite differences 1e-3 off on seeds 1 mod 6. Each
+    scorer suite calls its target once per trial, in trial order."""
+    real_atoms = selfcheck.enumerate_atoms
+    calls = {"shap": iter(range(30, 50)), "fd": iter(range(30, 50))}
+
+    def wrong_column(cfg):
+        atoms = real_atoms(cfg)
+        if cfg.seed % 7:
+            return atoms
+        atoms = atoms.copy()
+        atoms[:, -1] = 1 - atoms[:, -1]  # q - lambda_num ones
+        if 2 * cfg.lambda_num == cfg.q:
+            atoms[0, -1] ^= 1
+        return atoms
+
+    real_shap, real_fd = selfcheck.shap_score_rows, selfcheck.finite_difference_rows
+    monkeypatch.setattr(selfcheck, "enumerate_atoms", wrong_column)
+    monkeypatch.setattr(selfcheck, "shap_score_rows", lambda *args: real_shap(*args) * (
+        2.0 if next(calls["shap"]) % 5 == 4 else 1.0))
+    monkeypatch.setattr(selfcheck, "finite_difference_rows", lambda *args: real_fd(*args) + (
+        1e-3 if next(calls["fd"]) % 6 == 1 else 0.0))
+    report = selfcheck.run_selfcheck(max_n=4, trials=20, seed=30)
+    assert [(s.name, s.trials, s.failures, s.first_failure_seed) for s in report.suites] == [
+        ("lqv_marginals", 20, 3, 35), ("lipschitz", 20, 0, None),
+        ("masking_equivalence", 20, 0, None), ("soundness", 20, 0, None),
+        ("shap_efficiency", 20, 4, 34), ("gradient_fd", 20, 4, 31)]
 
 
 def test_table_soundness_matches_the_oracle(monkeypatch):
