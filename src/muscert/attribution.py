@@ -20,12 +20,13 @@ from .core import (
     _float_rows,
     _int_arg,
     _real_arg,
+    _zero_unless,
     evaluate_rows,
-    mask_apply_rows,
     top_classes_and_gaps,
 )
 from . import smoothing
 from .certify import radius_from_gap
+from .models import _exp
 from .noise import iid_bernoulli_bits, lcg_block
 from .smoothing import SmoothedModel, mus_evaluate_pairs
 
@@ -134,6 +135,22 @@ def _example_blocks(examples: int, rows_each: int):
     return (slice(lo, min(lo + step, examples)) for lo in range(0, examples, step))
 
 
+def _masked_batch(xs: np.ndarray, masks: np.ndarray, index_map: np.ndarray,
+                  zero_rows: int = 0) -> np.ndarray:
+    """The (k, d) batch of zero_rows zero rows, the rows of xs, then each row
+    of xs masked by its len(masks) // len(xs) consecutive masks, as the
+    transpose of one C-contiguous (d, k) array: the built-in models take its
+    columns as they are, with no copy."""
+    head = zero_rows + len(xs)
+    cols = np.empty((xs.shape[1], head + len(masks)))
+    cols[:, :zero_rows] = 0.0
+    cols[:, zero_rows:head] = xs.T
+    # mask_apply_rows' bit-and, written straight into the batch.
+    _zero_unless(masks.T.take(index_map, axis=0),
+                 np.repeat(xs.T, len(masks) // len(xs), axis=1), cols[:, head:])
+    return cols.T
+
+
 def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
                     samples: int = DEFAULT_LIME_SAMPLES,
                     kernel_width: float | None = None, rng_states=(0,)) -> np.ndarray:
@@ -156,14 +173,13 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
                           f"got {kernel_width}")
     xs, rng_states = _score_inputs(xs, grouping, rng_states)
     index_map = grouping.index_map()
-    kernel = np.array([math.exp(-(dropped * dropped) / (kernel_width * kernel_width))
-                       for dropped in range(n + 1)])
+    dropped = np.arange(n + 1, dtype=float)
+    kernel = _exp(-(dropped * dropped) / (kernel_width * kernel_width))
     out = np.empty((len(xs), n))
     for block in _example_blocks(len(xs), 1 + samples):
         count = block.stop - block.start
         bits = iid_bernoulli_bits(0.5, n, samples, rng_states[block])
-        probs = evaluate_rows(base, np.concatenate([xs[block], mask_apply_rows(
-            np.repeat(xs[block], samples, axis=0), bits.reshape(-1, n), index_map)]))
+        probs = evaluate_rows(base, _masked_batch(xs[block], bits.reshape(-1, n), index_map))
         classes = top_classes_and_gaps(probs[:count])[0]
         for e, draws, sampled, c in zip(range(block.start, block.stop), bits,
                                         probs[count:].reshape(count, samples, -1), classes):
@@ -207,7 +223,6 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
                             (MAX_EXAMPLE_ROWS - 2) // max(1, n - 1))
     xs, rng_states = _score_inputs(xs, grouping, rng_states)
     index_map = grouping.index_map()
-    zero = np.zeros((1, grouping.d))
     out = np.empty((len(xs), n))
     # Blocks are sized by the order steps, which bound the gain arrays below
     # as well as the batch; each example's count holds the block's zero row.
@@ -220,9 +235,7 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
         rank = np.empty_like(orders)
         rank[rows, orders] = np.arange(n)
         coalitions = (rank[:, None, :] < np.arange(1, n)[:, None]).reshape(-1, n)
-        masked = mask_apply_rows(np.repeat(xs[block], permutations * (n - 1), axis=0),
-                                 coalitions, index_map)
-        probs = evaluate_rows(base, np.concatenate([zero, xs[block], masked]))
+        probs = evaluate_rows(base, _masked_batch(xs[block], coalitions, index_map, 1))
         # held[t, s] is the batch row of the coalition before step s of order
         # t: the zero row, then masked row t * (n - 1) + s - 1, then its example.
         held = np.empty((len(orders), n + 1), dtype=np.intp)

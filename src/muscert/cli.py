@@ -38,7 +38,7 @@ from .core import (
 from .data import load_csv_dataset, load_grouping
 from .models import load_model
 from .noise import SmoothingConfig, derive_rng_state
-from .selfcheck import run_selfcheck
+from .selfcheck import MAX_TRIALS, run_selfcheck
 from .smoothing import SmoothedModel, mus_evaluate_pairs
 
 SCORERS = ("occlusion", "vgrad", "lime", "shap")
@@ -338,7 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selfcheck", help="run the built-in oracle suites")
     p.add_argument("--max-n", type=int, default=6, dest="max_n")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=int, default=20,
+                   help=f"random instances to check, 1 to {MAX_TRIALS} (default: 20)")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_selfcheck)
     return parser

@@ -267,14 +267,17 @@ def evaluate_rows(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
     return validate_logits_batch(rows if outputs is None else outputs, len(inputs), base.m)
 
 
-def _zero_unless(keep: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _zero_unless(keep: np.ndarray, values: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """np.where(keep, values, 0.0) for a bool or 0/1 keep, as a new float64
-    array: an AND of the float64 bits with 0 or all ones, so kept values keep
-    their bits (-0.0, NaN payloads, infinities) and dropped ones become +0.0."""
+    array or into the float64 array out: an AND of the float64 bits with 0
+    or all ones, so kept values keep their bits (-0.0, NaN payloads,
+    infinities) and dropped ones become +0.0."""
     bits = keep.astype(np.int64)
     np.negative(bits, out=bits)
-    bits &= values.view(np.int64)
-    return bits.view(np.float64)
+    out = bits if out is None else out.view(np.int64)
+    np.bitwise_and(bits, values.view(np.int64), out=out)
+    return out.view(np.float64)
 
 
 def mask_apply_rows(x: np.ndarray, masks: np.ndarray, index_map: np.ndarray) -> np.ndarray:

@@ -4,13 +4,14 @@ Each model has one forward kernel (evaluate_batch) and one gradient kernel
 (gradient_batch) over a (k, d) input array; evaluate and gradient are their
 one-row calls. Layers run on contiguous (units, k) rows, one column per
 input, and every sum in a pinned order, a row at a time, so an input gets
-the same bits in any batch and on every run on one host. math.exp calls
-the C library's exp, which is not correctly rounded (glibc's included);
-another C library may round some inputs the other way, so outputs on
-another host may differ in the last bit. The constructors hold the one
-model rule: every weight is a finite real number, stored as a Python
-float, in rectangular layers of at least 1 input, 1 hidden unit and 2
-classes. Weights round-trip through a JSON document using Python's
+the same bits in any batch. Softmax exponentiates with _exp, which is built
+from IEEE basic operations only, so a model's outputs have the same bits on
+every IEEE host. Two things still call the C library: random_linear and
+random_mlp draw weights through noise's Box-Muller log, cos and sin, and
+fit_logistic's step test sums math.log of probabilities. The constructors
+hold the one model rule: every weight is a finite real number, stored as a
+Python float, in rectangular layers of at least 1 input, 1 hidden unit and
+2 classes. Weights round-trip through a JSON document using Python's
 shortest round-trip float formatting.
 """
 from __future__ import annotations
@@ -40,15 +41,76 @@ from .noise import LcgStream
 MODEL_KINDS = ("linear", "mlp")
 
 
+# exp(x) = 2^(k/128) * exp(r) with k = rint(x * 128/ln2) and |r| <= ln2/256
+# (Tang, ACM TOMS 15(2), 1989). _LN2_HI_128 is ln2/128 to 32 significant
+# bits, so k * _LN2_HI_128 is exact for every |k| < 2^21, and
+# _LN2_LO_128 holds the rest of ln2/128.
+_INV_LN2_128 = float.fromhex("0x1.71547652b82fep+7")
+_LN2_HI_128 = float.fromhex("0x1.62e42ff000000p-8")
+_LN2_LO_128 = float.fromhex("-0x1.718432a1b0e26p-42")
+# exp(x) rounds to +0.0 below -745.1332; clipping there keeps k small.
+_EXP_FLOOR = -746.0
+
+
+def _exp2_table() -> np.ndarray:
+    """2^(j/128) for j = 0..127, each correctly rounded: 2^(1/128) by seven
+    integer square roots in 128-bit fixed point, its powers by integer
+    products, each short by under 2^-119 and then rounded half up to 53
+    bits."""
+    root = 2 << 128
+    for _ in range(7):
+        root = math.isqrt(root << 128)
+    table, power = [], 1 << 128
+    for _ in range(128):
+        table.append((((power >> 75) + 1) >> 1) / (1 << 52))
+        power = (power * root) >> 128
+    return np.array(table)
+
+
+_EXP2_TABLE = _exp2_table()
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """exp of every entry of a float array x of entries <= 0, within 1 ulp
+    of the correctly rounded value: exactly 1.0 at 0, +0.0 below -745.1332
+    and at -inf, NaN at NaN. Every step is one numpy ufunc of IEEE basic
+    operations (no fused multiply-add, no libm), and each entry is computed
+    on its own, so an entry has the same bits in any batch on any IEEE host.
+    """
+    r = np.maximum(x, _EXP_FLOOR)
+    k = r * _INV_LN2_128
+    np.rint(k, out=k)
+    # A NaN k takes the floor's, so the cast is defined; r carries the NaN.
+    np.fmax(k, _EXP_FLOOR * _INV_LN2_128, out=k)
+    r -= k * _LN2_HI_128  # exact (Sterbenz)
+    r -= k * _LN2_LO_128
+    k = k.astype(np.intc)
+    # exp(r) - 1 = r + r^2 (1/2 + r (1/6 + r (1/24 + r/120))) + O(r^6 / 720),
+    # a truncation below 2^-60.
+    p = r * (1 / 120)
+    p += 1 / 24
+    p *= r
+    p += 1 / 6
+    p *= r
+    p += 0.5
+    p *= r * r
+    p += r
+    # The table entries go into r's buffer, which is done with; mode "clip"
+    # writes there directly (indices are 0..127), where "raise" would buffer.
+    scale = _EXP2_TABLE.take(k & 127, out=r, mode="clip")
+    p *= scale
+    p += scale
+    k >>= 7
+    return np.ldexp(p, k, out=p)
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     """Softmax of each column of an (m, k) array of logits, overwritten, as
     the C-contiguous (k, m) probabilities. The column maximum is subtracted
     first; the sum adds the rows in class order, so each input sums left to
     right; the division writes the transposed result, the one transpose."""
     logits -= np.maximum.reduce(logits, axis=0)
-    # np.exp is not correctly rounded and differs from math.exp in the last bit.
-    exps = np.fromiter(map(math.exp, logits.ravel().tolist()), dtype=float,
-                       count=logits.size).reshape(logits.shape)
+    exps = _exp(logits)
     total = np.zeros(logits.shape[1])
     for row in exps:
         total += row

@@ -3,9 +3,12 @@ plus an iid Bernoulli mask sampler for LIME's perturbations.
 
 All pseudo-randomness in the package flows through one 64-bit linear
 congruential generator (Knuth's MMIX constants), so every draw is
-bit-reproducible from a seed, across runs and across implementations. A
-value that then passes through math.exp, log, cos or sin, such as a Gaussian
-draw, is only as reproducible as the C library's rounding of that function.
+bit-reproducible from a seed, across runs and across implementations.
+Gaussian draws (next_gauss_pair) then pass through the C library's log, cos
+and sin, which are not correctly rounded, so they, and the weights and blobs
+drawn from them (random_linear, random_mlp, synth_blobs), may differ in the
+last bit under another C library. The exp of the forward pass is the
+package's own (models._exp) and takes no part in that.
 """
 from __future__ import annotations
 

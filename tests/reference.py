@@ -16,7 +16,8 @@ search one prefix at a time. `lime_one_example`,
 its own base queries, as the scorers did before they ran as dataset stages.
 `scalar_logits`, `scalar_probs` (`scalar_rows` for a batch) and
 `scalar_gradient` are the built-in models' forward pass and analytic
-gradient as explicit loops, one input at a time; every definitional path
+gradient as explicit loops, one input at a time, with `scalar_exp`, the
+package's exp algorithm on one Python float; every definitional path
 here queries a built-in model through them, so none of them runs the array
 kernels it is compared against. `where_masked_rows` masks batches of rows
 with np.where, so these paths do not run the package's masking either.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from itertools import permutations as all_permutations
 from typing import Sequence
 
@@ -47,10 +49,37 @@ from muscert.noise import iid_bernoulli_bits
 from muscert.smoothing import EQUIVALENCE_TOL, SmoothedModel
 
 
+# Tang's table-driven exp, as the package's models._exp computes it, one
+# Python float at a time: CPython's float operations are IEEE and unfused.
+# The constants are written out again and the table is rounded from decimal,
+# so no part of the package's function is used.
+_INV_LN2_128 = float.fromhex("0x1.71547652b82fep+7")
+_LN2_HI_128 = float.fromhex("0x1.62e42ff000000p-8")
+_LN2_LO_128 = float.fromhex("-0x1.718432a1b0e26p-42")
+with localcontext() as _ctx:
+    _ctx.prec = 40
+    _EXP2_TABLE = [float(Decimal(2) ** (Decimal(j) / 128)) for j in range(128)]
+
+
+def scalar_exp(x: float) -> float:
+    """exp(x) for x <= 0 or NaN by the package's algorithm: x clipped at
+    -746, k = round(x * 128/ln2), r = x - k ln2/128 in two parts, the
+    degree-5 polynomial of exp(r) - 1, times 2^((k mod 128)/128), then
+    scaled by 2^(k // 128)."""
+    if x != x:
+        return x
+    x = max(x, -746.0)
+    k = round(x * _INV_LN2_128)
+    r = (x - k * _LN2_HI_128) - k * _LN2_LO_128
+    p = ((((r * (1 / 120) + 1 / 24) * r + 1 / 6) * r + 0.5) * (r * r)) + r
+    scale = _EXP2_TABLE[k & 127]
+    return math.ldexp(p * scale + scale, k >> 7)
+
+
 def _softmax(logits: list[float]) -> Logits:
     """Numerically stable softmax with max subtraction; fixed-order sums."""
     top = max(logits)
-    exps = [math.exp(v - top) for v in logits]
+    exps = [scalar_exp(v - top) for v in logits]
     total = 0.0
     for e in exps:
         total += e
@@ -371,7 +400,7 @@ def lime_one_example(base: ClassifierHandle, x: Sequence[float], grouping: Featu
     design[:, 1:] = bits
     inputs = where_masked_rows(np.asarray(x, dtype=float), bits, grouping.index_map())
     targets = scalar_rows(base, inputs)[:, c]
-    kernel = np.array([math.exp(-(dropped * dropped) / (kernel_width * kernel_width))
+    kernel = np.array([scalar_exp(-(dropped * dropped) / (kernel_width * kernel_width))
                        for dropped in range(n + 1)])
     weights = kernel[n - bits.sum(axis=1, dtype=np.intp)]
     wx = design.T * weights

@@ -20,8 +20,8 @@ from reference import mask_and, mask_or, mus_evaluate, scalar_probs, validate_lo
 
 # sha256 of save_model(fit_logistic(...)) for the conftest fixtures, as
 # written by the per-example training loop the batch trainer replaced.
-DESK_MODEL_SHA256 = "7577fca1d2ca3074c93d877ac093047d07e2bbd08150186fffe183f9010ff880"
-SMALL_MODEL_SHA256 = "ad006df8a5479baa90258cd8611825c5f923d2c055a569d6e845786d2c297b88"
+DESK_MODEL_SHA256 = "950616a5b053b58c4a25a7dea977cceacab52fdf01ac2d63896ebefdeea2ac78"
+SMALL_MODEL_SHA256 = "6ab0cb3836443ea854cfb7769d6ddc806aa83e3c7fd056caec440c78b026f9bf"
 
 
 class RowLoopHandle:

@@ -34,7 +34,7 @@ from muscert.core import (
 )
 from muscert.models import load_model
 from muscert.noise import SmoothingConfig
-from muscert.selfcheck import SelfcheckReport, SuiteResult
+from muscert.selfcheck import MAX_TRIALS, SelfcheckReport, SuiteResult
 from muscert.smoothing import SmoothedModel
 
 from conftest import definitional_certificate
@@ -238,13 +238,13 @@ def test_negative_radius_target_is_usage_error_before_inputs_are_read(
 
 # Boundary values for every integer flag. The sizes that allocate or loop by
 # their value (--q, --lime-samples, --shap-permutations, --trials) take only
-# small ones, and --q, --lime-samples and --shap-permutations also values
-# above their caps (at n = 6 for SHAP), which are refused before any array
-# is built.
+# small ones and values above their caps (at n = 6 for SHAP), which are
+# refused before any array is built or any trial runs.
 INT_VALUES = ["0", "-1", "1", str(2 ** 31), str(2 ** 63), str(2 ** 64), "x"]
 SIZE_VALUES = ["-1", "0", "1", "2", "4", "x"]
 ABOVE_CAPS = {"--q": 2 ** 16 + 1, "--lime-samples": MAX_EXAMPLE_ROWS,
-              "--shap-permutations": (MAX_EXAMPLE_ROWS - 2) // 5 + 1}
+              "--shap-permutations": (MAX_EXAMPLE_ROWS - 2) // 5 + 1,
+              "--trials": MAX_TRIALS + 1}
 CAPPED_VALUES = {flag: SIZE_VALUES + [str(v) for v in (above, 2 ** 31, 2 ** 63, 2 ** 64)]
                  for flag, above in ABOVE_CAPS.items()}
 SIZE_FLAGS = ("--q", "--lime-samples", "--shap-permutations", "--trials")
@@ -302,6 +302,15 @@ def test_scorer_sizes_above_their_cap_are_usage_errors(small_artifacts, tmp_path
     assert main(argv) == EXIT_USAGE
     assert capsys.readouterr().err == (
         f"error: {name} must be in [{lo}, {ABOVE_CAPS[flag] - 1}], got {value}\n")
+
+
+def test_selfcheck_trials_above_the_cap_are_usage_errors(capsys, monkeypatch):
+    # The cap is checked before any instance is built: none may be drawn.
+    monkeypatch.setattr("muscert.selfcheck._random_instance",
+                        lambda *args: pytest.fail("a trial ran"))
+    assert main(["selfcheck", "--trials", str(MAX_TRIALS + 1)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: trials must be in [1, {MAX_TRIALS}], got {MAX_TRIALS + 1}\n")
 
 
 # ------------------------------------------------------------------ certify

@@ -47,31 +47,31 @@ GOLDEN = {
     },
     "certify-greedy-l4": {
         "certify-greedy-l4.out":
-            "87defbe1371d46d38beb6d8e083693fe6d1fa537c246dd3b0be9d8437b5ee9b4",
+            "fb29d85451733572d571f5344f478adee9a8971c9fd46b1ed6072f6d727b67e8",
         "certify-greedy-l4.out.curves":
             "01bef20ed334d33f575f2ee002691db7d7c3c00d80e11189c9032b44b0bef352",
     },
     "certify-l2": {
         "certify-l2.out":
-            "00e66014a91522832ae68029abcfbbebe4d56c5a7df418d1a629ee13b9c6ef6d",
+            "238b047a9e918f8083f15508d2f4402972af76db8d0dc2763271cb9986f8b82e",
         "certify-l2.out.curves":
             "01bef20ed334d33f575f2ee002691db7d7c3c00d80e11189c9032b44b0bef352",
     },
     "certify-l4": {
         "certify-l4.out":
-            "e6cde1886aad3ff3155ca83f078ee4232fbce2cf24edfcaa218ad1859c5532e2",
+            "e1db30e3553f28f10164c714b0bb4b7da1c2e3c058e41af9dc8708e3d784f0d2",
         "certify-l4.out.curves":
             "01bef20ed334d33f575f2ee002691db7d7c3c00d80e11189c9032b44b0bef352",
     },
     "certify-l8": {
         "certify-l8.out":
-            "607510ed7b0b53125630f24c1b65796e581f845abc1b31712ca4696e8d74b44f",
+            "0e43073cb5a8283592b9a9e06fd8180767980149741edc85e858c5e7865685ce",
         "certify-l8.out.curves":
             "01bef20ed334d33f575f2ee002691db7d7c3c00d80e11189c9032b44b0bef352",
     },
     "certify-phi-l2": {
         "certify-phi-l2.out":
-            "a34f4050eec7d0758ff52252477b27b892af83a5a0e88968fd8a811d41a04359",
+            "d01d704d63006ecb501b207f32a1a984b19231518e2f5251bcc3d3109516941b",
         "certify-phi-l2.out.curves":
             "9fd2b63b1b9fad74d13a0579e62d694ed5c8efff4041d6b872a8eecd5a859d25",
     },

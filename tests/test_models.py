@@ -4,12 +4,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import warnings
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import muscert
 from muscert import selfcheck
 from muscert.attribution import finite_difference_rows, gradient_score_rows
 from muscert.core import ConfigError, DataError
@@ -17,6 +23,8 @@ from muscert.data import LabeledDataset, synth_blobs
 from muscert.models import (
     LinearSoftmaxModel,
     MlpModel,
+    _EXP2_TABLE,
+    _exp,
     fit_logistic,
     load_model,
     random_linear,
@@ -99,6 +107,76 @@ def test_softmax_matches_scalar_loops_bit_for_bit(kind, m):
         want = np.array([scalar_probs(model, z) for z in inputs[:k].tolist()]).reshape(k, m)
         got = model.evaluate_batch(inputs[:k])
         assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+
+
+# A fixed grid over [-745.2, 0], one IEEE product per point, so it has the
+# same bits on every host; its lower end gives subnormal results.
+EXP_GRID = np.arange(24577) * (-745.2 / 24576)
+
+
+def _correctly_rounded_exp(x: float) -> float:
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(Decimal(x).exp())
+
+
+def test_exp_is_within_one_ulp_of_the_correctly_rounded_value():
+    got = _exp(EXP_GRID)
+    want = np.array([_correctly_rounded_exp(x) for x in EXP_GRID.tolist()])
+    assert ((0.0 < want) & (want < sys.float_info.min)).sum() > 1000
+    # Non-negative doubles order as their bit patterns, one ulp a step.
+    ulps = np.abs(got.view(np.int64) - want.view(np.int64))
+    assert ulps.max() <= 1
+
+
+def test_exp_special_values():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _exp(np.array([0.0, -0.0, -np.inf, -800.0, -745.2, np.nan]))
+    assert got[:2].tolist() == [1.0, 1.0]
+    assert got[2:5].tobytes() == np.zeros(3).tobytes()  # +0.0, not -0.0
+    assert np.isnan(got[5])
+
+
+def test_exp_table_is_correctly_rounded():
+    with localcontext() as ctx:
+        ctx.prec = 40
+        want = [float(Decimal(2) ** (Decimal(j) / 128)) for j in range(128)]
+    assert _EXP2_TABLE.tolist() == want
+
+
+def test_exp_gives_an_entry_the_same_bits_in_any_batch():
+    stream = LcgStream(derive_rng_state(27, 0))
+    batch = np.array([-750.0 * stream.next_unit() for _ in range(12288)])
+    batch[::97] *= 1e-3
+    whole = _exp(batch)
+    alone = np.concatenate([_exp(batch[r:r + 1]) for r in range(len(batch))])
+    assert whole.tobytes() == alone.tobytes()
+    assert _exp(batch.reshape(96, 128)).tobytes() == whole.tobytes()
+
+
+def test_exp_grid_keeps_its_bytes():
+    # Host-independence pin: IEEE basic operations give these bits anywhere.
+    assert hashlib.sha256(_exp(EXP_GRID).tobytes()).hexdigest() == (
+        "a8917ec226eb254cbe7ba9cf8f4bcc0b06b008bbe2ea42d1f3f5a9eae2135c6b")
+
+
+def test_no_other_exp_in_the_package():
+    package = Path(muscert.__file__).resolve().parent
+    for path in sorted(package.glob("*.py")):
+        assert not re.search(r"\b(math|np|numpy)\.exp2?\b", path.read_text()), path.name
+
+
+def test_importing_the_package_leaves_decimal_out():
+    # The table is built from integers: decimal would add to every start-up.
+    src = str(Path(muscert.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, muscert; print('decimal' in sys.modules)"],
+        capture_output=True, text=True, timeout=300, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def _fd_gradient(model, x, c, h=1e-6):
@@ -263,7 +341,7 @@ def test_fit_loss_history_never_increases():
         assert later <= earlier + 1e-15
     # Pinned bytes: a change to the trainer's arithmetic shows here.
     assert hashlib.sha256(np.array(history).tobytes()).hexdigest() == (
-        "c6fc17b4cfccabc494bb8c10ada270551945c6e6bab6340fd5fc650fc05d7db2")
+        "e03e35a5036c73b3e3a16acacb63d1533ac453c4e4c565b38c7f679b1eb0e7b5")
 
 
 def test_fit_rejects_empty_dataset():
