@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_attack)
 
     p = sub.add_parser("selfcheck", help="run the built-in oracle suites")
-    p.add_argument("--max-n", type=int, default=6, dest="max_n")
+    p.add_argument("--max-n", type=int, default=6, dest="max_n",
+                   help="2 to 10 (default: 6); instances use at most 6 groups")
     p.add_argument("--trials", type=int, default=20,
                    help=f"random instances to check, 1 to {MAX_TRIALS} (default: 20)")
     p.add_argument("--seed", type=int, default=0)

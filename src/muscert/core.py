@@ -250,21 +250,15 @@ def validate_logits_batch(probs, k: int, m: int) -> np.ndarray:
 def evaluate_rows(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
     """The checked (k, m) base outputs for the rows of a (k, d) input array:
     one evaluate_batch call when the handle has it, else one evaluate call
-    per row, stacked; validate_logits_batch checks either."""
+    per row, each of shape (m,), stacked; validate_logits_batch checks either."""
     if hasattr(base, "evaluate_batch"):
         return validate_logits_batch(base.evaluate_batch(inputs), len(inputs), base.m)
-    rows = [base.evaluate(tuple(z)) for z in inputs.tolist()] or np.empty((0, base.m))
-    try:
-        outputs = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError):
-        outputs = None
-    # Only rows that do not stack to (k, m) are looked at one by one.
-    if outputs is None or outputs.shape != (len(inputs), base.m):
-        for r, row in enumerate(rows):
-            if np.shape(row) != (base.m,):
-                raise ConfigError(f"evaluate row {r}: expected {base.m} class "
-                                  f"probabilities, got shape {np.shape(row)}")
-    return validate_logits_batch(rows if outputs is None else outputs, len(inputs), base.m)
+    rows = [base.evaluate(tuple(z)) for z in inputs.tolist()]
+    for r, row in enumerate(rows):
+        if np.shape(row) != (base.m,):
+            raise ConfigError(f"evaluate row {r}: expected {base.m} class "
+                              f"probabilities, got shape {np.shape(row)}")
+    return validate_logits_batch(rows or np.empty((0, base.m)), len(inputs), base.m)
 
 
 def _zero_unless(keep: np.ndarray, values: np.ndarray,

@@ -305,11 +305,10 @@ def random_mlp(d: int, h: int, m: int, rng_state: int, scale: float = 1.0) -> Ml
 
 
 def _mean_crossentropy(probs: np.ndarray, ys: np.ndarray) -> float:
-    """Mean of -log p_y over the rows, summed left to right."""
-    total = 0.0
-    for p in probs[np.arange(len(ys)), ys].tolist():
-        total += -math.log(max(p, 1e-300))
-    return total / len(ys)
+    """Mean of -log p_y over the rows, summed left to right from +0.0."""
+    picked = np.maximum(probs[np.arange(len(ys)), ys], 1e-300).tolist()
+    losses = np.negative(np.fromiter(map(math.log, picked), float, len(picked)))
+    return float(np.add.accumulate(np.concatenate(([0.0], losses)))[-1]) / len(ys)
 
 
 def fit_logistic(dataset: LabeledDataset, epochs: int = 500, learning_rate: float = 0.1,

@@ -145,8 +145,8 @@ def enumerate_atoms(cfg: SmoothingConfig) -> np.ndarray:
     float rounding can never flip a bit.
 
     Each atom is weighted 1/q, and every column holds exactly lambda_num
-    ones (the exact Bernoulli marginal). A smoothed model shares the array
-    with its with_mu twins, so it is made read-only, as the jump tables are.
+    ones (the exact Bernoulli marginal). A smoothed model keeps the array as
+    its atoms, so it is made read-only, as the jump tables are.
     """
     m = (lcg_block(cfg.seed, cfg.n) >> 32) % cfg.q
     odd = np.arange(1, 2 * cfg.q, 2, dtype=np.uint64)[:, None]  # 2j - 1, j = 1..q

@@ -2,12 +2,12 @@
 
 Each trial builds one small random instance: a smoothed linear model over
 trivially grouped features, an input, the exhaustive table of its smoothed
-means and a stream state for further draws. Each of the six suites is a
-predicate on that instance, checked against ground truth from exhaustive
-enumeration or an independent formula. Every suite runs over a block of
-trials' instances, which are then dropped. The tests check the same
-properties on more instances and model kinds; the command-line entry point
-exists so a deployed build can re-verify itself.
+means and a stream state, from which each suite derives its own draws. Each
+of the six suites is a predicate on that instance, checked against ground
+truth from exhaustive enumeration or an independent formula. Every suite
+runs over a block of trials' instances, which are then dropped. The tests
+check the same properties on more instances and model kinds; the
+command-line entry point exists so a deployed build can re-verify itself.
 """
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ from .certify import certify_example
 from .core import FeatureGrouping, _int_arg, evaluate_rows, top_classes_and_gaps
 from .models import MlpModel, random_linear, random_mlp
 from .noise import LcgStream, SmoothingConfig, derive_rng_state, enumerate_atoms
-from .smoothing import (EQUIVALENCE_TOL, SmoothedModel, _premasked_means,
-                        masking_equivalence_check, mus_evaluate_pairs)
+from .smoothing import EQUIVALENCE_TOL, SmoothedModel, _premasked_means, mus_evaluate_pairs
 
 LIPSCHITZ_SLACK = 1e-9
 SHAP_EFFICIENCY_TOL = 1e-10
@@ -69,7 +68,7 @@ def _random_x(stream: LcgStream, d: int) -> tuple[float, ...]:
 def _random_instance(trial_seed: int, max_n: int):
     """A small random smoothed model (trivially grouped), an input, its
     (2^n, m) table of smoothed means under the rows of _all_masks(n), and the
-    state of their stream after the input, for the suites' further draws."""
+    state of their stream after the input, from which the suites derive theirs."""
     stream = LcgStream(derive_rng_state(trial_seed, 0))
     n = 2 + stream.next_below(max(1, min(max_n, 6) - 1))
     q = (4, 8)[stream.next_below(2)]
@@ -108,15 +107,18 @@ def check_lipschitz(model: SmoothedModel, _x, table: np.ndarray, _state: int) ->
 
 def check_masking_equivalence(model: SmoothedModel, x, table: np.ndarray, state: int) -> bool:
     """Mask-then-average equals pre-mask-then-average, with and without a mu
-    drawn from state, on one instance of _random_instance; without mu the
-    table is the mask-then-average side."""
+    drawn from state, on one instance of _random_instance. Without mu the
+    table is the mask-then-average side; with it, mu enters the driver as
+    the call's per-example mus, the one noise-exempt path (certify
+    --mu-mode phi runs it), for every mask covering mu."""
     stream = LcgStream(state)
     n = model.grouping.n
-    mu = tuple(stream.next_below(2) for _ in range(n))
+    mu = np.array([stream.next_below(2) for _ in range(n)], dtype=np.uint8)
     masks = _all_masks(n)
-    covering = masks[(masks >= np.array(mu, dtype=np.uint8)).all(axis=1)]
-    return bool((np.abs(table - _premasked_means(model, x, masks)) <= EQUIVALENCE_TOL).all()
-                and masking_equivalence_check(model.with_mu(mu), x, covering))
+    covering = masks[(masks >= mu).all(axis=1)]
+    shielded = mus_evaluate_pairs(model, [x], np.zeros(len(covering), np.intp), covering, [mu])
+    return all((np.abs(means - _premasked_means(model, x, alphas, exempt)) <= EQUIVALENCE_TOL).all()
+               for means, alphas, exempt in ((table, masks, None), (shielded, covering, mu)))
 
 
 def check_soundness(model: SmoothedModel, x, table: np.ndarray, state: int) -> bool:
@@ -185,8 +187,10 @@ def run_selfcheck(max_n: int = 6, trials: int = 20, seed: int = 0) -> SelfcheckR
     for lo in range(seed, seed + trials, _BLOCK_TRIALS):
         seeds = range(lo, min(lo + _BLOCK_TRIALS, seed + trials))
         instances = [_random_instance(trial_seed, max_n) for trial_seed in seeds]
-        for name, check in suites.items():
-            failed[name] += [s for s, instance in zip(seeds, instances) if not check(*instance)]
+        # Suite k draws from its own stream, derive_rng_state(state, k).
+        for k, (name, check) in enumerate(suites.items()):
+            failed[name] += [s for s, (model, x, table, state) in zip(seeds, instances)
+                             if not check(model, x, table, derive_rng_state(state, k))]
         del instances  # before the next block is built
     return SelfcheckReport(suites=tuple(
         SuiteResult(name, trials, len(seeds), seeds[0] if seeds else None)

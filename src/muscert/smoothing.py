@@ -2,29 +2,28 @@
 
 A smoothed model averages the base classifier over its q noise atoms, masks
 with exact per-coordinate keep rates: under mask alpha, atom s masks the
-input by mu OR (alpha AND s). `mus_evaluate_pairs` computes that average
-for many (example, mask) pairs at once, in windows of DRIVER_CHUNK pairs
-(fewer above q = 16, so that a window holds at most 16 * DRIVER_CHUNK
-effective masks). It packs a window's effective masks into 64-bit words,
-finds each example's distinct ones by sorting those words, and sends each
-of them to the base classifier once, in forward calls of at most
-DRIVER_CHUNK rows. Its driver, _pair_means, also takes a memo of the base
-outputs computed so far, for a caller that evaluates the same inputs many
-times (attack_walks, once per greedy step): a masked input already sent is
-read back rather than sent again, and the memo grows with the distinct
-rows of the calls that share it. Every class sum is correctly rounded
-before it is divided by q, so neither the batching, the deduplication nor
-the memo can change a bit, and two evaluations of the same inputs agree
-bit for bit.
+input by mu OR (alpha AND s), mu being the noise-exempt mask of the pair's
+example, from the call's per-example mus or else the model's mu.
+`mus_evaluate_pairs` computes that average for many (example, mask) pairs
+at once, in windows of DRIVER_CHUNK pairs (fewer above q = 16, so that a
+window holds at most 16 * DRIVER_CHUNK effective masks). It packs a
+window's effective masks into 64-bit words, finds each example's distinct
+ones by sorting those words, and sends each of them to the base classifier
+once, in forward calls of at most DRIVER_CHUNK rows. Its driver,
+_pair_means, also takes a memo of the base outputs computed so far, for a
+caller that evaluates the same inputs many times (attack_walks, once per
+greedy step): a masked input already sent is read back rather than sent
+again, and the memo grows with the distinct rows of the calls that share
+it. Every class sum is correctly rounded before it is divided by q, so
+neither the batching, the deduplication nor the memo can change a bit.
 `masking_equivalence_check` tests it against averaging the pre-masked
 input.
 """
 from __future__ import annotations
 
-import copy
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -70,10 +69,8 @@ class SmoothedModel:
     cfg: SmoothingConfig
     mu: Mask | None = None
     atoms: np.ndarray = field(init=False, repr=False, compare=False)
-    # For mus_evaluate_pairs: the atoms and mu packed by _bit_weights, as
-    # (q, 1, W) and (1, W) words (None when mu is).
+    # For mus_evaluate_pairs: the atoms packed by _bit_weights, as (q, 1, W) words.
     _atom_words: np.ndarray = field(init=False, repr=False, compare=False)
-    _mu_words: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, d = self.grouping.n, self.grouping.d
@@ -81,10 +78,11 @@ class SmoothedModel:
             raise ConfigError(f"grouping covers d={d} raw features, model expects {self.base.d}")
         if self.cfg.n != n:
             raise ConfigError(f"smoothing config is over n={self.cfg.n} groups, grouping has {n}")
+        if self.mu is not None:
+            object.__setattr__(self, "mu", tuple(mask_array([self.mu], n)[0].tolist()))
         atoms = enumerate_atoms(self.cfg)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "_atom_words", (atoms @ _bit_weights(n))[:, None, :])
-        _set_mu(self, self.mu)
 
     @classmethod
     def build(cls, base: ClassifierHandle, grouping: FeatureGrouping,
@@ -93,10 +91,8 @@ class SmoothedModel:
         return cls(base=base, grouping=grouping, cfg=cfg, mu=mu)
 
     def with_mu(self, mu: Mask | None) -> "SmoothedModel":
-        """This model with noise-exempt mask mu, sharing atoms and arrays."""
-        twin = copy.copy(self)
-        _set_mu(twin, mu)
-        return twin
+        """This model with noise-exempt mask mu (a new model: atoms are rebuilt)."""
+        return replace(self, mu=mu)
 
     @property
     def n(self) -> int:
@@ -105,14 +101,6 @@ class SmoothedModel:
     @property
     def m(self) -> int:
         return self.base.m
-
-
-def _set_mu(model: SmoothedModel, mu) -> None:
-    """Set model.mu, checked by the mask rule, and its packed words."""
-    mu = None if mu is None else tuple(mask_array([mu], model.n)[0].tolist())
-    object.__setattr__(model, "mu", mu)
-    object.__setattr__(model, "_mu_words", None if mu is None else
-                       np.array([mu], dtype=np.uint8) @ _bit_weights(model.n))
 
 
 def mus_evaluate_pairs(model: SmoothedModel, xs, examples, alphas,
@@ -183,9 +171,11 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
     n, q, m = model.grouping.n, model.cfg.q, model.base.m
     weights = _bit_weights(n)
     words = alphas @ weights
-    # The words OR-ed into each pair's effective masks: one row per pair, or
-    # one row for all of them (the model's mu, or the only pair's).
-    exempt = model._mu_words if mus is None else (mus @ weights)[examples]
+    # The words OR-ed into each pair's effective masks, one row per pair: its
+    # example's row of mus, or of the model's mu repeated over the inputs.
+    if mus is None and model.mu is not None:
+        mus = np.broadcast_to(np.array(model.mu, dtype=np.uint8), (len(xs), n))
+    exempt = None if mus is None else (mus @ weights)[examples]
     # With more than one example the keys carry the example index: above the
     # mask bits when both fit in 63 bits, else as a column of its own.
     index_column = len(xs) > 1
@@ -200,7 +190,7 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
         pairs = examples[window]
         effective = model._atom_words & words[window]
         if exempt is not None:
-            effective |= exempt if len(exempt) == 1 else exempt[window]
+            effective |= exempt[window]
         # Row j * len(pairs) + i is atom j on pair i.
         effective = effective.reshape(-1, words.shape[1])
         keys = [*effective.T, np.tile(pairs, q)] if index_column else effective.T
@@ -365,26 +355,24 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
     only guaranteed when alpha keeps everything mu keeps, so that case is a
     precondition for every alpha.
     """
-    grouping = model.grouping
-    masks = mask_array(alphas, grouping.n)
+    masks = mask_array(alphas, model.grouping.n)
     if model.mu is not None and not (masks >= model.mu).all():
         raise ConfigError("equivalence requires alpha to cover the noise-exempt mask mu")
-    # x and the masks are checked here, so mus_evaluate_pairs' checks are skipped.
-    xs = _float_rows([x], grouping.d)
-    if len(masks) == 0:
-        return True
-    lhs = _pair_means(model, xs, np.zeros(len(masks), np.intp), masks, None)
-    return bool((np.abs(lhs - _premasked_means(model, xs[0], masks)) <= EQUIVALENCE_TOL).all())
+    lhs = mus_evaluate_pairs(model, [x], np.zeros(len(masks), np.intp), masks)
+    rhs = _premasked_means(model, x, masks, model.mu)
+    return bool((np.abs(lhs - rhs) <= EQUIVALENCE_TOL).all())
 
 
-def _premasked_means(model: SmoothedModel, x: Sequence[float], masks: np.ndarray) -> np.ndarray:
-    """The (k, m) smoothed means of x zeroed by each of the (k, n) masks, with
-    no effective-mask composition: each noise row (atom OR mu) zeroes the
-    pre-masked input again, and the k*q rows go to the base model at once.
-    It zeroes by np.where, not mask_apply_rows, so the sides share no masking."""
+def _premasked_means(model: SmoothedModel, x: Sequence[float], masks: np.ndarray,
+                     mu: Mask | None) -> np.ndarray:
+    """The (k, m) smoothed means of x zeroed by each of the (k, n) masks under
+    the noise-exempt mask mu, with no effective-mask composition: each noise
+    row (atom OR mu) zeroes the pre-masked input again, and the k*q rows go
+    to the base model at once. It zeroes by np.where, not mask_apply_rows,
+    so the sides share no masking."""
     index_map = model.grouping.index_map()
     premasked = np.where(masks[:, index_map] != 0, np.asarray(x, dtype=float), 0.0)
-    noise = model.atoms if model.mu is None else model.atoms | np.array(model.mu, np.uint8)
+    noise = model.atoms if mu is None else model.atoms | np.asarray(mu, dtype=np.uint8)
     rows = np.where(noise[:, index_map] != 0, premasked[:, None, :], 0.0)
     return _atom_means(evaluate_rows(model.base, rows.reshape(-1, model.grouping.d))
-                       .reshape(len(masks), model.cfg.q, -1))
+                       .reshape(len(masks), model.cfg.q, model.base.m))

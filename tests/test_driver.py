@@ -245,13 +245,17 @@ def test_pair_driver_equals_one_example_path(monkeypatch, chunk, batch, n):
         for row, e, alpha in zip(got.tolist(), examples, alphas):
             one = model.with_mu(tuple(mus[e].tolist())) if with_mu else model
             assert tuple(row) == mus_evaluate(one, tuple(xs[e].tolist()), alpha)
-    # The model's own mu applies when no per-example mu is given.
+    # The model's own mu applies when no per-example mu is given, with the
+    # bits of that mask passed as every example's mus (the index tag up to
+    # n = 60, the index column above).
     shielded = model.with_mu(tuple(mus[0].tolist()))
     widths.clear()
     got = mus_evaluate_pairs(shielded, xs, examples, alphas)
     assert set(widths) == {_key_columns(n)}
     assert [tuple(row) for row in got.tolist()] == [
         mus_evaluate(shielded, tuple(xs[e].tolist()), a) for e, a in zip(examples, alphas)]
+    same = mus_evaluate_pairs(model, xs, examples, alphas, np.repeat(mus[:1], len(xs), axis=0))
+    assert mus[0].any() and got.tobytes() == same.tobytes()
 
 
 @pytest.mark.parametrize("with_mu", [False, True], ids=["no-mu", "mu"])

@@ -25,13 +25,14 @@ from muscert.models import (
     MlpModel,
     _EXP2_TABLE,
     _exp,
+    _mean_crossentropy,
     fit_logistic,
     load_model,
     random_linear,
     random_mlp,
     save_model,
 )
-from muscert.noise import LcgStream, derive_rng_state
+from muscert.noise import LcgStream, derive_rng_state, lcg_block
 from muscert.selfcheck import GRADIENT_FD_TOL, _near_relu_kink, _random_instance
 
 from reference import scalar_gradient, scalar_logits, scalar_probs
@@ -342,6 +343,31 @@ def test_fit_loss_history_never_increases():
     # Pinned bytes: a change to the trainer's arithmetic shows here.
     assert hashlib.sha256(np.array(history).tobytes()).hexdigest() == (
         "e03e35a5036c73b3e3a16acacb63d1533ac453c4e4c565b38c7f679b1eb0e7b5")
+
+
+def test_mean_crossentropy_has_the_bits_of_the_loop():
+    """The trainer's loss as one array pass gives the bits of the loop it
+    replaced: -log of each picked probability, clipped at 1e-300, added
+    left to right from +0.0, as a Python float. Rows include tiny
+    probabilities, an exact 1 (whose -log is -0.0) and an exact 0."""
+    def loop(probs, ys):
+        total = 0.0
+        for p in probs[np.arange(len(ys)), ys].tolist():
+            total += -math.log(max(p, 1e-300))
+        return total / len(ys)
+
+    for trial in range(300):
+        k, m = 1 + trial % 97, 2 + trial % 3
+        probs = (lcg_block(derive_rng_state(5, trial), k * m) >> 32).reshape(k, m) / 2.0**32
+        probs **= 1 + trial % 40
+        probs[0] = 0.0
+        probs[0, trial % m] = 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        ys = np.arange(k) * (trial + 1) % m
+        got = _mean_crossentropy(probs, ys)
+        assert type(got) is float and repr(got) == repr(loop(probs, ys))
+    ones = np.eye(2)
+    assert repr(_mean_crossentropy(ones, np.array([0, 1]))) == repr(loop(ones, np.array([0, 1])))
 
 
 def test_fit_rejects_empty_dataset():

@@ -214,16 +214,23 @@ def test_run_selfcheck_holds_one_block_at_a_time(monkeypatch):
     assert alive == [0, 1, 2, 0, 1, 2, 0, 1]
 
 
-def drawn_phi(model, state):
-    """The phi the soundness suite draws from an instance's stream state."""
+SUITES = ("lqv_marginals", "lipschitz", "masking_equivalence", "soundness",
+          "shap_efficiency", "gradient_fd")
+
+
+def drawn_mask(model, state):
+    """The mask the masking suite (its mu) and the soundness suite (its phi)
+    draw first from their stream state."""
     stream = LcgStream(state)
     return tuple(stream.next_below(2) for _ in range(model.n))
 
 
 def covering_classes(trial_seed, max_n):
-    """The classes of the trial's table at the masks covering its phi."""
+    """The classes of the trial's table at the masks covering the phi that
+    run_selfcheck's soundness suite draws."""
     model, _, table, state = _random_instance(trial_seed, max_n)
-    code = sum(bit << i for i, bit in enumerate(drawn_phi(model, state)))
+    phi = drawn_mask(model, derive_rng_state(state, SUITES.index("soundness")))
+    code = sum(bit << i for i, bit in enumerate(phi))
     return top_classes_and_gaps(table)[0][np.arange(len(table)) & code == code].tolist()
 
 
@@ -236,6 +243,7 @@ def test_shared_suites_count_failures_and_name_the_first(monkeypatch):
     claiming radius n on seeds 3 mod 5 fails soundness where the masks
     covering phi do not all share a class."""
     real_pairs = selfcheck.mus_evaluate_pairs
+    real_premasked = selfcheck._premasked_means
     real_certify = selfcheck.certify_example
 
     def jumped(model, *args):
@@ -244,6 +252,11 @@ def test_shared_suites_count_failures_and_name_the_first(monkeypatch):
             out[0] += 10.0  # no slope bound of at most n * lambda allows this
         return out
 
+    def shifted(model, x, masks, mu):
+        """The pre-masked side of the shielded comparison, off by 1."""
+        out = real_premasked(model, x, masks, mu)
+        return out + 1.0 if mu is not None and model.cfg.seed % 4 == 2 else out
+
     def over_claiming(model, x, phi, example_id):
         record = real_certify(model, x, phi, example_id)
         if model.cfg.seed % 5 != 3:
@@ -251,15 +264,14 @@ def test_shared_suites_count_failures_and_name_the_first(monkeypatch):
         return dataclasses.replace(record, r_inc=model.n, r_dec=model.n)
 
     over_claimed = [seed for seed in range(30, 50) if seed % 5 == 3]
-    assert [seed for seed in over_claimed if len(set(covering_classes(seed, 4))) > 1] == [33, 38]
+    assert [seed for seed in over_claimed if len(set(covering_classes(seed, 4))) > 1] == [33]
     monkeypatch.setattr(selfcheck, "mus_evaluate_pairs", jumped)
-    monkeypatch.setattr(selfcheck, "masking_equivalence_check",
-                        lambda model, x, alphas: model.cfg.seed % 4 != 2)
+    monkeypatch.setattr(selfcheck, "_premasked_means", shifted)
     monkeypatch.setattr(selfcheck, "certify_example", over_claiming)
     report = selfcheck.run_selfcheck(max_n=4, trials=20, seed=30)
     assert [(s.name, s.trials, s.failures, s.first_failure_seed) for s in report.suites] == [
         ("lqv_marginals", 20, 0, None), ("lipschitz", 20, 6, 32),
-        ("masking_equivalence", 20, 10, 30), ("soundness", 20, 2, 33),
+        ("masking_equivalence", 20, 10, 30), ("soundness", 20, 1, 33),
         ("shap_efficiency", 20, 0, None), ("gradient_fd", 20, 0, None)]
 
 
@@ -311,7 +323,7 @@ def test_table_soundness_matches_the_oracle(monkeypatch):
     for trial_seed in range(300):
         instance = _random_instance(trial_seed, 6)
         model, x, _, state = instance
-        phi = drawn_phi(model, state)
+        phi = drawn_mask(model, state)
         record = real_certify(model, x, phi, 0)
         for shift in range(3):
             for mode, radius in (("inc", record.r_inc), ("dec", record.r_dec)):
@@ -340,10 +352,51 @@ def test_selfcheck_smooths_three_batches_per_trial(monkeypatch):
 
 def test_random_instance_state_follows_x():
     """The stream state after n, q, lambda_num, m and the n inputs: where
-    the masking_equivalence suite draws mu and the soundness suite phi."""
+    the suites derive their streams from."""
     for trial_seed in range(30):
         model, _, _, state = _random_instance(trial_seed, 6)
         stream = LcgStream(derive_rng_state(trial_seed, 0))
         for _ in range(4 + model.n):
             stream.next_u64()
         assert state == stream.state
+
+
+def test_each_suite_draws_from_its_own_stream(monkeypatch):
+    """run_selfcheck hands suite k the state derive_rng_state(state, k) of
+    each instance, so the masking suite's mu and the soundness suite's phi,
+    once the same draws, differ on some trials."""
+    seen = {}
+    for name in ("masking_equivalence", "soundness"):
+        def spy(model, x, table, state, real=getattr(selfcheck, f"check_{name}"), name=name):
+            seen.setdefault(name, []).append(state)
+            return real(model, x, table, state)
+
+        monkeypatch.setattr(selfcheck, f"check_{name}", spy)
+    assert selfcheck.run_selfcheck(max_n=6, trials=20, seed=0).ok
+    instances = [_random_instance(trial_seed, 6) for trial_seed in range(20)]
+    for name, states in seen.items():
+        assert states == [derive_rng_state(state, SUITES.index(name))
+                          for _, _, _, state in instances]
+    pairs = [(drawn_mask(model, mu_state), drawn_mask(model, phi_state)) for (model, *_), mu_state,
+             phi_state in zip(instances, seen["masking_equivalence"], seen["soundness"])]
+    assert sum(mu != phi for mu, phi in pairs) >= 10
+
+
+def test_masking_suite_checks_the_per_example_mus_path(monkeypatch):
+    """The shielded half of the masking suite sends its mu as the driver's
+    per-example mus, the path certify --mu-mode phi runs: a driver that drops
+    them fails the suite on every trial whose mu changes some atom (nonzero,
+    and lambda_num < q), and on none of the others."""
+    state_index = SUITES.index("masking_equivalence")
+    trials = []
+    for trial_seed in range(12):
+        model, x, table, state = _random_instance(trial_seed, 6)
+        trials.append((model, x, table, derive_rng_state(state, state_index)))
+    assert all(selfcheck.check_masking_equivalence(*trial) for trial in trials)
+    real = smoothing._pair_means
+    monkeypatch.setattr(smoothing, "_pair_means", lambda model, xs, examples, alphas, mus,
+                        memo=None: real(model, xs, examples, alphas, None, memo))
+    exposed = [any(drawn_mask(model, state)) and model.cfg.lambda_num < model.cfg.q
+               for model, _, _, state in trials]
+    assert any(exposed)
+    assert [not selfcheck.check_masking_equivalence(*trial) for trial in trials] == exposed

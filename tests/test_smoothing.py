@@ -160,7 +160,7 @@ BAD_ALPHAS = [
 
 @pytest.mark.parametrize("alphas,bad", [
     pytest.param(alphas, bad, id=f"alphas{i}") for i, (alphas, bad) in enumerate(BAD_ALPHAS)])
-def test_mus_evaluate_pairs_rejects_alphas_as_validate_mask_does(alphas, bad):
+def test_mus_evaluate_pairs_rejects_alphas_by_the_mask_rule(alphas, bad):
     """The mask rule refuses each of these batches as ConfigError naming its
     first bad mask, in mask_array and mus_evaluate_pairs alike: ragged or
     narrow batches, entries that are not exactly 0 or 1, and a mask that is
@@ -175,7 +175,7 @@ def test_mus_evaluate_pairs_rejects_alphas_as_validate_mask_does(alphas, bad):
         assert str(err.value) == message
 
 
-def test_mus_evaluate_pairs_reads_alphas_as_validate_mask_does():
+def test_mus_evaluate_pairs_reads_alphas_by_the_mask_rule():
     model = random_model(0, 3, 4, 2)
     x = (1.0, 2.0, 3.0)
     assert mus_evaluate_pairs(model, [x], [], []).shape == (0, model.m)
