@@ -135,19 +135,17 @@ def _example_blocks(examples: int, rows_each: int):
     return (slice(lo, min(lo + step, examples)) for lo in range(0, examples, step))
 
 
-def _masked_batch(xs: np.ndarray, masks: np.ndarray, index_map: np.ndarray,
-                  zero_rows: int = 0) -> np.ndarray:
-    """The (k, d) batch of zero_rows zero rows, the rows of xs, then each row
-    of xs masked by its len(masks) // len(xs) consecutive masks, as the
-    transpose of one C-contiguous (d, k) array: the built-in models take its
-    columns as they are, with no copy."""
-    head = zero_rows + len(xs)
-    cols = np.empty((xs.shape[1], head + len(masks)))
+def _masked_batch(xs: np.ndarray, keep: np.ndarray, zero_rows: int = 0) -> np.ndarray:
+    """The (k, d) batch of zero_rows zero rows, the E rows of xs, then the R
+    rows of each xs[e] masked in place by keep[:, e] of the (d, E, R)
+    raw-feature keep bits; as the transpose of one C-contiguous (d, k)
+    array, whose columns the built-in models take as they are."""
+    d, examples, per = keep.shape
+    head = zero_rows + examples
+    cols = np.empty((d, head + examples * per))
     cols[:, :zero_rows] = 0.0
     cols[:, zero_rows:head] = xs.T
-    # mask_apply_rows' bit-and, written straight into the batch.
-    _zero_unless(masks.T.take(index_map, axis=0),
-                 np.repeat(xs.T, len(masks) // len(xs), axis=1), cols[:, head:])
+    _zero_unless(keep, xs.T[:, :, None], cols[:, head:].reshape(keep.shape))
     return cols.T
 
 
@@ -179,7 +177,7 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     for block in _example_blocks(len(xs), 1 + samples):
         count = block.stop - block.start
         bits = iid_bernoulli_bits(0.5, n, samples, rng_states[block])
-        probs = evaluate_rows(base, _masked_batch(xs[block], bits.reshape(-1, n), index_map))
+        probs = evaluate_rows(base, _masked_batch(xs[block], bits.transpose(2, 0, 1)[index_map]))
         classes = top_classes_and_gaps(probs[:count])[0]
         for e, draws, sampled, c in zip(range(block.start, block.stop), bits,
                                         probs[count:].reshape(count, samples, -1), classes):
@@ -230,12 +228,13 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
         count = block.stop - block.start
         orders = _sampled_orders(n, permutations, rng_states[block]).reshape(-1, n)
         # rank[t, i] is the step at which order t adds group i; the coalition
-        # before step s holds the groups ranked below s.
+        # before step s holds raw feature j, keep[j, t, s - 1], when its group ranks below s.
         rows = np.arange(len(orders))[:, None]
         rank = np.empty_like(orders)
         rank[rows, orders] = np.arange(n)
-        coalitions = (rank[:, None, :] < np.arange(1, n)[:, None]).reshape(-1, n)
-        probs = evaluate_rows(base, _masked_batch(xs[block], coalitions, index_map, 1))
+        keep = (rank.T[index_map][:, :, None] < np.arange(1, n)).reshape(
+            len(index_map), count, permutations * (n - 1))
+        probs = evaluate_rows(base, _masked_batch(xs[block], keep, 1))
         # held[t, s] is the batch row of the coalition before step s of order
         # t: the zero row, then masked row t * (n - 1) + s - 1, then its example.
         held = np.empty((len(orders), n + 1), dtype=np.intp)

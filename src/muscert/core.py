@@ -263,15 +263,13 @@ def evaluate_rows(base: ClassifierHandle, inputs: np.ndarray) -> np.ndarray:
 
 def _zero_unless(keep: np.ndarray, values: np.ndarray,
                  out: np.ndarray | None = None) -> np.ndarray:
-    """np.where(keep, values, 0.0) for a bool or 0/1 keep, as a new float64
-    array or into the float64 array out: an AND of the float64 bits with 0
-    or all ones, so kept values keep their bits (-0.0, NaN payloads,
-    infinities) and dropped ones become +0.0."""
-    bits = keep.astype(np.int64)
-    np.negative(bits, out=bits)
-    out = bits if out is None else out.view(np.int64)
-    np.bitwise_and(bits, values.view(np.int64), out=out)
-    return out.view(np.float64)
+    """np.where(keep, values, 0.0) for a bool or 0/1 keep and float64 values
+    broadcast to keep's shape, new or into the float64 array out: the int64
+    bits of values times keep, so kept values keep their bits (-0.0, NaN
+    payloads, infinities) and dropped ones become +0.0. One ufunc, as numpy
+    copies a strided out that is also an input (an in-place AND) first."""
+    bits = None if out is None else out.view(np.int64)
+    return np.multiply(keep, values.view(np.int64), dtype=np.int64, out=bits).view(np.float64)
 
 
 def mask_apply_rows(x: np.ndarray, masks: np.ndarray, index_map: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ example, from the call's per-example mus or else the model's mu.
 at once, in windows of DRIVER_CHUNK pairs (fewer above q = 16, so that a
 window holds at most 16 * DRIVER_CHUNK effective masks). It packs a
 window's effective masks into 64-bit words, finds each example's distinct
-ones by sorting those words, and sends each of them to the base classifier
+ones with one sort of those words (packed with their row numbers when they
+fit), and sends each of them to the base classifier
 once, in forward calls of at most DRIVER_CHUNK rows. Its driver,
 _pair_means, also takes a memo of the base outputs computed so far, for a
 caller that evaluates the same inputs many times (attack_walks, once per
@@ -223,21 +224,19 @@ def _memo_rows(model: SmoothedModel, xs: np.ndarray, pairs: np.ndarray,
                effective: np.ndarray, keys, memo: _BaseMemo) -> tuple[np.ndarray, np.ndarray]:
     """(probs, inverse) of a window as _distinct and _base_rows give them,
     with every row already in the memo read from it; the window's other
-    distinct rows are computed and appended to the memo."""
+    distinct rows are computed and appended to the memo. One _distinct runs
+    over the memo's keys, which are distinct, followed by the window's: a
+    rep below the memo's length is a memo row, the others take new slots."""
     if memo.keys is None:
         memo.keys, memo.probs = [key[:0] for key in keys], np.empty((0, model.base.m))
     known = len(memo.probs)
     rep, inverse = _distinct([np.concatenate(both) for both in zip(memo.keys, keys)])
-    # Memo keys are distinct, so a group holds at most one memo row; the
-    # other groups hold window rows only and take the next memo slots.
-    slot = np.full(len(rep), -1)
-    slot[inverse[:known]] = np.arange(known)
-    fresh = np.flatnonzero(slot < 0)
+    fresh = np.flatnonzero(rep >= known)
     rows = rep[fresh] - known
-    slot[fresh] = np.arange(known, known + len(rows))
+    rep[fresh] = np.arange(known, known + len(rows))
     memo.probs = np.concatenate((memo.probs, _base_rows(model, xs, pairs, effective, rows)))
     memo.keys = [np.concatenate((old, key[rows])) for old, key in zip(memo.keys, keys)]
-    return memo.probs, slot[inverse[known:]]
+    return memo.probs, rep[inverse[known:]]
 
 
 @functools.cache
@@ -264,20 +263,31 @@ def _unpack_words(words: np.ndarray, n: int) -> np.ndarray:
 
 def _distinct(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of the equal-length integer columns keys (a list, or a
-    2-D array's rows), found by one sort: argsort on a single column, else
-    lexsort.
+    2-D array's rows), found by one sort: a single unsigned column whose
+    values and row numbers fit in 64 bits together is sorted directly as
+    key << b | row, b the row-number bits; other keys go through lexsort.
 
-    Returns (rep, inverse): rep[j] is the index of a row holding distinct
-    tuple j, and row r holds tuple inverse[r].
+    Returns (rep, inverse): rep[j] is the first row holding distinct tuple
+    j, the tuples numbered in sort order, and row r holds tuple inverse[r].
     """
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
-    ordered = [key[order] for key in keys]
-    new = np.empty(len(order), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[0][1:], ordered[0][:-1], out=new[1:])
-    for column in ordered[1:]:
-        new[1:] |= column[1:] != column[:-1]
-    inverse = np.empty(len(order), dtype=np.intp)
+    count = len(keys[0])
+    shift = max(count - 1, 0).bit_length()
+    new = np.ones(count, dtype=bool)
+    if (len(keys) == 1 and keys[0].dtype.kind == "u"
+            and int(keys[0].max(initial=0)).bit_length() + shift <= 64):
+        order = np.left_shift(keys[0], shift, dtype=np.uint64)
+        order |= np.arange(count, dtype=np.uint64)
+        order.sort()
+        # Neighbours hold other tuples when their XOR has a bit above the row's.
+        np.greater_equal(order[1:] ^ order[:-1], np.uint64(1 << shift), out=new[1:])
+        order = np.bitwise_and(order, np.uint64((1 << shift) - 1), out=order).view(np.intp)
+    else:
+        order = np.lexsort(keys)
+        ordered = [key[order] for key in keys]
+        np.not_equal(ordered[0][1:], ordered[0][:-1], out=new[1:])
+        for column in ordered[1:]:
+            new[1:] |= column[1:] != column[:-1]
+    inverse = np.empty(count, dtype=np.intp)
     inverse[order] = np.add.accumulate(new, dtype=np.intp) - 1
     return order[new], inverse
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from muscert import attack, attribution, smoothing
+from muscert import attack, attribution, cli, smoothing
 from muscert.attack import attack_walks
 from muscert.attribution import gradient_score_rows, greedy_stable_masks
 from muscert.certify import certify_example, certify_examples
@@ -178,6 +178,49 @@ def test_unique_masks_pairs_rows_with_keys_at_any_width(n):
         assert len(rep) == len(pairs)
         if name != "masks":
             assert (keys[rep][inverse] == keys).all()
+
+
+
+def _sorted_tuples(keys):
+    """(rep, inverse) of _distinct's contract from sorted Python tuples: the
+    last key column sorts first, as in np.lexsort; rep[j] is the first row
+    holding tuple j."""
+    rows = [tuple(int(key[r]) for key in reversed(keys)) for r in range(len(keys[0]))]
+    tuples = sorted(set(rows))
+    return [rows.index(t) for t in tuples], [tuples.index(row) for row in rows]
+
+
+def _distinct_cases():
+    stream = LcgStream(derive_rng_state(5, 9))
+    draws = np.array([stream.next_below(5) for _ in range(3 * 40)], dtype=np.uint64)
+    return {
+        "one-column": ([draws[:40] * np.uint64(1 << 40)], False),
+        "three-columns": ([draws[:40], draws[40:80], draws[80:].astype(np.intp)], True),
+        "empty": ([np.empty(0, dtype=np.uint64)], False),
+        "empty-three": ([np.empty(0, dtype=np.uint64)] * 3, True),
+        "one-row": ([np.array([2 ** 63 + 5], dtype=np.uint64)], False),
+        "all-equal": ([np.full(33, 7, dtype=np.uint64)], False),
+        "all-equal-three": ([np.full(33, 7, dtype=np.uint64)] * 3, True),
+        "signed": ([draws[:40].astype(np.intp)], True),
+        # Five rows take 3 row bits: keys of 61 bits pack into 64, of 62 do not.
+        "64-bits": ([np.array([2 ** 61 - 1, 3, 2 ** 61 - 1, 0, 3], dtype=np.uint64)], False),
+        "65-bits": ([np.array([2 ** 61, 3, 2 ** 61, 0, 3], dtype=np.uint64)], True),
+    }
+
+
+@pytest.mark.parametrize("case", list(_distinct_cases()))
+def test_distinct_reps_are_first_rows_and_tuples_go_in_sort_order(monkeypatch, case):
+    keys, sorts_columns = _distinct_cases()[case]
+    lexsorts = []
+    real = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda k: lexsorts.append(len(k)) or real(k))
+    rep, inverse = smoothing._distinct(keys)
+    want_rep, want_inverse = _sorted_tuples(keys)
+    assert rep.tolist() == want_rep and inverse.tolist() == want_inverse
+    assert rep.dtype == inverse.dtype == np.intp
+    # A single unsigned column packs with the row numbers unless the two
+    # need more than 64 bits; a signed one or several go through lexsort.
+    assert bool(lexsorts) == sorts_columns
 
 
 # ------------------------------------------------------------ pair driver
@@ -650,3 +693,31 @@ def test_greedy_on_the_desk_sends_at_most_three_pairs_per_example(desk, monkeypa
     assert len(sizes) <= math.ceil(math.log2(16)) + 1
     assert sum(sizes) <= 3 * len(xs)
     assert met.all()
+
+
+# The base rows each desk command sends through the smoothing driver (the
+# conftest desk, --seed 11, q = 16): their count moves only when the pairs
+# the commands smooth or the driver's dedup change, not with its speed.
+DESK_BASE_ROWS = {
+    "certify-l2": (("certify", "--lambda-num", "2", "--topk", "8"), 9860),
+    "certify-l4": (("certify", "--lambda-num", "4", "--topk", "8"), 17274),
+    "certify-l8": (("certify", "--lambda-num", "8", "--topk", "8"), 31544),
+    "certify-phi-l2": (("certify", "--lambda-num", "2", "--topk", "8",
+                        "--mu-mode", "phi"), 8241),
+    "attack-l4": (("attack", "--lambda-num", "4", "--topk", "8", "--budget", "4"), 32417),
+    "explain-vgrad": (("explain", "--lambda-num", "4", "--scorer", "vgrad"), 3335),
+    "explain-lime": (("explain", "--lambda-num", "4", "--scorer", "lime"), 3699),
+    "explain-shap": (("explain", "--lambda-num", "4", "--scorer", "shap"), 3705),
+}
+
+
+@pytest.mark.parametrize("command", list(DESK_BASE_ROWS))
+def test_desk_commands_send_pinned_base_rows(desk, monkeypatch, tmp_path, command):
+    argv, rows = DESK_BASE_ROWS[command]
+    sent = []
+    real = smoothing.evaluate_rows
+    monkeypatch.setattr(smoothing, "evaluate_rows",
+                        lambda base, inputs: sent.append(len(inputs)) or real(base, inputs))
+    code = cli.main([argv[0], "--model", desk["model_path"], "--data", desk["test_path"],
+                     "--out", str(tmp_path / "out"), "--q", "16", "--seed", "11", *argv[1:]])
+    assert code == 0 and sum(sent) == rows
