@@ -2,11 +2,12 @@
 
 Starting from the attribution mask (incremental) or the full mask
 (decremental), each step flips the single bit that most reduces the
-predicted-class margin, stopping at the first class flip or at the
-budget. A found witness gives an upper bound on the true empirical
-stability radius, to be compared against the certified one. The steps of
-one attack_walks call share a memo of base outputs, so a masked input that
-an earlier step sent to the base classifier is not sent again.
+predicted-class margin, stopping at the first class flip or at the budget.
+A found witness gives an upper bound on the true empirical stability
+radius, to be compared against the certified one. The steps of one call
+share a memo of base outputs, so a masked input that an earlier step sent
+to the base classifier is not sent again. The attack command takes the
+walks' reference classes from its certificates, not from a reference pass.
 """
 from __future__ import annotations
 
@@ -46,6 +47,13 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
     the base classifier once per call, however many steps reach it. No
     walk's result depends on the others.
     """
+    return _attack_stage(model, xs, examples, phis, budgets, modes, None)
+
+
+def _attack_stage(model: SmoothedModel, xs, examples, phis, budgets, modes,
+                  ref_classes: Sequence[int] | None) -> list[AttackResult]:
+    """attack_walks, with no reference pass when ref_classes gives each walk's class at
+    its start mask (a certificate's masked_class for an inc walk, pred_class for dec)."""
     n = model.grouping.n
     phis = mask_array(phis, n)
     if not len(examples) == len(phis) == len(budgets) == len(modes):
@@ -68,7 +76,8 @@ def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequen
     inc = np.array([mode == "inc" for mode in modes], dtype=bool)
     flip_to = inc.astype(np.uint8)
     alphas = np.where(inc[:, None], phis, np.uint8(1))
-    ref_class = top_classes_and_gaps(_pair_means(model, xs, examples, alphas, None, memo))[0]
+    ref_class = (np.array(ref_classes, dtype=np.intp) if ref_classes is not None else
+                 top_classes_and_gaps(_pair_means(model, xs, examples, alphas, None, memo))[0])
     # A walk ends at its first flip (found, radius = step) or at its budget.
     radius = np.array(budgets, dtype=np.intp)
     found = np.zeros(len(modes), dtype=bool)

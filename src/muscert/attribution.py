@@ -54,6 +54,11 @@ def occlusion_score_rows(model: SmoothedModel, xs) -> np.ndarray:
     """occlusion_scores of every row of the (E, d) inputs xs, as an (E, n)
     array, from one mus_evaluate_pairs pass over all-ones and the n
     single-group ablations of each example."""
+    return _occlusion_stage(model, xs)[0]
+
+
+def _occlusion_stage(model: SmoothedModel, xs) -> tuple[np.ndarray, np.ndarray]:
+    """occlusion_score_rows and the (E, m) all-ones means it smoothed, for the next stage."""
     n = model.grouping.n
     xs = _float_rows(xs, model.grouping.d)
     masks = np.ones((n + 1, n), dtype=np.uint8)
@@ -63,7 +68,7 @@ def occlusion_score_rows(model: SmoothedModel, xs) -> np.ndarray:
     means = means.reshape(len(xs), n + 1, -1)
     c = top_classes_and_gaps(means[:, 0])[0]
     rows = np.arange(len(xs))
-    return means[rows, 0, c][:, None] - means[rows, 1:, c]
+    return means[rows, 0, c][:, None] - means[rows, 1:, c], means[:, 0]
 
 
 def gradient_score_rows(base: ClassifierHandle, xs,

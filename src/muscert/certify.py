@@ -62,6 +62,19 @@ class CertRecord:
     seed: int
     mu_mode: str
 
+    # to_json_dict as a compact JSON line: json writes a finite float as its
+    # repr, and certify stores Python ints and floats.
+    _JSON_LINE = ('{"example_id":%d,"pred_class":%d,"masked_class":%d,"consistent":%s,'
+                  '"gap_at_attr":%r,"gap_at_ones":%r,"r_inc_real":%r,"r_dec_real":%r,'
+                  '"r_inc":%d,"r_dec":%d,"lambda":%r,"lambda_num":%d,"q":%d,"seed":%d,'
+                  '"mu_mode":"%s"}')
+
+    def _json_line(self) -> str:
+        return self._JSON_LINE % (
+            self.example_id, self.pred_class, self.masked_class, ("false", "true")[self.consistent],
+            self.gap_at_attr, self.gap_at_ones, self.r_inc_real, self.r_dec_real, self.r_inc,
+            self.r_dec, self.lambda_num / self.q, self.lambda_num, self.q, self.seed, self.mu_mode)
+
     def to_json_dict(self) -> dict:
         return {
             "example_id": self.example_id,
@@ -118,14 +131,23 @@ def certify_examples(model: SmoothedModel, xs, phis, example_ids: Sequence[int],
     give the same class. mus, when given, holds each example's noise-exempt
     mask in place of model.mu. The ids are stored as Python ints.
     """
+    return _certify_stage(model, xs, phis, example_ids, mus, None)
+
+
+def _certify_stage(model: SmoothedModel, xs, phis, example_ids: Sequence[int],
+                   mus, ones_means: np.ndarray | None) -> list[CertRecord]:
+    """certify_examples, smoothing only the phi pairs when ones_means holds the (E, m)
+    all-ones means that an earlier stage took with the same model, xs and exempt masks."""
     phis = mask_array(phis, model.grouping.n)
     example_ids = [_int_arg("example id", v) for v in example_ids]
     if not len(xs) == len(phis) == len(example_ids):
         raise ConfigError(f"need one mask and one id per example, got {len(xs)} "
                           f"examples, {len(phis)} masks and {len(example_ids)} ids")
-    alphas = np.stack([np.ones_like(phis), phis], axis=1).reshape(-1, phis.shape[1])
-    means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(phis)), 2), alphas, mus)
-    classes, gaps = top_classes_and_gaps(means)
+    sent = [np.ones_like(phis), phis] if ones_means is None else [phis]
+    means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(phis)), len(sent)),
+                               np.stack(sent, axis=1).reshape(-1, phis.shape[1]), mus)
+    classes, gaps = top_classes_and_gaps(
+        means if ones_means is None else np.stack([ones_means, means], 1).reshape(-1, model.m))
     cfg = model.cfg
     mu_mode = "none" if mus is None and model.mu is None else "phi"
     records = []
@@ -133,22 +155,9 @@ def certify_examples(model: SmoothedModel, xs, phis, example_ids: Sequence[int],
             example_ids, classes.reshape(-1, 2).tolist(), gaps.reshape(-1, 2).tolist()):
         r_inc_real, r_inc = radius_from_gap(gap_at_attr, cfg.lambda_num, cfg.q)
         r_dec_real, r_dec = radius_from_gap(gap_at_ones, cfg.lambda_num, cfg.q)
-        records.append(CertRecord(
-            example_id=example_id,
-            pred_class=pred_class,
-            masked_class=masked_class,
-            consistent=pred_class == masked_class,
-            gap_at_attr=gap_at_attr,
-            gap_at_ones=gap_at_ones,
-            r_inc_real=r_inc_real,
-            r_dec_real=r_dec_real,
-            r_inc=r_inc,
-            r_dec=r_dec,
-            lambda_num=cfg.lambda_num,
-            q=cfg.q,
-            seed=cfg.seed,
-            mu_mode=mu_mode,
-        ))
+        records.append(CertRecord(example_id, pred_class, masked_class, pred_class == masked_class,
+                                  gap_at_attr, gap_at_ones, r_inc_real, r_dec_real, r_inc, r_dec,
+                                  cfg.lambda_num, cfg.q, cfg.seed, mu_mode))
     return records
 
 

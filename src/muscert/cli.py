@@ -4,6 +4,9 @@ Every command is a pure function of its flags: randomness flows from
 --seed and per-example streams are derived from the example index.
 Commands run on one thread as stages over the whole dataset (scores, then
 masks, then certificates or attacks) and write examples in input order.
+Stages pass on what they smoothed: the occlusion scorer's all-ones means
+go to certify (under --mu-mode none), and the certificates' classes at phi
+and at all-ones are the attack walks' reference classes.
 """
 from __future__ import annotations
 
@@ -14,18 +17,18 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .attack import attack_walks
+from .attack import _attack_stage
 from .attribution import (
     DEFAULT_LIME_SAMPLES,
     DEFAULT_SHAP_PERMUTATIONS,
+    _occlusion_stage,
     gradient_score_rows,
     greedy_stable_masks,
     lime_score_rows,
-    occlusion_score_rows,
     shap_score_rows,
     topk_mask_rows,
 )
-from .certify import certify_examples, radius_from_gap
+from .certify import _certify_stage, radius_from_gap
 from .core import (
     ConfigError,
     DataError,
@@ -80,8 +83,8 @@ def _load_common(args) -> tuple:
     return dataset, xs, grouping, cfg, smoothed
 
 
-def _score_rows(args, smoothed: SmoothedModel, xs: np.ndarray) -> np.ndarray:
-    """Scores of every example, as an (E, n) array.
+def _score_rows(args, smoothed: SmoothedModel, xs: np.ndarray) -> tuple:
+    """(E, n) scores of every example, and occlusion's (E, m) all-ones means or None.
 
     Occlusion scores the whole dataset in one smoothed pass, vgrad in one
     stage over the base classifier, and LIME and SHAP send the masked rows
@@ -90,22 +93,22 @@ def _score_rows(args, smoothed: SmoothedModel, xs: np.ndarray) -> np.ndarray:
     """
     base, grouping = smoothed.base, smoothed.grouping
     if args.scorer == "occlusion":
-        return occlusion_score_rows(smoothed, xs)
+        return _occlusion_stage(smoothed, xs)
     if args.scorer == "vgrad":
-        return gradient_score_rows(base, xs, grouping)
+        return gradient_score_rows(base, xs, grouping), None
     states = [derive_rng_state(args.seed, idx) for idx in range(len(xs))]
     if args.scorer == "lime":
         return lime_score_rows(base, xs, grouping, args.lime_samples,
-                               args.lime_kernel_width, states)
-    return shap_score_rows(base, xs, grouping, args.shap_permutations, states)
+                               args.lime_kernel_width, states), None
+    return shap_score_rows(base, xs, grouping, args.shap_permutations, states), None
 
 
-def _attribution_masks(args, smoothed: SmoothedModel, xs: np.ndarray) -> np.ndarray:
-    """phi of every example as an (E, n) uint8 array, from --topk or greedy targets."""
-    scores = _score_rows(args, smoothed, xs)
+def _attribution_masks(args, smoothed: SmoothedModel, xs: np.ndarray) -> tuple:
+    """(phis, ones_means): phi as an (E, n) uint8 array, from --topk or greedy targets."""
+    scores, ones_means = _score_rows(args, smoothed, xs)
     if args.topk is not None:
-        return topk_mask_rows(scores, args.topk, smoothed.grouping.n)
-    return greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)[0]
+        return topk_mask_rows(scores, args.topk, smoothed.grouping.n), ones_means
+    return greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)[0], ones_means
 
 
 def _require_phi_source(args) -> None:
@@ -130,22 +133,20 @@ def _json_line(doc: dict) -> str:
 
 
 def _survival_curve(radii_ok: list[tuple[int, bool]], n: int) -> list[float]:
-    """value(r) = fraction of examples flagged ok with radius >= r, r = 0..n."""
-    total = len(radii_ok)
-    return [
-        sum(1 for radius, ok in radii_ok if ok and radius >= r) / total
-        for r in range(n + 1)
-    ]
+    """value(r) = fraction of examples flagged ok with radius >= r, r = 0..n:
+    one count of the ok examples by radius (n for any past n), summed from the top."""
+    counts = np.bincount([min(radius, n) for radius, ok in radii_ok if ok], minlength=n + 1)
+    return [at_least / len(radii_ok) for at_least in np.cumsum(counts[::-1])[::-1].tolist()]
 
 
 def cmd_certify(args) -> int:
     _require_phi_source(args)
     _dataset, xs, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
-    phis = _attribution_masks(args, smoothed, xs)
-    records = certify_examples(smoothed, xs, phis, range(len(phis)),
-                               mus=phis if args.mu_mode == "phi" else None)
-    _write_lines(args.out, (_json_line(r.to_json_dict()) for r in records))
+    phis, ones_means = _attribution_masks(args, smoothed, xs)
+    mus, ones_means = (phis, None) if args.mu_mode == "phi" else (None, ones_means)
+    records = _certify_stage(smoothed, xs, phis, range(len(phis)), mus, ones_means)
+    _write_lines(args.out, (r._json_line() for r in records))
     inc_curve = _survival_curve([(r.r_inc, True) for r in records], n)
     dec_curve = _survival_curve([(r.r_dec, r.consistent) for r in records], n)
     curve_lines = [f"inc {r} {inc_curve[r]!r}" for r in range(n + 1)]
@@ -175,7 +176,7 @@ def cmd_accuracy_curve(args) -> int:
 def cmd_explain(args) -> int:
     _dataset, xs, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
-    scores = _score_rows(args, smoothed, xs)
+    scores = _score_rows(args, smoothed, xs)[0]
     masks, met = greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)
     rows = [{
         "example_id": idx,
@@ -204,14 +205,16 @@ def cmd_attack(args) -> int:
     _require_phi_source(args)
     _dataset, xs, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
-    phis = _attribution_masks(args, smoothed, xs)
-    records = certify_examples(smoothed, xs, phis, range(len(phis)))
+    phis, ones_means = _attribution_masks(args, smoothed, xs)
+    records = _certify_stage(smoothed, xs, phis, range(len(phis)), None, ones_means)
     budgets = n - phis.sum(axis=1, dtype=np.intp)
     if args.budget is not None:
         budgets = np.minimum(budgets, min(args.budget, n))  # an int past 2^63 fits no intp
-    # The incremental walks of every example, then the decremental ones.
-    walks = attack_walks(smoothed, xs, np.tile(np.arange(len(phis)), 2), np.tile(phis, (2, 1)),
-                         np.tile(budgets, 2), ["inc"] * len(phis) + ["dec"] * len(phis))
+    # The incremental walks of every example, from phi, then the decremental
+    # ones, from all-ones: their reference classes are the certificates'.
+    walks = _attack_stage(smoothed, xs, np.tile(np.arange(len(phis)), 2), np.tile(phis, (2, 1)),
+                          np.tile(budgets, 2), ["inc"] * len(phis) + ["dec"] * len(phis),
+                          [r.masked_class for r in records] + [r.pred_class for r in records])
     rows = []
     for record, budget, inc, dec in zip(records, budgets.tolist(), walks, walks[len(phis):]):
         inc_sound = (not inc.found) or inc.radius > record.r_inc

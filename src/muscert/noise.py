@@ -104,7 +104,8 @@ def lcg_block(state, count: int) -> np.ndarray:
     start = np.array([_int_arg("stream state", s) & _MASK64 for s in ([state] if one else state)],
                      dtype=np.uint64)
     mults, incs = _jump_coefficients(count)
-    return mults * (start if one else start[:, None]) + incs
+    block = mults * (start if one else start[:, None])
+    return np.add(block, incs, out=block)
 
 
 def derive_rng_state(seed: int, index: int = 0) -> int:
@@ -159,11 +160,14 @@ def iid_bernoulli_bits(lam: float, n: int, count: int, rng_state) -> np.ndarray:
     """uint8[count, n] of iid Bernoulli(lam) bits, one LCG step per bit; for a
     sequence of stream states, one such block per state, uint8[len, count, n].
 
-    Bit (r, i) is next_unit() < lam for stream value r * n + i; the top 32
-    bits over 2^32 are exact in float64, so this matches the scalar stream.
+    Bit (r, i) is next_unit() < lam for stream value r * n + i: the top 32
+    bits u, shifted in place, pass u < ceil(lam * 2^32), which for an integer
+    u holds exactly when u / 2^32 < lam, so this matches the scalar stream.
     """
     lam = _real_arg("lambda", lam, 0, 1)
     n, count = _int_arg("n", n, 1), _int_arg("count", count, 0)
-    units = (lcg_block(rng_state, count * n) >> 32) / _TOP32
-    return (units < lam).astype(np.uint8).reshape(units.shape[:-1] + (count, n))
+    draws = lcg_block(rng_state, count * n)
+    draws >>= np.uint64(32)
+    bits = draws < np.uint64(math.ceil(lam * _TOP32))
+    return bits.view(np.uint8).reshape(draws.shape[:-1] + (count, n))
 

@@ -12,6 +12,7 @@ import pytest
 from muscert import smoothing
 from muscert.certify import (
     GAP_MARGIN,
+    CertRecord,
     brute_force_stability_oracle,
     certify_example,
     certify_examples,
@@ -359,3 +360,27 @@ def test_lookup_table_radii_survive_brute_force():
                             model, x, phi, record.r_inc, "inc"), case
                         assert brute_force_stability_oracle(
                             model, x, phi, record.r_dec, "dec"), case
+
+
+def test_record_json_line_equals_compact_json_dumps():
+    """The one-template line has the bytes of the compact json.dumps of
+    to_json_dict: floats as repr at 0, 1, subnormals and long digits, ints
+    from 0 past 2^64, both mu modes and both consistent values."""
+    floats = (0.0, 1.0, 5e-324, 2.0 ** -1050, 0.1, 1 / 3, 1e16, 2.0 - 2.0 ** -52)
+    ints = (0, 7, 2 ** 63, 2 ** 64 - 1, 2 ** 70)
+    records = [CertRecord(example_id=ints[k % 5], pred_class=k % 3, masked_class=2,
+                          consistent=consistent, gap_at_attr=floats[k % 8],
+                          gap_at_ones=floats[(k + 3) % 8], r_inc_real=floats[(k + 5) % 8],
+                          r_dec_real=floats[(k + 6) % 8], r_inc=ints[(k + 1) % 5],
+                          r_dec=ints[(k + 2) % 5], lambda_num=k % 7 + 1, q=3 * (k % 5) + 8,
+                          seed=ints[(k + 3) % 5], mu_mode=mu_mode)
+               for k in range(40) for mu_mode in ("none", "phi") for consistent in (True, False)]
+    cfg = SmoothingConfig(q=8, lambda_num=3, seed=2 ** 64 - 1, n=5)
+    model = SmoothedModel.build(random_linear(5, 3, 2, scale=2.0), FeatureGrouping.trivial(5), cfg)
+    stream = LcgStream(derive_rng_state(3, 4))
+    xs = np.array([[2 * stream.next_unit() - 1 for _ in range(5)] for _ in range(9)])
+    phis = np.array([[stream.next_below(2) for _ in range(5)] for _ in xs], dtype=np.uint8)
+    records += certify_examples(model, xs, phis, [2 ** 63 + e for e in range(9)], mus=phis)
+    records += certify_examples(model, xs, phis, range(9))
+    for record in records:
+        assert record._json_line() == json.dumps(record.to_json_dict(), separators=(",", ":"))

@@ -9,11 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import muscert
+from muscert import cli
 from muscert.attack import AttackResult
 from muscert.attribution import MAX_EXAMPLE_ROWS, occlusion_scores, topk_binarize
 from muscert.cli import (
@@ -31,11 +33,12 @@ from muscert.core import (
     MuscertError,
     VerificationError,
     ones_mask,
+    top_classes_and_gaps,
 )
 from muscert.models import load_model
-from muscert.noise import SmoothingConfig
+from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state
 from muscert.selfcheck import MAX_TRIALS, SelfcheckReport, SuiteResult
-from muscert.smoothing import SmoothedModel
+from muscert.smoothing import SmoothedModel, mus_evaluate_pairs
 
 from conftest import definitional_certificate
 from reference import mus_evaluate, top_class_and_gap
@@ -362,6 +365,28 @@ def test_certify_curves_track_records(certified, small_artifacts):
         assert curves["dec"][r] == sum(ok and r_dec >= r for ok, _, r_dec in certs) / 24
 
 
+def _survival_by_definition(radii_ok, n):
+    """The curve as defined: for each r, the ok rows with radius >= r over all rows."""
+    total = len(radii_ok)
+    return [sum(1 for radius, ok in radii_ok if ok and radius >= r) / total
+            for r in range(n + 1)]
+
+
+def test_survival_curve_equals_its_definition():
+    """One count per radius summed from the top gives the same floats as the
+    count per r, with radii past n and rows that are not ok."""
+    stream = LcgStream(derive_rng_state(9, 1))
+    for n in (1, 3, 16):
+        for rows in (1, 2, 7, 200):
+            radii_ok = [(stream.next_below(n + 4), stream.next_below(3) > 0)
+                        for _ in range(rows)]
+            assert list(map(repr, cli._survival_curve(radii_ok, n))) == list(map(
+                repr, _survival_by_definition(radii_ok, n)))
+    for radii_ok in ([(0, False)], [(2 ** 70, True), (5, False), (1, True)],
+                     [(3, True)] * 3 + [(0, True)] * 4):
+        assert cli._survival_curve(radii_ok, 4) == _survival_by_definition(radii_ok, 4)
+
+
 def test_certify_full_keep_rate_pins_radii_to_zero(small_artifacts, tmp_path):
     out = tmp_path / "lam1.ndjson"
     argv = ["certify", *_base_args(small_artifacts, out), "--topk", "3"]
@@ -584,16 +609,38 @@ def test_attack_clips_budget_to_free_bits(small_artifacts, tmp_path, budget):
 
 
 def test_attack_violation_exits_three(small_artifacts, tmp_path, monkeypatch, capsys):
-    def forged_attack(model, xs, examples, phis, budgets, modes):
+    def forged_attack(model, xs, examples, phis, budgets, modes, ref_classes):
         return [AttackResult(mode=mode, found=True, radius=0, witness=phi)
                 for phi, mode in zip(phis, modes)]
 
-    monkeypatch.setattr("muscert.cli.attack_walks", forged_attack)
+    monkeypatch.setattr("muscert.cli._attack_stage", forged_attack)
     out = tmp_path / "forged.ndjson"
     argv = ["attack", *_base_args(small_artifacts, out),
             "--topk", "3", "--budget", "2"]
     assert main(argv) == EXIT_VERIFICATION
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_attack_walks_start_from_the_certificates_classes(small_artifacts, tmp_path,
+                                                         monkeypatch):
+    """The attack stage takes each walk's reference class from the
+    certificates: the class at phi for an inc walk, at all-ones for a dec
+    walk. With --topk 0 every phi is empty and its class is the zero input's,
+    so the examples of the other classes are inconsistent."""
+    seen = []
+    real = cli._attack_stage
+
+    def spy(model, xs, examples, phis, budgets, modes, ref_classes):
+        starts = np.where(np.array(modes)[:, None] == "inc", phis, np.uint8(1))
+        seen.append((list(ref_classes), top_classes_and_gaps(
+            mus_evaluate_pairs(model, xs, examples, starts))[0].tolist()))
+        return real(model, xs, examples, phis, budgets, modes, ref_classes)
+
+    monkeypatch.setattr(cli, "_attack_stage", spy)
+    argv = ["attack", *_base_args(small_artifacts, tmp_path / "attack.ndjson"), "--topk", "0"]
+    assert main(argv) == EXIT_OK
+    [(refs, starts)] = seen
+    assert refs == starts and refs[:24] != refs[24:]
 
 
 # ---------------------------------------------------------------- selfcheck

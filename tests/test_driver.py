@@ -3,11 +3,12 @@ words, and the staged pair evaluation against the definitional paths."""
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
 
-from muscert import attack, attribution, cli, smoothing
+from muscert import attack, attribution, certify, cli, smoothing
 from muscert.attack import attack_walks
 from muscert.attribution import gradient_score_rows, greedy_stable_masks
 from muscert.certify import certify_example, certify_examples
@@ -22,6 +23,7 @@ from muscert.smoothing import (
 )
 
 from reference import greedy_prefix, greedy_walk, mus_evaluate, scalar_probs, top_class_and_gap
+from test_certify import OneHotTable, XorTable
 
 U = 2.0 ** -53
 
@@ -573,6 +575,69 @@ def test_staged_certify_greedy_and_attack_equal_one_example_calls(monkeypatch):
     assert attack_walks(model, none, [], [], [], []) == []
 
 
+def _handoff_instance(case):
+    """(model, xs, phis) for the stage hand-offs: random linear, MLP and
+    grouped-with-mu instances with inconsistent examples among them, and the
+    exact-tie lookup tables of test_certify over every input and mask, where
+    some gaps at all-ones are 0."""
+    if case in ("xor", "one-hot"):
+        n = 2 if case == "xor" else 3
+        handle = XorTable() if case == "xor" else OneHotTable((0, 1, 1, 0, 1, 0, 0, 1), 3)
+        cfg = SmoothingConfig(q=2, lambda_num=1, seed=0, n=n)
+        model = SmoothedModel.build(handle, FeatureGrouping.trivial(n), cfg)
+        cube = list(product((0, 1), repeat=n))
+        xs = np.array([x for x in cube for _ in cube], dtype=float)
+        return model, xs, np.array([phi for _ in cube for phi in cube], dtype=np.uint8)
+    stream = LcgStream(derive_rng_state(6, len(case)))
+    if case == "grouped-mu":
+        grouping = FeatureGrouping(groups=((0, 5), (1,), (2, 3), (4, 6, 7)), d=8)
+        base = random_linear(8, 3, 6, scale=3.0)
+    else:
+        grouping = FeatureGrouping.trivial(6)
+        base = random_linear(6, 3, 7, scale=3.0) if case == "linear" else random_mlp(6, 4, 3, 8)
+    cfg = SmoothingConfig(q=8, lambda_num=2, seed=5, n=grouping.n)
+    model = SmoothedModel.build(base, grouping, cfg)
+    if case == "grouped-mu":
+        model = model.with_mu((0, 1, 0, 0))
+    xs = np.array([[3.0 * (2 * stream.next_unit() - 1) for _ in range(grouping.d)]
+                   for _ in range(40)])
+    phis = np.array([[stream.next_below(2) for _ in range(grouping.n)] for _ in xs],
+                    dtype=np.uint8)
+    return model, xs, phis
+
+
+HANDOFF_CASES = ["linear", "mlp", "grouped-mu", "xor", "one-hot"]
+
+
+@pytest.mark.parametrize("case", HANDOFF_CASES)
+def test_certify_on_occlusion_means_equals_certify_examples(case):
+    """The certify stage on the all-ones means that occlusion smoothed gives
+    the records of certify_examples, bit for bit."""
+    model, xs, phis = _handoff_instance(case)
+    scores, ones_means = attribution._occlusion_stage(model, xs)
+    assert scores.tobytes() == attribution.occlusion_score_rows(model, xs).tobytes()
+    want = certify_examples(model, xs, phis, range(len(xs)))
+    got = certify._certify_stage(model, xs, phis, range(len(xs)), None, ones_means)
+    assert list(map(repr, got)) == list(map(repr, want))
+    assert {r.consistent for r in want} == {True, False}
+
+
+@pytest.mark.parametrize("case", HANDOFF_CASES)
+def test_attack_on_certificate_classes_equals_attack_walks(case):
+    """Walks whose reference classes are the certificates' (masked_class for
+    inc, pred_class for dec) equal attack_walks with its own reference pass."""
+    model, xs, phis = _handoff_instance(case)
+    count, n = len(xs), model.n
+    records = certify_examples(model, xs, phis, range(count))
+    budgets = [min(3, n - int(phi.sum())) for phi in phis]
+    walks = (model, xs, list(range(count)) * 2, np.tile(phis, (2, 1)), budgets * 2,
+             ["inc"] * count + ["dec"] * count)
+    refs = [r.masked_class for r in records] + [r.pred_class for r in records]
+    want = attack_walks(*walks)
+    assert attack._attack_stage(*walks, refs) == want
+    assert {w.found for w in want} == {True, False}
+
+
 def test_certify_examples_takes_any_batch_of_masks():
     """phis and mus as a uint8 array, a list of tuples or an int64 array
     give the same records."""
@@ -699,12 +764,12 @@ def test_greedy_on_the_desk_sends_at_most_three_pairs_per_example(desk, monkeypa
 # conftest desk, --seed 11, q = 16): their count moves only when the pairs
 # the commands smooth or the driver's dedup change, not with its speed.
 DESK_BASE_ROWS = {
-    "certify-l2": (("certify", "--lambda-num", "2", "--topk", "8"), 9860),
-    "certify-l4": (("certify", "--lambda-num", "4", "--topk", "8"), 17274),
-    "certify-l8": (("certify", "--lambda-num", "8", "--topk", "8"), 31544),
+    "certify-l2": (("certify", "--lambda-num", "2", "--topk", "8"), 8271),
+    "certify-l4": (("certify", "--lambda-num", "4", "--topk", "8"), 14800),
+    "certify-l8": (("certify", "--lambda-num", "8", "--topk", "8"), 28368),
     "certify-phi-l2": (("certify", "--lambda-num", "2", "--topk", "8",
                         "--mu-mode", "phi"), 8241),
-    "attack-l4": (("attack", "--lambda-num", "4", "--topk", "8", "--budget", "4"), 32417),
+    "attack-l4": (("attack", "--lambda-num", "4", "--topk", "8", "--budget", "4"), 29942),
     "explain-vgrad": (("explain", "--lambda-num", "4", "--scorer", "vgrad"), 3335),
     "explain-lime": (("explain", "--lambda-num", "4", "--scorer", "lime"), 3699),
     "explain-shap": (("explain", "--lambda-num", "4", "--scorer", "shap"), 3705),

@@ -1,6 +1,7 @@
 """Atom enumeration, exact marginals, and the pinned generator recipe."""
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
@@ -195,7 +196,16 @@ def test_cached_jump_tables_are_read_only():
     assert lcg_block(3, 16)[0] == LcgStream(3).next_u64()
 
 
-@pytest.mark.parametrize("lam", [0.0, 1.0, 0.5, random.Random(9).random()])
+# The top 32 bits of the first draw from state 77, one of the states below:
+# the rates at, just above and just below u / 2^32 put that draw on each side
+# of the integer threshold ceil(lam * 2^32).
+_FIRST_TOP32 = LcgStream(77).next_u64() >> 32
+
+
+@pytest.mark.parametrize("lam", [
+    0.0, 1.0, 0.5, random.Random(9).random(), 0.3, 1e-300, 2.0 ** -33, 2.0 ** -32,
+    1 - 1e-10, _FIRST_TOP32 / 2 ** 32, math.nextafter(_FIRST_TOP32 / 2 ** 32, 1.0),
+    math.nextafter(_FIRST_TOP32 / 2 ** 32, 0.0)])
 def test_iid_masks_equal_scalar_stream(lam):
     for n, count, state in ((1, 1, 0), (3, 5, 77), (16, 256, 2**64 - 1), (7, 300, 12345)):
         bits = iid_bernoulli_bits(lam, n, count, state)
