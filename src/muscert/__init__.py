@@ -51,7 +51,6 @@ from .noise import (
 from .selfcheck import SelfcheckReport, SuiteResult, run_selfcheck
 from .smoothing import (
     SmoothedModel,
-    masking_equivalence_check,
     mus_evaluate_pairs,
 )
 

@@ -25,7 +25,7 @@ from .core import (
     top_classes_and_gaps,
 )
 from . import smoothing
-from .certify import radius_from_gap
+from .certify import radii_from_gaps
 from .models import _exp
 from .noise import iid_bernoulli_bits, lcg_block
 from .smoothing import SmoothedModel, mus_evaluate_pairs
@@ -330,8 +330,7 @@ def greedy_stable_masks(model: SmoothedModel, xs, scores: Sequence,
             masks = (rank[pending, None] < lengths[:, None]).astype(np.uint8).reshape(-1, n)
             means = mus_evaluate_pairs(model, xs, np.repeat(pending, len(lengths)), masks)
             classes, gaps = (a.reshape(len(pending), -1) for a in top_classes_and_gaps(means))
-            radii = np.array([radius_from_gap(gap, lam, q)[1] for gap in gaps.ravel().tolist()],
-                             dtype=np.int64).reshape(gaps.shape)
+            radii = radii_from_gaps(gaps, lam, q)[1]
             if hi == 1:
                 # The decremental radius depends on (model, x) alone: all-ones decides it.
                 ones_class, dec_met = classes[:, 0], radii[:, 0] >= r_dec_target

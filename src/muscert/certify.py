@@ -8,9 +8,10 @@ same masks from its exhaustive table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain, combinations, islice
-from typing import Iterator, Literal, Sequence
+import math
+from dataclasses import dataclass, fields
+from itertools import chain, combinations, islice, repeat
+from typing import Iterator, Literal, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .core import (
     ones_mask,
     top_classes_and_gaps,
 )
+from .noise import MAX_Q
 from .smoothing import SmoothedModel, mus_evaluate_pairs
 
 ENUMERATION_GUARD_BITS = 20
@@ -69,47 +71,84 @@ class CertRecord:
                   '"r_inc":%d,"r_dec":%d,"lambda":%r,"lambda_num":%d,"q":%d,"seed":%d,'
                   '"mu_mode":"%s"}')
 
-    def _json_line(self) -> str:
-        return self._JSON_LINE % (
-            self.example_id, self.pred_class, self.masked_class, ("false", "true")[self.consistent],
-            self.gap_at_attr, self.gap_at_ones, self.r_inc_real, self.r_dec_real, self.r_inc,
-            self.r_dec, self.lambda_num / self.q, self.lambda_num, self.q, self.seed, self.mu_mode)
-
     def to_json_dict(self) -> dict:
-        return {
-            "example_id": self.example_id,
-            "pred_class": self.pred_class,
-            "masked_class": self.masked_class,
-            "consistent": self.consistent,
-            "gap_at_attr": self.gap_at_attr,
-            "gap_at_ones": self.gap_at_ones,
-            "r_inc_real": self.r_inc_real,
-            "r_dec_real": self.r_dec_real,
-            "r_inc": self.r_inc,
-            "r_dec": self.r_dec,
-            "lambda": self.lambda_num / self.q,
-            "lambda_num": self.lambda_num,
-            "q": self.q,
-            "seed": self.seed,
-            "mu_mode": self.mu_mode,
-        }
+        """The fields in order, with "lambda" = lambda_num / q before lambda_num."""
+        names = [f.name for f in fields(self)]
+        doc = {name: getattr(self, name) for name in names[:10]}
+        doc["lambda"] = self.lambda_num / self.q
+        return doc | {name: getattr(self, name) for name in names[10:]}
+
+
+_THRESHOLDS: dict[tuple[int, int], np.ndarray] = {}  # by (lambda_num, q), as far as needed
+
+
+def radii_from_gaps(gaps, lambda_num: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real radii gaps * q / (2 * lambda_num) of an array of confidence
+    gaps, and its integer radii: each the largest r >= 0 with
+    2 * lambda_num * r < (gap - GAP_MARGIN) * q, so a gap on an integer
+    radius certifies one bit less (a flip that far can tie the classes).
+    That r counts the thresholds GAP_MARGIN + 2 * lambda_num * k / q, k >= 1,
+    below the gap, and a float is above a rational exactly when it is above
+    the rational rounded down to a float: one searchsorted over those rounded
+    thresholds, each from its integer ratio once per (lambda_num, q), counts
+    them. lambda_num and q follow SmoothingConfig's rule; a gap that is not
+    a finite number, or whose radius passes MAX_Q, raises ConfigError."""
+    q = _int_arg("q", q, 2, MAX_Q)
+    lambda_num = _int_arg("lambda_num", lambda_num, 1, q)
+    try:
+        gaps = np.asarray(gaps, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError("gaps must be numbers") from None
+    if not np.isfinite(gaps).all():
+        raise ConfigError(f"gaps must be finite, got {float(gaps[~np.isfinite(gaps)][0])!r}")
+    top = float(gaps.max(initial=0.0))
+    # Threshold k is above every gap once k passes the largest real radius.
+    count = int(min(top * q / (2 * lambda_num) + 2, MAX_Q + 1))
+    table = _THRESHOLDS.get((lambda_num, q), np.empty(0))
+    if len(table) < count:
+        margin_num, margin_den = GAP_MARGIN.as_integer_ratio()
+        den, rounded = q * margin_den, []
+        for k in range(len(table) + 1, count + 1):
+            num = margin_num * q + 2 * lambda_num * k * margin_den
+            near_num, near_den = (near := num / den).as_integer_ratio()  # correctly rounded
+            rounded.append(math.nextafter(near, 0.0) if near_num * den > num * near_den else near)
+        table = _THRESHOLDS[lambda_num, q] = np.concatenate((table, rounded))
+    if table[count - 1] < top:
+        raise ConfigError(f"gap {top!r} gives a radius above {MAX_Q}")
+    return gaps * q / (2 * lambda_num), np.searchsorted(table[:count], gaps)
 
 
 def radius_from_gap(gap: float, lambda_num: int, q: int) -> tuple[float, int]:
-    """Turn a confidence gap into (real, integer) certified radius.
+    """radii_from_gaps of one gap, as a Python float and int."""
+    real, radius = radii_from_gaps([gap], lambda_num, q)
+    return float(real[0]), int(radius[0])
 
-    The real radius is gap * q / (2 * lambda_num). The bound is strict, so
-    the integer radius is the largest r >= 0 with
-    2 * lambda_num * r < (gap - GAP_MARGIN) * q, compared exactly on the
-    integer ratios of the two floats: a gap that lands on an integer radius
-    certifies one bit less, since a flip at that distance can tie the classes.
-    """
-    real = gap * q / (2 * lambda_num)
-    num, den = gap.as_integer_ratio()
-    margin_num, margin_den = GAP_MARGIN.as_integer_ratio()
-    # r < (num/den - margin_num/margin_den) * q / (2 * lambda_num), as integers
-    excess = (num * margin_den - margin_num * den) * q
-    return real, max(0, (excess - 1) // (2 * lambda_num * den * margin_den))
+
+class _Certificates(NamedTuple):
+    """The certify stage's records as columns: a list per CertRecord field
+    that varies by example, then the fields that all examples share."""
+
+    example_id: list[int]
+    pred_class: list[int]
+    masked_class: list[int]
+    consistent: list[bool]
+    gap_at_attr: list[float]
+    gap_at_ones: list[float]
+    r_inc_real: list[float]
+    r_dec_real: list[float]
+    r_inc: list[int]
+    r_dec: list[int]
+    lambda_num: int
+    q: int
+    seed: int
+    mu_mode: str
+
+    def json_lines(self) -> list[str]:
+        """Each record's to_json_dict as a compact JSON line; shared fields go in once."""
+        head, tail = CertRecord._JSON_LINE.split('"lambda":')
+        tail = ('"lambda":' + tail % (self.lambda_num / self.q, *self[10:])).replace("%", "%%")
+        consistent = map(("false", "true").__getitem__, self.consistent)
+        return list(map((head + tail).__mod__, zip(*self[:3], consistent, *self[4:10])))
 
 
 def certify_example(model: SmoothedModel, x: Sequence[float], phi_x: Mask,
@@ -131,13 +170,14 @@ def certify_examples(model: SmoothedModel, xs, phis, example_ids: Sequence[int],
     give the same class. mus, when given, holds each example's noise-exempt
     mask in place of model.mu. The ids are stored as Python ints.
     """
-    return _certify_stage(model, xs, phis, example_ids, mus, None)
+    columns = _certify_stage(model, xs, phis, example_ids, mus, None)
+    return [CertRecord(*row) for row in zip(*columns[:10], *map(repeat, columns[10:]))]
 
 
 def _certify_stage(model: SmoothedModel, xs, phis, example_ids: Sequence[int],
-                   mus, ones_means: np.ndarray | None) -> list[CertRecord]:
-    """certify_examples, smoothing only the phi pairs when ones_means holds the (E, m)
-    all-ones means that an earlier stage took with the same model, xs and exempt masks."""
+                   mus, ones_means: np.ndarray | None) -> _Certificates:
+    """certify_examples as columns, smoothing only the phi pairs when ones_means holds the
+    (E, m) all-ones means that an earlier stage took with the same model, xs and exempt masks."""
     phis = mask_array(phis, model.grouping.n)
     example_ids = [_int_arg("example id", v) for v in example_ids]
     if not len(xs) == len(phis) == len(example_ids):
@@ -146,19 +186,14 @@ def _certify_stage(model: SmoothedModel, xs, phis, example_ids: Sequence[int],
     sent = [np.ones_like(phis), phis] if ones_means is None else [phis]
     means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(phis)), len(sent)),
                                np.stack(sent, axis=1).reshape(-1, phis.shape[1]), mus)
-    classes, gaps = top_classes_and_gaps(
-        means if ones_means is None else np.stack([ones_means, means], 1).reshape(-1, model.m))
+    classes, gaps = (a.reshape(-1, 2) for a in top_classes_and_gaps(
+        means if ones_means is None else np.stack([ones_means, means], 1).reshape(-1, model.m)))
     cfg = model.cfg
-    mu_mode = "none" if mus is None and model.mu is None else "phi"
-    records = []
-    for example_id, (pred_class, masked_class), (gap_at_ones, gap_at_attr) in zip(
-            example_ids, classes.reshape(-1, 2).tolist(), gaps.reshape(-1, 2).tolist()):
-        r_inc_real, r_inc = radius_from_gap(gap_at_attr, cfg.lambda_num, cfg.q)
-        r_dec_real, r_dec = radius_from_gap(gap_at_ones, cfg.lambda_num, cfg.q)
-        records.append(CertRecord(example_id, pred_class, masked_class, pred_class == masked_class,
-                                  gap_at_attr, gap_at_ones, r_inc_real, r_dec_real, r_inc, r_dec,
-                                  cfg.lambda_num, cfg.q, cfg.seed, mu_mode))
-    return records
+    real, radii = radii_from_gaps(gaps, cfg.lambda_num, cfg.q)
+    consistent = (classes[:, 0] == classes[:, 1]).tolist()  # column 0 at all-ones, 1 at phi
+    return _Certificates(example_ids, *classes.T.tolist(), consistent, *gaps[:, ::-1].T.tolist(),
+                         *real[:, ::-1].T.tolist(), *radii[:, ::-1].T.tolist(), cfg.lambda_num,
+                         cfg.q, cfg.seed, "none" if mus is None and model.mu is None else "phi")
 
 
 def enumerate_perturbation_masks(phi_x: Mask, radius: int, mode: Mode) -> Iterator[Mask]:

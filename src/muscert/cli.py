@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .attribution import (
     shap_score_rows,
     topk_mask_rows,
 )
-from .certify import _certify_stage, radius_from_gap
+from .certify import _certify_stage, radii_from_gaps
 from .core import (
     ConfigError,
     DataError,
@@ -122,21 +122,22 @@ def _require_phi_source(args) -> None:
     args.rdec = args.rdec or 0
 
 
-def _write_lines(path: str, lines: Iterable[str]) -> None:
+def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def _json_line(doc: dict) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-def _survival_curve(radii_ok: list[tuple[int, bool]], n: int) -> list[float]:
-    """value(r) = fraction of examples flagged ok with radius >= r, r = 0..n:
-    one count of the ok examples by radius (n for any past n), summed from the top."""
-    counts = np.bincount([min(radius, n) for radius, ok in radii_ok if ok], minlength=n + 1)
-    return [at_least / len(radii_ok) for at_least in np.cumsum(counts[::-1])[::-1].tolist()]
+def _survival_curves(radii: np.ndarray, ok: np.ndarray, n: int) -> list[list[float]]:
+    """value[c][r] = fraction of the examples of row c of the (C, E) arrays
+    flagged ok with radius >= r, r = 0..n: one count of the ok examples by
+    row and radius (n for any past n), summed from the top."""
+    bins = np.minimum(radii, n) + (n + 1) * np.arange(len(radii))[:, None]
+    counts = np.bincount(bins[ok], minlength=len(radii) * (n + 1)).reshape(-1, n + 1)
+    return (np.cumsum(counts[:, ::-1], axis=1)[:, ::-1] / radii.shape[1]).tolist()
 
 
 def cmd_certify(args) -> int:
@@ -145,14 +146,15 @@ def cmd_certify(args) -> int:
     n = grouping.n
     phis, ones_means = _attribution_masks(args, smoothed, xs)
     mus, ones_means = (phis, None) if args.mu_mode == "phi" else (None, ones_means)
-    records = _certify_stage(smoothed, xs, phis, range(len(phis)), mus, ones_means)
-    _write_lines(args.out, (r._json_line() for r in records))
-    inc_curve = _survival_curve([(r.r_inc, True) for r in records], n)
-    dec_curve = _survival_curve([(r.r_dec, r.consistent) for r in records], n)
+    certs = _certify_stage(smoothed, xs, phis, range(len(phis)), mus, ones_means)
+    _write_lines(args.out, certs.json_lines())
+    # r_inc counts every example, r_dec only the consistent ones.
+    inc_curve, dec_curve = _survival_curves(np.array([certs.r_inc, certs.r_dec]), np.array(
+        [[True] * len(xs), certs.consistent]), n)
     curve_lines = [f"inc {r} {inc_curve[r]!r}" for r in range(n + 1)]
     curve_lines += [f"dec {r} {dec_curve[r]!r}" for r in range(n + 1)]
     _write_lines(args.out + ".curves", curve_lines)
-    print(f"certified {len(records)} examples -> {args.out}")
+    print(f"certified {len(xs)} examples -> {args.out}")
     print(f"inc value(0)={inc_curve[0]!r} dec value(0)={dec_curve[0]!r}")
     return EXIT_OK
 
@@ -163,12 +165,11 @@ def cmd_accuracy_curve(args) -> int:
     ones = np.ones((len(xs), n), dtype=np.uint8)
     preds, gaps = top_classes_and_gaps(
         mus_evaluate_pairs(smoothed, xs, np.arange(len(xs)), ones))
-    radii = [(radius_from_gap(gap, cfg.lambda_num, cfg.q)[1], pred == label)
-             for pred, gap, (_x, label) in zip(preds.tolist(), gaps.tolist(),
-                                               dataset.examples)]
-    curve = _survival_curve(radii, n)
-    _write_lines(args.out, (f"{r} {curve[r]!r}" for r in range(n + 1)))
-    print(f"accuracy curve over {len(radii)} examples -> {args.out}")
+    labels = np.array([label for _x, label in dataset.examples])
+    curve = _survival_curves(radii_from_gaps(gaps, cfg.lambda_num, cfg.q)[1][None],
+                             (preds == labels)[None], n)[0]
+    _write_lines(args.out, [f"{r} {curve[r]!r}" for r in range(n + 1)])
+    print(f"accuracy curve over {len(xs)} examples -> {args.out}")
     print(f"value(0)={curve[0]!r}")
     return EXIT_OK
 
@@ -178,22 +179,12 @@ def cmd_explain(args) -> int:
     n = grouping.n
     scores = _score_rows(args, smoothed, xs)[0]
     masks, met = greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)
-    rows = [{
-        "example_id": idx,
-        "scorer": args.scorer,
-        "mask": mask,
-        "k_x": k_x,
-        "met": hit,
-    } for idx, (mask, k_x, hit) in enumerate(zip(
-        masks.tolist(), (masks.sum(axis=1) / n).tolist(), met.tolist()))]
+    rows = [{"example_id": idx, "scorer": args.scorer, "mask": mask, "k_x": k_x, "met": hit}
+            for idx, (mask, k_x, hit) in enumerate(zip(
+                masks.tolist(), (masks.sum(axis=1) / n).tolist(), met.tolist()))]
     mean_k = sum(row["k_x"] for row in rows) / len(rows)
-    summary = {
-        "summary": True,
-        "scorer": args.scorer,
-        "examples": len(rows),
-        "mean_k_x": mean_k,
-        "not_met": int((~met).sum()),
-    }
+    summary = {"summary": True, "scorer": args.scorer, "examples": len(rows),
+               "mean_k_x": mean_k, "not_met": int((~met).sum())}
     lines = [_json_line(row) for row in rows] + [_json_line(summary)]
     _write_lines(args.out, lines)
     print(f"explained {len(rows)} examples -> {args.out}")
@@ -206,7 +197,7 @@ def cmd_attack(args) -> int:
     _dataset, xs, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
     phis, ones_means = _attribution_masks(args, smoothed, xs)
-    records = _certify_stage(smoothed, xs, phis, range(len(phis)), None, ones_means)
+    certs = _certify_stage(smoothed, xs, phis, range(len(phis)), None, ones_means)
     budgets = n - phis.sum(axis=1, dtype=np.intp)
     if args.budget is not None:
         budgets = np.minimum(budgets, min(args.budget, n))  # an int past 2^63 fits no intp
@@ -214,38 +205,24 @@ def cmd_attack(args) -> int:
     # ones, from all-ones: their reference classes are the certificates'.
     walks = _attack_stage(smoothed, xs, np.tile(np.arange(len(phis)), 2), np.tile(phis, (2, 1)),
                           np.tile(budgets, 2), ["inc"] * len(phis) + ["dec"] * len(phis),
-                          [r.masked_class for r in records] + [r.pred_class for r in records])
-    rows = []
-    for record, budget, inc, dec in zip(records, budgets.tolist(), walks, walks[len(phis):]):
-        inc_sound = (not inc.found) or inc.radius > record.r_inc
-        dec_sound = (not dec.found) or dec.radius > record.r_dec
-        rows.append({
-            "example_id": record.example_id,
-            "r_inc": record.r_inc,
-            "inc_found": inc.found,
-            "inc_radius": inc.radius,
-            "r_dec": record.r_dec,
-            "dec_found": dec.found,
-            "dec_radius": dec.radius,
-            "budget": budget,
-            "sound": inc_sound and dec_sound,
-        })
+                          certs.masked_class + certs.pred_class)
+    rows = [{"example_id": example_id, "r_inc": r_inc, "inc_found": inc.found,
+             "inc_radius": inc.radius, "r_dec": r_dec, "dec_found": dec.found,
+             "dec_radius": dec.radius, "budget": budget, "sound": (
+                 not inc.found or inc.radius > r_inc) and (not dec.found or dec.radius > r_dec)}
+            for example_id, r_inc, r_dec, budget, inc, dec in zip(
+                certs.example_id, certs.r_inc, certs.r_dec, budgets.tolist(), walks,
+                walks[len(phis):])]
     violations = sum(1 for row in rows if not row["sound"])
     verdict = "PASS" if violations == 0 else "FAIL"
-    summary = {
-        "summary": True,
-        "examples": len(rows),
-        "violations": violations,
-        "verdict": verdict,
-    }
+    summary = {"summary": True, "examples": len(rows), "violations": violations,
+               "verdict": verdict}
     lines = [_json_line(row) for row in rows] + [_json_line(summary)]
     _write_lines(args.out, lines)
     print(f"attacked {len(rows)} examples -> {args.out}")
     print(f"soundness verdict: {verdict}")
     if violations:
-        raise VerificationError(
-            f"{violations} examples have a witness within the certified radius"
-        )
+        raise VerificationError(f"{violations} examples have a witness within the certified radius")
     return EXIT_OK
 
 

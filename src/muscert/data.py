@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 
 from .core import (ConfigError, DataError, FeatureGrouping, Vector, _int_arg, _real_arg, _real_row,
                    _shown)
@@ -38,9 +39,9 @@ class LabeledDataset:
         return len(self.examples)
 
 
-def _is_numeric(field: str) -> bool:
+def _is_numeric(field: str, parse=float) -> bool:
     try:
-        float(field)
+        parse(field)
     except ValueError:
         return False
     return True
@@ -71,40 +72,47 @@ def load_csv_dataset(path: str) -> LabeledDataset:
     """Parse comma-separated rows of decimals; the last column holds the label.
 
     A first row whose fields are all non-numeric is treated as a header and
-    skipped. The first row that does not parse raises its DataError, which
-    shows at most 80 characters of the field; what the dataset rule refuses,
-    with m = max(2, top label + 1), is a DataError naming the file.
+    skipped. The rows are parsed in one pass, int over the label column and
+    float over every feature field; only when that fails are they scanned
+    one at a time, and the first row that does not parse raises its
+    DataError, which shows at most 80 characters of the field. What the
+    dataset rule refuses, with m = max(2, top label + 1), is a DataError
+    naming the file.
     """
     lines = _read_text(path, "dataset").split("\n")
-    rows = [(i + 1, ln.split(",")) for i, ln in enumerate(lines) if ln.strip()]
-    if not rows:
+    kept = [i for i, ln in enumerate(lines) if ln.strip()]
+    if not kept:
         raise DataError(f"dataset file {path} has no rows")
-    if not any(_is_numeric(f) for f in rows[0][1]):
-        rows = rows[1:]
-        if not rows:
+    if not any(_is_numeric(f) for f in lines[kept[0]].split(",")):
+        kept = kept[1:]
+        if not kept:
             raise DataError(f"dataset file {path} has a header but no data rows")
-    width = len(rows[0][1])
+    rows = [lines[i] for i in kept]
+    width = rows[0].count(",") + 1
     if width < 2:
-        raise DataError(f"{path} row {rows[0][0]}: need at least 2 columns, got {width}")
-    examples = []
-    for rownum, fields in rows:
-        if len(fields) != width:
-            raise DataError(f"{path} row {rownum}: {len(fields)} fields, expected {width}")
-        try:
-            x = tuple(map(float, fields[:-1]))
-        except ValueError as exc:
-            bad = next(f for f in fields[:-1] if not _is_numeric(f))
-            raise DataError(f"{path} row {rownum}: non-numeric feature: could not convert "
-                            f"string to float: {_shown(bad)}") from exc
-        try:
-            y = int(fields[-1])
-        except ValueError as exc:
-            raise DataError(f"{path} row {rownum}: label {_shown(fields[-1].strip())} "
-                            "is not an integer") from exc
-        examples.append((x, y))
+        raise DataError(f"{path} row {kept[0] + 1}: need at least 2 columns, got {width}")
     try:
-        return LabeledDataset(examples=tuple(examples), d=width - 1,
-                              m=max(2, max(y for _, y in examples) + 1))
+        if set(map(str.count, rows, repeat(","))) != {width - 1}:
+            raise ValueError("ragged rows")
+        fields = ",".join(rows).split(",")
+        labels = list(map(int, fields[width - 1::width]))
+        del fields[width - 1::width]
+        values = list(map(float, fields))
+    except ValueError:
+        for i, row in zip(kept, rows):
+            if len(fields := row.split(",")) != width:
+                raise DataError(f"{path} row {i + 1}: {len(fields)} fields, "
+                                f"expected {width}") from None
+            if bad := [f for f in fields[:-1] if not _is_numeric(f)]:
+                raise DataError(f"{path} row {i + 1}: non-numeric feature: could not convert "
+                                f"string to float: {_shown(bad[0])}") from None
+            if not _is_numeric(fields[-1], int):
+                raise DataError(f"{path} row {i + 1}: label {_shown(fields[-1].strip())} "
+                                "is not an integer") from None
+        raise
+    try:
+        return LabeledDataset(examples=tuple(zip(zip(*[iter(values)] * (width - 1)), labels)),
+                              d=width - 1, m=max(2, max(labels) + 1))
     except ConfigError as exc:
         raise DataError(f"dataset file {path}: {exc}") from exc
 

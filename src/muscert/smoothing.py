@@ -17,8 +17,6 @@ greedy step): a masked input already sent is read back rather than sent
 again, and the memo grows with the distinct rows of the calls that share
 it. Every class sum is correctly rounded before it is divided by q, so
 neither the batching, the deduplication nor the memo can change a bit.
-`masking_equivalence_check` tests it against averaging the pre-masked
-input.
 """
 from __future__ import annotations
 
@@ -201,7 +199,8 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
         else:
             probs, inverse = _memo_rows(model, xs, pairs, effective, keys, memo)
         # The (pairs, q, m) view reads one contiguous (pairs, m) block per atom.
-        out[window] = _atom_means(probs[inverse].reshape(q, len(pairs), m).transpose(1, 0, 2))
+        rows = probs.take(inverse, axis=0).reshape(q, len(pairs), m)
+        out[window] = _atom_means(rows.transpose(1, 0, 2))
     return out
 
 
@@ -354,23 +353,6 @@ def _exact_sums(blocks: np.ndarray) -> np.ndarray:
     for i, c in zip(*np.nonzero(unsure)):
         total[i, c] = math.fsum(blocks[i, :, c].tolist())
     return total
-
-
-def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
-                              alphas: Sequence[Mask]) -> bool:
-    """True iff smoothing each mask equals smoothing the pre-masked input.
-
-    The left side is mus_evaluate_pairs on x under alphas, the right side
-    _premasked_means. With a noise-exemption mask mu set, the identity is
-    only guaranteed when alpha keeps everything mu keeps, so that case is a
-    precondition for every alpha.
-    """
-    masks = mask_array(alphas, model.grouping.n)
-    if model.mu is not None and not (masks >= model.mu).all():
-        raise ConfigError("equivalence requires alpha to cover the noise-exempt mask mu")
-    lhs = mus_evaluate_pairs(model, [x], np.zeros(len(masks), np.intp), masks)
-    rhs = _premasked_means(model, x, masks, model.mu)
-    return bool((np.abs(lhs - rhs) <= EQUIVALENCE_TOL).all())
 
 
 def _premasked_means(model: SmoothedModel, x: Sequence[float], masks: np.ndarray,

@@ -21,6 +21,11 @@ package's exp algorithm on one Python float; every definitional path
 here queries a built-in model through them, so none of them runs the array
 kernels it is compared against. `where_masked_rows` masks batches of rows
 with np.where, so these paths do not run the package's masking either.
+`ratio_radius` is the certified radius of one gap in Python integers, the
+oracle of the package's threshold table; `masking_equivalence_check`
+compares the batch driver with smoothing the pre-masked input; and
+`load_csv_rows` is the CSV loader that checks and converts one row at a
+time, the oracle of the package's one-pass parse.
 """
 from __future__ import annotations
 
@@ -36,17 +41,25 @@ from muscert.core import (
     LOGITS_SUM_TOL,
     ClassifierHandle,
     ConfigError,
+    DataError,
     FeatureGrouping,
     Logits,
     Mask,
     Vector,
+    _shown,
     mask_array,
 )
 from muscert.attribution import FD_STEP, LIME_RIDGE, _sampled_orders
-from muscert.certify import radius_from_gap
+from muscert.certify import GAP_MARGIN
+from muscert.data import LabeledDataset, _is_numeric, _read_text
 from muscert.models import LinearSoftmaxModel, MlpModel
 from muscert.noise import iid_bernoulli_bits
-from muscert.smoothing import EQUIVALENCE_TOL, SmoothedModel
+from muscert.smoothing import (
+    EQUIVALENCE_TOL,
+    SmoothedModel,
+    _premasked_means,
+    mus_evaluate_pairs,
+)
 
 
 # Tang's table-driven exp, as the package's models._exp computes it, one
@@ -289,12 +302,12 @@ def greedy_prefix(model: SmoothedModel, x: Sequence[float], scores: Sequence[flo
     at least r_dec_target; (all-ones, False) when no prefix qualifies."""
     n, lam, q = model.grouping.n, model.cfg.lambda_num, model.cfg.q
     pred, gap_at_ones = top_class_and_gap(mus_evaluate(model, x, (1,) * n))
-    if radius_from_gap(gap_at_ones, lam, q)[1] >= r_dec_target:
+    if ratio_radius(gap_at_ones, lam, q)[1] >= r_dec_target:
         ordering = sorted(range(n), key=lambda i: (-scores[i], i))
         for length in range(1, n + 1):
             mask = tuple(1 if i in ordering[:length] else 0 for i in range(n))
             c, gap = top_class_and_gap(mus_evaluate(model, x, mask))
-            if c == pred and radius_from_gap(gap, lam, q)[1] >= r_inc_target:
+            if c == pred and ratio_radius(gap, lam, q)[1] >= r_inc_target:
                 return mask, True
     return (1,) * n, False
 
@@ -444,3 +457,71 @@ def finite_difference_gradient(base: ClassifierHandle, x: Sequence[float],
         down[j] -= FD_STEP
         grad.append((scalar_probs(base, up)[c] - scalar_probs(base, down)[c]) / (2 * FD_STEP))
     return grad
+
+
+def ratio_radius(gap: float, lambda_num: int, q: int) -> tuple[float, int]:
+    """(real, integer) certified radius of one gap: the real radius is
+    gap * q / (2 * lambda_num), and the integer radius the largest r >= 0
+    with 2 * lambda_num * r < (gap - GAP_MARGIN) * q, compared exactly on
+    the integer ratios of the two floats."""
+    real = gap * q / (2 * lambda_num)
+    num, den = gap.as_integer_ratio()
+    margin_num, margin_den = GAP_MARGIN.as_integer_ratio()
+    # r < (num/den - margin_num/margin_den) * q / (2 * lambda_num), as integers
+    excess = (num * margin_den - margin_num * den) * q
+    return real, max(0, (excess - 1) // (2 * lambda_num * den * margin_den))
+
+
+def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
+                              alphas: Sequence[Mask]) -> bool:
+    """True iff smoothing each mask equals smoothing the pre-masked input.
+
+    The left side is mus_evaluate_pairs on x under alphas, the right side
+    the package's _premasked_means. With a noise-exemption mask mu set, the
+    identity is only guaranteed when alpha keeps everything mu keeps, so
+    that case is a precondition for every alpha.
+    """
+    masks = mask_array(alphas, model.grouping.n)
+    if model.mu is not None and not (masks >= model.mu).all():
+        raise ConfigError("equivalence requires alpha to cover the noise-exempt mask mu")
+    lhs = mus_evaluate_pairs(model, [x], np.zeros(len(masks), np.intp), masks)
+    rhs = _premasked_means(model, x, masks, model.mu)
+    return bool((np.abs(lhs - rhs) <= EQUIVALENCE_TOL).all())
+
+
+def load_csv_rows(path: str) -> LabeledDataset:
+    """load_csv_dataset one row at a time: each row is split, checked for
+    its width and converted, features then label, and the first row that
+    fails raises; the rows then go to the dataset rule."""
+    lines = _read_text(path, "dataset").split("\n")
+    rows = [(i + 1, ln.split(",")) for i, ln in enumerate(lines) if ln.strip()]
+    if not rows:
+        raise DataError(f"dataset file {path} has no rows")
+    if not any(_is_numeric(f) for f in rows[0][1]):
+        rows = rows[1:]
+        if not rows:
+            raise DataError(f"dataset file {path} has a header but no data rows")
+    width = len(rows[0][1])
+    if width < 2:
+        raise DataError(f"{path} row {rows[0][0]}: need at least 2 columns, got {width}")
+    examples = []
+    for rownum, fields in rows:
+        if len(fields) != width:
+            raise DataError(f"{path} row {rownum}: {len(fields)} fields, expected {width}")
+        try:
+            x = tuple(map(float, fields[:-1]))
+        except ValueError as exc:
+            bad = next(f for f in fields[:-1] if not _is_numeric(f))
+            raise DataError(f"{path} row {rownum}: non-numeric feature: could not convert "
+                            f"string to float: {_shown(bad)}") from exc
+        try:
+            y = int(fields[-1])
+        except ValueError as exc:
+            raise DataError(f"{path} row {rownum}: label {_shown(fields[-1].strip())} "
+                            "is not an integer") from exc
+        examples.append((x, y))
+    try:
+        return LabeledDataset(examples=tuple(examples), d=width - 1,
+                              m=max(2, max(y for _, y in examples) + 1))
+    except ConfigError as exc:
+        raise DataError(f"dataset file {path}: {exc}") from exc

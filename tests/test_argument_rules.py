@@ -45,7 +45,9 @@ from muscert.noise import (
     lcg_block,
 )
 from muscert.selfcheck import run_selfcheck
-from muscert.smoothing import SmoothedModel, masking_equivalence_check, mus_evaluate_pairs
+from muscert.smoothing import SmoothedModel, mus_evaluate_pairs
+
+from reference import masking_equivalence_check
 
 N = 3
 GROUPING = FeatureGrouping.trivial(N)

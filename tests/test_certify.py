@@ -1,6 +1,7 @@
 """Radius arithmetic, consistency, and brute-force oracle agreement."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -9,7 +10,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from muscert import smoothing
+from muscert import certify, smoothing
 from muscert.certify import (
     GAP_MARGIN,
     CertRecord,
@@ -17,14 +18,16 @@ from muscert.certify import (
     certify_example,
     certify_examples,
     enumerate_perturbation_masks,
+    radii_from_gaps,
     radius_from_gap,
 )
 from muscert.core import ConfigError, FeatureGrouping
 from muscert.models import random_linear
-from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state
+from muscert.noise import MAX_Q, LcgStream, SmoothingConfig, derive_rng_state
 from muscert.smoothing import SmoothedModel
 
 from conftest import ConstantHandle, IndicatorFirstFeature, definitional_certificate
+from reference import ratio_radius
 
 WORKED_CFG = SmoothingConfig(q=4, lambda_num=2, seed=4, n=2)
 
@@ -81,6 +84,90 @@ def test_integer_radius_is_exact_around_every_integer_boundary():
                     bound = (Fraction(gap) - Fraction(GAP_MARGIN)) * q / (2 * lambda_num)
                     want = max(0, math.ceil(bound) - 1)
                     assert radius_from_gap(gap, lambda_num, q)[1] == want, (gap, lambda_num, q)
+
+
+RADIUS_QS = (2, 3, 4, 7, 8, 16, 33, 64, 1000, 65536)
+
+
+def _near_thresholds(lambda_num, q):
+    """Every float within 3 ulps of each threshold GAP_MARGIN + 2*lambda_num*k/q
+    (k >= 1) up to the first past a gap of 1, from exact rationals."""
+    gaps = []
+    for k in range(1, q // (2 * lambda_num) + 2):
+        nearest = float(Fraction(GAP_MARGIN) + Fraction(2 * lambda_num * k, q))
+        below = above = nearest
+        gaps.append(nearest)
+        for _ in range(3):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+            gaps += [below, above]
+    return gaps
+
+
+def test_radii_from_gaps_match_the_integer_ratio_oracle():
+    """radii_from_gaps equals ratio_radius, real and integer radius, on the
+    special gaps, random gaps in [-0.5, 2) and every float within 3 ulps
+    of each threshold, for every q of RADIUS_QS and lambda_num up to 12."""
+    stream = LcgStream(derive_rng_state(31, 0))
+    special = [0.0, -0.0, 1.0, 5e-324, GAP_MARGIN, math.nextafter(GAP_MARGIN, 0.0),
+               math.nextafter(GAP_MARGIN, 1.0), 2 * GAP_MARGIN, 0.5, 2.0, -1.0, -5e-324]
+    checked = 0
+    for q in RADIUS_QS:
+        for lambda_num in range(1, min(12, q) + 1):
+            gaps = special + [2.5 * stream.next_unit() - 0.5 for _ in range(40)]
+            gaps += _near_thresholds(lambda_num, q)
+            real, radii = radii_from_gaps(gaps, lambda_num, q)
+            want = [ratio_radius(gap, lambda_num, q) for gap in gaps]
+            assert real.tolist() == [r for r, _ in want], (q, lambda_num)
+            assert list(map(repr, real.tolist())) == [repr(r) for r, _ in want]
+            assert radii.tolist() == [r for _, r in want], (q, lambda_num)
+            checked += len(gaps)
+    assert checked >= 30_000
+
+
+def test_radii_from_gaps_keep_the_shape_and_grow_their_table(monkeypatch):
+    """A 2-D gap array gives 2-D radii equal to its flat ones, and a table
+    first built for small gaps grows for larger ones at the same (lambda_num, q)."""
+    monkeypatch.setattr(certify, "_THRESHOLDS", {})
+    stream = LcgStream(derive_rng_state(31, 1))
+    gaps = np.array([[stream.next_unit() for _ in range(3)] for _ in range(50)])
+    for lambda_num, q in ((1, 16), (3, 7), (5, 1000)):
+        small = radii_from_gaps([0.01], lambda_num, q)[1]
+        assert small.tolist() == [ratio_radius(0.01, lambda_num, q)[1]]
+        real, radii = radii_from_gaps(gaps, lambda_num, q)
+        assert radii.shape == real.shape == gaps.shape
+        flat = radii_from_gaps(gaps.ravel(), lambda_num, q)
+        assert radii.ravel().tolist() == flat[1].tolist()
+        assert real.ravel().tobytes() == flat[0].tobytes()
+        assert radii.ravel().tolist() == [ratio_radius(g, lambda_num, q)[1] for g in gaps.ravel()]
+    assert radii_from_gaps(np.empty((0, 2)), 2, 16)[1].shape == (0, 2)
+
+
+@pytest.mark.parametrize("gap", [math.nan, math.inf, -math.inf])
+def test_radii_refuse_a_gap_that_is_not_finite(gap):
+    with pytest.raises(ConfigError, match="gaps must be finite"):
+        radii_from_gaps([0.5, gap], 2, 16)
+    with pytest.raises(ConfigError, match="gaps must be finite"):
+        radius_from_gap(gap, 2, 16)
+
+
+def test_radii_stop_at_a_radius_of_max_q():
+    """Radii up to MAX_Q are exact; a gap whose radius passes it raises."""
+    assert radius_from_gap(MAX_Q + 1.0, 1, 2) == ratio_radius(MAX_Q + 1.0, 1, 2)
+    assert radius_from_gap(MAX_Q + 1.0, 1, 2)[1] == MAX_Q
+    for gap, q in ((MAX_Q + 2.0, 2), (1e300, 2), (2.1, MAX_Q), (1.7e308, MAX_Q)):
+        with pytest.raises(ConfigError, match=f"radius above {MAX_Q}"):
+            radius_from_gap(gap, 1, q)
+
+
+@pytest.mark.parametrize("lambda_num,q,message", [
+    (1, 1, "q must be in"), (1, MAX_Q + 1, "q must be in"), (0, 4, "lambda_num must be in"),
+    (5, 4, "lambda_num must be in"), (2.0, 4, "lambda_num must be an integer"),
+])
+def test_radii_take_lambda_num_and_q_by_the_config_rule(lambda_num, q, message):
+    with pytest.raises(ConfigError, match=message):
+        radii_from_gaps([0.5], lambda_num, q)
+    with pytest.raises(ConfigError, match="gaps must be numbers"):
+        radii_from_gaps(["a"], 2, 4)
 
 
 def test_radii_match_gap_formula_on_constant_model():
@@ -383,4 +470,6 @@ def test_record_json_line_equals_compact_json_dumps():
     records += certify_examples(model, xs, phis, [2 ** 63 + e for e in range(9)], mus=phis)
     records += certify_examples(model, xs, phis, range(9))
     for record in records:
-        assert record._json_line() == json.dumps(record.to_json_dict(), separators=(",", ":"))
+        values = dataclasses.astuple(record)
+        columns = certify._Certificates(*([value] for value in values[:10]), *values[10:])
+        assert columns.json_lines() == [json.dumps(record.to_json_dict(), separators=(",", ":"))]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import muscert
-from muscert import cli
+from muscert import attribution, certify, cli
 from muscert.attack import AttackResult
 from muscert.attribution import MAX_EXAMPLE_ROWS, occlusion_scores, topk_binarize
 from muscert.cli import (
@@ -373,18 +373,50 @@ def _survival_by_definition(radii_ok, n):
 
 
 def test_survival_curve_equals_its_definition():
-    """One count per radius summed from the top gives the same floats as the
-    count per r, with radii past n and rows that are not ok."""
+    """One count per row and radius summed from the top gives the same
+    floats as the count per r, with radii past n and rows that are not ok,
+    for every row of a batch of curves."""
     stream = LcgStream(derive_rng_state(9, 1))
     for n in (1, 3, 16):
         for rows in (1, 2, 7, 200):
-            radii_ok = [(stream.next_below(n + 4), stream.next_below(3) > 0)
-                        for _ in range(rows)]
-            assert list(map(repr, cli._survival_curve(radii_ok, n))) == list(map(
-                repr, _survival_by_definition(radii_ok, n)))
-    for radii_ok in ([(0, False)], [(2 ** 70, True), (5, False), (1, True)],
+            batch = [[(stream.next_below(n + 4), stream.next_below(3) > 0) for _ in range(rows)]
+                     for _curve in range(3)]
+            radii, ok = np.array(batch, dtype=np.intp).transpose(2, 0, 1)
+            got = cli._survival_curves(radii, ok.astype(bool), n)
+            assert [list(map(repr, curve)) for curve in got] == [
+                list(map(repr, _survival_by_definition(radii_ok, n))) for radii_ok in batch]
+    for radii_ok in ([(0, False)], [(2 ** 62, True), (5, False), (1, True)],
                      [(3, True)] * 3 + [(0, True)] * 4):
-        assert cli._survival_curve(radii_ok, 4) == _survival_by_definition(radii_ok, 4)
+        radii, ok = np.array(radii_ok, dtype=np.intp).T
+        assert (cli._survival_curves(radii[None], ok[None].astype(bool), 4)
+                == [_survival_by_definition(radii_ok, 4)])
+
+
+def test_desk_commands_take_no_per_example_certificate_path(desk, tmp_path, monkeypatch):
+    """On the desk, certify and accuracy-curve build no CertRecord, and no
+    radius is taken one gap at a time: greedy_stable_masks (under explain)
+    takes each round's radii in one radii_from_gaps call over its gap array."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("per-example certificate path")
+
+    monkeypatch.setattr(certify.CertRecord, "__init__", refuse)
+    for module in (certify, attribution, cli, muscert):
+        monkeypatch.setattr(module, "radius_from_gap", refuse, raising=False)
+    shapes = []
+    radii_from_gaps = attribution.radii_from_gaps
+    monkeypatch.setattr(attribution, "radii_from_gaps", lambda gaps, lambda_num, q: (
+        shapes.append(gaps.shape), radii_from_gaps(gaps, lambda_num, q))[1])
+    base = ["--model", desk["model_path"], "--data", desk["test_path"], "--q", "16",
+            "--seed", "11"]
+    runs = [("certify", "--lambda-num", "4", "--topk", "8"),
+            ("certify", "--lambda-num", "2", "--topk", "8", "--mu-mode", "phi"),
+            ("accuracy-curve", "--lambda-num", "4"),
+            ("explain", "--lambda-num", "4", "--scorer", "vgrad", "--rinc", "0", "--rdec", "0")]
+    for k, (command, *flags) in enumerate(runs):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([command, *base, *flags, "--out", str(tmp_path / str(k))]) == EXIT_OK
+    assert shapes[0] == (len(desk["test"]), 2)
+    assert 2 <= len(shapes) <= 5 and all(len(shape) == 2 for shape in shapes), shapes
 
 
 def test_certify_full_keep_rate_pins_radii_to_zero(small_artifacts, tmp_path):

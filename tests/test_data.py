@@ -21,6 +21,8 @@ from muscert.data import (
 from muscert.models import fit_logistic, load_model
 from muscert.noise import derive_rng_state
 
+from reference import load_csv_rows
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -374,3 +376,48 @@ def test_undecodable_file_is_data_error(small_artifacts, tmp_path, capsys, what,
                  "--out", str(tmp_path / "o"), "--q", "8", "--lambda-num", "2", "--topk", "2"])
     assert code == EXIT_DATA
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def _outcome(loader, path):
+    """The dataset a loader returns, or the class and message of its error."""
+    try:
+        return loader(path)
+    except (ConfigError, DataError) as exc:
+        return type(exc), str(exc)
+
+
+CSV_GOOD_ROWS = ["0.5,1.5,0", "-2.0,3.25,1", "1e3,-0.0,2", "4.0,5.0,1", "6.5,-7.5,0"]
+CSV_BAD_ROWS = {
+    "ragged long": "1.0,2.0,3.0,1", "ragged short": "1.0,0", "non-numeric": "1.0,abc,0",
+    "empty feature": "1.0,,0", "nan": "nan,1.0,0", "inf": "1.0,inf,1", "-inf": "-inf,1.0,1",
+    "fractional label": "1.0,2.0,1.5", "word label": "1.0,2.0,x", "empty label": "1.0,2.0,",
+    "negative label": "1.0,2.0,-1",
+}
+CSV_FILES = {
+    "header": "f0,f1,label\n" + "\n".join(CSV_GOOD_ROWS) + "\n",
+    "blank lines": "\n" + "\n\n  \n".join(CSV_GOOD_ROWS) + "\n\n\t\n",
+    "crlf": "\r\n".join(CSV_GOOD_ROWS) + "\r\n",
+    "spaces": " 0.5 , 1.5 ,0\n-2.0,3.25, 1\n 1e3,-0.0 , 2\n",
+    "label written ' 2'": "1e3,-0.0, 2\n-0.0,1E-3,1\n",
+    "no final newline": "\n".join(CSV_GOOD_ROWS),
+    "one row": "1.0,2.0,3\n",
+    "empty": "", "only blank lines": "\n \n\n", "header only": "a,b,c\n",
+    "header then blanks": "a,b,c\n\n\n", "one column": "1\n2\n", "header then one column": "x\n1\n",
+    **{f"{kind} at row {at + 1}": "\n".join(CSV_GOOD_ROWS[:at] + [bad] + CSV_GOOD_ROWS[at + 1:])
+       for kind, bad in CSV_BAD_ROWS.items() for at in (0, 2, 4)},
+    **{f"{first} then {second}": "\n".join(
+        [CSV_GOOD_ROWS[0], CSV_BAD_ROWS[first], CSV_GOOD_ROWS[2], CSV_BAD_ROWS[second]])
+       for first in CSV_BAD_ROWS for second in ("ragged long", "non-numeric", "word label", "nan")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_FILES))
+def test_one_pass_csv_parse_equals_the_per_row_loader(tmp_path, name):
+    """The one-pass loader returns the per-row loader's dataset, floats bit for
+    bit, or raises its error class with its message: the first bad row in
+    row order is the one named."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(CSV_FILES[name].encode())
+    got, want = _outcome(load_csv_dataset, str(path)), _outcome(load_csv_rows, str(path))
+    assert got == want
+    assert repr(got) == repr(want)

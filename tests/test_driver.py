@@ -2,6 +2,7 @@
 words, and the staged pair evaluation against the definitional paths."""
 from __future__ import annotations
 
+import json
 import math
 from itertools import product
 
@@ -612,13 +613,15 @@ HANDOFF_CASES = ["linear", "mlp", "grouped-mu", "xor", "one-hot"]
 @pytest.mark.parametrize("case", HANDOFF_CASES)
 def test_certify_on_occlusion_means_equals_certify_examples(case):
     """The certify stage on the all-ones means that occlusion smoothed gives
-    the records of certify_examples, bit for bit."""
+    the columns of the stage that smooths them itself, bit for bit, and the
+    record lines of certify_examples."""
     model, xs, phis = _handoff_instance(case)
     scores, ones_means = attribution._occlusion_stage(model, xs)
     assert scores.tobytes() == attribution.occlusion_score_rows(model, xs).tobytes()
     want = certify_examples(model, xs, phis, range(len(xs)))
     got = certify._certify_stage(model, xs, phis, range(len(xs)), None, ones_means)
-    assert list(map(repr, got)) == list(map(repr, want))
+    assert repr(got) == repr(certify._certify_stage(model, xs, phis, range(len(xs)), None, None))
+    assert got.json_lines() == [json.dumps(r.to_json_dict(), separators=(",", ":")) for r in want]
     assert {r.consistent for r in want} == {True, False}
 
 

@@ -13,14 +13,9 @@ from muscert.core import ConfigError, FeatureGrouping, ones_mask, top_classes_an
 from muscert.models import random_mlp
 from muscert.noise import LcgStream, derive_rng_state, enumerate_atoms
 from muscert.selfcheck import LIPSCHITZ_SLACK, _all_masks, _random_instance, check_lipschitz
-from muscert.smoothing import (
-    EQUIVALENCE_TOL,
-    SmoothedModel,
-    masking_equivalence_check,
-    mus_evaluate_pairs,
-)
+from muscert.smoothing import EQUIVALENCE_TOL, SmoothedModel, mus_evaluate_pairs
 
-from reference import mask_apply, mus_evaluate
+from reference import mask_apply, masking_equivalence_check, mus_evaluate
 
 COVER_MESSAGE = "equivalence requires alpha to cover the noise-exempt mask mu"
 

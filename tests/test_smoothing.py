@@ -16,16 +16,13 @@ from muscert.core import (
 )
 from muscert.models import random_linear
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state, enumerate_atoms
-from muscert.smoothing import (
-    SmoothedModel,
-    masking_equivalence_check,
-    mus_evaluate_pairs,
-)
+from muscert.smoothing import SmoothedModel, mus_evaluate_pairs
 
 from reference import (
     additive_leakage_demo,
     mask_and,
     mask_apply,
+    masking_equivalence_check,
     mus_evaluate,
     rmus_estimate,
     scalar_probs,
