@@ -133,10 +133,10 @@ def _score_inputs(xs, grouping: FeatureGrouping, rng_states) -> tuple[np.ndarray
     return xs, rng_states
 
 
-def _example_blocks(examples: int, rows_each: int):
-    """Slices of consecutive examples whose batch, rows_each rows per
-    example, fits in DRIVER_CHUNK rows (one example at least)."""
-    step = max(1, smoothing.DRIVER_CHUNK // rows_each)
+def _example_blocks(examples: int, rows_each: int, rows: int | None = None):
+    """Slices of consecutive examples whose batch, rows_each rows per example,
+    fits in `rows` rows, DRIVER_CHUNK by default (one example at least)."""
+    step = max(1, (rows or smoothing.DRIVER_CHUNK) // rows_each)
     return (slice(lo, min(lo + step, examples)) for lo in range(0, examples, step))
 
 
@@ -165,8 +165,8 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     surrogate is solved on the ridge-stabilized normal equations.
 
     A block of examples is one evaluate_rows call: the examples themselves,
-    whose outputs give their classes, then their masked rows. Each
-    example's surrogate is then solved on its own.
+    whose outputs give their classes, then their masked rows. The block's
+    surrogates are then solved in one call.
     """
     n = grouping.n
     samples = _int_arg("samples", samples, n + 1, MAX_EXAMPLE_ROWS - 1)
@@ -178,30 +178,30 @@ def lime_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     index_map = grouping.index_map()
     dropped = np.arange(n + 1, dtype=float)
     kernel = _exp(-(dropped * dropped) / (kernel_width * kernel_width))
-    out = np.empty((len(xs), n))
+    out, design = np.empty((len(xs), n)), np.ones((samples, n + 1))
     for block in _example_blocks(len(xs), 1 + samples):
         count = block.stop - block.start
         bits = iid_bernoulli_bits(0.5, n, samples, rng_states[block])
         probs = evaluate_rows(base, _masked_batch(xs[block], bits.transpose(2, 0, 1)[index_map]))
         classes = top_classes_and_gaps(probs[:count])[0]
-        for e, draws, sampled, c in zip(range(block.start, block.stop), bits,
-                                        probs[count:].reshape(count, samples, -1), classes):
-            design = np.ones((samples, n + 1))
-            design[:, 1:] = draws
-            weights = kernel[n - draws.sum(axis=1, dtype=np.intp)]
-            wx = design.T * weights
-            lhs = wx @ design + LIME_RIDGE * np.eye(n + 1)
+        sampled = probs[count:].reshape(count, samples, -1)
+        weights = kernel[n - bits.sum(axis=2, dtype=np.intp)]
+        lhs, rhs = np.empty((count, n + 1, n + 1)), np.empty((count, n + 1))
+        for e, c in enumerate(classes.tolist()):
+            design[:, 1:] = bits[e]
+            wx = design.T * weights[e]
+            lhs[e] = wx @ design
             # A column view, as one example's batch gave: matmul may take
             # another kernel, with other bits, for a contiguous vector.
-            rhs = wx @ sampled[:, c]
-            try:
-                beta = np.linalg.solve(lhs, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise ConfigError(
-                    f"surrogate fit is singular beyond ridge rescue: {exc}") from exc
-            if not np.all(np.isfinite(beta)):
-                raise ConfigError("surrogate fit produced non-finite coefficients")
-            out[e] = beta[1:]
+            rhs[e] = wx @ sampled[e, :, c]
+        lhs += LIME_RIDGE * np.eye(n + 1)
+        try:
+            beta = np.linalg.solve(lhs, rhs[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError as exc:
+            raise ConfigError(f"surrogate fit is singular beyond ridge rescue: {exc}") from exc
+        if not np.isfinite(beta).all():
+            raise ConfigError("surrogate fit produced non-finite coefficients")
+        out[block] = beta[:, 1:]
     return out
 
 
@@ -218,8 +218,9 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     A block of examples is one evaluate_rows call: the empty coalition,
     which is the zero input for every example, the full ones, which are the
     examples themselves and give their classes, then the coalitions in
-    between of each example: those of its P orders, P * (n - 1) rows. Each
-    group's marginal gains are then summed per example with math.fsum.
+    between of each example: those of its P orders, P * (n - 1) rows. The
+    gains of the examples whose P * n gains fit in MAX_EXAMPLE_ROWS values go
+    to one buffer, which smoothing._atom_means sums, correctly rounded.
     """
     n = grouping.n
     permutations = _int_arg("permutations", permutations, 1,
@@ -227,31 +228,33 @@ def shap_score_rows(base: ClassifierHandle, xs, grouping: FeatureGrouping,
     xs, rng_states = _score_inputs(xs, grouping, rng_states)
     index_map = grouping.index_map()
     out = np.empty((len(xs), n))
-    # Blocks are sized by the order steps, which bound the gain arrays below
-    # as well as the batch; each example's count holds the block's zero row.
-    for block in _example_blocks(len(xs), 2 + permutations * (n - 1)):
-        count = block.stop - block.start
-        orders = _sampled_orders(n, permutations, rng_states[block]).reshape(-1, n)
-        # rank[t, i] is the step at which order t adds group i; the coalition
-        # before step s holds raw feature j, keep[j, t, s - 1], when its group ranks below s.
-        rows = np.arange(len(orders))[:, None]
-        rank = np.empty_like(orders)
-        rank[rows, orders] = np.arange(n)
-        keep = (rank.T[index_map][:, :, None] < np.arange(1, n)).reshape(
-            len(index_map), count, permutations * (n - 1))
-        probs = evaluate_rows(base, _masked_batch(xs[block], keep, 1))
-        # held[t, s] is the batch row of the coalition before step s of order
-        # t: the zero row, then masked row t * (n - 1) + s - 1, then its example.
-        held = np.empty((len(orders), n + 1), dtype=np.intp)
-        held[:, 0] = 0
-        held[:, 1:n] = 1 + count + rows * (n - 1) + np.arange(n - 1)
-        held[:, n] = 1 + rows[:, 0] // permutations
-        classes = np.repeat(top_classes_and_gaps(probs[1:1 + count])[0], permutations)
-        values = probs[held, classes[:, None]]
-        gains = values[:, 1:] - values[:, :-1]
-        contrib = gains[rows, rank].reshape(count, permutations, n)
-        for e, columns in enumerate(contrib.transpose(0, 2, 1).tolist(), start=block.start):
-            out[e] = [math.fsum(col) / permutations for col in columns]
+    # below[r, s - 1]: a group of rank r is in the coalition before step s.
+    below = np.arange(n)[:, None] < np.arange(1, n)
+    for part in _example_blocks(len(xs), permutations * n, MAX_EXAMPLE_ROWS):
+        contrib = np.empty(((part.stop - part.start) * permutations, n))
+        # Blocks are sized by the order steps, which bound the gain arrays below
+        # as well as the batch; each example's count holds the block's zero row.
+        for block in _example_blocks(part.stop - part.start, 2 + permutations * (n - 1)):
+            count = block.stop - block.start
+            span = slice(block.start * permutations, block.stop * permutations)
+            # rank[t, i] is the step at which order t adds group i; the coalition before
+            # step s holds raw feature j, keep[j, t, s - 1], when its group ranks below s.
+            rank = _sampled_orders(n, permutations, rng_states[part][block]).reshape(
+                -1, n).argsort(axis=1)
+            rows = np.arange(len(rank))[:, None]
+            keep = below.take(rank.T[index_map], axis=0).reshape(
+                len(index_map), count, permutations * (n - 1))
+            probs = evaluate_rows(base, _masked_batch(xs[part][block], keep, 1))
+            # held[t, s] is the batch row of the coalition before step s of order t:
+            # the zero row, then masked row t * (n - 1) + s - 1, then its example;
+            # as a flat index, at its example's class.
+            held = np.concatenate([0 * rows, 1 + count + rows * (n - 1) + np.arange(n - 1),
+                                   1 + rows // permutations], axis=1) * probs.shape[1]
+            values = probs.take(held + np.repeat(
+                top_classes_and_gaps(probs[1:1 + count])[0], permutations)[:, None])
+            gains = values[:, 1:] - values[:, :-1]
+            contrib[span] = gains.take(rank + rows * n)
+        out[part] = smoothing._atom_means(contrib.reshape(-1, permutations, n))
     return out
 
 
@@ -262,19 +265,20 @@ def _sampled_orders(n: int, permutations: int, rng_state) -> np.ndarray:
 
     Row t swaps position i = n-1, ..., 1 with j = next_below(i + 1), where
     the draw for (t, step) is stream value t * (n - 1) + step; all rows take
-    a step's swap at once.
+    a step's swap at once, at the flat indices at[step] of the (n, rows) transpose.
     """
     block = lcg_block(rng_state, permutations * (n - 1))
     shape = block.shape[:-1] + (permutations, n)
-    rows = np.arange(math.prod(shape[:-1]))
-    draws = (block >> 32).astype(np.intp).reshape(len(rows), n - 1)
-    orders = np.tile(np.arange(n, dtype=np.intp), (len(rows), 1))
+    rows = math.prod(shape[:-1])
+    draws = (block >> 32).view(np.int64).reshape(rows, n - 1)
+    at = (draws % np.arange(n, 1, -1)).T * rows + np.arange(rows)
+    orders = np.repeat(np.arange(n, dtype=np.intp), rows).reshape(n, rows)
+    flat = orders.reshape(-1)
     for step, i in enumerate(range(n - 1, 0, -1)):
-        j = draws[:, step] % (i + 1)
-        picked = orders[rows, j]
-        orders[rows, j] = orders[:, i]
-        orders[:, i] = picked
-    return orders.reshape(shape)
+        picked = flat[at[step]]
+        flat[at[step]] = orders[i]
+        orders[i] = picked
+    return orders.T.reshape(shape)
 
 
 def topk_binarize(scores: Sequence[float], k: int) -> Mask:

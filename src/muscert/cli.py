@@ -179,15 +179,17 @@ def cmd_explain(args) -> int:
     n = grouping.n
     scores = _score_rows(args, smoothed, xs)[0]
     masks, met = greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)
-    rows = [{"example_id": idx, "scorer": args.scorer, "mask": mask, "k_x": k_x, "met": hit}
-            for idx, (mask, k_x, hit) in enumerate(zip(
-                masks.tolist(), (masks.sum(axis=1) / n).tolist(), met.tolist()))]
-    mean_k = sum(row["k_x"] for row in rows) / len(rows)
-    summary = {"summary": True, "scorer": args.scorer, "examples": len(rows),
-               "mean_k_x": mean_k, "not_met": int((~met).sum())}
-    lines = [_json_line(row) for row in rows] + [_json_line(summary)]
+    k_x = (masks.sum(axis=1) / n).tolist()
+    mean_k = sum(k_x) / len(k_x)
+    # Each row as _json_line writes it: json writes a float as its repr.
+    row = ('{"example_id":%d,"scorer":' + json.dumps(args.scorer).replace("%", "%%")
+           + ',"mask":[' + ",".join(["%d"] * n) + '],"k_x":%r,"met":%s}')
+    lines = [*map(row.__mod__, zip(range(len(k_x)), *masks.T.tolist(), k_x,
+                                   np.where(met, "true", "false").tolist())),
+             _json_line({"summary": True, "scorer": args.scorer, "examples": len(k_x),
+                         "mean_k_x": mean_k, "not_met": int((~met).sum())})]
     _write_lines(args.out, lines)
-    print(f"explained {len(rows)} examples -> {args.out}")
+    print(f"explained {len(k_x)} examples -> {args.out}")
     print(f"scorer={args.scorer} mean_k_x={mean_k!r}")
     return EXIT_OK
 
@@ -206,20 +208,21 @@ def cmd_attack(args) -> int:
     walks = _attack_stage(smoothed, xs, np.tile(np.arange(len(phis)), 2), np.tile(phis, (2, 1)),
                           np.tile(budgets, 2), ["inc"] * len(phis) + ["dec"] * len(phis),
                           certs.masked_class + certs.pred_class)
-    rows = [{"example_id": example_id, "r_inc": r_inc, "inc_found": inc.found,
-             "inc_radius": inc.radius, "r_dec": r_dec, "dec_found": dec.found,
-             "dec_radius": dec.radius, "budget": budget, "sound": (
-                 not inc.found or inc.radius > r_inc) and (not dec.found or dec.radius > r_dec)}
-            for example_id, r_inc, r_dec, budget, inc, dec in zip(
-                certs.example_id, certs.r_inc, certs.r_dec, budgets.tolist(), walks,
-                walks[len(phis):])]
-    violations = sum(1 for row in rows if not row["sound"])
+    found = np.array([walk.found for walk in walks], dtype=bool).reshape(2, -1)
+    radius = np.array([walk.radius for walk in walks], dtype=np.intp).reshape(2, -1)
+    sound = ~(found & (radius <= np.array([certs.r_inc, certs.r_dec]))).any(axis=0)
+    violations = int((~sound).sum())
     verdict = "PASS" if violations == 0 else "FAIL"
-    summary = {"summary": True, "examples": len(rows), "violations": violations,
-               "verdict": verdict}
-    lines = [_json_line(row) for row in rows] + [_json_line(summary)]
+    summary = {"summary": True, "examples": len(phis), "violations": violations, "verdict": verdict}
+    # Each row as _json_line writes it, from Python ints and JSON bools.
+    row = ('{"example_id":%d,"r_inc":%d,"inc_found":%s,"inc_radius":%d,"r_dec":%d,'
+           '"dec_found":%s,"dec_radius":%d,"budget":%d,"sound":%s}')
+    flags = np.where([*found, sound], "true", "false").tolist()
+    lines = [*map(row.__mod__, zip(
+        certs.example_id, certs.r_inc, flags[0], radius[0].tolist(), certs.r_dec, flags[1],
+        radius[1].tolist(), budgets.tolist(), flags[2])), _json_line(summary)]
     _write_lines(args.out, lines)
-    print(f"attacked {len(rows)} examples -> {args.out}")
+    print(f"attacked {len(phis)} examples -> {args.out}")
     print(f"soundness verdict: {verdict}")
     if violations:
         raise VerificationError(f"{violations} examples have a witness within the certified radius")

@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 from .core import (ConfigError, DataError, FeatureGrouping, Vector, _int_arg, _real_arg, _real_row,
                    _shown)
@@ -25,9 +26,9 @@ class LabeledDataset:
     def __post_init__(self) -> None:
         d, m = _int_arg('field "d"', self.d, 1), _int_arg('field "m"', self.m, 2)
         try:  # the two rules raise nothing but ConfigError
-            examples = tuple((_real_row(f"example {i}", x, d),
-                              _int_arg(f"example {i} label", y, 0, m - 1))
-                             for i, (x, y) in enumerate(self.examples))
+            examples = _plain_examples(pairs := tuple(self.examples), d, m) or tuple(
+                (_real_row(f"example {i}", x, d), _int_arg(f"example {i} label", y, 0, m - 1))
+                for i, (x, y) in enumerate(pairs))
         except (TypeError, ValueError):
             raise ConfigError('field "examples" must hold (features, label) pairs') from None
         if not examples:
@@ -37,6 +38,20 @@ class LabeledDataset:
 
     def __len__(self) -> int:
         return len(self.examples)
+
+
+def _plain_examples(pairs: tuple, d: int, m: int) -> tuple | None:
+    """pairs as the dataset rule keeps them when all rows are d finite Python floats (a finite
+    sum has no NaN or inf) and all labels Python ints in [0, m); else None (go row by row)."""
+    try:
+        rows, labels = zip(*pairs) if set(map(len, pairs)) == {2} else ((), ())
+        plain = (set(map(len, rows)) == {d} and set(map(type, labels)) == {int}
+                 and set(map(type, chain.from_iterable(rows))) == {float}
+                 and math.isfinite(sum(chain.from_iterable(rows)))
+                 and 0 <= min(labels) and max(labels) < m)
+    except TypeError:
+        return None
+    return tuple(zip(map(tuple, rows), labels)) if plain else None
 
 
 def _is_numeric(field: str, parse=float) -> bool:

@@ -309,27 +309,29 @@ def _atom_means(blocks: np.ndarray) -> np.ndarray:
 
 def _exact_sums(blocks: np.ndarray) -> np.ndarray:
     """Correctly rounded (math.fsum) sums over axis 1 of a (k, q, m) array
-    of values in [0, 1].
+    of values in [-1, 1]: probabilities, or SHAP's gains between two.
 
     TwoSum (Knuth) chains the columns: s + p = t + e exactly, so the exact
     sum is S = s + E, with s the chain's last t and E the sum of its q - 1
     errors e. c = fl(E) is summed in floating point, which by Higham,
     "Accuracy and Stability of Numerical Algorithms", eq. (4.4), gives
     |c - E| <= gamma(q - 2) * A with gamma(j) = j*u / (1 - j*u), u = 2^-53,
-    and A the sum of the |e|. The same chain sums A as a' in floating point,
-    so A <= a' / (1 - u)^(q - 2); together |c - E| <= 1.03 * (q - 2) * u * a'
-    while q*u < 0.01, and bound = fl(2 * q * u * a') + 2^-1074 is above it
-    (the last term covers a product that underflows). TwoSum(s, c) = (r, f)
-    is exact again, so S = r + f + (E - c). The result r is correctly
-    rounded when |f| + bound < h, h half the smaller of the gaps from r to
-    its two neighbouring floats (they differ by 2x at a power of two; the
-    gaps are exact and halving them is exact or rounds down): then S is
-    nearer to r than to any other float. The comparison is safe in floating
-    point because rounding is monotone and h is a float. When a' is 0 every
-    e was 0, so S = s exactly. Every other column is summed by math.fsum
-    (Shewchuk's algorithm, correctly rounded too). This is the compensated
-    sum Sum2 of Ogita, Rump and Oishi, "Accurate Sum and Dot Product" (SIAM
-    J. Sci. Comput., 2005), plus a test on its result.
+    and A the sum of the |e|; neither step asks the terms for a sign. The
+    same chain sums A as a' in floating point, so A <= a' / (1 - u)^(q - 2);
+    together |c - E| <= 1.03 * (q - 2) * u * a' while q*u < 0.01 (q < 2^17
+    for the atoms and SHAP's orders), and bound = fl(2 * q * u * a') +
+    2^-1074 is above it (the last term covers a product that underflows).
+    TwoSum(s, c) = (r, f) is exact again, so S = r + f + (E - c). The result
+    r is correctly rounded when |f| + bound < h, h half the smaller of the
+    gaps from r to its two neighbouring floats (they differ by 2x at a power
+    of two; the gaps are exact and halving them is exact or rounds down):
+    then S is nearer to r than to any other float. The comparison is safe in
+    floating point because rounding is monotone and h is a float; h is 0 at
+    r = 0, so a zero total never passes. When a' is 0 every e was 0, so S =
+    s exactly (s + c gives math.fsum's +0.0 for zeros). Every other column
+    is summed by math.fsum (Shewchuk's algorithm, correctly rounded too).
+    This is the compensated sum Sum2 of Ogita, Rump and Oishi, "Accurate Sum
+    and Dot Product" (SIAM J. Sci. Comput., 2005), plus a test on its result.
     """
     q = blocks.shape[1]
     s = blocks[:, 0, :].copy()

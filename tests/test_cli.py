@@ -35,7 +35,7 @@ from muscert.core import (
     ones_mask,
     top_classes_and_gaps,
 )
-from muscert.models import load_model
+from muscert.models import load_model, random_linear, save_model
 from muscert.noise import LcgStream, SmoothingConfig, derive_rng_state
 from muscert.selfcheck import MAX_TRIALS, SelfcheckReport, SuiteResult
 from muscert.smoothing import SmoothedModel, mus_evaluate_pairs
@@ -58,6 +58,15 @@ def _read_records(path):
     rows = [json.loads(line) for line in open(path, encoding="utf-8")]
     assert rows, f"{path} is empty"
     return rows
+
+
+def _compact_records(path):
+    """_read_records, after checking that each line is the compact json.dumps
+    of what it reads back as: the bytes the row templates must write."""
+    lines = open(path, encoding="utf-8").read().splitlines()
+    for line in lines:
+        assert json.dumps(json.loads(line), separators=(",", ":")) == line
+    return _read_records(path)
 
 
 def _read_curves(path):
@@ -612,6 +621,21 @@ def test_explain_emits_rows_and_summary(small_artifacts, tmp_path, scorer):
         assert set(row["mask"]) <= {0, 1}
 
 
+@pytest.mark.parametrize("rdec", [0, 99])
+def test_explain_rows_met_or_not_are_compact_json(small_artifacts, tmp_path, rdec):
+    """No all-ones radius reaches 99, so every example keeps all-ones unmet."""
+    out = tmp_path / "explain.ndjson"
+    argv = ["explain", *_base_args(small_artifacts, out),
+            "--scorer", "occlusion", "--rinc", "0", "--rdec", str(rdec)]
+    assert main(argv) == EXIT_OK
+    rows = _compact_records(out)
+    assert rows.pop()["not_met"] == (24 if rdec else 0)
+    assert {row["met"] for row in rows} == {not rdec}
+    assert [row["example_id"] for row in rows] == list(range(24))
+    if rdec:
+        assert all(row["mask"] == [1] * 6 and row["k_x"] == 1.0 for row in rows)
+
+
 # ------------------------------------------------------------------- attack
 
 def test_attack_passes_on_sound_certificates(small_artifacts, tmp_path, capsys):
@@ -651,6 +675,29 @@ def test_attack_violation_exits_three(small_artifacts, tmp_path, monkeypatch, ca
             "--topk", "3", "--budget", "2"]
     assert main(argv) == EXIT_VERIFICATION
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_attack_rows_with_witnesses_are_compact_json(small_artifacts, tmp_path, monkeypatch):
+    """A weak model lets some walks of either mode flip the class (found
+    true, sound since beyond the radius); a forged stage makes every row
+    unsound."""
+    model_path = tmp_path / "weak.json"
+    save_model(random_linear(6, 3, 4, scale=0.05), str(model_path))
+    out = tmp_path / "attack.ndjson"
+    argv = ["attack", "--model", str(model_path), "--data", small_artifacts["data_path"],
+            "--out", str(out), "--q", "8", "--lambda-num", "2", "--topk", "3"]
+    assert main(argv) == EXIT_OK
+    rows = _compact_records(out)
+    assert rows.pop()["violations"] == 0
+    assert any(row["inc_found"] for row in rows) and any(row["dec_found"] for row in rows)
+    assert all(row["sound"] for row in rows)
+
+    monkeypatch.setattr(cli, "_attack_stage", lambda model, xs, examples, phis, budgets, modes,
+                        refs: [AttackResult(mode, True, 0, None) for mode in modes])
+    assert main(argv) == EXIT_VERIFICATION
+    rows = _compact_records(out)
+    assert rows.pop() == {"summary": True, "examples": 24, "violations": 24, "verdict": "FAIL"}
+    assert not any(row["sound"] for row in rows)
 
 
 def test_attack_walks_start_from_the_certificates_classes(small_artifacts, tmp_path,

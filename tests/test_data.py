@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from muscert.cli import EXIT_DATA, main
-from muscert.core import ConfigError, DataError
+from muscert.core import ConfigError, DataError, _int_arg, _real_row
 from muscert.data import (
     LabeledDataset,
     load_csv_dataset,
@@ -235,6 +235,68 @@ def test_dataset_rule_refuses_what_is_not_a_real_row(examples, message):
     with pytest.raises(ConfigError) as err:
         LabeledDataset(examples=None if examples is None else (examples,), d=2, m=2)
     assert str(err.value) == message
+
+
+def _per_row_rule(examples, d, m):
+    """The dataset rule one example at a time, as LabeledDataset applied it
+    before it checked every row at once: the examples it keeps, or its
+    ConfigError."""
+    try:
+        kept = tuple((_real_row(f"example {i}", x, d), _int_arg(f"example {i} label", y, 0, m - 1))
+                     for i, (x, y) in enumerate(examples))
+    except (TypeError, ValueError):
+        raise ConfigError('field "examples" must hold (features, label) pairs') from None
+    if not kept:
+        raise ConfigError("dataset has no examples")
+    return kept
+
+
+def _rule_outcome(rule, examples):
+    """What a rule makes of examples: its repr and the type of every number
+    kept, or its error's message."""
+    try:
+        kept = rule(examples)
+    except ConfigError as exc:
+        return "error", str(exc)
+    return repr(kept), [type(v) for x, y in kept for v in (*x, y)]
+
+
+_GOOD_ROWS = [((0.5 * i - 1.0, -0.0, 1e-300 * i), i % 3) for i in range(7)]
+_BAD_ENTRIES = {
+    "bool feature": ((True, 0.0, 1.0), 1), "numpy float": ((np.float64(0.5), 0.0, 1.0), 1),
+    "float32": ((np.float32(0.5), 0.0, 1.0), 1), "int feature": ((1, 0.0, 1.0), 1),
+    "nan": ((0.0, float("nan"), 1.0), 1), "inf": ((float("inf"), 0.0, 1.0), 1),
+    "-inf": ((0.0, 1.0, float("-inf")), 1), "short row": ((0.0, 1.0), 1),
+    "long row": ((0.0, 1.0, 2.0, 3.0), 1), "string row": ("abc", 1), "no row": (None, 1),
+    "list row": ([0.0, 1.0, 2.0], 2), "array row": (np.array([0.0, 1.0, 2.0]), 2),
+    "label -1": ((0.0, 1.0, 2.0), -1), "label m": ((0.0, 1.0, 2.0), 3),
+    "bool label": ((0.0, 1.0, 2.0), True), "numpy label": ((0.0, 1.0, 2.0), np.int64(2)),
+    "float label": ((0.0, 1.0, 2.0), 1.0), "no label": ((0.0, 1.0, 2.0),),
+    "triple": ((0.0, 1.0, 2.0), 1, 0), "list pair": [(0.0, 1.0, 2.0), 1],
+    "sum overflows": ((1e308, 1e308, 1e308), 0),
+}
+
+
+@pytest.mark.parametrize("at", [0, 3, 6], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("kind", sorted(_BAD_ENTRIES))
+def test_whole_dataset_check_equals_the_per_row_rule(kind, at):
+    """The rule over all rows at once keeps what the per-row rule keeps, to
+    the type of every number, and refuses with its message; a second bad
+    row later on is never the one named."""
+    examples = list(_GOOD_ROWS)
+    examples[at] = _BAD_ENTRIES[kind]
+    if at < 6:
+        examples[6] = _BAD_ENTRIES["nan"]
+    for batch in (tuple(examples), examples, iter(examples)):
+        got = _rule_outcome(lambda ex: LabeledDataset(examples=ex, d=3, m=3).examples, batch)
+        assert got == _rule_outcome(lambda ex: _per_row_rule(ex, 3, 3), examples)
+
+
+def test_whole_dataset_check_keeps_a_good_dataset_as_the_per_row_rule_does():
+    for examples in (_GOOD_ROWS, [list(pair) for pair in _GOOD_ROWS],
+                     [(list(x), y) for x, y in _GOOD_ROWS], (), [((1.0, 2.0, 3.0), 0)]):
+        got = _rule_outcome(lambda ex: LabeledDataset(examples=ex, d=3, m=3).examples, examples)
+        assert got == _rule_outcome(lambda ex: _per_row_rule(ex, 3, 3), examples)
 
 
 @pytest.mark.parametrize("d,m,message", [

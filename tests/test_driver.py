@@ -136,6 +136,84 @@ def test_exact_sums_on_blocks_built_near_rounding_boundaries():
     assert got.tolist() == [math.fsum(row) for row in rows]
 
 
+# SHAP sums its gains, differences of two probabilities, with _exact_sums too.
+
+def _fsum_columns(blocks):
+    """math.fsum of every column of a (k, q, m) array, as a (k, m) array."""
+    return np.array([[math.fsum(block[:, c].tolist()) for c in range(block.shape[1])]
+                     for block in blocks]).reshape(len(blocks), blocks.shape[2])
+
+
+def _signed_units(stream, count):
+    """count values in [-1, 1] of 53 random bits each (next_unit holds 32)."""
+    return [2.0 * stream.next_unit() - 1.0 + stream.next_unit() * 2.0 ** -32
+            for _ in range(count)]
+
+
+def test_exact_sums_of_signed_blocks_that_cancel_to_zero(monkeypatch):
+    """Each column holds values and their negatives in a shuffled order: the
+    exact sum is 0, the rounding test never passes a zero total, and the
+    fallback gives math.fsum's +0.0."""
+    stream = LcgStream(derive_rng_state(5, 5))
+    columns = []
+    for _ in range(40):
+        half = _signed_units(stream, 6)
+        column = half + [-v for v in half]
+        for i in range(len(column) - 1, 0, -1):
+            j = stream.next_below(i + 1)
+            column[i], column[j] = column[j], column[i]
+        columns.append(column)
+    blocks = np.array(columns).reshape(4, 10, 12).transpose(0, 2, 1)
+    want = _fsum_columns(blocks)
+    calls = _count_fsum(monkeypatch)
+    got = _exact_sums(blocks)
+    assert got.tobytes() == want.tobytes() == np.zeros((4, 10)).tobytes()
+    assert len(calls) > 0
+
+
+@pytest.mark.parametrize("q", [1, 2, 7])
+def test_exact_sums_of_signed_zeros(q):
+    """Columns of -0.0, of +0.0 and of both sum to math.fsum's zero, sign
+    bit included."""
+    stream = LcgStream(derive_rng_state(6, q))
+    blocks = np.array([[[(-0.0, 0.0)[stream.next_below(2)] if c == 2 else (-0.0, 0.0)[c]
+                         for c in range(3)] for _ in range(q)] for _ in range(5)])
+    assert np.signbit(blocks[:, :, 0]).all() and not np.signbit(blocks[:, :, 1]).any()
+    assert _exact_sums(blocks).tobytes() == _fsum_columns(blocks).tobytes()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negated"])
+@pytest.mark.parametrize("values", [
+    (0.75, 2.0 ** -54, 2.0 ** -107),
+    (1.0 - U, 2.0 ** -55, 2.0 ** -55 - 2.0 ** -108),
+    (0.75, 2.0 ** -55, 2.0 ** -55 - 3 * 2.0 ** -108) + (2.0 ** -108,) * 4,
+    # 1 - 2^-54 is the midpoint below 1.0 and ties up to it; the exact sum
+    # is 2^-107 under it, so it rounds down to 1 - 2^-53.
+    (1.0, -(2.0 ** -54), -(2.0 ** -107)),
+    (-0.5, 1.0, -(2.0 ** -54), -(2.0 ** -107), 0.5),
+], ids=["half-ulp", "power-of-two", "error-sum-rounding", "below-one", "cancel-then-below-one"])
+def test_half_ulp_ties_of_either_sign_take_the_fallback(monkeypatch, values, sign):
+    block = _column([sign * v for v in values])
+    want = math.fsum(block[0, :, 0].tolist())
+    calls = _count_fsum(monkeypatch)
+    assert _exact_sums(block)[0, 0] == want
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("q", [1, 1000])
+def test_exact_sums_of_signed_blocks_equal_fsum(q):
+    """Signed values of every magnitude down to 2^-60 times a unit, and
+    differences of nearby units as SHAP's gains are, at one order (the
+    selfcheck's SHAP suite) and at a thousand."""
+    stream = LcgStream(derive_rng_state(7, q))
+    k, m = 6, 5
+    units = np.array(_signed_units(stream, k * q * m)).reshape(k, q, m)
+    scales = 2.0 ** -np.array([stream.next_below(61) for _ in range(k * q * m)])
+    nearby = units + np.array(_signed_units(stream, k * q * m)).reshape(k, q, m) * 2.0 ** -40
+    blocks = np.concatenate([units * scales.reshape(k, q, m), nearby - units], axis=2)
+    assert _exact_sums(blocks).tobytes() == _fsum_columns(blocks).tobytes()
+
+
 # ------------------------------------------------------------ argmax and gap
 
 TIED_ROWS = [

@@ -14,12 +14,12 @@ import math
 import numpy as np
 import pytest
 
-from muscert import smoothing
+from muscert import attribution, smoothing
 from muscert.attribution import (DEFAULT_SHAP_PERMUTATIONS, gradient_score_rows,
                                  lime_score_rows, shap_score_rows)
 from muscert.core import ConfigError, FeatureGrouping
 from muscert.models import random_linear, random_mlp
-from muscert.noise import LcgStream, derive_rng_state
+from muscert.noise import LcgStream, derive_rng_state, iid_bernoulli_bits
 
 from conftest import ConstantHandle, GradientFreeAdapter
 from reference import (
@@ -114,6 +114,74 @@ def test_shap_rows_equal_one_row_calls_and_the_per_example_reference(name, defau
     for x, state, got in zip(xs.tolist(), _states(len(xs)), rows.tolist()):
         assert got == shap_score_rows(base, [x], grouping, orders, [state])[0].tolist()
         assert tuple(got) == shap_one_example(base, x, grouping, orders, state)
+
+
+# SHAP sums the gains of the examples that fit in MAX_EXAMPLE_ROWS values at
+# once: 64 examples of 64 orders over 16 groups, so 70 examples make a full
+# group and a partial one. Windows of 64 rows (MAX_EXAMPLE_ROWS 1024) split
+# every case into several groups. The examples per _atom_means call:
+SUM_GROUPS = {
+    ("desk-shape", False): [64, 6], ("desk-shape", True): [1] * 70,
+    ("one-group", False): [70], ("one-group", True): [16] * 4 + [6],
+    ("mlp-grouped", False): [70], ("mlp-grouped", True): [4] * 17 + [2],
+}
+
+
+def _many(name, count):
+    """(base, grouping, xs): the desk's shape (a linear model over 16
+    single-feature groups), or _case's one group or grouped raw features,
+    over count examples."""
+    if name == "desk-shape":
+        base, grouping = random_linear(16, 3, 49), FeatureGrouping.trivial(16)
+    else:
+        base, grouping, _xs = _case(name)
+    stream = LcgStream(derive_rng_state(45, 1))
+    return base, grouping, np.array([[2.0 * stream.next_gauss_pair()[0] for _ in range(grouping.d)]
+                                     for _ in range(count)])
+
+
+@pytest.mark.parametrize("small", [False, True], ids=["default-windows", "64-row-windows"])
+@pytest.mark.parametrize("name", ["desk-shape", "one-group", "mlp-grouped"])
+def test_rows_across_blocks_and_sum_groups_equal_one_row_calls_and_the_reference(
+        monkeypatch, name, small):
+    """70 examples at the explain command's 64 orders; LIME at 256 samples
+    (15 examples per block over 16 groups) or, in 64-row windows, 20."""
+    base, grouping, xs = _many(name, 70)
+    states, samples = _states(len(xs)), 20 if small else 256
+    if small:
+        monkeypatch.setattr(smoothing, "DRIVER_CHUNK", 64)
+        monkeypatch.setattr(attribution, "MAX_EXAMPLE_ROWS", 16 * 64)
+    lime = lime_score_rows(base, xs, grouping, samples, 1.5, states)
+    groups, real = [], smoothing._atom_means
+    monkeypatch.setattr(smoothing, "_atom_means", lambda b: groups.append(len(b)) or real(b))
+    shap = shap_score_rows(base, xs, grouping, 64, states)
+    assert groups == SUM_GROUPS[name, small]
+    for x, state, got_lime, got_shap in zip(xs.tolist(), states, lime.tolist(), shap.tolist()):
+        assert got_lime == lime_score_rows(base, [x], grouping, samples, 1.5, [state])[0].tolist()
+        assert tuple(got_lime) == lime_one_example(base, x, grouping, samples, 1.5, state)
+        assert got_shap == shap_score_rows(base, [x], grouping, 64, [state])[0].tolist()
+        assert tuple(got_shap) == shap_one_example(base, x, grouping, 64, state)
+
+
+def test_one_singular_surrogate_fails_its_block_as_it_fails_alone(monkeypatch):
+    """Without the ridge, an example whose two draws of its one group agree
+    has a singular system; the others' draws differ and solve. The block's
+    one solve raises the error the example raises alone."""
+    monkeypatch.setattr(attribution, "LIME_RIDGE", 0.0)
+    base, grouping, _xs = _case("one-group")
+    agree = [state for state in range(100) if len(set(iid_bernoulli_bits(0.5, 1, 2, state)
+                                                       .ravel().tolist())) == 1]
+    differ = [state for state in range(100) if state not in agree]
+    states = differ[:3] + agree[:1] + differ[3:6]
+    xs = _many("one-group", len(states))[2]
+    assert lime_score_rows(base, np.delete(xs, 3, axis=0), grouping, 2, None,
+                           states[:3] + states[4:]).shape == (6, 1)
+    with pytest.raises(ConfigError) as alone:
+        lime_score_rows(base, xs[3:4], grouping, 2, None, states[3:4])
+    with pytest.raises(ConfigError) as block:
+        lime_score_rows(base, xs, grouping, 2, None, states)
+    assert str(block.value) == str(alone.value) == (
+        "surrogate fit is singular beyond ridge rescue: Singular matrix")
 
 
 def _reference_gradient_scores(base, x, grouping):
