@@ -28,7 +28,7 @@ from . import smoothing
 from .certify import radii_from_gaps
 from .models import _exp
 from .noise import iid_bernoulli_bits, lcg_block
-from .smoothing import SmoothedModel, mus_evaluate_pairs
+from .smoothing import SmoothedModel, _example_blocks, _grid_means, mus_evaluate_pairs
 
 FD_STEP = 1e-4
 LIME_RIDGE = 1e-6
@@ -52,20 +52,20 @@ def occlusion_scores(model: SmoothedModel, x: Sequence[float]) -> tuple[float, .
 
 def occlusion_score_rows(model: SmoothedModel, xs) -> np.ndarray:
     """occlusion_scores of every row of the (E, d) inputs xs, as an (E, n)
-    array, from one mus_evaluate_pairs pass over all-ones and the n
-    single-group ablations of each example."""
+    array, from one smoothing._grid_means pass over all-ones and the n
+    single-group ablations, masks that every example shares."""
     return _occlusion_stage(model, xs)[0]
 
 
 def _occlusion_stage(model: SmoothedModel, xs) -> tuple[np.ndarray, np.ndarray]:
-    """occlusion_score_rows and the (E, m) all-ones means it smoothed, for the next stage."""
+    """occlusion_score_rows and the (E, m) all-ones means it smoothed, for the
+    next stage: the n + 1 masks go through _grid_means, which finds their
+    distinct effective masks once for all the examples."""
     n = model.grouping.n
     xs = _float_rows(xs, model.grouping.d)
     masks = np.ones((n + 1, n), dtype=np.uint8)
     masks[1:] -= np.eye(n, dtype=np.uint8)
-    means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(len(xs)), n + 1),
-                               np.tile(masks, (len(xs), 1)))
-    means = means.reshape(len(xs), n + 1, -1)
+    means = _grid_means(model, xs, masks)
     c = top_classes_and_gaps(means[:, 0])[0]
     rows = np.arange(len(xs))
     return means[rows, 0, c][:, None] - means[rows, 1:, c], means[:, 0]
@@ -75,7 +75,8 @@ def gradient_score_rows(base: ClassifierHandle, xs,
                         grouping: FeatureGrouping) -> np.ndarray:
     """Vanilla gradient scores of every row of the (E, d) inputs xs, as an
     (E, n) array: the absolute predicted-class gradient entries of each
-    group, summed with math.fsum. The classes come from one evaluate_rows
+    group, summed with math.fsum; a group of one feature takes its column
+    as it is, since fsum([v]) == v. The classes come from one evaluate_rows
     call over xs, or in finite_difference_rows for a handle with no
     gradient. Every handle output is checked against the contract."""
     xs = _float_rows(xs, grouping.d)
@@ -83,9 +84,12 @@ def gradient_score_rows(base: ClassifierHandle, xs,
         grads = _gradient_rows(base, xs, top_classes_and_gaps(evaluate_rows(base, xs))[0])
     else:
         grads = finite_difference_rows(base, xs)
-    cols = np.abs(grads).T.tolist()
-    return np.array([list(map(math.fsum, zip(*[cols[j] for j in group])))
-                     for group in grouping.groups]).T
+    grads = np.abs(grads)
+    out = np.empty((len(xs), grouping.n))
+    for i, group in enumerate(grouping.groups):
+        out[:, i] = (grads[:, group[0]] if len(group) == 1
+                     else list(map(math.fsum, grads[:, group].tolist())))
+    return out
 
 
 def finite_difference_rows(base: ClassifierHandle, xs: np.ndarray) -> np.ndarray:
@@ -131,13 +135,6 @@ def _score_inputs(xs, grouping: FeatureGrouping, rng_states) -> tuple[np.ndarray
     if len(rng_states) != len(xs):
         raise ConfigError(f"got {len(rng_states)} stream states for {len(xs)} examples")
     return xs, rng_states
-
-
-def _example_blocks(examples: int, rows_each: int, rows: int | None = None):
-    """Slices of consecutive examples whose batch, rows_each rows per example,
-    fits in `rows` rows, DRIVER_CHUNK by default (one example at least)."""
-    step = max(1, (rows or smoothing.DRIVER_CHUNK) // rows_each)
-    return (slice(lo, min(lo + step, examples)) for lo in range(0, examples, step))
 
 
 def _masked_batch(xs: np.ndarray, keep: np.ndarray, zero_rows: int = 0) -> np.ndarray:

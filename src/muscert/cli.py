@@ -6,7 +6,10 @@ Commands run on one thread as stages over the whole dataset (scores, then
 masks, then certificates or attacks) and write examples in input order.
 Stages pass on what they smoothed: the occlusion scorer's all-ones means
 go to certify (under --mu-mode none), and the certificates' classes at phi
-and at all-ones are the attack walks' reference classes.
+and at all-ones are the attack walks' reference classes. Occlusion and
+accuracy-curve smooth masks that every example shares, so they go through
+smoothing._grid_means, which finds the distinct effective masks once per
+call; per-example masks go through mus_evaluate_pairs.
 """
 from __future__ import annotations
 
@@ -42,7 +45,7 @@ from .data import load_csv_dataset, load_grouping
 from .models import load_model
 from .noise import SmoothingConfig, derive_rng_state
 from .selfcheck import MAX_TRIALS, run_selfcheck
-from .smoothing import SmoothedModel, mus_evaluate_pairs
+from .smoothing import SmoothedModel, _grid_means
 
 SCORERS = ("occlusion", "vgrad", "lime", "shap")
 
@@ -86,7 +89,8 @@ def _load_common(args) -> tuple:
 def _score_rows(args, smoothed: SmoothedModel, xs: np.ndarray) -> tuple:
     """(E, n) scores of every example, and occlusion's (E, m) all-ones means or None.
 
-    Occlusion scores the whole dataset in one smoothed pass, vgrad in one
+    Occlusion scores the whole dataset in one smoothed pass over the masks
+    every example shares (smoothing._grid_means), vgrad in one
     stage over the base classifier, and LIME and SHAP send the masked rows
     of every example to the base classifier in chunks, example e drawing
     from stream derive_rng_state(seed, e).
@@ -162,9 +166,8 @@ def cmd_certify(args) -> int:
 def cmd_accuracy_curve(args) -> int:
     dataset, xs, grouping, cfg, smoothed = _load_common(args)
     n = grouping.n
-    ones = np.ones((len(xs), n), dtype=np.uint8)
     preds, gaps = top_classes_and_gaps(
-        mus_evaluate_pairs(smoothed, xs, np.arange(len(xs)), ones))
+        _grid_means(smoothed, xs, np.ones((1, n), dtype=np.uint8))[:, 0])
     labels = np.array([label for _x, label in dataset.examples])
     curve = _survival_curves(radii_from_gaps(gaps, cfg.lambda_num, cfg.q)[1][None],
                              (preds == labels)[None], n)[0]

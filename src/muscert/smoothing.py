@@ -15,8 +15,12 @@ _pair_means, also takes a memo of the base outputs computed so far, for a
 caller that evaluates the same inputs many times (attack_walks, once per
 greedy step): a masked input already sent is read back rather than sent
 again, and the memo grows with the distinct rows of the calls that share
-it. Every class sum is correctly rounded before it is divided by q, so
-neither the batching, the deduplication nor the memo can change a bit.
+it. _grid_means is the driver for calls whose examples all share their
+masks and model.mu, occlusion's and accuracy-curve's: the distinct
+effective masks then do not depend on the example, so it finds them once
+per call and sends each example's G distinct masked inputs by blocks of
+examples. Every class sum is correctly rounded before it is divided by q,
+so neither the batching, the deduplication nor the memo can change a bit.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from .core import (
     Mask,
     _float_rows,
     _int_args,
+    _zero_unless,
     evaluate_rows,
     mask_apply_rows,
     mask_array,
@@ -202,6 +207,66 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
         rows = probs.take(inverse, axis=0).reshape(q, len(pairs), m)
         out[window] = _atom_means(rows.transpose(1, 0, 2))
     return out
+
+
+def _grid_means(model: SmoothedModel, xs: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """The (E, A, m) smoothed means of every row of the (E, d) float array xs
+    under each of the (A, n) uint8 masks alphas and model.mu: the bits of
+    mus_evaluate_pairs on the E * A tiled (example, alpha) pairs.
+
+    The effective masks (atom AND alpha) OR mu are the same for every
+    example, so one _distinct over their A * q packed words, with no example
+    tag, finds the G distinct ones, and each example sends those G masked
+    inputs: the base rows _pair_means sends when no window splits an
+    example's pairs. A block of examples builds its inputs by one broadcast
+    select, as the C-contiguous (d, e, G) columns the built-in kernels read,
+    and sends them in forward calls of at most DRIVER_CHUNK rows. A block
+    holds at most DRIVER_CHUNK base rows and 16 * DRIVER_CHUNK (example,
+    alpha, atom) entries, one example at least; the alphas go in windows of
+    16 * DRIVER_CHUNK // q, one at least. The atoms' rows are gathered
+    atom-major, the (pairs, q, m) view of _pair_means, for _atom_means.
+    """
+    n, d, q, m = model.grouping.n, model.grouping.d, model.cfg.q, model.base.m
+    weights = _bit_weights(n)
+    words = alphas @ weights
+    exempt = None if model.mu is None else np.array(model.mu, dtype=np.uint8) @ weights
+    index_map = model.grouping.index_map()
+    out = np.empty((len(xs), len(alphas), m))
+    step = max(1, 16 * DRIVER_CHUNK // q)
+    for lo in range(0, len(alphas), step):
+        window = slice(lo, lo + step)
+        # Row j * A + a is atom j under alpha a of the window's A.
+        effective = (model._atom_words & words[window]).reshape(-1, words.shape[1])
+        if exempt is not None:
+            effective |= exempt
+        rep, inverse = _distinct(effective.T)
+        keep = _unpack_words(effective[rep], n).T.take(index_map, axis=0)
+        shared = len(rep)
+        # inverse[j, 0, a] is the distinct mask of atom j under alpha a.
+        inverse = inverse.reshape(q, 1, -1)
+        # An example takes G base rows and A * q entries, so e examples with
+        # e * max(G, ceil(A * q / 16)) <= DRIVER_CHUNK keep both bounds.
+        for block in _example_blocks(len(xs), max(shared, -(-inverse.size // 16))):
+            count = block.stop - block.start
+            probs = np.empty((count, shared, m))
+            # More than one forward call only for a lone example whose G passes DRIVER_CHUNK.
+            for g in range(0, shared, DRIVER_CHUNK):
+                part = keep[:, None, g:g + DRIVER_CHUNK]
+                cols = _zero_unless(part, xs.T[:, block, None],
+                                    np.empty((d, count, part.shape[2])))
+                probs[:, g:g + DRIVER_CHUNK] = evaluate_rows(
+                    model.base, cols.reshape(d, -1).T).reshape(count, -1, m)
+            rows = probs.reshape(-1, m).take(inverse + shared * np.arange(count)[:, None], axis=0)
+            out[block, window] = _atom_means(rows.reshape(q, -1, m).transpose(1, 0, 2)).reshape(
+                count, -1, m)
+    return out
+
+
+def _example_blocks(examples: int, rows_each: int, rows: int | None = None):
+    """Slices of consecutive examples whose batch, rows_each rows per example,
+    fits in `rows` rows, DRIVER_CHUNK by default (one example at least)."""
+    step = max(1, (rows or DRIVER_CHUNK) // rows_each)
+    return (slice(lo, min(lo + step, examples)) for lo in range(0, examples, step))
 
 
 def _base_rows(model: SmoothedModel, xs: np.ndarray, pairs: np.ndarray,

@@ -1,9 +1,11 @@
 """Dataset driver: exact block sums, array argmax, dedup on packed mask
-words, and the staged pair evaluation against the definitional paths."""
+words, the staged pair evaluation against the definitional paths, and the
+shared-mask grid against the pair evaluation."""
 from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -23,6 +25,7 @@ from muscert.smoothing import (
     mus_evaluate_pairs,
 )
 
+from conftest import ConstantHandle
 from reference import greedy_prefix, greedy_walk, mus_evaluate, scalar_probs, top_class_and_gap
 from test_certify import OneHotTable, XorTable
 
@@ -596,6 +599,157 @@ def test_pair_driver_rejects_bad_pairs():
         mus_evaluate_pairs(model, xs[:, :4], examples, alphas)
 
 
+# ------------------------------------------------------- shared-mask grid
+
+class ConstantBatch:
+    """Returns the same probability vector for every input, one row per
+    input of a batch too."""
+
+    def __init__(self, probs, d):
+        self.probs, self.d, self.m = tuple(probs), d, len(probs)
+
+    def evaluate(self, x):
+        return self.probs
+
+    def evaluate_batch(self, z):
+        return np.tile(self.probs, (len(z), 1))
+
+
+def _grid_instance(case):
+    """(model, xs, alphas) for _grid_means: random linear and MLP models, a
+    handle with only evaluate, the exact-tie lookup tables over every input
+    and every mask, grouped features with a model mu, and n = 70, whose
+    masks take two words."""
+    if case in ("xor", "one-hot", "grouped-mu"):
+        model, xs, phis = _handoff_instance(case)
+        if case == "grouped-mu":
+            return model, xs, phis[:9]
+        return model, xs, np.array(list(product((0, 1), repeat=model.n)), dtype=np.uint8)
+    n, batch, seed = {"linear": (6, True, 4), "mlp": (6, True, 3),
+                      "evaluate-only": (6, False, 5), "n70": (70, True, 70)}[case]
+    model, xs, _examples, alphas, _mus = _driver_instance(n, batch, seed)
+    return model, xs, np.array(alphas[:9], dtype=np.uint8)
+
+
+GRID_CASES = ["linear", "mlp", "evaluate-only", "xor", "one-hot", "grouped-mu", "n70"]
+
+
+def _tiled_pairs(model, xs, alphas):
+    """mus_evaluate_pairs on every (example, alpha) pair, as (E, A, m)."""
+    count = len(xs)
+    means = mus_evaluate_pairs(model, xs, np.repeat(np.arange(count), len(alphas)),
+                               np.tile(alphas, (count, 1)))
+    return means.reshape(count, len(alphas), model.m)
+
+
+def _shared_masks(model, alphas):
+    """G, the number of distinct effective masks (atom AND alpha) OR mu."""
+    mu = np.array(model.mu or (0,) * model.n, dtype=np.uint8)
+    return len({(mu | (alpha & atom)).tobytes() for alpha in alphas for atom in model.atoms})
+
+
+def _spy_forward_calls(monkeypatch):
+    """The row count of every smoothing.evaluate_rows call."""
+    calls = []
+    real = smoothing.evaluate_rows
+    monkeypatch.setattr(smoothing, "evaluate_rows",
+                        lambda base, inputs: calls.append(len(inputs)) or real(base, inputs))
+    return calls
+
+
+@pytest.mark.parametrize("chunk", [4096, 16], ids=["one-block", "16-row-blocks"])
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_grid_means_equal_the_tiled_pairs(monkeypatch, case, chunk):
+    """All the examples, one mask, one example and none: the bits of the
+    pair driver, from E * G base rows in forward calls of at most
+    DRIVER_CHUNK rows. At 16 rows every case needs several blocks."""
+    monkeypatch.setattr(smoothing, "DRIVER_CHUNK", chunk)
+    calls = _spy_forward_calls(monkeypatch)
+    model, xs, alphas = _grid_instance(case)
+    for rows, masks in ((xs, alphas), (xs, alphas[:1]), (xs[:1], alphas), (xs[:0], alphas)):
+        calls.clear()
+        got = smoothing._grid_means(model, rows, masks)
+        assert sum(calls) == len(rows) * _shared_masks(model, masks)
+        assert max(calls, default=0) <= chunk
+        assert got.shape == (len(rows), len(masks), model.m)
+        assert got.tobytes() == _tiled_pairs(model, rows, masks).tobytes()
+    assert chunk == 4096 or len(xs) * _shared_masks(model, alphas) > chunk
+
+
+@pytest.mark.parametrize("q", [32, 64])
+def test_grid_windows_and_blocks_keep_their_bounds(monkeypatch, q):
+    """With DRIVER_CHUNK = 8 the alphas go in windows of 128 // q, so no
+    sort sees more than 128 effective masks; where a window's G passes 8,
+    each example is a block of its own whose G rows go in calls of at most 8;
+    every sum sees at most 128 (example, alpha, atom) entries, gathered
+    atom-major; and the means are the pair driver's bits."""
+    chunk = 8
+    monkeypatch.setattr(smoothing, "DRIVER_CHUNK", chunk)
+    calls = _spy_forward_calls(monkeypatch)
+    windows, sums = [], []
+    real_distinct, real_means = smoothing._distinct, smoothing._atom_means
+
+    def spy_distinct(keys):
+        rep, inverse = real_distinct(keys)
+        windows.append((len(keys[0]), len(rep)))
+        return rep, inverse
+
+    def spy_means(blocks):
+        sums.append((blocks.shape, blocks.transpose(1, 0, 2).flags.c_contiguous))
+        return real_means(blocks)
+
+    monkeypatch.setattr(smoothing, "_distinct", spy_distinct)
+    monkeypatch.setattr(smoothing, "_atom_means", spy_means)
+    model, xs, _examples, alphas, _mus = _driver_instance(5, seed=5)
+    model = SmoothedModel.build(model.base, model.grouping,
+                                SmoothingConfig(q=q, lambda_num=q // 2, seed=5, n=5))
+    alphas = np.array(alphas[:9], dtype=np.uint8)
+    got = smoothing._grid_means(model, xs, alphas)
+    step = 16 * chunk // q
+    assert [keys for keys, _ in windows] == [q * len(alphas[lo:lo + step])
+                                            for lo in range(0, len(alphas), step)]
+    shared = [g for _, g in windows]
+    assert max(shared) > chunk and max(calls) <= chunk
+    assert sum(calls) == len(xs) * sum(shared)
+    assert max(k * atoms for (k, atoms, _m), _ in sums) <= 16 * chunk
+    assert all(atom_major for _, atom_major in sums)
+    assert got.tobytes() == _tiled_pairs(model, xs, alphas).tobytes()
+
+
+@pytest.mark.parametrize("handle,message", [
+    (ConstantHandle((0.5, 0.5, 0.5), 6), r"^probabilities sum to 1\.5, not 1$"),
+    (ConstantBatch((1.5, -0.5, 0.0), 6), r"^probability 1\.5 outside \[0, 1\]$"),
+], ids=["evaluate-only", "evaluate_batch"])
+def test_grid_checks_the_probability_contract_as_the_pair_driver_does(handle, message):
+    model, xs, alphas = _grid_instance("linear")
+    model = SmoothedModel.build(handle, model.grouping, model.cfg)
+    with pytest.raises(ConfigError, match=message):
+        _tiled_pairs(model, xs, alphas)
+    with pytest.raises(ConfigError, match=message):
+        smoothing._grid_means(model, xs, alphas)
+
+
+def test_grid_memory_does_not_grow_with_the_examples():
+    """Desk-shaped occlusion (d = n = 16, m = 3, q = 16, lambda 4): from 200
+    to 2000 examples the stage's peak grows by less than its results, the
+    (n + 1) * m grid means and two n-wide score arrays per example. The
+    tiled pairs of the pair driver grew it by more than five times that."""
+    cfg = SmoothingConfig(q=16, lambda_num=4, seed=11, n=16)
+    model = SmoothedModel.build(random_linear(16, 3, 5), FeatureGrouping.trivial(16), cfg)
+    stream = LcgStream(derive_rng_state(11, 4))
+    xs = np.array([[4.0 * stream.next_unit() - 2.0 for _ in range(16)] for _ in range(2000)])
+    peaks = []
+    for count in (200, 2000):
+        attribution._occlusion_stage(model, xs[:count])
+        tracemalloc.start()
+        try:
+            attribution._occlusion_stage(model, xs[:count])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 1800 * (17 * 3 + 2 * 16) * 8
+
+
 # --------------------------------------------------------- staged commands
 
 def _mask_met_pairs(staged):
@@ -848,6 +1002,7 @@ DESK_BASE_ROWS = {
     "certify-l2": (("certify", "--lambda-num", "2", "--topk", "8"), 8271),
     "certify-l4": (("certify", "--lambda-num", "4", "--topk", "8"), 14800),
     "certify-l8": (("certify", "--lambda-num", "8", "--topk", "8"), 28368),
+    "accuracy-l4": (("accuracy-curve", "--lambda-num", "4"), 2800),
     "certify-phi-l2": (("certify", "--lambda-num", "2", "--topk", "8",
                         "--mu-mode", "phi"), 8241),
     "attack-l4": (("attack", "--lambda-num", "4", "--topk", "8", "--budget", "4"), 29942),
@@ -867,3 +1022,22 @@ def test_desk_commands_send_pinned_base_rows(desk, monkeypatch, tmp_path, comman
     code = cli.main([argv[0], "--model", desk["model_path"], "--data", desk["test_path"],
                      "--out", str(tmp_path / "out"), "--q", "16", "--seed", "11", *argv[1:]])
     assert code == 0 and sum(sent) == rows
+
+
+def test_shared_mask_stages_do_not_use_the_pair_driver(desk, monkeypatch, tmp_path):
+    """Occlusion and accuracy-curve smooth masks every example shares: they
+    go through _grid_means, and neither reaches _pair_means."""
+    calls = []
+    real = smoothing._pair_means
+    monkeypatch.setattr(smoothing, "_pair_means",
+                        lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    cfg = SmoothingConfig(q=16, lambda_num=4, seed=11, n=16)
+    model = SmoothedModel.build(desk["model"], FeatureGrouping.trivial(16), cfg)
+    xs = np.array([x for x, _label in desk["test"].examples[:20]])
+    attribution._occlusion_stage(model, xs)
+    assert cli.main(["accuracy-curve", "--model", desk["model_path"], "--data", desk["test_path"],
+                     "--out", str(tmp_path / "out"), "--q", "16", "--seed", "11",
+                     "--lambda-num", "4"]) == 0
+    assert calls == []
+    mus_evaluate_pairs(model, xs, [0], [(1,) * 16])
+    assert calls == [1]

@@ -218,6 +218,50 @@ def test_gradient_batch_is_one_call_for_the_dataset():
     assert base.calls == 1
 
 
+class FixedGradients:
+    """Constant probabilities and the given gradient rows, whatever the
+    input and class."""
+
+    def __init__(self, grads):
+        self.grads = np.array(grads, dtype=float)
+        self.d, self.m = self.grads.shape[1], 2
+
+    def evaluate_batch(self, z):
+        return np.tile((0.25, 0.75), (len(z), 1))
+
+    def gradient_batch(self, z, classes):
+        return self.grads[:len(z)]
+
+
+HUGE = np.finfo(float).max
+
+
+@pytest.mark.parametrize("groups", [((0,), (1,), (2,), (3,)), ((0, 3), (1,), (2,))],
+                         ids=["trivial", "grouped"])
+def test_gradient_group_sums_equal_the_per_group_fsum(groups):
+    """A group of one feature takes its |gradient| column as it is, larger
+    groups their math.fsum: the same bits, -0.0 entries giving +0.0."""
+    grads = [[-0.0, 1e-300, -HUGE, 0.1], [0.3, -0.0, 5e-324, -HUGE / 2],
+             [0.1, 0.2, 0.3, 1e-17], [-2.5, 0.0, -0.0, -0.0]]
+    grouping = FeatureGrouping(groups=groups, d=4)
+    got = gradient_score_rows(FixedGradients(grads), np.ones((4, 4)), grouping)
+    want = np.array([[math.fsum(abs(row[j]) for j in group) for group in groups]
+                     for row in grads])
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got).any()
+
+
+def test_gradient_group_sum_past_the_largest_float_overflows():
+    """Two huge entries in one group overflow in math.fsum, as they did
+    before; in groups of their own they are taken as they are."""
+    grads = [[HUGE, -HUGE, 1.0]]
+    with pytest.raises(OverflowError):
+        gradient_score_rows(FixedGradients(grads), np.ones((1, 3)),
+                            FeatureGrouping(groups=((0, 1), (2,)), d=3))
+    got = gradient_score_rows(FixedGradients(grads), np.ones((1, 3)), FeatureGrouping.trivial(3))
+    assert got.tolist() == [[HUGE, HUGE, 1.0]]
+
+
 class WrongWidthGradients(GradientBatchOnly):
     def gradient_batch(self, z, classes):
         return np.zeros((len(z), self.d + 1))
