@@ -54,9 +54,10 @@ EQUIVALENCE_TOL = 1e-12
 # that a window's arrays stay a few MB whatever the q.
 DRIVER_CHUNK = 4096
 # Columns per call from which _atom_means sums with arrays: below it one
-# math.fsum per column is faster (the two cross between 96 and 192 columns
-# at q = 8 and q = 16).
-VECTOR_SUM_BLOCKS = 160
+# math.fsum per column is faster (on random probability columns, m = 2 and
+# 3, the two cross between 66 and 84 columns at q = 4, 8 and 16; timeit on
+# a 2-vCPU x86-64 host).
+VECTOR_SUM_BLOCKS = 80
 
 
 @dataclass(frozen=True)
@@ -361,8 +362,9 @@ def _atom_means(blocks: np.ndarray) -> np.ndarray:
     rounded sum, divided by q.
 
     Fewer than VECTOR_SUM_BLOCKS columns are summed by math.fsum one at a
-    time; more by _exact_sums, whose fixed cost per call only pays at that
-    size. Both give the correctly rounded sum, so the path cannot move a bit.
+    time; more by _exact_sums, whose fixed cost per call (about twenty
+    ufunc calls beside its five per atom) only pays at that size. Both give
+    the correctly rounded sum, so the path cannot move a bit.
     """
     k, q, m = blocks.shape
     if k * m < VECTOR_SUM_BLOCKS:
@@ -376,49 +378,83 @@ def _exact_sums(blocks: np.ndarray) -> np.ndarray:
     """Correctly rounded (math.fsum) sums over axis 1 of a (k, q, m) array
     of values in [-1, 1]: probabilities, or SHAP's gains between two.
 
-    TwoSum (Knuth) chains the columns: s + p = t + e exactly, so the exact
-    sum is S = s + E, with s the chain's last t and E the sum of its q - 1
-    errors e. c = fl(E) is summed in floating point, which by Higham,
-    "Accuracy and Stability of Numerical Algorithms", eq. (4.4), gives
-    |c - E| <= gamma(q - 2) * A with gamma(j) = j*u / (1 - j*u), u = 2^-53,
-    and A the sum of the |e|; neither step asks the terms for a sign. The
-    same chain sums A as a' in floating point, so A <= a' / (1 - u)^(q - 2);
-    together |c - E| <= 1.03 * (q - 2) * u * a' while q*u < 0.01 (q < 2^17
-    for the atoms and SHAP's orders), and bound = fl(2 * q * u * a') +
-    2^-1074 is above it (the last term covers a product that underflows).
-    TwoSum(s, c) = (r, f) is exact again, so S = r + f + (E - c). The result
-    r is correctly rounded when |f| + bound < h, h half the smaller of the
-    gaps from r to its two neighbouring floats (they differ by 2x at a power
-    of two; the gaps are exact and halving them is exact or rounds down):
-    then S is nearer to r than to any other float. The comparison is safe in
-    floating point because rounding is monotone and h is a float; h is 0 at
-    r = 0, so a zero total never passes. When a' is 0 every e was 0, so S =
-    s exactly (s + c gives math.fsum's +0.0 for zeros). Every other column
-    is summed by math.fsum (Shewchuk's algorithm, correctly rounded too).
-    This is the compensated sum Sum2 of Ogita, Rump and Oishi, "Accurate Sum
-    and Dot Product" (SIAM J. Sci. Comput., 2005), plus a test on its result.
+    Error-free splitting (Rump, Ogita and Oishi, "Accurate Floating-Point
+    Summation Part I", SIAM J. Sci. Comput. 31(1), 2008), with u = 2^-53
+    and sigma = 2^M, M >= 1 the least with 2^M >= q. For |p| <= 1, p +
+    sigma lies in [sigma / 2, 2 sigma], so by Sterbenz the high part
+    h = fl(p + sigma) - sigma is exact: a multiple of 2^(M-53), with
+    |h| <= 1 since rounding is monotone and sigma - 1 and sigma + 1 are
+    floats. The low part l = p - h is the rounding error of p + sigma, a
+    float too, with |l| <= L = 2^(M-53). Every partial sum of high parts is
+    a multiple of 2^(M-53) of size at most q <= 2^53 * 2^(M-53), a float,
+    so their sum H is exact in any order. The low parts are summed in atom
+    order. The k-th partial sum has size at most k L (a float; rounding is
+    monotone), so rounding it costs at most u k L, and the computed sum c
+    is within bound = u L q (q + 1) / 2 of the exact sum E of the low parts,
+    an integer times a power of two that is computed exactly.
+
+    TwoSum(H, c) = (r, f) is exact, so the exact sum is S = r + f + (E - c),
+    and r is correctly rounded when |f| + bound < d, d half the smaller gap
+    from r to a neighbouring float: then S is nearer to r than to any other
+    float. That gap is spacing(|r| (1 - u)): at a power of two |r| (1 - u) is
+    the float below, elsewhere it rounds within the binade of |r|; from 0
+    up to 2^-1021 it is 2^-1074. The test runs as 2 fl(|f| + bound) <
+    gap: doubling is exact, and the gap is either twice a float, so that
+    by monotone rounding the test implies |f| + bound < d, or 2^-1074, below
+    2 bound, so that it fails. A zero total never passes.
+
+    The columns that fail are gathered at once, and their low parts are
+    split again at sigma2 = 2^(2M-53). The same argument (|l| <= L <=
+    sigma2 / 2 and q L <= sigma2) makes the fine parts exact multiples of
+    2^(2M-106) whose sum F is exact in any order. Where every remainder
+    l - fine is 0, S = H + F is the exact sum of two floats, and one IEEE
+    add rounds it to nearest, ties to even, as math.fsum does (+0.0 for an
+    exact zero: no high or fine part is -0.0). So exact half-ulp ties,
+    common when probabilities hold few bits, cost no fsum. The columns left
+    with a remainder go to math.fsum (Shewchuk's algorithm, correctly
+    rounded too). The bounds are absolute, so among them are columns whose
+    entries are all far below 1 (about 1e-13 at q = 16) and not on the fine
+    grid.
     """
     q = blocks.shape[1]
-    s = blocks[:, 0, :].copy()
-    err = np.zeros_like(s)
-    abs_err = np.zeros_like(s)
+    exponent = max(1, (q - 1).bit_length())
+    sigma = 2.0 ** exponent
+    # Five in-place ufuncs per atom: part = h, high += h, part = l, low += l.
+    high = np.add(blocks[:, 0, :], sigma)
+    high -= sigma
+    low = np.subtract(blocks[:, 0, :], high)
+    part = np.empty_like(high)
     for j in range(1, q):
         p = blocks[:, j, :]
-        t = s + p
-        virtual = t - s
-        e = (s - (t - virtual)) + (p - virtual)
-        err += e
-        abs_err += np.abs(e)
-        s = t
-    total = s + err
-    virtual = total - s
-    residual = (s - (total - virtual)) + (err - virtual)
-    bound = abs_err * (2 * q * 2.0 ** -53) + 2.0 ** -1074
-    half_gap = np.minimum(np.nextafter(total, np.inf) - total,
-                          total - np.nextafter(total, -np.inf)) / 2
-    unsure = (abs_err != 0) & ~(np.abs(residual) + bound < half_gap)
-    for i, c in zip(*np.nonzero(unsure)):
-        total[i, c] = math.fsum(blocks[i, :, c].tolist())
+        np.add(p, sigma, out=part)
+        part -= sigma
+        high += part
+        np.subtract(p, part, out=part)
+        low += part
+    total = high + low
+    # TwoSum(high, low) = (total, residual), exactly; `part` takes the residual.
+    virtual = total - high
+    residual = np.subtract(total, virtual, out=part)
+    np.subtract(high, residual, out=residual)
+    np.subtract(low, virtual, out=virtual)
+    residual += virtual
+    # 2 (|residual| + bound) against the smaller gap, spacing(|total| (1 - u)).
+    np.abs(residual, out=residual)
+    residual += q * (q + 1) * 2.0 ** (exponent - 107)
+    residual += residual
+    gap = np.abs(total, out=virtual)
+    gap *= 1 - 2.0 ** -53
+    np.spacing(gap, out=gap)
+    unsure = np.nonzero(residual >= gap)
+    if len(unsure[0]):
+        sigma2 = 2.0 ** (2 * exponent - 53)
+        columns = blocks[unsure[0], :, unsure[1]]
+        lows = columns - ((columns + sigma) - sigma)
+        fine = (lows + sigma2) - sigma2
+        sums = high[unsure] + fine.sum(axis=1)
+        for r in np.flatnonzero((lows != fine).any(axis=1)):
+            sums[r] = math.fsum(columns[r].tolist())
+        total[unsure] = sums
     return total
 
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -156,7 +157,7 @@ def _signed_units(stream, count):
 def test_exact_sums_of_signed_blocks_that_cancel_to_zero(monkeypatch):
     """Each column holds values and their negatives in a shuffled order: the
     exact sum is 0, the rounding test never passes a zero total, and the
-    fallback gives math.fsum's +0.0."""
+    second split decides it with no math.fsum call: +0.0, math.fsum's bits."""
     stream = LcgStream(derive_rng_state(5, 5))
     columns = []
     for _ in range(40):
@@ -171,7 +172,7 @@ def test_exact_sums_of_signed_blocks_that_cancel_to_zero(monkeypatch):
     calls = _count_fsum(monkeypatch)
     got = _exact_sums(blocks)
     assert got.tobytes() == want.tobytes() == np.zeros((4, 10)).tobytes()
-    assert len(calls) > 0
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("q", [1, 2, 7])
@@ -215,6 +216,189 @@ def test_exact_sums_of_signed_blocks_equal_fsum(q):
     nearby = units + np.array(_signed_units(stream, k * q * m)).reshape(k, q, m) * 2.0 ** -40
     blocks = np.concatenate([units * scales.reshape(k, q, m), nearby - units], axis=2)
     assert _exact_sums(blocks).tobytes() == _fsum_columns(blocks).tobytes()
+
+
+# The error-free split: exact ties cost no fsum, remainders cost one each.
+
+def _is_midpoint(values):
+    """Whether the exact sum of values lies halfway between two floats."""
+    exact = sum(map(Fraction, values), Fraction(0))
+    below = float(exact)
+    if Fraction(below) > exact:
+        below = math.nextafter(below, -math.inf)
+    above = math.nextafter(below, math.inf)
+    return exact != below and 2 * exact == Fraction(below) + Fraction(above)
+
+
+@pytest.mark.parametrize("values,calls", [
+    # Exact sums on a midpoint: one add of the high and fine sums ties to
+    # even as math.fsum does, up, down and at the power of two below 1.
+    ((0.75, 2.0 ** -54), 0),
+    ((0.75 + U, 2.0 ** -54), 0),
+    ((1.0, -(2.0 ** -54)), 0),
+    ((1.0 - U, 2.0 ** -54), 0),
+    ((-0.5, 1.0, -(2.0 ** -54), 0.5, -0.25), 0),
+    # A low part with bits below the second split's grid has a remainder,
+    # whether or not the remainders cancel: one fsum call.
+    ((0.75, 2.0 ** -54, 2.0 ** -107), 1),
+    ((0.75, 2.0 ** -54, 2.0 ** -107, -(2.0 ** -107)), 1),
+    ((1.0, -(2.0 ** -54), 2.0 ** -120), 1),
+], ids=["up-to-even", "tie-up", "below-one", "one-from-below", "cancel-then-tie",
+        "remainder", "cancelling-remainders", "tiny-remainder"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negated"])
+def test_ties_take_no_fsum_and_remainders_take_one(monkeypatch, values, calls, sign):
+    block = _column([sign * v for v in values])
+    want = math.fsum(block[0, :, 0].tolist())
+    assert calls or _is_midpoint(block[0, :, 0].tolist())
+    spy = _count_fsum(monkeypatch)
+    assert _exact_sums(block).tobytes() == np.array([[want]]).tobytes()
+    assert len(spy) == calls
+
+
+def test_only_columns_with_a_remainder_reach_fsum(monkeypatch):
+    """Random probability columns, some on exact midpoints (their entries
+    hold few bits), and one column with a remainder: that one column takes
+    the only fsum call."""
+    stream = LcgStream(derive_rng_state(8, 8))
+    blocks = _random_blocks(stream, 200, 8, 3, one_hot=False)
+    blocks[17, :3, 1] = (0.75, 2.0 ** -54, 2.0 ** -107)
+    blocks[17, 3:, 1] = 0.0
+    ties = sum(_is_midpoint(blocks[i, :, c].tolist()) for i in range(200) for c in range(3))
+    assert ties > 10
+    want = _fsum_columns(blocks)
+    spy = _count_fsum(monkeypatch)
+    assert _exact_sums(blocks).tobytes() == want.tobytes()
+    assert len(spy) == 1
+
+
+def _edge_values(stream, kind, count):
+    """count values in [-1, 1] of one kind: 1 - 2^-53 of either sign, signed
+    zeros, subnormals, full-precision values near -1 or near 1, or any."""
+    def sign():
+        return (1.0, -1.0)[stream.next_below(2)]
+    draw = {
+        "one-minus-u": lambda: sign() * (1.0 - U),
+        "zeros": lambda: sign() * 0.0,
+        "subnormal": lambda: sign() * (1 + stream.next_below(1 << 30)) * 2.0 ** -1074,
+        "near-minus-one": lambda: -1.0 + stream.next_unit() / 2 + stream.next_unit() * 2.0 ** -33,
+        "near-one": lambda: 1.0 - stream.next_unit() / 2 - stream.next_unit() * 2.0 ** -33,
+    }
+    if kind == "mixed":
+        kinds = list(draw)
+        return [draw[kinds[stream.next_below(len(kinds))]]() for _ in range(count)]
+    return [draw[kind]() for _ in range(count)]
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 7, 64, 1000])
+def test_exact_sums_of_edge_entries_equal_fsum(q):
+    """Columns of one kind of entry each, and mixed ones, at q from 1 to
+    1,000. Same-sign entries near -1 fill the high parts' grid to its size
+    bound q, the case the choice of sigma = 2^M >= q covers."""
+    stream = LcgStream(derive_rng_state(9, q))
+    kinds = ["one-minus-u", "zeros", "subnormal", "near-minus-one", "near-one", "mixed"]
+    columns = [_edge_values(stream, kind, q) for kind in kinds for _ in range(4)]
+    blocks = np.array(columns).reshape(len(kinds), 4, q).transpose(0, 2, 1)
+    assert _exact_sums(blocks).tobytes() == _fsum_columns(blocks).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-100, 2.0 ** -1021, 1e-310])
+def test_exact_sums_of_small_entries_equal_fsum(scale):
+    """Entries far below the absolute bounds of the split, of either sign,
+    down to subnormals: the columns the tests leave undecided still sum to
+    fsum's bits."""
+    stream = LcgStream(derive_rng_state(10, int(-math.log2(scale))))
+    units = np.array(_signed_units(stream, 30 * 16 * 2)).reshape(30, 16, 2)
+    blocks = units * scale
+    blocks[:, :, 0] = np.abs(blocks[:, :, 0])
+    assert _exact_sums(blocks).tobytes() == _fsum_columns(blocks).tobytes()
+
+
+def test_small_entries_that_cancel_below_the_normal_range_equal_fsum():
+    """Entries near 2^-900 whose sum cancels to a subnormal, or to a float
+    just above 2^-1022."""
+    stream = LcgStream(derive_rng_state(11, 11))
+    columns = []
+    for _ in range(40):
+        big = _signed_units(stream, 1)[0] * 2.0 ** -900
+        tail = (1 + stream.next_below(1 << 30)) * 2.0 ** -1074 + 2.0 ** -1022 * stream.next_below(2)
+        columns.append([big, tail, 0.0, -big])
+    blocks = np.array(columns)[:, :, None]
+    assert _exact_sums(blocks).tobytes() == _fsum_columns(blocks).tobytes()
+
+
+def test_rounding_test_holds_against_the_worst_low_sums():
+    """One column, q = 64: 0.5 and 63 low parts (entries below L = 2^(M-53),
+    M = 6, so their high parts are 0) chosen so that each floating-point
+    step of the low sum c rounds down by almost half an ulp, and the last
+    one leaves the TwoSum residual of 0.5 + c short of half an ulp of the
+    total by rho. The exact sum lies above that midpoint, so the total
+    rounds wrong and the rounding test must not pass it. rho is within the
+    bound but beyond a quarter of it: a bound four times smaller would."""
+    q, exponent = 64, 6
+    low_cap = Fraction(2) ** (exponent - 53)
+    unit = Fraction(2) ** -53 * low_cap
+    bound = unit * q * (q + 1) / 2
+
+    lows, computed, error = [7 * low_cap / 8], 7 * low_cap / 8, Fraction(0)
+    for k in range(3, q + 1):
+        target = computed + 9 * low_cap / 10
+        # The float spacing in target's binade, and the grid point g below it.
+        step = Fraction(2) ** (math.floor(math.log2(target)) - 52)
+        g = math.floor(target / step) * step
+        if k == q:
+            # The last computed sum c puts the residual of 0.5 + c at half an
+            # ulp of the total less rho: 0.5 + c = total + 2^-54 - rho.
+            rho = 12 * step
+            ulp = Fraction(2) ** -53
+            g = math.floor((target - ulp / 2 + rho) / ulp) * ulp + ulp / 2 - rho
+        # Just under the midpoint above g: rounds down to g by step/2 - unit.
+        t = g + step / 2 - unit
+        lows.append(t - computed)
+        error += t - g
+        computed = g
+    assert all(0 < low < low_cap and Fraction(float(low)) == low for low in lows)
+    assert bound / 4 < rho < error < bound
+    column = [0.5] + [float(low) for low in lows]
+    # The float sum of the low parts in atom order is the simulated one.
+    c = 0.0
+    for low in column[1:]:
+        c += low
+    assert Fraction(c) == computed
+    total = 0.5 + c
+    assert Fraction(0.5) + Fraction(c) - Fraction(total) == Fraction(2) ** -54 - rho
+    want = math.fsum(column)
+    assert want == math.nextafter(total, math.inf)
+    assert _exact_sums(np.array(column).reshape(1, q, 1))[0, 0] == want
+
+
+def test_desk_commands_make_no_fsum_calls_in_exact_sums(desk, monkeypatch, tmp_path):
+    """On the seed-11 desk no column of certify's means or of SHAP's gains
+    is left to math.fsum by _exact_sums."""
+    inside, calls = [False], []
+    real_fsum, real_exact = math.fsum, smoothing._exact_sums
+
+    def fsum(values):
+        calls.append(inside[0])
+        return real_fsum(values)
+
+    def exact(blocks):
+        inside[0] = True
+        try:
+            return real_exact(blocks)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(math, "fsum", fsum)
+    monkeypatch.setattr(smoothing, "_exact_sums", exact)
+    sums = []
+    for command in ("certify-l4", "explain-shap"):
+        argv, _rows = DESK_BASE_ROWS[command]
+        calls.clear()
+        assert cli.main([argv[0], "--model", desk["model_path"], "--data", desk["test_path"],
+                         "--out", str(tmp_path / command), "--q", "16", "--seed", "11",
+                         *argv[1:]]) == 0
+        sums.append(calls.count(True))
+    assert sums == [0, 0]
 
 
 # ------------------------------------------------------------ argmax and gap
