@@ -21,7 +21,6 @@ from .certify import (
     brute_force_stability_oracle,
     certify_example,
     enumerate_perturbation_masks,
-    radius_from_gap,
 )
 from .core import (
     ClassifierHandle,

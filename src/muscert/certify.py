@@ -9,9 +9,10 @@ same masks from its exhaustive table.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, fields
 from itertools import chain, combinations, islice, repeat
-from typing import Iterator, Literal, NamedTuple, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -118,30 +119,11 @@ def radii_from_gaps(gaps, lambda_num: int, q: int) -> tuple[np.ndarray, np.ndarr
     return gaps * q / (2 * lambda_num), np.searchsorted(table[:count], gaps)
 
 
-def radius_from_gap(gap: float, lambda_num: int, q: int) -> tuple[float, int]:
-    """radii_from_gaps of one gap, as a Python float and int."""
-    real, radius = radii_from_gaps([gap], lambda_num, q)
-    return float(real[0]), int(radius[0])
-
-
-class _Certificates(NamedTuple):
+class _Certificates(namedtuple("_Certificates", [f.name for f in fields(CertRecord)])):
     """The certify stage's records as columns: a list per CertRecord field
     that varies by example, then the fields that all examples share."""
 
-    example_id: list[int]
-    pred_class: list[int]
-    masked_class: list[int]
-    consistent: list[bool]
-    gap_at_attr: list[float]
-    gap_at_ones: list[float]
-    r_inc_real: list[float]
-    r_dec_real: list[float]
-    r_inc: list[int]
-    r_dec: list[int]
-    lambda_num: int
-    q: int
-    seed: int
-    mu_mode: str
+    __slots__ = ()
 
     def json_lines(self) -> list[str]:
         """Each record's to_json_dict as a compact JSON line; shared fields go in once."""

@@ -183,7 +183,8 @@ def cmd_explain(args) -> int:
     scores = _score_rows(args, smoothed, xs)[0]
     masks, met = greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)
     k_x = (masks.sum(axis=1) / n).tolist()
-    mean_k = sum(k_x) / len(k_x)
+    # Summed left to right from 0.0 on every Python (sum() compensates from 3.12 on).
+    mean_k = float(np.add.accumulate([0.0, *k_x])[-1]) / len(k_x)
     # Each row as _json_line writes it: json writes a float as its repr.
     row = ('{"example_id":%d,"scorer":' + json.dumps(args.scorer).replace("%", "%%")
            + ',"mask":[' + ",".join(["%d"] * n) + '],"k_x":%r,"met":%s}')

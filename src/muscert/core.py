@@ -272,15 +272,6 @@ def _zero_unless(keep: np.ndarray, values: np.ndarray,
     return np.multiply(keep, values.view(np.int64), dtype=np.int64, out=bits).view(np.float64)
 
 
-def mask_apply_rows(x: np.ndarray, masks: np.ndarray, index_map: np.ndarray) -> np.ndarray:
-    """Row r is x with every raw feature whose group bit in masks[r] is 0
-    set to +0.0, for a (k, n) 0/1 mask array and x of shape (d,) or (k, d):
-    _zero_unless's bit-and, np.where's bits in a fraction of its time, on the
-    (d, k) input columns the built-in models compute on, then transposed."""
-    columns = np.asarray(x, dtype=np.float64).reshape(-1, len(index_map)).T
-    return _zero_unless(masks.T.take(index_map, axis=0), columns).T
-
-
 def top_classes_and_gaps(probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Argmax class (ties broken by lowest index) and top-two probability
     gap of every row of a (k, m) array, as two arrays.

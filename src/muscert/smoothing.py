@@ -40,7 +40,6 @@ from .core import (
     _int_args,
     _zero_unless,
     evaluate_rows,
-    mask_apply_rows,
     mask_array,
 )
 from .noise import SmoothingConfig, enumerate_atoms
@@ -158,9 +157,10 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
     masks. A window's effective masks mu OR (alpha AND atom) are built as
     packed words, one broadcast over its atoms and pairs, in atom-major
     order. One sort of the words, with the example index above the mask
-    bits when the two fit in 63 bits, finds each example's distinct
-    effective masks in the window; only those are unpacked into mask rows
-    and sent to the base classifier, DRIVER_CHUNK rows per call at most.
+    bits when the two fit in 63 bits (else as a column of its own), finds
+    each example's distinct effective masks in the window; only those are
+    unpacked into mask rows and sent to the base classifier, DRIVER_CHUNK
+    rows per call at most.
 
     A memo carries the base outputs from one call to the next on the same
     xs and base: each window's sort then runs over the memo's keys followed
@@ -181,13 +181,12 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
     if mus is None and model.mu is not None:
         mus = np.broadcast_to(np.array(model.mu, dtype=np.uint8), (len(xs), n))
     exempt = None if mus is None else (mus @ weights)[examples]
-    # With more than one example the keys carry the example index: above the
-    # mask bits when both fit in 63 bits, else as a column of its own.
-    index_column = len(xs) > 1
-    if index_column and words.shape[1] == 1 and n + (len(xs) - 1).bit_length() <= 63:
+    # The keys carry the example index: above the mask bits when both fit in
+    # 63 bits (a tag of 0 for one example), else as a column of its own.
+    index_column = n + (len(xs) - 1).bit_length() > 63
+    if not index_column:
         tag = examples.astype(np.uint64)[:, None] << np.uint64(n)
         exempt = tag if exempt is None else exempt | tag
-        index_column = False
     out = np.empty((len(alphas), m))
     step = max(1, min(DRIVER_CHUNK, 16 * DRIVER_CHUNK // q))
     for lo in range(0, len(alphas), step):
@@ -274,14 +273,16 @@ def _base_rows(model: SmoothedModel, xs: np.ndarray, pairs: np.ndarray,
                effective: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The (len(rows), m) base outputs of the window's effective-mask rows
     `rows` (row r is an atom on pair r % len(pairs)), DRIVER_CHUNK rows per
-    forward call at most."""
+    forward call at most: each row's example zeroed by _zero_unless, as
+    _grid_means zeroes its blocks."""
+    index_map = model.grouping.index_map()
     probs = np.empty((len(rows), model.base.m))
     for start in range(0, len(rows), DRIVER_CHUNK):
         chunk = rows[start:start + DRIVER_CHUNK]
-        inputs = mask_apply_rows(xs[pairs[chunk % len(pairs)]] if len(xs) > 1 else xs[0],
-                                 _unpack_words(effective[chunk], model.grouping.n),
-                                 model.grouping.index_map())
-        probs[start:start + len(chunk)] = evaluate_rows(model.base, inputs)
+        keep = _unpack_words(effective[chunk], model.grouping.n).T.take(index_map, axis=0)
+        # The (d, k) input columns the built-in models compute on, transposed.
+        cols = _zero_unless(keep, xs.T.take(pairs[chunk % len(pairs)], axis=1))
+        probs[start:start + len(chunk)] = evaluate_rows(model.base, cols.T)
     return probs
 
 
@@ -463,8 +464,8 @@ def _premasked_means(model: SmoothedModel, x: Sequence[float], masks: np.ndarray
     """The (k, m) smoothed means of x zeroed by each of the (k, n) masks under
     the noise-exempt mask mu, with no effective-mask composition: each noise
     row (atom OR mu) zeroes the pre-masked input again, and the k*q rows go
-    to the base model at once. It zeroes by np.where, not mask_apply_rows,
-    so the sides share no masking."""
+    to the base model at once. It zeroes by np.where, not the drivers'
+    _zero_unless, so the sides share no masking."""
     index_map = model.grouping.index_map()
     premasked = np.where(masks[:, index_map] != 0, np.asarray(x, dtype=float), 0.0)
     noise = model.atoms if mu is None else model.atoms | np.asarray(mu, dtype=np.uint8)

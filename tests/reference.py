@@ -315,7 +315,7 @@ def greedy_prefix(model: SmoothedModel, x: Sequence[float], scores: Sequence[flo
 def where_masked_rows(x: np.ndarray, masks: np.ndarray, index_map: np.ndarray) -> np.ndarray:
     """Row r is x with every raw feature whose group bit in masks[r] is 0 set
     to +0.0, by np.where, which keeps every kept value's bits: the same rows
-    as the package's mask_apply_rows, which selects by a bit-and instead."""
+    as the pair driver's core._zero_unless, which selects by a bit-and instead."""
     return np.where(masks[:, index_map] != 0, x, 0.0)
 
 

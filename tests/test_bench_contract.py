@@ -57,7 +57,7 @@ PUBLIC_NAMES = {
     "derive_rng_state", "enumerate_atoms", "enumerate_perturbation_masks", "fit_logistic",
     "gradient_score_rows", "greedy_stable_masks", "lime_score_rows", "load_csv_dataset",
     "load_grouping", "load_model", "mus_evaluate_pairs",
-    "occlusion_scores", "ones_mask", "radius_from_gap", "random_linear",
+    "occlusion_scores", "ones_mask", "random_linear",
     "random_mlp", "run_selfcheck", "save_csv_dataset", "save_model", "shap_score_rows",
     "synth_blobs", "topk_binarize",
 }

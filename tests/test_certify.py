@@ -19,7 +19,6 @@ from muscert.certify import (
     certify_examples,
     enumerate_perturbation_masks,
     radii_from_gaps,
-    radius_from_gap,
 )
 from muscert.core import ConfigError, FeatureGrouping
 from muscert.models import random_linear
@@ -30,6 +29,12 @@ from conftest import ConstantHandle, IndicatorFirstFeature, definitional_certifi
 from reference import ratio_radius
 
 WORKED_CFG = SmoothingConfig(q=4, lambda_num=2, seed=4, n=2)
+
+
+def radius_from_gap(gap, lambda_num, q):
+    """radii_from_gaps of one gap, as a Python float and int."""
+    real, radius = radii_from_gaps([gap], lambda_num, q)
+    return float(real[0]), int(radius[0])
 
 
 def constant_model(probs, n, q, lambda_num):

@@ -13,7 +13,7 @@ from muscert.core import (
     ConfigError,
     DataError,
     FeatureGrouping,
-    mask_apply_rows,
+    _zero_unless,
     mask_array,
     ones_mask,
     top_classes_and_gaps,
@@ -39,9 +39,16 @@ def test_trivial_grouping_rejects_bad_width():
         FeatureGrouping.trivial(0)
 
 
+def _driver_select(xs, examples, masks, index_map):
+    """Row r is xs[examples[r]] zeroed where masks[r]'s group bit is 0, as the
+    pair driver selects: _zero_unless on the (d, k) input columns."""
+    keep = masks.T.take(index_map, axis=0)
+    return _zero_unless(keep, np.asarray(xs, dtype=float).T.take(examples, axis=1)).T
+
+
 def _apply_rows(x, alpha, g):
     masks = np.array([alpha], dtype=np.uint8)
-    return tuple(mask_apply_rows(np.array(x), masks, g.index_map())[0].tolist())
+    return tuple(_driver_select([x], [0], masks, g.index_map())[0].tolist())
 
 
 def test_mask_apply_grouped_zeroes_whole_groups():
@@ -60,7 +67,7 @@ def test_mask_apply_identity_on_ones():
     assert _apply_rows(x, (1, 1, 1, 1), g) == x
 
 
-def test_mask_apply_rows_matches_np_where_bit_for_bit():
+def test_driver_select_matches_np_where_bit_for_bit():
     # -0.0, a quiet NaN with a payload, a negative signalling NaN, both
     # infinities and two subnormals, then ordinary values.
     specials = np.array([0x8000000000000000, 0x7FF8000000001234, 0xFFF4000000000001,
@@ -72,9 +79,11 @@ def test_mask_apply_rows_matches_np_where_bit_for_bit():
     every = np.array([[c >> i & 1 for i in range(g.n)] for c in range(2 ** g.n)], np.uint8)
     rows = np.array([np.roll(pool, r)[:g.d] for r in range(len(every))])
     for masks in (every, every.astype(bool), every.astype(np.int64), every[:0]):
-        for x in (rows[0], rows[:len(masks)]):
-            got = mask_apply_rows(x, masks, index_map)
-            want = where_masked_rows(x, masks, index_map)
+        # One example for every mask, then an example of its own for each.
+        for xs, examples in ((rows[:1], np.zeros(len(masks), np.intp)),
+                             (rows[:len(masks)], np.arange(len(masks)))):
+            got = _driver_select(xs, examples, masks, index_map)
+            want = where_masked_rows(xs[examples], masks, index_map)
             assert got.dtype == np.float64 and got.shape == (len(masks), g.d)
             assert got.T.flags.c_contiguous  # the models' input columns
             assert got.tobytes() == want.tobytes()

@@ -534,12 +534,13 @@ def _sort_keys(monkeypatch):
 
 # The seven examples of _driver_instance take 3 bits above the n mask bits:
 # up to n = 60 the driver sorts one key per row, above it (63 included) it
-# sorts the mask words and the example index.
+# sorts the mask words and the example index. One example takes 0 bits: one
+# key up to n = 63, the words and the index from n = 64.
 WIDTHS = [5, 47, 63, 64, 70]
 
 
-def _key_columns(n):
-    return 1 if n + 3 <= 63 else -(-n // 64) + 1
+def _key_columns(n, index_bits=3):
+    return 1 if n + index_bits <= 63 else -(-n // 64) + 1
 
 
 @pytest.mark.parametrize("chunk", [24, 4096], ids=["24-pair-windows", "one-window"])
@@ -567,6 +568,13 @@ def test_pair_driver_equals_one_example_path(monkeypatch, chunk, batch, n):
         mus_evaluate(shielded, tuple(xs[e].tolist()), a) for e, a in zip(examples, alphas)]
     same = mus_evaluate_pairs(model, xs, examples, alphas, np.repeat(mus[:1], len(xs), axis=0))
     assert mus[0].any() and got.tobytes() == same.tobytes()
+    # One example takes the same key layout, with a tag of 0.
+    for one, mu_rows in ((model, None), (shielded, None), (shielded, mus[:1])):
+        widths.clear()
+        got = mus_evaluate_pairs(one, xs[:1], [0] * len(alphas), alphas, mu_rows)
+        assert set(widths) == {_key_columns(n, 0)}
+        assert [tuple(row) for row in got.tolist()] == [
+            mus_evaluate(one, tuple(xs[0].tolist()), a) for a in alphas]
 
 
 @pytest.mark.parametrize("with_mu", [False, True], ids=["no-mu", "mu"])

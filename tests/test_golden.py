@@ -7,8 +7,10 @@ bytes where it is.
 """
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -126,4 +128,31 @@ def _run(desk, mlp_inputs, tmp_path, label):
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_desk_outputs_keep_their_bytes(desk, mlp_inputs, tmp_path, label):
+    assert _run(desk, mlp_inputs, tmp_path, label) == GOLDEN[label]
+
+
+_builtin_sum = builtins.sum
+
+
+def _compensated_sum(values, /, start=0):
+    """The builtin sum as Python 3.12 and later compute it over numbers that
+    hold a float: Neumaier's compensated sum, whose correction is added when
+    finite; any other sum as the running Python computes it."""
+    items = list(values)
+    if not (any(type(v) is float for v in items)
+            and all(type(v) in (int, float) for v in (start, *items))):
+        return _builtin_sum(items, start)
+    total, carry = float(start), 0.0
+    for v in map(float, items):
+        t = total + v
+        carry += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + carry if carry and math.isfinite(carry) else total
+
+
+@pytest.mark.parametrize("label", sorted(CASES))
+def test_desk_outputs_keep_their_bytes_under_a_compensated_sum(desk, mlp_inputs, tmp_path,
+                                                                 monkeypatch, label):
+    """No pinned byte may depend on which sum() the running Python has."""
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
     assert _run(desk, mlp_inputs, tmp_path, label) == GOLDEN[label]
