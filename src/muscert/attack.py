@@ -6,8 +6,8 @@ predicted-class margin, stopping at the first class flip or at the budget.
 A found witness gives an upper bound on the true empirical stability
 radius, to be compared against the certified one. The steps of one call
 share a memo of base outputs, so a masked input that an earlier step sent
-to the base classifier is not sent again. The attack command takes the
-walks' reference classes from its certificates, not from a reference pass.
+to the base classifier is not sent again. The attack command passes its
+certificates' classes as the walks' ref_classes, so no reference pass runs.
 """
 from __future__ import annotations
 
@@ -19,6 +19,7 @@ import numpy as np
 from .core import (
     ConfigError,
     Mask,
+    _class_args,
     _int_args,
     mask_array,
     top_classes_and_gaps,
@@ -35,25 +36,21 @@ class AttackResult:
 
 
 def attack_walks(model: SmoothedModel, xs, examples: Sequence[int], phis: Sequence[Mask],
-                 budgets: Sequence[int], modes: Sequence[str]) -> list[AttackResult]:
+                 budgets: Sequence[int], modes: Sequence[str],
+                 ref_classes: Sequence[int] | None = None) -> list[AttackResult]:
     """Greedy attacks on many examples in lockstep, one per walk w: example
     examples[w] of the (E, d) inputs xs, attribution mask phis[w], budget
     budgets[w] and mode modes[w] ("inc" or "dec").
 
-    A reference pass smooths each walk's start mask, and each step then
-    scores the candidates of every unfinished walk in one more pass of the
-    mus_evaluate_pairs driver. The passes share one memo of base outputs,
-    dropped on return, so each distinct masked input of an example goes to
-    the base classifier once per call, however many steps reach it. No
-    walk's result depends on the others.
+    Walk w must leave class ref_classes[w], its class at its start mask (a
+    certificate's masked_class for an inc walk, pred_class for dec); when
+    ref_classes is None, a reference pass smooths each start mask for it.
+    Each step then scores the candidates of every unfinished walk in one
+    more pass of the mus_evaluate_pairs driver. The passes share one memo of
+    base outputs, dropped on return, so each distinct masked input of an
+    example goes to the base classifier once per call, however many steps
+    reach it. No walk's result depends on the others.
     """
-    return _attack_stage(model, xs, examples, phis, budgets, modes, None)
-
-
-def _attack_stage(model: SmoothedModel, xs, examples, phis, budgets, modes,
-                  ref_classes: Sequence[int] | None) -> list[AttackResult]:
-    """attack_walks, with no reference pass when ref_classes gives each walk's class at
-    its start mask (a certificate's masked_class for an inc walk, pred_class for dec)."""
     n = model.grouping.n
     phis = mask_array(phis, n)
     if not len(examples) == len(phis) == len(budgets) == len(modes):
@@ -61,23 +58,21 @@ def _attack_stage(model: SmoothedModel, xs, examples, phis, budgets, modes,
             f"need one example, mask, budget and mode per walk, got {len(examples)}, "
             f"{len(phis)}, {len(budgets)} and {len(modes)}"
         )
-    for mode in modes:
-        if mode not in ("inc", "dec"):
-            raise ConfigError(f"mode must be 'inc' or 'dec', got {mode!r}")
-    free = (n - phis.sum(axis=1, dtype=np.intp)).tolist()
+    mode_of = np.fromiter(modes, dtype=object, count=len(modes))
+    inc = mode_of == "inc"
+    if not (valid := inc | (mode_of == "dec")).all():
+        raise ConfigError(f"mode must be 'inc' or 'dec', got {mode_of[~valid][0]!r}")
+    free = n - phis.sum(axis=1, dtype=np.intp)
     budgets = _int_args("budget", budgets)
-    for budget, free_bits in zip(budgets.tolist(), free):
-        if budget < 0 or budget > free_bits:
-            raise ConfigError(
-                f"budget {budget} outside [0, {free_bits}] free bits for this mask"
-            )
+    if (outside := (budgets < 0) | (budgets > free)).any():
+        w = outside.argmax()
+        raise ConfigError(f"budget {budgets[w]} outside [0, {free[w]}] free bits for this mask")
     xs, examples = _checked_examples(model, xs, examples, len(modes))
     memo = _BaseMemo()
-    inc = np.array([mode == "inc" for mode in modes], dtype=bool)
     flip_to = inc.astype(np.uint8)
     alphas = np.where(inc[:, None], phis, np.uint8(1))
-    ref_class = (np.array(ref_classes, dtype=np.intp) if ref_classes is not None else
-                 top_classes_and_gaps(_pair_means(model, xs, examples, alphas, None, memo))[0])
+    ref_class = (top_classes_and_gaps(_pair_means(model, xs, examples, alphas, None, memo))[0]
+                 if ref_classes is None else _class_args(ref_classes, len(modes), model.m))
     # A walk ends at its first flip (found, radius = step) or at its budget.
     radius = np.array(budgets, dtype=np.intp)
     found = np.zeros(len(modes), dtype=bool)

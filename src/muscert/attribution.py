@@ -47,20 +47,15 @@ def occlusion_scores(model: SmoothedModel, x: Sequence[float]) -> tuple[float, .
     At full keep (lambda_num = q) every atom is all-ones, so this scores the
     base classifier with each group zeroed in the input (bit for bit at q = 2).
     """
-    return tuple(occlusion_score_rows(model, [x])[0].tolist())
+    return tuple(occlusion_score_rows(model, [x])[0][0].tolist())
 
 
-def occlusion_score_rows(model: SmoothedModel, xs) -> np.ndarray:
+def occlusion_score_rows(model: SmoothedModel, xs) -> tuple[np.ndarray, np.ndarray]:
     """occlusion_scores of every row of the (E, d) inputs xs, as an (E, n)
-    array, from one smoothing._grid_means pass over all-ones and the n
-    single-group ablations, masks that every example shares."""
-    return _occlusion_stage(model, xs)[0]
-
-
-def _occlusion_stage(model: SmoothedModel, xs) -> tuple[np.ndarray, np.ndarray]:
-    """occlusion_score_rows and the (E, m) all-ones means it smoothed, for the
-    next stage: the n + 1 masks go through _grid_means, which finds their
-    distinct effective masks once for all the examples."""
+    array, and the (E, m) all-ones means it smoothed, for the next stage:
+    one smoothing._grid_means pass over all-ones and the n single-group
+    ablations, masks that every example shares, whose distinct effective
+    masks it finds once for all the examples."""
     n = model.grouping.n
     xs = _float_rows(xs, model.grouping.d)
     masks = np.ones((n + 1, n), dtype=np.uint8)

@@ -29,7 +29,7 @@ from .core import (
 from .noise import MAX_Q
 from .smoothing import SmoothedModel, mus_evaluate_pairs
 
-ENUMERATION_GUARD_BITS = 20
+ENUMERATION_GUARD_MASKS = 2 ** 20
 # How far below its computed gap an integer radius must stay. A class mean
 # is the sum of its q atom outputs, correctly rounded, divided by q. Both
 # summation paths give that sum: math.fsum on small batches, and on large
@@ -156,6 +156,7 @@ def certify_examples(model: SmoothedModel, xs, phis, example_ids: Sequence[int],
     return [CertRecord(*row) for row in zip(*columns[:10], *map(repeat, columns[10:]))]
 
 
+# Private, as it issues certificates from ones_means, all-ones means that it cannot check.
 def _certify_stage(model: SmoothedModel, xs, phis, example_ids: Sequence[int],
                    mus, ones_means: np.ndarray | None) -> _Certificates:
     """certify_examples as columns, smoothing only the phi pairs when ones_means holds the
@@ -215,13 +216,18 @@ def brute_force_stability_oracle(model: SmoothedModel, x: Sequence[float],
     after the chunk holding the first flip. The chunks stay at
     DRIVER_CHUNK // q masks (at most DRIVER_CHUNK effective rows), not the
     driver's window of DRIVER_CHUNK pairs, so that little is smoothed past
-    the first flip.
+    the first flip. A ball of more than ENUMERATION_GUARD_MASKS masks
+    raises ConfigError before any is smoothed.
     """
     n = model.grouping.n
     phi_x = tuple(mask_array([phi_x], n)[0].tolist())
-    if (free_bits := phi_x.count(0)) > ENUMERATION_GUARD_BITS:
-        raise ConfigError(f"{free_bits} free bits exceeds the enumeration guard of "
-                          f"{ENUMERATION_GUARD_BITS}")
+    radius, free_bits = _int_arg("radius", radius, 0), phi_x.count(0)
+    count = size = 1  # the masks within i flips, C(free_bits, i) of them at i
+    for i in range(1, min(radius, free_bits) + 1):
+        size = size * (free_bits - i + 1) // i
+        if (count := count + size) > ENUMERATION_GUARD_MASKS:
+            raise ConfigError(f"radius {radius} over {free_bits} free bits exceeds the "
+                              f"enumeration guard of {ENUMERATION_GUARD_MASKS} masks")
     xs = _float_rows([x], model.grouping.d)
     masks = enumerate_perturbation_masks(phi_x, radius, mode)
     step = max(1, smoothing.DRIVER_CHUNK // model.cfg.q)

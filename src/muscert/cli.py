@@ -4,12 +4,14 @@ Every command is a pure function of its flags: randomness flows from
 --seed and per-example streams are derived from the example index.
 Commands run on one thread as stages over the whole dataset (scores, then
 masks, then certificates or attacks) and write examples in input order.
-Stages pass on what they smoothed: the occlusion scorer's all-ones means
-go to certify (under --mu-mode none), and the certificates' classes at phi
-and at all-ones are the attack walks' reference classes. Occlusion and
-accuracy-curve smooth masks that every example shares, so they go through
-smoothing._grid_means, which finds the distinct effective masks once per
-call; per-example masks go through mus_evaluate_pairs.
+Stages pass on what they smoothed: the all-ones means that
+occlusion_score_rows returns go to certify (under --mu-mode none), and the
+certificates' classes at phi and at all-ones are attack_walks' ref_classes.
+Occlusion and accuracy-curve smooth masks that every example shares, so
+they go through smoothing._grid_means, which finds the distinct effective
+masks once per call; per-example masks go through mus_evaluate_pairs. A
+flag that several commands share is declared once, on a parent parser that
+each of those commands lists.
 """
 from __future__ import annotations
 
@@ -20,14 +22,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .attack import _attack_stage
+from .attack import attack_walks
 from .attribution import (
     DEFAULT_LIME_SAMPLES,
     DEFAULT_SHAP_PERMUTATIONS,
-    _occlusion_stage,
     gradient_score_rows,
     greedy_stable_masks,
     lime_score_rows,
+    occlusion_score_rows,
     shap_score_rows,
     topk_mask_rows,
 )
@@ -97,7 +99,7 @@ def _score_rows(args, smoothed: SmoothedModel, xs: np.ndarray) -> tuple:
     """
     base, grouping = smoothed.base, smoothed.grouping
     if args.scorer == "occlusion":
-        return _occlusion_stage(smoothed, xs)
+        return occlusion_score_rows(smoothed, xs)
     if args.scorer == "vgrad":
         return gradient_score_rows(base, xs, grouping), None
     states = [derive_rng_state(args.seed, idx) for idx in range(len(xs))]
@@ -112,7 +114,7 @@ def _attribution_masks(args, smoothed: SmoothedModel, xs: np.ndarray) -> tuple:
     scores, ones_means = _score_rows(args, smoothed, xs)
     if args.topk is not None:
         return topk_mask_rows(scores, args.topk, smoothed.grouping.n), ones_means
-    return greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)[0], ones_means
+    return greedy_stable_masks(smoothed, xs, scores, args.rinc or 0, args.rdec or 0)[0], ones_means
 
 
 def _require_phi_source(args) -> None:
@@ -122,8 +124,6 @@ def _require_phi_source(args) -> None:
         raise ConfigError("pass either --topk or --rinc/--rdec, not both")
     if not has_topk and not has_targets:
         raise ConfigError("one of --topk or --rinc/--rdec is required")
-    args.rinc = args.rinc or 0
-    args.rdec = args.rdec or 0
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -181,7 +181,7 @@ def cmd_explain(args) -> int:
     _dataset, xs, grouping, _cfg, smoothed = _load_common(args)
     n = grouping.n
     scores = _score_rows(args, smoothed, xs)[0]
-    masks, met = greedy_stable_masks(smoothed, xs, scores, args.rinc, args.rdec)
+    masks, met = greedy_stable_masks(smoothed, xs, scores, args.rinc or 0, args.rdec or 0)
     k_x = (masks.sum(axis=1) / n).tolist()
     # Summed left to right from 0.0 on every Python (sum() compensates from 3.12 on).
     mean_k = float(np.add.accumulate([0.0, *k_x])[-1]) / len(k_x)
@@ -209,9 +209,9 @@ def cmd_attack(args) -> int:
         budgets = np.minimum(budgets, min(args.budget, n))  # an int past 2^63 fits no intp
     # The incremental walks of every example, from phi, then the decremental
     # ones, from all-ones: their reference classes are the certificates'.
-    walks = _attack_stage(smoothed, xs, np.tile(np.arange(len(phis)), 2), np.tile(phis, (2, 1)),
-                          np.tile(budgets, 2), ["inc"] * len(phis) + ["dec"] * len(phis),
-                          certs.masked_class + certs.pred_class)
+    walks = attack_walks(smoothed, xs, np.tile(np.arange(len(phis)), 2), np.tile(phis, (2, 1)),
+                         np.tile(budgets, 2), ["inc"] * len(phis) + ["dec"] * len(phis),
+                         np.array(certs.masked_class + certs.pred_class, dtype=np.intp))
     found = np.array([walk.found for walk in walks], dtype=bool).reshape(2, -1)
     radius = np.array([walk.radius for walk in walks], dtype=np.intp).reshape(2, -1)
     sound = ~(found & (radius <= np.array([certs.r_inc, certs.r_dec]))).any(axis=0)
@@ -246,79 +246,50 @@ def cmd_selfcheck(args) -> int:
     return EXIT_OK
 
 
-def _add_io_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", required=True, help="model weights file (JSON)")
-    p.add_argument("--data", required=True, help="dataset file (CSV, label last)")
-    p.add_argument("--grouping", default=None,
-                   help="feature grouping file (JSON); default one group per feature")
-    p.add_argument("--out", required=True, help="output records path")
-    p.add_argument("--workers", type=int, default=1,
-                   help="must be >= 1; has no other effect (examples always "
-                        "run on one thread, in input order)")
-
-
-def _add_smoothing_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=int, required=True,
-                   help="number of noise atoms")
-    p.add_argument("--lambda-num", type=int, required=True, dest="lambda_num",
-                   help="keep-rate numerator; the rate is lambda-num/q")
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
-
-
-def _add_scorer_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--scorer", choices=SCORERS, default="occlusion")
-    p.add_argument("--lime-samples", type=int, default=DEFAULT_LIME_SAMPLES)
-    p.add_argument("--lime-kernel-width", type=float, default=None,
-                   help="default n/4")
-    p.add_argument("--shap-permutations", type=int,
-                   default=DEFAULT_SHAP_PERMUTATIONS)
-
-
-def _add_target_flags(p: argparse.ArgumentParser, required_defaults: bool) -> None:
-    if required_defaults:
-        p.add_argument("--rinc", type=int, default=0,
-                       help="incremental radius target for the greedy mask")
-        p.add_argument("--rdec", type=int, default=0,
-                       help="decremental radius target for the greedy mask")
-    else:
-        p.add_argument("--topk", type=int, default=None,
-                       help="binarize scores at the k best groups")
-        p.add_argument("--rinc", type=int, default=None)
-        p.add_argument("--rdec", type=int, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="muscert",
                      description="Certified stability for masked explanations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs, scorer, topk, targets = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    inputs.add_argument("--model", required=True, help="model weights file (JSON)")
+    inputs.add_argument("--data", required=True, help="dataset file (CSV, label last)")
+    inputs.add_argument("--grouping", default=None,
+                        help="feature grouping file (JSON); default one group per feature")
+    inputs.add_argument("--out", required=True, help="output records path")
+    inputs.add_argument("--workers", type=int, default=1,
+                        help="must be >= 1; has no other effect (examples always "
+                             "run on one thread, in input order)")
+    inputs.add_argument("--q", type=int, required=True, help="number of noise atoms")
+    inputs.add_argument("--lambda-num", type=int, required=True, dest="lambda_num",
+                        help="keep-rate numerator; the rate is lambda-num/q")
+    inputs.add_argument("--seed", type=int, default=0, help="base random seed")
+    scorer.add_argument("--scorer", choices=SCORERS, default="occlusion")
+    scorer.add_argument("--lime-samples", type=int, default=DEFAULT_LIME_SAMPLES)
+    scorer.add_argument("--lime-kernel-width", type=float, default=None, help="default n/4")
+    scorer.add_argument("--shap-permutations", type=int, default=DEFAULT_SHAP_PERMUTATIONS)
+    topk.add_argument("--topk", type=int, default=None,
+                      help="binarize scores at the k best groups")
+    targets.add_argument("--rinc", type=int, default=None,
+                         help="incremental radius target for the greedy mask")
+    targets.add_argument("--rdec", type=int, default=None,
+                         help="decremental radius target for the greedy mask")
 
-    p = sub.add_parser("certify", parents=[], help="certify a dataset and emit curves")
-    _add_io_flags(p)
-    _add_smoothing_flags(p)
-    _add_scorer_flags(p)
-    _add_target_flags(p, required_defaults=False)
+    p = sub.add_parser("certify", parents=[inputs, scorer, topk, targets],
+                       help="certify a dataset and emit curves")
     p.add_argument("--mu-mode", choices=("none", "phi"), default="none",
                    dest="mu_mode",
                    help="exempt the attribution mask from noise when certifying")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("accuracy-curve", help="certified accuracy vs radius")
-    _add_io_flags(p)
-    _add_smoothing_flags(p)
+    p = sub.add_parser("accuracy-curve", parents=[inputs], help="certified accuracy vs radius")
     p.set_defaults(func=cmd_accuracy_curve)
 
-    p = sub.add_parser("explain", help="greedy stable masks and their sizes")
-    _add_io_flags(p)
-    _add_smoothing_flags(p)
-    _add_scorer_flags(p)
-    _add_target_flags(p, required_defaults=True)
+    p = sub.add_parser("explain", parents=[inputs, scorer, targets],
+                       help="greedy stable masks and their sizes")
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("attack", help="empirical radii vs certificates")
-    _add_io_flags(p)
-    _add_smoothing_flags(p)
-    _add_scorer_flags(p)
-    _add_target_flags(p, required_defaults=False)
+    p = sub.add_parser("attack", parents=[inputs, scorer, topk, targets],
+                       help="empirical radii vs certificates")
     p.add_argument("--budget", type=int, default=None,
                    help="max greedy flips per example (default: all free bits)")
     p.set_defaults(func=cmd_attack)

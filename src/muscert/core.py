@@ -168,6 +168,18 @@ def _int_args(name: str, values) -> np.ndarray:
     return values.astype(np.intp, copy=False)
 
 
+def _class_args(classes, k: int, m: int) -> np.ndarray:
+    """The class rule: classes as an intp array of k integers in 0..m-1, one
+    per input row or walk; an intp array passes _int_args as it is."""
+    arr = _int_args("class", classes)
+    if arr.shape != (k,):
+        raise ConfigError(f"got classes of shape {arr.shape} for {k} input rows")
+    outside = (arr < 0) | (arr >= m)
+    if outside.any():
+        raise ConfigError(f"class {int(arr[outside][0])} outside 0..{m - 1}")
+    return arr
+
+
 def _real_arg(name: str, value, lo: float | None = None, hi: float | None = None) -> float:
     """The real-number rule: value as a finite Python float when it is a
     Python or numpy int or float in [lo, hi] (either bound optional); else,

@@ -28,9 +28,9 @@ from .core import (
     DataError,
     Logits,
     Vector,
+    _class_args,
     _float_rows,
     _int_arg,
-    _int_args,
     _real_arg,
     _real_row,
     _zero_unless,
@@ -134,17 +134,6 @@ def _affine_cols(cols: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.
     return acc
 
 
-def _batch_classes(classes, k: int, m: int) -> np.ndarray:
-    """One class per input row, each an integer in 0..m-1, as an intp array."""
-    arr = _int_args("class", classes)
-    if arr.shape != (k,):
-        raise ConfigError(f"got classes of shape {arr.shape} for {k} input rows")
-    outside = (arr < 0) | (arr >= m)
-    if outside.any():
-        raise ConfigError(f"class {int(arr[outside][0])} outside 0..{m - 1}")
-    return arr
-
-
 def _layer(w_name: str, b_name: str, weights, bias, min_rows: int, width: int | None = None):
     """The model rule on one layer: at least min_rows rows of weights, all
     `width` wide (as wide as the first row when None), and one bias per
@@ -201,7 +190,7 @@ class LinearSoftmaxModel:
         """(k, d) array whose row r is d p_c / d z[r] = p_c * (W_c - sum_j
         p_j W_j) at c = classes[r], the sum over j in class order from 0.0."""
         z = _float_rows(z, self.d)
-        classes = _batch_classes(classes, len(z), self.m)
+        classes = _class_args(classes, len(z), self.m)
         p = self.evaluate_batch(z)
         mix = np.zeros(z.shape)
         for j in range(self.m):
@@ -260,7 +249,7 @@ class MlpModel:
         through W2, summed over the classes in order from 0.0, then through
         W1, summed over the units with a positive pre-activation in order."""
         z = _float_rows(z, self.d)
-        classes = _batch_classes(classes, len(z), self.m)
+        classes = _class_args(classes, len(z), self.m)
         w1, _, w2, _ = self._layers
         pre, p = self._forward(z)
         rows = np.arange(len(z))
@@ -363,8 +352,6 @@ def fit_logistic(dataset: LabeledDataset, epochs: int = 500, learning_rate: floa
             cand_loss = _mean_crossentropy(cand_probs, ys)
             if cand_loss <= loss:
                 stepped = (cand_w, cand_b, cand_probs, cand_loss)
-                break
-            if halvings == 20:
                 break
             halvings += 1
             lr *= 0.5

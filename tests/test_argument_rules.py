@@ -10,6 +10,7 @@ TypeError or a NaN result. The input-row rule: inputs are a (k, d) array of
 numbers; a row of strings or a ragged batch raises ConfigError rather than a
 bare ValueError. The mask rule: masks are a (k, n) batch of numbers that all
 equal 0 or 1; anything else raises ConfigError naming the first bad mask.
+The class rule: classes are one integer in 0..m-1 per input row or walk.
 Every rule shows at most 80 characters of the value it refuses.
 """
 from __future__ import annotations
@@ -34,7 +35,13 @@ from muscert.certify import (
     certify_examples,
     enumerate_perturbation_masks,
 )
-from muscert.core import ConfigError, FeatureGrouping, MuscertError, mask_array
+from muscert.core import (
+    ConfigError,
+    FeatureGrouping,
+    MuscertError,
+    mask_array,
+    top_classes_and_gaps,
+)
 from muscert.data import LabeledDataset, synth_blobs
 from muscert.models import LinearSoftmaxModel, fit_logistic, random_linear, random_mlp
 from muscert.noise import (
@@ -100,6 +107,8 @@ INTEGER_ARGUMENTS = {
     "attack example index": ("example index",
                              lambda v: attack_walks(MODEL, XS, [v], [PHI], [1], ["inc"]), 1),
     "attack budget": ("budget", lambda v: attack_walks(MODEL, XS, [0], [PHI], [v], ["dec"]), 2),
+    "attack ref class": ("class", lambda v: attack_walks(MODEL, XS, [0], [PHI], [1], ["inc"],
+                                                         [v]), 1),
     "random_linear d": ("d", lambda v: random_linear(v, 2, 5), 3),
     "random_linear m": ("m", lambda v: random_linear(3, v, 5), 2),
     "random_linear rng_state": ("stream state", lambda v: random_linear(3, 2, v), 5),
@@ -144,7 +153,7 @@ def test_integer_rule(case):
 
 
 @pytest.mark.parametrize("case", ["pairs example index", "attack example index",
-                                  "attack budget", "gradient_batch class"])
+                                  "attack budget", "attack ref class", "gradient_batch class"])
 def test_integer_rule_on_a_batch_refuses_what_no_intp_holds(case):
     name, call, _good = INTEGER_ARGUMENTS[case]
     intp = np.iinfo(np.intp)
@@ -194,6 +203,35 @@ def test_integer_rule_stores_python_ints():
     assert cfg == _config()
     assert type(certify_examples(MODEL, XS[:1], [PHI], [np.uint8(4)])[0].example_id) is int
     assert type(synth_blobs(2, np.int64(2), np.uint8(2), 1.0, 5).m) is int
+
+
+# Each entry point of the class rule, with the classes of its one row or walk set to v.
+CLASS_ARGUMENTS = {
+    "gradient_batch classes": lambda v: MLP.gradient_batch(XS[:1], v),
+    "attack_walks ref_classes": lambda v: attack_walks(MODEL, XS, [0], [PHI], [1], ["inc"], v),
+}
+
+
+@pytest.mark.parametrize("case", CLASS_ARGUMENTS)
+def test_class_rule(case):
+    call = CLASS_ARGUMENTS[case]
+    for bad, message in (([0, 1], r"got classes of shape \(2,\) for 1 input rows"),
+                         ([2], r"class 2 outside 0\.\.1"), ([-1], r"class -1 outside 0\.\.1"),
+                         ([True], "class must be an integer, got True"),
+                         ([1.5], "class must be an integer, got 1.5")):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            call(bad)
+    assert _output_bytes(call(np.array([1], dtype=np.intp))) == _output_bytes(call([1]))
+
+
+def test_walks_leave_the_class_they_are_given():
+    """A walk given its start class equals the walk with a reference pass;
+    one given another class has left it at its first step."""
+    start = attack_walks(MODEL, XS, [0], [PHI], [2], ["inc"])
+    c = int(top_classes_and_gaps(mus_evaluate_pairs(MODEL, XS, [0], [PHI]))[0][0])
+    assert attack_walks(MODEL, XS, [0], [PHI], [2], ["inc"], [c]) == start
+    [walk] = attack_walks(MODEL, XS, [0], [PHI], [2], ["inc"], [1 - c])
+    assert (walk.found, walk.radius) == (True, 1) != (start[0].found, start[0].radius)
 
 
 # Each real-number argument: (name in the message, call with the argument

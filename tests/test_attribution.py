@@ -520,6 +520,11 @@ def test_score_ranks_and_topk_masks():
     assert score_ranks([], 3).shape == (0, 3)
 
 
+def test_score_rows_must_each_hold_n_scores():
+    with pytest.raises(ConfigError, match="^got 2 scores for n=3 groups$"):
+        topk_mask_rows([(0.1, 0.2, 0.3), (0.1, 0.2)], 1, 3)
+
+
 def test_score_ranks_break_ties_low():
     assert score_ranks([(1.0, 1.0, 2.0)], 3).tolist() == [[1, 2, 0]]
     assert score_ranks(np.zeros((2, 4)), 4).tolist() == [[0, 1, 2, 3]] * 2

@@ -300,14 +300,53 @@ def test_certificate_ids_are_python_ints():
 
 
 def test_oracle_guard_rejects_wide_enumerations():
+    """The guard counts the masks of the ball, not the free bits: radius 1
+    over 25 free bits is 26 masks, radius 25 is 2^25 and C(60, <= 7) about
+    4.4e8, each refused before a mask is smoothed."""
     n = 25
     model = constant_model((0.6, 0.4), n=n, q=4, lambda_num=2)
     x = tuple([1.0] * n)
     phi = tuple([0] * n)
-    with pytest.raises(ConfigError, match="25 free bits exceeds the enumeration guard of 20"):
-        brute_force_stability_oracle(model, x, phi, 1, "inc")
-    with pytest.raises(ConfigError, match="25 free bits exceeds the enumeration guard of 20"):
+    assert brute_force_stability_oracle(model, x, phi, 1, "inc")
+    with pytest.raises(ConfigError, match="^radius 25 over 25 free bits exceeds the "
+                                          "enumeration guard of 1048576 masks$"):
         brute_force_stability_oracle(model, x, phi, n, "inc")
+    wide = constant_model((0.6, 0.4), n=60, q=4, lambda_num=2)
+    with pytest.raises(ConfigError, match="^radius 7 over 60 free bits exceeds"):
+        brute_force_stability_oracle(wide, [1.0] * 60, [0] * 60, 7, "dec")
+
+
+def test_oracle_guard_boundary(monkeypatch):
+    """At a guard of 26 masks, radius 1 over 25 free bits (26 masks) passes
+    and radius 2 (326 masks) is refused."""
+    n = 25
+    model = constant_model((0.6, 0.4), n=n, q=4, lambda_num=2)
+    monkeypatch.setattr(certify, "ENUMERATION_GUARD_MASKS", 26)
+    assert brute_force_stability_oracle(model, [1.0] * n, [0] * n, 1, "dec")
+    with pytest.raises(ConfigError, match="^radius 2 over 25 free bits exceeds the "
+                                          "enumeration guard of 26 masks$"):
+        brute_force_stability_oracle(model, [1.0] * n, [0] * n, 2, "dec")
+
+
+def test_oracle_rechecks_certificates_with_many_free_groups():
+    """At n = 70 with 51 to 63 free groups, the regime of patch
+    certificates, the oracle re-checks each radius in both modes."""
+    n = 70
+    cfg = SmoothingConfig(q=16, lambda_num=1, seed=3, n=n)
+    model = SmoothedModel.build(random_linear(n, 3, 5, scale=0.3),
+                                FeatureGrouping.trivial(n), cfg)
+    stream = LcgStream(derive_rng_state(70, 0))
+    radii = set()
+    for trial in range(8):
+        x = [4.0 * stream.next_unit() - 2.0 for _ in range(n)]
+        on = np.argsort([stream.next_unit() for _ in range(n)])[:7 + stream.next_below(13)]
+        phi = tuple(int(i in on) for i in range(n))
+        assert phi.count(0) > 50
+        record = certify_example(model, x, phi, trial)
+        assert brute_force_stability_oracle(model, x, phi, record.r_inc, "inc")
+        assert brute_force_stability_oracle(model, x, phi, record.r_dec, "dec")
+        radii |= {record.r_inc, record.r_dec}
+    assert radii == {0, 1}
 
 
 def test_oracle_rejects_unknown_mode():

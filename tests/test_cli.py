@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -458,6 +459,26 @@ def test_grouping_file_the_rule_refuses_is_data_error_naming_it(small_artifacts,
         f"error: grouping file {gpath}: raw index 1 appears in more than one group\n")
 
 
+@pytest.mark.parametrize("flag,text,error", [
+    ("--data", "1,2,3,4,5,0\n1,2,3,4,5,1\n", "dataset has d=5 features but model expects d=6"),
+    ("--grouping", json.dumps({"d": 7, "groups": [[i] for i in range(7)]}),
+     "grouping covers d=7 but model expects d=6"),
+    ("--grouping", json.dumps({"groups": [[i] for i in range(6)]}),
+     'grouping file {path}: grouping document must be an object with keys "d" and "groups"'),
+    ("--grouping", json.dumps({"d": 6}),
+     'grouping file {path}: grouping document must be an object with keys "d" and "groups"'),
+], ids=["dataset d", "grouping d", "no d", "no groups"])
+def test_inputs_that_do_not_fit_the_model_are_data_errors(small_artifacts, tmp_path, capsys,
+                                                          flag, text, error):
+    """A dataset or grouping whose d is not the model's, or a grouping
+    document without "d" or "groups", exits 2 with one error line."""
+    path = tmp_path / "input"
+    path.write_text(text)
+    argv = ["accuracy-curve", *_base_args(small_artifacts, tmp_path / "o"), flag, str(path)]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {error.format(path=path)}\n"
+
+
 # What a grouping document over the d = 6 features of the small fixture can
 # hold in place of an index, of a group, or of its list of groups.
 NOT_INDICES = [6, -1, 2 ** 70, True, False, 1.0, 2.5, "0", None, [0], {"i": 0}]
@@ -670,7 +691,7 @@ def test_attack_violation_exits_three(small_artifacts, tmp_path, monkeypatch, ca
         return [AttackResult(mode=mode, found=True, radius=0, witness=phi)
                 for phi, mode in zip(phis, modes)]
 
-    monkeypatch.setattr("muscert.cli._attack_stage", forged_attack)
+    monkeypatch.setattr("muscert.cli.attack_walks", forged_attack)
     out = tmp_path / "forged.ndjson"
     argv = ["attack", *_base_args(small_artifacts, out),
             "--topk", "3", "--budget", "2"]
@@ -693,7 +714,7 @@ def test_attack_rows_with_witnesses_are_compact_json(small_artifacts, tmp_path, 
     assert any(row["inc_found"] for row in rows) and any(row["dec_found"] for row in rows)
     assert all(row["sound"] for row in rows)
 
-    monkeypatch.setattr(cli, "_attack_stage", lambda model, xs, examples, phis, budgets, modes,
+    monkeypatch.setattr(cli, "attack_walks", lambda model, xs, examples, phis, budgets, modes,
                         refs: [AttackResult(mode, True, 0, None) for mode in modes])
     assert main(argv) == EXIT_VERIFICATION
     rows = _compact_records(out)
@@ -708,7 +729,7 @@ def test_attack_walks_start_from_the_certificates_classes(small_artifacts, tmp_p
     walk. With --topk 0 every phi is empty and its class is the zero input's,
     so the examples of the other classes are inconsistent."""
     seen = []
-    real = cli._attack_stage
+    real = cli.attack_walks
 
     def spy(model, xs, examples, phis, budgets, modes, ref_classes):
         starts = np.where(np.array(modes)[:, None] == "inc", phis, np.uint8(1))
@@ -716,7 +737,7 @@ def test_attack_walks_start_from_the_certificates_classes(small_artifacts, tmp_p
             mus_evaluate_pairs(model, xs, examples, starts))[0].tolist()))
         return real(model, xs, examples, phis, budgets, modes, ref_classes)
 
-    monkeypatch.setattr(cli, "_attack_stage", spy)
+    monkeypatch.setattr(cli, "attack_walks", spy)
     argv = ["attack", *_base_args(small_artifacts, tmp_path / "attack.ndjson"), "--topk", "0"]
     assert main(argv) == EXIT_OK
     [(refs, starts)] = seen
@@ -739,6 +760,16 @@ def test_selfcheck_failure_exits_three(monkeypatch):
     monkeypatch.setattr("muscert.cli.run_selfcheck",
                         lambda max_n, trials, seed: report)
     assert main(["selfcheck", "--trials", "1"]) == EXIT_VERIFICATION
+
+
+@pytest.mark.parametrize("argv,code", [(["selfcheck", "--trials", "1"], EXIT_OK),
+                                       (["frobnicate"], EXIT_USAGE)])
+def test_module_entry_point_exits_with_the_code_of_main(monkeypatch, argv, code):
+    """python -m muscert, run in this process: the exit code is main's."""
+    monkeypatch.setattr(sys, "argv", ["muscert", *argv])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("muscert", run_name="__main__")
+    assert exit_.value.code == code
 
 
 def test_module_entry_point_runs():

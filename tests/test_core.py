@@ -14,6 +14,7 @@ from muscert.core import (
     DataError,
     FeatureGrouping,
     _zero_unless,
+    evaluate_rows,
     mask_array,
     ones_mask,
     top_classes_and_gaps,
@@ -215,6 +216,22 @@ def test_validate_logits_contract():
     with pytest.raises(ConfigError,
                        match=r"expected a \(1, 3\) probability batch, got shape \(1, 2\)"):
         validate_logits_batch([(0.5, 0.5)], 1, 3)
+
+
+def test_batch_output_of_non_numbers_breaks_the_contract():
+    class Words:
+        d, m = 2, 2
+
+        def evaluate_batch(self, z):
+            return [("high", "low")] * len(z)
+
+    with pytest.raises(ConfigError, match="^batch output is not a numeric array: "):
+        evaluate_rows(Words(), np.zeros((3, 2)))
+
+
+def test_mask_rule_refuses_a_number_for_a_batch():
+    with pytest.raises(ConfigError, match="^a mask must be 3 entries of 0 or 1, got 5$"):
+        mask_array(5, 3)
 
 
 def test_mask_helpers():

@@ -932,10 +932,10 @@ def test_grid_memory_does_not_grow_with_the_examples():
     xs = np.array([[4.0 * stream.next_unit() - 2.0 for _ in range(16)] for _ in range(2000)])
     peaks = []
     for count in (200, 2000):
-        attribution._occlusion_stage(model, xs[:count])
+        attribution.occlusion_score_rows(model, xs[:count])
         tracemalloc.start()
         try:
-            attribution._occlusion_stage(model, xs[:count])
+            attribution.occlusion_score_rows(model, xs[:count])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -1040,8 +1040,11 @@ def test_certify_on_occlusion_means_equals_certify_examples(case):
     the columns of the stage that smooths them itself, bit for bit, and the
     record lines of certify_examples."""
     model, xs, phis = _handoff_instance(case)
-    scores, ones_means = attribution._occlusion_stage(model, xs)
-    assert scores.tobytes() == attribution.occlusion_score_rows(model, xs).tobytes()
+    scores, ones_means = attribution.occlusion_score_rows(model, xs)
+    ones = np.ones((1, model.n), dtype=np.uint8)
+    assert ones_means.tobytes() == smoothing._grid_means(model, xs, ones)[:, 0].tobytes()
+    for x, row in zip(xs, scores):
+        assert np.array(attribution.occlusion_scores(model, x)).tobytes() == row.tobytes()
     want = certify_examples(model, xs, phis, range(len(xs)))
     got = certify._certify_stage(model, xs, phis, range(len(xs)), None, ones_means)
     assert repr(got) == repr(certify._certify_stage(model, xs, phis, range(len(xs)), None, None))
@@ -1061,7 +1064,7 @@ def test_attack_on_certificate_classes_equals_attack_walks(case):
              ["inc"] * count + ["dec"] * count)
     refs = [r.masked_class for r in records] + [r.pred_class for r in records]
     want = attack_walks(*walks)
-    assert attack._attack_stage(*walks, refs) == want
+    assert attack_walks(*walks, refs) == want
     assert {w.found for w in want} == {True, False}
 
 
@@ -1226,7 +1229,7 @@ def test_shared_mask_stages_do_not_use_the_pair_driver(desk, monkeypatch, tmp_pa
     cfg = SmoothingConfig(q=16, lambda_num=4, seed=11, n=16)
     model = SmoothedModel.build(desk["model"], FeatureGrouping.trivial(16), cfg)
     xs = np.array([x for x, _label in desk["test"].examples[:20]])
-    attribution._occlusion_stage(model, xs)
+    attribution.occlusion_score_rows(model, xs)
     assert cli.main(["accuracy-curve", "--model", desk["model_path"], "--data", desk["test_path"],
                      "--out", str(tmp_path / "out"), "--q", "16", "--seed", "11",
                      "--lambda-num", "4"]) == 0

@@ -332,6 +332,21 @@ def test_fit_zero_epochs_is_deterministic_init():
     assert a.weights == reference.weights
 
 
+def test_fit_stops_once_no_step_size_decreases_the_loss():
+    """On overlapping blobs a rate of 1e8 finds no step in 20 halvings, so
+    the fit keeps its initial weights and loss; at 1e3 the halvings run out
+    before the 50 epochs. Neither overflows."""
+    dataset = synth_blobs(20, 3, 2, 0.1, 7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        stuck, history = [], []
+        model = fit_logistic(dataset, epochs=50, learning_rate=1e8, loss_history=stuck)
+        fit_logistic(dataset, epochs=50, learning_rate=1e3, loss_history=history)
+    assert len(stuck) == 1 and history[0] == stuck[0]
+    assert model == LinearSoftmaxModel(random_linear(3, 2, 0, scale=0.01).weights, (0.0, 0.0))
+    assert 1 < len(history) < 51
+
+
 def test_fit_loss_history_never_increases():
     dataset = synth_blobs(20, 3, 3, 3.0, derive_rng_state(2, 0))
     history = []
