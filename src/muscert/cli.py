@@ -73,19 +73,21 @@ def _map_examples(fn: Callable, items: Sequence, workers: int) -> list:
 
 
 def _load_common(args) -> tuple:
+    """(smoothed model, (E, d) inputs, (E,) labels) of the input and smoothing flags."""
     model = load_model(args.model)
     dataset = load_csv_dataset(args.data)
     if dataset.d != model.d:
         raise DataError(f"dataset has d={dataset.d} features but model expects d={model.d}")
+    if dataset.m > model.m:
+        raise DataError(f"dataset has labels up to {dataset.m - 1} but model has m={model.m} classes")
     if args.grouping is None:
         grouping = FeatureGrouping.trivial(model.d)
     elif (grouping := load_grouping(args.grouping)).d != model.d:
         raise DataError(f"grouping covers d={grouping.d} but model expects d={model.d}")
     cfg = SmoothingConfig(q=args.q, lambda_num=args.lambda_num, seed=args.seed,
                           n=grouping.n)
-    smoothed = SmoothedModel.build(model, grouping, cfg)
-    xs = np.array([x for x, _label in dataset.examples], dtype=float)
-    return dataset, xs, grouping, cfg, smoothed
+    rows, labels = zip(*dataset.examples)
+    return SmoothedModel.build(model, grouping, cfg), np.array(rows, dtype=float), np.array(labels)
 
 
 def _score_rows(args, smoothed: SmoothedModel, xs: np.ndarray) -> tuple:
@@ -146,8 +148,8 @@ def _survival_curves(radii: np.ndarray, ok: np.ndarray, n: int) -> list[list[flo
 
 def cmd_certify(args) -> int:
     _require_phi_source(args)
-    _dataset, xs, grouping, _cfg, smoothed = _load_common(args)
-    n = grouping.n
+    smoothed, xs, _labels = _load_common(args)
+    n = smoothed.grouping.n
     phis, ones_means = _attribution_masks(args, smoothed, xs)
     mus, ones_means = (phis, None) if args.mu_mode == "phi" else (None, ones_means)
     certs = _certify_stage(smoothed, xs, phis, range(len(phis)), mus, ones_means)
@@ -164,11 +166,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_accuracy_curve(args) -> int:
-    dataset, xs, grouping, cfg, smoothed = _load_common(args)
-    n = grouping.n
+    smoothed, xs, labels = _load_common(args)
+    n, cfg = smoothed.grouping.n, smoothed.cfg
     preds, gaps = top_classes_and_gaps(
         _grid_means(smoothed, xs, np.ones((1, n), dtype=np.uint8))[:, 0])
-    labels = np.array([label for _x, label in dataset.examples])
     curve = _survival_curves(radii_from_gaps(gaps, cfg.lambda_num, cfg.q)[1][None],
                              (preds == labels)[None], n)[0]
     _write_lines(args.out, [f"{r} {curve[r]!r}" for r in range(n + 1)])
@@ -178,8 +179,8 @@ def cmd_accuracy_curve(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    _dataset, xs, grouping, _cfg, smoothed = _load_common(args)
-    n = grouping.n
+    smoothed, xs, _labels = _load_common(args)
+    n = smoothed.grouping.n
     scores = _score_rows(args, smoothed, xs)[0]
     masks, met = greedy_stable_masks(smoothed, xs, scores, args.rinc or 0, args.rdec or 0)
     k_x = (masks.sum(axis=1) / n).tolist()
@@ -200,8 +201,8 @@ def cmd_explain(args) -> int:
 
 def cmd_attack(args) -> int:
     _require_phi_source(args)
-    _dataset, xs, grouping, _cfg, smoothed = _load_common(args)
-    n = grouping.n
+    smoothed, xs, _labels = _load_common(args)
+    n = smoothed.grouping.n
     phis, ones_means = _attribution_masks(args, smoothed, xs)
     certs = _certify_stage(smoothed, xs, phis, range(len(phis)), None, ones_means)
     budgets = n - phis.sum(axis=1, dtype=np.intp)

@@ -6,11 +6,11 @@ input by mu OR (alpha AND s), mu being the noise-exempt mask of the pair's
 example, from the call's per-example mus or else the model's mu.
 `mus_evaluate_pairs` computes that average for many (example, mask) pairs
 at once, in windows of DRIVER_CHUNK pairs (fewer above q = 16, so that a
-window holds at most 16 * DRIVER_CHUNK effective masks). It packs a
-window's effective masks into 64-bit words, finds each example's distinct
-ones with one sort of those words (packed with their row numbers when they
-fit), and sends each of them to the base classifier
-once, in forward calls of at most DRIVER_CHUNK rows. Its driver,
+window holds at most 16 * DRIVER_CHUNK effective masks). It packs each
+effective mask into 64-bit words, its example's index in the bits above
+the mask, finds each example's distinct ones with one sort of those keys,
+and sends each to the base classifier once, in forward calls of at most
+DRIVER_CHUNK rows. Its driver,
 _pair_means, also takes a memo of the base outputs computed so far, for a
 caller that evaluates the same inputs many times (attack_walks, once per
 greedy step): a masked input already sent is read back rather than sent
@@ -73,7 +73,8 @@ class SmoothedModel:
     cfg: SmoothingConfig
     mu: Mask | None = None
     atoms: np.ndarray = field(init=False, repr=False, compare=False)
-    # For mus_evaluate_pairs: the atoms packed by _bit_weights, as (q, 1, W) words.
+    # For the drivers: the atoms packed as (q, 1, W) words of n + 63 bits, room
+    # for any example index above the mask; each driver slices the words it uses.
     _atom_words: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -86,7 +87,7 @@ class SmoothedModel:
             object.__setattr__(self, "mu", tuple(mask_array([self.mu], n)[0].tolist()))
         atoms = enumerate_atoms(self.cfg)
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_atom_words", (atoms @ _bit_weights(n))[:, None, :])
+        object.__setattr__(self, "_atom_words", (atoms @ _bit_weights(n + 63)[:n])[:, None, :])
 
     @classmethod
     def build(cls, base: ClassifierHandle, grouping: FeatureGrouping,
@@ -140,10 +141,10 @@ def _checked_examples(model: SmoothedModel, xs, examples,
 @dataclass
 class _BaseMemo:
     """Base outputs that _pair_means has computed on one input array xs:
-    distinct key columns, laid out as a window's sort keys, and their
-    (K, m) rows of probabilities. Empty until its first window."""
+    distinct (K, W) key rows, laid out as a window's packed effective masks,
+    and their (K, m) rows of probabilities. Empty until its first window."""
 
-    keys: list[np.ndarray] | None = None
+    keys: np.ndarray | None = None
     probs: np.ndarray | None = None
 
 
@@ -154,17 +155,18 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
 
     The pairs are taken DRIVER_CHUNK at a time, a window, or fewer when
     q > 16, so that a window holds at most 16 * DRIVER_CHUNK effective
-    masks. A window's effective masks mu OR (alpha AND atom) are built as
-    packed words, one broadcast over its atoms and pairs, in atom-major
-    order. One sort of the words, with the example index above the mask
-    bits when the two fit in 63 bits (else as a column of its own), finds
-    each example's distinct effective masks in the window; only those are
-    unpacked into mask rows and sent to the base classifier, DRIVER_CHUNK
-    rows per call at most.
+    masks. Each example's fixed bits, its mu then its index in b =
+    bits(E - 1) binary digits, are packed once into the W = ceil((n + b) /
+    64) words of every key, and a window's effective masks, mu OR (alpha
+    AND atom) with the index above, are built as such words, one broadcast
+    over its atoms and pairs, in atom-major order. One sort of the words
+    finds each example's distinct effective masks in the window; only those
+    are unpacked into mask rows and sent to the base classifier,
+    DRIVER_CHUNK rows per call at most.
 
     A memo carries the base outputs from one call to the next on the same
-    xs and base: each window's sort then runs over the memo's keys followed
-    by the window's, a distinct row found in the memo is read from it, and
+    xs and base: each window's sort then runs over the memo's key rows then
+    the window's, a distinct row found in the memo is read from it, and
     only the others go to the base and join the memo. So the memo grows
     with the distinct rows of all the calls that share it, not with the
     window. Without one, nothing is kept between windows.
@@ -174,35 +176,29 @@ def _pair_means(model: SmoothedModel, xs: np.ndarray, examples: np.ndarray,
     neither repeated rows, the windows nor the memo can change a bit of it.
     """
     n, q, m = model.grouping.n, model.cfg.q, model.base.m
-    weights = _bit_weights(n)
-    words = alphas @ weights
-    # The words OR-ed into each pair's effective masks, one row per pair: its
-    # example's row of mus, or of the model's mu repeated over the inputs.
-    if mus is None and model.mu is not None:
-        mus = np.broadcast_to(np.array(model.mu, dtype=np.uint8), (len(xs), n))
-    exempt = None if mus is None else (mus @ weights)[examples]
-    # The keys carry the example index: above the mask bits when both fit in
-    # 63 bits (a tag of 0 for one example), else as a column of its own.
-    index_column = n + (len(xs) - 1).bit_length() > 63
-    if not index_column:
-        tag = examples.astype(np.uint64)[:, None] << np.uint64(n)
-        exempt = tag if exempt is None else exempt | tag
+    bits = (len(xs) - 1).bit_length()
+    weights = _bit_weights(n + bits)
+    words = alphas @ weights[:n]
+    # Each example's fixed bits, its row of mus (else the model's mu, else
+    # zeros) then its index, packed once and OR-ed into its pairs' masks.
+    fixed = np.empty((len(xs), n + bits), dtype=np.uint8)
+    fixed[:, :n] = mus if mus is not None else model.mu or 0
+    fixed[:, n:] = _unpack_words(np.arange(len(xs), dtype=np.uint64)[:, None], bits)
+    exempt = (fixed @ weights)[examples]
     out = np.empty((len(alphas), m))
     step = max(1, min(DRIVER_CHUNK, 16 * DRIVER_CHUNK // q))
     for lo in range(0, len(alphas), step):
         window = slice(lo, lo + step)
         pairs = examples[window]
-        effective = model._atom_words & words[window]
-        if exempt is not None:
-            effective |= exempt[window]
+        effective = model._atom_words[..., :weights.shape[1]] & words[window]
+        effective |= exempt[window]
         # Row j * len(pairs) + i is atom j on pair i.
         effective = effective.reshape(-1, words.shape[1])
-        keys = [*effective.T, np.tile(pairs, q)] if index_column else effective.T
         if memo is None:
-            rep, inverse = _distinct(keys)
+            rep, inverse = _distinct(effective.T)
             probs = _base_rows(model, xs, pairs, effective, rep)
         else:
-            probs, inverse = _memo_rows(model, xs, pairs, effective, keys, memo)
+            probs, inverse = _memo_rows(model, xs, pairs, effective, memo)
         # The (pairs, q, m) view reads one contiguous (pairs, m) block per atom.
         rows = probs.take(inverse, axis=0).reshape(q, len(pairs), m)
         out[window] = _atom_means(rows.transpose(1, 0, 2))
@@ -229,16 +225,15 @@ def _grid_means(model: SmoothedModel, xs: np.ndarray, alphas: np.ndarray) -> np.
     n, d, q, m = model.grouping.n, model.grouping.d, model.cfg.q, model.base.m
     weights = _bit_weights(n)
     words = alphas @ weights
-    exempt = None if model.mu is None else np.array(model.mu, dtype=np.uint8) @ weights
+    exempt = np.array(model.mu or (0,) * n, dtype=np.uint8) @ weights
     index_map = model.grouping.index_map()
     out = np.empty((len(xs), len(alphas), m))
     step = max(1, 16 * DRIVER_CHUNK // q)
     for lo in range(0, len(alphas), step):
         window = slice(lo, lo + step)
         # Row j * A + a is atom j under alpha a of the window's A.
-        effective = (model._atom_words & words[window]).reshape(-1, words.shape[1])
-        if exempt is not None:
-            effective |= exempt
+        effective = (model._atom_words[..., :len(exempt)] & words[window]).reshape(-1, len(exempt))
+        effective |= exempt
         rep, inverse = _distinct(effective.T)
         keep = _unpack_words(effective[rep], n).T.take(index_map, axis=0)
         shared = len(rep)
@@ -287,21 +282,21 @@ def _base_rows(model: SmoothedModel, xs: np.ndarray, pairs: np.ndarray,
 
 
 def _memo_rows(model: SmoothedModel, xs: np.ndarray, pairs: np.ndarray,
-               effective: np.ndarray, keys, memo: _BaseMemo) -> tuple[np.ndarray, np.ndarray]:
+               effective: np.ndarray, memo: _BaseMemo) -> tuple[np.ndarray, np.ndarray]:
     """(probs, inverse) of a window as _distinct and _base_rows give them,
     with every row already in the memo read from it; the window's other
     distinct rows are computed and appended to the memo. One _distinct runs
-    over the memo's keys, which are distinct, followed by the window's: a
-    rep below the memo's length is a memo row, the others take new slots."""
+    over the memo's key rows, which are distinct, followed by the window's:
+    a rep below the memo's length is a memo row, the others take new slots."""
     if memo.keys is None:
-        memo.keys, memo.probs = [key[:0] for key in keys], np.empty((0, model.base.m))
+        memo.keys, memo.probs = effective[:0], np.empty((0, model.base.m))
     known = len(memo.probs)
-    rep, inverse = _distinct([np.concatenate(both) for both in zip(memo.keys, keys)])
+    rep, inverse = _distinct(np.concatenate((memo.keys, effective)).T)
     fresh = np.flatnonzero(rep >= known)
     rows = rep[fresh] - known
     rep[fresh] = np.arange(known, known + len(rows))
     memo.probs = np.concatenate((memo.probs, _base_rows(model, xs, pairs, effective, rows)))
-    memo.keys = [np.concatenate((old, key[rows])) for old, key in zip(memo.keys, keys)]
+    memo.keys = np.concatenate((memo.keys, effective[rows]))
     return memo.probs, rep[inverse[known:]]
 
 

@@ -467,16 +467,25 @@ def test_grouping_file_the_rule_refuses_is_data_error_naming_it(small_artifacts,
      'grouping file {path}: grouping document must be an object with keys "d" and "groups"'),
     ("--grouping", json.dumps({"d": 6}),
      'grouping file {path}: grouping document must be an object with keys "d" and "groups"'),
-], ids=["dataset d", "grouping d", "no d", "no groups"])
+    ("--data", "1,2,3,4,5,6,0\n1,2,3,4,5,6,5\n1,2,3,4,5,6,1\n",
+     "dataset has labels up to 5 but model has m=3 classes"),
+    ("--data", "1,2,3,4,5,6,2\n1,2,3,4,5,6,3\n",
+     "dataset has labels up to 3 but model has m=3 classes"),
+], ids=["dataset d", "grouping d", "no d", "no groups", "dataset label 5", "dataset label m"])
 def test_inputs_that_do_not_fit_the_model_are_data_errors(small_artifacts, tmp_path, capsys,
                                                           flag, text, error):
-    """A dataset or grouping whose d is not the model's, or a grouping
-    document without "d" or "groups", exits 2 with one error line."""
+    """A dataset or grouping whose d is not the model's, a dataset with a
+    label at or above the model's m, or a grouping document without "d" or
+    "groups", exits 2 with one error line from every command that reads
+    them, and writes nothing."""
     path = tmp_path / "input"
     path.write_text(text)
-    argv = ["accuracy-curve", *_base_args(small_artifacts, tmp_path / "o"), flag, str(path)]
-    assert main(argv) == EXIT_DATA
-    assert capsys.readouterr().err == f"error: {error.format(path=path)}\n"
+    for command in ("certify", "accuracy-curve", "explain", "attack"):
+        argv = [command, *_base_args(small_artifacts, tmp_path / "o"), flag, str(path)]
+        argv += [] if command == "accuracy-curve" else ["--rinc", "1"]
+        assert main(argv) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {error.format(path=path)}\n"
+        assert not (tmp_path / "o").exists()
 
 
 # What a grouping document over the d = 6 features of the small fixture can

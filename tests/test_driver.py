@@ -419,25 +419,31 @@ def test_array_argmax_and_gap_equal_the_scalar_loop_on_ties():
 
 # ------------------------------------------------------------------- dedup
 
-@pytest.mark.parametrize("n", [5, 64, 70, 130])
+@pytest.mark.parametrize("n", [5, 61, 63, 64, 70, 130])
 def test_unique_masks_pairs_rows_with_keys_at_any_width(n):
     stream = LcgStream(derive_rng_state(n, 3))
     base = np.array([[stream.next_below(2) for _ in range(n)] for _ in range(6)],
                     dtype=np.uint8)
     picks = [stream.next_below(6) for _ in range(60)]
     masks = base[picks]
-    keys = np.array([stream.next_below(3) for _ in picks])
+    keys = np.array([stream.next_below(8) for _ in picks])
     words = masks @ smoothing._bit_weights(n)
     assert words.shape == (len(masks), -(-n // 64))
     assert all(int(words[r, i // 64]) >> (i % 64) & 1 == masks[r, i]
                for r in range(len(masks)) for i in range(n))
     assert (smoothing._unpack_words(words, n) == masks).all()
-    columns = {"masks": words.T, "keys": [*words.T, keys]}
-    if n <= 61:
-        # The driver's single key: the example index above the mask bits.
-        tagged = keys.astype(np.uint64) << np.uint64(n) | words[:, 0]
-        assert (smoothing._unpack_words(tagged[:, None], n) == masks).all()
-        columns["tagged"] = [tagged]
+    # The driver's key: the mask, then the 3-bit index in the bits above it,
+    # which straddle two words at n = 63.
+    index = (keys[:, None] >> np.arange(3) & 1).astype(np.uint8)
+    packed = np.concatenate((masks, index), axis=1) @ smoothing._bit_weights(n + 3)
+    assert packed.shape == (len(masks), -(-(n + 3) // 64))
+    assert all(int(packed[r, (n + i) // 64]) >> ((n + i) % 64) & 1 == index[r, i]
+               for r in range(len(masks)) for i in range(3))
+    assert (smoothing._unpack_words(packed, n) == masks).all()
+    if n + 3 <= 64:
+        # The desk's layout: one word, the index shifted above the mask bits.
+        assert (packed[:, 0] == keys.astype(np.uint64) << np.uint64(n) | words[:, 0]).all()
+    columns = {"masks": words.T, "keys": [*words.T, keys], "packed": packed.T}
     for name, cols in columns.items():
         rep, inverse = smoothing._distinct(cols)
         assert (masks[rep][inverse] == masks).all()
@@ -446,7 +452,6 @@ def test_unique_masks_pairs_rows_with_keys_at_any_width(n):
         assert len(rep) == len(pairs)
         if name != "masks":
             assert (keys[rep][inverse] == keys).all()
-
 
 
 def _sorted_tuples(keys):
@@ -532,15 +537,14 @@ def _sort_keys(monkeypatch):
     return widths
 
 
-# The seven examples of _driver_instance take 3 bits above the n mask bits:
-# up to n = 60 the driver sorts one key per row, above it (63 included) it
-# sorts the mask words and the example index. One example takes 0 bits: one
-# key up to n = 63, the words and the index from n = 64.
-WIDTHS = [5, 47, 63, 64, 70]
+# The seven examples of _driver_instance take 3 bits above the n mask bits,
+# and a key is the ceil((n + 3) / 64) words that hold both: one up to n = 61,
+# two up to 125, three at 127. One example takes 0 bits: one word up to n = 64.
+WIDTHS = [5, 47, 63, 64, 70, 127]
 
 
 def _key_columns(n, index_bits=3):
-    return 1 if n + index_bits <= 63 else -(-n // 64) + 1
+    return -(-(n + index_bits) // 64)
 
 
 @pytest.mark.parametrize("chunk", [24, 4096], ids=["24-pair-windows", "one-window"])
@@ -558,8 +562,7 @@ def test_pair_driver_equals_one_example_path(monkeypatch, chunk, batch, n):
             one = model.with_mu(tuple(mus[e].tolist())) if with_mu else model
             assert tuple(row) == mus_evaluate(one, tuple(xs[e].tolist()), alpha)
     # The model's own mu applies when no per-example mu is given, with the
-    # bits of that mask passed as every example's mus (the index tag up to
-    # n = 60, the index column above).
+    # bits of that mask passed as every example's mus.
     shielded = model.with_mu(tuple(mus[0].tolist()))
     widths.clear()
     got = mus_evaluate_pairs(shielded, xs, examples, alphas)
@@ -568,7 +571,7 @@ def test_pair_driver_equals_one_example_path(monkeypatch, chunk, batch, n):
         mus_evaluate(shielded, tuple(xs[e].tolist()), a) for e, a in zip(examples, alphas)]
     same = mus_evaluate_pairs(model, xs, examples, alphas, np.repeat(mus[:1], len(xs), axis=0))
     assert mus[0].any() and got.tobytes() == same.tobytes()
-    # One example takes the same key layout, with a tag of 0.
+    # One example takes the same key layout, with no index bits.
     for one, mu_rows in ((model, None), (shielded, None), (shielded, mus[:1])):
         widths.clear()
         got = mus_evaluate_pairs(one, xs[:1], [0] * len(alphas), alphas, mu_rows)
