@@ -71,12 +71,23 @@ def gradient_score_rows(base: ClassifierHandle, xs,
     """Vanilla gradient scores of every row of the (E, d) inputs xs, as an
     (E, n) array: the absolute predicted-class gradient entries of each
     group, summed with math.fsum; a group of one feature takes its column
-    as it is, since fsum([v]) == v. The classes come from one evaluate_rows
-    call over xs, or in finite_difference_rows for a handle with no
-    gradient. Every handle output is checked against the contract."""
+    as it is, since fsum([v]) == v. The gradients come from one
+    gradient_batch call, else one gradient call per row, at the classes of
+    one evaluate_rows call over xs, and must hold d finite entries each;
+    a handle with neither takes finite_difference_rows."""
     xs = _float_rows(xs, grouping.d)
+    d = grouping.d
     if hasattr(base, "gradient_batch") or hasattr(base, "gradient"):
-        grads = _gradient_rows(base, xs, top_classes_and_gaps(evaluate_rows(base, xs))[0])
+        classes = top_classes_and_gaps(evaluate_rows(base, xs))[0]
+        rows = (base.gradient_batch(xs, classes) if hasattr(base, "gradient_batch") else
+                [base.gradient(tuple(x), c) for x, c in zip(xs.tolist(), classes.tolist())])
+        for row in rows:
+            if len(row) != d:
+                raise ConfigError(f"gradient has {len(row)} entries, expected d={d}")
+        grads = np.array(rows, dtype=float).reshape(len(xs), d)
+        if not np.isfinite(grads).all():
+            r, j = np.argwhere(~np.isfinite(grads))[0]
+            raise ConfigError(f"gradient entry {j} is not finite: {float(grads[r, j])!r}")
     else:
         grads = finite_difference_rows(base, xs)
     grads = np.abs(grads)
@@ -103,24 +114,6 @@ def finite_difference_rows(base: ClassifierHandle, xs: np.ndarray) -> np.ndarray
         probs = evaluate_rows(base, rows.reshape(-1, d)).reshape(len(rows), 2 * d + 1, -1)
         column = probs[np.arange(len(rows)), :, top_classes_and_gaps(probs[:, 0])[0]]
         grads[block] = (column[:, 1:d + 1] - column[:, d + 1:]) / (2 * FD_STEP)
-    return grads
-
-
-def _gradient_rows(base: ClassifierHandle, xs: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """The (k, d) gradients of class classes[r] at row r of xs, each of d
-    finite entries: one gradient_batch call, else one gradient call per row."""
-    if hasattr(base, "gradient_batch"):
-        rows = base.gradient_batch(xs, classes)
-    else:
-        rows = [base.gradient(tuple(x), c) for x, c in zip(xs.tolist(), classes.tolist())]
-    d = xs.shape[1]
-    for row in rows:
-        if len(row) != d:
-            raise ConfigError(f"gradient has {len(row)} entries, expected d={d}")
-    grads = np.array(rows, dtype=float).reshape(len(xs), d)
-    if not np.isfinite(grads).all():
-        r, j = np.argwhere(~np.isfinite(grads))[0]
-        raise ConfigError(f"gradient entry {j} is not finite: {float(grads[r, j])!r}")
     return grads
 
 

@@ -111,21 +111,23 @@ def _score_rows(args, smoothed: SmoothedModel, xs: np.ndarray) -> tuple:
     return shap_score_rows(base, xs, grouping, args.shap_permutations, states), None
 
 
-def _attribution_masks(args, smoothed: SmoothedModel, xs: np.ndarray) -> tuple:
-    """(phis, ones_means): phi as an (E, n) uint8 array, from --topk or greedy targets."""
-    scores, ones_means = _score_rows(args, smoothed, xs)
-    if args.topk is not None:
-        return topk_mask_rows(scores, args.topk, smoothed.grouping.n), ones_means
-    return greedy_stable_masks(smoothed, xs, scores, args.rinc or 0, args.rdec or 0)[0], ones_means
-
-
-def _require_phi_source(args) -> None:
+def _certified(args, mu_mode: str) -> tuple:
+    """(smoothed model, (E, d) inputs, (E, n) uint8 phis, certificates) of
+    certify and attack: phi from --topk or the greedy targets, exactly one of
+    which is checked before any input is read, and phi exempt from the noise
+    under mu_mode "phi". Occlusion's all-ones means go to the certify stage
+    otherwise."""
     has_topk = args.topk is not None
-    has_targets = args.rinc is not None or args.rdec is not None
-    if has_topk and has_targets:
-        raise ConfigError("pass either --topk or --rinc/--rdec, not both")
-    if not has_topk and not has_targets:
-        raise ConfigError("one of --topk or --rinc/--rdec is required")
+    if has_topk == (args.rinc is not None or args.rdec is not None):
+        raise ConfigError("pass either --topk or --rinc/--rdec, not both" if has_topk
+                          else "one of --topk or --rinc/--rdec is required")
+    smoothed, xs, _labels = _load_common(args)
+    scores, ones_means = _score_rows(args, smoothed, xs)
+    phis = (topk_mask_rows(scores, args.topk, smoothed.grouping.n) if has_topk else
+            greedy_stable_masks(smoothed, xs, scores, args.rinc or 0, args.rdec or 0)[0])
+    mus, ones_means = (phis, None) if mu_mode == "phi" else (None, ones_means)
+    return smoothed, xs, phis, _certify_stage(smoothed, xs, phis, range(len(phis)), mus,
+                                              ones_means)
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -147,12 +149,8 @@ def _survival_curves(radii: np.ndarray, ok: np.ndarray, n: int) -> list[list[flo
 
 
 def cmd_certify(args) -> int:
-    _require_phi_source(args)
-    smoothed, xs, _labels = _load_common(args)
+    smoothed, xs, _phis, certs = _certified(args, args.mu_mode)
     n = smoothed.grouping.n
-    phis, ones_means = _attribution_masks(args, smoothed, xs)
-    mus, ones_means = (phis, None) if args.mu_mode == "phi" else (None, ones_means)
-    certs = _certify_stage(smoothed, xs, phis, range(len(phis)), mus, ones_means)
     _write_lines(args.out, certs.json_lines())
     # r_inc counts every example, r_dec only the consistent ones.
     inc_curve, dec_curve = _survival_curves(np.array([certs.r_inc, certs.r_dec]), np.array(
@@ -200,11 +198,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    _require_phi_source(args)
-    smoothed, xs, _labels = _load_common(args)
+    smoothed, xs, phis, certs = _certified(args, "none")
     n = smoothed.grouping.n
-    phis, ones_means = _attribution_masks(args, smoothed, xs)
-    certs = _certify_stage(smoothed, xs, phis, range(len(phis)), None, ones_means)
     budgets = n - phis.sum(axis=1, dtype=np.intp)
     if args.budget is not None:
         budgets = np.minimum(budgets, min(args.budget, n))  # an int past 2^63 fits no intp

@@ -21,7 +21,7 @@ from .certify import certify_example
 from .core import FeatureGrouping, _int_arg, evaluate_rows, top_classes_and_gaps
 from .models import MlpModel, random_linear, random_mlp
 from .noise import LcgStream, SmoothingConfig, derive_rng_state, enumerate_atoms
-from .smoothing import EQUIVALENCE_TOL, SmoothedModel, _premasked_means, mus_evaluate_pairs
+from .smoothing import SmoothedModel, _premasked_means, mus_evaluate_pairs
 
 LIPSCHITZ_SLACK = 1e-9
 SHAP_EFFICIENCY_TOL = 1e-10
@@ -106,18 +106,18 @@ def check_lipschitz(model: SmoothedModel, _x, table: np.ndarray, _state: int) ->
 
 
 def check_masking_equivalence(model: SmoothedModel, x, table: np.ndarray, state: int) -> bool:
-    """Mask-then-average equals pre-mask-then-average, with and without a mu
-    drawn from state, on one instance of _random_instance. Without mu the
-    table is the mask-then-average side; with it, mu enters the driver as
-    the call's per-example mus, the one noise-exempt path (certify
-    --mu-mode phi runs it), for every mask covering mu."""
+    """Mask-then-average equals pre-mask-then-average bit for bit, with and
+    without a mu drawn from state, on one instance of _random_instance.
+    Without mu the table is the mask-then-average side; with it, mu enters
+    the driver as the call's per-example mus, the one noise-exempt path
+    (certify --mu-mode phi runs it), for every mask covering mu."""
     stream = LcgStream(state)
     n = model.grouping.n
     mu = np.array([stream.next_below(2) for _ in range(n)], dtype=np.uint8)
     masks = _all_masks(n)
     covering = masks[(masks >= mu).all(axis=1)]
     shielded = mus_evaluate_pairs(model, [x], np.zeros(len(covering), np.intp), covering, [mu])
-    return all((np.abs(means - _premasked_means(model, x, alphas, exempt)) <= EQUIVALENCE_TOL).all()
+    return all(means.tobytes() == _premasked_means(model, x, alphas, exempt).tobytes()
                for means, alphas, exempt in ((table, masks, None), (shielded, covering, mu)))
 
 

@@ -44,7 +44,6 @@ from .core import (
 )
 from .noise import SmoothingConfig, enumerate_atoms
 
-EQUIVALENCE_TOL = 1e-12
 # The one batch bound of mus_evaluate_pairs: the pairs per window (deduped
 # together) and the distinct rows per forward call. A window also holds at
 # most 16 * DRIVER_CHUNK effective rows, so above q = 16 it shrinks to
@@ -322,32 +321,29 @@ def _unpack_words(words: np.ndarray, n: int) -> np.ndarray:
                          count=n, bitorder="little")
 
 
-def _distinct(keys: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of the equal-length integer columns keys (a list, or a
-    2-D array's rows), found by one sort: a single unsigned column whose
-    values and row numbers fit in 64 bits together is sorted directly as
-    key << b | row, b the row-number bits; other keys go through lexsort.
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct columns of the (W, K) uint64 array keys, K packed keys of W
+    words, found by one sort: a one-word key whose values and column
+    numbers fit in 64 bits together is sorted directly as key << b | column,
+    b the column-number bits; other keys go through np.lexsort of the words.
 
-    Returns (rep, inverse): rep[j] is the first row holding distinct tuple
-    j, the tuples numbered in sort order, and row r holds tuple inverse[r].
+    Returns (rep, inverse): rep[j] is the first column holding distinct key
+    j, the keys numbered in sort order, and column r holds key inverse[r].
     """
-    count = len(keys[0])
+    count = keys.shape[1]
     shift = max(count - 1, 0).bit_length()
     new = np.ones(count, dtype=bool)
-    if (len(keys) == 1 and keys[0].dtype.kind == "u"
-            and int(keys[0].max(initial=0)).bit_length() + shift <= 64):
+    if len(keys) == 1 and int(keys[0].max(initial=0)).bit_length() + shift <= 64:
         order = np.left_shift(keys[0], shift, dtype=np.uint64)
         order |= np.arange(count, dtype=np.uint64)
         order.sort()
-        # Neighbours hold other tuples when their XOR has a bit above the row's.
+        # Neighbours hold other keys when their XOR has a bit above the column's.
         np.greater_equal(order[1:] ^ order[:-1], np.uint64(1 << shift), out=new[1:])
         order = np.bitwise_and(order, np.uint64((1 << shift) - 1), out=order).view(np.intp)
     else:
         order = np.lexsort(keys)
-        ordered = [key[order] for key in keys]
-        np.not_equal(ordered[0][1:], ordered[0][:-1], out=new[1:])
-        for column in ordered[1:]:
-            new[1:] |= column[1:] != column[:-1]
+        ordered = keys[:, order]
+        new[1:] = np.any(ordered[:, 1:] != ordered[:, :-1], axis=0)
     inverse = np.empty(count, dtype=np.intp)
     inverse[order] = np.add.accumulate(new, dtype=np.intp) - 1
     return order[new], inverse

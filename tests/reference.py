@@ -55,7 +55,6 @@ from muscert.data import LabeledDataset, _is_numeric, _read_text
 from muscert.models import LinearSoftmaxModel, MlpModel
 from muscert.noise import iid_bernoulli_bits
 from muscert.smoothing import (
-    EQUIVALENCE_TOL,
     SmoothedModel,
     _premasked_means,
     mus_evaluate_pairs,
@@ -355,7 +354,7 @@ class LeakageReport:
 
     @property
     def multiplicative_matches(self) -> bool:
-        return abs(self.multiplicative_lhs - self.multiplicative_rhs) <= EQUIVALENCE_TOL
+        return self.multiplicative_lhs.hex() == self.multiplicative_rhs.hex()
 
 
 def _nonzero_indicator(z: Sequence[float]) -> float:
@@ -474,7 +473,8 @@ def ratio_radius(gap: float, lambda_num: int, q: int) -> tuple[float, int]:
 
 def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
                               alphas: Sequence[Mask]) -> bool:
-    """True iff smoothing each mask equals smoothing the pre-masked input.
+    """True iff smoothing each mask equals smoothing the pre-masked input,
+    bit for bit.
 
     The left side is mus_evaluate_pairs on x under alphas, the right side
     the package's _premasked_means. With a noise-exemption mask mu set, the
@@ -486,7 +486,7 @@ def masking_equivalence_check(model: SmoothedModel, x: Sequence[float],
         raise ConfigError("equivalence requires alpha to cover the noise-exempt mask mu")
     lhs = mus_evaluate_pairs(model, [x], np.zeros(len(masks), np.intp), masks)
     rhs = _premasked_means(model, x, masks, model.mu)
-    return bool((np.abs(lhs - rhs) <= EQUIVALENCE_TOL).all())
+    return lhs.tobytes() == rhs.tobytes()
 
 
 def load_csv_rows(path: str) -> LabeledDataset:

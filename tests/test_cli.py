@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, file formats, determinism."""
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import json
@@ -149,12 +150,40 @@ def test_off_grid_keep_rate_is_usage_error(small_artifacts, tmp_path, capsys):
     assert "lambda_num" in capsys.readouterr().err
 
 
-def test_phi_source_must_be_exactly_one(small_artifacts, tmp_path):
-    both = ["certify", *_base_args(small_artifacts, tmp_path / "o"),
-            "--topk", "2", "--rinc", "1"]
-    neither = ["certify", *_base_args(small_artifacts, tmp_path / "o")]
-    assert main(both) == EXIT_USAGE
-    assert main(neither) == EXIT_USAGE
+def test_phi_source_must_be_exactly_one(small_artifacts, tmp_path, capsys):
+    """certify and attack take exactly one of --topk and --rinc/--rdec, and
+    refuse anything else before any input is read: a missing model file
+    still exits 1 with the rule's message."""
+    missing = str(tmp_path / "missing-model.json")
+    for command in ("certify", "attack"):
+        for extra, message in (
+                (["--topk", "2", "--rinc", "1"], "pass either --topk or --rinc/--rdec, not both"),
+                (["--topk", "2", "--rdec", "0"], "pass either --topk or --rinc/--rdec, not both"),
+                ([], "one of --topk or --rinc/--rdec is required")):
+            argv = [command, *_base_args(small_artifacts, tmp_path / "o"), *extra]
+            for model in (small_artifacts["model_path"], missing):
+                argv[argv.index("--model") + 1] = model
+                assert main(argv) == EXIT_USAGE
+                assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cli_takes_three_private_names_from_the_package():
+    """The CLI's private imports from the other package modules are the
+    certify stage, the grid driver and the integer flag rule: no other
+    private name, by `from .module import _name` or as `module._name` of an
+    imported module."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imports = [node for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert not any((node.module or "").split(".")[0] == "muscert" for node in imports)
+    private = {(node.module, alias.name) for node in imports if node.level == 1
+               for alias in node.names if alias.name.startswith("_")}
+    modules = {alias.asname or alias.name for node in imports
+               if node.level == 1 and node.module is None for alias in node.names}
+    private |= {(node.value.id, node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules and node.attr.startswith("_")}
+    assert private == {("certify", "_certify_stage"), ("smoothing", "_grid_means"),
+                       ("core", "_int_arg")}
 
 
 def test_unwritable_out_path_is_data_error(small_artifacts, tmp_path):

@@ -443,8 +443,7 @@ def test_unique_masks_pairs_rows_with_keys_at_any_width(n):
     if n + 3 <= 64:
         # The desk's layout: one word, the index shifted above the mask bits.
         assert (packed[:, 0] == keys.astype(np.uint64) << np.uint64(n) | words[:, 0]).all()
-    columns = {"masks": words.T, "keys": [*words.T, keys], "packed": packed.T}
-    for name, cols in columns.items():
+    for name, cols in {"masks": words.T, "packed": packed.T}.items():
         rep, inverse = smoothing._distinct(cols)
         assert (masks[rep][inverse] == masks).all()
         pairs = {(0 if name == "masks" else int(keys[r]), masks[r].tobytes())
@@ -456,28 +455,28 @@ def test_unique_masks_pairs_rows_with_keys_at_any_width(n):
 
 def _sorted_tuples(keys):
     """(rep, inverse) of _distinct's contract from sorted Python tuples: the
-    last key column sorts first, as in np.lexsort; rep[j] is the first row
-    holding tuple j."""
-    rows = [tuple(int(key[r]) for key in reversed(keys)) for r in range(len(keys[0]))]
+    last word of the (W, K) keys sorts first, as in np.lexsort; rep[j] is
+    the first column holding key j."""
+    rows = [tuple(int(word[r]) for word in reversed(keys)) for r in range(keys.shape[1])]
     tuples = sorted(set(rows))
     return [rows.index(t) for t in tuples], [tuples.index(row) for row in rows]
 
 
 def _distinct_cases():
+    """(W, K) uint64 keys, K keys of W words, and whether _distinct lexsorts them."""
     stream = LcgStream(derive_rng_state(5, 9))
     draws = np.array([stream.next_below(5) for _ in range(3 * 40)], dtype=np.uint64)
     return {
-        "one-column": ([draws[:40] * np.uint64(1 << 40)], False),
-        "three-columns": ([draws[:40], draws[40:80], draws[80:].astype(np.intp)], True),
-        "empty": ([np.empty(0, dtype=np.uint64)], False),
-        "empty-three": ([np.empty(0, dtype=np.uint64)] * 3, True),
-        "one-row": ([np.array([2 ** 63 + 5], dtype=np.uint64)], False),
-        "all-equal": ([np.full(33, 7, dtype=np.uint64)], False),
-        "all-equal-three": ([np.full(33, 7, dtype=np.uint64)] * 3, True),
-        "signed": ([draws[:40].astype(np.intp)], True),
-        # Five rows take 3 row bits: keys of 61 bits pack into 64, of 62 do not.
-        "64-bits": ([np.array([2 ** 61 - 1, 3, 2 ** 61 - 1, 0, 3], dtype=np.uint64)], False),
-        "65-bits": ([np.array([2 ** 61, 3, 2 ** 61, 0, 3], dtype=np.uint64)], True),
+        "one-column": (draws[None, :40] * np.uint64(1 << 40), False),
+        "three-columns": (draws.reshape(3, 40), True),
+        "empty": (np.empty((1, 0), dtype=np.uint64), False),
+        "empty-three": (np.empty((3, 0), dtype=np.uint64), True),
+        "one-row": (np.array([[2 ** 63 + 5]], dtype=np.uint64), False),
+        "all-equal": (np.full((1, 33), 7, dtype=np.uint64), False),
+        "all-equal-three": (np.full((3, 33), 7, dtype=np.uint64), True),
+        # Five keys take 3 column bits: keys of 61 bits pack into 64, of 62 do not.
+        "64-bits": (np.array([[2 ** 61 - 1, 3, 2 ** 61 - 1, 0, 3]], dtype=np.uint64), False),
+        "65-bits": (np.array([[2 ** 61, 3, 2 ** 61, 0, 3]], dtype=np.uint64), True),
     }
 
 
@@ -491,8 +490,8 @@ def test_distinct_reps_are_first_rows_and_tuples_go_in_sort_order(monkeypatch, c
     want_rep, want_inverse = _sorted_tuples(keys)
     assert rep.tolist() == want_rep and inverse.tolist() == want_inverse
     assert rep.dtype == inverse.dtype == np.intp
-    # A single unsigned column packs with the row numbers unless the two
-    # need more than 64 bits; a signed one or several go through lexsort.
+    # A one-word key packs with the column numbers unless the two need
+    # more than 64 bits; wider keys go through lexsort.
     assert bool(lexsorts) == sorts_columns
 
 

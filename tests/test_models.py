@@ -11,6 +11,7 @@ import sys
 import warnings
 from decimal import Decimal, localcontext
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -498,6 +499,12 @@ def test_load_rejects_unknown_kind(tmp_path):
     with pytest.raises(DataError, match="unknown kind 'tree'") as err:
         load_model(str(path))
     assert "linear" in str(err.value) and "mlp" in str(err.value)
+    # Nor does save_model write a model of another type: it names the type
+    # and leaves no file.
+    path = tmp_path / "other.json"
+    with pytest.raises(DataError, match="^cannot save model of type SimpleNamespace$"):
+        save_model(SimpleNamespace(d=2, m=2), str(path))
+    assert not path.exists()
 
 
 def test_load_names_bad_field(tmp_path):

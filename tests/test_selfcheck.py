@@ -13,7 +13,7 @@ from muscert.core import ConfigError, FeatureGrouping, ones_mask, top_classes_an
 from muscert.models import random_mlp
 from muscert.noise import LcgStream, derive_rng_state, enumerate_atoms
 from muscert.selfcheck import LIPSCHITZ_SLACK, _all_masks, _random_instance, check_lipschitz
-from muscert.smoothing import EQUIVALENCE_TOL, SmoothedModel, mus_evaluate_pairs
+from muscert.smoothing import SmoothedModel, mus_evaluate_pairs
 
 from reference import mask_apply, masking_equivalence_check, mus_evaluate
 
@@ -32,7 +32,7 @@ def reference_equivalence(model, x, alphas):
             raise ConfigError(COVER_MESSAGE)
         lhs = mus_evaluate(model, x, alpha)
         rhs = mus_evaluate(model, mask_apply(x, alpha, model.grouping), ones_mask(n))
-        if not all(abs(a - b) <= EQUIVALENCE_TOL for a, b in zip(lhs, rhs)):
+        if [*map(float.hex, lhs)] != [*map(float.hex, rhs)]:
             return False
     return True
 
@@ -92,16 +92,17 @@ def test_empty_batch_holds():
     assert masking_equivalence_check(model.with_mu(mu), x, [])
 
 
-@pytest.mark.parametrize("shift,holds", [(1e-11, False), (EQUIVALENCE_TOL / 4, True)])
-def test_perturbed_lhs_is_compared_against_an_independent_rhs(monkeypatch, shift, holds):
+@pytest.mark.parametrize("ulps,holds", [(1, False), (0, True)])
+def test_perturbed_lhs_is_compared_against_an_independent_rhs(monkeypatch, ulps, holds):
     model, x, mu = instance(5)
     masks = all_mask_tuples(model.n)
     real = smoothing._pair_means
 
     def perturbed(mdl, xs, examples, alphas, mus):
-        """Shift class 0 of the last alpha (the all-ones mask) by shift."""
+        """Shift class 0 of the last alpha (the all-ones mask) by ulps units
+        in the last place: one moves it to the next float up."""
         out = real(mdl, xs, examples, alphas, mus)
-        out[-1, 0] += shift
+        out[-1, 0] += ulps * np.spacing(out[-1, 0])
         return out
 
     monkeypatch.setattr(smoothing, "_pair_means", perturbed)
